@@ -192,11 +192,34 @@ def _emit_report(report: ComplexityReport, args, out,
             out.write(f"{key}: {cell}\n")
 
 
-def _open_out(args):
+def _group_cap() -> int:
+    text = os.environ.get("BRUHAT_GROUP_CAP")
+    if text is None:
+        return DEFAULT_GROUP_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInputError(
+            f"BRUHAT_GROUP_CAP must be an integer, got {text!r}") from None
+
+
+def _run(handler, args) -> int:
+    """Run a subcommand.  With --out, write to a temporary file next to the
+    target and rename it over the target only once the command succeeds, so
+    a failure leaves any existing file untouched and no partial one."""
     path = getattr(args, "out", None)
-    if path:
-        return open(path, "w", encoding="utf-8", newline="")
-    return None
+    if not path:
+        return handler(args, sys.stdout)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    out = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with out:
+            code = handler(args, out)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return code
 
 
 # -- subcommands -------------------------------------------------------------
@@ -261,9 +284,8 @@ def cmd_complexity(args, out) -> int:
 
 def cmd_scan(args, out) -> int:
     rs = root_system(args.type, args.rank)
-    cap = int(os.environ.get("BRUHAT_GROUP_CAP", DEFAULT_GROUP_CAP))
     rows = scan(rs, args.target, max_length=args.max_length,
-                jobs=args.jobs, cap=cap)
+                jobs=args.jobs, cap=_group_cap())
     columns = SCAN_COLUMNS[args.target]
     if args.format == "json":
         out.write(json.dumps({"meta": {**_meta(args),
@@ -370,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_scan)
     p_scan.add_argument("--target", required=True, choices=list(SCAN_TARGETS))
     p_scan.add_argument("--out", help="output file (default stdout)")
-    p_scan.add_argument("--jobs", type=int, default=1)
+    p_scan.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
     p_scan.add_argument("--max-length", type=int, default=None)
 
     p_deo = sub.add_parser("deodhar",
@@ -402,10 +425,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     handlers = {"info": cmd_info, "complexity": cmd_complexity,
                 "scan": cmd_scan, "deodhar": cmd_deodhar}
-    sink = _open_out(args)
-    out = sink if sink is not None else sys.stdout
     try:
-        return handlers[args.command](args, out)
+        return _run(handlers[args.command], args)
     except InvalidInputError as exc:
         _report_error(args, exc, 2)
         return 2
@@ -415,9 +436,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PreconditionError as exc:
         _report_error(args, exc, 3)
         return 3
-    finally:
-        if sink is not None:
-            sink.close()
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ callers (and the CLI) can print derivations rather than bare numbers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -285,9 +284,9 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     """Stream scan rows over the whole Weyl group, in canonical order
     (length, then least reduced word lexicographically).
 
-    The output is deterministic and independent of ``jobs``; workers share
-    only immutable state and rows are merged in canonical order.  Bad
-    targets and over-cap groups are rejected eagerly, before any row is
+    The scan runs serially: ``jobs`` is accepted for compatibility and has
+    no effect, so the output is deterministic and the same for every value.
+    Bad targets and over-cap groups are rejected eagerly, before any row is
     produced.
     """
     if target not in SCAN_TARGETS:
@@ -301,20 +300,12 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     elements = tuple(canonical_order(enumerate_group(rs, cap)))
     if max_length is not None:
         elements = tuple(w for w in elements if w.length <= max_length)
-    return _scan_rows(target, elements, jobs)
+    return _scan_rows(target, elements)
 
 
-def _scan_rows(target: str, elements: tuple[WeylElement, ...],
-               jobs: int) -> Iterator[dict]:
-    def unit(w: WeylElement) -> list[dict]:
-        return _scan_unit(target, w, elements)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = pool.map(unit, elements)
-            rows = [row for batch in batches for row in batch]
-    else:
-        rows = [row for w in elements for row in unit(w)]
+def _scan_rows(target: str,
+               elements: tuple[WeylElement, ...]) -> Iterator[dict]:
+    rows = [row for w in elements for row in _scan_unit(target, w, elements)]
 
     if target == "complexity_histogram":
         counts: dict[int, int] = {}

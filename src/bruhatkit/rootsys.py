@@ -212,7 +212,8 @@ def _symmetrizer(cartan: Matrix, rank: int) -> tuple[int, ...]:
 
 
 class RootSystem:
-    """All positive roots of a finite root system, with exact arithmetic.
+    """All positive roots of a finite root system, with exact arithmetic,
+    and the permutation of the signed roots induced by each reflection.
 
     Immutable after construction (internal caches aside); safe to share
     between concurrent tasks.
@@ -232,8 +233,7 @@ class RootSystem:
             raise InvalidInputError(
                 f"closure produced {len(self.positive_roots)} positive roots, "
                 f"expected {expected} for {datum.family}{datum.rank}")
-        self._reflections: dict[Root, Matrix] = {
-            r: self._reflection_matrix(r) for r in self.positive_roots}
+        self._build_permutations()
         # Interning cache for Weyl group elements, managed by the weyl module.
         self.element_cache: dict = {}
 
@@ -278,6 +278,34 @@ class RootSystem:
                     "of finite type")
         return tuple(sorted(seen, key=lambda r: (root_height(r), r)))
 
+    def _build_permutations(self) -> None:
+        # Signed roots: positions 0..N-1 hold the positive roots and N..2N-1
+        # their negatives, so a root is negative iff its position is >= N.
+        # A permutation maps each position to the position of its image.
+        self.signed_roots: tuple[Root, ...] = self.positive_roots + tuple(
+            negate(r) for r in self.positive_roots)
+        self.position: dict[Root, int] = {
+            r: k for k, r in enumerate(self.signed_roots)}
+        self.simple_positions: tuple[int, ...] = tuple(
+            self.index[self.simple_root(i)] for i in range(1, self.rank + 1))
+        self.simple_perms: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self.position[self._reflect_raw(i0, r)]
+                  for r in self.signed_roots)
+            for i0 in range(self.rank))
+        # s_beta = s_i s_alpha s_i, where alpha = s_i(beta) is a positive
+        # root of lower height; roots come in height order, so s_alpha is
+        # always known before s_beta.
+        perms = {self.simple_root(i0 + 1): s
+                 for i0, s in enumerate(self.simple_perms)}
+        for beta in self.positive_roots[self.rank:]:
+            for s in self.simple_perms:
+                alpha = self.signed_roots[s[self.index[beta]]]
+                if alpha in perms:
+                    s_alpha = perms[alpha]
+                    perms[beta] = tuple(s[s_alpha[q]] for q in s)
+                    break
+        self.reflection_perms: dict[Root, tuple[int, ...]] = perms
+
     # -- exact pairings --------------------------------------------------
 
     def coroot_pairing(self, x: Root, alpha: Root) -> int:
@@ -293,30 +321,13 @@ class RootSystem:
             raise InvalidInputError(f"{alpha} is not a root of this system")
         return q
 
-    def _reflection_matrix(self, alpha: Root) -> Matrix:
-        n = self.rank
-        cols = []
-        for j in range(n):
-            e = tuple(1 if k == j else 0 for k in range(n))
-            c = self.coroot_pairing(e, alpha)
-            cols.append(tuple(e[r] - c * alpha[r] for r in range(n)))
-        return tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-
-    def reflection_matrix(self, alpha: Root) -> Matrix:
-        """Root-lattice matrix of the reflection in the positive root alpha."""
-        try:
-            return self._reflections[alpha]
-        except KeyError:
-            raise InvalidInputError(
-                f"{alpha} is not a positive root of this system") from None
-
     # -- predicates -------------------------------------------------------
 
     def is_positive_root(self, root: Root) -> bool:
         return root in self.index
 
     def is_root(self, root: Root) -> bool:
-        return root in self.index or negate(root) in self.index
+        return root in self.position
 
     def __repr__(self) -> str:
         return (f"RootSystem({self.datum.family}{self.rank}, "

@@ -1,8 +1,11 @@
-"""Weyl group elements as exact integer matrices on the root lattice.
+"""Weyl group elements as permutations of the signed roots.
 
-An element is the rank x rank integer matrix of its action in simple-root
-coordinates (column j is the image of alpha_j); equality is matrix equality.
-Words compose left to right: ``from_word(rs, [1, 2])`` is s_1 s_2, acting by
+An element is the permutation it induces on the 2N signed roots of its
+root system (``RootSystem.signed_roots``): entry k is the position of the
+image of root k.  Equality is permutation equality.  Products compose,
+inverses invert, and lengths and descents are read off which positive roots
+land on negative positions.  Words compose left to right:
+``from_word(rs, [1, 2])`` is s_1 s_2, acting by
 ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
 Elements are interned per root system, so lengths, inverses, and reduced
@@ -12,80 +15,42 @@ concurrent readers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import GroupTooLargeError, InvalidInputError
-from .rootsys import Matrix, Root, RootSystem, weyl_group_order
+from .rootsys import Root, RootSystem, weyl_group_order
 
 SimpleSubset = frozenset[int]
+Perm = tuple[int, ...]
 
 #: Default refusal threshold for full group enumeration (= |W(E6)|).
 DEFAULT_GROUP_CAP = 51840
 
 
-def _identity_matrix(rank: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(rank))
-                 for i in range(rank))
-
-
-def _mat_mul(a: Matrix, b: Matrix, rank: int) -> Matrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(rank))
-              for j in range(rank))
-        for i in range(rank))
-
-
-def _mat_vec(m: Matrix, v: Sequence[int], rank: int) -> Root:
-    return tuple(sum(m[i][k] * v[k] for k in range(rank))
-                 for i in range(rank))
-
-
-def _mat_inverse(m: Matrix, rank: int) -> Matrix:
-    # Gauss-Jordan over Fractions; the result is an integer matrix because
-    # root-lattice actions are unimodular.
-    aug = [[Fraction(m[i][j]) for j in range(rank)]
-           + [Fraction(1 if i == j else 0) for j in range(rank)]
-           for i in range(rank)]
-    for col in range(rank):
-        piv = next(r for r in range(col, rank) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(rank):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = tuple(tuple(int(aug[i][rank + j]) for j in range(rank))
-                for i in range(rank))
-    return out
-
-
 class WeylElement:
     """A Weyl group element; obtain instances via from_word / identity."""
 
-    __slots__ = ("system", "action", "_length", "_inverse", "_hash")
+    __slots__ = ("system", "perm", "_length", "_inverse", "_hash")
 
-    def __init__(self, system: RootSystem, action: Matrix):
+    def __init__(self, system: RootSystem, perm: Perm):
         self.system = system
-        self.action = action
+        self.perm = perm
         self._length: int | None = None
         self._inverse: WeylElement | None = None
-        self._hash = hash(action)
+        self._hash = hash(perm)
 
     @property
     def length(self) -> int:
         """Coxeter length = number of positive roots sent negative."""
         if self._length is None:
-            n = self.system.rank
-            self._length = sum(
-                1 for r in self.system.positive_roots
-                if any(c < 0 for c in _mat_vec(self.action, r, n)))
+            n_pos = len(self.system.positive_roots)
+            self._length = sum(p >= n_pos for p in self.perm[:n_pos])
         return self._length
 
     def apply(self, root: Root) -> Root:
-        return _mat_vec(self.action, root, self.system.rank)
+        rs = self.system
+        return rs.signed_roots[self.perm[rs.position[root]]]
 
     def is_identity(self) -> bool:
         return self.length == 0
@@ -98,7 +63,7 @@ class WeylElement:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, WeylElement)
-                and self.action == other.action
+                and self.perm == other.perm
                 and self.system is other.system)
 
     def __hash__(self) -> int:
@@ -108,30 +73,37 @@ class WeylElement:
         return f"WeylElement({word_string(self)})"
 
     def sort_key(self) -> tuple:
-        """Deterministic total order: by length, then matrix entries."""
-        return (self.length, self.action)
+        """Deterministic total order: by length, then the entries of the
+        simple-root-coordinate matrix whose column j is w(alpha_j)."""
+        rs = self.system
+        images = [rs.signed_roots[self.perm[k]] for k in rs.simple_positions]
+        return (self.length, tuple(zip(*images)))
 
 
-def _intern(rs: RootSystem, action: Matrix) -> WeylElement:
+def _intern(rs: RootSystem, perm: Perm) -> WeylElement:
     cache = rs.element_cache
-    el = cache.get(action)
+    el = cache.get(perm)
     if el is None:
-        el = cache.setdefault(action, WeylElement(rs, action))
+        el = cache.setdefault(perm, WeylElement(rs, perm))
     return el
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return _intern(rs, _identity_matrix(rs.rank))
+    return _intern(rs, tuple(range(len(rs.signed_roots))))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     rs._check_index(i)
-    return _intern(rs, rs.reflection_matrix(rs.simple_root(i)))
+    return _intern(rs, rs.simple_perms[i - 1])
 
 
 def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
     """The reflection s_alpha for a positive root alpha."""
-    return _intern(rs, rs.reflection_matrix(alpha))
+    try:
+        return _intern(rs, rs.reflection_perms[alpha])
+    except KeyError:
+        raise InvalidInputError(
+            f"{alpha} is not a positive root of this system") from None
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
@@ -144,24 +116,27 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     >>> from_word(rs, [1, 1]) == identity(rs)
     True
     """
-    m = _identity_matrix(rs.rank)
+    perm = tuple(range(len(rs.signed_roots)))
     for i in word:
         rs._check_index(i)
-        m = _mat_mul(m, rs.reflection_matrix(rs.simple_root(i)), rs.rank)
-    return _intern(rs, m)
+        perm = tuple(map(perm.__getitem__, rs.simple_perms[i - 1]))
+    return _intern(rs, perm)
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     if u.system is not v.system:
         raise InvalidInputError("elements belong to different root systems")
-    return _intern(u.system, _mat_mul(u.action, v.action, u.system.rank))
+    return _intern(u.system, tuple(map(u.perm.__getitem__, v.perm)))
 
 
 def inverse(w: WeylElement) -> WeylElement:
     if w._inverse is None:
-        inv = _intern(w.system, _mat_inverse(w.action, w.system.rank))
-        w._inverse = inv
-        inv._inverse = w
+        inv = [0] * len(w.perm)
+        for k, p in enumerate(w.perm):
+            inv[p] = k
+        inv_el = _intern(w.system, tuple(inv))
+        w._inverse = inv_el
+        inv_el._inverse = w
     return w._inverse
 
 
@@ -174,11 +149,10 @@ def apply_to_root(w: WeylElement, root: Root) -> Root:
 @lru_cache(maxsize=None)
 def right_descents(w: WeylElement) -> SimpleSubset:
     """Simple indices i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
-    # w(alpha_i) is column i of the action matrix; a root is negative iff
-    # any coefficient is.
+    n_pos = len(w.system.positive_roots)
     return frozenset(
-        i for i in range(1, w.system.rank + 1)
-        if any(row[i - 1] < 0 for row in w.action))
+        i for i, k in enumerate(w.system.simple_positions, start=1)
+        if w.perm[k] >= n_pos)
 
 
 def left_descents(w: WeylElement) -> SimpleSubset:
@@ -188,8 +162,8 @@ def left_descents(w: WeylElement) -> SimpleSubset:
 
 def right_inversions(w: WeylElement) -> frozenset[Root]:
     """{alpha in Phi+ : w(alpha) in Phi-}; has exactly l(w) members."""
-    return frozenset(r for r in w.system.positive_roots
-                     if any(c < 0 for c in w.apply(r)))
+    roots = w.system.positive_roots
+    return frozenset(r for r, p in zip(roots, w.perm) if p >= len(roots))
 
 
 def left_inversions(w: WeylElement) -> frozenset[Root]:

@@ -251,6 +251,30 @@ def test_scan_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+
+def test_scan_cap_env_not_integer(capsys, monkeypatch):
+    monkeypatch.setenv("BRUHAT_GROUP_CAP", "abc")
+    code, out, err = run(capsys, ["scan", "--type", "A", "--rank", "2",
+                                  "--target", "toric_schubert"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "BRUHAT_GROUP_CAP" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_scan_out_untouched_on_failure(tmp_path, capsys):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("previous\n")
+    fresh = tmp_path / "fresh.csv"
+    for path in (kept, fresh):
+        code, out, _ = run(capsys, ["scan", "--type", "E", "--rank", "8",
+                                    "--target", "toric_schubert",
+                                    "--format", "csv", "--out", str(path)])
+        assert code == 4
+        assert out == ""
+    assert kept.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
 # -- deodhar ------------------------------------------------------------------
 
 

@@ -6,9 +6,10 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        left_inversions, left_parabolic_decomposition,
                        longest_element, multiply, reduced_word,
                        right_descents, right_inversions,
-                       right_parabolic_decomposition, root_system, support,
-                       word_string)
+                       right_parabolic_decomposition, root_system,
+                       simple_reflect, support, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
+from bruhatkit.weyl import reflection
 from oracles import (perm_from_word, perm_left_descents, perm_length,
                      perm_reduced_words, perm_right_descents,
                      perm_right_inversion_roots, perm_support)
@@ -204,6 +205,54 @@ def test_action_permutes_signed_roots(b2, g2_group):
             tuple(-c for c in r) for r in rs.positive_roots}
         for w in group:
             assert {w.apply(r) for r in signed} == signed
+
+
+def test_representation_against_word_model(b3_group, g2_group, d4_group):
+    # independent model: w acts on a root by applying the simple
+    # reflections of its reduced word one by one, rightmost first
+    for group in (b3_group, g2_group, d4_group):
+        rs = group[0].system
+        signed = rs.positive_roots + tuple(
+            tuple(-c for c in r) for r in rs.positive_roots)
+
+        def act(word, root):
+            for i in reversed(word):
+                root = simple_reflect(rs, i, root)
+            return root
+
+        def negative(root):
+            return any(c < 0 for c in root)
+
+        for w in group:
+            word = reduced_word(w)
+            for r in signed:
+                assert w.apply(r) == act(word, r)
+                assert inverse(w).apply(r) == act(word[::-1], r)
+            assert w.length == len(word) == sum(
+                negative(act(word, r)) for r in rs.positive_roots)
+            images = [act(word, rs.simple_root(j))
+                      for j in range(1, rs.rank + 1)]
+            assert right_descents(w) == {
+                j for j, img in enumerate(images, start=1) if negative(img)}
+            # sort_key: length, then the matrix whose column j is w(alpha_j)
+            matrix = tuple(tuple(img[r] for img in images)
+                           for r in range(rs.rank))
+            assert w.sort_key() == (len(word), matrix)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("C", 4), ("G", 2),
+                                         ("D", 4), ("F", 4), ("E", 6)])
+def test_reflections_act_by_coroot_pairing(family, rank):
+    # s_alpha(x) = x - <x, alpha^vee> alpha on every signed root
+    rs = root_system(family, rank)
+    signed = rs.positive_roots + tuple(
+        tuple(-c for c in r) for r in rs.positive_roots)
+    for alpha in rs.positive_roots:
+        s = reflection(rs, alpha)
+        assert s.length % 2 == 1
+        for x in signed:
+            c = rs.coroot_pairing(x, alpha)
+            assert s.apply(x) == tuple(a - c * b for a, b in zip(x, alpha))
 
 
 def _degree_distribution(degrees):
