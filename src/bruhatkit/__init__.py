@@ -4,9 +4,9 @@ with torus and Levi-Borel complexity of Schubert and Richardson varieties.
 
 __version__ = "0.1.0"
 
-from .algdim import (SpanBasis, ad, ad_direct, ad_recursive, ad_via_chain,
-                     ad_via_covers_at, echelon_basis, is_toric,
-                     max_toric_above_bottom, max_toric_below_top, span_rank)
+from .algdim import (SpanBasis, ad, ad_direct, ad_via_chain, ad_via_covers_at,
+                     echelon_basis, is_toric, max_toric_above_bottom,
+                     max_toric_below_top, span_rank)
 from .bruhat import (CoverEdge, LabeledInterval, bruhat_le, interval,
                      lower_covers, saturated_chain, upper_covers_le)
 from .complexity import (ComplexityReport, LeviAction, levi_acts,

@@ -1,11 +1,11 @@
-"""Algebraic dimension of Bruhat intervals, by four independent routes.
+"""Algebraic dimension of Bruhat intervals.
 
 ad(u, v) is the dimension of the span of all edge labels of the Bruhat graph
-on [u, v].  It can be computed from all graph edges (ad_direct), from the
-covers incident to either endpoint (ad_via_covers_at), from any single
-saturated chain (ad_via_chain), or by a descent recursion that never builds
-the interval (ad_recursive).  All four agree; the test suite checks this
-exhaustively on small groups.
+on [u, v].  The production route, ``ad``, is a right-descent recursion that
+never builds the interval.  Three interval routes cross-check it: all graph
+edges (ad_direct), the covers incident to either endpoint
+(ad_via_covers_at), and any single saturated chain (ad_via_chain).  All four
+agree; the test suite checks this exhaustively on small groups.
 
 All spans are over the rationals.  Root coordinates are integral, so ranks
 agree with real spans, and everything here is fraction-free integer
@@ -165,31 +165,34 @@ def ad_via_chain(u: WeylElement, v: WeylElement) -> SpanBasis:
 
 
 @lru_cache(maxsize=None)
-def _ad_recursive_generators(u: WeylElement, v: WeylElement) -> tuple[Root, ...]:
-    # Descent recursion; carries generators (not just a rank) because the
-    # ascent branch adds one specific vector to the recursive span.
-    if u == v:
-        return ()
-    i = min(right_descents(v))
-    s = simple_reflection(v.system, i)
-    us = multiply(u, s)
-    vs = multiply(v, s)
-    if us.length < u.length:
-        return _ad_recursive_generators(us, vs)
-    label = u.apply(u.system.simple_root(i))
-    return _ad_recursive_generators(u, vs) + (label,)
-
-
-def ad_recursive(u: WeylElement, v: WeylElement) -> int:
-    """ad(u, v) by the right-descent recursion, never building [u, v]."""
-    _require_le(u, v)
-    return SpanBasis(_ad_recursive_generators(u, v)).rank
-
-
-@lru_cache(maxsize=None)
 def ad(u: WeylElement, v: WeylElement) -> int:
-    """ad(u, v), cached; computed from all graph edge labels."""
-    return ad_direct(u, v).rank
+    """ad(u, v) by the right-descent recursion, never building [u, v].
+
+    With i the least right descent of v: if u s_i < u, then
+    ad(u, v) = ad(u s_i, v s_i); otherwise u(alpha_i) joins the labels of
+    [u, v s_i].
+
+    >>> from bruhatkit.rootsys import root_system
+    >>> from bruhatkit.weyl import from_word, identity
+    >>> rs = root_system("A", 3)
+    >>> ad(identity(rs), from_word(rs, [1, 2, 1]))
+    2
+    >>> ad(from_word(rs, [2]), from_word(rs, [2, 1, 3, 2]))
+    3
+    """
+    _require_le(u, v)
+    rs = u.system
+    labels = []
+    while u != v:
+        i = min(right_descents(v))
+        s = simple_reflection(rs, i)
+        us = multiply(u, s)
+        if us.length < u.length:
+            u = us
+        else:
+            labels.append(u.apply(rs.simple_root(i)))
+        v = multiply(v, s)
+    return span_rank(labels)
 
 
 def is_toric(u: WeylElement, v: WeylElement) -> bool:
@@ -206,25 +209,15 @@ def max_toric_above_bottom(
     the deterministic element order.
     """
     _require_le(u, v)
-    best: tuple[WeylElement, int] | None = None
-    for w in interval(u, v).elements_sorted():
-        if is_toric(u, w):
-            value = w.length - u.length
-            if best is None or value > best[1]:
-                best = (w, value)
-    assert best is not None  # [u, u] is always toric
-    return best
+    best = max((w for w in interval(u, v).elements_sorted()
+                if is_toric(u, w)), key=lambda w: w.length)
+    return best, best.length - u.length
 
 
 def max_toric_below_top(
         u: WeylElement, v: WeylElement) -> tuple[WeylElement, int]:
     """Maximize l(v) - l(w) over w in [u, v] with [w, v] toric."""
     _require_le(u, v)
-    best: tuple[WeylElement, int] | None = None
-    for w in interval(u, v).elements_sorted():
-        if is_toric(w, v):
-            value = v.length - w.length
-            if best is None or value > best[1]:
-                best = (w, value)
-    assert best is not None
-    return best
+    best = min((w for w in interval(u, v).elements_sorted()
+                if is_toric(w, v)), key=lambda w: w.length)
+    return best, v.length - best.length

@@ -28,7 +28,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import __version__
@@ -80,45 +79,23 @@ def element_to_oneline(w: WeylElement) -> str:
     return "".join(map(str, p))
 
 
-@dataclass(frozen=True)
-class ElementCodec:
-    """One element-notation token: either a word ('id' or dot-separated
-    simple indices) or a one-line permutation (family A only)."""
-
-    notation: str  # "word" or "oneline"
-    payload: str
-
-    @classmethod
-    def detect(cls, rs: RootSystem, text: str) -> "ElementCodec":
-        text = text.strip()
-        if text == "id" or "." in text or (text.isdigit() and len(text) == 1):
-            return cls("word", text)
-        if text.isdigit() and rs.datum.family == "A":
-            return cls("oneline", text)
+def parse_element(rs: RootSystem, text: str) -> WeylElement:
+    """Parse ``id``, a dotted word, a single index, or (family A only)
+    one-line notation."""
+    text = text.strip()
+    if text == "id":
+        return identity(rs)
+    if "." in text or (text.isdigit() and len(text) == 1):
+        return from_word(rs, parse_word(text))
+    if not (text.isdigit() and rs.datum.family == "A"):
         raise InvalidInputError(
             f"cannot parse element {text!r}: use 'id', a dot-separated word "
             f"like 1.2.1, or (family A) one-line notation like 3412")
-
-    def to_element(self, rs: RootSystem) -> WeylElement:
-        if self.notation == "word":
-            if self.payload == "id":
-                return identity(rs)
-            return from_word(rs, parse_word(self.payload))
-        if self.notation == "oneline":
-            if rs.datum.family != "A":
-                raise InvalidInputError(
-                    "one-line notation is only valid for family A")
-            digits = [int(c) for c in self.payload]
-            if sorted(digits) != list(range(1, rs.rank + 2)):
-                raise InvalidInputError(
-                    f"{self.payload!r} is not a permutation of "
-                    f"1..{rs.rank + 1}")
-            return element_from_oneline(rs, digits)
-        raise InvalidInputError(f"unknown notation {self.notation!r}")
-
-
-def parse_element(rs: RootSystem, text: str) -> WeylElement:
-    return ElementCodec.detect(rs, text).to_element(rs)
+    digits = [int(c) for c in text]
+    if sorted(digits) != list(range(1, rs.rank + 2)):
+        raise InvalidInputError(
+            f"{text!r} is not a permutation of 1..{rs.rank + 1}")
+    return element_from_oneline(rs, digits)
 
 
 def parse_subset(text: str | None) -> frozenset[int]:
@@ -211,14 +188,18 @@ def _run(handler, args) -> int:
     if not path:
         return handler(args, sys.stdout)
     tmp = f"{path}.{os.getpid()}.tmp"
-    out = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with out:
-            code = handler(args, out)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        out = open(tmp, "x", encoding="utf-8", newline="")
+        try:
+            with out:
+                code = handler(args, out)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot write {path!r}: {exc.strerror}") from None
     return code
 
 

@@ -24,9 +24,9 @@ from typing import Iterable, Iterator
 
 from .algdim import ad, max_toric_below_top
 from .bruhat import bruhat_le
-from .errors import (FormulaUnavailableError, GroupTooLargeError,
-                     InvalidInputError, PreconditionError)
-from .rootsys import RootSystem, weyl_group_order
+from .errors import (FormulaUnavailableError, InvalidInputError,
+                     PreconditionError)
+from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement,
                    canonical_order, enumerate_group, left_descents,
                    left_parabolic_decomposition, longest_element, multiply,
@@ -267,16 +267,13 @@ def _scan_unit(target: str, w: WeylElement,
         return rows
     if target == "complexity_histogram":
         return [{"value": w.length - len(support(w))}]
-    if target == "levi_table":
-        rows = []
-        for sub in _subsets_sorted(left_descents(w)):
-            _, d = left_parabolic_decomposition(w, sub)
-            rows.append({"w": word_string(w), "I": _subset_str(sub),
-                         "coset_factor": word_string(d),
-                         "value": d.length - len(support(d))})
-        return rows
-    raise InvalidInputError(
-        f"unknown scan target {target!r}; expected one of {SCAN_TARGETS}")
+    rows = []  # levi_table; scan() has already rejected unknown targets
+    for sub in _subsets_sorted(left_descents(w)):
+        _, d = left_parabolic_decomposition(w, sub)
+        rows.append({"w": word_string(w), "I": _subset_str(sub),
+                     "coset_factor": word_string(d),
+                     "value": d.length - len(support(d))})
+    return rows
 
 
 def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
@@ -292,11 +289,6 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     if target not in SCAN_TARGETS:
         raise InvalidInputError(
             f"unknown scan target {target!r}; expected one of {SCAN_TARGETS}")
-    order = weyl_group_order(rs.datum.family, rs.rank)
-    if order > cap:
-        raise GroupTooLargeError(
-            f"|W({rs.datum.family}{rs.rank})| = {order} exceeds the "
-            f"enumeration cap {cap}", order, cap)
     elements = tuple(canonical_order(enumerate_group(rs, cap)))
     if max_length is not None:
         elements = tuple(w for w in elements if w.length <= max_length)

@@ -8,9 +8,9 @@ land on negative positions.  Words compose left to right:
 ``from_word(rs, [1, 2])`` is s_1 s_2, acting by
 ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
-Elements are interned per root system, so lengths, inverses, and reduced
-words are computed once per element.  Everything here is pure and safe for
-concurrent readers.
+Elements are interned per root system, so lengths, inverses, descents, and
+reduced words are computed once per element.  Everything here is pure and
+safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ DEFAULT_GROUP_CAP = 51840
 class WeylElement:
     """A Weyl group element; obtain instances via from_word / identity."""
 
-    __slots__ = ("system", "perm", "_length", "_inverse", "_hash")
+    __slots__ = ("system", "perm", "_length", "_inverse", "_descents",
+                 "_hash")
 
     def __init__(self, system: RootSystem, perm: Perm):
         self.system = system
         self.perm = perm
         self._length: int | None = None
         self._inverse: WeylElement | None = None
+        self._descents: SimpleSubset | None = None
         self._hash = hash(perm)
 
     @property
@@ -146,13 +148,14 @@ def apply_to_root(w: WeylElement, root: Root) -> Root:
     return w.apply(root)
 
 
-@lru_cache(maxsize=None)
 def right_descents(w: WeylElement) -> SimpleSubset:
     """Simple indices i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
-    n_pos = len(w.system.positive_roots)
-    return frozenset(
-        i for i, k in enumerate(w.system.simple_positions, start=1)
-        if w.perm[k] >= n_pos)
+    if w._descents is None:
+        n_pos = len(w.system.positive_roots)
+        w._descents = frozenset(
+            i for i, k in enumerate(w.system.simple_positions, start=1)
+            if w.perm[k] >= n_pos)
+    return w._descents
 
 
 def left_descents(w: WeylElement) -> SimpleSubset:
@@ -189,7 +192,6 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def all_reduced_words(w: WeylElement) -> frozenset[tuple[int, ...]]:
     """Every reduced word of w."""
     if w.is_identity():

@@ -9,8 +9,8 @@ exact-set equivalents of enumerating the exponentially many chains/choices.
 
 from __future__ import annotations
 
-from bruhatkit.algdim import (ad_direct, ad_recursive, ad_via_chain,
-                              ad_via_covers_at, echelon_basis)
+from bruhatkit.algdim import (ad, ad_direct, ad_via_chain, ad_via_covers_at,
+                              echelon_basis)
 from bruhatkit.bruhat import bruhat_le, interval
 from bruhatkit.weyl import multiply, right_descents, simple_reflection
 
@@ -66,7 +66,7 @@ def check_four_way_agreement(u, v):
     assert ad_via_covers_at(u, v, "bottom").rank == rank
     assert ad_via_covers_at(u, v, "top").rank == rank
     assert ad_via_chain(u, v).rank == rank
-    assert ad_recursive(u, v) == rank
+    assert ad(u, v) == rank
     assert all_chain_spans(u, v) == {space}
     assert all_recursive_spans(u, v) == {space}
     return rank

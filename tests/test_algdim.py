@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from bruhatkit import (NotComparableError, ad, ad_direct, ad_recursive,
-                       ad_via_chain, ad_via_covers_at, bruhat_le,
+from bruhatkit import (NotComparableError, ad, ad_direct, ad_via_chain,
+                       ad_via_covers_at, bruhat_le,
                        echelon_basis, from_word, identity, interval, is_toric,
                        max_toric_above_bottom, max_toric_below_top,
                        span_rank, support)
 from bruhatkit.algdim import SpanBasis
+from bruhatkit.weyl import WeylElement
 from bruhatkit.cli import parse_element
 from bruhatkit.errors import InvalidInputError
 from oracles import fraction_rank, root_of_pair
@@ -90,12 +91,12 @@ def test_ad_via_chain_examples(a3):
     assert len(chain_basis.generators) == 4 and chain_basis.rank == 3
 
 
-def test_ad_recursive_examples(a3, a4):
+def test_ad_descent_examples(a3, a4):
     u = parse_element(a3, "1324")
     v = parse_element(a3, "3412")
-    assert ad_recursive(u, u) == 0
-    assert ad_recursive(u, v) == 3 == ad_direct(u, v).rank
-    assert ad_recursive(identity(a4), parse_element(a4, "51234")) == 4
+    assert ad(u, u) == 0
+    assert ad(u, v) == 3 == ad_direct(u, v).rank
+    assert ad(identity(a4), parse_element(a4, "51234")) == 4
 
 
 def test_four_way_agreement_small(s3, b2):
@@ -191,10 +192,33 @@ def test_max_toric_equals_ad(s4):
         assert max_toric_below_top(u, v)[1] == ad(u, v)
 
 
+def _reference_witnesses(u, v, group, toric):
+    # The first strictly better value in sort_key order, for both searches.
+    above = below = None
+    inside = [w for w in group if (u, w) in toric and (w, v) in toric]
+    for w in sorted(inside, key=WeylElement.sort_key):
+        if toric[u, w] and (above is None or w.length - u.length > above[1]):
+            above = (w, w.length - u.length)
+        if toric[w, v] and (below is None or v.length - w.length > below[1]):
+            below = (w, v.length - w.length)
+    return above, below
+
+
+def test_max_toric_witness_exhaustive(s4, b3_group, g2_group):
+    for group in (s4, b3_group, g2_group):
+        pairs = comparable_pairs(group)
+        toric = {(u, v): ad_direct(u, v).rank == v.length - u.length
+                 for u, v in pairs}
+        for u, v in pairs:
+            above, below = _reference_witnesses(u, v, group, toric)
+            assert max_toric_above_bottom(u, v) == above, (u, v)
+            assert max_toric_below_top(u, v) == below, (u, v)
+
+
 def test_rejects_incomparable(a2):
     s1 = from_word(a2, [1])
     s2 = from_word(a2, [2])
-    for fn in (ad_direct, ad_recursive, ad_via_chain, is_toric,
+    for fn in (ad_direct, ad, ad_via_chain, is_toric,
                max_toric_above_bottom, max_toric_below_top):
         with pytest.raises(NotComparableError):
             fn(s1, s2)

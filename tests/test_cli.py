@@ -4,9 +4,9 @@ import pytest
 
 from bruhatkit import (from_word, identity, levi_borel_complexity,
                        torus_complexity_richardson, torus_complexity_schubert)
-from bruhatkit.cli import (ElementCodec, element_from_oneline,
-                           element_to_oneline, main, parse_element,
-                           parse_subset, parse_word, root_string)
+from bruhatkit.cli import (element_from_oneline, element_to_oneline, main,
+                           parse_element, parse_subset, parse_word,
+                           root_string)
 from bruhatkit.errors import InvalidInputError
 
 
@@ -48,14 +48,13 @@ def test_oneline_only_for_family_a(b2):
 
 
 def test_element_codec_type(a3, b2):
-    codec = ElementCodec.detect(a3, "3412")
-    assert codec == ElementCodec("oneline", "3412")
-    assert ElementCodec.detect(a3, "1.2") == ElementCodec("word", "1.2")
-    assert ElementCodec.detect(a3, "id") == ElementCodec("word", "id")
+    assert parse_element(a3, "3412") == element_from_oneline(a3, [3, 4, 1, 2])
+    assert parse_element(a3, "1.2") == from_word(a3, [1, 2])
+    assert parse_element(a3, "id") == identity(a3)
     with pytest.raises(InvalidInputError):
-        ElementCodec("oneline", "21").to_element(b2)
+        parse_element(b2, "21")
     with pytest.raises(InvalidInputError):
-        ElementCodec("oneline", "4412").to_element(a3)
+        parse_element(a3, "4412")
 
 
 def test_parse_subset():
@@ -274,6 +273,21 @@ def test_scan_out_untouched_on_failure(tmp_path, capsys):
         assert out == ""
     assert kept.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "dir"])
+def test_scan_out_write_failure(tmp_path, capsys, target):
+    (tmp_path / "dir").mkdir()
+    path = tmp_path / target
+    code, out, err = run(capsys, ["scan", "--type", "A", "--rank", "2",
+                                  "--target", "toric_schubert",
+                                  "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
 
 # -- deodhar ------------------------------------------------------------------
 
