@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Literal
 
-from .bruhat import edge_label, interval, saturated_chain
+from .bruhat import bruhat_le, edge_label, interval, saturated_chain
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
 from .weyl import (WeylElement, multiply, right_descents, simple_reflection,
@@ -115,16 +115,11 @@ class SpanBasis:
             self._rank = span_rank(self.generators)
         return self._rank
 
-    def space(self) -> tuple[Root, ...]:
-        """Canonical echelon basis of the span (hashable subspace identity)."""
-        return echelon_basis(self.generators)
-
     def __repr__(self) -> str:
         return f"SpanBasis(rank {self.rank}, {len(self.generators)} generators)"
 
 
 def _require_le(u: WeylElement, v: WeylElement) -> None:
-    from .bruhat import bruhat_le
     if not bruhat_le(u, v):
         raise NotComparableError(
             f"{word_string(u)} is not <= {word_string(v)}")
@@ -197,7 +192,6 @@ def ad(u: WeylElement, v: WeylElement) -> int:
 
 def is_toric(u: WeylElement, v: WeylElement) -> bool:
     """[u, v] is toric iff ad(u, v) = l(v) - l(u)."""
-    _require_le(u, v)
     return ad(u, v) == v.length - u.length
 
 

@@ -89,13 +89,17 @@ class LabeledInterval:
 
     def __init__(self, u: WeylElement, v: WeylElement,
                  elements: frozenset[WeylElement],
-                 cover_edges: tuple[CoverEdge, ...],
                  graph_edges: tuple[CoverEdge, ...]):
         self.u = u
         self.v = v
         self.elements = elements
-        self.cover_edges = cover_edges
         self.graph_edges = graph_edges
+
+    @property
+    def cover_edges(self) -> tuple[CoverEdge, ...]:
+        """The graph edges with length difference one, in the same order."""
+        return tuple(e for e in self.graph_edges
+                     if e.upper.length == e.lower.length + 1)
 
     def rank_sizes(self) -> tuple[int, ...]:
         """Number of elements at each length from l(u) up to l(v)."""
@@ -120,38 +124,31 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     """Build [u, v] with all cover edges and all Bruhat-graph edges.
 
     Every element of [u, v] is reachable from v by a saturated chain inside
-    [u, v], so the downward search may prune anything not >= u.
+    [u, v], so the downward search may prune anything not >= u.  Each
+    x = s_alpha w below a visited w gives an edge if x lies in [u, v].
     """
     if not bruhat_le(u, v):
         raise NotComparableError(
             f"empty interval: {word_string(u)} is not <= {word_string(v)}")
     rs = u.system
     elements = {v}
+    candidates = []
     frontier = [v]
     while frontier:
         nxt = []
         for w in frontier:
             for alpha in rs.positive_roots:
                 x = multiply(reflection(rs, alpha), w)
+                if x.length < w.length:
+                    candidates.append(CoverEdge(x, w, alpha))
                 if (x.length == w.length - 1 and x not in elements
                         and bruhat_le(u, x)):
                     elements.add(x)
                     nxt.append(x)
         frontier = nxt
-    covers = []
-    graph = []
-    for w in elements:
-        for alpha in rs.positive_roots:
-            y = multiply(reflection(rs, alpha), w)
-            if y.length > w.length and y in elements:
-                edge = CoverEdge(w, y, alpha)
-                graph.append(edge)
-                if y.length == w.length + 1:
-                    covers.append(edge)
-    covers.sort(key=lambda e: _edge_key(rs, e))
-    graph.sort(key=lambda e: _edge_key(rs, e))
-    return LabeledInterval(u, v, frozenset(elements),
-                           tuple(covers), tuple(graph))
+    graph = sorted((e for e in candidates if e.lower in elements),
+                   key=lambda e: _edge_key(rs, e))
+    return LabeledInterval(u, v, frozenset(elements), tuple(graph))
 
 
 def saturated_chain(u: WeylElement, v: WeylElement) -> list[WeylElement]:

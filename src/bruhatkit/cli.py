@@ -4,7 +4,10 @@ Element notation accepted by --u/--v/--w:
 
 * ``id`` for the identity,
 * dot-separated words of simple indices, e.g. ``1.2.1``,
-* one-line permutation notation (family A only, rank <= 8), e.g. ``3412``.
+* one-line permutation notation, e.g. ``3412``: an all-digit string of two
+  or more digits, in family A of rank <= 8 only,
+* a single simple index, e.g. ``2`` or ``10``: any other all-digit string,
+  so every element the CLI prints can be read back.
 
 Subsets (--I/--J) are comma-separated simple indices; the empty string is
 the empty set.
@@ -36,8 +39,7 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          partial_flag_torus_complexity, scan,
                          torus_complexity_richardson,
                          torus_complexity_schubert)
-from .deodhar import (component_shape, enumerate_distinguished,
-                      positive_distinguished, td_span)
+from .deodhar import component_shape, enumerate_distinguished, td_span
 from .errors import (GroupTooLargeError, InvalidInputError, PreconditionError)
 from .rootsys import (Root, RootSystem, positive_root_count, root_system,
                       weyl_group_order)
@@ -80,14 +82,16 @@ def element_to_oneline(w: WeylElement) -> str:
 
 
 def parse_element(rs: RootSystem, text: str) -> WeylElement:
-    """Parse ``id``, a dotted word, a single index, or (family A only)
+    """Parse ``id``, a dotted word, a single index, or (family A, rank <= 8)
     one-line notation."""
     text = text.strip()
     if text == "id":
         return identity(rs)
-    if "." in text or (text.isdigit() and len(text) == 1):
+    oneline = (text.isdigit() and len(text) > 1
+               and rs.datum.family == "A" and rs.rank <= 8)
+    if "." in text or (text.isdigit() and not oneline):
         return from_word(rs, parse_word(text))
-    if not (text.isdigit() and rs.datum.family == "A"):
+    if not oneline:
         raise InvalidInputError(
             f"cannot parse element {text!r}: use 'id', a dot-separated word "
             f"like 1.2.1, or (family A) one-line notation like 3412")
@@ -265,8 +269,7 @@ def cmd_complexity(args, out) -> int:
 
 def cmd_scan(args, out) -> int:
     rs = root_system(args.type, args.rank)
-    rows = scan(rs, args.target, max_length=args.max_length,
-                jobs=args.jobs, cap=_group_cap())
+    rows = scan(rs, args.target, max_length=args.max_length, cap=_group_cap())
     columns = SCAN_COLUMNS[args.target]
     if args.format == "json":
         out.write(json.dumps({"meta": {**_meta(args),
@@ -289,10 +292,8 @@ def cmd_deodhar(args, out) -> int:
     rs = root_system(args.type, args.rank)
     word = parse_word(args.v_word)
     u = parse_element(rs, args.u)
-    subexprs = enumerate_distinguished(word, u)
-    positive = (positive_distinguished(word, u) if subexprs else None)
     rows = []
-    for se in subexprs:
+    for se in enumerate_distinguished(word, u):
         span = td_span(se)
         shape = component_shape(se)
         rows.append({
@@ -304,7 +305,7 @@ def cmd_deodhar(args, out) -> int:
             "betas": [f"{k}:{root_string(b)}" for k, b in se.betas],
             "shape": [shape.circ_count, shape.minus_count],
             "td": span.rank,
-            "positive": se == positive,
+            "positive": se.is_positive(),
         })
     columns = ("mask", "evaluation", "j_plus", "j_circ", "j_minus",
                "betas", "shape", "td", "positive")

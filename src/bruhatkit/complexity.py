@@ -19,7 +19,9 @@ callers (and the CLI) can print derivations rather than bare numbers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .algdim import ad, max_toric_below_top
@@ -157,6 +159,8 @@ def levi_borel_complexity(subset: Iterable[int],
 
 
 def _require_minimal(w: WeylElement, subset: frozenset[int]) -> None:
+    for i in subset:
+        w.system._check_index(i)
     bad = right_descents(w) & subset
     if bad:
         raise PreconditionError(
@@ -169,8 +173,6 @@ def partial_stabilizer_descents(w: WeylElement,
     """Simple indices of the standard parabolic stabilizing the Schubert
     variety of w in the partial flag variety on J: D_L(w w_0(J))."""
     sub = frozenset(subset)
-    for i in sub:
-        w.system._check_index(i)
     _require_minimal(w, sub)
     return left_descents(multiply(w, longest_element(w.system, sub)))
 
@@ -214,6 +216,8 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
     """
     j_sub = frozenset(j_subset)
     i_sub = frozenset(i_subset)
+    for i in i_sub:
+        w.system._check_index(i)
     stab = partial_stabilizer_descents(w, j_sub)
     outside = i_sub - stab
     if outside:
@@ -239,14 +243,6 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
 # -- batch scans ----------------------------------------------------------
 
 
-def _subsets_sorted(indices: frozenset[int]) -> list[tuple[int, ...]]:
-    base = sorted(indices)
-    out = [()]
-    for i in base:
-        out += [s + (i,) for s in out]
-    return sorted(out, key=lambda s: (len(s), s))
-
-
 def _scan_unit(target: str, w: WeylElement,
                elements: tuple[WeylElement, ...]) -> list[dict]:
     if target == "toric_schubert":
@@ -265,26 +261,26 @@ def _scan_unit(target: str, w: WeylElement,
                     rows.append({"u": word_string(w), "v": word_string(v),
                                  "rank": rank, "ad": dim})
         return rows
-    if target == "complexity_histogram":
-        return [{"value": w.length - len(support(w))}]
-    rows = []  # levi_table; scan() has already rejected unknown targets
-    for sub in _subsets_sorted(left_descents(w)):
-        _, d = left_parabolic_decomposition(w, sub)
-        rows.append({"w": word_string(w), "I": _subset_str(sub),
-                     "coset_factor": word_string(d),
-                     "value": d.length - len(support(d))})
+    rows = []  # levi_table; scan() has already handled the other targets
+    descents = sorted(left_descents(w))
+    for size in range(len(descents) + 1):
+        for sub in combinations(descents, size):
+            _, d = left_parabolic_decomposition(w, sub)
+            rows.append({"w": word_string(w), "I": _subset_str(sub),
+                         "coset_factor": word_string(d),
+                         "value": d.length - len(support(d))})
     return rows
 
 
 def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
-         jobs: int = 1, cap: int = DEFAULT_GROUP_CAP) -> Iterator[dict]:
+         cap: int = DEFAULT_GROUP_CAP) -> Iterator[dict]:
     """Stream scan rows over the whole Weyl group, in canonical order
     (length, then least reduced word lexicographically).
 
-    The scan runs serially: ``jobs`` is accepted for compatibility and has
-    no effect, so the output is deterministic and the same for every value.
     Bad targets and over-cap groups are rejected eagerly, before any row is
-    produced.
+    produced; each element's rows are computed only when they are read.
+    ``complexity_histogram`` yields one row per value, in increasing order,
+    once every element is counted.  The output is deterministic.
     """
     if target not in SCAN_TARGETS:
         raise InvalidInputError(
@@ -292,18 +288,8 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     elements = tuple(canonical_order(enumerate_group(rs, cap)))
     if max_length is not None:
         elements = tuple(w for w in elements if w.length <= max_length)
-    return _scan_rows(target, elements)
-
-
-def _scan_rows(target: str,
-               elements: tuple[WeylElement, ...]) -> Iterator[dict]:
-    rows = [row for w in elements for row in _scan_unit(target, w, elements)]
-
     if target == "complexity_histogram":
-        counts: dict[int, int] = {}
-        for row in rows:
-            counts[row["value"]] = counts.get(row["value"], 0) + 1
-        for value in sorted(counts):
-            yield {"value": value, "count": counts[value]}
-        return
-    yield from rows
+        counts = Counter(w.length - len(support(w)) for w in elements)
+        return ({"value": value, "count": counts[value]}
+                for value in sorted(counts))
+    return (row for w in elements for row in _scan_unit(target, w, elements))

@@ -26,6 +26,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .algdim import SpanBasis
+from .bruhat import bruhat_le
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
 from .weyl import (WeylElement, from_word, identity, multiply,
@@ -231,7 +232,6 @@ def deodhar_polynomial(v_word: Sequence[int],
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
-    from .bruhat import bruhat_le
     if not bruhat_le(u, v):
         warnings.warn(
             f"{word_string(u)} is not <= {word_string(v)}; the mask census "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from .errors import InvalidInputError
 
@@ -35,13 +35,6 @@ FAMILIES = "ABCDEFG"
 # Positive-root counts and group orders for the finite families, used both
 # for construction sanity checks and to refuse oversized enumerations early.
 _E_DATA = {6: (36, 51840), 7: (63, 2903040), 8: (120, 696729600)}
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def positive_root_count(family: str, rank: int) -> int:
@@ -64,11 +57,11 @@ def positive_root_count(family: str, rank: int) -> int:
 def weyl_group_order(family: str, rank: int) -> int:
     """|W| for the family/rank."""
     if family == "A":
-        return _factorial(rank + 1)
+        return factorial(rank + 1)
     if family in ("B", "C"):
-        return (1 << rank) * _factorial(rank)
+        return (1 << rank) * factorial(rank)
     if family == "D":
-        return (1 << (rank - 1)) * _factorial(rank)
+        return (1 << (rank - 1)) * factorial(rank)
     if family == "E":
         return _E_DATA[rank][1]
     if family == "F":
@@ -162,20 +155,6 @@ def cartan_datum(family: str, rank: int) -> CartanDatum:
     datum = CartanDatum(family, rank, _standard_cartan(family, rank))
     datum.validate()
     return datum
-
-
-def root_sign(root: Root) -> int:
-    """+1 for a positive root, -1 for a negative one.
-
-    A valid root never has mixed-sign coefficients.
-    """
-    if any(c > 0 for c in root):
-        if any(c < 0 for c in root):
-            raise InvalidInputError(f"mixed-sign coefficient vector {root}")
-        return 1
-    if any(c < 0 for c in root):
-        return -1
-    raise InvalidInputError("the zero vector is not a root")
 
 
 def root_height(root: Root) -> int:

@@ -238,21 +238,12 @@ def left_parabolic_decomposition(
 
 def right_parabolic_decomposition(
         w: WeylElement, subset: Iterable[int]) -> tuple[WeylElement, WeylElement]:
-    """w = w^I w_I with w_I in W_I, w^I with no right descent in I."""
-    sub = frozenset(subset)
-    rs = w.system
-    for i in sub:
-        rs._check_index(i)
-    head = w
-    tail = identity(rs)
-    while True:
-        common = right_descents(head) & sub
-        if not common:
-            return head, tail
-        i = min(common)
-        s = simple_reflection(rs, i)
-        head = multiply(head, s)
-        tail = multiply(s, tail)
+    """w = w^I w_I with w_I in W_I, w^I with no right descent in I.
+
+    The inverse of the left decomposition w^{-1} = a d, which is unique.
+    """
+    a, d = left_parabolic_decomposition(inverse(w), subset)
+    return inverse(d), inverse(a)
 
 
 def longest_element(rs: RootSystem, subset: Iterable[int] = ()) -> WeylElement:

@@ -4,7 +4,7 @@ from bruhatkit import (NotComparableError, bruhat_le, from_word, identity,
                        interval, lower_covers, multiply, reduced_word,
                        right_descents, saturated_chain, span_rank,
                        upper_covers_le)
-from bruhatkit.bruhat import edge_label
+from bruhatkit.bruhat import CoverEdge, _edge_key, edge_label
 from bruhatkit.cli import parse_element
 from bruhatkit.weyl import reflection, simple_reflection
 from oracles import (perm_bruhat_le, perm_from_word, root_of_pair,
@@ -113,6 +113,26 @@ def test_interval_elements_match_global_filter(s4):
         iv = interval(u, v)
         assert iv.elements == expected
         assert u in iv.elements and v in iv.elements
+
+
+@pytest.mark.parametrize("group", ["s4", "b3_group", "g2_group"])
+def test_interval_edges_exhaustive(group, request):
+    # every reflection-related pair of the interval, and nothing else
+    elements = request.getfixturevalue(group)
+    for u, v in comparable_pairs(elements):
+        rs = u.system
+        members = {w for w in elements
+                   if bruhat_le(u, w) and bruhat_le(w, v)}
+        expected = sorted(
+            (CoverEdge(x, y, alpha) for x in members
+             for alpha in rs.positive_roots
+             for y in [multiply(reflection(rs, alpha), x)]
+             if y.length > x.length and y in members),
+            key=lambda e: _edge_key(rs, e))
+        iv = interval(u, v)
+        assert list(iv.graph_edges) == expected
+        assert list(iv.cover_edges) == [
+            e for e in expected if e.upper.length == e.lower.length + 1]
 
 
 def test_interval_rejects_incomparable(a2):

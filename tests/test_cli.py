@@ -3,11 +3,13 @@ import json
 import pytest
 
 from bruhatkit import (from_word, identity, levi_borel_complexity,
-                       torus_complexity_richardson, torus_complexity_schubert)
+                       root_system, torus_complexity_richardson,
+                       torus_complexity_schubert, word_string)
 from bruhatkit.cli import (element_from_oneline, element_to_oneline, main,
                            parse_element, parse_subset, parse_word,
                            root_string)
 from bruhatkit.errors import InvalidInputError
+from bruhatkit.weyl import simple_reflection
 
 
 def run(capsys, argv):
@@ -55,6 +57,24 @@ def test_element_codec_type(a3, b2):
         parse_element(b2, "21")
     with pytest.raises(InvalidInputError):
         parse_element(a3, "4412")
+
+
+@pytest.mark.parametrize("family, rank", [("B", 10), ("D", 11)])
+def test_single_index_round_trip(family, rank):
+    rs = root_system(family, rank)
+    for i in range(1, rank + 1):
+        s = simple_reflection(rs, i)
+        assert parse_element(rs, word_string(s)) == s
+
+
+def test_single_index_notation(capsys):
+    with pytest.raises(InvalidInputError,
+                       match=r"simple index 10 out of range 1\.\.9"):
+        parse_element(root_system("A", 9), "10")
+    code, out, _ = run(capsys, ["complexity", "--type", "B", "--rank", "10",
+                                "--kind", "schubert", "--w", "10"])
+    assert code == 0
+    assert "w: 10\n" in out
 
 
 def test_parse_subset():
@@ -164,6 +184,23 @@ def test_complexity_partial_formula_unavailable(capsys):
     assert code == 3
     payload = json.loads(err)
     assert payload["error"]["hypothesis"] == "FormulaUnavailableError"
+
+
+@pytest.mark.parametrize("flags, index", [
+    (["--J", "5"], "5"),
+    (["--J", "0,-2"], None),
+    (["--J", "3", "--I", "7"], "7"),
+])
+def test_complexity_partial_index_out_of_range(capsys, flags, index):
+    code, out, err = run(capsys, ["complexity", "--type", "A", "--rank", "3",
+                                  "--kind", "partial", "--w", "1"] + flags)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: simple index ")
+    assert err.endswith(" out of range 1..3\n")
+    if index is not None:
+        assert err == f"error: simple index {index} out of range 1..3\n"
 
 
 def test_complexity_missing_flag(capsys):

@@ -2,7 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from bruhatkit import (FormulaUnavailableError, PreconditionError, ad,
+import bruhatkit.complexity as complexity
+from bruhatkit import (FormulaUnavailableError, InvalidInputError,
+                       PreconditionError, ad,
                        from_word, identity, is_toric, is_toric_partial,
                        left_descents, levi_acts, levi_borel_complexity,
                        left_parabolic_decomposition, longest_element,
@@ -202,6 +204,20 @@ def test_partial_levi_hypotheses_reported_separately(a2):
     assert not isinstance(err.value, FormulaUnavailableError)
 
 
+def test_partial_rejects_out_of_range_indices(a3):
+    w = from_word(a3, [1])
+    for bad in ({5}, {0, -2}):
+        for check in (partial_flag_torus_complexity, is_toric_partial,
+                      partial_stabilizer_descents):
+            with pytest.raises(InvalidInputError, match="out of range 1..3"):
+                check(w, bad)
+    # I is checked before any hypothesis, even for a non-minimal w
+    for j_sub in ({3}, {1, 2, 3}):
+        with pytest.raises(InvalidInputError,
+                           match=r"simple index 7 out of range 1\.\.3"):
+            partial_flag_levi_complexity(w, j_sub, {7})
+
+
 def test_scan_toric_schubert(a2):
     rows = list(scan(a2, "toric_schubert"))
     assert len(rows) == 5
@@ -230,12 +246,25 @@ def test_scan_levi_table(a2, s3):
         assert row["value"] >= 0
 
 
-def test_scan_jobs_and_max_length(a3):
-    rows1 = list(scan(a3, "toric_schubert"))
-    rows8 = list(scan(a3, "toric_schubert", jobs=8))
-    assert rows1 == rows8
+def test_scan_max_length(a3):
     short = list(scan(a3, "toric_schubert", max_length=1))
     assert all(row["length"] <= 1 for row in short)
+
+
+def test_scan_streams(a3, monkeypatch):
+    # the first row is produced from the first element alone
+    seen = []
+    unit = complexity._scan_unit
+
+    def counting(target, w, elements):
+        seen.append(w)
+        return unit(target, w, elements)
+
+    monkeypatch.setattr(complexity, "_scan_unit", counting)
+    rows = scan(a3, "levi_table")
+    assert seen == []
+    next(rows)
+    assert seen == [identity(a3)]
 
 
 def test_scan_cap(b3):
