@@ -51,6 +51,9 @@ from .weyl import (DEFAULT_GROUP_CAP, WeylElement, from_word, identity,
 
 
 def parse_word(text: str) -> tuple[int, ...]:
+    """Dot-separated simple indices; ``id`` is the empty word."""
+    if text.strip() == "id":
+        return ()
     try:
         return tuple(int(t) for t in text.split("."))
     except ValueError:
@@ -288,32 +291,35 @@ def cmd_scan(args, out) -> int:
     return 0
 
 
+def _deodhar_row(se) -> dict:
+    shape = component_shape(se)
+    return {
+        "mask": se.mask_string(),
+        "evaluation": word_string(se.evaluation),
+        "j_plus": sorted(se.j_plus),
+        "j_circ": sorted(se.j_circ),
+        "j_minus": sorted(se.j_minus),
+        "betas": [f"{k}:{root_string(b)}" for k, b in se.betas],
+        "shape": [shape.circ_count, shape.minus_count],
+        "td": td_span(se).rank,
+        "positive": se.is_positive(),
+    }
+
+
 def cmd_deodhar(args, out) -> int:
     rs = root_system(args.type, args.rank)
     word = parse_word(args.v_word)
     u = parse_element(rs, args.u)
-    rows = []
-    for se in enumerate_distinguished(word, u):
-        span = td_span(se)
-        shape = component_shape(se)
-        rows.append({
-            "mask": se.mask_string(),
-            "evaluation": word_string(se.evaluation),
-            "j_plus": sorted(se.j_plus),
-            "j_circ": sorted(se.j_circ),
-            "j_minus": sorted(se.j_minus),
-            "betas": [f"{k}:{root_string(b)}" for k, b in se.betas],
-            "shape": [shape.circ_count, shape.minus_count],
-            "td": span.rank,
-            "positive": se.is_positive(),
-        })
+    subexprs = enumerate_distinguished(word, u)
+    # Rows are built as they are written, so only one is held at a time.
+    rows = map(_deodhar_row, subexprs)
     columns = ("mask", "evaluation", "j_plus", "j_circ", "j_minus",
                "betas", "shape", "td", "positive")
     if args.format == "json":
         out.write(json.dumps({"meta": _meta(args),
                               "v_word": list(word),
                               "u": word_string(u),
-                              "count": len(rows)}) + "\n")
+                              "count": len(subexprs)}) + "\n")
         for row in rows:
             out.write(json.dumps(row) + "\n")
     elif args.format == "csv":
@@ -322,9 +328,9 @@ def cmd_deodhar(args, out) -> int:
         for row in rows:
             writer.writerow([_csv_cell(row[k]) for k in columns])
     else:
-        out.write(f"v-word: {'.'.join(map(str, word))}   "
+        out.write(f"v-word: {'.'.join(map(str, word)) or 'id'}   "
                   f"u: {_display(rs, u)}   "
-                  f"distinguished subexpressions: {len(rows)}\n")
+                  f"distinguished subexpressions: {len(subexprs)}\n")
         for row in rows:
             flag = " (positive)" if row["positive"] else ""
             out.write(f"mask ({row['mask']}){flag}\n")

@@ -117,7 +117,7 @@ def levi_acts(subset: Iterable[int], w: WeylElement) -> LeviAction:
     """Decide whether the Levi subgroup on the given simple indices acts on
     the Schubert variety of w, reporting both equivalent criteria."""
     sub = frozenset(subset)
-    for i in sub:
+    for i in sorted(sub):
         w.system._check_index(i)
     missing = tuple(sorted(sub - left_descents(w)))
     a, _ = left_parabolic_decomposition(w, sub)
@@ -159,7 +159,7 @@ def levi_borel_complexity(subset: Iterable[int],
 
 
 def _require_minimal(w: WeylElement, subset: frozenset[int]) -> None:
-    for i in subset:
+    for i in sorted(subset):
         w.system._check_index(i)
     bad = right_descents(w) & subset
     if bad:
@@ -216,7 +216,7 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
     """
     j_sub = frozenset(j_subset)
     i_sub = frozenset(i_subset)
-    for i in i_sub:
+    for i in sorted(i_sub):
         w.system._check_index(i)
     stab = partial_stabilizer_descents(w, j_sub)
     outside = i_sub - stab

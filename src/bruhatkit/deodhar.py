@@ -23,13 +23,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algdim import SpanBasis
 from .bruhat import bruhat_le
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
-from .weyl import (WeylElement, from_word, identity, multiply,
+from .weyl import (WeylElement, from_word, identity, inverse, multiply,
                    right_descents, simple_reflection, word_string)
 
 TAKE = "take"
@@ -87,6 +87,29 @@ def _check_reduced(rs, v_word: Sequence[int]) -> WeylElement:
     return v
 
 
+def _annotate(rs, word: tuple[int, ...], choices: tuple[str, ...],
+              prefixes: tuple[WeylElement, ...]) -> Subexpression:
+    """Classify the positions of a distinguished mask whose prefix chain is
+    known, and collect its betas."""
+    n_pos = len(rs.positive_roots)
+    j_plus, j_circ, j_minus = [], [], []
+    betas = []
+    for k, (i, choice) in enumerate(zip(word, choices), start=1):
+        prev = prefixes[k - 1]
+        if choice == TAKE and prefixes[k].length > prev.length:
+            j_plus.append(k)
+            continue
+        (j_circ if choice == SKIP else j_minus).append(k)
+        # prev(alpha_i) is the signed root at position p, its negation the
+        # one n_pos places away; beta_k is whichever of them is positive.
+        p = prev.perm[rs.simple_positions[i - 1]]
+        if (p < n_pos) != (choice == SKIP):
+            raise AssertionError(f"beta_{k} is not a positive root")
+        betas.append((k, rs.positive_roots[p % n_pos]))
+    return Subexpression(word, choices, prefixes, frozenset(j_plus),
+                         frozenset(j_circ), frozenset(j_minus), tuple(betas))
+
+
 def build_subexpression(rs, v_word: Sequence[int],
                         choices: Sequence[str]) -> Subexpression:
     """Walk a mask over v_word, classifying positions and collecting betas.
@@ -98,72 +121,102 @@ def build_subexpression(rs, v_word: Sequence[int],
     if len(word) != len(mask):
         raise InvalidInputError("mask length does not match word length")
     prefixes = [identity(rs)]
-    j_plus, j_circ, j_minus = set(), set(), set()
-    betas = []
     for k, (i, choice) in enumerate(zip(word, mask), start=1):
         prev = prefixes[-1]
-        descent = i in right_descents(prev)
         if choice == SKIP:
-            if descent:
+            if i in right_descents(prev):
                 raise InvalidInputError(
                     f"mask is not distinguished: position {k} skips a "
                     f"forced descent")
             prefixes.append(prev)
-            j_circ.add(k)
-            betas.append((k, prev.apply(rs.simple_root(i))))
         elif choice == TAKE:
-            cur = multiply(prev, simple_reflection(rs, i))
-            prefixes.append(cur)
-            if descent:
-                j_minus.add(k)
-                betas.append((k, tuple(-c for c in
-                                       prev.apply(rs.simple_root(i)))))
-            else:
-                j_plus.add(k)
+            prefixes.append(multiply(prev, simple_reflection(rs, i)))
         else:
             raise InvalidInputError(f"unknown mask token {choice!r}")
-    for _, beta in betas:
-        assert all(c >= 0 for c in beta)
-    return Subexpression(word, mask, tuple(prefixes),
-                         frozenset(j_plus), frozenset(j_circ),
-                         frozenset(j_minus), tuple(betas))
+    return _annotate(rs, word, mask, tuple(prefixes))
 
 
-def _masks(rs, word: tuple[int, ...], k: int, prefix: WeylElement,
-           acc: list[str], target: WeylElement) -> Iterator[tuple[str, ...]]:
-    remaining = len(word) - k
-    if abs(prefix.length - target.length) > remaining:
-        return
-    if k == len(word):
-        if prefix == target:
-            yield tuple(acc)
-        return
-    i = word[k]
-    s = simple_reflection(rs, i)
-    stepped = multiply(prefix, s)
-    # take first, then skip: enumeration order is lexicographic on masks
-    # with take < skip.
-    acc.append(TAKE)
-    yield from _masks(rs, word, k + 1, stepped, acc, target)
-    acc.pop()
-    if i not in right_descents(prefix):
-        acc.append(SKIP)
-        yield from _masks(rs, word, k + 1, prefix, acc, target)
-        acc.pop()
+class _MaskSearch:
+    """The exact search for the distinguished masks over one reduced word
+    that end at u.
+
+    A state (k, x) is the prefix x after the first k letters.  ``moves`` is
+    the memo, local to one search: it maps each state reached by a
+    distinguished prefix to its live moves, the (choice, next prefix) steps,
+    take before skip, after which some distinguished completion still ends
+    at u.  A state with no live move is dead; at the last position only u
+    is live.
+
+    A state is cut before its moves are tried when x^-1 u is not below the
+    product of the remaining letters: every completion multiplies x by a
+    subexpression of that suffix, which is reduced, so by the subword
+    property the test is necessary.
+    """
+
+    def __init__(self, rs, word: tuple[int, ...], u: WeylElement):
+        self.rs, self.word, self.u = rs, word, u
+        self.gens = [simple_reflection(rs, i) for i in word]
+        self.suffix = [identity(rs)] * (len(word) + 1)
+        for k in range(len(word) - 1, -1, -1):
+            self.suffix[k] = multiply(self.gens[k], self.suffix[k + 1])
+        self.moves: dict[tuple[int, WeylElement],
+                         tuple[tuple[str, WeylElement], ...]] = {}
+
+    def live(self, k: int, x: WeylElement) -> bool:
+        n, u = len(self.word), self.u
+        if k == n:
+            return x == u
+        moves = self.moves.get((k, x))
+        if moves is None:
+            moves = ()
+            # The length test is implied by the Bruhat cut but costs no
+            # multiplication.
+            if (abs(x.length - u.length) <= n - k
+                    and bruhat_le(multiply(inverse(x), u), self.suffix[k])):
+                stepped = multiply(x, self.gens[k])
+                if self.live(k + 1, stepped):
+                    moves = ((TAKE, stepped),)
+                if (self.word[k] not in right_descents(x)
+                        and self.live(k + 1, x)):
+                    moves += ((SKIP, x),)
+            self.moves[(k, x)] = moves
+        return bool(moves)
+
+    def walk(self, chain: list[WeylElement], mask: list[str],
+             out: list[Subexpression]) -> None:
+        """Append every mask that extends the live prefix chain, in order."""
+        k = len(mask)
+        if k == len(self.word):
+            out.append(_annotate(self.rs, self.word, tuple(mask),
+                                 tuple(chain)))
+            return
+        for choice, nxt in self.moves[(k, chain[-1])]:
+            mask.append(choice)
+            chain.append(nxt)
+            self.walk(chain, mask, out)
+            mask.pop()
+            chain.pop()
 
 
 def enumerate_distinguished(v_word: Sequence[int],
                             u: WeylElement) -> list[Subexpression]:
     """All distinguished masks over v_word whose final prefix equals u.
 
-    Depth-first with forced-take pruning; order is lexicographic on masks
-    with take before skip.  Empty when u is not below the word's product.
+    An exact depth-first search (``_MaskSearch``): a memo local to the call
+    holds the live moves of every state, and the walk follows only those,
+    so every state it enters yields at least one mask.  Each mask is
+    annotated from the prefix chain the walk holds.  Order is lexicographic
+    on masks with take before skip.  Empty when u is not below the word's
+    product.
     """
     rs = u.system
     _check_reduced(rs, v_word)
-    word = tuple(v_word)
-    return [build_subexpression(rs, word, mask)
-            for mask in _masks(rs, word, 0, identity(rs), [], u)]
+    search = _MaskSearch(rs, tuple(v_word), u)
+    start = identity(rs)
+    out: list[Subexpression] = []
+    if search.live(0, start):
+        search.walk([start], [], out)
+    return out
 
 
 def positive_distinguished(v_word: Sequence[int],
@@ -188,7 +241,10 @@ def positive_distinguished(v_word: Sequence[int],
             f"no positive distinguished subexpression: {word_string(u)} is "
             f"not <= {word_string(v)}")
     se = build_subexpression(rs, word, choices)
-    assert se.is_positive() and se.evaluation == u
+    if not (se.is_positive() and se.evaluation == u):
+        raise AssertionError(
+            f"positive mask {se.mask_string()} does not evaluate to "
+            f"{word_string(u)}")
     return se
 
 

@@ -222,7 +222,7 @@ def left_parabolic_decomposition(
     """
     sub = frozenset(subset)
     rs = w.system
-    for i in sub:
+    for i in sorted(sub):
         rs._check_index(i)
     a = identity(rs)
     d = w

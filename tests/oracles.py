@@ -180,3 +180,40 @@ def minimal_coset_element(rs, w, subset):
     best = min(coset, key=lambda x: x.length)
     assert sum(1 for x in coset if x.length == best.length) == 1
     return best
+
+
+# -- Kazhdan-Lusztig R-polynomials -------------------------------------------
+
+
+def _poly_trim(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def r_polynomial(u, v):
+    """R_{u,v} as coefficients in ascending powers of q, () for zero.
+
+    By the recursion on a right descent s of v (Kazhdan-Lusztig 1979):
+    R_{u,v} = R_{us,vs} if s is a right descent of u, else
+    (q-1) R_{u,vs} + q R_{us,vs}; and R_{u,id} is 1 for u = id, else 0.
+    It vanishes exactly when u is not below v.
+    """
+    from bruhatkit.weyl import multiply, right_descents, simple_reflection
+    if v.is_identity():
+        return (1,) if u.is_identity() else ()
+    i = min(right_descents(v))
+    s = simple_reflection(v.system, i)
+    vs = multiply(v, s)
+    r_us = r_polynomial(multiply(u, s), vs)
+    if i in right_descents(u):
+        return r_us
+    r_u = r_polynomial(u, vs)
+    # (q-1) A + q B = -A + q (A + B)
+    n = max(len(r_u), len(r_us)) + 1
+    a = list(r_u) + [0] * (n - len(r_u))
+    b = list(r_us) + [0] * (n - len(r_us))
+    return _poly_trim(-a[k] + (a[k - 1] + b[k - 1] if k else 0)
+                      for k in range(n))

@@ -1,7 +1,13 @@
+import ast
 import json
+import os
+import pkgutil
+import subprocess
+import sys
 
 import pytest
 
+import bruhatkit
 from bruhatkit import (from_word, identity, levi_borel_complexity,
                        root_system, torus_complexity_richardson,
                        torus_complexity_schubert, word_string)
@@ -188,19 +194,16 @@ def test_complexity_partial_formula_unavailable(capsys):
 
 @pytest.mark.parametrize("flags, index", [
     (["--J", "5"], "5"),
-    (["--J", "0,-2"], None),
+    (["--J", "0,-2"], "-2"),
     (["--J", "3", "--I", "7"], "7"),
 ])
 def test_complexity_partial_index_out_of_range(capsys, flags, index):
+    # With several bad indices the error names the least one.
     code, out, err = run(capsys, ["complexity", "--type", "A", "--rank", "3",
                                   "--kind", "partial", "--w", "1"] + flags)
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: simple index ")
-    assert err.endswith(" out of range 1..3\n")
-    if index is not None:
-        assert err == f"error: simple index {index} out of range 1..3\n"
+    assert err == f"error: simple index {index} out of range 1..3\n"
 
 
 def test_complexity_missing_flag(capsys):
@@ -359,6 +362,50 @@ def test_deodhar_rejects_non_reduced(capsys):
                                 "--v-word", "1.1", "--u", "id"])
     assert code == 2
     assert "not reduced" in err
+
+
+def test_deodhar_empty_word_as_id(capsys):
+    assert parse_word("id") == ()
+    code, out, _ = run(capsys, ["deodhar", "--type", "A", "--rank", "2",
+                                "--v-word", "id", "--u", "id"])
+    assert code == 0
+    assert out.startswith("v-word: id   u: id ")
+    assert "distinguished subexpressions: 1\n" in out
+    assert "mask () (positive)\n" in out
+    code, out, _ = run(capsys, ["deodhar", "--type", "A", "--rank", "2",
+                                "--v-word", "id", "--u", "1",
+                                "--format", "json"])
+    assert code == 0
+    header = json.loads(out)
+    assert header["v_word"] == [] and header["count"] == 0
+
+
+def test_deodhar_same_output_under_optimize(capsys):
+    # python -O strips assert statements; the invariant checks must not
+    # be among them, and the output must not change.
+    argv = ["deodhar", "--type", "B", "--rank", "3", "--v-word",
+            "1.2.1.3.2.1.3.2.3", "--u", "2.3", "--format", "json"]
+    code, expected, _ = run(capsys, argv)
+    assert code == 0
+    src = os.path.dirname(os.path.dirname(bruhatkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-m", "bruhatkit.cli"]
+                          + argv, capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
+def test_no_assert_statements_in_package():
+    # Invariants are explicit checks, which python -O keeps.
+    for info in pkgutil.iter_modules(bruhatkit.__path__):
+        path = os.path.join(bruhatkit.__path__[0], info.name + ".py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        assert not any(isinstance(node, ast.Assert)
+                       for node in ast.walk(tree)), info.name
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -218,6 +218,20 @@ def test_partial_rejects_out_of_range_indices(a3):
             partial_flag_levi_complexity(w, j_sub, {7})
 
 
+def test_least_bad_index_is_named(a3):
+    # Indices are checked in sorted order, whatever the set's iteration
+    # order, so the error names the least bad one.
+    w = from_word(a3, [1])
+    with pytest.raises(InvalidInputError, match=r"index -1 out of range"):
+        levi_acts({5, -1}, w)
+    with pytest.raises(InvalidInputError, match=r"index -1 out of range"):
+        partial_flag_levi_complexity(w, (), {5, -1})
+    with pytest.raises(InvalidInputError, match=r"index -2 out of range"):
+        partial_flag_torus_complexity(w, {0, -2})
+    with pytest.raises(InvalidInputError, match=r"index -1 out of range"):
+        left_parabolic_decomposition(w, {5, -1})
+
+
 def test_scan_toric_schubert(a2):
     rows = list(scan(a2, "toric_schubert"))
     assert len(rows) == 5

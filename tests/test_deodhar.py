@@ -2,14 +2,18 @@ import warnings
 
 import pytest
 
-from bruhatkit import (InvalidInputError, NotComparableError, component_shape,
-                       deodhar_polynomial, enumerate_distinguished, from_word,
+import bruhatkit.bruhat
+import bruhatkit.deodhar
+from bruhatkit import (InvalidInputError, NotComparableError, bruhat_le,
+                       canonical_order, component_shape, deodhar_polynomial,
+                       enumerate_distinguished, enumerate_group, from_word,
                        identity, is_toric, positive_distinguished,
-                       reduced_word, td_span)
+                       reduced_word, root_system, td_span)
 from bruhatkit.cli import parse_element
 from bruhatkit.deodhar import (SKIP, TAKE, DeodharComponentShape,
                                build_subexpression, poly_string)
-from oracles import brute_force_distinguished
+from bruhatkit.weyl import longest_element
+from oracles import brute_force_distinguished, r_polynomial
 from sweeps import comparable_pairs
 
 
@@ -69,7 +73,7 @@ def test_prefix_walk_invariants(a2, s3):
                     assert a2.is_positive_root(beta)
 
 
-def test_matches_brute_force_masks(a2, a3, s3):
+def test_matches_brute_force_masks(a2, a3, s3, b3, b3_group, g2, g2_group):
     for v in s3:
         word = reduced_word(v)
         for u in s3:
@@ -80,6 +84,20 @@ def test_matches_brute_force_masks(a2, a3, s3):
         u = parse_element(a3, text)
         got = [se.choices for se in enumerate_distinguished(word, u)]
         assert got == brute_force_distinguished(a3, word, u)
+    # every u over the w0 word of B3 and of G2, order included
+    for rs, group in ((b3, b3_group), (g2, g2_group)):
+        word = reduced_word(longest_element(rs, range(1, rs.rank + 1)))
+        for u in group:
+            got = [se.choices for se in enumerate_distinguished(word, u)]
+            assert got == brute_force_distinguished(rs, word, u)
+    # u not below v, though shorter: no mask
+    u, v = from_word(a3, [3]), from_word(a3, [1, 2])
+    assert not bruhat_le(u, v)
+    assert enumerate_distinguished(reduced_word(v), u) == []
+    # the empty word has exactly one (empty) mask, for u = id only
+    (empty,) = enumerate_distinguished([], identity(a2))
+    assert empty.choices == () and empty.prefixes == (identity(a2),)
+    assert enumerate_distinguished([], from_word(a2, [1])) == []
 
 
 def test_full_mask_for_top_element(a2, s3):
@@ -161,3 +179,53 @@ def test_toric_iff_positive_td_full(s4):
     for u, v in comparable_pairs(s4):
         se = positive_distinguished(reduced_word(v), u)
         assert is_toric(u, v) == (td_span(se).rank == v.length - u.length)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3), ("C", 3),
+                                          ("G", 2)])
+def test_polynomial_matches_r_polynomial(family, rank):
+    # Deodhar: the mask census over any reduced word of v is R_{u,v}.
+    rs = root_system(family, rank)
+    group = canonical_order(enumerate_group(rs))
+    for v in group:
+        word = reduced_word(v)
+        for u in group:
+            expected = r_polynomial(u, v)
+            if bruhat_le(u, v):
+                assert deodhar_polynomial(word, u) == expected
+            else:
+                assert expected == ()
+
+
+def test_polynomial_matches_r_polynomial_d4_top(d4, d4_group):
+    w0 = longest_element(d4, range(1, 5))
+    word = reduced_word(w0)
+    for u in d4_group:
+        assert deodhar_polynomial(word, u) == r_polynomial(u, w0)
+
+
+@pytest.mark.parametrize("u_word, masks, limit", [
+    ((), 1613, 25_000),
+    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 1_000),
+])
+def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
+    # Over the least reduced word of w0 in D5 the search visits few states
+    # that yield no mask; a search pruned only on length distance makes
+    # about 50,000 multiplies for u = id and 6,000 for this u.  Every
+    # multiply counts, the Bruhat cut's included, and the comparison cache
+    # is emptied so the count does not depend on which tests ran before.
+    rs = root_system("D", 5)
+    word = reduced_word(longest_element(rs, range(1, 6)))
+    u = from_word(rs, u_word)
+    calls = [0]
+    real = bruhatkit.deodhar.multiply
+
+    def counting(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    for module in (bruhatkit.deodhar, bruhatkit.bruhat):
+        monkeypatch.setattr(module, "multiply", counting)
+    bruhat_le.cache_clear()
+    assert len(enumerate_distinguished(word, u)) == masks
+    assert calls[0] < limit
