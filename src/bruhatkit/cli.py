@@ -12,8 +12,16 @@ Element notation accepted by --u/--v/--w:
 Subsets (--I/--J) are comma-separated simple indices; the empty string is
 the empty set.
 
+--rank is at most 45 for family A and 32 for B, C and D (no system with
+more positive roots than A45, about 1 s and 32 MB to build); a larger rank
+exits 2 before any root is built.
+
 Exit codes: 0 success, 2 input error, 3 precondition/hypothesis failure,
 4 enumeration cap exceeded.  The env var BRUHAT_GROUP_CAP overrides the cap.
+
+``main`` builds its parser once per process and takes each root system from
+the shared ``root_system`` registry, so a stream of queries in one process
+reuses the interned elements and the caches keyed on them.
 
 Report JSON schema:
 ``{"kind": str, "value": int, "witness": {...}, "meta": {"type": str,
@@ -31,6 +39,7 @@ import csv
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from . import __version__
@@ -394,6 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def _report_error(args, exc: Exception, code: int) -> None:
     fmt = getattr(args, "format", "text") if args is not None else "text"
     if fmt == "json":
@@ -406,9 +420,8 @@ def _report_error(args, exc: Exception, code: int) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     handlers = {"info": cmd_info, "complexity": cmd_complexity,

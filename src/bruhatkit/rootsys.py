@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 
 from .errors import InvalidInputError
@@ -107,8 +108,21 @@ def _standard_cartan(family: str, rank: int) -> Matrix:
     return tuple(tuple(row) for row in a)
 
 
-_RANK_RANGE = {"A": (1, None), "B": (2, None), "C": (2, None),
-               "D": (2, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+# Families A-D stop where a system would have more positive roots than A45
+# (1035), which takes about 1 s and 32 MB to build; the root_system registry
+# keeps what it builds alive.
+_RANK_RANGE = {"A": (1, 45), "B": (2, 32), "C": (2, 32), "D": (2, 32),
+               "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+
+
+def _check_family_rank(family: str, rank: int) -> None:
+    if family not in FAMILIES:
+        raise InvalidInputError(
+            f"family must be one of {FAMILIES}, got {family!r}")
+    lo, hi = _RANK_RANGE[family]
+    if not lo <= rank <= hi:
+        raise InvalidInputError(
+            f"family {family} admits ranks {lo}..{hi}, got {rank}")
 
 
 @dataclass(frozen=True)
@@ -120,13 +134,7 @@ class CartanDatum:
     cartan: Matrix
 
     def validate(self) -> None:
-        if self.family not in FAMILIES:
-            raise InvalidInputError(
-                f"family must be one of {FAMILIES}, got {self.family!r}")
-        lo, hi = _RANK_RANGE[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidInputError(
-                f"family {self.family} does not admit rank {self.rank}")
+        _check_family_rank(self.family, self.rank)
         n = self.rank
         if len(self.cartan) != n or any(len(row) != n for row in self.cartan):
             raise InvalidInputError("Cartan matrix shape does not match rank")
@@ -152,6 +160,7 @@ def cartan_datum(family: str, rank: int) -> CartanDatum:
     >>> cartan_datum("G", 2).cartan
     ((2, -3), (-1, 2))
     """
+    _check_family_rank(family, rank)
     datum = CartanDatum(family, rank, _standard_cartan(family, rank))
     datum.validate()
     return datum
@@ -314,10 +323,14 @@ class RootSystem:
 
 
 def build_root_system(datum: CartanDatum) -> RootSystem:
-    """Enumerate all positive roots of the datum.
+    """A fresh RootSystem for the datum, shared with no other caller.
 
-    Deterministic ordering: graded by height, then lexicographic on
-    coefficient vectors.
+    Its elements are interned apart from those of every other instance, so
+    they never compare equal to them.  Use ``root_system`` for the shared
+    instance of a standard datum.
+
+    Positive roots are graded by height, then lexicographic on coefficient
+    vectors.
 
     >>> rs = build_root_system(cartan_datum("A", 2))
     >>> rs.positive_roots
@@ -327,8 +340,23 @@ def build_root_system(datum: CartanDatum) -> RootSystem:
 
 
 def root_system(family: str, rank: int) -> RootSystem:
-    """Shorthand for ``build_root_system(cartan_datum(family, rank))``."""
-    return build_root_system(cartan_datum(family, rank))
+    """The shared RootSystem of ``cartan_datum(family, rank)``.
+
+    Every call with the same family and rank, positional or by keyword,
+    returns the same instance, so its interned elements and the caches keyed
+    on them are reused.  Use ``build_root_system`` for a private instance.
+
+    >>> root_system("B", 3) is root_system(family="B", rank=3)
+    True
+    """
+    return _shared_system(cartan_datum(family, rank))
+
+
+# Bounded, so a process that walks through many data does not keep every
+# system alive; 32 is above the number of data the test suite visits.
+@lru_cache(maxsize=32)
+def _shared_system(datum: CartanDatum) -> RootSystem:
+    return RootSystem(datum)
 
 
 def simple_reflect(rs: RootSystem, i: int, root: Root) -> Root:

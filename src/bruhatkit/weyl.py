@@ -2,15 +2,16 @@
 
 An element is the permutation it induces on the 2N signed roots of its
 root system (``RootSystem.signed_roots``): entry k is the position of the
-image of root k.  Equality is permutation equality.  Products compose,
-inverses invert, and lengths and descents are read off which positive roots
-land on negative positions.  Words compose left to right:
-``from_word(rs, [1, 2])`` is s_1 s_2, acting by
-``(s_1 s_2)(x) = s_1(s_2(x))``.
+image of root k.  Products compose, inverses invert, and lengths and
+descents are read off which positive roots land on negative positions.
+Words compose left to right: ``from_word(rs, [1, 2])`` is s_1 s_2, acting
+by ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
-Elements are interned per root system, so lengths, inverses, descents, and
-reduced words are computed once per element.  Everything here is pure and
-safe for concurrent readers.
+Elements are interned per root system, so equality is identity, and
+lengths, inverses, descents, and reduced words are computed once per
+element.  The hash is that of the permutation, the same in every run, so
+set and dict order never depends on memory addresses.  Everything here is
+pure and safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -63,10 +64,8 @@ class WeylElement:
     def __invert__(self) -> "WeylElement":
         return inverse(self)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, WeylElement)
-                and self.perm == other.perm
-                and self.system is other.system)
+    # __eq__ is object's identity test: one element per permutation and
+    # system, see _intern.
 
     def __hash__(self) -> int:
         return self._hash

@@ -18,5 +18,9 @@ def _cached_functions():
 def test_cache_inventory():
     # Every module-level memo table, so that adding one is a visible change.
     cached = _cached_functions()
-    assert set(cached) == {"reduced_word", "bruhat_le", "interval", "ad"}
+    assert set(cached) == {"reduced_word", "bruhat_le", "interval", "ad",
+                           "_shared_system", "_parser"}
     assert cached["interval"].cache_parameters()["maxsize"] is not None
+    # The registry behind root_system and the CLI parser are bounded.
+    assert cached["_shared_system"].cache_parameters()["maxsize"] == 32
+    assert cached["_parser"].cache_parameters()["maxsize"] == 1

@@ -4,13 +4,15 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 import bruhatkit
-from bruhatkit import (from_word, identity, levi_borel_complexity,
-                       root_system, torus_complexity_richardson,
-                       torus_complexity_schubert, word_string)
+from bruhatkit import (build_root_system, cartan_datum, cli, from_word,
+                       identity, levi_borel_complexity, root_system, rootsys,
+                       torus_complexity_richardson, torus_complexity_schubert,
+                       word_string)
 from bruhatkit.cli import (element_from_oneline, element_to_oneline, main,
                            parse_element, parse_subset, parse_word,
                            root_string)
@@ -133,6 +135,28 @@ def test_info_bad_rank(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("family", "ABCD")
+def test_rank_above_ceiling_exits_2_before_building(capsys, monkeypatch,
+                                                    family):
+    built = []
+
+    def refuse(self, datum):
+        # Fail at once rather than build a system of rank 1000.
+        built.append(datum)
+        raise RuntimeError("a root system was built")
+
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["complexity", "--type", family, "--rank",
+                                  "1000", "--kind", "richardson", "--u", "id",
+                                  "--v", "id"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1000" in err
+    assert built == []
+
+
 # -- complexity ---------------------------------------------------------------
 
 
@@ -152,6 +176,41 @@ def test_complexity_richardson_golden(capsys, a3):
     rep = torus_complexity_richardson(u, v)
     assert payload["witness"] == json.loads(json.dumps(rep.witness))
     assert payload["value"] == rep.value
+
+
+def test_repeated_queries_share_system_parser_and_elements(capsys,
+                                                          monkeypatch):
+    # Twenty identical queries in one process build at most one root system
+    # and one parser, intern no new element after the first, and print the
+    # same bytes as a call with a parser and a system of its own.
+    built, parsers = [], []
+    real_init = rootsys.RootSystem.__init__
+
+    def counting_init(self, datum):
+        built.append(datum)
+        real_init(self, datum)
+
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", counting_init)
+    real_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: parsers.append(1) or real_build_parser())
+    argv = ["complexity", "--type", "D", "--rank", "4", "--kind",
+            "richardson", "--u", "2", "--v", "2.1.3.4.2.1"]
+    outs, interned = [], []
+    for _ in range(20):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        outs.append(out)
+        interned.append(len(root_system("D", 4).element_cache))
+    assert len(built) <= 1 and len(parsers) <= 1
+    assert interned == interned[:1] * 20
+    assert outs == outs[:1] * 20
+    counts = len(built), len(parsers)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    monkeypatch.setattr(cli, "root_system", lambda family, rank:
+                        build_root_system(cartan_datum(family, rank)))
+    assert run(capsys, argv) == (0, outs[0], "")
+    assert (len(built), len(parsers)) == (counts[0] + 1, counts[1] + 1)
 
 
 def test_complexity_schubert_golden(capsys, a4):

@@ -98,10 +98,20 @@ def test_invalid_cartan_rejected():
 
 @pytest.mark.parametrize("family,rank", [("E", 5), ("E", 9), ("F", 3),
                                          ("G", 3), ("D", 1), ("B", 1),
-                                         ("A", 0)])
+                                         ("A", 0), ("A", 46), ("B", 33),
+                                         ("C", 33), ("D", 33)])
 def test_rank_restrictions(family, rank):
     with pytest.raises(InvalidInputError):
         cartan_datum(family, rank)
+
+
+def test_root_system_is_shared_and_build_is_fresh():
+    shared = root_system("C", 3)
+    assert root_system(family="C", rank=3) is shared
+    assert root_system("C", rank=3) is shared
+    fresh = build_root_system(cartan_datum("C", 3))
+    assert fresh is not shared
+    assert build_root_system(cartan_datum("C", 3)) is not fresh
 
 
 def test_b_and_c_are_transposes():

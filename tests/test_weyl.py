@@ -1,7 +1,8 @@
 import pytest
 
 from bruhatkit import (GroupTooLargeError, InvalidInputError,
-                       all_reduced_words, apply_to_root, enumerate_group,
+                       all_reduced_words, apply_to_root, build_root_system,
+                       cartan_datum, enumerate_group,
                        from_word, identity, inverse, left_descents,
                        left_inversions, left_parabolic_decomposition,
                        longest_element, multiply, reduced_word,
@@ -57,6 +58,19 @@ def test_group_operations(a2, s3):
         assert multiply(w, inverse(w)) == e
         assert inverse(inverse(w)) == w
     assert inverse(from_word(a2, [1, 2])) == from_word(a2, [2, 1])
+
+
+def test_elements_of_separate_systems_never_equal():
+    # Equality is identity, and each system interns its own elements; the
+    # hash is the permutation's, so it is the same in every run.
+    datum = cartan_datum("B", 2)
+    one, two = build_root_system(datum), build_root_system(datum)
+    for word in words_up_to(2, 4):
+        x, y = from_word(one, word), from_word(two, word)
+        assert x.perm == y.perm and hash(x) == hash(y) == hash(x.perm)
+        assert x != y
+        assert x == from_word(one, word)
+    assert len({from_word(one, [1]), from_word(two, [1])}) == 2
 
 
 def test_mismatched_systems_rejected(a2, a3):
