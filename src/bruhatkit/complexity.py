@@ -244,7 +244,8 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
 
 
 def _scan_unit(target: str, w: WeylElement,
-               elements: tuple[WeylElement, ...]) -> list[dict]:
+               elements: tuple[WeylElement, ...],
+               levi_w0: dict[tuple[int, ...], WeylElement]) -> list[dict]:
     if target == "toric_schubert":
         supp_set = support(w)
         if w.length == len(supp_set):
@@ -261,11 +262,17 @@ def _scan_unit(target: str, w: WeylElement,
                     rows.append({"u": word_string(w), "v": word_string(v),
                                  "rank": rank, "ad": dim})
         return rows
-    rows = []  # levi_table; scan() has already handled the other targets
+    # levi_table; scan() has already handled the other targets.  For I in
+    # D_L(w) the left parabolic factor of w is w_0(I), an involution, so
+    # the coset factor is d = w_0(I) w.
+    rows = []
     descents = sorted(left_descents(w))
     for size in range(len(descents) + 1):
         for sub in combinations(descents, size):
-            _, d = left_parabolic_decomposition(w, sub)
+            w0 = levi_w0.get(sub)
+            if w0 is None:
+                w0 = levi_w0[sub] = longest_element(w.system, sub)
+            d = multiply(w0, w)
             rows.append({"w": word_string(w), "I": _subset_str(sub),
                          "coset_factor": word_string(d),
                          "value": d.length - len(support(d))})
@@ -292,4 +299,6 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
         counts = Counter(w.length - len(support(w)) for w in elements)
         return ({"value": value, "count": counts[value]}
                 for value in sorted(counts))
-    return (row for w in elements for row in _scan_unit(target, w, elements))
+    levi_w0: dict[tuple[int, ...], WeylElement] = {}
+    return (row for w in elements
+            for row in _scan_unit(target, w, elements, levi_w0))

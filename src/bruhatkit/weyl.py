@@ -33,7 +33,7 @@ class WeylElement:
     """A Weyl group element; obtain instances via from_word / identity."""
 
     __slots__ = ("system", "perm", "_length", "_inverse", "_descents",
-                 "_hash")
+                 "_word", "_hash")
 
     def __init__(self, system: RootSystem, perm: Perm):
         self.system = system
@@ -41,6 +41,7 @@ class WeylElement:
         self._length: int | None = None
         self._inverse: WeylElement | None = None
         self._descents: SimpleSubset | None = None
+        self._word: tuple[int, ...] | None = None
         self._hash = hash(perm)
 
     @property
@@ -177,18 +178,31 @@ def left_inversions(w: WeylElement) -> frozenset[Root]:
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """The lexicographically least reduced word (greedy least left descent).
 
+    The word of w is (i,) + the word of s_i w, with i the least left
+    descent.  The walk goes down that chain only until it meets an element
+    whose word is known, then records the word of every element it passed,
+    so each element's word costs one multiply in all.  The walk is a loop:
+    w_0 of A45 has 1035 letters.
+
     >>> from bruhatkit.rootsys import root_system
     >>> rs = root_system("A", 2)
     >>> reduced_word(from_word(rs, [2, 1, 2]))
     (1, 2, 1)
     """
-    out = []
+    chain = []
     x = w
-    while not x.is_identity():
+    while x._word is None:
+        if x.is_identity():
+            x._word = ()
+            break
         i = min(left_descents(x))
-        out.append(i)
+        chain.append((x, i))
         x = multiply(simple_reflection(x.system, i), x)
-    return tuple(out)
+    word = x._word
+    for y, i in reversed(chain):
+        word = (i,) + word
+        y._word = word
+    return word
 
 
 def all_reduced_words(w: WeylElement) -> frozenset[tuple[int, ...]]:
@@ -264,9 +278,13 @@ def longest_element(rs: RootSystem, subset: Iterable[int] = ()) -> WeylElement:
 
 def enumerate_group(rs: RootSystem,
                     cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, each exactly once, in BFS order from the
-    identity under right multiplication by generators.
+    """All Weyl group elements, each made exactly once, breadth-first by
+    length from the identity.
 
+    Each y other than the identity is made only from its canonical parent,
+    as x s_i with i the least right descent of y, so it costs one multiply.
+    Within a length layer the order is that of the parents, then of i;
+    ``canonical_order`` does not depend on it, so neither does any scan.
     Refuses (with the exact order in the error) if |W| exceeds the cap.
     """
     order = weyl_group_order(rs.datum.family, rs.rank)
@@ -274,21 +292,29 @@ def enumerate_group(rs: RootSystem,
         raise GroupTooLargeError(
             f"|W({rs.datum.family}{rs.rank})| = {order} exceeds the "
             f"enumeration cap {cap}", order, cap)
+    n_pos = len(rs.positive_roots)
+    simple = rs.simple_positions
     gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    start = identity(rs)
-    seen = {start}
-    out = [start]
-    frontier = [start]
-    while frontier:
+    # x s_i is a child of x iff x sends alpha_i to a positive root and no
+    # j < i is a right descent of x s_i, i.e. x also sends each s_i(alpha_j)
+    # to a positive root; lower[i] holds the positions of those s_i(alpha_j).
+    lower = [[g.perm[simple[j]] for j in range(i)]
+             for i, g in enumerate(gens)]
+    layer = [identity(rs)]
+    out = list(layer)
+    length = 0
+    while layer:
+        length += 1
         nxt = []
-        for w in frontier:
-            for g in gens:
-                x = multiply(w, g)
-                if x not in seen:
-                    seen.add(x)
-                    out.append(x)
-                    nxt.append(x)
-        frontier = nxt
+        for x in layer:
+            p = x.perm
+            for k, g, below in zip(simple, gens, lower):
+                if p[k] < n_pos and all(p[q] < n_pos for q in below):
+                    y = multiply(x, g)
+                    y._length = length
+                    nxt.append(y)
+        out.extend(nxt)
+        layer = nxt
     return tuple(out)
 
 

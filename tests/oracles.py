@@ -80,6 +80,18 @@ def perm_reduced_words(p):
     return frozenset(words)
 
 
+def perm_least_reduced_word(p):
+    """The lexicographically least reduced word of p: the least first
+    letter is the least left descent, and the rest is least for what
+    remains.  A loop, so it also serves for long elements."""
+    word = []
+    while perm_length(p):
+        i = min(perm_left_descents(p))
+        word.append(i)
+        p = perm_mul(perm_simple(len(p), i), p)
+    return tuple(word)
+
+
 def perm_support(p):
     words = perm_reduced_words(p)
     supports = {frozenset(w) for w in words}
@@ -104,6 +116,51 @@ def perm_right_inversion_roots(p):
     return frozenset(root_of_pair(i, j, n - 1)
                      for i in range(1, n) for j in range(i + 1, n + 1)
                      if p[i - 1] > p[j - 1])
+
+
+# -- words acting on the root lattice ----------------------------------------
+
+#: Cartan matrices, a[i][j] = <alpha_j, alpha_i^vee>, written out here rather
+#: than taken from the library.
+WORD_MODEL_CARTAN = {
+    ("B", 3): ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+    ("G", 2): ((2, -3), (-1, 2)),
+}
+
+
+def word_action(cartan, word):
+    """The images of the simple roots under the product of the word, acting
+    by s_i(x) = x - (A x)_i alpha_i; two words give the same element iff
+    they give the same images."""
+    rank = len(cartan)
+    images = []
+    for j in range(rank):
+        x = [int(k == j) for k in range(rank)]
+        for i in reversed(word):
+            x[i - 1] -= sum(cartan[i - 1][k] * x[k] for k in range(rank))
+        images.append(tuple(x))
+    return tuple(images)
+
+
+@lru_cache(maxsize=None)
+def word_lengths(cartan):
+    """Length of every element, keyed by word_action: its distance from the
+    identity in the Cayley graph, by breadth-first search over words."""
+    rank = len(cartan)
+    start = ()
+    lengths = {word_action(cartan, start): 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for word in frontier:
+            for i in range(1, rank + 1):
+                longer = word + (i,)
+                key = word_action(cartan, longer)
+                if key not in lengths:
+                    lengths[key] = len(longer)
+                    nxt.append(longer)
+        frontier = nxt
+    return lengths
 
 
 # -- exact rank over Fractions ----------------------------------------------

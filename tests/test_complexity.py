@@ -3,15 +3,18 @@ from itertools import combinations
 import pytest
 
 import bruhatkit.complexity as complexity
+import bruhatkit.weyl
 from bruhatkit import (FormulaUnavailableError, InvalidInputError,
-                       PreconditionError, ad,
+                       PreconditionError, ad, build_root_system,
+                       canonical_order, cartan_datum, enumerate_group,
                        from_word, identity, is_toric, is_toric_partial,
                        left_descents, levi_acts, levi_borel_complexity,
                        left_parabolic_decomposition, longest_element,
                        partial_flag_levi_complexity,
                        partial_flag_torus_complexity,
-                       partial_stabilizer_descents, right_descents, scan,
-                       support, torus_complexity_richardson,
+                       partial_stabilizer_descents, right_descents,
+                       root_system, scan, support,
+                       torus_complexity_richardson,
                        torus_complexity_schubert, word_string)
 from bruhatkit.cli import parse_element
 from oracles import minimal_coset_element
@@ -270,15 +273,60 @@ def test_scan_streams(a3, monkeypatch):
     seen = []
     unit = complexity._scan_unit
 
-    def counting(target, w, elements):
+    def counting(target, w, *rest):
         seen.append(w)
-        return unit(target, w, elements)
+        return unit(target, w, *rest)
 
     monkeypatch.setattr(complexity, "_scan_unit", counting)
     rows = scan(a3, "levi_table")
     assert seen == []
     next(rows)
     assert seen == [identity(a3)]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4)])
+def test_levi_table_matches_descent_stripping(family, rank):
+    # Reference rows whose coset factor comes from stripping the descents
+    # in I from w one at a time, not from the product w_0(I) w.
+    rs = root_system(family, rank)
+    expected = []
+    for w in canonical_order(enumerate_group(rs)):
+        descents = sorted(left_descents(w))
+        for size in range(len(descents) + 1):
+            for sub in combinations(descents, size):
+                _, d = left_parabolic_decomposition(w, sub)
+                expected.append({"w": word_string(w),
+                                 "I": ",".join(map(str, sub)),
+                                 "coset_factor": word_string(d),
+                                 "value": d.length - len(support(d))})
+    assert list(scan(rs, "levi_table")) == expected
+
+
+@pytest.mark.parametrize("target", ["complexity_histogram", "levi_table"])
+def test_scan_multiplies_once_per_element(monkeypatch, target):
+    # Enumeration makes each element once, each reduced word extends a known
+    # one, and a Levi row is one product w_0(I) w.  Rebuilding each word
+    # from scratch and closing the group under all generators costs 16
+    # multiplies per element of F4.  A fresh system, so that no word is
+    # known before the scan.
+    rs = build_root_system(cartan_datum("F", 4))
+    order = 1152
+    calls = [0]
+    real = bruhatkit.weyl.multiply
+
+    def counting(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    for module in (bruhatkit.weyl, complexity):
+        monkeypatch.setattr(module, "multiply", counting)
+    rows = list(scan(rs, target))
+    if target == "complexity_histogram":
+        assert sum(row["count"] for row in rows) == order
+        assert calls[0] <= 3 * order
+    else:
+        assert len(rows) == 5089
+        assert calls[0] <= 3 * order + len(rows)
 
 
 def test_scan_cap(b3):

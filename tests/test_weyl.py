@@ -1,19 +1,24 @@
+import sys
+from itertools import combinations
+
 import pytest
 
 from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        all_reduced_words, apply_to_root, build_root_system,
-                       cartan_datum, enumerate_group,
+                       canonical_order, cartan_datum, enumerate_group,
                        from_word, identity, inverse, left_descents,
                        left_inversions, left_parabolic_decomposition,
                        longest_element, multiply, reduced_word,
                        right_descents, right_inversions,
                        right_parabolic_decomposition, root_system,
-                       simple_reflect, support, word_string)
+                       simple_reflect, support, weyl_group_order,
+                       word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
-from bruhatkit.weyl import reflection
-from oracles import (perm_from_word, perm_left_descents, perm_length,
-                     perm_reduced_words, perm_right_descents,
-                     perm_right_inversion_roots, perm_support)
+from bruhatkit.weyl import reflection, simple_reflection
+from oracles import (perm_from_word, perm_least_reduced_word,
+                     perm_left_descents, perm_length, perm_reduced_words,
+                     perm_right_descents, perm_right_inversion_roots,
+                     perm_support)
 
 
 def words_up_to(rank, max_len):
@@ -295,3 +300,111 @@ def test_length_distribution_matches_degrees(s4, b3_group, g2_group, b2):
         # exactly one longest element, of length = number of positive roots
         rs = group[0].system
         assert len(expected) - 1 == len(rs.positive_roots)
+
+
+def _closure_under_right_multiplication(rs):
+    # Breadth-first closure of the identity under right multiplication by
+    # the generators, keeping a set of the elements seen.
+    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    start = identity(rs)
+    seen = {start}
+    out = [start]
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                x = multiply(w, g)
+                if x not in seen:
+                    seen.add(x)
+                    out.append(x)
+                    nxt.append(x)
+        frontier = nxt
+    return out
+
+
+def _least_words(group):
+    # min(all_reduced_words(w)) for every w, as a table: the reduced words
+    # of w are the words (i,) + t with i a left descent and t a reduced
+    # word of s_i w, so the least one is the least of the (i,) + least(s_i w).
+    least = {}
+    for w in sorted(group, key=lambda x: x.length):
+        least[w] = min(
+            ((i,) + least[multiply(simple_reflection(w.system, i), w)]
+             for i in left_descents(w)), default=())
+    return least
+
+
+ORACLE_GROUPS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+                 ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
+def test_enumeration_and_words_against_oracles(family, rank):
+    # A fresh system, so that no word is known before the test asks for it.
+    rs = build_root_system(cartan_datum(family, rank))
+    group = enumerate_group(rs)
+    assert len(group) == len(set(group)) == weyl_group_order(family, rank)
+    lengths = [w.length for w in group]
+    assert lengths == sorted(lengths)
+    closure = _closure_under_right_multiplication(rs)
+    assert set(group) == set(closure)
+    # Only the order within each length layer differs from the closure's,
+    # and canonical_order does not see it.
+    assert canonical_order(group) == canonical_order(closure)
+    least = _least_words(group)
+    for w in group:
+        word = reduced_word(w)
+        assert word == least[w]
+        assert from_word(rs, word) is w
+        if family == "A" and rank <= 4:
+            # The full sets of words of S_6 take about 230 MB, so A5 is
+            # checked against the least word in the permutation model.
+            p = perm_from_word(rank + 1, word)
+            assert word == min(perm_reduced_words(p))
+        elif family == "A":
+            assert word == perm_least_reduced_word(
+                perm_from_word(rank + 1, word))
+        elif w.length <= 8:
+            assert word == min(all_reduced_words(w))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4)])
+def test_words_in_any_order(family, rank):
+    # Longest first, so each walk goes down a long chain of unknown words.
+    fresh = build_root_system(cartan_datum(family, rank))
+    expected = {w.perm: reduced_word(w)
+                for w in enumerate_group(root_system(family, rank))}
+    for w in reversed(enumerate_group(fresh)):
+        assert reduced_word(w) == expected[w.perm]
+
+
+def test_reduced_word_of_long_element_needs_no_recursion():
+    # w_0 of A30 has 465 letters; a recursive walk would need a frame per
+    # letter and fail under this limit.
+    n = 31
+    rs = build_root_system(cartan_datum("A", n - 1))
+    w0 = longest_element(rs, range(1, n))
+    expected = perm_least_reduced_word(tuple(range(n, 0, -1)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        word = reduced_word(w0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(word) == 465
+    assert word == expected
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2), ("D", 4)])
+def test_levi_factor_is_longest_element(family, rank):
+    # For I in D_L(w) the left parabolic factor of w is w_0(I), so the
+    # coset factor is w_0(I) w.
+    rs = root_system(family, rank)
+    for w in enumerate_group(rs):
+        descents = sorted(left_descents(w))
+        for size in range(len(descents) + 1):
+            for sub in combinations(descents, size):
+                w0 = longest_element(rs, sub)
+                assert left_parabolic_decomposition(w, sub) == (
+                    w0, multiply(w0, w))
