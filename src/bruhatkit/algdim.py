@@ -41,26 +41,37 @@ def _primitive(row: list[int]) -> list[int]:
     return row
 
 
-def _forward_eliminate(vectors: Iterable[Root]) -> tuple[list[list[int]], list[int]]:
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
+def _reduce_into(echelon: dict[int, list[int]], vector: Root) -> int | None:
+    """One elimination step: reduce ``vector`` against ``echelon``, a map
+    from pivot column to a primitive row that is zero left of its pivot.
+
+    An independent vector joins ``echelon`` as a new primitive row, and its
+    pivot column is returned; a dependent one leaves it unchanged and gives
+    None.  Rows already present are never modified, so a caller can undo
+    the step by deleting the returned key.
+    """
+    if len(echelon) == len(vector):
+        return None
+    row = list(vector)
+    for c in range(len(row)):
+        cur = row[c]
+        if not cur:
             continue
-        rows[r], rows[k] = rows[k], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                piv, cur = rows[r][c], rows[i][c]
-                rows[i] = _primitive([piv * x - cur * y
-                                      for x, y in zip(rows[i], rows[r])])
-        pivot_cols.append(c)
-        r += 1
-    return rows[:r], pivot_cols
+        pivot_row = echelon.get(c)
+        if pivot_row is None:
+            echelon[c] = row = _primitive(row)
+            return c
+        piv = pivot_row[c]
+        row = _primitive([piv * x - cur * y for x, y in zip(row, pivot_row)])
+    return None
+
+
+def _forward_eliminate(vectors: Iterable[Root]) -> tuple[list[list[int]], list[int]]:
+    echelon: dict[int, list[int]] = {}
+    for v in vectors:
+        _reduce_into(echelon, v)
+    pivot_cols = sorted(echelon)
+    return [echelon[c] for c in pivot_cols], pivot_cols
 
 
 def span_rank(roots: Iterable[Root]) -> int:

@@ -48,7 +48,7 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          partial_flag_torus_complexity, scan,
                          torus_complexity_richardson,
                          torus_complexity_schubert)
-from .deodhar import component_shape, enumerate_distinguished, td_span
+from .deodhar import component_shape, enumerate_distinguished
 from .errors import (GroupTooLargeError, InvalidInputError, PreconditionError)
 from .rootsys import (Root, RootSystem, positive_root_count, root_system,
                       weyl_group_order)
@@ -125,7 +125,10 @@ def parse_subset(text: str | None) -> frozenset[int]:
             f"integers like 1,3") from None
 
 
+@lru_cache(maxsize=4096)
 def root_string(root: Root) -> str:
+    # Roots are a finite set per system; the bound covers every root of the
+    # largest system the CLI accepts (A45: 2070 roots).
     parts = []
     for i, c in enumerate(root, start=1):
         if c == 0:
@@ -310,7 +313,7 @@ def _deodhar_row(se) -> dict:
         "j_minus": sorted(se.j_minus),
         "betas": [f"{k}:{root_string(b)}" for k, b in se.betas],
         "shape": [shape.circ_count, shape.minus_count],
-        "td": td_span(se).rank,
+        "td": se.td,
         "positive": se.is_positive(),
     }
 

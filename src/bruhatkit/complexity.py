@@ -30,7 +30,7 @@ from .errors import (FormulaUnavailableError, InvalidInputError,
                      PreconditionError)
 from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement,
-                   canonical_order, enumerate_group, left_descents,
+                   canonical_order, enumerate_group, inverse, left_descents,
                    left_parabolic_decomposition, longest_element, multiply,
                    right_descents, support, word_string)
 
@@ -141,7 +141,8 @@ def levi_borel_complexity(subset: Iterable[int],
             f"I is not contained in the left descent set of w "
             f"(offending indices: {{{_subset_str(action.missing)}}}); the "
             f"formula l(d) - supp(d) requires the Levi subgroup to act")
-    a, d = left_parabolic_decomposition(w, sub)
+    a = action.levi_factor
+    d = multiply(inverse(a), w)
     supp_d = support(d)
     return ComplexityReport(
         kind="levi_borel_schubert",

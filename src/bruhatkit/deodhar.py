@@ -15,17 +15,22 @@ are 1-based throughout, aligning k with the prefix u_(k).
 Each position k in Jo or J- carries the positive root
 beta_k = +- u_(k-1)(alpha_{i_k}) (plus for Jo, minus for J-); the span of
 the beta_k is the torus-weight space of the corresponding component, and the
-pair (|Jo|, |J-|) is the component's shape.
+pair (|Jo|, |J-|) is the component's shape.  ``Subexpression.td`` is the
+rank of that span; ``td_span`` recomputes it from the betas.
+
+``enumerate_distinguished`` annotates every mask along its depth-first
+walk: masks that share a prefix share its positions, betas and the echelon
+rows of its betas, so each walk edge costs one reduction of at most one
+beta instead of each mask costing a fresh elimination.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
-from .algdim import SpanBasis
+from .algdim import SpanBasis, _reduce_into, span_rank
 from .bruhat import bruhat_le
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
@@ -48,7 +53,8 @@ class DeodharComponentShape:
 class Subexpression:
     """A distinguished mask over a fixed reduced word, fully annotated.
 
-    ``betas`` lists (k, beta_k) for k in Jo u J-, in position order.
+    ``betas`` lists (k, beta_k) for k in Jo u J-, in position order, and
+    ``td`` is the rank of their span.
     """
 
     base_word: tuple[int, ...]
@@ -58,6 +64,7 @@ class Subexpression:
     j_circ: frozenset[int]
     j_minus: frozenset[int]
     betas: tuple[tuple[int, Root], ...]
+    td: int
 
     @property
     def evaluation(self) -> WeylElement:
@@ -87,11 +94,22 @@ def _check_reduced(rs, v_word: Sequence[int]) -> WeylElement:
     return v
 
 
+def _beta(rs, k: int, prev: WeylElement, i: int, skip: bool) -> Root:
+    """beta_k for a position k in Jo (``skip``) or J- with prefix ``prev``
+    before it and letter i."""
+    # prev(alpha_i) is the signed root at position p, its negation the one
+    # n_pos places away; beta_k is whichever of them is positive.
+    n_pos = len(rs.positive_roots)
+    p = prev.perm[rs.simple_positions[i - 1]]
+    if (p < n_pos) != skip:
+        raise AssertionError(f"beta_{k} is not a positive root")
+    return rs.positive_roots[p % n_pos]
+
+
 def _annotate(rs, word: tuple[int, ...], choices: tuple[str, ...],
               prefixes: tuple[WeylElement, ...]) -> Subexpression:
     """Classify the positions of a distinguished mask whose prefix chain is
-    known, and collect its betas."""
-    n_pos = len(rs.positive_roots)
+    known, and collect its betas and td."""
     j_plus, j_circ, j_minus = [], [], []
     betas = []
     for k, (i, choice) in enumerate(zip(word, choices), start=1):
@@ -100,14 +118,10 @@ def _annotate(rs, word: tuple[int, ...], choices: tuple[str, ...],
             j_plus.append(k)
             continue
         (j_circ if choice == SKIP else j_minus).append(k)
-        # prev(alpha_i) is the signed root at position p, its negation the
-        # one n_pos places away; beta_k is whichever of them is positive.
-        p = prev.perm[rs.simple_positions[i - 1]]
-        if (p < n_pos) != (choice == SKIP):
-            raise AssertionError(f"beta_{k} is not a positive root")
-        betas.append((k, rs.positive_roots[p % n_pos]))
+        betas.append((k, _beta(rs, k, prev, i, choice == SKIP)))
     return Subexpression(word, choices, prefixes, frozenset(j_plus),
-                         frozenset(j_circ), frozenset(j_minus), tuple(betas))
+                         frozenset(j_circ), frozenset(j_minus), tuple(betas),
+                         span_rank(beta for _, beta in betas))
 
 
 def build_subexpression(rs, v_word: Sequence[int],
@@ -182,20 +196,83 @@ class _MaskSearch:
             self.moves[(k, x)] = moves
         return bool(moves)
 
-    def walk(self, chain: list[WeylElement], mask: list[str],
-             out: list[Subexpression]) -> None:
-        """Append every mask that extends the live prefix chain, in order."""
-        k = len(mask)
-        if k == len(self.word):
-            out.append(_annotate(self.rs, self.word, tuple(mask),
-                                 tuple(chain)))
-            return
-        for choice, nxt in self.moves[(k, chain[-1])]:
-            mask.append(choice)
-            chain.append(nxt)
-            self.walk(chain, mask, out)
-            mask.pop()
-            chain.pop()
+    def walk(self) -> list[Subexpression]:
+        """Every mask for u, in order, once ``live(0, id)`` has filled the
+        memo and found the start live.
+
+        The walk pushes each edge's position onto J+, Jo or J- and, for Jo
+        and J-, its beta onto the betas and into an echelon of their span;
+        backtracking pops exactly what the edge pushed.  A leaf builds its
+        mask from the stacks, with td the size of the echelon.
+        """
+        rs, word, n = self.rs, self.word, len(self.word)
+        chain, mask = [identity(rs)], []
+        j_plus, j_circ, j_minus = [], [], []
+        betas: list[tuple[int, Root]] = []
+        echelon: dict[int, list[int]] = {}
+        out: list[Subexpression] = []
+
+        def step(k: int, x: WeylElement) -> None:
+            if k == n:
+                out.append(Subexpression(
+                    word, tuple(mask), tuple(chain), frozenset(j_plus),
+                    frozenset(j_circ), frozenset(j_minus), tuple(betas),
+                    len(echelon)))
+                return
+            pos = k + 1
+            for choice, nxt in self.moves[(k, x)]:
+                mask.append(choice)
+                chain.append(nxt)
+                if choice == TAKE and nxt.length > x.length:
+                    j_plus.append(pos)
+                    step(pos, nxt)
+                    j_plus.pop()
+                else:
+                    skip = choice == SKIP
+                    side = j_circ if skip else j_minus
+                    beta = _beta(rs, pos, x, word[k], skip)
+                    side.append(pos)
+                    betas.append((pos, beta))
+                    pivot = _reduce_into(echelon, beta)
+                    step(pos, nxt)
+                    if pivot is not None:
+                        del echelon[pivot]
+                    betas.pop()
+                    side.pop()
+                mask.pop()
+                chain.pop()
+
+        step(0, chain[0])
+        return out
+
+    def census(self) -> tuple[int, ...]:
+        """The mask census polynomial from the memo, building no mask; as
+        for ``walk``, the start must be live.
+
+        P(n, u) = 1, and P(k, x) sums over the live moves of (k, x):
+        (q-1) P for a skip, q P for a take that goes down and P for a take
+        that goes up, each P at the state the move leads to.
+        """
+        n = len(self.word)
+        polys: dict[tuple[int, WeylElement], tuple[int, ...]] = {}
+
+        def poly(k: int, x: WeylElement) -> tuple[int, ...]:
+            if k == n:
+                return (1,)
+            got = polys.get((k, x))
+            if got is None:
+                got = ()
+                for choice, nxt in self.moves[(k, x)]:
+                    p = poly(k + 1, nxt)
+                    if choice == SKIP:
+                        p = _poly_add((0,) + p, tuple(-c for c in p))
+                    elif nxt.length < x.length:
+                        p = (0,) + p
+                    got = _poly_add(got, p)
+                polys[(k, x)] = got
+            return got
+
+        return poly(0, identity(self.rs))
 
 
 def enumerate_distinguished(v_word: Sequence[int],
@@ -204,19 +281,15 @@ def enumerate_distinguished(v_word: Sequence[int],
 
     An exact depth-first search (``_MaskSearch``): a memo local to the call
     holds the live moves of every state, and the walk follows only those,
-    so every state it enters yields at least one mask.  Each mask is
-    annotated from the prefix chain the walk holds.  Order is lexicographic
-    on masks with take before skip.  Empty when u is not below the word's
-    product.
+    so every state it enters yields at least one mask.  Each mask, td
+    included, is annotated from stacks the walk keeps along its path.
+    Order is lexicographic on masks with take before skip.  Empty when u is
+    not below the word's product.
     """
     rs = u.system
     _check_reduced(rs, v_word)
     search = _MaskSearch(rs, tuple(v_word), u)
-    start = identity(rs)
-    out: list[Subexpression] = []
-    if search.live(0, start):
-        search.walk([start], [], out)
-    return out
+    return search.walk() if search.live(0, identity(rs)) else []
 
 
 def positive_distinguished(v_word: Sequence[int],
@@ -249,7 +322,10 @@ def positive_distinguished(v_word: Sequence[int],
 
 
 def td_span(se: Subexpression) -> SpanBasis:
-    """Span of the beta roots over Jo u J-; its rank is td of the mask."""
+    """Span of the beta roots over Jo u J-; its rank is td of the mask.
+
+    An oracle for ``se.td``, which every route that builds a mask fills in.
+    """
     return SpanBasis(beta for _, beta in se.betas)
 
 
@@ -270,21 +346,15 @@ def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _shape_term(circ: int, minus: int) -> tuple[int, ...]:
-    # (q - 1)^circ * q^minus, coefficients in ascending powers of q
-    out = [0] * (minus + circ + 1)
-    for t in range(circ + 1):
-        out[minus + t] = comb(circ, t) * ((-1) ** (circ - t))
-    return tuple(out)
-
-
 def deodhar_polynomial(v_word: Sequence[int],
                        u: WeylElement) -> tuple[int, ...]:
     """Mask census polynomial: sum over distinguished masks for u of
     (q-1)^{|Jo|} q^{|J-|}, as coefficients in ascending powers of q.
 
-    Independent of which reduced word of v is used.  Returns the zero
-    polynomial () with a warning when u is not below the word's product.
+    Independent of which reduced word of v is used.  Computed by a dynamic
+    program over the live moves of the mask search (``_MaskSearch.census``),
+    so no mask is built.  Returns the zero polynomial () with a warning when
+    u is not below the word's product.
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
@@ -293,10 +363,9 @@ def deodhar_polynomial(v_word: Sequence[int],
             f"{word_string(u)} is not <= {word_string(v)}; the mask census "
             f"is the zero polynomial", stacklevel=2)
         return ()
-    total: tuple[int, ...] = ()
-    for se in enumerate_distinguished(v_word, u):
-        total = _poly_add(total, _shape_term(len(se.j_circ), len(se.j_minus)))
-    return total
+    search = _MaskSearch(rs, tuple(v_word), u)
+    search.live(0, identity(rs))
+    return search.census()
 
 
 def poly_string(coeffs: tuple[int, ...], var: str = "q") -> str:

@@ -19,8 +19,10 @@ def test_cache_inventory():
     # Every module-level memo table, so that adding one is a visible change.
     cached = _cached_functions()
     assert set(cached) == {"reduced_word", "bruhat_le", "interval", "ad",
-                           "_shared_system", "_parser"}
+                           "_shared_system", "_parser", "root_string"}
     assert cached["interval"].cache_parameters()["maxsize"] is not None
     # The registry behind root_system and the CLI parser are bounded.
     assert cached["_shared_system"].cache_parameters()["maxsize"] == 32
     assert cached["_parser"].cache_parameters()["maxsize"] == 1
+    # Root labels are a finite set per system; the bound covers them all.
+    assert cached["root_string"].cache_parameters()["maxsize"] == 4096

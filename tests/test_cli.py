@@ -17,7 +17,7 @@ from bruhatkit.cli import (element_from_oneline, element_to_oneline, main,
                            parse_element, parse_subset, parse_word,
                            root_string)
 from bruhatkit.errors import InvalidInputError
-from bruhatkit.weyl import simple_reflection
+from bruhatkit.weyl import longest_element, reduced_word, simple_reflection
 
 
 def run(capsys, argv):
@@ -414,6 +414,38 @@ def test_deodhar_all_take_for_top(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert lines[0]["count"] == 1
     assert lines[1]["mask"] == "take,take,take"
+
+
+def test_deodhar_td_from_walk_echelon(monkeypatch, capsys):
+    # td comes from the echelon the mask walk carries: no span_rank call,
+    # and at most one reduction per edge of the walk.  One elimination per
+    # row would make 1,613 span_rank calls here.
+    rs = root_system("D", 5)
+    word = reduced_word(longest_element(rs, range(1, 6)))
+    modules = [m for name, m in sys.modules.items()
+               if name == "bruhatkit" or name.startswith("bruhatkit.")]
+    counts = {"span_rank": 0, "_reduce_into": 0}
+    for name in counts:
+        real = getattr(bruhatkit.algdim, name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    code, out, _ = run(capsys, ["deodhar", "--type", "D", "--rank", "5",
+                                "--v-word", ".".join(map(str, word)),
+                                "--u", "id", "--format", "json"])
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()[1:]]
+    assert len(rows) == 1613
+    masks = [tuple(row["mask"].split(",")) for row in rows]
+    edges = {mask[:k] for mask in masks for k in range(1, len(word) + 1)}
+    assert counts["span_rank"] == 0
+    assert 0 < counts["_reduce_into"] <= len(edges)
 
 
 def test_deodhar_rejects_non_reduced(capsys):

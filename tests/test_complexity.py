@@ -121,6 +121,31 @@ def test_levi_borel_against_coset_oracle(a3, s4):
             assert rep.value == d.length - len(support(d))
 
 
+def test_levi_borel_decomposes_once(monkeypatch, a3, s4):
+    # levi_acts already splits w = a d; the report reuses its a.
+    real = complexity.left_parabolic_decomposition
+    calls = [0]
+
+    def counting(w, sub):
+        calls[0] += 1
+        return real(w, sub)
+
+    monkeypatch.setattr(complexity, "left_parabolic_decomposition", counting)
+    for w in s4:
+        for sub in subsets(3):
+            if not sub <= left_descents(w):
+                continue
+            calls[0] = 0
+            rep = levi_borel_complexity(sub, w)
+            assert calls[0] == 1
+            a, d = real(w, sub)
+            assert rep.value == d.length - len(support(d))
+            assert rep.witness["levi_factor"] == word_string(a)
+            assert rep.witness["coset_factor"] == word_string(d)
+            assert rep.witness["length_d"] == d.length
+            assert rep.witness["support_d"] == sorted(support(d))
+
+
 def test_levi_monotonicity_empirical(s4, b3_group):
     # empirical conjecture of this test suite, not a stated theorem: for
     # nested I <= I' inside D_L(w) the complexity does not increase

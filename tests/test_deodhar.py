@@ -1,4 +1,5 @@
 import warnings
+from math import comb
 
 import pytest
 
@@ -229,3 +230,47 @@ def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
     bruhat_le.cache_clear()
     assert len(enumerate_distinguished(word, u)) == masks
     assert calls[0] < limit
+
+
+def _census_by_masks(subexprs):
+    """Sum of (q-1)^|Jo| q^|J-| over the masks, expanded term by term."""
+    total = {}
+    for se in subexprs:
+        circ, minus = len(se.j_circ), len(se.j_minus)
+        for t in range(circ + 1):
+            total[minus + t] = (total.get(minus + t, 0)
+                                + comb(circ, t) * (-1) ** (circ - t))
+    top = max((k for k, c in total.items() if c), default=-1)
+    return tuple(total.get(k, 0) for k in range(top + 1))
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+@pytest.mark.parametrize("u_word", [(), (1, 2, 3)])
+def test_polynomial_matches_mask_sum(rank, u_word):
+    # The census is a dynamic program over the search's live moves; the
+    # masks it never builds must add up to the same polynomial.
+    rs = root_system("D", rank)
+    word = reduced_word(longest_element(rs, range(1, rank + 1)))
+    u = from_word(rs, u_word)
+    masks = enumerate_distinguished(word, u)
+    assert masks
+    assert deodhar_polynomial(word, u) == _census_by_masks(masks)
+
+
+def _walk_matches_oracle_route(rs, word, u):
+    subexprs = enumerate_distinguished(word, u)
+    for se in subexprs:
+        # td is a field, so equality covers it as well.
+        assert se == build_subexpression(rs, word, se.choices)
+        assert se.td == td_span(se).rank
+    return subexprs
+
+
+def test_walk_masks_match_oracle_route(b3, b3_group, g2, g2_group):
+    for rs, group in ((b3, b3_group), (g2, g2_group)):
+        word = reduced_word(longest_element(rs, range(1, rs.rank + 1)))
+        for u in group:
+            assert _walk_matches_oracle_route(rs, word, u)
+    d5 = root_system("D", 5)
+    word = reduced_word(longest_element(d5, range(1, 6)))
+    assert len(_walk_matches_oracle_route(d5, word, identity(d5))) == 1613

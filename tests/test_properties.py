@@ -11,9 +11,11 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bruhatkit import (bruhat_le, canonical_order,  # noqa: E402
-                       enumerate_group, from_word, identity, inverse,
-                       left_descents, multiply, reduced_word, right_descents,
-                       root_system)
+                       enumerate_distinguished, enumerate_group, from_word,
+                       identity, inverse, left_descents, multiply,
+                       reduced_word, right_descents, root_system, td_span)
+from bruhatkit.deodhar import build_subexpression  # noqa: E402
+from bruhatkit.weyl import simple_reflection  # noqa: E402
 from oracles import (WORD_MODEL_CARTAN, perm_bruhat_le,  # noqa: E402
                      perm_from_word, perm_inverse, perm_left_descents,
                      perm_length, perm_mul, perm_right_descents,
@@ -36,6 +38,23 @@ def sn_words(draw, count):
 def words_of(draw, family, rank, count=2):
     word = st.lists(st.integers(1, rank), max_size=10)
     return (family, rank, *(tuple(draw(word)) for _ in range(count)))
+
+
+@st.composite
+def reduced_words_of(draw, family, rank):
+    """A random reduced word (each drawn letter that would not lengthen the
+    product is dropped) and a subword of it."""
+    rs = root_system(family, rank)
+    word, x = [], identity(rs)
+    for i in draw(st.lists(st.integers(1, rank), max_size=14)):
+        y = multiply(x, simple_reflection(rs, i))
+        if y.length > x.length:
+            word.append(i)
+            x = y
+    keep = draw(st.lists(st.booleans(), min_size=len(word),
+                         max_size=len(word)))
+    return (family, rank, tuple(word),
+            tuple(i for i, k in zip(word, keep) if k))
 
 
 B3_OR_G2 = (("B", 3), ("G", 2))
@@ -143,3 +162,17 @@ def test_four_ad_routes_agree(family, rank, data):
     u = from_word(rs, [i for i, keep in zip(word, mask) if keep])
     assert bruhat_le(u, v)
     assert check_four_way_agreement(u, v) <= v.length - u.length
+
+
+@CASES
+@given(st.one_of(*(reduced_words_of(*g) for g in B3_OR_G2)))
+def test_walk_masks_against_oracle_route(case):
+    # Masks annotated along the walk, td included, equal the masks rebuilt
+    # one at a time from their choices.
+    family, rank, word, u_word = case
+    rs = root_system(family, rank)
+    subexprs = enumerate_distinguished(word, from_word(rs, u_word))
+    assert subexprs  # u is a subword, so u <= v
+    for se in subexprs:
+        assert se == build_subexpression(rs, word, se.choices)
+        assert se.td == td_span(se).rank
