@@ -22,8 +22,7 @@ from typing import Iterable, Literal
 from .bruhat import bruhat_le, edge_label, interval, saturated_chain
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
-from .weyl import (WeylElement, multiply, right_descents, simple_reflection,
-                   word_string)
+from .weyl import WeylElement, right_descents, times_simple, word_string
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -191,13 +190,11 @@ def ad(u: WeylElement, v: WeylElement) -> int:
     labels = []
     while u != v:
         i = min(right_descents(v))
-        s = simple_reflection(rs, i)
-        us = multiply(u, s)
-        if us.length < u.length:
-            u = us
+        if i in right_descents(u):
+            u = times_simple(u, i)
         else:
-            labels.append(u.apply(rs.simple_root(i)))
-        v = multiply(v, s)
+            labels.append(rs.signed_roots[u.perm[rs.simple_positions[i - 1]]])
+        v = times_simple(v, i)
     return span_rank(labels)
 
 

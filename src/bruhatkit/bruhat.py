@@ -5,7 +5,8 @@ alpha with both endpoints in the interval; the edge label (weight) is alpha.
 Cover edges are the length-difference-1 edges, i.e. the Hasse diagram.
 
 Interval enumeration is a downward breadth-first search from v that keeps
-only elements >= u; comparisons are memoized globally, which is safe because
+only elements >= u; the elements below each w are read off its inversions
+(``_below``), and comparisons are memoized globally, which is safe because
 elements are interned and immutable.
 """
 
@@ -17,7 +18,7 @@ from typing import NamedTuple
 from .errors import NotComparableError
 from .rootsys import Root
 from .weyl import (WeylElement, multiply, reflection, right_descents,
-                   simple_reflection, word_string)
+                   times_simple, word_string)
 
 
 class CoverEdge(NamedTuple):
@@ -42,10 +43,9 @@ def bruhat_le(u: WeylElement, v: WeylElement) -> bool:
     if u == v:
         return True
     i = min(right_descents(v))
-    s = simple_reflection(v.system, i)
-    vs = multiply(v, s)
+    vs = times_simple(v, i)
     if i in right_descents(u):
-        return bruhat_le(multiply(u, s), vs)
+        return bruhat_le(times_simple(u, i), vs)
     return bruhat_le(u, vs)
 
 
@@ -53,14 +53,34 @@ def _edge_key(rs, edge: CoverEdge) -> tuple:
     return (edge.lower.sort_key(), rs.index[edge.label], edge.upper.sort_key())
 
 
+def _reflections(rs) -> list[WeylElement]:
+    """s_alpha for every positive root alpha, by root index."""
+    return [reflection(rs, alpha) for alpha in rs.positive_roots]
+
+
+def _below(w: WeylElement, reflections: list[WeylElement]):
+    """Yield (alpha, s_alpha w) for every positive root alpha with
+    s_alpha w < w, given ``_reflections`` of w's system.
+
+    s_alpha w < w exactly when w^-1(alpha) < 0, that is when alpha = -w(beta)
+    for a right inversion beta of w, so the alphas are read off w's
+    permutation and only l(w) products are made.
+    """
+    n_pos = len(reflections)
+    roots = w.system.positive_roots
+    for p in w.perm[:n_pos]:
+        if p >= n_pos:
+            a = p - n_pos
+            yield roots[a], multiply(reflections[a], w)
+
+
 def lower_covers(w: WeylElement) -> list[CoverEdge]:
-    """All edges x ~ w with x = s_alpha w and l(x) = l(w) - 1."""
+    """All edges x ~ w with x = s_alpha w and l(x) = l(w) - 1, found among
+    the l(w) elements s_alpha w < w (see ``_below``)."""
     rs = w.system
-    out = []
-    for alpha in rs.positive_roots:
-        x = multiply(reflection(rs, alpha), w)
-        if x.length == w.length - 1:
-            out.append(CoverEdge(x, w, alpha))
+    out = [CoverEdge(x, w, alpha)
+           for alpha, x in _below(w, _reflections(rs))
+           if x.length == w.length - 1]
     out.sort(key=lambda e: _edge_key(rs, e))
     return out
 
@@ -124,23 +144,29 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     """Build [u, v] with all cover edges and all Bruhat-graph edges.
 
     Every element of [u, v] is reachable from v by a saturated chain inside
-    [u, v], so the downward search may prune anything not >= u.  Each
-    x = s_alpha w below a visited w gives an edge if x lies in [u, v].
+    [u, v], so the downward search may prune anything not >= u.  The
+    elements x = s_alpha w < w below a visited w come from w's inversions
+    (``_below``), l(w) products for each w above the bottom layer l(u); each
+    such x with l(x) >= l(u) gives an edge if x lies in [u, v].
     """
     if not bruhat_le(u, v):
         raise NotComparableError(
             f"empty interval: {word_string(u)} is not <= {word_string(v)}")
     rs = u.system
+    reflections = _reflections(rs)
+    bottom = u.length
     elements = {v}
     candidates = []
     frontier = [v]
-    while frontier:
+    # Every element of a layer has the same length; at l(u) only u is left,
+    # and nothing below it lies in [u, v].
+    while frontier and frontier[0].length > bottom:
         nxt = []
         for w in frontier:
-            for alpha in rs.positive_roots:
-                x = multiply(reflection(rs, alpha), w)
-                if x.length < w.length:
-                    candidates.append(CoverEdge(x, w, alpha))
+            for alpha, x in _below(w, reflections):
+                if x.length < bottom:
+                    continue
+                candidates.append(CoverEdge(x, w, alpha))
                 if (x.length == w.length - 1 and x not in elements
                         and bruhat_le(u, x)):
                     elements.add(x)

@@ -35,7 +35,8 @@ from .bruhat import bruhat_le
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
 from .weyl import (WeylElement, from_word, identity, inverse, multiply,
-                   right_descents, simple_reflection, word_string)
+                   right_descents, simple_reflection, times_simple,
+                   word_string)
 
 TAKE = "take"
 SKIP = "skip"
@@ -144,7 +145,7 @@ def build_subexpression(rs, v_word: Sequence[int],
                     f"forced descent")
             prefixes.append(prev)
         elif choice == TAKE:
-            prefixes.append(multiply(prev, simple_reflection(rs, i)))
+            prefixes.append(times_simple(prev, i))
         else:
             raise InvalidInputError(f"unknown mask token {choice!r}")
     return _annotate(rs, word, mask, tuple(prefixes))
@@ -169,10 +170,10 @@ class _MaskSearch:
 
     def __init__(self, rs, word: tuple[int, ...], u: WeylElement):
         self.rs, self.word, self.u = rs, word, u
-        self.gens = [simple_reflection(rs, i) for i in word]
         self.suffix = [identity(rs)] * (len(word) + 1)
         for k in range(len(word) - 1, -1, -1):
-            self.suffix[k] = multiply(self.gens[k], self.suffix[k + 1])
+            self.suffix[k] = multiply(simple_reflection(rs, word[k]),
+                                      self.suffix[k + 1])
         self.moves: dict[tuple[int, WeylElement],
                          tuple[tuple[str, WeylElement], ...]] = {}
 
@@ -187,7 +188,7 @@ class _MaskSearch:
             # multiplication.
             if (abs(x.length - u.length) <= n - k
                     and bruhat_le(multiply(inverse(x), u), self.suffix[k])):
-                stepped = multiply(x, self.gens[k])
+                stepped = times_simple(x, self.word[k])
                 if self.live(k + 1, stepped):
                     moves = ((TAKE, stepped),)
                 if (self.word[k] not in right_descents(x)
@@ -308,7 +309,7 @@ def positive_distinguished(v_word: Sequence[int],
         i = word[k - 1]
         if i in right_descents(x):
             choices[k - 1] = TAKE
-            x = multiply(x, simple_reflection(rs, i))
+            x = times_simple(x, i)
     if not x.is_identity():
         raise NotComparableError(
             f"no positive distinguished subexpression: {word_string(u)} is "

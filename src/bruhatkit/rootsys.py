@@ -349,14 +349,16 @@ def root_system(family: str, rank: int) -> RootSystem:
     >>> root_system("B", 3) is root_system(family="B", rank=3)
     True
     """
-    return _shared_system(cartan_datum(family, rank))
+    _check_family_rank(family, rank)
+    return _shared_system(family, rank)
 
 
+# Keyed on (family, rank), so a hit neither builds nor validates a datum.
 # Bounded, so a process that walks through many data does not keep every
 # system alive; 32 is above the number of data the test suite visits.
 @lru_cache(maxsize=32)
-def _shared_system(datum: CartanDatum) -> RootSystem:
-    return RootSystem(datum)
+def _shared_system(family: str, rank: int) -> RootSystem:
+    return RootSystem(cartan_datum(family, rank))
 
 
 def simple_reflect(rs: RootSystem, i: int, root: Root) -> Root:

@@ -8,10 +8,12 @@ Words compose left to right: ``from_word(rs, [1, 2])`` is s_1 s_2, acting
 by ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
 Elements are interned per root system, so equality is identity, and
-lengths, inverses, descents, and reduced words are computed once per
-element.  The hash is that of the permutation, the same in every run, so
-set and dict order never depends on memory addresses.  Everything here is
-pure and safe for concurrent readers.
+lengths, inverses, descents, reduced words and the products w s_i by simple
+reflections (``times_simple``) are computed once per element.  The hash is
+that of the permutation, the same in every run, so set and dict order never
+depends on memory addresses.  Everything here is
+pure and safe for concurrent readers: a memo slot is only ever written with
+its one correct value, so a lost or repeated write costs time, not results.
 """
 
 from __future__ import annotations
@@ -30,10 +32,16 @@ DEFAULT_GROUP_CAP = 51840
 
 
 class WeylElement:
-    """A Weyl group element; obtain instances via from_word / identity."""
+    """A Weyl group element; obtain instances via from_word / identity.
+
+    Besides its permutation, an element memoizes its length, inverse,
+    right descents, least reduced word and, in ``_right``, the products
+    w s_i (a list of ``rank`` entries, allocated on first use by
+    ``times_simple``).
+    """
 
     __slots__ = ("system", "perm", "_length", "_inverse", "_descents",
-                 "_word", "_hash")
+                 "_word", "_right", "_hash")
 
     def __init__(self, system: RootSystem, perm: Perm):
         self.system = system
@@ -42,6 +50,7 @@ class WeylElement:
         self._inverse: WeylElement | None = None
         self._descents: SimpleSubset | None = None
         self._word: tuple[int, ...] | None = None
+        self._right: list[WeylElement | None] | None = None
         self._hash = hash(perm)
 
     @property
@@ -118,17 +127,42 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     >>> from_word(rs, [1, 1]) == identity(rs)
     True
     """
-    perm = tuple(range(len(rs.signed_roots)))
+    w = identity(rs)
     for i in word:
-        rs._check_index(i)
-        perm = tuple(map(perm.__getitem__, rs.simple_perms[i - 1]))
-    return _intern(rs, perm)
+        w = times_simple(w, i)
+    return w
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     if u.system is not v.system:
         raise InvalidInputError("elements belong to different root systems")
     return _intern(u.system, tuple(map(u.perm.__getitem__, v.perm)))
+
+
+def times_simple(w: WeylElement, i: int) -> WeylElement:
+    """w s_i, made by ``multiply`` once per element and index.
+
+    The product is kept on w, and w on w s_i, since (w s_i) s_i = w; a
+    repeated product costs one list lookup.
+
+    >>> from bruhatkit.rootsys import root_system
+    >>> rs = root_system("A", 2)
+    >>> times_simple(from_word(rs, [1, 2]), 2) is from_word(rs, [1])
+    True
+    """
+    right = w._right
+    if right is None:
+        right = w._right = [None] * w.system.rank
+    x = right[i - 1] if 0 < i <= len(right) else None
+    if x is None:
+        # simple_reflection refuses an index out of range.
+        x = multiply(w, simple_reflection(w.system, i))
+        right[i - 1] = x
+        back = x._right
+        if back is None:
+            back = x._right = [None] * w.system.rank
+        back[i - 1] = w
+    return x
 
 
 def inverse(w: WeylElement) -> WeylElement:

@@ -218,6 +218,34 @@ def brute_force_distinguished(rs, v_word, target):
     return masks
 
 
+def interval_all_roots(u, v):
+    """[u, v] as (elements, sorted graph edges) by a downward search from v
+    that multiplies every element by all N reflections and keeps the
+    x = s_alpha w of lower length, where the library reads the l(w)
+    elements below w off its inversions."""
+    from bruhatkit.bruhat import CoverEdge, _edge_key, bruhat_le
+    from bruhatkit.weyl import multiply, reflection
+    rs = u.system
+    elements = {v}
+    candidates = []
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for alpha in rs.positive_roots:
+                x = multiply(reflection(rs, alpha), w)
+                if x.length < w.length:
+                    candidates.append(CoverEdge(x, w, alpha))
+                if (x.length == w.length - 1 and x not in elements
+                        and bruhat_le(u, x)):
+                    elements.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    graph = sorted((e for e in candidates if e.lower in elements),
+                   key=lambda e: _edge_key(rs, e))
+    return frozenset(elements), tuple(graph)
+
+
 def minimal_coset_element(rs, w, subset):
     """Least-length element of the coset W_I w, by enumerating W_I."""
     from bruhatkit.weyl import identity, multiply, simple_reflection

@@ -1,14 +1,19 @@
+import random
+
 import pytest
 
-from bruhatkit import (NotComparableError, bruhat_le, from_word, identity,
-                       interval, lower_covers, multiply, reduced_word,
-                       right_descents, saturated_chain, span_rank,
-                       upper_covers_le)
+import bruhatkit.bruhat
+import bruhatkit.weyl
+from bruhatkit import (NotComparableError, bruhat_le, build_root_system,
+                       cartan_datum, enumerate_group, from_word, identity,
+                       interval, longest_element, lower_covers, multiply,
+                       reduced_word, right_descents, root_system,
+                       saturated_chain, span_rank, upper_covers_le)
 from bruhatkit.bruhat import CoverEdge, _edge_key, edge_label
 from bruhatkit.cli import parse_element
 from bruhatkit.weyl import reflection, simple_reflection
-from oracles import (perm_bruhat_le, perm_from_word, root_of_pair,
-                     subword_reachable)
+from oracles import (interval_all_roots, perm_bruhat_le, perm_from_word,
+                     root_of_pair, subword_reachable)
 from sweeps import comparable_pairs
 
 
@@ -133,6 +138,80 @@ def test_interval_edges_exhaustive(group, request):
         assert list(iv.graph_edges) == expected
         assert list(iv.cover_edges) == [
             e for e in expected if e.upper.length == e.lower.length + 1]
+
+
+def _assert_interval_matches_all_roots(u, v):
+    # The uncached build, so every pair runs it and the shared cache stays
+    # small.
+    iv = interval.__wrapped__(u, v)
+    assert (iv.elements, iv.graph_edges) == interval_all_roots(u, v)
+
+
+@pytest.mark.parametrize("group", ["s4", "b3_group", "g2_group"])
+def test_intervals_and_covers_match_all_roots_oracle(group, request):
+    elements = request.getfixturevalue(group)
+    for u, v in comparable_pairs(elements):
+        _assert_interval_matches_all_roots(u, v)
+    for w in elements:
+        rs = w.system
+        expected = sorted(
+            (CoverEdge(x, w, alpha) for alpha in rs.positive_roots
+             for x in [multiply(reflection(rs, alpha), w)]
+             if x.length == w.length - 1),
+            key=lambda e: _edge_key(rs, e))
+        assert lower_covers(w) == expected
+
+
+@pytest.mark.parametrize("family,rank,max_gap", [("D", 4, 12), ("F", 4, 6)])
+def test_interval_matches_all_roots_oracle_sampled(family, rank, max_gap):
+    # v uniform over W, u a random subword of its least reduced word, so
+    # u <= v by the subword property.  In F4 the pairs with l(v) - l(u) > 6
+    # are skipped: such intervals reach hundreds of elements, and 500 of
+    # them would take about a minute.
+    rs = root_system(family, rank)
+    group = enumerate_group(rs)
+    rng = random.Random(f"interval/{family}{rank}")
+    checked = 0
+    while checked < 500:
+        v = rng.choice(group)
+        u = from_word(rs, [i for i in reduced_word(v) if rng.random() < 0.7])
+        if v.length - u.length <= max_gap:
+            _assert_interval_matches_all_roots(u, v)
+            checked += 1
+
+
+def test_products_are_made_once(monkeypatch):
+    # On a system no other test touches, so no earlier test has made its
+    # products: every multiply counts, wherever it is bound.
+    rs = build_root_system(cartan_datum("D", 4))
+    group = enumerate_group(rs)
+    rng = random.Random(4)
+    pairs = [(rng.choice(group), rng.choice(group)) for _ in range(300)]
+    calls = [0]
+    real = bruhatkit.weyl.multiply
+
+    def counting(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    for module in (bruhatkit.weyl, bruhatkit.bruhat):
+        monkeypatch.setattr(module, "multiply", counting)
+    first = [bruhat_le(u, v) for u, v in pairs]
+    assert calls[0] > 0
+    # Comparisons made again from scratch find every w s_i memoized.
+    bruhat_le.cache_clear()
+    calls[0] = 0
+    assert [bruhat_le(u, v) for u, v in pairs] == first
+    assert calls[0] == 0
+    # With the comparisons known, an interval makes l(w) products for each
+    # w above its bottom layer; trying all N reflections would make 12.
+    u, v = from_word(rs, [2]), longest_element(rs, range(1, 5))
+    above_u = sum(bruhat_le(u, x) for x in group)
+    calls[0] = 0
+    iv = interval.__wrapped__(u, v)
+    assert len(iv) == above_u
+    assert calls[0] <= sum(w.length for w in iv.elements
+                           if w.length > u.length)
 
 
 def test_interval_rejects_incomparable(a2):

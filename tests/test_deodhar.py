@@ -5,8 +5,10 @@ import pytest
 
 import bruhatkit.bruhat
 import bruhatkit.deodhar
+import bruhatkit.weyl
 from bruhatkit import (InvalidInputError, NotComparableError, bruhat_le,
-                       canonical_order, component_shape, deodhar_polynomial,
+                       build_root_system, canonical_order, cartan_datum,
+                       component_shape, deodhar_polynomial,
                        enumerate_distinguished, enumerate_group, from_word,
                        identity, is_toric, positive_distinguished,
                        reduced_word, root_system, td_span)
@@ -213,19 +215,21 @@ def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
     # Over the least reduced word of w0 in D5 the search visits few states
     # that yield no mask; a search pruned only on length distance makes
     # about 50,000 multiplies for u = id and 6,000 for this u.  Every
-    # multiply counts, the Bruhat cut's included, and the comparison cache
-    # is emptied so the count does not depend on which tests ran before.
-    rs = root_system("D", 5)
+    # multiply counts, the Bruhat cut's included, also those made through
+    # weyl.times_simple.  The system is private and the comparison cache
+    # is emptied, so no product or comparison an earlier test made lowers
+    # the count.
+    rs = build_root_system(cartan_datum("D", 5))
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = from_word(rs, u_word)
     calls = [0]
-    real = bruhatkit.deodhar.multiply
+    real = bruhatkit.weyl.multiply
 
     def counting(a, b):
         calls[0] += 1
         return real(a, b)
 
-    for module in (bruhatkit.deodhar, bruhatkit.bruhat):
+    for module in (bruhatkit.weyl, bruhatkit.deodhar, bruhatkit.bruhat):
         monkeypatch.setattr(module, "multiply", counting)
     bruhat_le.cache_clear()
     assert len(enumerate_distinguished(word, u)) == masks

@@ -15,7 +15,7 @@ from bruhatkit import (bruhat_le, canonical_order,  # noqa: E402
                        identity, inverse, left_descents, multiply,
                        reduced_word, right_descents, root_system, td_span)
 from bruhatkit.deodhar import build_subexpression  # noqa: E402
-from bruhatkit.weyl import simple_reflection  # noqa: E402
+from bruhatkit.weyl import simple_reflection, times_simple  # noqa: E402
 from oracles import (WORD_MODEL_CARTAN, perm_bruhat_le,  # noqa: E402
                      perm_from_word, perm_inverse, perm_left_descents,
                      perm_length, perm_mul, perm_right_descents,
@@ -145,6 +145,19 @@ def test_lengths_and_descents_against_word_model(case):
         i for i in steps if lengths[word_action(cartan, word + (i,))] < length}
     assert left_descents(w) == {
         i for i in steps if lengths[word_action(cartan, (i,) + word)] < length}
+
+
+@CASES
+@given(st.one_of(*(words_of(*g, count=1) for g in B3_OR_G2 + (("D", 4),))))
+def test_times_simple_is_the_memoized_product(case):
+    family, rank, word = case
+    rs = root_system(family, rank)
+    w = from_word(rs, word)
+    for i in range(1, rank + 1):
+        x = times_simple(w, i)
+        assert x is multiply(w, simple_reflection(rs, i))
+        assert times_simple(x, i) is w
+        assert times_simple(w, i) is x
 
 
 @pytest.mark.parametrize("family,rank", B3_OR_G2)
