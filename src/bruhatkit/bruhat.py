@@ -49,8 +49,20 @@ def bruhat_le(u: WeylElement, v: WeylElement) -> bool:
     return bruhat_le(u, vs)
 
 
-def _edge_key(rs, edge: CoverEdge) -> tuple:
-    return (edge.lower.sort_key(), rs.index[edge.label], edge.upper.sort_key())
+def _sort_edges(rs, edges) -> list[CoverEdge]:
+    """The edges sorted by (lower end, label, upper end): the ends by
+    ``sort_key``, computed once per element, and the label by root index."""
+    keys: dict[WeylElement, tuple] = {}
+
+    def key(w: WeylElement) -> tuple:
+        k = keys.get(w)
+        if k is None:
+            k = keys[w] = w.sort_key()
+        return k
+
+    index = rs.index
+    return sorted(edges,
+                  key=lambda e: (key(e.lower), index[e.label], key(e.upper)))
 
 
 def _reflections(rs) -> list[WeylElement]:
@@ -78,11 +90,9 @@ def lower_covers(w: WeylElement) -> list[CoverEdge]:
     """All edges x ~ w with x = s_alpha w and l(x) = l(w) - 1, found among
     the l(w) elements s_alpha w < w (see ``_below``)."""
     rs = w.system
-    out = [CoverEdge(x, w, alpha)
-           for alpha, x in _below(w, _reflections(rs))
-           if x.length == w.length - 1]
-    out.sort(key=lambda e: _edge_key(rs, e))
-    return out
+    return _sort_edges(rs, (CoverEdge(x, w, alpha)
+                            for alpha, x in _below(w, _reflections(rs))
+                            if x.length == w.length - 1))
 
 
 def upper_covers_le(w: WeylElement, v: WeylElement) -> list[CoverEdge]:
@@ -96,8 +106,7 @@ def upper_covers_le(w: WeylElement, v: WeylElement) -> list[CoverEdge]:
         y = multiply(reflection(rs, alpha), w)
         if y.length == w.length + 1 and bruhat_le(y, v):
             out.append(CoverEdge(w, y, alpha))
-    out.sort(key=lambda e: _edge_key(rs, e))
-    return out
+    return _sort_edges(rs, out)
 
 
 class LabeledInterval:
@@ -172,8 +181,7 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
                     elements.add(x)
                     nxt.append(x)
         frontier = nxt
-    graph = sorted((e for e in candidates if e.lower in elements),
-                   key=lambda e: _edge_key(rs, e))
+    graph = _sort_edges(rs, (e for e in candidates if e.lower in elements))
     return LabeledInterval(u, v, frozenset(elements), tuple(graph))
 
 

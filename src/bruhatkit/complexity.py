@@ -32,7 +32,7 @@ from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement,
                    canonical_order, enumerate_group, inverse, left_descents,
                    left_parabolic_decomposition, longest_element, multiply,
-                   right_descents, support, word_string)
+                   right_descents, support, support_size, word_string)
 
 SCAN_TARGETS = ("toric_schubert", "toric_richardson",
                 "complexity_histogram", "levi_table")
@@ -246,13 +246,9 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
 
 def _scan_unit(target: str, w: WeylElement,
                elements: tuple[WeylElement, ...],
-               levi_w0: dict[tuple[int, ...], WeylElement]) -> list[dict]:
-    if target == "toric_schubert":
-        supp_set = support(w)
-        if w.length == len(supp_set):
-            return [{"w": word_string(w), "length": w.length,
-                     "support": _subset_str(supp_set)}]
-        return []
+               levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]]
+               ) -> list[dict]:
+    w_str = word_string(w)
     if target == "toric_richardson":
         rows = []
         for v in elements:
@@ -260,7 +256,7 @@ def _scan_unit(target: str, w: WeylElement,
                 rank = v.length - w.length
                 dim = ad(w, v)
                 if dim == rank:
-                    rows.append({"u": word_string(w), "v": word_string(v),
+                    rows.append({"u": w_str, "v": word_string(v),
                                  "rank": rank, "ad": dim})
         return rows
     # levi_table; scan() has already handled the other targets.  For I in
@@ -270,11 +266,13 @@ def _scan_unit(target: str, w: WeylElement,
     descents = sorted(left_descents(w))
     for size in range(len(descents) + 1):
         for sub in combinations(descents, size):
-            w0 = levi_w0.get(sub)
-            if w0 is None:
-                w0 = levi_w0[sub] = longest_element(w.system, sub)
+            entry = levi_w0.get(sub)
+            if entry is None:
+                entry = levi_w0[sub] = (longest_element(w.system, sub),
+                                        _subset_str(sub))
+            w0, sub_str = entry
             d = multiply(w0, w)
-            rows.append({"w": word_string(w), "I": _subset_str(sub),
+            rows.append({"w": w_str, "I": sub_str,
                          "coset_factor": word_string(d),
                          "value": d.length - len(support(d))})
     return rows
@@ -282,24 +280,45 @@ def _scan_unit(target: str, w: WeylElement,
 
 def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
          cap: int = DEFAULT_GROUP_CAP) -> Iterator[dict]:
-    """Stream scan rows over the whole Weyl group, in canonical order
-    (length, then least reduced word lexicographically).
+    """Stream scan rows over the Weyl group (the elements of length at most
+    ``max_length``, if given).
 
-    Bad targets and over-cap groups are rejected eagerly, before any row is
-    produced; each element's rows are computed only when they are read.
-    ``complexity_histogram`` yields one row per value, in increasing order,
-    once every element is counted.  The output is deterministic.
+    Bad targets, a negative ``max_length`` and over-cap groups are rejected
+    eagerly, before any row is produced.  Each target does only the work
+    its rows print:
+
+    * ``complexity_histogram`` yields one row per value of
+      l(w) - |supp(w)|, in increasing order, once every element is counted;
+      it reads supports off inversions (``support_size``), so it orders no
+      element and builds no reduced word.
+    * ``toric_schubert`` keeps the w with l(w) = |supp(w)| first, then puts
+      just those in canonical order (length, then least reduced word) and
+      spells them.
+    * ``toric_richardson`` and ``levi_table`` follow the canonical order of
+      the whole group, and compute each element's rows only when they are
+      read.
+
+    The output is deterministic.
     """
     if target not in SCAN_TARGETS:
         raise InvalidInputError(
             f"unknown scan target {target!r}; expected one of {SCAN_TARGETS}")
-    elements = tuple(canonical_order(enumerate_group(rs, cap)))
+    if max_length is not None and max_length < 0:
+        raise InvalidInputError(
+            f"max_length must be non-negative, got {max_length}")
+    group = enumerate_group(rs, cap)
     if max_length is not None:
-        elements = tuple(w for w in elements if w.length <= max_length)
+        group = tuple(w for w in group if w.length <= max_length)
     if target == "complexity_histogram":
-        counts = Counter(w.length - len(support(w)) for w in elements)
+        counts = Counter(w.length - support_size(w) for w in group)
         return ({"value": value, "count": counts[value]}
                 for value in sorted(counts))
-    levi_w0: dict[tuple[int, ...], WeylElement] = {}
+    if target == "toric_schubert":
+        toric = canonical_order(w for w in group
+                                if w.length == support_size(w))
+        return ({"w": word_string(w), "length": w.length,
+                 "support": _subset_str(support(w))} for w in toric)
+    elements = tuple(canonical_order(group))
+    levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]] = {}
     return (row for w in elements
             for row in _scan_unit(target, w, elements, levi_w0))

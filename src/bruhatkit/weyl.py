@@ -251,8 +251,37 @@ def all_reduced_words(w: WeylElement) -> frozenset[tuple[int, ...]]:
 
 
 def support(w: WeylElement) -> SimpleSubset:
-    """Simple indices occurring in one (hence every) reduced word of w."""
+    """Simple indices occurring in one (hence every) reduced word of w.
+
+    Read off the least reduced word, which is cheap once that word is
+    known; ``support_size`` needs no word.
+    """
     return frozenset(reduced_word(w))
+
+
+def support_size(w: WeylElement) -> int:
+    """|supp(w)|, read off the right inversions of w instead of a word.
+
+    supp(w) is the union of the supports of w's right inversions
+    (``RootSystem.support_masks``).  If w lies in the parabolic W_J, so does
+    each of its inversions.  Conversely, if s_j occurs in a reduced word
+    s_(i_1) ... s_(i_l), last at position k, then the inversion
+    s_(i_l) ... s_(i_(k+1))(alpha_j) has alpha_j coefficient 1, since no
+    later letter is s_j and s_i changes only the alpha_i coefficient.  The
+    loop makes no product and ORs l(w) masks.
+
+    >>> from bruhatkit.rootsys import root_system
+    >>> support_size(from_word(root_system("A", 3), [1, 3, 1]))
+    1
+    """
+    masks = w.system.support_masks
+    n_pos = len(masks)
+    perm = w.perm
+    bits = 0
+    for k in range(n_pos):
+        if perm[k] >= n_pos:
+            bits |= masks[k]
+    return bits.bit_count()
 
 
 def word_string(w: WeylElement) -> str:

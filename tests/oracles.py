@@ -218,12 +218,19 @@ def brute_force_distinguished(rs, v_word, target):
     return masks
 
 
+def edge_key(rs, edge):
+    """The documented order of Bruhat-graph edges: lower end by
+    ``sort_key``, then label by root index, then upper end by ``sort_key``."""
+    return (edge.lower.sort_key(), rs.index[edge.label],
+            edge.upper.sort_key())
+
+
 def interval_all_roots(u, v):
     """[u, v] as (elements, sorted graph edges) by a downward search from v
     that multiplies every element by all N reflections and keeps the
     x = s_alpha w of lower length, where the library reads the l(w)
     elements below w off its inversions."""
-    from bruhatkit.bruhat import CoverEdge, _edge_key, bruhat_le
+    from bruhatkit.bruhat import CoverEdge, bruhat_le
     from bruhatkit.weyl import multiply, reflection
     rs = u.system
     elements = {v}
@@ -242,7 +249,7 @@ def interval_all_roots(u, v):
                     nxt.append(x)
         frontier = nxt
     graph = sorted((e for e in candidates if e.lower in elements),
-                   key=lambda e: _edge_key(rs, e))
+                   key=lambda e: edge_key(rs, e))
     return frozenset(elements), tuple(graph)
 
 

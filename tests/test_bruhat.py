@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,11 +10,11 @@ from bruhatkit import (NotComparableError, bruhat_le, build_root_system,
                        interval, longest_element, lower_covers, multiply,
                        reduced_word, right_descents, root_system,
                        saturated_chain, span_rank, upper_covers_le)
-from bruhatkit.bruhat import CoverEdge, _edge_key, edge_label
+from bruhatkit.bruhat import CoverEdge, edge_label
 from bruhatkit.cli import parse_element
-from bruhatkit.weyl import reflection, simple_reflection
-from oracles import (interval_all_roots, perm_bruhat_le, perm_from_word,
-                     root_of_pair, subword_reachable)
+from bruhatkit.weyl import WeylElement, reflection, simple_reflection
+from oracles import (edge_key, interval_all_roots, perm_bruhat_le,
+                     perm_from_word, root_of_pair, subword_reachable)
 from sweeps import comparable_pairs
 
 
@@ -133,7 +134,7 @@ def test_interval_edges_exhaustive(group, request):
              for alpha in rs.positive_roots
              for y in [multiply(reflection(rs, alpha), x)]
              if y.length > x.length and y in members),
-            key=lambda e: _edge_key(rs, e))
+            key=lambda e: edge_key(rs, e))
         iv = interval(u, v)
         assert list(iv.graph_edges) == expected
         assert list(iv.cover_edges) == [
@@ -158,7 +159,7 @@ def test_intervals_and_covers_match_all_roots_oracle(group, request):
             (CoverEdge(x, w, alpha) for alpha in rs.positive_roots
              for x in [multiply(reflection(rs, alpha), w)]
              if x.length == w.length - 1),
-            key=lambda e: _edge_key(rs, e))
+            key=lambda e: edge_key(rs, e))
         assert lower_covers(w) == expected
 
 
@@ -212,6 +213,29 @@ def test_products_are_made_once(monkeypatch):
     assert len(iv) == above_u
     assert calls[0] <= sum(w.length for w in iv.elements
                            if w.length > u.length)
+
+
+def test_interval_builds_one_sort_key_per_element(monkeypatch):
+    # The graph edges are sorted on keys built once per element; building
+    # both ends' keys for every comparison made 98,976 sort_key calls for
+    # 100 F4 intervals.
+    rs = root_system("F", 4)
+    real = WeylElement.sort_key
+    calls = Counter()
+
+    def counting(w):
+        calls[w] += 1
+        return real(w)
+
+    monkeypatch.setattr(WeylElement, "sort_key", counting)
+    for u_word, v_word in [((), (1, 2, 3, 2, 1, 4, 3, 2)),
+                           ((2, 3), (2, 3, 2, 1, 4, 3, 2, 3, 4, 1))]:
+        u, v = from_word(rs, u_word), from_word(rs, v_word)
+        calls.clear()
+        iv = interval.__wrapped__(u, v)
+        assert len(iv.graph_edges) > 2 * len(iv)
+        assert set(calls) <= iv.elements
+        assert max(calls.values()) == 1
 
 
 def test_interval_rejects_incomparable(a2):

@@ -349,6 +349,28 @@ def test_scan_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_scan_negative_max_length(tmp_path, capsys):
+    # Refused before the cap check, so even an over-cap group exits 2, and
+    # no header and no --out file is written.
+    for family, rank in [("A", 2), ("E", 8)]:
+        code, out, err = run(capsys, ["scan", "--type", family, "--rank",
+                                      str(rank), "--target",
+                                      "complexity_histogram",
+                                      "--max-length", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_length must be non-negative, got -1\n"
+    path = tmp_path / "rows.csv"
+    code, _, _ = run(capsys, ["scan", "--type", "A", "--rank", "2",
+                              "--target", "toric_schubert", "--max-length",
+                              "-3", "--out", str(path)])
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(capsys, ["scan", "--type", "A", "--rank", "2",
+                                "--target", "complexity_histogram",
+                                "--format", "csv", "--max-length", "0"])
+    assert code == 0
+    assert out == "value,count\n0,1\n"
 
 def test_scan_cap_env_not_integer(capsys, monkeypatch):
     monkeypatch.setenv("BRUHAT_GROUP_CAP", "abc")

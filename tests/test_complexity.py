@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,6 +18,7 @@ from bruhatkit import (FormulaUnavailableError, InvalidInputError,
                        torus_complexity_richardson,
                        torus_complexity_schubert, word_string)
 from bruhatkit.cli import parse_element
+from bruhatkit.complexity import SCAN_TARGETS
 from oracles import minimal_coset_element
 from sweeps import comparable_pairs
 
@@ -327,13 +329,16 @@ def test_levi_table_matches_descent_stripping(family, rank):
     assert list(scan(rs, "levi_table")) == expected
 
 
-@pytest.mark.parametrize("target", ["complexity_histogram", "levi_table"])
+@pytest.mark.parametrize("target", ["complexity_histogram", "toric_schubert",
+                                    "levi_table"])
 def test_scan_multiplies_once_per_element(monkeypatch, target):
     # Enumeration makes each element once, each reduced word extends a known
-    # one, and a Levi row is one product w_0(I) w.  Rebuilding each word
-    # from scratch and closing the group under all generators costs 16
-    # multiplies per element of F4.  A fresh system, so that no word is
-    # known before the scan.
+    # one, and a Levi row is one product w_0(I) w.  The histogram reads
+    # supports off inversions and builds no word; toric_schubert builds
+    # words for its rows only.  Rebuilding each word from scratch and
+    # closing the group under all generators costs 16 multiplies per
+    # element of F4.  A fresh system, so that no word is known before the
+    # scan.
     rs = build_root_system(cartan_datum("F", 4))
     order = 1152
     calls = [0]
@@ -345,13 +350,60 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
 
     for module in (bruhatkit.weyl, complexity):
         monkeypatch.setattr(module, "multiply", counting)
+    misses = bruhatkit.weyl.reduced_word.cache_info().misses
     rows = list(scan(rs, target))
+    words = bruhatkit.weyl.reduced_word.cache_info().misses - misses
     if target == "complexity_histogram":
         assert sum(row["count"] for row in rows) == order
-        assert calls[0] <= 3 * order
+        assert calls[0] <= order
+        assert words == 0
+    elif target == "toric_schubert":
+        assert len(rows) == 34
+        assert calls[0] <= order + len(rows)
+        assert words == len(rows)
     else:
         assert len(rows) == 5089
         assert calls[0] <= 3 * order + len(rows)
+
+
+def _rows_by_words(rs, target, max_length):
+    # The route that puts every element in canonical order and reads each
+    # support off its least reduced word.
+    elements = canonical_order(enumerate_group(rs))
+    if max_length is not None:
+        elements = [w for w in elements if w.length <= max_length]
+    if target == "complexity_histogram":
+        counts = Counter(w.length - len(support(w)) for w in elements)
+        return [{"value": value, "count": counts[value]}
+                for value in sorted(counts)]
+    rows = []
+    for w in elements:
+        supp_set = support(w)
+        if w.length == len(supp_set):
+            rows.append({"w": word_string(w), "length": w.length,
+                         "support": ",".join(map(str, sorted(supp_set)))})
+    return rows
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("G", 2),
+                                         ("D", 4), ("F", 4)])
+@pytest.mark.parametrize("target", ["complexity_histogram", "toric_schubert"])
+@pytest.mark.parametrize("max_length", [None, 0, 3])
+def test_support_scans_match_word_route(family, rank, target, max_length):
+    # A fresh system for the scan, so that no word is known before it.
+    rs = build_root_system(cartan_datum(family, rank))
+    expected = _rows_by_words(root_system(family, rank), target, max_length)
+    assert list(scan(rs, target, max_length=max_length)) == expected
+
+
+@pytest.mark.parametrize("max_length", [-1, -10])
+def test_scan_rejects_negative_max_length(b3, max_length):
+    # Refused at the call, before the cap is checked and before any row.
+    for target in SCAN_TARGETS:
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            scan(b3, target, max_length=max_length, cap=10)
+    with pytest.raises(InvalidInputError, match="unknown scan target"):
+        scan(b3, "nothing", max_length=max_length)
 
 
 def test_scan_cap(b3):
