@@ -7,6 +7,9 @@ edges (ad_direct), the covers incident to either endpoint
 (ad_via_covers_at), and any single saturated chain (ad_via_chain).  All four
 agree; the test suite checks this exhaustively on small groups.
 
+ad(u, v) is also td of every Deodhar component: every distinguished mask's
+betas span L(u, v), the span of the labels of [u, v] (proof in ``deodhar``).
+
 All spans are over the rationals.  Root coordinates are integral, so ranks
 agree with real spans, and everything here is fraction-free integer
 elimination: rows are combined by cross-multiplication and kept primitive by
@@ -40,35 +43,24 @@ def _primitive(row: list[int]) -> list[int]:
     return row
 
 
-def _reduce_into(echelon: dict[int, list[int]], vector: Root) -> int | None:
-    """One elimination step: reduce ``vector`` against ``echelon``, a map
-    from pivot column to a primitive row that is zero left of its pivot.
-
-    An independent vector joins ``echelon`` as a new primitive row, and its
-    pivot column is returned; a dependent one leaves it unchanged and gives
-    None.  Rows already present are never modified, so a caller can undo
-    the step by deleting the returned key.
-    """
-    if len(echelon) == len(vector):
-        return None
-    row = list(vector)
-    for c in range(len(row)):
-        cur = row[c]
-        if not cur:
-            continue
-        pivot_row = echelon.get(c)
-        if pivot_row is None:
-            echelon[c] = row = _primitive(row)
-            return c
-        piv = pivot_row[c]
-        row = _primitive([piv * x - cur * y for x, y in zip(row, pivot_row)])
-    return None
-
-
 def _forward_eliminate(vectors: Iterable[Root]) -> tuple[list[list[int]], list[int]]:
+    """An echelon form of the span (primitive rows, each zero left of its
+    pivot column) and its pivot columns; stops once the echelon is full."""
     echelon: dict[int, list[int]] = {}
-    for v in vectors:
-        _reduce_into(echelon, v)
+    for vector in vectors:
+        if len(echelon) == len(vector):
+            break
+        row = list(vector)
+        for c in range(len(row)):
+            cur = row[c]
+            if not cur:
+                continue
+            pivot_row = echelon.get(c)
+            if pivot_row is None:
+                echelon[c] = _primitive(row)
+                break
+            row = _primitive([pivot_row[c] * x - cur * y
+                              for x, y in zip(row, pivot_row)])
     pivot_cols = sorted(echelon)
     return [echelon[c] for c in pivot_cols], pivot_cols
 

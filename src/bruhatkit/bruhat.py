@@ -35,18 +35,16 @@ class CoverEdge(NamedTuple):
 
 @lru_cache(maxsize=None)
 def bruhat_le(u: WeylElement, v: WeylElement) -> bool:
-    """u <= v in Bruhat order, by the right-descent recursion."""
-    if u.length > v.length:
-        return False
-    if v.is_identity():
-        return u.is_identity()
-    if u == v:
-        return True
-    i = min(right_descents(v))
-    vs = times_simple(v, i)
-    if i in right_descents(u):
-        return bruhat_le(times_simple(u, i), vs)
-    return bruhat_le(u, vs)
+    """u <= v in Bruhat order, by the right-descent recursion run as a loop,
+    so long elements need no stack frame per letter."""
+    while u.length <= v.length:
+        if u == v:
+            return True
+        i = min(right_descents(v))
+        if i in right_descents(u):
+            u = times_simple(u, i)
+        v = times_simple(v, i)
+    return False
 
 
 def _sort_edges(rs, edges) -> list[CoverEdge]:

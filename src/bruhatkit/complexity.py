@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 from .algdim import ad, max_toric_below_top
@@ -29,7 +29,7 @@ from .bruhat import bruhat_le
 from .errors import (FormulaUnavailableError, InvalidInputError,
                      PreconditionError)
 from .rootsys import RootSystem
-from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement,
+from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement, _layers,
                    canonical_order, enumerate_group, inverse, left_descents,
                    left_parabolic_decomposition, longest_element, multiply,
                    right_descents, support, support_size, word_string)
@@ -306,9 +306,9 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     if max_length is not None and max_length < 0:
         raise InvalidInputError(
             f"max_length must be non-negative, got {max_length}")
-    group = enumerate_group(rs, cap)
-    if max_length is not None:
-        group = tuple(w for w in group if w.length <= max_length)
+    # With max_length, layers longer than it are never built.
+    group = (enumerate_group(rs, cap) if max_length is None else tuple(
+        w for ws in islice(_layers(rs, cap), max_length + 1) for w in ws))
     if target == "complexity_histogram":
         counts = Counter(w.length - support_size(w) for w in group)
         return ({"value": value, "count": counts[value]}

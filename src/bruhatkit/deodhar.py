@@ -18,19 +18,39 @@ the beta_k is the torus-weight space of the corresponding component, and the
 pair (|Jo|, |J-|) is the component's shape.  ``Subexpression.td`` is the
 rank of that span; ``td_span`` recomputes it from the betas.
 
-``enumerate_distinguished`` annotates every mask along its depth-first
-walk: masks that share a prefix share its positions, betas and the echelon
-rows of its betas, so each walk edge costs one reduction of at most one
-beta instead of each mask costing a fresh elimination.
+The betas of every distinguished mask for u over a reduced word of v span
+L(u, v), the span of the edge labels of [u, v], so td = ad(u, v): one
+number per query.  Proof, with the lifting property (Bjorner-Brenti, GTM
+231, Prop. 2.2.7) and Deodhar (Invent. Math. 79, 1985); a + L is the span
+of the root a and the space L.
+
+* (F) The labels of any saturated chain of [x, y] span L(x, y) (the tests
+  check every chain of every interval of S4, B3 and G2).
+* (R) Right multiplication by s keeps edge labels: (s_a z) s = s_a (z s).
+* Step 1.  If s is in D_R(x) and D_R(y), then L(x, y) = L(xs, ys).  Build a
+  saturated chain from xs to ys through elements z with zs > z: of the
+  upper covers of such a z in [z, ys], only zs can have s as a descent
+  (lifting), and an interval of length >= 2 has at least two atoms.  Times
+  s, it is a chain from x to y with the same labels (R); apply (F).
+* Step 2.  If i is in D_R(v), u s_i > u and u <= v, then L(u, v) =
+  u(alpha_i) + L(u s_i, v) by (F) on a chain through u < u s_i, and
+  L(u s_i, v) = L(u, v s_i) by Step 1.
+* Induction on l(v): the betas before the last letter i, a right descent
+  of v, span L(x, v s_i), x the prefix there.  Jo: x = u, and u(alpha_i) +
+  L(u, v s_i) = L(u, v) by Step 2.  J-: x = u s_i > u, beta = u(alpha_i),
+  and u(alpha_i) + L(u s_i, v s_i) = L(u, v s_i) by (F), which is L(u, v)
+  by Step 2.  J+ (forced when u s_i < u): L(u s_i, v s_i) = L(u, v) by
+  Step 1.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
-from .algdim import SpanBasis, _reduce_into, span_rank
+from .algdim import SpanBasis, ad
 from .bruhat import bruhat_le
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
@@ -55,7 +75,8 @@ class Subexpression:
     """A distinguished mask over a fixed reduced word, fully annotated.
 
     ``betas`` lists (k, beta_k) for k in Jo u J-, in position order, and
-    ``td`` is the rank of their span.
+    ``td`` is the rank of their span, which is ad(evaluation, v) for every
+    distinguished mask (see the module docstring).
     """
 
     base_word: tuple[int, ...]
@@ -107,35 +128,22 @@ def _beta(rs, k: int, prev: WeylElement, i: int, skip: bool) -> Root:
     return rs.positive_roots[p % n_pos]
 
 
-def _annotate(rs, word: tuple[int, ...], choices: tuple[str, ...],
-              prefixes: tuple[WeylElement, ...]) -> Subexpression:
-    """Classify the positions of a distinguished mask whose prefix chain is
-    known, and collect its betas and td."""
-    j_plus, j_circ, j_minus = [], [], []
-    betas = []
-    for k, (i, choice) in enumerate(zip(word, choices), start=1):
-        prev = prefixes[k - 1]
-        if choice == TAKE and prefixes[k].length > prev.length:
-            j_plus.append(k)
-            continue
-        (j_circ if choice == SKIP else j_minus).append(k)
-        betas.append((k, _beta(rs, k, prev, i, choice == SKIP)))
-    return Subexpression(word, choices, prefixes, frozenset(j_plus),
-                         frozenset(j_circ), frozenset(j_minus), tuple(betas),
-                         span_rank(beta for _, beta in betas))
-
-
 def build_subexpression(rs, v_word: Sequence[int],
                         choices: Sequence[str]) -> Subexpression:
-    """Walk a mask over v_word, classifying positions and collecting betas.
+    """Walk a mask over the reduced word v_word, classifying positions and
+    collecting betas; td is ad(u, v) for the mask's evaluation u.
 
-    Raises InvalidInputError if the mask is not distinguished.
+    Raises InvalidInputError if the word is not reduced or the mask is not
+    distinguished.
     """
     word = tuple(v_word)
     mask = tuple(choices)
     if len(word) != len(mask):
         raise InvalidInputError("mask length does not match word length")
+    v = _check_reduced(rs, word)
     prefixes = [identity(rs)]
+    j_plus, j_circ, j_minus = [], [], []
+    betas = []
     for k, (i, choice) in enumerate(zip(word, mask), start=1):
         prev = prefixes[-1]
         if choice == SKIP:
@@ -146,9 +154,16 @@ def build_subexpression(rs, v_word: Sequence[int],
             prefixes.append(prev)
         elif choice == TAKE:
             prefixes.append(times_simple(prev, i))
+            if prefixes[-1].length > prev.length:
+                j_plus.append(k)
+                continue
         else:
             raise InvalidInputError(f"unknown mask token {choice!r}")
-    return _annotate(rs, word, mask, tuple(prefixes))
+        (j_circ if choice == SKIP else j_minus).append(k)
+        betas.append((k, _beta(rs, k, prev, i, choice == SKIP)))
+    return Subexpression(word, mask, tuple(prefixes), frozenset(j_plus),
+                         frozenset(j_circ), frozenset(j_minus), tuple(betas),
+                         ad(prefixes[-1], v))
 
 
 class _MaskSearch:
@@ -197,20 +212,19 @@ class _MaskSearch:
             self.moves[(k, x)] = moves
         return bool(moves)
 
-    def walk(self) -> list[Subexpression]:
+    def walk(self, v: WeylElement) -> list[Subexpression]:
         """Every mask for u, in order, once ``live(0, id)`` has filled the
-        memo and found the start live.
+        memo and found the start live; v is the word's product.
 
         The walk pushes each edge's position onto J+, Jo or J- and, for Jo
-        and J-, its beta onto the betas and into an echelon of their span;
-        backtracking pops exactly what the edge pushed.  A leaf builds its
-        mask from the stacks, with td the size of the echelon.
+        and J-, its beta onto the betas; backtracking pops what the edge
+        pushed.  A leaf builds its mask from the stacks, with td = ad(u, v).
         """
         rs, word, n = self.rs, self.word, len(self.word)
         chain, mask = [identity(rs)], []
         j_plus, j_circ, j_minus = [], [], []
         betas: list[tuple[int, Root]] = []
-        echelon: dict[int, list[int]] = {}
+        td = ad(self.u, v)
         out: list[Subexpression] = []
 
         def step(k: int, x: WeylElement) -> None:
@@ -218,7 +232,7 @@ class _MaskSearch:
                 out.append(Subexpression(
                     word, tuple(mask), tuple(chain), frozenset(j_plus),
                     frozenset(j_circ), frozenset(j_minus), tuple(betas),
-                    len(echelon)))
+                    td))
                 return
             pos = k + 1
             for choice, nxt in self.moves[(k, x)]:
@@ -231,13 +245,9 @@ class _MaskSearch:
                 else:
                     skip = choice == SKIP
                     side = j_circ if skip else j_minus
-                    beta = _beta(rs, pos, x, word[k], skip)
                     side.append(pos)
-                    betas.append((pos, beta))
-                    pivot = _reduce_into(echelon, beta)
+                    betas.append((pos, _beta(rs, pos, x, word[k], skip)))
                     step(pos, nxt)
-                    if pivot is not None:
-                        del echelon[pivot]
                     betas.pop()
                     side.pop()
                 mask.pop()
@@ -282,15 +292,15 @@ def enumerate_distinguished(v_word: Sequence[int],
 
     An exact depth-first search (``_MaskSearch``): a memo local to the call
     holds the live moves of every state, and the walk follows only those,
-    so every state it enters yields at least one mask.  Each mask, td
-    included, is annotated from stacks the walk keeps along its path.
-    Order is lexicographic on masks with take before skip.  Empty when u is
-    not below the word's product.
+    so every state it enters yields at least one mask.  Each mask is
+    annotated from stacks the walk keeps along its path, and every mask's
+    td is the one ad(u, v).  Order is lexicographic on masks with take
+    before skip.  Empty when u is not below the word's product.
     """
     rs = u.system
-    _check_reduced(rs, v_word)
+    v = _check_reduced(rs, v_word)
     search = _MaskSearch(rs, tuple(v_word), u)
-    return search.walk() if search.live(0, identity(rs)) else []
+    return search.walk(v) if search.live(0, identity(rs)) else []
 
 
 def positive_distinguished(v_word: Sequence[int],
@@ -325,7 +335,8 @@ def positive_distinguished(v_word: Sequence[int],
 def td_span(se: Subexpression) -> SpanBasis:
     """Span of the beta roots over Jo u J-; its rank is td of the mask.
 
-    An oracle for ``se.td``, which every route that builds a mask fills in.
+    An oracle for ``se.td``, which every route that builds a mask fills in
+    with ad(u, v), the rank of this span by the module docstring's proof.
     """
     return SpanBasis(beta for _, beta in se.betas)
 
@@ -336,12 +347,7 @@ def component_shape(se: Subexpression) -> DeodharComponentShape:
 
 
 def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for k, c in enumerate(a):
-        out[k] += c
-    for k, c in enumerate(b):
-        out[k] += c
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)

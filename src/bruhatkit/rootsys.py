@@ -22,9 +22,8 @@ Conventions (the single place they are documented):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 
 from .errors import InvalidInputError
 
@@ -174,31 +173,6 @@ def negate(root: Root) -> Root:
     return tuple(-c for c in root)
 
 
-def _symmetrizer(cartan: Matrix, rank: int) -> tuple[int, ...]:
-    # Positive integers d with d[i] a[i][j] = d[j] a[j][i]; exists for any
-    # valid Cartan matrix, component by component over the Dynkin graph.
-    d: list[Fraction | None] = [None] * rank
-    for start in range(rank):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(rank):
-                if i != j and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                    queue.append(j)
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
-
-
 class RootSystem:
     """All positive roots of a finite root system, with exact arithmetic,
     and the permutation of the signed roots induced by each reflection.
@@ -216,7 +190,6 @@ class RootSystem:
         self.datum = datum
         self.rank = datum.rank
         self.cartan = datum.cartan
-        self._d = _symmetrizer(datum.cartan, datum.rank)
         self.positive_roots: tuple[Root, ...] = self._close()
         self.index: dict[Root, int] = {
             r: k for k, r in enumerate(self.positive_roots)}
@@ -300,21 +273,6 @@ class RootSystem:
                     perms[beta] = tuple(s[s_alpha[q]] for q in s)
                     break
         self.reflection_perms: dict[Root, tuple[int, ...]] = perms
-
-    # -- exact pairings --------------------------------------------------
-
-    def coroot_pairing(self, x: Root, alpha: Root) -> int:
-        """<x, alpha^vee> = 2 (x, alpha) / (alpha, alpha), exactly."""
-        n = self.rank
-        a = self.cartan
-        ax = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
-        aa = [sum(a[i][j] * alpha[j] for j in range(n)) for i in range(n)]
-        num = 2 * sum(self._d[i] * alpha[i] * ax[i] for i in range(n))
-        den = sum(self._d[i] * alpha[i] * aa[i] for i in range(n))
-        q, r = divmod(num, den)
-        if r:
-            raise InvalidInputError(f"{alpha} is not a root of this system")
-        return q
 
     # -- predicates -------------------------------------------------------
 

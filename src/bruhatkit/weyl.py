@@ -19,7 +19,7 @@ its one correct value, so a lost or repeated write costs time, not results.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import GroupTooLargeError, InvalidInputError
 from .rootsys import Root, RootSystem, weyl_group_order
@@ -339,16 +339,14 @@ def longest_element(rs: RootSystem, subset: Iterable[int] = ()) -> WeylElement:
         w = multiply(w, simple_reflection(rs, ascent))
 
 
-def enumerate_group(rs: RootSystem,
-                    cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, each made exactly once, breadth-first by
-    length from the identity.
+def _layers(rs: RootSystem, cap: int) -> Iterator[list[WeylElement]]:
+    """The length layers of W from the identity up, each built only when
+    asked for; the first request refuses (with the exact order in the
+    error) if |W| exceeds the cap.
 
     Each y other than the identity is made only from its canonical parent,
     as x s_i with i the least right descent of y, so it costs one multiply.
-    Within a length layer the order is that of the parents, then of i;
-    ``canonical_order`` does not depend on it, so neither does any scan.
-    Refuses (with the exact order in the error) if |W| exceeds the cap.
+    Within a layer the order is that of the parents, then of i.
     """
     order = weyl_group_order(rs.datum.family, rs.rank)
     if order > cap:
@@ -364,9 +362,9 @@ def enumerate_group(rs: RootSystem,
     lower = [[g.perm[simple[j]] for j in range(i)]
              for i, g in enumerate(gens)]
     layer = [identity(rs)]
-    out = list(layer)
     length = 0
     while layer:
+        yield layer
         length += 1
         nxt = []
         for x in layer:
@@ -376,9 +374,16 @@ def enumerate_group(rs: RootSystem,
                     y = multiply(x, g)
                     y._length = length
                     nxt.append(y)
-        out.extend(nxt)
         layer = nxt
-    return tuple(out)
+
+
+def enumerate_group(rs: RootSystem,
+                    cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
+    """All Weyl group elements, each made exactly once, layer by layer
+    (``_layers``); ``canonical_order``, and so every scan, does not depend
+    on the order within a layer.  Refuses if |W| exceeds the cap.
+    """
+    return tuple(w for layer in _layers(rs, cap) for w in layer)
 
 
 def canonical_order(elements: Iterable[WeylElement]) -> list[WeylElement]:

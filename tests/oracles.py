@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 # -- permutation model of S_n (type A), one-line tuples of 1..n -------------
 
@@ -161,6 +162,53 @@ def word_lengths(cartan):
                     nxt.append(longer)
         frontier = nxt
     return lengths
+
+
+# -- coroot pairing through a symmetrized Cartan matrix ----------------------
+
+
+@lru_cache(maxsize=None)
+def symmetrizer(cartan):
+    """Positive integers d with d[i] a[i][j] = d[j] a[j][i]; they exist for
+    any valid Cartan matrix, component by component over the Dynkin
+    graph."""
+    rank = len(cartan)
+    d = [None] * rank
+    for start in range(rank):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(rank):
+                if i != j and cartan[i][j] != 0 and d[j] is None:
+                    d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                    queue.append(j)
+    denom = 1
+    for x in d:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in d]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def coroot_pairing(rs, x, alpha):
+    """<x, alpha^vee> = 2 (x, alpha) / (alpha, alpha), exactly, with the
+    invariant form (x, y) = sum_i d_i x_i (A y)_i."""
+    n = rs.rank
+    a = rs.cartan
+    d = symmetrizer(a)
+    ax = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
+    aa = [sum(a[i][j] * alpha[j] for j in range(n)) for i in range(n)]
+    num = 2 * sum(d[i] * alpha[i] * ax[i] for i in range(n))
+    den = sum(d[i] * alpha[i] * aa[i] for i in range(n))
+    q, r = divmod(num, den)
+    if r:
+        raise ValueError(f"{alpha} is not a root of this system")
+    return q
 
 
 # -- exact rank over Fractions ----------------------------------------------

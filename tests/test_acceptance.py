@@ -8,15 +8,17 @@ lines as they complete.
 import time
 from itertools import combinations
 
-from bruhatkit import (ad, all_reduced_words, bruhat_le, echelon_basis,
-                       enumerate_distinguished, deodhar_polynomial, identity,
+from bruhatkit import (ad, ad_direct, all_reduced_words, bruhat_le,
+                       canonical_order, echelon_basis, enumerate_distinguished,
+                       enumerate_group, deodhar_polynomial, identity,
                        interval, is_toric, is_toric_partial, left_descents,
                        left_parabolic_decomposition, levi_acts,
                        levi_borel_complexity, longest_element, lower_covers,
                        max_toric_below_top, multiply,
                        partial_stabilizer_descents, positive_distinguished,
-                       right_descents, right_parabolic_decomposition,
-                       span_rank, support, td_span,
+                       reduced_word, right_descents,
+                       right_parabolic_decomposition, root_system, span_rank,
+                       support, td_span,
                        torus_complexity_richardson,
                        torus_complexity_schubert, word_string)
 from bruhatkit.cli import main, parse_element
@@ -108,29 +110,37 @@ def test_criterion_4_four_way_ad_agreement(s4, b3_group, g2_group):
                   "intervals", 120.0, body)
 
 
-def test_criterion_5_td_suite(s4):
-    def body():
-        for u, v in comparable_pairs(s4):
-            rank_expected = ad(u, v)
-            polynomials = set()
-            for word in sorted(all_reduced_words(v)):
-                positive = positive_distinguished(word, u)
-                positive_space = echelon_basis(
-                    beta for _, beta in positive.betas)
-                assert len(positive_space) == rank_expected
-                subexprs = enumerate_distinguished(word, u)
-                assert sum(1 for se in subexprs if se.is_positive()) == 1
-                for se in subexprs:
-                    gens = tuple(beta for _, beta in se.betas)
-                    # containment: adjoining cannot grow the positive span
-                    assert span_rank(positive_space + gens) == \
-                        len(positive_space)
-                polynomials.add(deodhar_polynomial(word, u))
-            assert len(polynomials) == 1
+def test_criterion_5_td_suite(s4, b3_group, g2_group):
+    c3_group = canonical_order(enumerate_group(root_system("C", 3)))
 
-    _criterion(5, "every distinguished mask over every reduced word in S4: "
-                  "td-span containment, positive rank = ad, mask-census "
-                  "polynomial word-invariance", 600.0, body)
+    def body():
+        # (group, every reduced word of v, or only the least one)
+        for group, every_word in ((s4, True), (g2_group, True),
+                                  (b3_group, False), (c3_group, False)):
+            for u, v in comparable_pairs(group):
+                space = echelon_basis(ad_direct(u, v).generators)
+                td = ad(u, v)
+                assert len(space) == td
+                words = (sorted(all_reduced_words(v)) if every_word
+                         else [reduced_word(v)])
+                polynomials = set()
+                for word in words:
+                    positive = positive_distinguished(word, u)
+                    assert positive.td == td
+                    subexprs = enumerate_distinguished(word, u)
+                    assert sum(1 for se in subexprs if se.is_positive()) == 1
+                    for se in subexprs:
+                        # equality: every mask's betas span L(u, v)
+                        assert se.td == td
+                        assert echelon_basis(
+                            beta for _, beta in se.betas) == space
+                    polynomials.add(deodhar_polynomial(word, u))
+                assert len(polynomials) == 1
+
+    _criterion(5, "every distinguished mask over every reduced word in S4 "
+                  "and G2, and over the least word in B3 and C3: betas "
+                  "span L(u, v) and td = ad, mask-census polynomial "
+                  "word-invariance", 600.0, body)
 
 
 def test_criterion_6_schubert_richardson_coherence(s4, s5, b3_group,

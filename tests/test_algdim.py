@@ -7,7 +7,7 @@ from bruhatkit import (NotComparableError, ad, ad_direct, ad_via_chain,
                        echelon_basis, from_word, identity, interval, is_toric,
                        max_toric_above_bottom, max_toric_below_top,
                        span_rank, support)
-from bruhatkit.algdim import SpanBasis, _reduce_into
+from bruhatkit.algdim import SpanBasis
 from bruhatkit.weyl import WeylElement
 from bruhatkit.cli import parse_element
 from bruhatkit.errors import InvalidInputError
@@ -45,31 +45,6 @@ def test_echelon_basis_is_canonical(b3):
         assert echelon_basis(sample) == echelon_basis(shuffled)
         assert echelon_basis(sample) == echelon_basis(scaled)
         assert len(echelon_basis(sample)) == span_rank(sample)
-
-
-def test_reduce_into_pushes_and_pops(b3, g2):
-    # A stack of vectors, as the mask walk keeps one: each push reduces one
-    # vector into the echelon, each pop deletes what that push added, and
-    # the size of the echelon is always the rank of the stack.
-    rng = random.Random(2)
-    for rs in (b3, g2):
-        roots = list(rs.positive_roots) + [(0,) * rs.rank]
-        echelon, stack, pushed = {}, [], []
-        for _ in range(400):
-            if stack and rng.random() < 0.45:
-                stack.pop()
-                pivot = pushed.pop()
-                if pivot is not None:
-                    del echelon[pivot]
-            else:
-                before = dict(echelon)
-                vector = rng.choice(roots)
-                stack.append(vector)
-                pushed.append(_reduce_into(echelon, vector))
-                assert all(echelon[c] is row for c, row in before.items())
-                row = echelon.get(pushed[-1])
-                assert row is None or row[:pushed[-1]] == [0] * pushed[-1]
-            assert len(echelon) == fraction_rank(stack)
 
 
 def test_span_basis_caches_rank():

@@ -1,11 +1,12 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 import bruhatkit.bruhat
 import bruhatkit.weyl
-from bruhatkit import (NotComparableError, bruhat_le, build_root_system,
+from bruhatkit import (NotComparableError, ad, bruhat_le, build_root_system,
                        cartan_datum, enumerate_group, from_word, identity,
                        interval, longest_element, lower_covers, multiply,
                        reduced_word, right_descents, root_system,
@@ -16,6 +17,23 @@ from bruhatkit.weyl import WeylElement, reflection, simple_reflection
 from oracles import (edge_key, interval_all_roots, perm_bruhat_le,
                      perm_from_word, root_of_pair, subword_reachable)
 from sweeps import comparable_pairs
+
+
+def test_le_of_long_element_needs_no_recursion():
+    # w_0 of A30 has 465 letters; a recursive comparison would need a frame
+    # per letter and fail under this limit.
+    rs = build_root_system(cartan_datum("A", 30))
+    w0 = longest_element(rs, range(1, 31))
+    s1 = simple_reflection(rs, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert bruhat_le(s1, w0)
+        assert not bruhat_le(w0, s1)
+        dim = ad(s1, w0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert dim == 30
 
 
 def test_reflexivity_and_atoms(a2, s3):

@@ -438,15 +438,15 @@ def test_deodhar_all_take_for_top(capsys):
     assert lines[1]["mask"] == "take,take,take"
 
 
-def test_deodhar_td_from_walk_echelon(monkeypatch, capsys):
-    # td comes from the echelon the mask walk carries: no span_rank call,
-    # and at most one reduction per edge of the walk.  One elimination per
-    # row would make 1,613 span_rank calls here.
+def test_deodhar_td_is_one_ad_per_query(monkeypatch, capsys):
+    # Every mask of a query has td = ad(u, v), so the 1,613 rows make one
+    # ad call and at most the one span_rank call inside it (none when ad
+    # already holds the pair); one elimination per row would make 1,613.
     rs = root_system("D", 5)
     word = reduced_word(longest_element(rs, range(1, 6)))
     modules = [m for name, m in sys.modules.items()
                if name == "bruhatkit" or name.startswith("bruhatkit.")]
-    counts = {"span_rank": 0, "_reduce_into": 0}
+    counts = {"span_rank": 0, "ad": 0}
     for name in counts:
         real = getattr(bruhatkit.algdim, name)
 
@@ -464,10 +464,9 @@ def test_deodhar_td_from_walk_echelon(monkeypatch, capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()[1:]]
     assert len(rows) == 1613
-    masks = [tuple(row["mask"].split(",")) for row in rows]
-    edges = {mask[:k] for mask in masks for k in range(1, len(word) + 1)}
-    assert counts["span_rank"] == 0
-    assert 0 < counts["_reduce_into"] <= len(edges)
+    assert {row["td"] for row in rows} == {5}
+    assert counts["ad"] == 1
+    assert counts["span_rank"] <= 1
 
 
 def test_deodhar_rejects_non_reduced(capsys):

@@ -295,6 +295,20 @@ def test_scan_max_length(a3):
     assert all(row["length"] <= 1 for row in short)
 
 
+def test_scan_max_length_stops_after_its_layer(monkeypatch):
+    # E6 has 1 + 6 + 20 elements of length <= 2.  A bounded scan builds
+    # only those, and prints the rows of the whole group filtered by length.
+    e6 = root_system("E", 6)
+    short = tuple(w for w in enumerate_group(e6) if w.length <= 2)
+    for target in SCAN_TARGETS:
+        fresh = build_root_system(cartan_datum("E", 6))
+        rows = list(scan(fresh, target, max_length=2))
+        assert len(fresh.element_cache) <= 27 + fresh.rank
+        with monkeypatch.context() as m:
+            m.setattr(complexity, "enumerate_group", lambda rs, cap: short)
+            assert list(scan(e6, target)) == rows
+
+
 def test_scan_streams(a3, monkeypatch):
     # the first row is produced from the first element alone
     seen = []

@@ -123,6 +123,15 @@ def test_rejects_non_reduced(a2):
 def test_rejects_non_distinguished_mask(a2):
     with pytest.raises(InvalidInputError):
         build_subexpression(a2, (1, 1), (TAKE, SKIP))
+    with pytest.raises(InvalidInputError, match="not distinguished"):
+        build_subexpression(a2, (1, 2, 1), (TAKE, SKIP, SKIP))
+
+
+def test_build_subexpression_rejects_non_reduced(a2):
+    # td is ad(u, v), which needs u <= v; the subword property gives that
+    # only for reduced words.
+    with pytest.raises(InvalidInputError, match="not reduced"):
+        build_subexpression(a2, (1, 2, 2), (SKIP, SKIP, SKIP))
 
 
 def test_positive_distinguished(a2, a3, s4):

@@ -3,7 +3,7 @@ import pytest
 from bruhatkit import (CartanDatum, InvalidInputError, build_root_system,
                        cartan_datum, positive_root_count, root_system,
                        simple_reflect)
-from oracles import root_of_pair
+from oracles import coroot_pairing, root_of_pair
 
 ENUMERABLE = ([("A", r) for r in (1, 2, 3, 4)]
               + [("B", r) for r in (2, 3, 4)]
@@ -126,7 +126,7 @@ def test_coroot_pairing_integrality(b3, g2):
     for rs in (b3, g2):
         for alpha in rs.positive_roots:
             for beta in rs.positive_roots:
-                value = rs.coroot_pairing(beta, alpha)
+                value = coroot_pairing(rs, beta, alpha)
                 assert isinstance(value, int)
                 if alpha == beta:
                     assert value == 2

@@ -16,7 +16,7 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        weyl_group_order, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
 from bruhatkit.weyl import reflection, simple_reflection
-from oracles import (perm_from_word, perm_least_reduced_word,
+from oracles import (coroot_pairing, perm_from_word, perm_least_reduced_word,
                      perm_left_descents, perm_length, perm_reduced_words,
                      perm_right_descents, perm_right_inversion_roots,
                      perm_support)
@@ -292,7 +292,7 @@ def test_reflections_act_by_coroot_pairing(family, rank):
         s = reflection(rs, alpha)
         assert s.length % 2 == 1
         for x in signed:
-            c = rs.coroot_pairing(x, alpha)
+            c = coroot_pairing(rs, x, alpha)
             assert s.apply(x) == tuple(a - c * b for a, b in zip(x, alpha))
 
 
