@@ -306,9 +306,11 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     if max_length is not None and max_length < 0:
         raise InvalidInputError(
             f"max_length must be non-negative, got {max_length}")
-    # With max_length, layers longer than it are never built.
+    # With max_length, layers longer than it are never built; no element
+    # is longer than the number of positive roots.
     group = (enumerate_group(rs, cap) if max_length is None else tuple(
-        w for ws in islice(_layers(rs, cap), max_length + 1) for w in ws))
+        w for ws in islice(_layers(rs, cap), min(
+            max_length, len(rs.positive_roots)) + 1) for w in ws))
     if target == "complexity_histogram":
         counts = Counter(w.length - support_size(w) for w in group)
         return ({"value": value, "count": counts[value]}

@@ -166,141 +166,108 @@ def build_subexpression(rs, v_word: Sequence[int],
                          ad(prefixes[-1], v))
 
 
-class _MaskSearch:
-    """The exact search for the distinguished masks over one reduced word
-    that end at u.
+def _live_moves(rs, word: tuple[int, ...], u: WeylElement
+                ) -> list[dict[WeylElement, tuple]]:
+    """The live moves of the search for the distinguished masks over one
+    reduced word that end at u, from two passes over the word.
 
-    A state (k, x) is the prefix x after the first k letters.  ``moves`` is
-    the memo, local to one search: it maps each state reached by a
-    distinguished prefix to its live moves, the (choice, next prefix) steps,
-    take before skip, after which some distinguished completion still ends
-    at u.  A state with no live move is dead; at the last position only u
-    is live.
+    A state (k, x) is the prefix x after the first k letters.  Entry k maps
+    each live x to its moves, take before skip: (choice, next prefix, side,
+    entry), with side 0, 1 or 2 for J+, Jo or J- and entry the (k+1, beta)
+    that a Jo or J- position adds (None for J+).  A move is live when some
+    distinguished completion through it still ends at u, so entry n is
+    {u: ()}, and the start is live exactly when entry 0 holds the identity.
 
-    A state is cut before its moves are tried when x^-1 u is not below the
-    product of the remaining letters: every completion multiplies x by a
-    subexpression of that suffix, which is reduced, so by the subword
-    property the test is necessary.
+    The forward pass goes layer by layer from the identity and cuts a state
+    when x^-1 u is not below the product of the remaining letters: every
+    completion multiplies x by a subexpression of that suffix, which is
+    reduced, so by the subword property the test is necessary.  The
+    backward pass drops every move whose target state is not live.
     """
-
-    def __init__(self, rs, word: tuple[int, ...], u: WeylElement):
-        self.rs, self.word, self.u = rs, word, u
-        self.suffix = [identity(rs)] * (len(word) + 1)
-        for k in range(len(word) - 1, -1, -1):
-            self.suffix[k] = multiply(simple_reflection(rs, word[k]),
-                                      self.suffix[k + 1])
-        self.moves: dict[tuple[int, WeylElement],
-                         tuple[tuple[str, WeylElement], ...]] = {}
-
-    def live(self, k: int, x: WeylElement) -> bool:
-        n, u = len(self.word), self.u
-        if k == n:
-            return x == u
-        moves = self.moves.get((k, x))
-        if moves is None:
-            moves = ()
+    n = len(word)
+    suffix = [identity(rs)] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix[k] = multiply(simple_reflection(rs, word[k]), suffix[k + 1])
+    steps, layer = [], {identity(rs): None}
+    for k, i in enumerate(word):
+        found: dict[WeylElement, tuple] = {}
+        for x in layer:
             # The length test is implied by the Bruhat cut but costs no
             # multiplication.
             if (abs(x.length - u.length) <= n - k
-                    and bruhat_le(multiply(inverse(x), u), self.suffix[k])):
-                stepped = times_simple(x, self.word[k])
-                if self.live(k + 1, stepped):
-                    moves = ((TAKE, stepped),)
-                if (self.word[k] not in right_descents(x)
-                        and self.live(k + 1, x)):
-                    moves += ((SKIP, x),)
-            self.moves[(k, x)] = moves
-        return bool(moves)
-
-    def walk(self, v: WeylElement) -> list[Subexpression]:
-        """Every mask for u, in order, once ``live(0, id)`` has filled the
-        memo and found the start live; v is the word's product.
-
-        The walk pushes each edge's position onto J+, Jo or J- and, for Jo
-        and J-, its beta onto the betas; backtracking pops what the edge
-        pushed.  A leaf builds its mask from the stacks, with td = ad(u, v).
-        """
-        rs, word, n = self.rs, self.word, len(self.word)
-        chain, mask = [identity(rs)], []
-        j_plus, j_circ, j_minus = [], [], []
-        betas: list[tuple[int, Root]] = []
-        td = ad(self.u, v)
-        out: list[Subexpression] = []
-
-        def step(k: int, x: WeylElement) -> None:
-            if k == n:
-                out.append(Subexpression(
-                    word, tuple(mask), tuple(chain), frozenset(j_plus),
-                    frozenset(j_circ), frozenset(j_minus), tuple(betas),
-                    td))
-                return
-            pos = k + 1
-            for choice, nxt in self.moves[(k, x)]:
-                mask.append(choice)
-                chain.append(nxt)
-                if choice == TAKE and nxt.length > x.length:
-                    j_plus.append(pos)
-                    step(pos, nxt)
-                    j_plus.pop()
-                else:
-                    skip = choice == SKIP
-                    side = j_circ if skip else j_minus
-                    side.append(pos)
-                    betas.append((pos, _beta(rs, pos, x, word[k], skip)))
-                    step(pos, nxt)
-                    betas.pop()
-                    side.pop()
-                mask.pop()
-                chain.pop()
-
-        step(0, chain[0])
-        return out
-
-    def census(self) -> tuple[int, ...]:
-        """The mask census polynomial from the memo, building no mask; as
-        for ``walk``, the start must be live.
-
-        P(n, u) = 1, and P(k, x) sums over the live moves of (k, x):
-        (q-1) P for a skip, q P for a take that goes down and P for a take
-        that goes up, each P at the state the move leads to.
-        """
-        n = len(self.word)
-        polys: dict[tuple[int, WeylElement], tuple[int, ...]] = {}
-
-        def poly(k: int, x: WeylElement) -> tuple[int, ...]:
-            if k == n:
-                return (1,)
-            got = polys.get((k, x))
-            if got is None:
-                got = ()
-                for choice, nxt in self.moves[(k, x)]:
-                    p = poly(k + 1, nxt)
-                    if choice == SKIP:
-                        p = _poly_add((0,) + p, tuple(-c for c in p))
-                    elif nxt.length < x.length:
-                        p = (0,) + p
-                    got = _poly_add(got, p)
-                polys[(k, x)] = got
-            return got
-
-        return poly(0, identity(self.rs))
+                    and bruhat_le(multiply(inverse(x), u), suffix[k])):
+                # Skipping is allowed exactly when taking goes up.
+                y = times_simple(x, i)
+                up = y.length > x.length
+                entry = (k + 1, _beta(rs, k + 1, x, i, up))
+                found[x] = (((TAKE, y, 0, None), (SKIP, x, 1, entry)) if up
+                            else ((TAKE, y, 2, entry),))
+        steps.append(found)
+        layer = {move[1]: None for moves in found.values() for move in moves}
+    live = [{u: ()}]
+    for found in reversed(steps):
+        ahead, here = live[-1], {}
+        for x, moves in found.items():
+            kept = tuple(move for move in moves if move[1] in ahead)
+            if kept:
+                here[x] = kept
+        live.append(here)
+    return live[::-1]
 
 
 def enumerate_distinguished(v_word: Sequence[int],
                             u: WeylElement) -> list[Subexpression]:
     """All distinguished masks over v_word whose final prefix equals u.
 
-    An exact depth-first search (``_MaskSearch``): a memo local to the call
-    holds the live moves of every state, and the walk follows only those,
-    so every state it enters yields at least one mask.  Each mask is
-    annotated from stacks the walk keeps along its path, and every mask's
-    td is the one ad(u, v).  Order is lexicographic on masks with take
-    before skip.  Empty when u is not below the word's product.
+    An exact depth-first walk with an explicit stack over the live moves
+    of ``_live_moves``, so every state it enters yields at least one mask.
+    Each move brings its side and beta entry; the walk pushes them onto
+    J+, Jo or J- and the betas, and pops them when it backs up.  Every
+    mask's td is the one ad(u, v).  Order is lexicographic on masks with
+    take before skip.  Empty when u is not below the word's product.
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
-    search = _MaskSearch(rs, tuple(v_word), u)
-    return search.walk(v) if search.live(0, identity(rs)) else []
+    word, start = tuple(v_word), identity(rs)
+    moves = _live_moves(rs, word, u)
+    if start not in moves[0]:
+        return []
+    td = ad(u, v)
+    chain, mask, path, betas = [start], [], [], []
+    sides: tuple[list[int], list[int], list[int]] = ([], [], [])
+    frames: list = []
+    out: list[Subexpression] = []
+    while True:
+        k = len(mask)
+        if k == len(word):
+            out.append(Subexpression(
+                word, tuple(mask), tuple(chain), frozenset(sides[0]),
+                frozenset(sides[1]), frozenset(sides[2]), tuple(betas), td))
+        else:
+            frames.append(iter(moves[k][chain[-1]]))
+        # Back up to the deepest state with a move left, undoing the move
+        # into each state left behind.
+        while frames:
+            if len(path) == len(frames):
+                _, _, side, entry = path.pop()
+                mask.pop()
+                chain.pop()
+                sides[side].pop()
+                if entry:
+                    betas.pop()
+            move = next(frames[-1], None)
+            if move:
+                break
+            frames.pop()
+        else:
+            return out
+        choice, nxt, side, entry = move
+        path.append(move)
+        mask.append(choice)
+        chain.append(nxt)
+        sides[side].append(len(mask))
+        if entry:
+            betas.append(entry)
 
 
 def positive_distinguished(v_word: Sequence[int],
@@ -358,21 +325,44 @@ def deodhar_polynomial(v_word: Sequence[int],
     """Mask census polynomial: sum over distinguished masks for u of
     (q-1)^{|Jo|} q^{|J-|}, as coefficients in ascending powers of q.
 
-    Independent of which reduced word of v is used.  Computed by a dynamic
-    program over the live moves of the mask search (``_MaskSearch.census``),
-    so no mask is built.  Returns the zero polynomial () with a warning when
-    u is not below the word's product.
+    Independent of which reduced word of v is used.  Folded over the live
+    moves of ``_live_moves`` from the end of the word back to the start,
+    keeping two layers: P(n, u) = 1, and P(k, x) sums P(k+1, y) over the
+    moves of (k, x) to y, times q-1 for a skip (Jo), q for a take that goes
+    down (J-) and 1 for a take that goes up (J+).  No mask is built.
+    Returns the zero polynomial () with a warning when u is not below the
+    word's product.
+
+    >>> from bruhatkit.rootsys import root_system
+    >>> rs = root_system("A", 2)
+    >>> deodhar_polynomial([1, 2, 1], identity(rs))
+    (-1, 2, -2, 1)
+    >>> len(enumerate_distinguished([1, 2, 1], identity(rs)))
+    2
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
-    if not bruhat_le(u, v):
+    moves = _live_moves(rs, tuple(v_word), u)
+    start = identity(rs)
+    if start not in moves[0]:
         warnings.warn(
             f"{word_string(u)} is not <= {word_string(v)}; the mask census "
             f"is the zero polynomial", stacklevel=2)
         return ()
-    search = _MaskSearch(rs, tuple(v_word), u)
-    search.live(0, identity(rs))
-    return search.census()
+    polys = {u: (1,)}
+    for layer in reversed(moves[:-1]):
+        ahead, polys = polys, {}
+        for x, steps in layer.items():
+            total: tuple[int, ...] = ()
+            for _, y, side, _ in steps:
+                p = ahead[y]
+                if side == 1:
+                    p = _poly_add((0,) + p, tuple(-c for c in p))
+                elif side == 2:
+                    p = (0,) + p
+                total = _poly_add(total, p)
+            polys[x] = total
+    return polys[start]
 
 
 def poly_string(coeffs: tuple[int, ...], var: str = "q") -> str:

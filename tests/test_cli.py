@@ -372,6 +372,16 @@ def test_scan_negative_max_length(tmp_path, capsys):
     assert code == 0
     assert out == "value,count\n0,1\n"
 
+
+def test_scan_huge_max_length(capsys):
+    argv = ["scan", "--type", "A", "--rank", "3", "--target", "levi_table"]
+    code, unbounded, _ = run(capsys, argv)
+    assert code == 0
+    code, out, err = run(capsys, argv + ["--max-length",
+                                         "99999999999999999999"])
+    assert (code, out, err) == (0, unbounded, "")
+
+
 def test_scan_cap_env_not_integer(capsys, monkeypatch):
     monkeypatch.setenv("BRUHAT_GROUP_CAP", "abc")
     code, out, err = run(capsys, ["scan", "--type", "A", "--rank", "2",

@@ -309,6 +309,14 @@ def test_scan_max_length_stops_after_its_layer(monkeypatch):
             assert list(scan(e6, target)) == rows
 
 
+def test_scan_huge_max_length_is_unbounded(a3):
+    # A bound past the longest length, even one too large for islice, is
+    # the same as no bound.
+    for target in SCAN_TARGETS:
+        assert (list(scan(a3, target, max_length=2**64))
+                == list(scan(a3, target)))
+
+
 def test_scan_streams(a3, monkeypatch):
     # the first row is produced from the first element alone
     seen = []

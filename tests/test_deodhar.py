@@ -1,3 +1,4 @@
+import sys
 import warnings
 from math import comb
 
@@ -10,12 +11,13 @@ from bruhatkit import (InvalidInputError, NotComparableError, bruhat_le,
                        build_root_system, canonical_order, cartan_datum,
                        component_shape, deodhar_polynomial,
                        enumerate_distinguished, enumerate_group, from_word,
-                       identity, is_toric, positive_distinguished,
-                       reduced_word, root_system, td_span)
+                       identity, is_toric, multiply,
+                       positive_distinguished, reduced_word, root_system,
+                       td_span)
 from bruhatkit.cli import parse_element
 from bruhatkit.deodhar import (SKIP, TAKE, DeodharComponentShape,
                                build_subexpression, poly_string)
-from bruhatkit.weyl import longest_element
+from bruhatkit.weyl import longest_element, simple_reflection
 from oracles import brute_force_distinguished, r_polynomial
 from sweeps import comparable_pairs
 
@@ -217,17 +219,18 @@ def test_polynomial_matches_r_polynomial_d4_top(d4, d4_group):
 
 
 @pytest.mark.parametrize("u_word, masks, limit", [
-    ((), 1613, 25_000),
-    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 1_000),
+    ((), 1613, 1_537),
+    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 282),
 ])
 def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
     # Over the least reduced word of w0 in D5 the search visits few states
     # that yield no mask; a search pruned only on length distance makes
-    # about 50,000 multiplies for u = id and 6,000 for this u.  Every
-    # multiply counts, the Bruhat cut's included, also those made through
-    # weyl.times_simple.  The system is private and the comparison cache
-    # is emptied, so no product or comparison an earlier test made lowers
-    # the count.
+    # 2,176 multiplies for this u.  Every multiply counts, the Bruhat cut's
+    # included, also those made through weyl.times_simple.  The system is
+    # private and the comparison cache is emptied, so no product or
+    # comparison an earlier test made lowers the count.  The limits are the
+    # counts of a memoized depth-first search under the same cuts, so the
+    # layered forward pass may visit no state that search would not.
     rs = build_root_system(cartan_datum("D", 5))
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = from_word(rs, u_word)
@@ -242,7 +245,29 @@ def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
         monkeypatch.setattr(module, "multiply", counting)
     bruhat_le.cache_clear()
     assert len(enumerate_distinguished(word, u)) == masks
-    assert calls[0] < limit
+    assert calls[0] <= limit
+
+
+def test_masks_of_long_word_need_no_recursion():
+    # w_0 of A30 has 465 letters; a search with a frame per letter would
+    # fail under this limit.
+    rs = build_root_system(cartan_datum("A", 30))
+    w0 = longest_element(rs, range(1, 31))
+    word = reduced_word(w0)
+    u = multiply(w0, simple_reflection(rs, 1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        top = enumerate_distinguished(word, w0)
+        below = enumerate_distinguished(word, u)
+        polys = deodhar_polynomial(word, w0), deodhar_polynomial(word, u)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [se.choices for se in top] == [(TAKE,) * len(word)]
+    assert len(below) == 1
+    assert below[0].choices.count(SKIP) == 1
+    assert below[0].evaluation == u
+    assert polys == ((1,), (-1, 1))
 
 
 def _census_by_masks(subexprs):
@@ -260,8 +285,8 @@ def _census_by_masks(subexprs):
 @pytest.mark.parametrize("rank", [4, 5])
 @pytest.mark.parametrize("u_word", [(), (1, 2, 3)])
 def test_polynomial_matches_mask_sum(rank, u_word):
-    # The census is a dynamic program over the search's live moves; the
-    # masks it never builds must add up to the same polynomial.
+    # The census is a fold over the search's live moves; the masks it
+    # never builds must add up to the same polynomial.
     rs = root_system("D", rank)
     word = reduced_word(longest_element(rs, range(1, rank + 1)))
     u = from_word(rs, u_word)
