@@ -218,19 +218,12 @@ def test_polynomial_matches_r_polynomial_d4_top(d4, d4_group):
         assert deodhar_polynomial(word, u) == r_polynomial(u, w0)
 
 
-@pytest.mark.parametrize("u_word, masks, limit", [
-    ((), 1613, 1_537),
-    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 282),
-])
-def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
-    # Over the least reduced word of w0 in D5 the search visits few states
-    # that yield no mask; a search pruned only on length distance makes
-    # 2,176 multiplies for this u.  Every multiply counts, the Bruhat cut's
-    # included, also those made through weyl.times_simple.  The system is
-    # private and the comparison cache is emptied, so no product or
-    # comparison an earlier test made lowers the count.  The limits are the
-    # counts of a memoized depth-first search under the same cuts, so the
-    # layered forward pass may visit no state that search would not.
+def _count_mask_search(monkeypatch, u_word):
+    # Over the least reduced word of w0 in D5, count the multiplies the mask
+    # search makes.  Every multiply counts, the Bruhat cut's included, also
+    # those made through weyl.times_simple.  The system is private and the
+    # comparison cache is emptied, so no product or comparison an earlier
+    # test made lowers the count.
     rs = build_root_system(cartan_datum("D", 5))
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = from_word(rs, u_word)
@@ -244,8 +237,34 @@ def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
     for module in (bruhatkit.weyl, bruhatkit.deodhar, bruhatkit.bruhat):
         monkeypatch.setattr(module, "multiply", counting)
     bruhat_le.cache_clear()
-    assert len(enumerate_distinguished(word, u)) == masks
-    assert calls[0] <= limit
+    return len(enumerate_distinguished(word, u)), calls[0]
+
+
+@pytest.mark.parametrize("u_word, masks, limit", [
+    ((), 1613, 25_000),
+    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 1_000),
+])
+def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
+    # The search visits few states that yield no mask; a search pruned only
+    # on length distance makes about 50,000 multiplies for u = id and 6,000
+    # for this u.
+    found, calls = _count_mask_search(monkeypatch, u_word)
+    assert found == masks
+    assert calls < limit
+
+
+@pytest.mark.parametrize("u_word, masks, limit", [
+    ((), 1613, 1_537),
+    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 282),
+])
+def test_mask_search_visits_no_dead_state(monkeypatch, u_word, masks, limit):
+    # The limits are the counts of a memoized depth-first search under the
+    # same cuts, so the layered forward pass may visit no state that search
+    # would not.  A search pruned only on length distance makes 2,176
+    # multiplies for the second u.
+    found, calls = _count_mask_search(monkeypatch, u_word)
+    assert found == masks
+    assert calls <= limit
 
 
 def test_masks_of_long_word_need_no_recursion():
