@@ -202,10 +202,26 @@ def _group_cap() -> int:
 def _run(handler, args) -> int:
     """Run a subcommand.  With --out, write to a temporary file next to the
     target and rename it over the target only once the command succeeds, so
-    a failure leaves any existing file untouched and no partial one."""
+    a failure leaves any existing file untouched and no partial one.  A
+    failed write to stdout is an input error too; fd 1 then points at the
+    null device, so the flush at exit prints nothing more."""
     path = getattr(args, "out", None)
     if not path:
-        return handler(args, sys.stdout)
+        try:
+            code = handler(args, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:
+            try:
+                fd = sys.stdout.fileno()
+            except (AttributeError, OSError, ValueError):
+                pass
+            else:
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
+            raise InvalidInputError(
+                f"cannot write to stdout: {exc.strerror}") from None
+        return code
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         out = open(tmp, "x", encoding="utf-8", newline="")
@@ -228,15 +244,16 @@ def _run(handler, args) -> int:
 def cmd_info(args, out) -> int:
     rs = root_system(args.type, args.rank)
     order = weyl_group_order(args.type, args.rank)
+    fields = {"type": args.type, "rank": args.rank,
+              "positive_roots": positive_root_count(args.type, args.rank),
+              "weyl_order": order,
+              "cartan": [list(row) for row in rs.cartan]}
     if args.format == "json":
-        payload = {
-            "type": args.type, "rank": args.rank,
-            "positive_roots": positive_root_count(args.type, args.rank),
-            "weyl_order": order,
-            "cartan": [list(row) for row in rs.cartan],
-            "meta": _meta(args),
-        }
-        out.write(json.dumps(payload) + "\n")
+        out.write(json.dumps({**fields, "meta": _meta(args)}) + "\n")
+    elif args.format == "csv":
+        fields["cartan"] = ";".join(map(_csv_cell, rs.cartan))
+        csv.writer(out, lineterminator="\n").writerows(
+            [fields, fields.values()])
     else:
         out.write(f"type: {args.type}{args.rank}\n")
         out.write(f"rank: {args.rank}\n")

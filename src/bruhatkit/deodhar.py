@@ -51,12 +51,10 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .algdim import SpanBasis, ad
-from .bruhat import bruhat_le
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
-from .weyl import (WeylElement, from_word, identity, inverse, multiply,
-                   right_descents, simple_reflection, times_simple,
-                   word_string)
+from .weyl import (WeylElement, from_word, identity, right_descents,
+                   times_simple, word_string)
 
 TAKE = "take"
 SKIP = "skip"
@@ -178,41 +176,41 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     distinguished completion through it still ends at u, so entry n is
     {u: ()}, and the start is live exactly when entry 0 holds the identity.
 
-    The forward pass goes layer by layer from the identity and cuts a state
-    when x^-1 u is not below the product of the remaining letters: every
-    completion multiplies x by a subexpression of that suffix, which is
-    reduced, so by the subword property the test is necessary.  The
-    backward pass drops every move whose target state is not live.
+    The backward pass collects, for each k, the prefixes of length at most k
+    from which some distinguished completion reaches u: y s_i by a take, and
+    y itself by a skip when y s_i > y.  The forward pass goes layer by layer
+    from the identity and keeps only the moves into those sets, so every
+    state it enters is live.
     """
-    n = len(word)
-    suffix = [identity(rs)] * (n + 1)
+    n, n_pos = len(word), len(rs.positive_roots)
+    reach = [{u: None}]
     for k in range(n - 1, -1, -1):
-        suffix[k] = multiply(simple_reflection(rs, word[k]), suffix[k + 1])
-    steps, layer = [], {identity(rs): None}
+        i, here = word[k], {}
+        pos = rs.simple_positions[i - 1]
+        for y in reach[-1]:
+            up = y.perm[pos] < n_pos
+            if y.length + (1 if up else -1) <= k:
+                here[times_simple(y, i)] = None
+            if up and y.length <= k:
+                here[y] = None
+        reach.append(here)
+    reach.reverse()
+    # Only the identity has length 0: the first layer is the start or empty.
+    steps, layer = [], reach[0]
     for k, i in enumerate(word):
-        found: dict[WeylElement, tuple] = {}
+        ahead, found = reach[k + 1], {}
         for x in layer:
-            # The length test is implied by the Bruhat cut but costs no
-            # multiplication.
-            if (abs(x.length - u.length) <= n - k
-                    and bruhat_le(multiply(inverse(x), u), suffix[k])):
-                # Skipping is allowed exactly when taking goes up.
-                y = times_simple(x, i)
-                up = y.length > x.length
-                entry = (k + 1, _beta(rs, k + 1, x, i, up))
-                found[x] = (((TAKE, y, 0, None), (SKIP, x, 1, entry)) if up
-                            else ((TAKE, y, 2, entry),))
+            # Skipping is allowed exactly when taking goes up.
+            y = times_simple(x, i)
+            up = y.length > x.length
+            entry = (k + 1, _beta(rs, k + 1, x, i, up))
+            moves = (((TAKE, y, 0, None), (SKIP, x, 1, entry)) if up
+                     else ((TAKE, y, 2, entry),))
+            found[x] = tuple(move for move in moves if move[1] in ahead)
         steps.append(found)
         layer = {move[1]: None for moves in found.values() for move in moves}
-    live = [{u: ()}]
-    for found in reversed(steps):
-        ahead, here = live[-1], {}
-        for x, moves in found.items():
-            kept = tuple(move for move in moves if move[1] in ahead)
-            if kept:
-                here[x] = kept
-        live.append(here)
-    return live[::-1]
+    steps.append({u: ()})
+    return steps
 
 
 def enumerate_distinguished(v_word: Sequence[int],

@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import pkgutil
@@ -120,6 +121,14 @@ def test_info_json(capsys):
     assert payload["weyl_order"] == 12
     assert payload["cartan"] == [[2, -3], [-1, 2]]
     assert payload["meta"]["version"]
+
+
+def test_info_csv(capsys):
+    code, out, _ = run(capsys, ["info", "--type", "G", "--rank", "2",
+                                "--format", "csv"])
+    assert code == 0
+    assert out == ("type,rank,positive_roots,weyl_order,cartan\n"
+                   'G,2,6,12,"2,-3;-1,2"\n')
 
 
 def test_info_a1(capsys):
@@ -420,6 +429,65 @@ def test_scan_out_write_failure(tmp_path, capsys, target):
     assert [p.name for p in tmp_path.iterdir()] == ["dir"]
     assert list((tmp_path / "dir").iterdir()) == []
 
+
+def _cli_env():
+    """The environment for a ``python -m bruhatkit.cli`` subprocess that
+    imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(bruhatkit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def _cli_process(argv, **kwargs):
+    return subprocess.Popen([sys.executable, "-m", "bruhatkit.cli"] + argv,
+                            stderr=subprocess.PIPE, env=_cli_env(), **kwargs)
+
+
+def test_stdout_write_failure_exits_2(capsys, monkeypatch):
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["info", "--type", "A", "--rank", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("error: cannot write to stdout: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+def test_stdout_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["scan", "--type", "D", "--rank", "4",
+                             "--target", "levi_table"], stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err
+    assert err.decode().startswith("error: cannot write to stdout:")
+    assert len(err.splitlines()) == 1
+
+
+def test_stdout_closed_pipe_exits_2():
+    # The listing is several times a pipe's buffer, so the command is still
+    # writing when the reader goes away.
+    proc = _cli_process(["scan", "--type", "D", "--rank", "5",
+                         "--target", "levi_table"], stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"w\tI\tcoset_factor\tvalue\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert b"Traceback" not in err
+    assert err.decode().startswith("error: cannot write to stdout:")
+    assert len(err.splitlines()) == 1
+
 # -- deodhar ------------------------------------------------------------------
 
 
@@ -509,13 +577,9 @@ def test_deodhar_same_output_under_optimize(capsys):
             "1.2.1.3.2.1.3.2.3", "--u", "2.3", "--format", "json"]
     code, expected, _ = run(capsys, argv)
     assert code == 0
-    src = os.path.dirname(os.path.dirname(bruhatkit.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-O", "-m", "bruhatkit.cli"]
-                          + argv, capture_output=True, text=True, env=env,
-                          timeout=60)
+                          + argv, capture_output=True, text=True,
+                          env=_cli_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
 

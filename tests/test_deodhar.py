@@ -220,10 +220,10 @@ def test_polynomial_matches_r_polynomial_d4_top(d4, d4_group):
 
 def _count_mask_search(monkeypatch, u_word):
     # Over the least reduced word of w0 in D5, count the multiplies the mask
-    # search makes.  Every multiply counts, the Bruhat cut's included, also
-    # those made through weyl.times_simple.  The system is private and the
-    # comparison cache is emptied, so no product or comparison an earlier
-    # test made lowers the count.
+    # search makes.  Every multiply counts, those made through
+    # weyl.times_simple and ad's Bruhat check included.  The system is
+    # private and the comparison cache is emptied, so no product or
+    # comparison an earlier test made lowers the count.
     rs = build_root_system(cartan_datum("D", 5))
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = from_word(rs, u_word)
@@ -234,7 +234,7 @@ def _count_mask_search(monkeypatch, u_word):
         calls[0] += 1
         return real(a, b)
 
-    for module in (bruhatkit.weyl, bruhatkit.deodhar, bruhatkit.bruhat):
+    for module in (bruhatkit.weyl, bruhatkit.bruhat):
         monkeypatch.setattr(module, "multiply", counting)
     bruhat_le.cache_clear()
     return len(enumerate_distinguished(word, u)), calls[0]
@@ -254,17 +254,38 @@ def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
 
 
 @pytest.mark.parametrize("u_word, masks, limit", [
-    ((), 1613, 1_537),
-    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 282),
+    ((), 1613, 1_036),
+    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 69),
 ])
 def test_mask_search_visits_no_dead_state(monkeypatch, u_word, masks, limit):
-    # The limits are the counts of a memoized depth-first search under the
-    # same cuts, so the layered forward pass may visit no state that search
-    # would not.  A search pruned only on length distance makes 2,176
-    # multiplies for the second u.
+    # The limits are the counts of a backward pass over the states from
+    # which u is reachable and a forward pass that enters only those, so a
+    # search that enters a state yielding no mask exceeds them.  A search
+    # pruned only on length distance makes 2,176 multiplies for the second
+    # u.
     found, calls = _count_mask_search(monkeypatch, u_word)
     assert found == masks
     assert calls <= limit
+
+
+@pytest.mark.parametrize("u_word", [
+    (), (3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4)])
+def test_mask_search_makes_no_bruhat_comparison(u_word):
+    # The census makes none; enumerate_distinguished makes only ad's check
+    # that u <= v.
+    rs = build_root_system(cartan_datum("D", 5))
+    word = reduced_word(longest_element(rs, range(1, 6)))
+    u = from_word(rs, u_word)
+
+    def comparisons():
+        info = bruhat_le.cache_info()
+        return info.hits + info.misses
+
+    bruhat_le.cache_clear()
+    deodhar_polynomial(word, u)
+    assert comparisons() == 0
+    enumerate_distinguished(word, u)
+    assert comparisons() == 1
 
 
 def test_masks_of_long_word_need_no_recursion():
