@@ -48,7 +48,7 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          partial_flag_torus_complexity, scan,
                          torus_complexity_richardson,
                          torus_complexity_schubert)
-from .deodhar import component_shape, enumerate_distinguished
+from .deodhar import enumerate_distinguished
 from .errors import (GroupTooLargeError, InvalidInputError, PreconditionError)
 from .rootsys import (Root, RootSystem, positive_root_count, root_system,
                       weyl_group_order)
@@ -193,10 +193,13 @@ def _group_cap() -> int:
     if text is None:
         return DEFAULT_GROUP_CAP
     try:
-        return int(text)
+        cap = int(text)
     except ValueError:
+        cap = -1  # refused below, with the negative values
+    if cap < 0:
         raise InvalidInputError(
-            f"BRUHAT_GROUP_CAP must be an integer, got {text!r}") from None
+            f"BRUHAT_GROUP_CAP must be a non-negative integer, got {text!r}")
+    return cap
 
 
 def _run(handler, args) -> int:
@@ -321,17 +324,17 @@ def cmd_scan(args, out) -> int:
 
 
 def _deodhar_row(se) -> dict:
-    shape = component_shape(se)
+    j_circ, j_minus = se.j_circ, se.j_minus
     return {
         "mask": se.mask_string(),
         "evaluation": word_string(se.evaluation),
         "j_plus": sorted(se.j_plus),
-        "j_circ": sorted(se.j_circ),
-        "j_minus": sorted(se.j_minus),
+        "j_circ": sorted(j_circ),
+        "j_minus": sorted(j_minus),
         "betas": [f"{k}:{root_string(b)}" for k, b in se.betas],
-        "shape": [shape.circ_count, shape.minus_count],
+        "shape": [len(j_circ), len(j_minus)],
         "td": se.td,
-        "positive": se.is_positive(),
+        "positive": not j_minus,
     }
 
 

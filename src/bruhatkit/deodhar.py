@@ -68,23 +68,34 @@ class DeodharComponentShape:
     minus_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subexpression:
     """A distinguished mask over a fixed reduced word, fully annotated.
 
     ``betas`` lists (k, beta_k) for k in Jo u J-, in position order, and
-    ``td`` is the rank of their span, which is ad(evaluation, v) for every
-    distinguished mask (see the module docstring).
+    ``td`` is the rank of their span, ad(evaluation, v) for every mask (see
+    the module docstring).  Jo is the skips, J- the other beta positions.
     """
 
     base_word: tuple[int, ...]
     choices: tuple[str, ...]
     prefixes: tuple[WeylElement, ...]
-    j_plus: frozenset[int]
-    j_circ: frozenset[int]
-    j_minus: frozenset[int]
     betas: tuple[tuple[int, Root], ...]
     td: int
+
+    @property
+    def j_plus(self) -> frozenset[int]:
+        return frozenset(range(1, len(self.choices) + 1)).difference(
+            k for k, _ in self.betas)
+
+    @property
+    def j_circ(self) -> frozenset[int]:
+        return frozenset(k for k, c in enumerate(self.choices, 1) if c == SKIP)
+
+    @property
+    def j_minus(self) -> frozenset[int]:
+        return frozenset(k for k, _ in self.betas
+                         if self.choices[k - 1] == TAKE)
 
     @property
     def evaluation(self) -> WeylElement:
@@ -128,8 +139,8 @@ def _beta(rs, k: int, prev: WeylElement, i: int, skip: bool) -> Root:
 
 def build_subexpression(rs, v_word: Sequence[int],
                         choices: Sequence[str]) -> Subexpression:
-    """Walk a mask over the reduced word v_word, classifying positions and
-    collecting betas; td is ad(u, v) for the mask's evaluation u.
+    """Walk a mask over the reduced word v_word, collecting its prefixes
+    and the betas of Jo and J-; td is ad(u, v) for the mask's evaluation u.
 
     Raises InvalidInputError if the word is not reduced or the mask is not
     distinguished.
@@ -140,7 +151,6 @@ def build_subexpression(rs, v_word: Sequence[int],
         raise InvalidInputError("mask length does not match word length")
     v = _check_reduced(rs, word)
     prefixes = [identity(rs)]
-    j_plus, j_circ, j_minus = [], [], []
     betas = []
     for k, (i, choice) in enumerate(zip(word, mask), start=1):
         prev = prefixes[-1]
@@ -153,14 +163,11 @@ def build_subexpression(rs, v_word: Sequence[int],
         elif choice == TAKE:
             prefixes.append(times_simple(prev, i))
             if prefixes[-1].length > prev.length:
-                j_plus.append(k)
                 continue
         else:
             raise InvalidInputError(f"unknown mask token {choice!r}")
-        (j_circ if choice == SKIP else j_minus).append(k)
         betas.append((k, _beta(rs, k, prev, i, choice == SKIP)))
-    return Subexpression(word, mask, tuple(prefixes), frozenset(j_plus),
-                         frozenset(j_circ), frozenset(j_minus), tuple(betas),
+    return Subexpression(word, mask, tuple(prefixes), tuple(betas),
                          ad(prefixes[-1], v))
 
 
@@ -170,11 +177,10 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     reduced word that end at u, from two passes over the word.
 
     A state (k, x) is the prefix x after the first k letters.  Entry k maps
-    each live x to its moves, take before skip: (choice, next prefix, side,
-    entry), with side 0, 1 or 2 for J+, Jo or J- and entry the (k+1, beta)
-    that a Jo or J- position adds (None for J+).  A move is live when some
-    distinguished completion through it still ends at u, so entry n is
-    {u: ()}, and the start is live exactly when entry 0 holds the identity.
+    each live x to its moves, take before skip: (choice, next prefix, entry)
+    with entry the (k+1, beta) of a Jo or J- position, else None.  A move is
+    live when a distinguished completion through it ends at u, so entry n
+    is {u: ()}; the start is live exactly when entry 0 holds the identity.
 
     The backward pass collects, for each k, the prefixes of length at most k
     from which some distinguished completion reaches u: y s_i by a take, and
@@ -204,8 +210,8 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
             y = times_simple(x, i)
             up = y.length > x.length
             entry = (k + 1, _beta(rs, k + 1, x, i, up))
-            moves = (((TAKE, y, 0, None), (SKIP, x, 1, entry)) if up
-                     else ((TAKE, y, 2, entry),))
+            moves = (((TAKE, y, None), (SKIP, x, entry)) if up
+                     else ((TAKE, y, entry),))
             found[x] = tuple(move for move in moves if move[1] in ahead)
         steps.append(found)
         layer = {move[1]: None for moves in found.values() for move in moves}
@@ -219,10 +225,10 @@ def enumerate_distinguished(v_word: Sequence[int],
 
     An exact depth-first walk with an explicit stack over the live moves
     of ``_live_moves``, so every state it enters yields at least one mask.
-    Each move brings its side and beta entry; the walk pushes them onto
-    J+, Jo or J- and the betas, and pops them when it backs up.  Every
-    mask's td is the one ad(u, v).  Order is lexicographic on masks with
-    take before skip.  Empty when u is not below the word's product.
+    The walk pushes each move's choice, prefix and beta entry, if any, and
+    pops them when it backs up; a beta goes with the position it names.
+    Every mask's td is the one ad(u, v).  Order is lexicographic on masks
+    with take before skip.  Empty when u is not below the word's product.
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
@@ -231,39 +237,32 @@ def enumerate_distinguished(v_word: Sequence[int],
     if start not in moves[0]:
         return []
     td = ad(u, v)
-    chain, mask, path, betas = [start], [], [], []
-    sides: tuple[list[int], list[int], list[int]] = ([], [], [])
+    chain, mask, betas = [start], [], []
     frames: list = []
     out: list[Subexpression] = []
     while True:
-        k = len(mask)
-        if k == len(word):
-            out.append(Subexpression(
-                word, tuple(mask), tuple(chain), frozenset(sides[0]),
-                frozenset(sides[1]), frozenset(sides[2]), tuple(betas), td))
+        if len(mask) == len(word):
+            out.append(Subexpression(word, tuple(mask), tuple(chain),
+                                     tuple(betas), td))
         else:
-            frames.append(iter(moves[k][chain[-1]]))
+            frames.append(iter(moves[len(mask)][chain[-1]]))
         # Back up to the deepest state with a move left, undoing the move
         # into each state left behind.
         while frames:
-            if len(path) == len(frames):
-                _, _, side, entry = path.pop()
+            if len(mask) == len(frames):
+                if betas and betas[-1][0] == len(mask):
+                    betas.pop()
                 mask.pop()
                 chain.pop()
-                sides[side].pop()
-                if entry:
-                    betas.pop()
             move = next(frames[-1], None)
             if move:
                 break
             frames.pop()
         else:
             return out
-        choice, nxt, side, entry = move
-        path.append(move)
+        choice, nxt, entry = move
         mask.append(choice)
         chain.append(nxt)
-        sides[side].append(len(mask))
         if entry:
             betas.append(entry)
 
@@ -352,11 +351,11 @@ def deodhar_polynomial(v_word: Sequence[int],
         ahead, polys = polys, {}
         for x, steps in layer.items():
             total: tuple[int, ...] = ()
-            for _, y, side, _ in steps:
+            for choice, y, entry in steps:
                 p = ahead[y]
-                if side == 1:
+                if choice == SKIP:
                     p = _poly_add((0,) + p, tuple(-c for c in p))
-                elif side == 2:
+                elif entry:
                     p = (0,) + p
                 total = _poly_add(total, p)
             polys[x] = total

@@ -392,13 +392,16 @@ def test_scan_huge_max_length(capsys):
 
 
 def test_scan_cap_env_not_integer(capsys, monkeypatch):
-    monkeypatch.setenv("BRUHAT_GROUP_CAP", "abc")
-    code, out, err = run(capsys, ["scan", "--type", "A", "--rank", "2",
-                                  "--target", "toric_schubert"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "BRUHAT_GROUP_CAP" in err
-    assert len(err.splitlines()) == 1
+    # A negative cap is refused as input too, not taken as a cap that every
+    # group exceeds (exit 4).
+    for text, target in [("abc", "toric_schubert"), ("-5", "levi_table")]:
+        monkeypatch.setenv("BRUHAT_GROUP_CAP", text)
+        code, out, err = run(capsys, ["scan", "--type", "A", "--rank", "2",
+                                      "--target", target])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "BRUHAT_GROUP_CAP" in err
+        assert len(err.splitlines()) == 1
 
 
 def test_scan_out_untouched_on_failure(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+import tracemalloc
 import warnings
 from math import comb
 
@@ -16,7 +18,8 @@ from bruhatkit import (InvalidInputError, NotComparableError, bruhat_le,
                        td_span)
 from bruhatkit.cli import parse_element
 from bruhatkit.deodhar import (SKIP, TAKE, DeodharComponentShape,
-                               build_subexpression, poly_string)
+                               Subexpression, build_subexpression,
+                               poly_string)
 from bruhatkit.weyl import longest_element, simple_reflection
 from oracles import brute_force_distinguished, r_polynomial
 from sweeps import comparable_pairs
@@ -57,25 +60,32 @@ def test_component_shapes(a2):
     assert (shape2.circ_count, shape2.minus_count) == (1, 1)
 
 
-def test_prefix_walk_invariants(a2, s3):
-    for v in s3:
-        word = reduced_word(v)
-        for u in s3:
-            for se in enumerate_distinguished(word, u):
-                assert se.prefixes[0].is_identity()
-                assert se.prefixes[-1] == u
-                assert (len(se.j_plus) + len(se.j_circ) + len(se.j_minus)
-                        == len(word))
-                for k in range(1, len(word) + 1):
-                    prev, cur = se.prefixes[k - 1], se.prefixes[k]
-                    if k in se.j_circ:
-                        assert cur == prev
-                    elif k in se.j_plus:
-                        assert cur.length == prev.length + 1
-                    else:
-                        assert cur.length == prev.length - 1
-                for _, beta in se.betas:
-                    assert a2.is_positive_root(beta)
+def test_prefix_walk_invariants(a2, s3, b3, b3_group, g2, g2_group):
+    # J+, Jo and J- are derived from the choices and the betas; check them
+    # against the prefix lengths over the least word of every v.
+    for rs, group in ((a2, s3), (b3, b3_group), (g2, g2_group)):
+        for v in group:
+            word = reduced_word(v)
+            positions = frozenset(range(1, len(word) + 1))
+            for u in group:
+                for se in enumerate_distinguished(word, u):
+                    assert se.prefixes[0].is_identity()
+                    assert se.prefixes[-1] == u
+                    assert (len(se.j_plus) + len(se.j_circ)
+                            + len(se.j_minus) == len(word))
+                    assert se.j_plus | se.j_circ | se.j_minus == positions
+                    assert ({k for k, _ in se.betas}
+                            == se.j_circ | se.j_minus)
+                    for k in positions:
+                        prev, cur = se.prefixes[k - 1], se.prefixes[k]
+                        if k in se.j_circ:
+                            assert cur == prev
+                        elif k in se.j_plus:
+                            assert cur.length == prev.length + 1
+                        else:
+                            assert cur.length == prev.length - 1
+                    for _, beta in se.betas:
+                        assert rs.is_positive_root(beta)
 
 
 def test_matches_brute_force_masks(a2, a3, s3, b3, b3_group, g2, g2_group):
@@ -308,6 +318,28 @@ def test_masks_of_long_word_need_no_recursion():
     assert below[0].choices.count(SKIP) == 1
     assert below[0].evaluation == u
     assert polys == ((1,), (-1, 1))
+
+
+def test_masks_hold_only_what_the_walk_produces():
+    # A mask keeps its word, choices, prefixes, betas and td in slots; the
+    # J sets are derived on demand.  The moves are built by the first call,
+    # so the second retains the masks alone.
+    assert [f.name for f in dataclasses.fields(Subexpression)] == [
+        "base_word", "choices", "prefixes", "betas", "td"]
+    rs = build_root_system(cartan_datum("D", 5))
+    word = reduced_word(longest_element(rs, range(1, 6)))
+    u = identity(rs)
+    enumerate_distinguished(word, u)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        masks = enumerate_distinguished(word, u)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == 1613
+    assert not hasattr(masks[0], "__dict__")
+    assert retained / len(masks) < 1_200
 
 
 def _census_by_masks(subexprs):
