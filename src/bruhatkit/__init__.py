@@ -32,4 +32,4 @@ from .weyl import (DEFAULT_GROUP_CAP, WeylElement, all_reduced_words,
                    left_inversions, left_parabolic_decomposition,
                    longest_element, multiply, reduced_word, right_descents,
                    right_inversions, right_parabolic_decomposition, support,
-                   support_size, word_string)
+                   word_string)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from typing import Iterable, Iterator
 
 from .algdim import ad, max_toric_below_top
@@ -29,10 +29,11 @@ from .bruhat import bruhat_le
 from .errors import (FormulaUnavailableError, InvalidInputError,
                      PreconditionError)
 from .rootsys import RootSystem
-from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement, _layers,
-                   canonical_order, enumerate_group, inverse, left_descents,
-                   left_parabolic_decomposition, longest_element, multiply,
-                   right_descents, support, support_size, word_string)
+from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement, _check_cap,
+                   _layers, canonical_order, enumerate_group, identity,
+                   inverse, left_descents, left_parabolic_decomposition,
+                   longest_element, multiply, right_descents, support,
+                   times_simple, word_string)
 
 SCAN_TARGETS = ("toric_schubert", "toric_richardson",
                 "complexity_histogram", "levi_table")
@@ -278,27 +279,47 @@ def _scan_unit(target: str, w: WeylElement,
     return rows
 
 
+def _support_histogram(rs: RootSystem, top: int) -> list[dict]:
+    """Rows of l(w) - |supp(w)| over the w with l(w) <= top, in increasing
+    order.  The w with support in T form W_T, with Poincare polynomial
+    P_T(q) the product over its positive roots a of [ht(a) + 1]_q / [ht(a)]_q,
+    i.e. of [h + 1]_q^(c_h - c_(h+1)) with c_h of them of height h.  By
+    inclusion-exclusion over the supports, the sum of q^(l(w) - |supp(w)|)
+    is q^-r times the sum of P_T(q) (q - 1)^(r - |T|) over T."""
+    rank = rs.rank
+    roots = [(sum(1 << j for j, c in enumerate(a) if c), sum(a))
+             for a in rs.positive_roots]
+    total = [0] * (top + rank + 1)
+    for t in range(1 << rank):
+        heights = Counter(h for mask, h in roots if mask & t == mask)
+        poly = [1] + [0] * top
+        for h, c in heights.items():
+            for _ in range(c - heights[h + 1]):  # times [h + 1]_q, truncated
+                acc = [0] * (h + 1) + list(accumulate(poly))
+                poly = [x - y for x, y in zip(acc[h + 1:], acc)]
+        for _ in range(rank - t.bit_count()):  # times q - 1
+            poly = [b - a for a, b in zip(poly + [0], [0] + poly)]
+        for k, p in enumerate(poly):
+            total[k] += p
+    return [{"value": k - rank, "count": c} for k, c in enumerate(total) if c]
+
+
 def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
          cap: int = DEFAULT_GROUP_CAP) -> Iterator[dict]:
     """Stream scan rows over the Weyl group (the elements of length at most
-    ``max_length``, if given).
+    ``max_length``, if given), in a deterministic order.
 
-    Bad targets, a negative ``max_length`` and over-cap groups are rejected
-    eagerly, before any row is produced.  Each target does only the work
-    its rows print:
+    Bad targets, a negative ``max_length`` and a group of more than ``cap``
+    elements are refused eagerly, before any row, whatever the target.
+    ``complexity_histogram`` builds no element (see ``_support_histogram``)
+    and ``toric_schubert`` builds only its rows, in canonical order (length,
+    then least reduced word).  ``toric_richardson`` and ``levi_table``
+    follow the canonical order of the whole group, and compute each
+    element's rows only when they are read.
 
-    * ``complexity_histogram`` yields one row per value of
-      l(w) - |supp(w)|, in increasing order, once every element is counted;
-      it reads supports off inversions (``support_size``), so it orders no
-      element and builds no reduced word.
-    * ``toric_schubert`` keeps the w with l(w) = |supp(w)| first, then puts
-      just those in canonical order (length, then least reduced word) and
-      spells them.
-    * ``toric_richardson`` and ``levi_table`` follow the canonical order of
-      the whole group, and compute each element's rows only when they are
-      read.
-
-    The output is deterministic.
+    >>> from bruhatkit.rootsys import root_system
+    >>> list(scan(root_system("A", 2), "complexity_histogram"))
+    [{'value': 0, 'count': 5}, {'value': 1, 'count': 1}]
     """
     if target not in SCAN_TARGETS:
         raise InvalidInputError(
@@ -306,20 +327,27 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     if max_length is not None and max_length < 0:
         raise InvalidInputError(
             f"max_length must be non-negative, got {max_length}")
-    # With max_length, layers longer than it are never built; no element
-    # is longer than the number of positive roots.
-    group = (enumerate_group(rs, cap) if max_length is None else tuple(
-        w for ws in islice(_layers(rs, cap), min(
-            max_length, len(rs.positive_roots)) + 1) for w in ws))
+    _check_cap(rs, cap)
+    top = len(rs.positive_roots)  # no element is longer
+    top = top if max_length is None else min(max_length, top)
     if target == "complexity_histogram":
-        counts = Counter(w.length - support_size(w) for w in group)
-        return ({"value": value, "count": counts[value]}
-                for value in sorted(counts))
+        return iter(_support_histogram(rs, top))
     if target == "toric_schubert":
-        toric = canonical_order(w for w in group
-                                if w.length == support_size(w))
+        # The toric w are those with a reduced word that repeats no letter:
+        # grow them from the identity as w s_i, i not in supp(w) (a bitmask).
+        layer = {identity(rs): 0}
+        toric = list(layer)
+        for _ in range(min(top, rs.rank)):
+            layer = {times_simple(w, i + 1): used | 1 << i
+                     for w, used in layer.items() for i in range(rs.rank)
+                     if not used >> i & 1}
+            toric.extend(layer)
         return ({"w": word_string(w), "length": w.length,
-                 "support": _subset_str(support(w))} for w in toric)
+                 "support": _subset_str(support(w))}
+                for w in canonical_order(toric))
+    # With max_length, layers longer than it are never built.
+    group = (enumerate_group(rs, cap) if max_length is None else tuple(
+        w for ws in islice(_layers(rs), top + 1) for w in ws))
     elements = tuple(canonical_order(group))
     levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]] = {}
     return (row for w in elements

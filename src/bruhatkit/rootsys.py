@@ -177,10 +177,6 @@ class RootSystem:
     """All positive roots of a finite root system, with exact arithmetic,
     and the permutation of the signed roots induced by each reflection.
 
-    ``support_masks[k]`` is the support of positive root k as a bitmask,
-    bit j set when its alpha_(j+1) coefficient is nonzero; N ints, read by
-    ``weyl.support_size``.
-
     Immutable after construction (internal caches aside); safe to share
     between concurrent tasks.
     """
@@ -198,9 +194,6 @@ class RootSystem:
             raise InvalidInputError(
                 f"closure produced {len(self.positive_roots)} positive roots, "
                 f"expected {expected} for {datum.family}{datum.rank}")
-        self.support_masks: tuple[int, ...] = tuple(
-            sum(1 << j for j, c in enumerate(r) if c)
-            for r in self.positive_roots)
         self._build_permutations()
         # Interning cache for Weyl group elements, managed by the weyl module.
         self.element_cache: dict = {}

@@ -254,34 +254,9 @@ def support(w: WeylElement) -> SimpleSubset:
     """Simple indices occurring in one (hence every) reduced word of w.
 
     Read off the least reduced word, which is cheap once that word is
-    known; ``support_size`` needs no word.
+    known.
     """
     return frozenset(reduced_word(w))
-
-
-def support_size(w: WeylElement) -> int:
-    """|supp(w)|, read off the right inversions of w instead of a word.
-
-    supp(w) is the union of the supports of w's right inversions
-    (``RootSystem.support_masks``).  If w lies in the parabolic W_J, so does
-    each of its inversions.  Conversely, if s_j occurs in a reduced word
-    s_(i_1) ... s_(i_l), last at position k, then the inversion
-    s_(i_l) ... s_(i_(k+1))(alpha_j) has alpha_j coefficient 1, since no
-    later letter is s_j and s_i changes only the alpha_i coefficient.  The
-    loop makes no product and ORs l(w) masks.
-
-    >>> from bruhatkit.rootsys import root_system
-    >>> support_size(from_word(root_system("A", 3), [1, 3, 1]))
-    1
-    """
-    masks = w.system.support_masks
-    n_pos = len(masks)
-    perm = w.perm
-    bits = 0
-    for k in range(n_pos):
-        if perm[k] >= n_pos:
-            bits |= masks[k]
-    return bits.bit_count()
 
 
 def word_string(w: WeylElement) -> str:
@@ -339,20 +314,23 @@ def longest_element(rs: RootSystem, subset: Iterable[int] = ()) -> WeylElement:
         w = multiply(w, simple_reflection(rs, ascent))
 
 
-def _layers(rs: RootSystem, cap: int) -> Iterator[list[WeylElement]]:
-    """The length layers of W from the identity up, each built only when
-    asked for; the first request refuses (with the exact order in the
-    error) if |W| exceeds the cap.
-
-    Each y other than the identity is made only from its canonical parent,
-    as x s_i with i the least right descent of y, so it costs one multiply.
-    Within a layer the order is that of the parents, then of i.
-    """
+def _check_cap(rs: RootSystem, cap: int) -> None:
+    """Refuse, with the exact order in the error, if |W| exceeds the cap."""
     order = weyl_group_order(rs.datum.family, rs.rank)
     if order > cap:
         raise GroupTooLargeError(
             f"|W({rs.datum.family}{rs.rank})| = {order} exceeds the "
             f"enumeration cap {cap}", order, cap)
+
+
+def _layers(rs: RootSystem) -> Iterator[list[WeylElement]]:
+    """The length layers of W from the identity up, each built only when
+    asked for; callers check the cap first (``_check_cap``).
+
+    Each y other than the identity is made only from its canonical parent,
+    as x s_i with i the least right descent of y, so it costs one multiply.
+    Within a layer the order is that of the parents, then of i.
+    """
     n_pos = len(rs.positive_roots)
     simple = rs.simple_positions
     gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
@@ -383,7 +361,8 @@ def enumerate_group(rs: RootSystem,
     (``_layers``); ``canonical_order``, and so every scan, does not depend
     on the order within a layer.  Refuses if |W| exceeds the cap.
     """
-    return tuple(w for layer in _layers(rs, cap) for w in layer)
+    _check_cap(rs, cap)
+    return tuple(w for layer in _layers(rs) for w in layer)
 
 
 def canonical_order(elements: Iterable[WeylElement]) -> list[WeylElement]:

@@ -322,6 +322,29 @@ def minimal_coset_element(rs, w, subset):
     return best
 
 
+def rows_by_words(elements, target, max_length=None):
+    """``complexity_histogram`` or ``toric_schubert`` rows by the route that
+    puts every element in canonical order and reads each support off its
+    least reduced word."""
+    from collections import Counter
+
+    from bruhatkit.weyl import canonical_order, support, word_string
+    elements = canonical_order(elements)
+    if max_length is not None:
+        elements = [w for w in elements if w.length <= max_length]
+    if target == "complexity_histogram":
+        counts = Counter(w.length - len(support(w)) for w in elements)
+        return [{"value": value, "count": counts[value]}
+                for value in sorted(counts)]
+    rows = []
+    for w in elements:
+        supp_set = support(w)
+        if w.length == len(supp_set):
+            rows.append({"w": word_string(w), "length": w.length,
+                         "support": ",".join(map(str, sorted(supp_set)))})
+    return rows
+
+
 # -- Kazhdan-Lusztig R-polynomials -------------------------------------------
 
 

@@ -340,11 +340,15 @@ def test_scan_json_lines_deterministic(tmp_path, capsys):
 
 
 def test_scan_cap_exit4(capsys):
-    code, out, err = run(capsys, ["scan", "--type", "E", "--rank", "7",
-                                  "--target", "toric_schubert"])
-    assert code == 4
-    assert "2903040" in err
-    assert out == ""  # nothing, not even a header, on a refused scan
+    # The support targets build no group, but the cap still bounds |W|.
+    for extra in (["--target", "toric_schubert"],
+                  ["--target", "complexity_histogram"],
+                  ["--target", "toric_schubert", "--max-length", "2"]):
+        code, out, err = run(capsys, ["scan", "--type", "E", "--rank", "7"]
+                             + extra)
+        assert code == 4
+        assert "2903040" in err
+        assert out == ""  # nothing, not even a header, on a refused scan
 
 
 def test_scan_cap_env_override(capsys, monkeypatch):

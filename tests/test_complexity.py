@@ -1,4 +1,4 @@
-from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -19,7 +19,7 @@ from bruhatkit import (FormulaUnavailableError, InvalidInputError,
                        torus_complexity_schubert, word_string)
 from bruhatkit.cli import parse_element
 from bruhatkit.complexity import SCAN_TARGETS
-from oracles import minimal_coset_element
+from oracles import minimal_coset_element, rows_by_words
 from sweeps import comparable_pairs
 
 
@@ -298,15 +298,32 @@ def test_scan_max_length(a3):
 def test_scan_max_length_stops_after_its_layer(monkeypatch):
     # E6 has 1 + 6 + 20 elements of length <= 2.  A bounded scan builds
     # only those, and prints the rows of the whole group filtered by length.
+    # The support targets do not enumerate the group, so their rows are
+    # checked against the word route over the short elements.
     e6 = root_system("E", 6)
     short = tuple(w for w in enumerate_group(e6) if w.length <= 2)
     for target in SCAN_TARGETS:
         fresh = build_root_system(cartan_datum("E", 6))
         rows = list(scan(fresh, target, max_length=2))
         assert len(fresh.element_cache) <= 27 + fresh.rank
+        if target in ("complexity_histogram", "toric_schubert"):
+            assert rows_by_words(short, target) == rows
+            continue
         with monkeypatch.context() as m:
             m.setattr(complexity, "enumerate_group", lambda rs, cap: short)
             assert list(scan(e6, target)) == rows
+
+
+def test_support_scans_build_no_group():
+    # On E6 the histogram builds no element at all, and toric_schubert
+    # builds only its 242 rows, where enumerating the group interns 51,840.
+    rs = build_root_system(cartan_datum("E", 6))
+    rows = list(scan(rs, "complexity_histogram"))
+    assert sum(row["count"] for row in rows) == 51840
+    assert len(rs.element_cache) == 0
+    rows = list(scan(rs, "toric_schubert"))
+    assert len(rows) == 242
+    assert len(rs.element_cache) <= 242
 
 
 def test_scan_huge_max_length_is_unbounded(a3):
@@ -355,12 +372,11 @@ def test_levi_table_matches_descent_stripping(family, rank):
                                     "levi_table"])
 def test_scan_multiplies_once_per_element(monkeypatch, target):
     # Enumeration makes each element once, each reduced word extends a known
-    # one, and a Levi row is one product w_0(I) w.  The histogram reads
-    # supports off inversions and builds no word; toric_schubert builds
-    # words for its rows only.  Rebuilding each word from scratch and
-    # closing the group under all generators costs 16 multiplies per
-    # element of F4.  A fresh system, so that no word is known before the
-    # scan.
+    # one, and a Levi row is one product w_0(I) w.  The histogram builds no
+    # element and no word; toric_schubert builds its rows and their words
+    # only.  Rebuilding each word from scratch and closing the group under
+    # all generators costs 16 multiplies per element of F4.  A fresh
+    # system, so that no word is known before the scan.
     rs = build_root_system(cartan_datum("F", 4))
     order = 1152
     calls = [0]
@@ -388,33 +404,26 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
         assert calls[0] <= 3 * order + len(rows)
 
 
-def _rows_by_words(rs, target, max_length):
-    # The route that puts every element in canonical order and reads each
-    # support off its least reduced word.
-    elements = canonical_order(enumerate_group(rs))
-    if max_length is not None:
-        elements = [w for w in elements if w.length <= max_length]
-    if target == "complexity_histogram":
-        counts = Counter(w.length - len(support(w)) for w in elements)
-        return [{"value": value, "count": counts[value]}
-                for value in sorted(counts)]
-    rows = []
-    for w in elements:
-        supp_set = support(w)
-        if w.length == len(supp_set):
-            rows.append({"w": word_string(w), "length": w.length,
-                         "support": ",".join(map(str, sorted(supp_set)))})
-    return rows
+@lru_cache(maxsize=None)
+def _group(family, rank):
+    return enumerate_group(root_system(family, rank))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("G", 2),
-                                         ("D", 4), ("F", 4)])
-@pytest.mark.parametrize("target", ["complexity_histogram", "toric_schubert"])
-@pytest.mark.parametrize("max_length", [None, 0, 3])
+# Every family with each bound, and E6, whose word route takes seconds,
+# with no bound only.
+_SUPPORT_SWEEP = [
+    (max_length, target, family, rank)
+    for family, rank in [("A", 4), ("B", 3), ("C", 4), ("G", 2), ("D", 4),
+                         ("D", 5), ("F", 4), ("E", 6)]
+    for target in ("complexity_histogram", "toric_schubert")
+    for max_length in ([None] if family == "E" else [None, 0, 3])]
+
+
+@pytest.mark.parametrize("max_length,target,family,rank", _SUPPORT_SWEEP)
 def test_support_scans_match_word_route(family, rank, target, max_length):
     # A fresh system for the scan, so that no word is known before it.
     rs = build_root_system(cartan_datum(family, rank))
-    expected = _rows_by_words(root_system(family, rank), target, max_length)
+    expected = rows_by_words(_group(family, rank), target, max_length)
     assert list(scan(rs, target, max_length=max_length)) == expected
 
 
@@ -430,5 +439,6 @@ def test_scan_rejects_negative_max_length(b3, max_length):
 
 def test_scan_cap(b3):
     from bruhatkit import GroupTooLargeError
-    with pytest.raises(GroupTooLargeError):
-        list(scan(b3, "toric_schubert", cap=10))
+    for target in ("toric_schubert", "complexity_histogram"):
+        with pytest.raises(GroupTooLargeError):
+            list(scan(b3, target, cap=10))

@@ -1,4 +1,3 @@
-import random
 import sys
 from itertools import combinations
 
@@ -12,7 +11,7 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        longest_element, multiply, reduced_word,
                        right_descents, right_inversions,
                        right_parabolic_decomposition, root_system,
-                       simple_reflect, support, support_size,
+                       simple_reflect, support,
                        weyl_group_order, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
 from bruhatkit.weyl import reflection, simple_reflection
@@ -156,27 +155,6 @@ def test_support_examples(a3, a4):
     assert support(w) == frozenset({1, 2, 3, 4})
     assert w.length == 4
     assert perm_support(perm_from_word(5, reduced_word(w))) == support(w)
-
-
-@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("C", 4),
-                                         ("D", 4), ("F", 4), ("G", 2)])
-def test_support_size_from_inversions(family, rank):
-    # On a fresh system, so that the word route builds every word itself.
-    rs = build_root_system(cartan_datum(family, rank))
-    for w in enumerate_group(rs):
-        assert support_size(w) == len(support(w))
-
-
-def test_support_size_from_inversions_e6_sample():
-    rs = build_root_system(cartan_datum("E", 6))
-    rng = random.Random(6)
-    for _ in range(400):
-        w = from_word(rs, [rng.randint(1, 6)
-                           for _ in range(rng.randint(0, 40))])
-        assert support_size(w) == len(support(w))
-    w0 = longest_element(rs, range(1, 7))
-    assert support_size(w0) == 6
-    assert support_size(identity(rs)) == 0
 
 
 def test_parabolic_decompositions_exhaustive(s4, b3_group):
