@@ -99,9 +99,10 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
     text = text.strip()
     if text == "id":
         return identity(rs)
-    oneline = (text.isdigit() and len(text) > 1
+    # isdecimal, not isdigit: int() rejects digits such as "²" and "①".
+    oneline = (text.isdecimal() and len(text) > 1
                and rs.datum.family == "A" and rs.rank <= 8)
-    if "." in text or (text.isdigit() and not oneline):
+    if "." in text or (text.isdecimal() and not oneline):
         return from_word(rs, parse_word(text))
     if not oneline:
         raise InvalidInputError(

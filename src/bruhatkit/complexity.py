@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from typing import Iterable, Iterator
 
 from .algdim import ad, max_toric_below_top
@@ -30,10 +30,9 @@ from .errors import (FormulaUnavailableError, InvalidInputError,
                      PreconditionError)
 from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement, _check_cap,
-                   _layers, canonical_order, enumerate_group, identity,
-                   inverse, left_descents, left_parabolic_decomposition,
-                   longest_element, multiply, right_descents, support,
-                   times_simple, word_string)
+                   _layers, inverse, left_descents,
+                   left_parabolic_decomposition, longest_element, multiply,
+                   right_descents, support, word_string)
 
 SCAN_TARGETS = ("toric_schubert", "toric_richardson",
                 "complexity_histogram", "levi_table")
@@ -311,11 +310,11 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
 
     Bad targets, a negative ``max_length`` and a group of more than ``cap``
     elements are refused eagerly, before any row, whatever the target.
-    ``complexity_histogram`` builds no element (see ``_support_histogram``)
-    and ``toric_schubert`` builds only its rows, in canonical order (length,
-    then least reduced word).  ``toric_richardson`` and ``levi_table``
-    follow the canonical order of the whole group, and compute each
-    element's rows only when they are read.
+    ``complexity_histogram`` builds no element (see ``_support_histogram``).
+    The others build theirs with their words, in canonical order (length,
+    then least reduced word), by ``_layers``: ``toric_schubert`` only its
+    rows, the others the whole group, whose rows are computed for each
+    element only when they are read.
 
     >>> from bruhatkit.rootsys import root_system
     >>> list(scan(root_system("A", 2), "complexity_histogram"))
@@ -332,23 +331,11 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     top = top if max_length is None else min(max_length, top)
     if target == "complexity_histogram":
         return iter(_support_histogram(rs, top))
-    if target == "toric_schubert":
-        # The toric w are those with a reduced word that repeats no letter:
-        # grow them from the identity as w s_i, i not in supp(w) (a bitmask).
-        layer = {identity(rs): 0}
-        toric = list(layer)
-        for _ in range(min(top, rs.rank)):
-            layer = {times_simple(w, i + 1): used | 1 << i
-                     for w, used in layer.items() for i in range(rs.rank)
-                     if not used >> i & 1}
-            toric.extend(layer)
+    toric = target == "toric_schubert"
+    elements = tuple(chain.from_iterable(islice(_layers(rs, toric), top + 1)))
+    if toric:
         return ({"w": word_string(w), "length": w.length,
-                 "support": _subset_str(support(w))}
-                for w in canonical_order(toric))
-    # With max_length, layers longer than it are never built.
-    group = (enumerate_group(rs, cap) if max_length is None else tuple(
-        w for ws in islice(_layers(rs), top + 1) for w in ws))
-    elements = tuple(canonical_order(group))
+                 "support": _subset_str(support(w))} for w in elements)
     levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]] = {}
     return (row for w in elements
             for row in _scan_unit(target, w, elements, levi_w0))

@@ -323,43 +323,54 @@ def _check_cap(rs: RootSystem, cap: int) -> None:
             f"enumeration cap {cap}", order, cap)
 
 
-def _layers(rs: RootSystem) -> Iterator[list[WeylElement]]:
-    """The length layers of W from the identity up, each built only when
-    asked for; callers check the cap first (``_check_cap``).
+def _layers(rs: RootSystem,
+            toric: bool = False) -> Iterator[list[WeylElement]]:
+    """The length layers of W (with ``toric``, of its elements whose reduced
+    words repeat no letter) in canonical order, each built only when asked
+    for; callers check the cap first (``_check_cap``).
 
-    Each y other than the identity is made only from its canonical parent,
-    as x s_i with i the least right descent of y, so it costs one multiply.
-    Within a layer the order is that of the parents, then of i.
+    The least reduced word of y is (i,) + that of s_i y, with i the least
+    left descent of y.  So layer k + 1 is, for i = 1..r and x in layer k in
+    order, each y = s_i x whose least left descent is i (and, if toric, i
+    not in x's word), made by one multiply with its length and word.
     """
     n_pos = len(rs.positive_roots)
     simple = rs.simple_positions
     gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    # x s_i is a child of x iff x sends alpha_i to a positive root and no
-    # j < i is a right descent of x s_i, i.e. x also sends each s_i(alpha_j)
-    # to a positive root; lower[i] holds the positions of those s_i(alpha_j).
+    # i is the least left descent of s_i x iff x^-1 sends alpha_i and each
+    # s_i(alpha_j), j < i (positions lower[i]), to positive roots.  x^-1
+    # has x's length and is toric when x is, so it interns no new element.
     lower = [[g.perm[simple[j]] for j in range(i)]
              for i, g in enumerate(gens)]
     layer = [identity(rs)]
+    layer[0]._word = ()
     length = 0
     while layer:
         yield layer
         length += 1
+        inverses = [inverse(x).perm for x in layer]
         nxt = []
-        for x in layer:
-            p = x.perm
-            for k, g, below in zip(simple, gens, lower):
-                if p[k] < n_pos and all(p[q] < n_pos for q in below):
-                    y = multiply(x, g)
+        for i, (k, g, below) in enumerate(zip(simple, gens, lower), start=1):
+            for x, p in zip(layer, inverses):
+                if (p[k] < n_pos and all(p[q] < n_pos for q in below)
+                        and not (toric and i in x._word)):
+                    y = multiply(g, x)
                     y._length = length
+                    y._word = (i,) + x._word
                     nxt.append(y)
         layer = nxt
 
 
 def enumerate_group(rs: RootSystem,
                     cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, each made exactly once, layer by layer
-    (``_layers``); ``canonical_order``, and so every scan, does not depend
-    on the order within a layer.  Refuses if |W| exceeds the cap.
+    """All Weyl group elements in canonical order (length, then least
+    reduced word), each made once and with its word known (``_layers``).
+    Refuses if |W| exceeds the cap.
+
+    >>> from bruhatkit.rootsys import root_system
+    >>> [word_string(w) for w in enumerate_group(root_system("A", 3))
+    ...  if w.length == 2]
+    ['1.2', '1.3', '2.1', '2.3', '3.2']
     """
     _check_cap(rs, cap)
     return tuple(w for layer in _layers(rs) for w in layer)

@@ -48,6 +48,23 @@ def test_parse_element_forms(a3):
         parse_element(a3, "4412")
     with pytest.raises(InvalidInputError):
         parse_element(a3, "nonsense")
+    # Digits that int() rejects are neither a permutation nor an index.
+    for text in ("²³", "1²", "①②", "²"):
+        with pytest.raises(InvalidInputError):
+            parse_element(a3, text)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "schubert", "--w", "²³"],
+    ["--kind", "schubert", "--w", "1²"],
+    ["--kind", "richardson", "--u", "①②", "--v", "id"],
+])
+def test_non_decimal_digits_are_input_errors(capsys, flags):
+    code, out, err = run(capsys, ["complexity", "--type", "A", "--rank", "3"]
+                         + flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_oneline_only_for_family_a(b2):

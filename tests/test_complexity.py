@@ -1,12 +1,12 @@
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 import bruhatkit.complexity as complexity
 import bruhatkit.weyl
 from bruhatkit import (FormulaUnavailableError, InvalidInputError,
-                       PreconditionError, ad, build_root_system,
+                       PreconditionError, ad, bruhat_le, build_root_system,
                        canonical_order, cartan_datum, enumerate_group,
                        from_word, identity, is_toric, is_toric_partial,
                        left_descents, levi_acts, levi_borel_complexity,
@@ -295,11 +295,13 @@ def test_scan_max_length(a3):
     assert all(row["length"] <= 1 for row in short)
 
 
-def test_scan_max_length_stops_after_its_layer(monkeypatch):
+def test_scan_max_length_stops_after_its_layer():
     # E6 has 1 + 6 + 20 elements of length <= 2.  A bounded scan builds
     # only those, and prints the rows of the whole group filtered by length.
     # The support targets do not enumerate the group, so their rows are
-    # checked against the word route over the short elements.
+    # checked against the word route over the short elements.  The Levi
+    # rows of the short elements come first in the unbounded scan, and the
+    # toric Richardson rows over short u and v are those with [u, v] toric.
     e6 = root_system("E", 6)
     short = tuple(w for w in enumerate_group(e6) if w.length <= 2)
     for target in SCAN_TARGETS:
@@ -308,10 +310,16 @@ def test_scan_max_length_stops_after_its_layer(monkeypatch):
         assert len(fresh.element_cache) <= 27 + fresh.rank
         if target in ("complexity_histogram", "toric_schubert"):
             assert rows_by_words(short, target) == rows
-            continue
-        with monkeypatch.context() as m:
-            m.setattr(complexity, "enumerate_group", lambda rs, cap: short)
-            assert list(scan(e6, target)) == rows
+        elif target == "levi_table":
+            whole = scan(e6, target)
+            assert list(islice(whole, len(rows))) == rows
+            assert next(whole)["w"].count(".") == 2   # length 3
+        else:
+            assert rows == [
+                {"u": word_string(u), "v": word_string(v),
+                 "rank": v.length - u.length, "ad": ad(u, v)}
+                for u in short for v in short
+                if bruhat_le(u, v) and is_toric(u, v)]
 
 
 def test_support_scans_build_no_group():
@@ -371,14 +379,19 @@ def test_levi_table_matches_descent_stripping(family, rank):
 @pytest.mark.parametrize("target", ["complexity_histogram", "toric_schubert",
                                     "levi_table"])
 def test_scan_multiplies_once_per_element(monkeypatch, target):
-    # Enumeration makes each element once, each reduced word extends a known
-    # one, and a Levi row is one product w_0(I) w.  The histogram builds no
-    # element and no word; toric_schubert builds its rows and their words
-    # only.  Rebuilding each word from scratch and closing the group under
-    # all generators costs 16 multiplies per element of F4.  A fresh
-    # system, so that no word is known before the scan.
+    # Enumeration makes each element once, with its reduced word, and a Levi
+    # row is one product w_0(I) w, besides the products that build each
+    # w_0(I) once.  The histogram builds no element and no word;
+    # toric_schubert builds its rows and their words only.  Rebuilding each
+    # word from scratch and closing the group under all generators costs 16
+    # multiplies per element of F4.  A fresh system, so that no word is
+    # known before the scan.
     rs = build_root_system(cartan_datum("F", 4))
     order = 1152
+    # longest_element makes one product per letter of w_0(I), and every I
+    # is in the left descent set of w_0.
+    f4 = root_system("F", 4)
+    levi_builds = sum(longest_element(f4, sub).length for sub in subsets(4))
     calls = [0]
     real = bruhatkit.weyl.multiply
 
@@ -397,11 +410,17 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
         assert words == 0
     elif target == "toric_schubert":
         assert len(rows) == 34
-        assert calls[0] <= order + len(rows)
+        assert calls[0] <= len(rows)
         assert words == len(rows)
     else:
         assert len(rows) == 5089
-        assert calls[0] <= 3 * order + len(rows)
+        assert calls[0] <= order + len(rows) + levi_builds
+    # The words of a freshly enumerated group cost no product at all.
+    group = enumerate_group(build_root_system(cartan_datum("F", 4)))
+    calls[0] = 0
+    assert [len(bruhatkit.weyl.reduced_word(w)) for w in group] == [
+        w.length for w in group]
+    assert calls[0] == 0
 
 
 @lru_cache(maxsize=None)

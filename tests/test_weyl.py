@@ -349,10 +349,10 @@ def test_enumeration_and_words_against_oracles(family, rank):
     assert lengths == sorted(lengths)
     closure = _closure_under_right_multiplication(rs)
     assert set(group) == set(closure)
-    # Only the order within each length layer differs from the closure's,
-    # and canonical_order does not see it.
-    assert canonical_order(group) == canonical_order(closure)
+    # The group comes in canonical order: by length, then by least reduced
+    # word, as the oracle finds it, not as the construction wrote it.
     least = _least_words(group)
+    assert list(group) == sorted(group, key=lambda w: (w.length, least[w]))
     for w in group:
         word = reduced_word(w)
         assert word == least[w]
@@ -367,6 +367,8 @@ def test_enumeration_and_words_against_oracles(family, rank):
                 perm_from_word(rank + 1, word))
         elif w.length <= 8:
             assert word == min(all_reduced_words(w))
+    # canonical_order sorts the closure's breadth-first order into the same.
+    assert canonical_order(closure) == list(group)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4)])
