@@ -246,10 +246,10 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
 
 def _scan_unit(target: str, w: WeylElement,
                elements: tuple[WeylElement, ...],
-               levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]]
-               ) -> list[dict]:
-    w_str = word_string(w)
+               levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]],
+               spelled: dict[WeylElement, tuple[str, int]]) -> list[dict]:
     if target == "toric_richardson":
+        w_str = word_string(w)
         rows = []
         for v in elements:
             if w.length <= v.length and bruhat_le(w, v):
@@ -261,7 +261,10 @@ def _scan_unit(target: str, w: WeylElement,
         return rows
     # levi_table; scan() has already handled the other targets.  For I in
     # D_L(w) the left parabolic factor of w is w_0(I), an involution, so
-    # the coset factor is d = w_0(I) w.
+    # the coset factor is d = w_0(I) w.  It is no longer than w, so it came
+    # no later, and ``spelled`` has its word string and l(d) - |supp(d)|.
+    w_str = ".".join(map(str, w._word)) or "id"
+    spelled[w] = w_str, len(w._word) - len(set(w._word))
     rows = []
     descents = sorted(left_descents(w))
     for size in range(len(descents) + 1):
@@ -271,10 +274,9 @@ def _scan_unit(target: str, w: WeylElement,
                 entry = levi_w0[sub] = (longest_element(w.system, sub),
                                         _subset_str(sub))
             w0, sub_str = entry
-            d = multiply(w0, w)
-            rows.append({"w": w_str, "I": sub_str,
-                         "coset_factor": word_string(d),
-                         "value": d.length - len(support(d))})
+            d_str, value = spelled[multiply(w0, w)]
+            rows.append({"w": w_str, "I": sub_str, "coset_factor": d_str,
+                         "value": value})
     return rows
 
 
@@ -337,5 +339,6 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
         return ({"w": word_string(w), "length": w.length,
                  "support": _subset_str(support(w))} for w in elements)
     levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]] = {}
+    spelled: dict[WeylElement, tuple[str, int]] = {}  # see _scan_unit
     return (row for w in elements
-            for row in _scan_unit(target, w, elements, levi_w0))
+            for row in _scan_unit(target, w, elements, levi_w0, spelled))

@@ -242,15 +242,20 @@ class RootSystem:
     def _build_permutations(self) -> None:
         # Signed roots: positions 0..N-1 hold the positive roots and N..2N-1
         # their negatives, so a root is negative iff its position is >= N.
-        # A permutation maps each position to the position of its image.
+        # A permutation maps each position to the position of its image.  It
+        # is bytes if 2N <= 256, which weyl.multiply composes by one translate
+        # through u.perm + pad, else a tuple; only this method chooses.
         self.signed_roots: tuple[Root, ...] = self.positive_roots + tuple(
             negate(r) for r in self.positive_roots)
+        n = len(self.signed_roots)
+        self.pad: bytes | None = bytes(range(n, 256)) if n <= 256 else None
+        perm = self.perm_type = tuple if self.pad is None else bytes
         self.position: dict[Root, int] = {
             r: k for k, r in enumerate(self.signed_roots)}
         self.simple_positions: tuple[int, ...] = tuple(
             self.index[self.simple_root(i)] for i in range(1, self.rank + 1))
-        self.simple_perms: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self.position[self._reflect_raw(i0, r)]
+        self.simple_perms: tuple[bytes | tuple[int, ...], ...] = tuple(
+            perm(self.position[self._reflect_raw(i0, r)]
                   for r in self.signed_roots)
             for i0 in range(self.rank))
         # s_beta = s_i s_alpha s_i, where alpha = s_i(beta) is a positive
@@ -263,9 +268,9 @@ class RootSystem:
                 alpha = self.signed_roots[s[self.index[beta]]]
                 if alpha in perms:
                     s_alpha = perms[alpha]
-                    perms[beta] = tuple(s[s_alpha[q]] for q in s)
+                    perms[beta] = perm(s[s_alpha[q]] for q in s)
                     break
-        self.reflection_perms: dict[Root, tuple[int, ...]] = perms
+        self.reflection_perms: dict[Root, bytes | tuple[int, ...]] = perms
 
     # -- predicates -------------------------------------------------------
 

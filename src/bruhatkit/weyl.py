@@ -2,18 +2,22 @@
 
 An element is the permutation it induces on the 2N signed roots of its
 root system (``RootSystem.signed_roots``): entry k is the position of the
-image of root k.  Products compose, inverses invert, and lengths and
-descents are read off which positive roots land on negative positions.
-Words compose left to right: ``from_word(rs, [1, 2])`` is s_1 s_2, acting
-by ``(s_1 s_2)(x) = s_1(s_2(x))``.
+image of root k.  It is ``bytes`` when 2N <= 256 (E6-E8, F4, G2, A1-A15,
+B/C/D up to rank 11), so that a product is one ``bytes.translate``, and a
+tuple above that; ``RootSystem._build_permutations`` chooses.  Products
+compose, inverses invert, and lengths and descents are read off which
+positive roots land on negative positions.  Words compose left to right:
+``from_word(rs, [1, 2])`` is s_1 s_2, acting by
+``(s_1 s_2)(x) = s_1(s_2(x))``.
 
 Elements are interned per root system, so equality is identity, and
 lengths, inverses, descents, reduced words and the products w s_i by simple
 reflections (``times_simple``) are computed once per element.  The hash is
-that of the permutation, the same in every run, so set and dict order never
-depends on memory addresses.  Everything here is
-pure and safe for concurrent readers: a memo slot is only ever written with
-its one correct value, so a lost or repeated write costs time, not results.
+that of the permutation as a tuple of ints, the same in every run (a hash of
+bytes is salted per process), so set and dict order never depends on memory
+addresses or the hash seed.  Everything here is pure and safe for concurrent
+readers: a memo slot is only ever written with its one correct value, so a
+lost or repeated write costs time, not results.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import GroupTooLargeError, InvalidInputError
 from .rootsys import Root, RootSystem, weyl_group_order
 
 SimpleSubset = frozenset[int]
-Perm = tuple[int, ...]
+Perm = bytes | tuple[int, ...]  # see RootSystem._build_permutations
 
 #: Default refusal threshold for full group enumeration (= |W(E6)|).
 DEFAULT_GROUP_CAP = 51840
@@ -51,7 +55,7 @@ class WeylElement:
         self._descents: SimpleSubset | None = None
         self._word: tuple[int, ...] | None = None
         self._right: list[WeylElement | None] | None = None
-        self._hash = hash(perm)
+        self._hash = hash(tuple(perm))
 
     @property
     def length(self) -> int:
@@ -100,7 +104,7 @@ def _intern(rs: RootSystem, perm: Perm) -> WeylElement:
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return _intern(rs, tuple(range(len(rs.signed_roots))))
+    return _intern(rs, rs.perm_type(range(len(rs.signed_roots))))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -136,7 +140,10 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     if u.system is not v.system:
         raise InvalidInputError("elements belong to different root systems")
-    return _intern(u.system, tuple(map(u.perm.__getitem__, v.perm)))
+    rs = u.system
+    if rs.pad is None:
+        return _intern(rs, tuple(map(u.perm.__getitem__, v.perm)))
+    return _intern(rs, v.perm.translate(u.perm + rs.pad))
 
 
 def times_simple(w: WeylElement, i: int) -> WeylElement:
@@ -170,7 +177,7 @@ def inverse(w: WeylElement) -> WeylElement:
         inv = [0] * len(w.perm)
         for k, p in enumerate(w.perm):
             inv[p] = k
-        inv_el = _intern(w.system, tuple(inv))
+        inv_el = _intern(w.system, w.system.perm_type(inv))
         w._inverse = inv_el
         inv_el._inverse = w
     return w._inverse
@@ -261,8 +268,7 @@ def support(w: WeylElement) -> SimpleSubset:
 
 def word_string(w: WeylElement) -> str:
     """Dot-separated reduced word; the identity renders as "id"."""
-    word = reduced_word(w)
-    return ".".join(map(str, word)) if word else "id"
+    return ".".join(map(str, reduced_word(w))) or "id"
 
 
 def left_parabolic_decomposition(

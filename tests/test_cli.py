@@ -608,6 +608,31 @@ def test_deodhar_same_output_under_optimize(capsys):
     assert proc.stdout == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--type", "B", "--rank", "3", "--target", "levi_table",
+     "--format", "json"],
+    ["scan", "--type", "A", "--rank", "3", "--target", "toric_richardson",
+     "--format", "csv"],
+    ["deodhar", "--type", "D", "--rank", "4", "--v-word",
+     "1.2.1.3.2.1.4.2.1.3.2.4", "--u", "id", "--format", "json"],
+    ["complexity", "--type", "E", "--rank", "8", "--kind", "richardson",
+     "--u", "id", "--v", "1.2.3.1.4.5.4.2.3.6.7.8.7.6"],
+], ids=["levi_table", "toric_richardson", "deodhar", "richardson_e8"])
+def test_output_does_not_depend_on_hash_seed(argv):
+    # Element hashes are those of tuples of ints, never of bytes or str,
+    # so set and dict order, and with it every output byte, is the same
+    # under any PYTHONHASHSEED.
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bruhatkit.cli"] + argv,
+            capture_output=True, text=True, timeout=120,
+            env={**_cli_env(), "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
 def test_no_assert_statements_in_package():
     # Invariants are explicit checks, which python -O keeps.
     for info in pkgutil.iter_modules(bruhatkit.__path__):

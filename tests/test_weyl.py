@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import combinations
 
@@ -67,12 +68,13 @@ def test_group_operations(a2, s3):
 
 def test_elements_of_separate_systems_never_equal():
     # Equality is identity, and each system interns its own elements; the
-    # hash is the permutation's, so it is the same in every run.
+    # hash is that of the permutation as a tuple of ints, so it is the same
+    # in every run (a hash of bytes is salted per process).
     datum = cartan_datum("B", 2)
     one, two = build_root_system(datum), build_root_system(datum)
     for word in words_up_to(2, 4):
         x, y = from_word(one, word), from_word(two, word)
-        assert x.perm == y.perm and hash(x) == hash(y) == hash(x.perm)
+        assert x.perm == y.perm and hash(x) == hash(y) == hash(tuple(x.perm))
         assert x != y
         assert x == from_word(one, word)
     assert len({from_word(one, [1]), from_word(two, [1])}) == 2
@@ -226,18 +228,19 @@ def test_action_permutes_signed_roots(b2, g2_group):
             assert {w.apply(r) for r in signed} == signed
 
 
+def act(rs, word, root):
+    """Independent model: the product of the simple reflections in ``word``
+    acts on a root by applying them one by one, rightmost first."""
+    for i in reversed(word):
+        root = simple_reflect(rs, i, root)
+    return root
+
+
 def test_representation_against_word_model(b3_group, g2_group, d4_group):
-    # independent model: w acts on a root by applying the simple
-    # reflections of its reduced word one by one, rightmost first
     for group in (b3_group, g2_group, d4_group):
         rs = group[0].system
         signed = rs.positive_roots + tuple(
             tuple(-c for c in r) for r in rs.positive_roots)
-
-        def act(word, root):
-            for i in reversed(word):
-                root = simple_reflect(rs, i, root)
-            return root
 
         def negative(root):
             return any(c < 0 for c in root)
@@ -245,11 +248,11 @@ def test_representation_against_word_model(b3_group, g2_group, d4_group):
         for w in group:
             word = reduced_word(w)
             for r in signed:
-                assert w.apply(r) == act(word, r)
-                assert inverse(w).apply(r) == act(word[::-1], r)
+                assert w.apply(r) == act(rs, word, r)
+                assert inverse(w).apply(r) == act(rs, word[::-1], r)
             assert w.length == len(word) == sum(
-                negative(act(word, r)) for r in rs.positive_roots)
-            images = [act(word, rs.simple_root(j))
+                negative(act(rs, word, r)) for r in rs.positive_roots)
+            images = [act(rs, word, rs.simple_root(j))
                       for j in range(1, rs.rank + 1)]
             assert right_descents(w) == {
                 j for j, img in enumerate(images, start=1) if negative(img)}
@@ -257,6 +260,39 @@ def test_representation_against_word_model(b3_group, g2_group, d4_group):
             matrix = tuple(tuple(img[r] for img in images)
                            for r in range(rs.rank))
             assert w.sort_key() == (len(word), matrix)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 15), ("A", 16), ("B", 11),
+                                         ("B", 12), ("D", 12), ("E", 8)])
+def test_permutations_on_both_sides_of_256_signed_roots(family, rank):
+    # A permutation is bytes exactly when every position fits in a byte;
+    # products, inverses and words must agree with the model either way.
+    # A private system keeps these six out of the shared registry.
+    rs = build_root_system(cartan_datum(family, rank))
+    small = len(rs.signed_roots) <= 256
+    assert small == ((family, rank) in {("A", 15), ("B", 11), ("E", 8)})
+    rng = random.Random(f"{family}{rank}")
+
+    def random_word(length):
+        w, word = identity(rs), []
+        while len(word) < length:
+            i = rng.randint(1, rs.rank)
+            if i not in right_descents(w):
+                w, word = multiply(w, simple_reflection(rs, i)), word + [i]
+        return w, word
+
+    for _ in range(3):
+        (u, u_word), (v, v_word) = random_word(12), random_word(9)
+        uv = multiply(u, v)
+        assert from_word(rs, u_word + v_word) is uv
+        assert all(type(x.perm) is (bytes if small else tuple)
+                   for x in (u, v, uv, inverse(uv)))
+        for r in rs.signed_roots:
+            assert (uv.apply(r) == u.apply(v.apply(r))
+                    == act(rs, u_word + v_word, r))
+        assert inverse(inverse(uv)) is uv
+    w0 = longest_element(rs, range(1, rs.rank + 1))
+    assert inverse(w0) is w0 and multiply(w0, w0) is identity(rs)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 4), ("G", 2),
