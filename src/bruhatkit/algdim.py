@@ -1,9 +1,10 @@
 """Algebraic dimension of Bruhat intervals.
 
 ad(u, v) is the dimension of the span of all edge labels of the Bruhat graph
-on [u, v].  The production route, ``ad``, is a right-descent recursion that
-never builds the interval.  Three interval routes cross-check it: all graph
-edges (ad_direct), the covers incident to either endpoint
+on [u, v].  The production route, ``ad``, is the rank of the labels of the
+right-descent walk that also decides u <= v (``bruhat.descent_labels``), so
+it never builds the interval.  Three interval routes cross-check it: all
+graph edges (ad_direct), the covers incident to either endpoint
 (ad_via_covers_at), and any single saturated chain (ad_via_chain).  All four
 agree; the test suite checks this exhaustively on small groups.
 
@@ -22,10 +23,10 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Literal
 
-from .bruhat import bruhat_le, edge_label, interval, saturated_chain
+from .bruhat import descent_labels, edge_label, interval, saturated_chain
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
-from .weyl import WeylElement, right_descents, times_simple, word_string
+from .weyl import WeylElement, word_string
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -121,15 +122,8 @@ class SpanBasis:
         return f"SpanBasis(rank {self.rank}, {len(self.generators)} generators)"
 
 
-def _require_le(u: WeylElement, v: WeylElement) -> None:
-    if not bruhat_le(u, v):
-        raise NotComparableError(
-            f"{word_string(u)} is not <= {word_string(v)}")
-
-
 def ad_direct(u: WeylElement, v: WeylElement) -> SpanBasis:
     """Span of the labels of all Bruhat-graph edges in [u, v]."""
-    _require_le(u, v)
     iv = interval(u, v)
     rs = u.system
     labels = sorted({e.label for e in iv.graph_edges},
@@ -143,7 +137,6 @@ def ad_via_covers_at(u: WeylElement, v: WeylElement,
 
     These already span the whole of the edge-label space of the interval.
     """
-    _require_le(u, v)
     iv = interval(u, v)
     if end == "bottom":
         labels = [e.label for e in iv.cover_edges if e.lower == u]
@@ -156,14 +149,14 @@ def ad_via_covers_at(u: WeylElement, v: WeylElement,
 
 def ad_via_chain(u: WeylElement, v: WeylElement) -> SpanBasis:
     """Span of the edge labels along one saturated chain of [u, v]."""
-    _require_le(u, v)
     chain = saturated_chain(u, v)
     return SpanBasis(edge_label(x, y) for x, y in zip(chain, chain[1:]))
 
 
 @lru_cache(maxsize=None)
 def ad(u: WeylElement, v: WeylElement) -> int:
-    """ad(u, v) by the right-descent recursion, never building [u, v].
+    """ad(u, v): the rank of the labels of ``descent_labels``, whose walk
+    also decides u <= v; it never builds [u, v].
 
     With i the least right descent of v: if u s_i < u, then
     ad(u, v) = ad(u s_i, v s_i); otherwise u(alpha_i) joins the labels of
@@ -177,16 +170,10 @@ def ad(u: WeylElement, v: WeylElement) -> int:
     >>> ad(from_word(rs, [2]), from_word(rs, [2, 1, 3, 2]))
     3
     """
-    _require_le(u, v)
-    rs = u.system
-    labels = []
-    while u != v:
-        i = min(right_descents(v))
-        if i in right_descents(u):
-            u = times_simple(u, i)
-        else:
-            labels.append(rs.signed_roots[u.perm[rs.simple_positions[i - 1]]])
-        v = times_simple(v, i)
+    labels = descent_labels(u, v)
+    if labels is None:
+        raise NotComparableError(
+            f"{word_string(u)} is not <= {word_string(v)}")
     return span_rank(labels)
 
 
@@ -202,7 +189,6 @@ def max_toric_above_bottom(
     The maximum equals ad(u, v); the returned witness is the least such w in
     the deterministic element order.
     """
-    _require_le(u, v)
     best = max((w for w in interval(u, v).elements_sorted()
                 if is_toric(u, w)), key=lambda w: w.length)
     return best, best.length - u.length
@@ -211,7 +197,6 @@ def max_toric_above_bottom(
 def max_toric_below_top(
         u: WeylElement, v: WeylElement) -> tuple[WeylElement, int]:
     """Maximize l(v) - l(w) over w in [u, v] with [w, v] toric."""
-    _require_le(u, v)
     best = min((w for w in interval(u, v).elements_sorted()
                 if is_toric(w, v)), key=lambda w: w.length)
     return best, v.length - best.length

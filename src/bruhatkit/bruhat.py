@@ -4,10 +4,11 @@ The Bruhat graph on [u, v] has an edge w ~ s_alpha w for every positive root
 alpha with both endpoints in the interval; the edge label (weight) is alpha.
 Cover edges are the length-difference-1 edges, i.e. the Hasse diagram.
 
-Interval enumeration is a downward breadth-first search from v that keeps
-only elements >= u; the elements below each w are read off its inversions
-(``_below``), and comparisons are memoized globally, which is safe because
-elements are interned and immutable.
+Comparison and algebraic dimension share one right-descent walk
+(``descent_labels``): ``bruhat_le`` asks whether it reaches u = v, and
+``algdim.ad`` takes the rank of the labels it records.  Interval enumeration
+is a downward breadth-first search from v that keeps only elements >= u; the
+elements below each w are read off its inversions (``_below``).
 """
 
 from __future__ import annotations
@@ -33,18 +34,33 @@ class CoverEdge(NamedTuple):
     label: Root
 
 
-@lru_cache(maxsize=None)
-def bruhat_le(u: WeylElement, v: WeylElement) -> bool:
-    """u <= v in Bruhat order, by the right-descent recursion run as a loop,
-    so long elements need no stack frame per letter."""
+def descent_labels(u: WeylElement, v: WeylElement) -> list[Root] | None:
+    """The labels of the right-descent walk from (u, v), or None as soon as
+    l(u) > l(v), which happens exactly when u is not <= v (the lifting
+    property; Björner–Brenti, GTM 231, ch. 2).
+
+    With i the least right descent of v, each step sets v to v s_i, and u to
+    u s_i when i is also a right descent of u; otherwise it records the
+    label u(alpha_i).  Once u = v it has recorded l(v) - l(u) labels.
+    """
+    rs = u.system
+    labels = []
     while u.length <= v.length:
         if u == v:
-            return True
+            return labels
         i = min(right_descents(v))
         if i in right_descents(u):
             u = times_simple(u, i)
+        else:
+            labels.append(rs.signed_roots[u.perm[rs.simple_positions[i - 1]]])
         v = times_simple(v, i)
-    return False
+    return None
+
+
+@lru_cache(maxsize=None)
+def bruhat_le(u: WeylElement, v: WeylElement) -> bool:
+    """u <= v in Bruhat order: the walk of ``descent_labels`` reaches u = v."""
+    return descent_labels(u, v) is not None
 
 
 def _sort_edges(rs, edges) -> list[CoverEdge]:
@@ -110,8 +126,7 @@ def upper_covers_le(w: WeylElement, v: WeylElement) -> list[CoverEdge]:
 class LabeledInterval:
     """The Bruhat interval [u, v] with its cover and Bruhat-graph edges.
 
-    Immutable after construction; distinct intervals may be built
-    concurrently.
+    Immutable after construction.
     """
 
     def __init__(self, u: WeylElement, v: WeylElement,
@@ -186,9 +201,6 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
 def saturated_chain(u: WeylElement, v: WeylElement) -> list[WeylElement]:
     """One maximal chain u = w0 < w1 < ... < v, choosing at each step the
     upper cover with the least label in the root ordering."""
-    if not bruhat_le(u, v):
-        raise NotComparableError(
-            f"{word_string(u)} is not <= {word_string(v)}")
     rs = u.system
     iv = interval(u, v)
     ups: dict[WeylElement, list[CoverEdge]] = {w: [] for w in iv.elements}

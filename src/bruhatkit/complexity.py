@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, islice
 from typing import Iterable, Iterator
 
-from .algdim import ad, max_toric_below_top
-from .bruhat import bruhat_le
+from .algdim import ad, max_toric_below_top, span_rank
+from .bruhat import bruhat_le, descent_labels
 from .errors import (FormulaUnavailableError, InvalidInputError,
                      PreconditionError)
 from .rootsys import RootSystem
@@ -34,9 +34,6 @@ from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement, _check_cap,
                    left_parabolic_decomposition, longest_element, multiply,
                    right_descents, support, word_string)
 
-SCAN_TARGETS = ("toric_schubert", "toric_richardson",
-                "complexity_histogram", "levi_table")
-
 #: Fixed column order per scan target (also the CSV header order).
 SCAN_COLUMNS = {
     "toric_schubert": ("w", "length", "support"),
@@ -44,6 +41,7 @@ SCAN_COLUMNS = {
     "complexity_histogram": ("value", "count"),
     "levi_table": ("w", "I", "coset_factor", "value"),
 }
+SCAN_TARGETS = tuple(SCAN_COLUMNS)
 
 
 @dataclass
@@ -244,40 +242,41 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
 # -- batch scans ----------------------------------------------------------
 
 
-def _scan_unit(target: str, w: WeylElement,
-               elements: tuple[WeylElement, ...],
-               levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]],
-               spelled: dict[WeylElement, tuple[str, int]]) -> list[dict]:
-    if target == "toric_richardson":
-        w_str = word_string(w)
-        rows = []
+def _richardson_rows(elements: tuple[WeylElement, ...]) -> Iterator[dict]:
+    """The pairs u <= v with ad(u, v) = l(v) - l(u), by one uncached
+    ``descent_labels`` walk per pair: its l(v) - l(u) labels must be
+    independent."""
+    for u in elements:
+        u_str = word_string(u)
         for v in elements:
-            if w.length <= v.length and bruhat_le(w, v):
-                rank = v.length - w.length
-                dim = ad(w, v)
-                if dim == rank:
-                    rows.append({"u": w_str, "v": word_string(v),
-                                 "rank": rank, "ad": dim})
-        return rows
-    # levi_table; scan() has already handled the other targets.  For I in
-    # D_L(w) the left parabolic factor of w is w_0(I), an involution, so
-    # the coset factor is d = w_0(I) w.  It is no longer than w, so it came
-    # no later, and ``spelled`` has its word string and l(d) - |supp(d)|.
-    w_str = ".".join(map(str, w._word)) or "id"
-    spelled[w] = w_str, len(w._word) - len(set(w._word))
-    rows = []
-    descents = sorted(left_descents(w))
-    for size in range(len(descents) + 1):
-        for sub in combinations(descents, size):
-            entry = levi_w0.get(sub)
-            if entry is None:
-                entry = levi_w0[sub] = (longest_element(w.system, sub),
-                                        _subset_str(sub))
-            w0, sub_str = entry
-            d_str, value = spelled[multiply(w0, w)]
-            rows.append({"w": w_str, "I": sub_str, "coset_factor": d_str,
-                         "value": value})
-    return rows
+            if u.length <= v.length:
+                labels = descent_labels(u, v)
+                if labels is not None and span_rank(labels) == len(labels):
+                    yield {"u": u_str, "v": word_string(v),
+                           "rank": len(labels), "ad": len(labels)}
+
+
+def _levi_rows(elements: tuple[WeylElement, ...]) -> Iterator[dict]:
+    """The levi_table rows.  For I in D_L(w) the left parabolic factor of w
+    is w_0(I), an involution, so the coset factor is d = w_0(I) w.  It is no
+    longer than w, so it came no later, and ``spelled`` has its word string
+    and l(d) - |supp(d)|."""
+    levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]] = {}
+    spelled: dict[WeylElement, tuple[str, int]] = {}
+    for w in elements:
+        w_str = ".".join(map(str, w._word)) or "id"
+        spelled[w] = w_str, len(w._word) - len(set(w._word))
+        descents = sorted(left_descents(w))
+        for size in range(len(descents) + 1):
+            for sub in combinations(descents, size):
+                entry = levi_w0.get(sub)
+                if entry is None:
+                    entry = levi_w0[sub] = (longest_element(w.system, sub),
+                                            _subset_str(sub))
+                w0, sub_str = entry
+                d_str, value = spelled[multiply(w0, w)]
+                yield {"w": w_str, "I": sub_str, "coset_factor": d_str,
+                       "value": value}
 
 
 def _support_histogram(rs: RootSystem, top: int) -> list[dict]:
@@ -316,7 +315,9 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     The others build theirs with their words, in canonical order (length,
     then least reduced word), by ``_layers``: ``toric_schubert`` only its
     rows, the others the whole group, whose rows are computed for each
-    element only when they are read.
+    element only when they are read.  ``toric_richardson`` makes one
+    uncached right-descent walk per pair (``bruhat.descent_labels``), so it
+    leaves the ``bruhat_le`` and ``ad`` memo tables as it found them.
 
     >>> from bruhatkit.rootsys import root_system
     >>> list(scan(root_system("A", 2), "complexity_histogram"))
@@ -338,7 +339,6 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     if toric:
         return ({"w": word_string(w), "length": w.length,
                  "support": _subset_str(support(w))} for w in elements)
-    levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]] = {}
-    spelled: dict[WeylElement, tuple[str, int]] = {}  # see _scan_unit
-    return (row for w in elements
-            for row in _scan_unit(target, w, elements, levi_w0, spelled))
+    if target == "toric_richardson":
+        return _richardson_rows(elements)
+    return _levi_rows(elements)

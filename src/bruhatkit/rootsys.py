@@ -177,8 +177,7 @@ class RootSystem:
     """All positive roots of a finite root system, with exact arithmetic,
     and the permutation of the signed roots induced by each reflection.
 
-    Immutable after construction (internal caches aside); safe to share
-    between concurrent tasks.
+    Immutable after construction (internal caches aside).
     """
 
     def __init__(self, datum: CartanDatum):

@@ -15,9 +15,8 @@ lengths, inverses, descents, reduced words and the products w s_i by simple
 reflections (``times_simple``) are computed once per element.  The hash is
 that of the permutation as a tuple of ints, the same in every run (a hash of
 bytes is salted per process), so set and dict order never depends on memory
-addresses or the hash seed.  Everything here is pure and safe for concurrent
-readers: a memo slot is only ever written with its one correct value, so a
-lost or repeated write costs time, not results.
+addresses or the hash seed.  Everything here is pure: a memo slot is only
+ever written with its one correct value.
 """
 
 from __future__ import annotations

@@ -13,13 +13,15 @@ from bruhatkit import (FormulaUnavailableError, InvalidInputError,
                        left_parabolic_decomposition, longest_element,
                        partial_flag_levi_complexity,
                        partial_flag_torus_complexity,
-                       partial_stabilizer_descents, right_descents,
-                       root_system, scan, support,
+                       partial_stabilizer_descents, reduced_word,
+                       right_descents, root_system, scan, span_rank, support,
                        torus_complexity_richardson,
                        torus_complexity_schubert, word_string)
+from bruhatkit.bruhat import descent_labels
 from bruhatkit.cli import parse_element
 from bruhatkit.complexity import SCAN_TARGETS
-from oracles import minimal_coset_element, rows_by_words
+from oracles import (fraction_rank, interval_all_roots, minimal_coset_element,
+                     rows_by_words, subword_reachable)
 from sweeps import comparable_pairs
 
 
@@ -276,6 +278,44 @@ def test_scan_toric_richardson(a1):
     assert all(row["rank"] == row["ad"] for row in rows)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("G", 2), ("B", 3)])
+def test_toric_richardson_and_descent_labels_against_oracles(family, rank):
+    # Every pair, with u <= v by the subword property over a reduced word of
+    # v, and ad(u, v) by Fraction elimination over the labels of all
+    # Bruhat-graph edges of [u, v]; neither goes through the descent walk.
+    rs = root_system(family, rank)
+    group = canonical_order(enumerate_group(rs))
+    below = {v: subword_reachable(rs, reduced_word(v)) for v in group}
+    expected = []
+    for u in group:
+        for v in group:
+            labels = descent_labels(u, v)
+            assert (labels is None) == (u not in below[v]), (u, v)
+            if labels is None:
+                continue
+            elements, edges = interval_all_roots(u, v)
+            assert elements == {x for x in below[v] if u in below[x]}
+            rank_uv = fraction_rank([e.label for e in edges])
+            assert len(labels) == v.length - u.length
+            assert span_rank(labels) == rank_uv, (u, v)
+            if rank_uv == len(labels):
+                expected.append({"u": word_string(u), "v": word_string(v),
+                                  "rank": rank_uv, "ad": rank_uv})
+    assert list(scan(rs, "toric_richardson")) == expected
+
+
+def test_toric_richardson_scan_leaves_memo_tables_as_found():
+    # One uncached walk per pair, so neither unbounded table grows.
+    rs = build_root_system(cartan_datum("B", 3))
+
+    def sizes():
+        return bruhat_le.cache_info().currsize, ad.cache_info().currsize
+
+    before = sizes()
+    assert len(list(scan(rs, "toric_richardson"))) == 504
+    assert sizes() == before
+
+
 def test_scan_histogram(b2):
     rows = list(scan(b2, "complexity_histogram"))
     assert rows == [{"value": 0, "count": 5}, {"value": 1, "count": 2},
@@ -345,13 +385,13 @@ def test_scan_huge_max_length_is_unbounded(a3):
 def test_scan_streams(a3, monkeypatch):
     # the first row is produced from the first element alone
     seen = []
-    unit = complexity._scan_unit
+    real = complexity.left_descents
 
-    def counting(target, w, *rest):
+    def counting(w):
         seen.append(w)
-        return unit(target, w, *rest)
+        return real(w)
 
-    monkeypatch.setattr(complexity, "_scan_unit", counting)
+    monkeypatch.setattr(complexity, "left_descents", counting)
     rows = scan(a3, "levi_table")
     assert seen == []
     next(rows)
