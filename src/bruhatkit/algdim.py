@@ -3,10 +3,11 @@
 ad(u, v) is the dimension of the span of all edge labels of the Bruhat graph
 on [u, v].  The production route, ``ad``, is the rank of the labels of the
 right-descent walk that also decides u <= v (``bruhat.descent_labels``), so
-it never builds the interval.  Three interval routes cross-check it: all
-graph edges (ad_direct), the covers incident to either endpoint
-(ad_via_covers_at), and any single saturated chain (ad_via_chain).  All four
-agree; the test suite checks this exhaustively on small groups.
+it never builds the interval.  Three slower routes cross-check it: all
+graph edges of [u, v] (ad_direct) and its covers incident to either endpoint
+(ad_via_covers_at), which build the interval, and one saturated chain
+(ad_via_chain), climbed cover by cover without it.  All four agree; the test
+suite checks this exhaustively on small groups.
 
 ad(u, v) is also td of every Deodhar component: every distinguished mask's
 betas span L(u, v), the span of the labels of [u, v] (proof in ``deodhar``).

@@ -200,19 +200,12 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
 
 def saturated_chain(u: WeylElement, v: WeylElement) -> list[WeylElement]:
     """One maximal chain u = w0 < w1 < ... < v, choosing at each step the
-    upper cover with the least label in the root ordering."""
-    rs = u.system
-    iv = interval(u, v)
-    ups: dict[WeylElement, list[CoverEdge]] = {w: [] for w in iv.elements}
-    for e in iv.cover_edges:
-        ups[e.lower].append(e)
+    upper cover with the least label in the root ordering: the first of
+    ``upper_covers_le``, which sorts by label index, then by ``sort_key``.
+    Builds no interval."""
     chain = [u]
-    w = u
-    while w != v:
-        step = min(ups[w], key=lambda e: (rs.index[e.label],
-                                          e.upper.sort_key()))
-        w = step.upper
-        chain.append(w)
+    while chain[-1] != v:
+        chain.append(upper_covers_le(chain[-1], v)[0].upper)
     return chain
 
 

@@ -166,7 +166,7 @@ _ELEMENT_KEYS = ("u", "v", "w", "levi_factor", "coset_factor",
 
 
 def _emit_report(report: ComplexityReport, args, out,
-                 rs: RootSystem | None = None) -> None:
+                 rs: RootSystem) -> None:
     if args.format == "json":
         payload = {"kind": report.kind, "value": report.value,
                    "witness": report.witness, "meta": _meta(args)}
@@ -178,14 +178,11 @@ def _emit_report(report: ComplexityReport, args, out,
         writer.writerow([report.kind, report.value]
                         + [_csv_cell(report.witness[k]) for k in keys])
     else:
-        oneline_ok = (rs is not None and rs.datum.family == "A"
-                      and rs.rank <= 8)
         out.write(f"kind: {report.kind}\n")
         out.write(f"value: {report.value}\n")
         for key, value in report.witness.items():
-            cell = _csv_cell(value)
-            if oneline_ok and key in _ELEMENT_KEYS:
-                cell = _display(rs, parse_element(rs, value))
+            cell = (_display(rs, parse_element(rs, value))
+                    if key in _ELEMENT_KEYS else _csv_cell(value))
             out.write(f"{key}: {cell}\n")
 
 
@@ -367,9 +364,9 @@ def cmd_deodhar(args, out) -> int:
         for row in rows:
             flag = " (positive)" if row["positive"] else ""
             out.write(f"mask ({row['mask']}){flag}\n")
-            out.write(f"  J+={set(row['j_plus']) or '{}'} "
-                      f"Jo={set(row['j_circ']) or '{}'} "
-                      f"J-={set(row['j_minus']) or '{}'}\n")
+            # The sorted lists as sets: {6, 8, 9, 10}, or {} when empty.
+            out.write("  J+={%s} Jo={%s} J-={%s}\n" % tuple(
+                str(row[k])[1:-1] for k in ("j_plus", "j_circ", "j_minus")))
             out.write(f"  betas: {'; '.join(row['betas']) or '-'}\n")
             out.write(f"  shape: ({row['shape'][0]},{row['shape'][1]})  "
                       f"td: {row['td']}\n")
@@ -379,8 +376,15 @@ def cmd_deodhar(args, out) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line, like every other error."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bruhatkit",
         description="Exact Weyl group combinatorics: Bruhat intervals, "
                     "distinguished subexpressions, and torus/Levi-Borel "

@@ -115,10 +115,8 @@ def levi_acts(subset: Iterable[int], w: WeylElement) -> LeviAction:
     """Decide whether the Levi subgroup on the given simple indices acts on
     the Schubert variety of w, reporting both equivalent criteria."""
     sub = frozenset(subset)
-    for i in sorted(sub):
-        w.system._check_index(i)
+    a, _ = left_parabolic_decomposition(w, sub)  # checks the indices
     missing = tuple(sorted(sub - left_descents(w)))
-    a, _ = left_parabolic_decomposition(w, sub)
     w0 = longest_element(w.system, sub)
     descent_ok = not missing
     factor_ok = a == w0
@@ -198,10 +196,8 @@ def partial_flag_torus_complexity(w: WeylElement,
 
 def is_toric_partial(w: WeylElement, subset: Iterable[int]) -> bool:
     """Toric iff every generator appears at most once in any reduced word,
-    i.e. l(w) = supp(w)."""
-    sub = frozenset(subset)
-    _require_minimal(w, sub)
-    return w.length == len(support(w))
+    i.e. c_T = l(w) - supp(w) = 0."""
+    return partial_flag_torus_complexity(w, subset).value == 0
 
 
 def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],

@@ -125,16 +125,19 @@ def _check_reduced(rs, v_word: Sequence[int]) -> WeylElement:
     return v
 
 
-def _beta(rs, k: int, prev: WeylElement, i: int, skip: bool) -> Root:
-    """beta_k for a position k in Jo (``skip``) or J- with prefix ``prev``
-    before it and letter i."""
-    # prev(alpha_i) is the signed root at position p, its negation the one
-    # n_pos places away; beta_k is whichever of them is positive.
+def _moves(rs, k: int, x: WeylElement, i: int) -> tuple:
+    """The distinguished moves at position k, from prefix x by letter i,
+    take before skip: (choice, next prefix, entry), entry the (k, beta_k) of
+    a Jo or J- position, else None.  x(alpha_i) is the signed root at
+    position p; skipping is allowed exactly when it is positive (taking goes
+    up), and beta_k is it or its negation, n_pos places away, whichever is
+    positive."""
     n_pos = len(rs.positive_roots)
-    p = prev.perm[rs.simple_positions[i - 1]]
-    if (p < n_pos) != skip:
-        raise AssertionError(f"beta_{k} is not a positive root")
-    return rs.positive_roots[p % n_pos]
+    p = x.perm[rs.simple_positions[i - 1]]
+    entry = (k, rs.positive_roots[p % n_pos])
+    if p < n_pos:
+        return (TAKE, times_simple(x, i), None), (SKIP, x, entry)
+    return ((TAKE, times_simple(x, i), entry),)
 
 
 def build_subexpression(rs, v_word: Sequence[int],
@@ -153,20 +156,18 @@ def build_subexpression(rs, v_word: Sequence[int],
     prefixes = [identity(rs)]
     betas = []
     for k, (i, choice) in enumerate(zip(word, mask), start=1):
-        prev = prefixes[-1]
-        if choice == SKIP:
-            if i in right_descents(prev):
-                raise InvalidInputError(
-                    f"mask is not distinguished: position {k} skips a "
-                    f"forced descent")
-            prefixes.append(prev)
-        elif choice == TAKE:
-            prefixes.append(times_simple(prev, i))
-            if prefixes[-1].length > prev.length:
-                continue
-        else:
+        if choice not in (TAKE, SKIP):
             raise InvalidInputError(f"unknown mask token {choice!r}")
-        betas.append((k, _beta(rs, k, prev, i, choice == SKIP)))
+        for move, x, entry in _moves(rs, k, prefixes[-1], i):
+            if move == choice:
+                break
+        else:
+            raise InvalidInputError(
+                f"mask is not distinguished: position {k} skips a "
+                f"forced descent")
+        prefixes.append(x)
+        if entry:
+            betas.append(entry)
     return Subexpression(word, mask, tuple(prefixes), tuple(betas),
                          ad(prefixes[-1], v))
 
@@ -185,8 +186,8 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     The backward pass collects, for each k, the prefixes of length at most k
     from which some distinguished completion reaches u: y s_i by a take, and
     y itself by a skip when y s_i > y.  The forward pass goes layer by layer
-    from the identity and keeps only the moves into those sets, so every
-    state it enters is live.
+    from the identity and keeps only the moves of ``_moves`` into those
+    sets, so every state it enters is live.
     """
     n, n_pos = len(word), len(rs.positive_roots)
     reach = [{u: None}]
@@ -204,15 +205,9 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     # Only the identity has length 0: the first layer is the start or empty.
     steps, layer = [], reach[0]
     for k, i in enumerate(word):
-        ahead, found = reach[k + 1], {}
-        for x in layer:
-            # Skipping is allowed exactly when taking goes up.
-            y = times_simple(x, i)
-            up = y.length > x.length
-            entry = (k + 1, _beta(rs, k + 1, x, i, up))
-            moves = (((TAKE, y, None), (SKIP, x, entry)) if up
-                     else ((TAKE, y, entry),))
-            found[x] = tuple(move for move in moves if move[1] in ahead)
+        ahead = reach[k + 1]
+        found = {x: tuple(move for move in _moves(rs, k + 1, x, i)
+                          if move[1] in ahead) for x in layer}
         steps.append(found)
         layer = {move[1]: None for moves in found.values() for move in moves}
     steps.append({u: ()})

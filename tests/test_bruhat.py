@@ -6,11 +6,12 @@ import pytest
 
 import bruhatkit.bruhat
 import bruhatkit.weyl
-from bruhatkit import (NotComparableError, ad, bruhat_le, build_root_system,
-                       cartan_datum, enumerate_group, from_word, identity,
-                       interval, longest_element, lower_covers, multiply,
-                       reduced_word, right_descents, root_system,
-                       saturated_chain, span_rank, upper_covers_le)
+from bruhatkit import (NotComparableError, ad, ad_via_chain, bruhat_le,
+                       build_root_system, canonical_order, cartan_datum,
+                       enumerate_group, from_word, identity, interval,
+                       longest_element, lower_covers, multiply, reduced_word,
+                       right_descents, root_system, saturated_chain,
+                       span_rank, upper_covers_le)
 from bruhatkit.bruhat import CoverEdge, edge_label
 from bruhatkit.cli import parse_element
 from bruhatkit.weyl import WeylElement, reflection, simple_reflection
@@ -322,3 +323,32 @@ def test_saturated_chain(a2, a3):
     assert saturated_chain(u, v) == saturated_chain(u, v)
     with pytest.raises(NotComparableError):
         saturated_chain(from_word(a2, [1]), from_word(a2, [2]))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_saturated_chain_takes_least_label(family, rank):
+    # The rule the chain has always followed, read off the interval's cover
+    # edges: at each step the least (label index, sort_key of the cover).
+    rs = root_system(family, rank)
+    pairs = comparable_pairs(canonical_order(enumerate_group(rs)))
+    expected = []
+    for u, v in pairs:
+        ups: dict = {}
+        for e in interval(u, v).cover_edges:
+            ups.setdefault(e.lower, []).append(e)
+        chain = [u]
+        while chain[-1] != v:
+            chain.append(min(ups[chain[-1]], key=lambda e: (
+                rs.index[e.label], e.upper.sort_key())).upper)
+        expected.append(chain)
+    assert [saturated_chain(u, v) for u, v in pairs] == expected
+
+
+def test_saturated_chain_builds_no_interval(a3, s4, monkeypatch):
+    monkeypatch.setattr(bruhatkit.bruhat, "interval", None)
+    for u, v in comparable_pairs(s4):
+        chain = saturated_chain(u, v)
+        assert len(chain) == v.length - u.length + 1
+        assert ad_via_chain(u, v).rank == ad(u, v)
+    with pytest.raises(NotComparableError, match="is not <="):
+        saturated_chain(from_word(a3, [1]), from_word(a3, [2]))

@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -530,6 +531,22 @@ def test_deodhar_listing_golden(capsys):
     assert [row["positive"] for row in rows] == [False, True]
 
 
+def test_deodhar_text_lists_j_sets_in_order(capsys):
+    code, out, _ = run(capsys, ["deodhar", "--type", "A", "--rank", "4",
+                                "--v-word", "1.2.1.3.2.1.4.3.2.1",
+                                "--u", "id"])
+    assert code == 0
+    j_lines = [line for line in out.splitlines() if line.startswith("  J+=")]
+    assert j_lines[:2] == [
+        "  J+={1, 2, 3, 4} Jo={5, 7} J-={6, 8, 9, 10}",
+        "  J+={1, 2, 3} Jo={4, 7, 8, 10} J-={5, 6, 9}"]
+    assert j_lines[-1].endswith(" J-={}")  # the positive mask
+    for line in j_lines:
+        for body in re.findall(r"\{([^}]*)\}", line):
+            positions = [int(k) for k in body.split(", ")] if body else []
+            assert positions == sorted(positions), line
+
+
 def test_deodhar_all_take_for_top(capsys):
     code, out, _ = run(capsys, ["deodhar", "--type", "A", "--rank", "2",
                                 "--v-word", "1.2.1", "--u", "1.2.1",
@@ -645,3 +662,11 @@ def test_no_assert_statements_in_package():
 
 def test_unknown_flag_exits_2(capsys):
     assert main(["info", "--type", "A"]) == 2  # missing --rank
+    capsys.readouterr()
+    # Usage errors keep the one-line contract: no usage block on stderr.
+    for argv in (["complexity", "--type", "A", "--rank", "3", "--kind",
+                  "richardson", "--w", "-x"],
+                 ["info", "--type", "A"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out
+        assert err.startswith("error:") and err.count("\n") == 1, err

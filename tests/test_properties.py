@@ -4,13 +4,19 @@ Examples are derandomized and bounded, so every run checks the same cases
 and the suite stays fast.
 """
 
+import contextlib
+import io
+import os
+import tempfile
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bruhatkit import (bruhat_le, canonical_order,  # noqa: E402
+from bruhatkit import (bruhat_le, canonical_order, cli,  # noqa: E402
                        enumerate_distinguished, enumerate_group, from_word,
                        identity, inverse, left_descents, multiply,
                        reduced_word, right_descents, root_system, td_span)
@@ -189,3 +195,122 @@ def test_walk_masks_against_oracle_route(case):
     for se in subexprs:
         assert se == build_subexpression(rs, word, se.choices)
         assert se.td == td_span(se).rank
+
+
+# -- the CLI contract -----------------------------------------------------
+
+#: Systems on both sides of each family's rank bounds.  The valid ones are
+#: few and small, so a case costs milliseconds; the upper bounds of A-D are
+#: probed from outside only (A45 takes about 1 s to build).
+SYSTEMS = (("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2),
+           ("D", 4), ("F", 4), ("E", 6))
+BAD_SYSTEMS = (("A", 0), ("A", 46), ("B", 1), ("D", 33), ("E", 5), ("E", 9),
+               ("F", 3), ("G", 3), ("C", -1), ("A", 10**20))
+HUGE = str(10**20)
+JUNK = ("", "id", " ", "x", "1..2", "1.", "1.1", "1.2.1.2", "3412", "21",
+        HUGE, "1\n2", "-1")
+
+
+def _word_text(rank, max_size):
+    """Mostly words over the simple indices, some with letters out of
+    range, some malformed."""
+    def dotted(letters):
+        return st.lists(letters, max_size=max_size).map(
+            lambda w: ".".join(map(str, w)) or "id")
+    return st.one_of(dotted(st.integers(1, rank)), dotted(st.integers(1, rank)),
+                     dotted(st.integers(-1, rank + 1)), st.sampled_from(JUNK))
+
+
+def _subset_text(rank):
+    def joined(indices):
+        return st.lists(indices, max_size=3).map(
+            lambda s: ",".join(map(str, s)))
+    return st.one_of(joined(st.integers(1, rank)), joined(st.integers(1, rank)),
+                     joined(st.integers(-1, rank + 1)),
+                     st.sampled_from(("", ",", "1,,2", "a", "1,1", HUGE)))
+
+
+def _rarely(draw, common, *rare):
+    """Mostly ``common``, now and then one of ``rare``."""
+    return draw(st.sampled_from((common,) * 24 + rare))
+
+
+@st.composite
+def cli_calls(draw):
+    """An argv for cli.main and a BRUHAT_GROUP_CAP value (None: unset)."""
+    command = draw(st.sampled_from(("info", "complexity", "scan", "deodhar")))
+    # Scans stay at rank 3 or less: a scan of a larger group takes seconds.
+    systems = [s for s in SYSTEMS if command != "scan" or s[1] <= 3]
+    family, rank = draw(st.sampled_from(_rarely(draw, systems, BAD_SYSTEMS)))
+    small = max(1, min(rank, 8))
+    flags = [("--type", family), ("--rank", str(rank)),
+             ("--format", _rarely(draw, draw(st.sampled_from(
+                 ("text", "json", "csv"))), "xml", ""))]
+    if command == "complexity":
+        flags += [("--kind", _rarely(draw, draw(st.sampled_from(
+            ("richardson", "schubert", "levi", "partial"))), "bogus"))]
+        flags += [(f"--{name}", draw(_word_text(small, 6)))
+                  for name in ("u", "v", "w")]
+        flags += [(f"--{name}", draw(_subset_text(small)))
+                  for name in ("I", "J")]
+    elif command == "scan":
+        flags += [("--target", _rarely(draw, draw(st.sampled_from(
+                      ("toric_schubert", "toric_richardson",
+                       "complexity_histogram", "levi_table"))), "nope")),
+                  ("--max-length", draw(st.sampled_from(
+                      ("-1", "0", "2", HUGE, "x")))),
+                  ("--out", draw(st.sampled_from(
+                      ("{dir}/rows", "{dir}/missing/rows"))))]
+    elif command == "deodhar":
+        word = draw(_word_text(small, 8))
+        if (family, rank) in SYSTEMS and draw(st.booleans()):
+            word = draw(reduced_words_of(family, rank))[2]
+            word = ".".join(map(str, word)) or "id"
+        flags += [("--v-word", word), ("--u", draw(_word_text(small, 4)))]
+    # --max-length, --out and --I are optional; any flag goes missing now
+    # and then.
+    argv = [command]
+    for flag, value in flags:
+        if (draw(st.booleans()) if flag in ("--max-length", "--out", "--I")
+                else _rarely(draw, True, False)):
+            argv += [flag, value]
+    argv += _rarely(draw, [], ["--bogus"], ["a\nb"])
+    cap = _rarely(draw, None, "0", "5", "51840", "-1", "abc", "", HUGE)
+    return argv, cap
+
+
+def _call(argv, cap):
+    """Run cli.main on argv, with {dir} in it a fresh directory that holds
+    one file, rows.  Returns the exit code, stdout, stderr and the files
+    left in the directory, with their contents."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with open(os.path.join(tmp, "rows"), "w", encoding="utf-8") as fh:
+            fh.write("old\n")
+        os.environ.pop("BRUHAT_GROUP_CAP", None)
+        if cap is not None:
+            os.environ["BRUHAT_GROUP_CAP"] = cap
+        code = cli.main([arg.replace("{dir}", tmp) for arg in argv])
+        files = {}
+        for name in os.listdir(tmp):
+            with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                files[name] = fh.read()
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@settings(CASES, max_examples=400)
+@given(cli_calls())
+def test_cli_contract(call):
+    # Any argv and cap end in a documented exit code.  A failure is one
+    # stderr line with no traceback, and leaves the --out target as it was;
+    # a success prints the same bytes when run again in the same process.
+    argv, cap = call
+    code, out, err, files = _call(argv, cap)
+    assert code in (0, 2, 3, 4), (code, err)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
+        assert files == {"rows": "old\n"}
+    else:
+        assert _call(argv, cap) == (code, out, err, files)
