@@ -190,14 +190,15 @@ def max_toric_above_bottom(
     The maximum equals ad(u, v); the returned witness is the least such w in
     the deterministic element order.
     """
-    best = max((w for w in interval(u, v).elements_sorted()
-                if is_toric(u, w)), key=lambda w: w.length)
+    best = min((w for w in interval(u, v).elements if is_toric(u, w)),
+               key=lambda w: (-w.length, w.sort_key()))
     return best, best.length - u.length
 
 
 def max_toric_below_top(
         u: WeylElement, v: WeylElement) -> tuple[WeylElement, int]:
-    """Maximize l(v) - l(w) over w in [u, v] with [w, v] toric."""
-    best = min((w for w in interval(u, v).elements_sorted()
-                if is_toric(w, v)), key=lambda w: w.length)
+    """Maximize l(v) - l(w) over w in [u, v] with [w, v] toric; the witness
+    is the least such w by ``sort_key``, which orders by length first."""
+    best = min((w for w in interval(u, v).elements if is_toric(w, v)),
+               key=WeylElement.sort_key)
     return best, v.length - best.length

@@ -6,14 +6,16 @@ Cover edges are the length-difference-1 edges, i.e. the Hasse diagram.
 
 Comparison and algebraic dimension share one right-descent walk
 (``descent_labels``): ``bruhat_le`` asks whether it reaches u = v, and
-``algdim.ad`` takes the rank of the labels it records.  Interval enumeration
-is a downward breadth-first search from v that keeps only elements >= u; the
-elements below each w are read off its inversions (``_below``).
+``algdim.ad`` takes the rank of the labels it records.  ``interval`` finds
+only the elements of [u, v], by a downward breadth-first search from v that
+keeps only elements >= u; the elements below each w are read off its
+inversions (``_below``).  Its Bruhat-graph edges are worked out from those
+elements once, when first read.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import NotComparableError
@@ -124,18 +126,25 @@ def upper_covers_le(w: WeylElement, v: WeylElement) -> list[CoverEdge]:
 
 
 class LabeledInterval:
-    """The Bruhat interval [u, v] with its cover and Bruhat-graph edges.
-
-    Immutable after construction.
+    """The Bruhat interval [u, v]: its elements, and its cover and
+    Bruhat-graph edges worked out from them once, when first read.
     """
 
     def __init__(self, u: WeylElement, v: WeylElement,
-                 elements: frozenset[WeylElement],
-                 graph_edges: tuple[CoverEdge, ...]):
+                 elements: frozenset[WeylElement]):
         self.u = u
         self.v = v
         self.elements = elements
-        self.graph_edges = graph_edges
+
+    @cached_property
+    def graph_edges(self) -> tuple[CoverEdge, ...]:
+        """Every edge x ~ w = s_alpha x with both ends in [u, v], sorted by
+        (lower end, label, upper end)."""
+        rs = self.u.system
+        reflections = _reflections(rs)
+        return tuple(_sort_edges(rs, (
+            CoverEdge(x, w, alpha) for w in self.elements
+            for alpha, x in _below(w, reflections) if x in self.elements)))
 
     @property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
@@ -150,9 +159,6 @@ class LabeledInterval:
             sizes[w.length - self.u.length] += 1
         return tuple(sizes)
 
-    def elements_sorted(self) -> list[WeylElement]:
-        return sorted(self.elements, key=WeylElement.sort_key)
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -163,39 +169,32 @@ class LabeledInterval:
 
 @lru_cache(maxsize=16384)
 def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
-    """Build [u, v] with all cover edges and all Bruhat-graph edges.
+    """The elements of [u, v]; its edges are worked out on first read.
 
     Every element of [u, v] is reachable from v by a saturated chain inside
     [u, v], so the downward search may prune anything not >= u.  The
     elements x = s_alpha w < w below a visited w come from w's inversions
-    (``_below``), l(w) products for each w above the bottom layer l(u); each
-    such x with l(x) >= l(u) gives an edge if x lies in [u, v].
+    (``_below``), l(w) products for each w above the bottom layer l(u).
     """
     if not bruhat_le(u, v):
         raise NotComparableError(
             f"empty interval: {word_string(u)} is not <= {word_string(v)}")
-    rs = u.system
-    reflections = _reflections(rs)
+    reflections = _reflections(u.system)
     bottom = u.length
     elements = {v}
-    candidates = []
     frontier = [v]
     # Every element of a layer has the same length; at l(u) only u is left,
     # and nothing below it lies in [u, v].
     while frontier and frontier[0].length > bottom:
         nxt = []
         for w in frontier:
-            for alpha, x in _below(w, reflections):
-                if x.length < bottom:
-                    continue
-                candidates.append(CoverEdge(x, w, alpha))
+            for _, x in _below(w, reflections):
                 if (x.length == w.length - 1 and x not in elements
                         and bruhat_le(u, x)):
                     elements.add(x)
                     nxt.append(x)
         frontier = nxt
-    graph = _sort_edges(rs, (e for e in candidates if e.lower in elements))
-    return LabeledInterval(u, v, frozenset(elements), tuple(graph))
+    return LabeledInterval(u, v, frozenset(elements))
 
 
 def saturated_chain(u: WeylElement, v: WeylElement) -> list[WeylElement]:

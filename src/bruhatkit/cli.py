@@ -18,6 +18,11 @@ exits 2 before any root is built.
 
 Exit codes: 0 success, 2 input error, 3 precondition/hypothesis failure,
 4 enumeration cap exceeded.  The env var BRUHAT_GROUP_CAP overrides the cap.
+Each error is one stderr line: ``error: <message>``, or under
+``--format json`` the object ``{"error": {"exit_code": int, "hypothesis":
+str, "message": str}}``.  Usage errors from argument parsing (exit 2) are
+always the text line, even with ``--format json``, since they are found
+before the format is known.
 
 ``main`` builds its parser once per process and takes each root system from
 the shared ``root_system`` registry, so a stream of queries in one process

@@ -180,18 +180,12 @@ def partial_flag_torus_complexity(w: WeylElement,
     l(w) - supp(w); requires w minimal in its coset."""
     sub = frozenset(subset)
     _require_minimal(w, sub)
-    supp_set = support(w)
+    base = torus_complexity_schubert(w)
+    # "w" first, then "J", then the full-flag witness in its own order.
     return ComplexityReport(
-        kind="torus_partial",
-        value=w.length - len(supp_set),
-        witness={
-            "w": word_string(w),
-            "J": sorted(sub),
-            "length": w.length,
-            "support": sorted(supp_set),
-            "supp": len(supp_set),
-            "toric": w.length == len(supp_set),
-        })
+        kind="torus_partial", value=base.value,
+        witness={"w": base.witness["w"], "J": sorted(sub), **base.witness,
+                 "toric": base.value == 0})
 
 
 def is_toric_partial(w: WeylElement, subset: Iterable[int]) -> bool:

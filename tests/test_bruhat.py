@@ -11,7 +11,8 @@ from bruhatkit import (NotComparableError, ad, ad_via_chain, bruhat_le,
                        enumerate_group, from_word, identity, interval,
                        longest_element, lower_covers, multiply, reduced_word,
                        right_descents, root_system, saturated_chain,
-                       span_rank, upper_covers_le)
+                       span_rank, torus_complexity_richardson,
+                       upper_covers_le)
 from bruhatkit.bruhat import CoverEdge, edge_label
 from bruhatkit.cli import parse_element
 from bruhatkit.weyl import WeylElement, reflection, simple_reflection
@@ -255,6 +256,36 @@ def test_interval_builds_one_sort_key_per_element(monkeypatch):
         assert len(iv.graph_edges) > 2 * len(iv)
         assert set(calls) <= iv.elements
         assert max(calls.values()) == 1
+
+
+def test_richardson_query_builds_no_edges(monkeypatch):
+    # The witness reads only the elements of [u, v]; the edges are worked
+    # out once, when something first reads them.  On a fresh system, so no
+    # interval comes from the shared cache.
+    rs = build_root_system(cartan_datum("A", 3))
+    group = canonical_order(enumerate_group(rs))
+
+    def refuse(*args):
+        raise AssertionError("a Bruhat-graph edge was built")
+
+    real_sort = bruhatkit.bruhat._sort_edges
+    monkeypatch.setattr(bruhatkit.bruhat, "_sort_edges", refuse)
+    monkeypatch.setattr(bruhatkit.bruhat, "CoverEdge", refuse)
+    for u, v in comparable_pairs(group):
+        torus_complexity_richardson(u, v)
+        assert "graph_edges" not in vars(interval(u, v))
+    sorts = Counter()
+
+    def counting(rs, edges):
+        sorts["calls"] += 1
+        return real_sort(rs, edges)
+
+    monkeypatch.setattr(bruhatkit.bruhat, "_sort_edges", counting)
+    monkeypatch.setattr(bruhatkit.bruhat, "CoverEdge", CoverEdge)
+    iv = interval(group[0], group[-1])
+    assert iv.graph_edges is iv.graph_edges
+    assert len(iv.graph_edges) == 24 * 6 // 2
+    assert sorts["calls"] == 1
 
 
 def test_interval_rejects_incomparable(a2):
