@@ -184,13 +184,14 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     elements = {v}
     frontier = [v]
     # Every element of a layer has the same length; at l(u) only u is left,
-    # and nothing below it lies in [u, v].
+    # and nothing below it lies in [u, v].  When u is the identity (l(u) = 0),
+    # every x is >= u and needs no comparison.
     while frontier and frontier[0].length > bottom:
         nxt = []
         for w in frontier:
             for _, x in _below(w, reflections):
                 if (x.length == w.length - 1 and x not in elements
-                        and bruhat_le(u, x)):
+                        and (not bottom or bruhat_le(u, x))):
                     elements.add(x)
                     nxt.append(x)
         frontier = nxt

@@ -53,7 +53,7 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          partial_flag_torus_complexity, scan,
                          torus_complexity_richardson,
                          torus_complexity_schubert)
-from .deodhar import enumerate_distinguished
+from .deodhar import SKIP, enumerate_distinguished
 from .errors import (GroupTooLargeError, InvalidInputError, PreconditionError)
 from .rootsys import (Root, RootSystem, positive_root_count, root_system,
                       weyl_group_order)
@@ -131,10 +131,7 @@ def parse_subset(text: str | None) -> frozenset[int]:
             f"integers like 1,3") from None
 
 
-@lru_cache(maxsize=4096)
 def root_string(root: Root) -> str:
-    # Roots are a finite set per system; the bound covers every root of the
-    # largest system the CLI accepts (A45: 2070 roots).
     parts = []
     for i, c in enumerate(root, start=1):
         if c == 0:
@@ -326,19 +323,27 @@ def cmd_scan(args, out) -> int:
     return 0
 
 
-def _deodhar_row(se) -> dict:
-    j_circ, j_minus = se.j_circ, se.j_minus
-    return {
-        "mask": se.mask_string(),
-        "evaluation": word_string(se.evaluation),
-        "j_plus": sorted(se.j_plus),
-        "j_circ": sorted(j_circ),
-        "j_minus": sorted(j_minus),
-        "betas": [f"{k}:{root_string(b)}" for k, b in se.betas],
-        "shape": [len(j_circ), len(j_minus)],
-        "td": se.td,
-        "positive": not j_minus,
-    }
+def _deodhar_rows(subexprs, u: WeylElement):
+    """The printed row of each mask, every one of which evaluates to u.
+
+    One pass over the choices gives the J lists in order: Jo the skips, J-
+    the other beta positions, J+ the rest.  Masks that share a move share
+    its (k, beta) entry, so each entry's text is made once per command.
+    """
+    evaluation = word_string(u)
+    texts: dict[tuple[int, Root], str] = {}
+    for se in subexprs:
+        marked = {k for k, _ in se.betas}
+        j_plus, j_circ, j_minus = [], [], []
+        for k, choice in enumerate(se.choices, 1):
+            (j_circ if choice == SKIP else j_minus if k in marked
+             else j_plus).append(k)
+        betas = [texts.get(e) or texts.setdefault(
+            e, f"{e[0]}:{root_string(e[1])}") for e in se.betas]
+        yield {"mask": se.mask_string(), "evaluation": evaluation,
+               "j_plus": j_plus, "j_circ": j_circ, "j_minus": j_minus,
+               "betas": betas, "shape": [len(j_circ), len(j_minus)],
+               "td": se.td, "positive": not j_minus}
 
 
 def cmd_deodhar(args, out) -> int:
@@ -347,7 +352,7 @@ def cmd_deodhar(args, out) -> int:
     u = parse_element(rs, args.u)
     subexprs = enumerate_distinguished(word, u)
     # Rows are built as they are written, so only one is held at a time.
-    rows = map(_deodhar_row, subexprs)
+    rows = _deodhar_rows(subexprs, u)
     columns = ("mask", "evaluation", "j_plus", "j_circ", "j_minus",
                "betas", "shape", "td", "positive")
     if args.format == "json":

@@ -288,6 +288,24 @@ def test_richardson_query_builds_no_edges(monkeypatch):
     assert sorts["calls"] == 1
 
 
+def test_interval_from_identity_makes_one_comparison(monkeypatch):
+    # Every element is >= the identity, so [id, w0] is admitted without a
+    # walk per element: only the check that id <= w0 walks.  On a fresh
+    # system, so no comparison comes from the shared cache.
+    rs = build_root_system(cartan_datum("A", 4))
+    real = bruhatkit.bruhat.descent_labels
+    calls = [0]
+
+    def counting(u, v):
+        calls[0] += 1
+        return real(u, v)
+
+    monkeypatch.setattr(bruhatkit.bruhat, "descent_labels", counting)
+    iv = interval(identity(rs), longest_element(rs, range(1, 5)))
+    assert calls[0] == 1
+    assert iv.elements == frozenset(enumerate_group(rs))
+
+
 def test_interval_rejects_incomparable(a2):
     with pytest.raises(NotComparableError):
         interval(from_word(a2, [1]), from_word(a2, [2]))

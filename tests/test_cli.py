@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import json
 import os
 import pkgutil
@@ -7,11 +8,13 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 import bruhatkit
-from bruhatkit import (build_root_system, cartan_datum, cli, from_word,
+from bruhatkit import (build_root_system, cartan_datum, cli,
+                       enumerate_distinguished, enumerate_group, from_word,
                        identity, levi_borel_complexity, root_system, rootsys,
                        torus_complexity_richardson, torus_complexity_schubert,
                        word_string)
@@ -586,6 +589,81 @@ def test_deodhar_td_is_one_ad_per_query(monkeypatch, capsys):
     assert {row["td"] for row in rows} == {5}
     assert counts["ad"] == 1
     assert counts["span_rank"] <= 1
+
+
+def _w0_word(rs):
+    return reduced_word(longest_element(rs, range(1, rs.rank + 1)))
+
+
+def _oracle_row(se) -> dict:
+    # The row rebuilt from the Subexpression's own J sets, betas and
+    # evaluation, one mask at a time.
+    j_circ, j_minus = se.j_circ, se.j_minus
+    return {
+        "mask": se.mask_string(),
+        "evaluation": word_string(se.evaluation),
+        "j_plus": sorted(se.j_plus),
+        "j_circ": sorted(j_circ),
+        "j_minus": sorted(j_minus),
+        "betas": [f"{k}:{root_string(b)}" for k, b in se.betas],
+        "shape": [len(j_circ), len(j_minus)],
+        "td": se.td,
+        "positive": not j_minus,
+    }
+
+
+@pytest.mark.parametrize("family, rank, every_u, masks", [
+    ("B", 3, True, 200), ("G", 2, True, 33), ("D", 5, False, 1613)])
+def test_deodhar_rows_match_subexpression_oracle(family, rank, every_u,
+                                                 masks):
+    rs = root_system(family, rank)
+    word = _w0_word(rs)
+    checked = 0
+    for u in enumerate_group(rs) if every_u else [identity(rs)]:
+        subexprs = enumerate_distinguished(word, u)
+        rows = list(cli._deodhar_rows(subexprs, u))
+        assert rows == [_oracle_row(se) for se in subexprs]
+        checked += len(rows)
+    assert checked == masks
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "265bbcdf1006a8789e2154f037e0d322"
+             "bd2aa78e331f17947d41e35007d820da"),
+    ("json", "43e2a22fdadab1f6ad2f623fc4ac6c16"
+             "62a3e2da98bc10be5b8cf22364282396"),
+    ("csv", "0b16612b118efeb320f30d90efe762fb"
+            "d17d9c0e3b4fdec391b14e10f23ee3fe"),
+])
+def test_deodhar_output_digest(capsys, fmt, digest):
+    # The 1,613 rows of D5, w0 word, u = id, byte for byte in each format.
+    word = _w0_word(root_system("D", 5))
+    code, out, _ = run(capsys, ["deodhar", "--type", "D", "--rank", "5",
+                                "--v-word", ".".join(map(str, word)),
+                                "--u", "id", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_deodhar_rows_format_each_entry_once(monkeypatch):
+    # The 1,613 masks of D5, w0 word, u = id carry 25,300 beta entries but
+    # only 132 distinct ones, and every mask evaluates to u.
+    rs = root_system("D", 5)
+    u = identity(rs)
+    subexprs = enumerate_distinguished(_w0_word(rs), u)
+    assert sum(len(se.betas) for se in subexprs) == 25300
+    calls = Counter()
+    for name in ("root_string", "word_string"):
+        real = getattr(cli, name)
+
+        def counting(arg, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(arg)
+
+        monkeypatch.setattr(cli, name, counting)
+    rows = list(cli._deodhar_rows(subexprs, u))
+    assert len(rows) == 1613
+    assert calls == {"root_string": 132, "word_string": 1}
 
 
 def test_deodhar_rejects_non_reduced(capsys):
