@@ -8,9 +8,9 @@ Comparison and algebraic dimension share one right-descent walk
 (``descent_labels``): ``bruhat_le`` asks whether it reaches u = v, and
 ``algdim.ad`` takes the rank of the labels it records.  ``interval`` finds
 only the elements of [u, v], by a downward breadth-first search from v that
-keeps only elements >= u; the elements below each w are read off its
-inversions (``_below``).  Its Bruhat-graph edges are worked out from those
-elements once, when first read.
+keeps only elements >= u.  The reflections s_alpha w on either side of w,
+and so its covers, are read off w's permutation (``_reflected``).  An
+interval's edges are worked out from its elements once, when first read.
 """
 
 from __future__ import annotations
@@ -86,43 +86,42 @@ def _reflections(rs) -> list[WeylElement]:
     return [reflection(rs, alpha) for alpha in rs.positive_roots]
 
 
-def _below(w: WeylElement, reflections: list[WeylElement]):
-    """Yield (alpha, s_alpha w) for every positive root alpha with
-    s_alpha w < w, given ``_reflections`` of w's system.
+def _reflected(w: WeylElement, reflections: list[WeylElement],
+               up: bool = False):
+    """Yield (alpha, s_alpha w) for each positive root alpha with
+    s_alpha w < w, or s_alpha w > w when ``up``, given ``_reflections``.
 
-    s_alpha w < w exactly when w^-1(alpha) < 0, that is when alpha = -w(beta)
-    for a right inversion beta of w, so the alphas are read off w's
-    permutation and only l(w) products are made.
+    Entry p of w.perm[:N] is w(beta) for a positive beta: p >= N means
+    alpha = -w(beta) (index p - N) and s_alpha w < w, p < N means alpha =
+    w(beta) and s_alpha w > w.  So l(w) products below, N - l(w) above.
     """
     n_pos = len(reflections)
     roots = w.system.positive_roots
     for p in w.perm[:n_pos]:
-        if p >= n_pos:
-            a = p - n_pos
+        if (p < n_pos) == up:
+            a = p % n_pos
             yield roots[a], multiply(reflections[a], w)
 
 
 def lower_covers(w: WeylElement) -> list[CoverEdge]:
     """All edges x ~ w with x = s_alpha w and l(x) = l(w) - 1, found among
-    the l(w) elements s_alpha w < w (see ``_below``)."""
+    the l(w) elements s_alpha w < w (see ``_reflected``)."""
     rs = w.system
     return _sort_edges(rs, (CoverEdge(x, w, alpha)
-                            for alpha, x in _below(w, _reflections(rs))
+                            for alpha, x in _reflected(w, _reflections(rs))
                             if x.length == w.length - 1))
 
 
 def upper_covers_le(w: WeylElement, v: WeylElement) -> list[CoverEdge]:
-    """All edges w ~ y with l(y) = l(w) + 1 and y <= v."""
+    """All edges w ~ y with l(y) = l(w) + 1 and y <= v, found among the
+    N - l(w) elements s_alpha w > w (see ``_reflected``)."""
     if not bruhat_le(w, v):
         raise NotComparableError(
             f"{word_string(w)} is not <= {word_string(v)}")
     rs = w.system
-    out = []
-    for alpha in rs.positive_roots:
-        y = multiply(reflection(rs, alpha), w)
-        if y.length == w.length + 1 and bruhat_le(y, v):
-            out.append(CoverEdge(w, y, alpha))
-    return _sort_edges(rs, out)
+    return _sort_edges(rs, (CoverEdge(w, y, alpha) for alpha, y
+                            in _reflected(w, _reflections(rs), up=True)
+                            if y.length == w.length + 1 and bruhat_le(y, v)))
 
 
 class LabeledInterval:
@@ -144,9 +143,9 @@ class LabeledInterval:
         reflections = _reflections(rs)
         return tuple(_sort_edges(rs, (
             CoverEdge(x, w, alpha) for w in self.elements
-            for alpha, x in _below(w, reflections) if x in self.elements)))
+            for alpha, x in _reflected(w, reflections) if x in self.elements)))
 
-    @property
+    @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
         """The graph edges with length difference one, in the same order."""
         return tuple(e for e in self.graph_edges
@@ -174,7 +173,7 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     Every element of [u, v] is reachable from v by a saturated chain inside
     [u, v], so the downward search may prune anything not >= u.  The
     elements x = s_alpha w < w below a visited w come from w's inversions
-    (``_below``), l(w) products for each w above the bottom layer l(u).
+    (``_reflected``), l(w) products for each w above the bottom layer l(u).
     """
     if not bruhat_le(u, v):
         raise NotComparableError(
@@ -189,7 +188,7 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     while frontier and frontier[0].length > bottom:
         nxt = []
         for w in frontier:
-            for _, x in _below(w, reflections):
+            for _, x in _reflected(w, reflections):
                 if (x.length == w.length - 1 and x not in elements
                         and (not bottom or bruhat_le(u, x))):
                     elements.add(x)
@@ -210,11 +209,11 @@ def saturated_chain(u: WeylElement, v: WeylElement) -> list[WeylElement]:
 
 
 def edge_label(x: WeylElement, y: WeylElement) -> Root:
-    """The weight of the Bruhat-graph edge between x < y, i.e. the positive
-    root alpha with y = s_alpha x."""
-    rs = x.system
-    for alpha in rs.positive_roots:
-        if multiply(reflection(rs, alpha), x) == y:
+    """The weight of the Bruhat-graph edge between x and y, in either order:
+    the positive root alpha with y = s_alpha x, sought on y's side of x."""
+    for alpha, z in _reflected(x, _reflections(x.system),
+                               up=y.length > x.length):
+        if z == y:
             return alpha
     raise NotComparableError(
         f"{word_string(x)} and {word_string(y)} are not joined by a "

@@ -167,6 +167,21 @@ _ELEMENT_KEYS = ("u", "v", "w", "levi_factor", "coset_factor",
                  "max_toric_witness")
 
 
+def _write_rows(args, out, head: dict, columns, rows) -> None:
+    """A table of rows that hold exactly ``columns``, in order: under json
+    the head object and then each row, one per line; otherwise a header and
+    the cells, separated by commas under csv and by tabs under text."""
+    if args.format == "json":
+        out.write(json.dumps(head) + "\n")
+        for row in rows:
+            out.write(json.dumps(row) + "\n")
+        return
+    writer = csv.writer(out, lineterminator="\n",
+                        delimiter="," if args.format == "csv" else "\t")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row[k]) for k in columns] for row in rows)
+
+
 def _emit_report(report: ComplexityReport, args, out,
                  rs: RootSystem) -> None:
     if args.format == "json":
@@ -305,21 +320,8 @@ def cmd_complexity(args, out) -> int:
 def cmd_scan(args, out) -> int:
     rs = root_system(args.type, args.rank)
     rows = scan(rs, args.target, max_length=args.max_length, cap=_group_cap())
-    columns = SCAN_COLUMNS[args.target]
-    if args.format == "json":
-        out.write(json.dumps({"meta": {**_meta(args),
-                                       "target": args.target}}) + "\n")
-        for row in rows:
-            out.write(json.dumps({k: row[k] for k in columns}) + "\n")
-    elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row[k]) for k in columns])
-    else:
-        out.write("\t".join(columns) + "\n")
-        for row in rows:
-            out.write("\t".join(_csv_cell(row[k]) for k in columns) + "\n")
+    _write_rows(args, out, {"meta": {**_meta(args), "target": args.target}},
+                SCAN_COLUMNS[args.target], rows)
     return 0
 
 
@@ -355,18 +357,10 @@ def cmd_deodhar(args, out) -> int:
     rows = _deodhar_rows(subexprs, u)
     columns = ("mask", "evaluation", "j_plus", "j_circ", "j_minus",
                "betas", "shape", "td", "positive")
-    if args.format == "json":
-        out.write(json.dumps({"meta": _meta(args),
-                              "v_word": list(word),
-                              "u": word_string(u),
-                              "count": len(subexprs)}) + "\n")
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
-    elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row[k]) for k in columns])
+    if args.format != "text":
+        _write_rows(args, out, {"meta": _meta(args), "v_word": list(word),
+                                "u": word_string(u), "count": len(subexprs)},
+                    columns, rows)
     else:
         out.write(f"v-word: {'.'.join(map(str, word)) or 'id'}   "
                   f"u: {_display(rs, u)}   "

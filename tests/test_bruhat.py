@@ -330,6 +330,56 @@ def test_upper_covers_le(a3):
         upper_covers_le(parse_element(a3, "4321"), v)
 
 
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_covers_and_labels_against_every_root(family, rank):
+    # Brute force over all N positive roots: s_alpha w for every alpha.
+    rs = root_system(family, rank)
+    group = canonical_order(enumerate_group(rs))
+    refl = {alpha: reflection(rs, alpha) for alpha in rs.positive_roots}
+    for w in group:
+        near = {alpha: multiply(s, w) for alpha, s in refl.items()}
+        below = [CoverEdge(x, w, a) for a, x in near.items()
+                 if x.length == w.length - 1]
+        assert lower_covers(w) == sorted(below, key=lambda e: (
+            e.lower.sort_key(), rs.index[e.label]))
+        for v in group:
+            if bruhat_le(w, v):
+                above = [CoverEdge(w, y, a) for a, y in near.items()
+                         if y.length == w.length + 1 and bruhat_le(y, v)]
+                assert upper_covers_le(w, v) == sorted(above, key=lambda e: (
+                    rs.index[e.label], e.upper.sort_key()))
+        for a, y in near.items():
+            assert edge_label(w, y) == a and edge_label(y, w) == a
+        for x in group:
+            if x.length == w.length:
+                with pytest.raises(NotComparableError):
+                    edge_label(w, x)
+
+
+def test_covers_make_one_product_per_root_on_their_side(monkeypatch):
+    # l(w) products for the covers below w, N - l(w) for those above.
+    rs = build_root_system(cartan_datum("B", 3))
+    n_pos = len(rs.positive_roots)
+    calls = [0]
+    real = bruhatkit.bruhat.multiply
+
+    def counting(u, v):
+        calls[0] += 1
+        return real(u, v)
+
+    monkeypatch.setattr(bruhatkit.bruhat, "multiply", counting)
+    w0 = longest_element(rs, range(1, 4))
+    for w in canonical_order(enumerate_group(rs)):
+        calls[0] = 0
+        upper_covers_le(w, w0)
+        assert calls[0] == n_pos - w.length
+        calls[0] = 0
+        lower_covers(w)
+        assert calls[0] == w.length
+    iv = interval(identity(rs), w0)
+    assert iv.cover_edges is iv.cover_edges
+
+
 def test_graph_edges_are_reflection_related(a3):
     iv = interval(identity(a3), parse_element(a3, "3412"))
     for e in iv.graph_edges:
