@@ -81,22 +81,21 @@ def _sort_edges(rs, edges) -> list[CoverEdge]:
                   key=lambda e: (key(e.lower), index[e.label], key(e.upper)))
 
 
-def _reflections(rs) -> list[WeylElement]:
-    """s_alpha for every positive root alpha, by root index."""
-    return [reflection(rs, alpha) for alpha in rs.positive_roots]
-
-
-def _reflected(w: WeylElement, reflections: list[WeylElement],
-               up: bool = False):
+def _reflected(w: WeylElement, up: bool = False):
     """Yield (alpha, s_alpha w) for each positive root alpha with
-    s_alpha w < w, or s_alpha w > w when ``up``, given ``_reflections``.
+    s_alpha w < w, or s_alpha w > w when ``up``.
 
     Entry p of w.perm[:N] is w(beta) for a positive beta: p >= N means
     alpha = -w(beta) (index p - N) and s_alpha w < w, p < N means alpha =
     w(beta) and s_alpha w > w.  So l(w) products below, N - l(w) above.
+    The N reflections s_alpha, by root index, are made on the first call
+    for a system and kept in ``rs.reflection_cache``.
     """
+    rs = w.system
+    roots, reflections = rs.positive_roots, rs.reflection_cache
+    if not reflections:
+        reflections.extend(reflection(rs, alpha) for alpha in roots)
     n_pos = len(reflections)
-    roots = w.system.positive_roots
     for p in w.perm[:n_pos]:
         if (p < n_pos) == up:
             a = p % n_pos
@@ -106,10 +105,9 @@ def _reflected(w: WeylElement, reflections: list[WeylElement],
 def lower_covers(w: WeylElement) -> list[CoverEdge]:
     """All edges x ~ w with x = s_alpha w and l(x) = l(w) - 1, found among
     the l(w) elements s_alpha w < w (see ``_reflected``)."""
-    rs = w.system
-    return _sort_edges(rs, (CoverEdge(x, w, alpha)
-                            for alpha, x in _reflected(w, _reflections(rs))
-                            if x.length == w.length - 1))
+    return _sort_edges(w.system, (CoverEdge(x, w, alpha)
+                                  for alpha, x in _reflected(w)
+                                  if x.length == w.length - 1))
 
 
 def upper_covers_le(w: WeylElement, v: WeylElement) -> list[CoverEdge]:
@@ -118,10 +116,10 @@ def upper_covers_le(w: WeylElement, v: WeylElement) -> list[CoverEdge]:
     if not bruhat_le(w, v):
         raise NotComparableError(
             f"{word_string(w)} is not <= {word_string(v)}")
-    rs = w.system
-    return _sort_edges(rs, (CoverEdge(w, y, alpha) for alpha, y
-                            in _reflected(w, _reflections(rs), up=True)
-                            if y.length == w.length + 1 and bruhat_le(y, v)))
+    return _sort_edges(w.system, (CoverEdge(w, y, alpha) for alpha, y
+                                  in _reflected(w, up=True)
+                                  if y.length == w.length + 1
+                                  and bruhat_le(y, v)))
 
 
 class LabeledInterval:
@@ -139,11 +137,9 @@ class LabeledInterval:
     def graph_edges(self) -> tuple[CoverEdge, ...]:
         """Every edge x ~ w = s_alpha x with both ends in [u, v], sorted by
         (lower end, label, upper end)."""
-        rs = self.u.system
-        reflections = _reflections(rs)
-        return tuple(_sort_edges(rs, (
+        return tuple(_sort_edges(self.u.system, (
             CoverEdge(x, w, alpha) for w in self.elements
-            for alpha, x in _reflected(w, reflections) if x in self.elements)))
+            for alpha, x in _reflected(w) if x in self.elements)))
 
     @cached_property
     def cover_edges(self) -> tuple[CoverEdge, ...]:
@@ -178,7 +174,6 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     if not bruhat_le(u, v):
         raise NotComparableError(
             f"empty interval: {word_string(u)} is not <= {word_string(v)}")
-    reflections = _reflections(u.system)
     bottom = u.length
     elements = {v}
     frontier = [v]
@@ -188,7 +183,7 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     while frontier and frontier[0].length > bottom:
         nxt = []
         for w in frontier:
-            for _, x in _reflected(w, reflections):
+            for _, x in _reflected(w):
                 if (x.length == w.length - 1 and x not in elements
                         and (not bottom or bruhat_le(u, x))):
                     elements.add(x)
@@ -211,8 +206,7 @@ def saturated_chain(u: WeylElement, v: WeylElement) -> list[WeylElement]:
 def edge_label(x: WeylElement, y: WeylElement) -> Root:
     """The weight of the Bruhat-graph edge between x and y, in either order:
     the positive root alpha with y = s_alpha x, sought on y's side of x."""
-    for alpha, z in _reflected(x, _reflections(x.system),
-                               up=y.length > x.length):
+    for alpha, z in _reflected(x, up=y.length > x.length):
         if z == y:
             return alpha
     raise NotComparableError(

@@ -170,7 +170,9 @@ _ELEMENT_KEYS = ("u", "v", "w", "levi_factor", "coset_factor",
 def _write_rows(args, out, head: dict, columns, rows) -> None:
     """A table of rows that hold exactly ``columns``, in order: under json
     the head object and then each row, one per line; otherwise a header and
-    the cells, separated by commas under csv and by tabs under text."""
+    the cells, separated by commas under csv and by tabs under text.  Cells
+    go to ``csv.writer`` as they are, so outside json each must be a str or
+    an int (not a bool)."""
     if args.format == "json":
         out.write(json.dumps(head) + "\n")
         for row in rows:
@@ -179,7 +181,7 @@ def _write_rows(args, out, head: dict, columns, rows) -> None:
     writer = csv.writer(out, lineterminator="\n",
                         delimiter="," if args.format == "csv" else "\t")
     writer.writerow(columns)
-    writer.writerows([_csv_cell(row[k]) for k in columns] for row in rows)
+    writer.writerows(map(dict.values, rows))
 
 
 def _emit_report(report: ComplexityReport, args, out,
@@ -355,6 +357,8 @@ def cmd_deodhar(args, out) -> int:
     subexprs = enumerate_distinguished(word, u)
     # Rows are built as they are written, so only one is held at a time.
     rows = _deodhar_rows(subexprs, u)
+    if args.format == "csv":
+        rows = ({k: _csv_cell(v) for k, v in row.items()} for row in rows)
     columns = ("mask", "evaluation", "j_plus", "j_circ", "j_minus",
                "betas", "shape", "td", "positive")
     if args.format != "text":

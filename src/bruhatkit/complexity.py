@@ -15,14 +15,14 @@ The governing formulas, all exact and type-uniform:
 
 Every report carries the witnessing data its value is computed from, so
 callers (and the CLI) can print derivations rather than bare numbers.
+``ComplexityReport`` and ``LeviAction`` are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .algdim import ad, max_toric_below_top, span_rank
 from .bruhat import bruhat_le, descent_labels
@@ -44,8 +44,7 @@ SCAN_COLUMNS = {
 SCAN_TARGETS = tuple(SCAN_COLUMNS)
 
 
-@dataclass
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     """A complexity value plus the ingredients it was computed from."""
 
     kind: str
@@ -94,8 +93,7 @@ def torus_complexity_schubert(w: WeylElement) -> ComplexityReport:
         })
 
 
-@dataclass
-class LeviAction:
+class LeviAction(NamedTuple):
     """Whether L_I acts on X_w, with both equivalent combinatorial witnesses:
     I contained in the left descent set, and the left parabolic factor
     equal to w_0(I)."""

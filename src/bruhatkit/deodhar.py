@@ -16,7 +16,8 @@ Each position k in Jo or J- carries the positive root
 beta_k = +- u_(k-1)(alpha_{i_k}) (plus for Jo, minus for J-); the span of
 the beta_k is the torus-weight space of the corresponding component, and the
 pair (|Jo|, |J-|) is the component's shape.  ``Subexpression.td`` is the
-rank of that span; ``td_span`` recomputes it from the betas.
+rank of that span; ``td_span`` recomputes it from the betas.  Both records,
+``Subexpression`` and ``DeodharComponentShape``, are immutable NamedTuples.
 
 The betas of every distinguished mask for u over a reduced word of v span
 L(u, v), the span of the edge labels of [u, v], so td = ad(u, v): one
@@ -46,9 +47,8 @@ of the root a and the space L.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algdim import SpanBasis, ad
 from .errors import InvalidInputError, NotComparableError
@@ -60,16 +60,14 @@ TAKE = "take"
 SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class DeodharComponentShape:
+class DeodharComponentShape(NamedTuple):
     """(|Jo|, |J-|): the torus and affine parameter counts of a component."""
 
     circ_count: int
     minus_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class Subexpression:
+class Subexpression(NamedTuple):
     """A distinguished mask over a fixed reduced word, fully annotated.
 
     ``betas`` lists (k, beta_k) for k in Jo u J-, in position order, and

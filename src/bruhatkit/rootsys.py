@@ -17,13 +17,16 @@ Conventions (the single place they are documented):
 * E_6/E_7/E_8 and F_4 follow the Bourbaki node numbering (branch node of E
   is node 4, attached to node 2; F_4 has the double bond between nodes 2
   and 3 with rows ``[0, -2, 2, -1]`` in the third row).
+
+``CartanDatum`` is an immutable NamedTuple; it compares and hashes as the
+tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 
@@ -124,8 +127,7 @@ def _check_family_rank(family: str, rank: int) -> None:
             f"family {family} admits ranks {lo}..{hi}, got {rank}")
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(NamedTuple):
     """A family label, a rank, and the Cartan matrix tying them together."""
 
     family: str
@@ -194,8 +196,10 @@ class RootSystem:
                 f"closure produced {len(self.positive_roots)} positive roots, "
                 f"expected {expected} for {datum.family}{datum.rank}")
         self._build_permutations()
-        # Interning cache for Weyl group elements, managed by the weyl module.
+        # Interning cache for Weyl group elements, managed by the weyl
+        # module, and s_alpha by root index, filled by bruhat on first use.
         self.element_cache: dict = {}
+        self.reflection_cache: list = []
 
     # -- construction ----------------------------------------------------
 

@@ -380,6 +380,32 @@ def test_covers_make_one_product_per_root_on_their_side(monkeypatch):
     assert iv.cover_edges is iv.cover_edges
 
 
+def test_reflections_are_built_once_per_system(monkeypatch):
+    # The N reflections are made by the first cover read on a system and
+    # kept on it; later reads of any kind make none.
+    rs = build_root_system(cartan_datum("B", 3))
+    calls = [0]
+    real = bruhatkit.bruhat.reflection
+
+    def counting(system, alpha):
+        calls[0] += 1
+        return real(system, alpha)
+
+    monkeypatch.setattr(bruhatkit.bruhat, "reflection", counting)
+    w0 = longest_element(rs, range(1, 4))
+    first = lower_covers(w0)
+    assert calls[0] == len(rs.positive_roots)
+    calls[0] = 0
+    assert lower_covers(w0) == first
+    upper_covers_le(identity(rs), w0)
+    interval(identity(rs), w0).graph_edges
+    edge_label(identity(rs), from_word(rs, [1]))
+    assert calls[0] == 0
+    other = build_root_system(cartan_datum("B", 3))
+    lower_covers(longest_element(other, range(1, 4)))
+    assert calls[0] == len(other.positive_roots)
+
+
 def test_graph_edges_are_reflection_related(a3):
     iv = interval(identity(a3), parse_element(a3, "3412"))
     for e in iv.graph_edges:

@@ -1,6 +1,8 @@
 import ast
+import csv
 import errno
 import hashlib
+import io
 import json
 import os
 import pkgutil
@@ -21,6 +23,7 @@ from bruhatkit import (build_root_system, cartan_datum, cli,
 from bruhatkit.cli import (element_from_oneline, element_to_oneline, main,
                            parse_element, parse_subset, parse_word,
                            root_string)
+from bruhatkit.complexity import SCAN_COLUMNS, SCAN_TARGETS, scan
 from bruhatkit.errors import InvalidInputError
 from bruhatkit.weyl import longest_element, reduced_word, simple_reflection
 
@@ -360,6 +363,41 @@ def test_scan_json_lines_deterministic(tmp_path, capsys):
     assert first["meta"]["seed"] == 0
 
 
+@pytest.mark.parametrize("family, rank",
+                         [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+def test_scan_rows_hold_their_columns_as_str_or_int(family, rank):
+    # The table writer hands each row's values to csv.writer as they are,
+    # which writes a bool as True/False: so no cell may be one.
+    rs = root_system(family, rank)
+    for target in SCAN_TARGETS:
+        for max_length in (None, 2):
+            for row in scan(rs, target, max_length=max_length):
+                assert tuple(row) == SCAN_COLUMNS[target]
+                assert all(type(c) in (str, int) for c in row.values())
+
+
+def _per_cell_table(fmt, columns, rows) -> str:
+    """A scan table with each cell formatted by ``cli._csv_cell`` first."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n",
+                        delimiter="," if fmt == "csv" else "\t")
+    writer.writerow(columns)
+    writer.writerows([cli._csv_cell(row[k]) for k in columns] for row in rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("family, rank, target",
+                         [("F", 4, "levi_table"), ("B", 4, "toric_richardson")])
+def test_scan_tables_match_per_cell_formatting(capsys, family, rank, target):
+    rows = list(scan(root_system(family, rank), target))
+    for fmt in ("csv", "text"):
+        code, out, err = run(capsys, ["scan", "--type", family, "--rank",
+                                      str(rank), "--target", target,
+                                      "--format", fmt])
+        assert code == 0 and not err
+        assert out == _per_cell_table(fmt, SCAN_COLUMNS[target], rows)
+
+
 def test_scan_cap_exit4(capsys):
     # The support targets build no group, but the cap still bounds |W|.
     for extra in (["--target", "toric_schubert"],
@@ -471,6 +509,21 @@ def _cli_env():
 def _cli_process(argv, **kwargs):
     return subprocess.Popen([sys.executable, "-m", "bruhatkit.cli"] + argv,
                             stderr=subprocess.PIPE, env=_cli_env(), **kwargs)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Every CLI call pays for what importing the CLI loads; dataclasses
+    # alone would bring in inspect, ast, dis and tokenize.
+    def loaded(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code + "; print(*sys.modules)"],
+            capture_output=True, text=True, env=_cli_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import sys, bruhatkit.cli") - loaded("import sys")
+    assert "bruhatkit.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_stdout_write_failure_exits_2(capsys, monkeypatch):

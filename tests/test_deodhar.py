@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 import tracemalloc
 import warnings
@@ -321,10 +320,10 @@ def test_masks_of_long_word_need_no_recursion():
 
 
 def test_masks_hold_only_what_the_walk_produces():
-    # A mask keeps its word, choices, prefixes, betas and td in slots; the
+    # A mask keeps its word, choices, prefixes, betas and td as a tuple; the
     # J sets are derived on demand.  The moves are built by the first call,
     # so the second retains the masks alone.
-    assert [f.name for f in dataclasses.fields(Subexpression)] == [
+    assert list(Subexpression._fields) == [
         "base_word", "choices", "prefixes", "betas", "td"]
     rs = build_root_system(cartan_datum("D", 5))
     word = reduced_word(longest_element(rs, range(1, 6)))
