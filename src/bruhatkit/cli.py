@@ -24,9 +24,12 @@ str, "message": str}}``.  Usage errors from argument parsing (exit 2) are
 always the text line, even with ``--format json``, since they are found
 before the format is known.
 
-``main`` builds its parser once per process and takes each root system from
-the shared ``root_system`` registry, so a stream of queries in one process
-reuses the interned elements and the caches keyed on them.
+``main`` reads argv of the form ``COMMAND (--flag value)*`` straight from
+the option table ``_COMMANDS``; argparse, built from the same table once
+per process and imported only then, reads help and every other spelling.
+Each root system comes from the shared ``root_system`` registry, so a
+stream of queries in one process reuses the interned elements and the
+caches keyed on them.
 
 Report JSON schema:
 ``{"kind": str, "value": int, "witness": {...}, "meta": {"type": str,
@@ -39,12 +42,12 @@ listed in ``complexity.SCAN_COLUMNS``.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import os
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import __version__
@@ -383,65 +386,109 @@ def cmd_deodhar(args, out) -> int:
 
 # -- entry point --------------------------------------------------------------
 
+_COMMON = (
+    ("--type", {"required": True, "choices": tuple("ABCDEFG"),
+                "help": "root system family"}),
+    ("--rank", {"required": True, "type": int}),
+    ("--format", {"default": "text", "choices": ("text", "json", "csv")}),
+    ("--seed", {"type": int, "default": 0,
+                "help": "recorded in output metadata"}),
+)
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors are one stderr line, like every other error."""
+#: Each subcommand's help and flags, in the order ``--help`` lists them.  A
+#: flag's entry holds the keywords of its ``add_argument``; argparse and
+#: ``_read_argv`` both take its dest from the flag, "-" read as "_".
+_COMMANDS = {
+    "info": ("root system summary", _COMMON),
+    "complexity": ("one complexity query", _COMMON + (
+        ("--kind", {"required": True, "choices": (
+            "richardson", "schubert", "levi", "partial")}),
+        ("--u", {}), ("--v", {}), ("--w", {}), ("--I", {}), ("--J", {}))),
+    "scan": ("batch scan over the Weyl group", _COMMON + (
+        ("--target", {"required": True, "choices": tuple(SCAN_TARGETS)}),
+        ("--out", {"help": "output file (default stdout)"}),
+        ("--jobs", {"type": int, "default": 1,
+                    "help": "accepted for compatibility; has no effect"}),
+        ("--max-length", {"type": int}))),
+    "deodhar": ("list distinguished subexpressions", _COMMON + (
+        ("--v-word", {"required": True,
+                      "help": "reduced word, dot-separated, e.g. 1.2.1"}),
+        ("--u", {"required": True}))),
+}
 
-    def error(self, message: str):
-        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
 
+def build_parser():
+    """The argparse parser of ``_COMMANDS``; ``main`` needs it only for
+    help and for argv that ``_read_argv`` declines."""
+    import argparse
 
-def build_parser() -> argparse.ArgumentParser:
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors are one stderr line, like every other error."""
+
+        def error(self, message: str):
+            self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
     parser = _Parser(
         prog="bruhatkit",
         description="Exact Weyl group combinatorics: Bruhat intervals, "
                     "distinguished subexpressions, and torus/Levi-Borel "
                     "complexity of Schubert and Richardson varieties.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--type", required=True, choices=list("ABCDEFG"),
-                       help="root system family")
-        p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--format", default="text",
-                       choices=["text", "json", "csv"])
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in output metadata")
-
-    p_info = sub.add_parser("info", help="root system summary")
-    common(p_info)
-
-    p_cx = sub.add_parser("complexity", help="one complexity query")
-    common(p_cx)
-    p_cx.add_argument("--kind", required=True,
-                      choices=["richardson", "schubert", "levi", "partial"])
-    p_cx.add_argument("--u")
-    p_cx.add_argument("--v")
-    p_cx.add_argument("--w")
-    p_cx.add_argument("--I")
-    p_cx.add_argument("--J")
-
-    p_scan = sub.add_parser("scan", help="batch scan over the Weyl group")
-    common(p_scan)
-    p_scan.add_argument("--target", required=True, choices=list(SCAN_TARGETS))
-    p_scan.add_argument("--out", help="output file (default stdout)")
-    p_scan.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
-    p_scan.add_argument("--max-length", type=int, default=None)
-
-    p_deo = sub.add_parser("deodhar",
-                           help="list distinguished subexpressions")
-    common(p_deo)
-    p_deo.add_argument("--v-word", required=True,
-                       help="reduced word, dot-separated, e.g. 1.2.1")
-    p_deo.add_argument("--u", required=True)
-
+    for command, (text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     return build_parser()
+
+
+def _reader_table(flags):
+    """(flag -> (dest, type, choices), required flags, dest -> default)."""
+    table, required, defaults = {}, set(), {}
+    for flag, keywords in flags:
+        dest = flag[2:].replace("-", "_")
+        table[flag] = dest, keywords.get("type"), keywords.get("choices")
+        defaults[dest] = keywords.get("default")
+        if keywords.get("required"):
+            required.add(flag)
+    return table, frozenset(required), defaults
+
+
+_READER = {command: _reader_table(flags)
+           for command, (_, flags) in _COMMANDS.items()}
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for argv of the form ``COMMAND (--flag
+    value)*``: each flag of the command spelled in full and given once, no
+    value starting with "-".  None for any other argv, and for one that
+    argparse would refuse; ``main`` then leaves it to argparse."""
+    reader = _READER.get(argv[0]) if len(argv) % 2 else None
+    if reader is None:
+        return None
+    table, required, defaults = reader
+    flags = set(argv[1::2])
+    if len(flags) != len(argv) // 2 or not required <= flags:
+        return None
+    values = {**defaults, "command": argv[0]}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        entry = table.get(flag)
+        if entry is None or value[:1] == "-":
+            return None
+        dest, kind, choices = entry
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
 
 
 def _report_error(args, exc: Exception, code: int) -> None:
@@ -456,10 +503,14 @@ def _report_error(args, exc: Exception, code: int) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     handlers = {"info": cmd_info, "complexity": cmd_complexity,
                 "scan": cmd_scan, "deodhar": cmd_deodhar}
     try:

@@ -214,8 +214,10 @@ def test_complexity_richardson_golden(capsys, a3):
 def test_repeated_queries_share_system_parser_and_elements(capsys,
                                                           monkeypatch):
     # Twenty identical queries in one process build at most one root system
-    # and one parser, intern no new element after the first, and print the
-    # same bytes as a call with a parser and a system of its own.
+    # and no parser, intern no new element after the first, and print the
+    # same bytes as a call with a system of its own.  The same query spelled
+    # --u=2, which only argparse reads, builds one parser per process and
+    # prints the same bytes.
     built, parsers = [], []
     real_init = rootsys.RootSystem.__init__
 
@@ -227,6 +229,7 @@ def test_repeated_queries_share_system_parser_and_elements(capsys,
     real_build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser",
                         lambda: parsers.append(1) or real_build_parser())
+    cli._parser.cache_clear()
     argv = ["complexity", "--type", "D", "--rank", "4", "--kind",
             "richardson", "--u", "2", "--v", "2.1.3.4.2.1"]
     outs, interned = [], []
@@ -235,15 +238,18 @@ def test_repeated_queries_share_system_parser_and_elements(capsys,
         assert (code, err) == (0, "")
         outs.append(out)
         interned.append(len(root_system("D", 4).element_cache))
-    assert len(built) <= 1 and len(parsers) <= 1
+    assert len(built) <= 1 and parsers == []
     assert interned == interned[:1] * 20
     assert outs == outs[:1] * 20
-    counts = len(built), len(parsers)
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    spelled = argv[:7] + ["--u=2"] + argv[9:]
+    for _ in range(3):
+        assert run(capsys, spelled) == (0, outs[0], "")
+    assert len(parsers) == 1
+    count = len(built)
     monkeypatch.setattr(cli, "root_system", lambda family, rank:
                         build_root_system(cartan_datum(family, rank)))
     assert run(capsys, argv) == (0, outs[0], "")
-    assert (len(built), len(parsers)) == (counts[0] + 1, counts[1] + 1)
+    assert (len(built), len(parsers)) == (count + 1, 1)
 
 
 def test_complexity_schubert_golden(capsys, a4):
@@ -513,7 +519,8 @@ def _cli_process(argv, **kwargs):
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # Every CLI call pays for what importing the CLI loads; dataclasses
-    # alone would bring in inspect, ast, dis and tokenize.
+    # alone would bring in inspect, ast, dis and tokenize, and argparse
+    # gettext and locale, which only help and other spellings need.
     def loaded(code):
         proc = subprocess.run(
             [sys.executable, "-c", code + "; print(*sys.modules)"],
@@ -523,7 +530,8 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
     added = loaded("import sys, bruhatkit.cli") - loaded("import sys")
     assert "bruhatkit.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "argparse", "gettext",
+                        "locale"}
 
 
 def test_stdout_write_failure_exits_2(capsys, monkeypatch):
@@ -805,6 +813,79 @@ def test_cli_output_digests(capsys):
     got = _cli_digests(capsys)
     assert len(got) == 261 and set(got) == set(expected)
     assert [k for k in got if got[k] != expected[k]] == []
+
+
+#: The argv forms of the benchmark's ops, and the optional flags they leave
+#: out.
+CANONICAL_ARGV = [
+    ["scan", "--type", "A", "--rank", "4", "--target", "levi_table", "--jobs",
+     "2", "--format", "csv"],
+    ["scan", "--type", "F", "--rank", "4", "--target",
+     "complexity_histogram", "--jobs", "2", "--format", "csv",
+     "--max-length", "3", "--out", "rows.csv", "--seed", "7"],
+    ["complexity", "--type", "D", "--rank", "4", "--kind", "richardson",
+     "--format", "json", "--u", "1.2", "--v", "2.1.3.4.2.1"],
+    ["complexity", "--type", "A", "--rank", "3", "--kind", "partial",
+     "--w", "3412", "--J", "", "--I", "1,3", "--seed", "٣"],
+    ["deodhar", "--type", "D", "--rank", "5", "--format", "json", "--v-word",
+     "1.2.1.3.2.1.4.3.2.1", "--u", "id"],
+    ["info", "--rank", " 3 ", "--type", "G"],
+]
+
+
+def test_reader_takes_canonical_argv_as_argparse_does():
+    # COMMAND (--flag value)* never reaches argparse, and reads as argparse
+    # reads it: the benchmark's forms and every pinned output case.
+    for argv in CANONICAL_ARGV + _digest_cases():
+        args = cli._read_argv(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli._parser().parse_args(argv))
+
+
+def _usage_cases():
+    """argv that only argparse reads: help, usage errors, and flags spelled
+    with "=", abbreviated or given twice."""
+    query = ["complexity", "--type", "A", "--rank", "3", "--kind",
+             "richardson", "--u", "1", "--v", "2.1.3"]
+    cases = [["--help"]] + [[command, "--help"] for command in
+                            ("info", "complexity", "scan", "deodhar")]
+    cases += [[], ["bogus"], ["--type", "A", "info"],
+              ["info", "--type", "A"],
+              ["info", "--type", "X", "--rank", "3"],
+              ["info", "--type", "A", "--rank", "x"],
+              ["info", "--type", "A", "--rank", "3", "--bogus"],
+              ["info", "--type", "A", "--rank", "3", "--format", "xml"],
+              ["info", "--type", "A", "--rank", "3", "--rank"],
+              query[:-2] + ["--w", "-x"],
+              query[:7] + ["--u="] + query[9:]]
+    cases += [query + ["--u", "2"], query[:7] + ["--u=1"] + query[9:],
+              ["info", "--ty", "A", "--ra", "3"],
+              ["info", "--type", "A", "--rank", "-1"]]
+    cases += [query + ["--fo", fmt] for fmt in ("text", "json", "csv")]
+    cases += [["info", "--type=B", "--rank=2", f"--format={fmt}"]
+              for fmt in ("text", "json", "csv")]
+    return cases
+
+
+def test_help_and_usage_errors_match_digests(capsys, monkeypatch):
+    # Exit code, stdout and stderr of each of ``_usage_cases``, byte for
+    # byte as the CLI printed them when argparse read every argv.  The
+    # wording is argparse's, which changes between Python versions, so the
+    # digests hold on the version they were taken with.
+    with open(os.path.join(os.path.dirname(__file__),
+                           "cli_usage_digests.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    if pinned["python"] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip(f"digests taken with Python {pinned['python']}")
+    monkeypatch.setenv("COLUMNS", "80")
+    got = {}
+    for argv in _usage_cases():
+        assert cli._read_argv(argv) is None, argv
+        code = main(argv)
+        captured = capsys.readouterr()
+        got[" ".join(argv)] = hashlib.sha256(json.dumps(
+            [code, captured.out, captured.err]).encode()).hexdigest()
+    assert got == pinned["digests"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -235,6 +235,16 @@ def _rarely(draw, common, *rare):
     return draw(st.sampled_from((common,) * 24 + rare))
 
 
+def _spelled(draw, flag, value):
+    """Mostly ``flag value``; now and then ``flag=value`` or, for flags
+    longer than --xy, the value after the flag's first four characters,
+    which no other flag of any command starts with."""
+    if len(flag) > 4:
+        return _rarely(draw, [flag, value], [f"{flag}={value}"],
+                       [flag[:4], value])
+    return _rarely(draw, [flag, value], [f"{flag}={value}"])
+
+
 @st.composite
 def cli_calls(draw):
     """An argv for cli.main and a BRUHAT_GROUP_CAP value (None: unset)."""
@@ -273,7 +283,7 @@ def cli_calls(draw):
     for flag, value in flags:
         if (draw(st.booleans()) if flag in ("--max-length", "--out", "--I")
                 else _rarely(draw, True, False)):
-            argv += [flag, value]
+            argv += _spelled(draw, flag, value)
     argv += _rarely(draw, [], ["--bogus"], ["a\nb"])
     cap = _rarely(draw, None, "0", "5", "51840", "-1", "abc", "", HUGE)
     return argv, cap
@@ -314,3 +324,74 @@ def test_cli_contract(call):
         assert files == {"rows": "old\n"}
     else:
         assert _call(argv, cap) == (code, out, err, files)
+
+
+# -- the canonical argv reader -----------------------------------------------
+
+#: The flags of each command, and a value argparse accepts for each.
+COMMON_FLAGS = ("--type", "--rank", "--format", "--seed")
+COMMAND_FLAGS = {
+    "info": COMMON_FLAGS,
+    "complexity": COMMON_FLAGS + ("--kind", "--u", "--v", "--w", "--I",
+                                  "--J"),
+    "scan": COMMON_FLAGS + ("--target", "--out", "--jobs", "--max-length"),
+    "deodhar": COMMON_FLAGS + ("--v-word", "--u")}
+GOOD_VALUES = {"--type": ("A", "D", "G"), "--rank": ("2", "4"),
+               "--format": ("text", "json", "csv"), "--seed": ("0", "7"),
+               "--kind": ("richardson", "schubert", "levi", "partial"),
+               "--u": ("id", "1.2"), "--v": ("3412",), "--w": ("2",),
+               "--I": ("1,3",), "--J": ("",),
+               "--target": ("levi_table", "toric_schubert"),
+               "--out": ("rows",), "--jobs": ("2",), "--max-length": ("3",),
+               "--v-word": ("1.2.1",)}
+ODD_VALUES = ("-1", "-", "--", "", " 3", "３", "²", "-h", "x", "A", "1",
+              "--rank", "a=b")
+
+
+def _canonical(argv):
+    """Whether argv is COMMAND (--flag value)*, each flag of the command in
+    full and once, no value starting with "-"."""
+    flags = COMMAND_FLAGS.get(argv[0]) if argv else None
+    return (flags is not None and len(argv) % 2 == 1
+            and len(set(argv[1::2])) == len(argv) // 2
+            and set(argv[1::2]) <= set(flags)
+            and not any(value.startswith("-") for value in argv[2::2]))
+
+
+@st.composite
+def argv_to_read(draw):
+    """Mostly canonical argv with valid values; now and then an odd value,
+    a flag spelled with "=" or abbreviated, a flag given twice, -h, a
+    token after the last flag, a flag without its value, or no command."""
+    command = draw(st.sampled_from(tuple(COMMAND_FLAGS)))
+    argv = [_rarely(draw, command, "bogus", "-h", "--type", "", "--")]
+    pairs = [(flag, draw(st.sampled_from(
+                 GOOD_VALUES[flag] if draw(st.integers(0, 9))
+                 else ODD_VALUES)))
+             for flag in draw(st.permutations(COMMAND_FLAGS[command]))
+             if draw(st.integers(0, 6))]
+    if pairs and draw(st.integers(0, 5)) == 0:
+        pairs.append(pairs[draw(st.integers(0, len(pairs) - 1))])
+    for flag, value in pairs:
+        argv += _spelled(draw, flag, value)
+    argv += _rarely(draw, [], ["-h"], ["3"], ["--rank"], ["--"],
+                    ["--u=2"], ["--ra", "3"])
+    return argv
+
+
+@settings(CASES, max_examples=600)
+@given(argv_to_read())
+def test_reader_agrees_with_argparse(argv):
+    # Whenever _read_argv accepts argv it reads what argparse reads, and it
+    # declines only argv that argparse refuses or that is not canonical.
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            expected = None
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == expected
+    else:
+        assert expected is None or not _canonical(argv)
