@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import NotComparableError
 from .rootsys import Root
-from .weyl import (WeylElement, multiply, reflection, right_descents,
+from .weyl import (WeylElement, _reflections, multiply, right_descents,
                    times_simple, word_string)
 
 
@@ -88,13 +88,10 @@ def _reflected(w: WeylElement, up: bool = False):
     Entry p of w.perm[:N] is w(beta) for a positive beta: p >= N means
     alpha = -w(beta) (index p - N) and s_alpha w < w, p < N means alpha =
     w(beta) and s_alpha w > w.  So l(w) products below, N - l(w) above.
-    The N reflections s_alpha, by root index, are made on the first call
-    for a system and kept in ``rs.reflection_cache``.
+    The N reflections s_alpha are made by ``weyl`` on the first call for a
+    system.
     """
-    rs = w.system
-    roots, reflections = rs.positive_roots, rs.reflection_cache
-    if not reflections:
-        reflections.extend(reflection(rs, alpha) for alpha in roots)
+    roots, reflections = w.system.positive_roots, _reflections(w.system)
     n_pos = len(reflections)
     for p in w.perm[:n_pos]:
         if (p < n_pos) == up:

@@ -13,8 +13,8 @@ Subsets (--I/--J) are comma-separated simple indices; the empty string is
 the empty set.
 
 --rank is at most 45 for family A and 32 for B, C and D (no system with
-more positive roots than A45, about 1 s and 32 MB to build); a larger rank
-exits 2 before any root is built.
+more positive roots than A45, about 0.8 s and 16 MB to build, 32 MB with
+its reflections); a larger rank exits 2 before any root is built.
 
 Exit codes: 0 success, 2 input error, 3 precondition/hypothesis failure,
 4 enumeration cap exceeded.  The env var BRUHAT_GROUP_CAP overrides the cap.
@@ -58,8 +58,7 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          torus_complexity_schubert)
 from .deodhar import SKIP, enumerate_distinguished
 from .errors import (GroupTooLargeError, InvalidInputError, PreconditionError)
-from .rootsys import (Root, RootSystem, positive_root_count, root_system,
-                      weyl_group_order)
+from .rootsys import Root, RootSystem, root_system, weyl_group_order
 from .weyl import (DEFAULT_GROUP_CAP, WeylElement, from_word, identity,
                    reduced_word, word_string)
 
@@ -268,7 +267,7 @@ def cmd_info(args, out) -> int:
     rs = root_system(args.type, args.rank)
     order = weyl_group_order(args.type, args.rank)
     fields = {"type": args.type, "rank": args.rank,
-              "positive_roots": positive_root_count(args.type, args.rank),
+              "positive_roots": len(rs.positive_roots),
               "weyl_order": order,
               "cartan": [list(row) for row in rs.cartan]}
     if args.format == "json":

@@ -30,9 +30,9 @@ from .errors import (FormulaUnavailableError, InvalidInputError,
                      PreconditionError)
 from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement, _check_cap,
-                   _layers, inverse, left_descents,
-                   left_parabolic_decomposition, longest_element, multiply,
-                   right_descents, support, word_string)
+                   _layers, left_descents, left_parabolic_decomposition,
+                   longest_element, multiply, right_descents, support,
+                   word_string)
 
 #: Fixed column order per scan target (also the CSV header order).
 SCAN_COLUMNS = {
@@ -129,14 +129,15 @@ def levi_borel_complexity(subset: Iterable[int],
     with w = a d the left parabolic decomposition, the value is
     l(d) - supp(d)."""
     sub = frozenset(subset)
-    action = levi_acts(sub, w)
-    if not action.acts:
+    a = longest_element(w.system, sub)  # checks the indices
+    missing = sub - left_descents(w)
+    if missing:
         raise PreconditionError(
             f"I is not contained in the left descent set of w "
-            f"(offending indices: {{{_subset_str(action.missing)}}}); the "
+            f"(offending indices: {{{_subset_str(missing)}}}); the "
             f"formula l(d) - supp(d) requires the Levi subgroup to act")
-    a = action.levi_factor
-    d = multiply(inverse(a), w)
+    # I in D_L(w): the left parabolic factor is a = w_0(I) = a^-1.
+    d = multiply(a, w)
     supp_d = support(d)
     return ComplexityReport(
         kind="levi_borel_schubert",
@@ -153,22 +154,21 @@ def levi_borel_complexity(subset: Iterable[int],
         })
 
 
-def _require_minimal(w: WeylElement, subset: frozenset[int]) -> None:
-    for i in sorted(subset):
-        w.system._check_index(i)
-    bad = right_descents(w) & subset
+def _require_minimal(w: WeylElement, subset: Iterable[int]) -> SimpleSubset:
+    sub = w.system._check_subset(subset)
+    bad = right_descents(w) & sub
     if bad:
         raise PreconditionError(
             f"w is not a minimal coset representative for J: right descents "
             f"{{{_subset_str(bad)}}} lie in J")
+    return sub
 
 
 def partial_stabilizer_descents(w: WeylElement,
                                 subset: Iterable[int]) -> SimpleSubset:
     """Simple indices of the standard parabolic stabilizing the Schubert
     variety of w in the partial flag variety on J: D_L(w w_0(J))."""
-    sub = frozenset(subset)
-    _require_minimal(w, sub)
+    sub = _require_minimal(w, subset)
     return left_descents(multiply(w, longest_element(w.system, sub)))
 
 
@@ -176,8 +176,7 @@ def partial_flag_torus_complexity(w: WeylElement,
                                   subset: Iterable[int]) -> ComplexityReport:
     """c_T of the Schubert variety of w in G/P_J equals its full-flag value
     l(w) - supp(w); requires w minimal in its coset."""
-    sub = frozenset(subset)
-    _require_minimal(w, sub)
+    sub = _require_minimal(w, subset)
     base = torus_complexity_schubert(w)
     # "w" first, then "J", then the full-flag witness in its own order.
     return ComplexityReport(
@@ -202,9 +201,7 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
     no transferred value exists - a distinct FormulaUnavailableError).
     """
     j_sub = frozenset(j_subset)
-    i_sub = frozenset(i_subset)
-    for i in sorted(i_sub):
-        w.system._check_index(i)
+    i_sub = w.system._check_subset(i_subset)
     stab = partial_stabilizer_descents(w, j_sub)
     outside = i_sub - stab
     if outside:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidInputError
 
@@ -111,8 +111,8 @@ def _standard_cartan(family: str, rank: int) -> Matrix:
 
 
 # Families A-D stop where a system would have more positive roots than A45
-# (1035), which takes about 1 s and 32 MB to build; the root_system registry
-# keeps what it builds alive.
+# (1035), which takes about 0.8 s and 16 MB to build, and 32 MB once its
+# reflections are made; the root_system registry keeps what it builds alive.
 _RANK_RANGE = {"A": (1, 45), "B": (2, 32), "C": (2, 32), "D": (2, 32),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
@@ -177,7 +177,8 @@ def negate(root: Root) -> Root:
 
 class RootSystem:
     """All positive roots of a finite root system, with exact arithmetic,
-    and the permutation of the signed roots induced by each reflection.
+    and the permutations of the signed roots induced by the simple
+    reflections; ``weyl`` makes the other reflections on first use.
 
     Immutable after construction (internal caches aside).
     """
@@ -196,8 +197,8 @@ class RootSystem:
                 f"closure produced {len(self.positive_roots)} positive roots, "
                 f"expected {expected} for {datum.family}{datum.rank}")
         self._build_permutations()
-        # Interning cache for Weyl group elements, managed by the weyl
-        # module, and s_alpha by root index, filled by bruhat on first use.
+        # Interning cache for Weyl group elements, and s_alpha by root
+        # index, both filled by the weyl module on first use.
         self.element_cache: dict = {}
         self.reflection_cache: list = []
 
@@ -212,6 +213,12 @@ class RootSystem:
         if not 1 <= i <= self.rank:
             raise InvalidInputError(
                 f"simple index {i} out of range 1..{self.rank}")
+
+    def _check_subset(self, subset: Iterable[int]) -> frozenset[int]:
+        sub = frozenset(subset)
+        for i in sorted(sub):
+            self._check_index(i)
+        return sub
 
     def _reflect_raw(self, i0: int, root: Root) -> Root:
         # s_i(x) = x - (row i of A . x) alpha_i, with i0 0-based.
@@ -261,19 +268,6 @@ class RootSystem:
             perm(self.position[self._reflect_raw(i0, r)]
                   for r in self.signed_roots)
             for i0 in range(self.rank))
-        # s_beta = s_i s_alpha s_i, where alpha = s_i(beta) is a positive
-        # root of lower height; roots come in height order, so s_alpha is
-        # always known before s_beta.
-        perms = {self.simple_root(i0 + 1): s
-                 for i0, s in enumerate(self.simple_perms)}
-        for beta in self.positive_roots[self.rank:]:
-            for s in self.simple_perms:
-                alpha = self.signed_roots[s[self.index[beta]]]
-                if alpha in perms:
-                    s_alpha = perms[alpha]
-                    perms[beta] = perm(s[s_alpha[q]] for q in s)
-                    break
-        self.reflection_perms: dict[Root, bytes | tuple[int, ...]] = perms
 
     # -- predicates -------------------------------------------------------
 

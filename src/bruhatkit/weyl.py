@@ -111,13 +111,30 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return _intern(rs, rs.simple_perms[i - 1])
 
 
+def _reflections(rs: RootSystem) -> list[WeylElement]:
+    """The reflections s_alpha by root index, made on the first call for a
+    system and kept in ``rs.reflection_cache``.  A non-simple beta at index
+    k takes s_i s_alpha s_i, composed on the permutations, for the first i
+    with s_i.perm[k] < k: alpha = s_i(beta) is earlier, so s_alpha is made.
+    """
+    made = rs.reflection_cache
+    if not made:
+        perms = dict(zip(rs.simple_positions, rs.simple_perms))
+        for k in range(rs.rank, len(rs.positive_roots)):
+            s = next(s for s in rs.simple_perms if s[k] < k)
+            s_alpha = perms[s[k]]
+            perms[k] = rs.perm_type(s[s_alpha[q]] for q in s)
+        made.extend(_intern(rs, perms[k]) for k in range(len(perms)))
+    return made
+
+
 def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
     """The reflection s_alpha for a positive root alpha."""
-    try:
-        return _intern(rs, rs.reflection_perms[alpha])
-    except KeyError:
+    k = rs.index.get(alpha)
+    if k is None:
         raise InvalidInputError(
-            f"{alpha} is not a positive root of this system") from None
+            f"{alpha} is not a positive root of this system")
+    return _reflections(rs)[k]
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
@@ -276,10 +293,8 @@ def left_parabolic_decomposition(
 
     Computed by iteratively stripping left descents lying in I.
     """
-    sub = frozenset(subset)
     rs = w.system
-    for i in sorted(sub):
-        rs._check_index(i)
+    sub = rs._check_subset(subset)
     a = identity(rs)
     d = w
     while True:
@@ -308,9 +323,7 @@ def longest_element(rs: RootSystem, subset: Iterable[int] = ()) -> WeylElement:
     With the default empty subset this is the identity; with the full index
     set it is the longest element of W.
     """
-    sub = sorted(frozenset(subset))
-    for i in sub:
-        rs._check_index(i)
+    sub = sorted(rs._check_subset(subset))
     w = identity(rs)
     while True:
         ascent = next((i for i in sub if i not in right_descents(w)), None)

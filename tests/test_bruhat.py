@@ -381,29 +381,41 @@ def test_covers_make_one_product_per_root_on_their_side(monkeypatch):
 
 
 def test_reflections_are_built_once_per_system(monkeypatch):
-    # The N reflections are made by the first cover read on a system and
-    # kept on it; later reads of any kind make none.
+    # weyl makes the N reflections on the first cover read on a system and
+    # keeps them on it; later reads of any kind make none.  A reflection is
+    # made when weyl._reflections interns it.
     rs = build_root_system(cartan_datum("B", 3))
-    calls = [0]
-    real = bruhatkit.bruhat.reflection
+    made, inside = [0], [False]
+    real_reflections = bruhatkit.weyl._reflections
+    real_intern = bruhatkit.weyl._intern
 
-    def counting(system, alpha):
-        calls[0] += 1
-        return real(system, alpha)
+    def reflections(system):
+        inside[0] = True
+        try:
+            return real_reflections(system)
+        finally:
+            inside[0] = False
 
-    monkeypatch.setattr(bruhatkit.bruhat, "reflection", counting)
+    def intern(system, perm):
+        made[0] += inside[0]
+        return real_intern(system, perm)
+
+    for module in (bruhatkit.bruhat, bruhatkit.weyl):
+        monkeypatch.setattr(module, "_reflections", reflections)
+    monkeypatch.setattr(bruhatkit.weyl, "_intern", intern)
     w0 = longest_element(rs, range(1, 4))
     first = lower_covers(w0)
-    assert calls[0] == len(rs.positive_roots)
-    calls[0] = 0
+    assert made[0] == len(rs.positive_roots)
+    made[0] = 0
     assert lower_covers(w0) == first
     upper_covers_le(identity(rs), w0)
     interval(identity(rs), w0).graph_edges
     edge_label(identity(rs), from_word(rs, [1]))
-    assert calls[0] == 0
+    reflection(rs, rs.positive_roots[-1])
+    assert made[0] == 0
     other = build_root_system(cartan_datum("B", 3))
     lower_covers(longest_element(other, range(1, 4)))
-    assert calls[0] == len(other.positive_roots)
+    assert made[0] == len(other.positive_roots)
 
 
 def test_graph_edges_are_reflection_related(a3):

@@ -252,6 +252,41 @@ def test_repeated_queries_share_system_parser_and_elements(capsys,
     assert (len(built), len(parsers)) == (count + 1, 1)
 
 
+def test_commands_that_read_no_cover_make_no_reflection(capsys,
+                                                       monkeypatch):
+    # The reflections s_alpha are made on the first cover read (intervals,
+    # the Richardson witness, chains, edge labels); every other command,
+    # each scan included, leaves a fresh system without them.
+    systems = []
+
+    def fresh(family, rank):
+        systems.append(build_root_system(cartan_datum(family, rank)))
+        return systems[-1]
+
+    monkeypatch.setattr(cli, "root_system", fresh)
+    b3 = ["--type", "B", "--rank", "3"]
+    b3_w0 = ".".join(map(str, _w0_word(root_system("B", 3))))
+    queries = [["info"] + b3,
+               ["complexity"] + b3 + ["--kind", "schubert", "--w", b3_w0],
+               ["complexity"] + b3 + ["--kind", "levi", "--w", "1.2.3.2",
+                                      "--I", "1"],
+               ["complexity"] + b3 + ["--kind", "partial", "--w", "2.1.3",
+                                      "--J", "2"],
+               ["complexity", "--type", "A", "--rank", "3", "--kind",
+                "partial", "--w", "3412", "--J", "1,3", "--I", "2"],
+               ["deodhar"] + b3 + ["--v-word", b3_w0, "--u", "2.3"]]
+    queries += [["scan"] + b3 + ["--target", target]
+                for target in cli.SCAN_TARGETS]
+    for argv in queries:
+        for fmt in ("text", "json", "csv"):
+            code, _, err = run(capsys, argv + ["--format", fmt])
+            assert (code, err) == (0, ""), argv
+            assert systems[-1].reflection_cache == [], argv
+    code, _, _ = run(capsys, ["complexity"] + b3 + [
+        "--kind", "richardson", "--u", "1", "--v", b3_w0])
+    assert code == 0 and len(systems[-1].reflection_cache) == 9
+
+
 def test_complexity_schubert_golden(capsys, a4):
     code, out, _ = run(capsys, ["complexity", "--type", "A", "--rank", "4",
                                 "--kind", "schubert", "--w", "51234",
@@ -776,8 +811,10 @@ def _digest_cases():
                "--u", u] for word, u in [(b3_w0, "id"), (b3_w0, "1"),
                                          (b3_w0, "2.3"), (b3_w0, "3.2.1.2"),
                                          ("id", "id")]]
+    # A16 and B12 have more than 256 signed roots, so their elements are
+    # tuples (see RootSystem._build_permutations).
     cases += [["info", "--type", f, "--rank", str(r)]
-              for f, r in [("G", 2), ("A", 3), ("D", 4)]]
+              for f, r in [("G", 2), ("A", 3), ("D", 4), ("A", 16)]]
     cases += [["complexity", "--type", f, "--rank", str(r), "--kind", kind]
               + flags for f, r, kind, flags in [
                   ("A", 3, "richardson", ["--u", "1324", "--v", "3412"]),
@@ -787,7 +824,13 @@ def _digest_cases():
                   ("B", 3, "levi", ["--w", "1.2.3.2", "--I", "1"]),
                   ("A", 3, "partial", ["--w", "2.1.3", "--J", "2"]),
                   ("A", 3, "partial", ["--w", "3412", "--J", "1,3",
-                                       "--I", "2"])]]
+                                       "--I", "2"]),
+                  ("A", 16, "richardson", ["--u", "2.4",
+                                           "--v", "1.2.3.4.5.4.3.2.1"]),
+                  ("A", 16, "schubert", ["--w", "1.2.1.3.2.16.15.16"]),
+                  ("B", 12, "richardson", ["--u", "12.10",
+                                           "--v", "12.11.12.11.10.9"]),
+                  ("B", 12, "schubert", ["--w", "12.11.12.11.10.9.1"])]]
     return [argv + ["--format", fmt] for argv in cases
             for fmt in ("text", "json", "csv")]
 
@@ -811,7 +854,7 @@ def test_cli_output_digests(capsys):
               encoding="utf-8") as fh:
         expected = json.load(fh)
     got = _cli_digests(capsys)
-    assert len(got) == 261 and set(got) == set(expected)
+    assert len(got) == 276 and set(got) == set(expected)
     assert [k for k in got if got[k] != expected[k]] == []
 
 

@@ -126,7 +126,8 @@ def test_levi_borel_against_coset_oracle(a3, s4):
 
 
 def test_levi_borel_decomposes_once(monkeypatch, a3, s4):
-    # levi_acts already splits w = a d; the report reuses its a.
+    # For I in D_L(w) the factor a is w_0(I), so the report splits nothing;
+    # its values still agree with the decomposition w = a d.
     real = complexity.left_parabolic_decomposition
     calls = [0]
 
@@ -141,7 +142,7 @@ def test_levi_borel_decomposes_once(monkeypatch, a3, s4):
                 continue
             calls[0] = 0
             rep = levi_borel_complexity(sub, w)
-            assert calls[0] == 1
+            assert calls[0] == 0
             a, d = real(w, sub)
             assert rep.value == d.length - len(support(d))
             assert rep.witness["levi_factor"] == word_string(a)
@@ -262,6 +263,10 @@ def test_least_bad_index_is_named(a3):
         partial_flag_torus_complexity(w, {0, -2})
     with pytest.raises(InvalidInputError, match=r"index -1 out of range"):
         left_parabolic_decomposition(w, {5, -1})
+    with pytest.raises(InvalidInputError, match=r"index -1 out of range"):
+        longest_element(a3, {5, -1})
+    with pytest.raises(InvalidInputError, match=r"index -1 out of range"):
+        levi_borel_complexity({5, -1}, w)
 
 
 def test_scan_toric_schubert(a2):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from bruhatkit import (CartanDatum, InvalidInputError, build_root_system,
@@ -130,3 +132,20 @@ def test_coroot_pairing_integrality(b3, g2):
                 assert isinstance(value, int)
                 if alpha == beta:
                     assert value == 2
+
+
+def test_root_system_makes_no_reflection():
+    # A system holds its roots and simple reflections; weyl makes the
+    # other reflections on first use, so a fresh B16 (512 signed roots)
+    # holds no table of N permutations.
+    datum = cartan_datum("B", 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rs = build_root_system(datum)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rs.reflection_cache == []
+    assert not hasattr(rs, "reflection_perms")
+    assert held < 500_000

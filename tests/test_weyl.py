@@ -296,9 +296,11 @@ def test_permutations_on_both_sides_of_256_signed_roots(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 4), ("G", 2),
-                                         ("D", 4), ("F", 4), ("E", 6)])
+                                         ("D", 4), ("F", 4), ("E", 6),
+                                         ("A", 16)])
 def test_reflections_act_by_coroot_pairing(family, rank):
-    # s_alpha(x) = x - <x, alpha^vee> alpha on every signed root
+    # s_alpha(x) = x - <x, alpha^vee> alpha on every signed root; A16 has
+    # 272 signed roots, so its permutations are tuples, not bytes.
     rs = root_system(family, rank)
     signed = rs.positive_roots + tuple(
         tuple(-c for c in r) for r in rs.positive_roots)
