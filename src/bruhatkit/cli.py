@@ -13,7 +13,7 @@ Subsets (--I/--J) are comma-separated simple indices; the empty string is
 the empty set.
 
 --rank is at most 45 for family A and 32 for B, C and D (no system with
-more positive roots than A45, about 0.8 s and 16 MB to build, 32 MB with
+more positive roots than A45, about 0.2 s and 16 MB to build, 32 MB with
 its reflections); a larger rank exits 2 before any root is built.
 
 Exit codes: 0 success, 2 input error, 3 precondition/hypothesis failure,
@@ -169,23 +169,6 @@ _ELEMENT_KEYS = ("u", "v", "w", "levi_factor", "coset_factor",
                  "max_toric_witness")
 
 
-def _write_rows(args, out, head: dict, columns, rows) -> None:
-    """A table of rows that hold exactly ``columns``, in order: under json
-    the head object and then each row, one per line; otherwise a header and
-    the cells, separated by commas under csv and by tabs under text.  Cells
-    go to ``csv.writer`` as they are, so outside json each must be a str or
-    an int (not a bool)."""
-    if args.format == "json":
-        out.write(json.dumps(head) + "\n")
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
-        return
-    writer = csv.writer(out, lineterminator="\n",
-                        delimiter="," if args.format == "csv" else "\t")
-    writer.writerow(columns)
-    writer.writerows(map(dict.values, rows))
-
-
 def _emit_report(report: ComplexityReport, args, out,
                  rs: RootSystem) -> None:
     if args.format == "json":
@@ -324,32 +307,51 @@ def cmd_complexity(args, out) -> int:
 def cmd_scan(args, out) -> int:
     rs = root_system(args.type, args.rank)
     rows = scan(rs, args.target, max_length=args.max_length, cap=_group_cap())
-    _write_rows(args, out, {"meta": {**_meta(args), "target": args.target}},
-                SCAN_COLUMNS[args.target], rows)
+    if args.format == "json":
+        out.write(json.dumps({"meta": {**_meta(args), "target": args.target}})
+                  + "\n")
+        for row in rows:
+            out.write(json.dumps(row) + "\n")
+        return 0
+    # Scan cells are str or int, so they go to csv.writer as they are.
+    writer = csv.writer(out, lineterminator="\n",
+                        delimiter="," if args.format == "csv" else "\t")
+    writer.writerow(SCAN_COLUMNS[args.target])
+    writer.writerows(map(dict.values, rows))
     return 0
 
 
 def _deodhar_rows(subexprs, u: WeylElement):
-    """The printed row of each mask, every one of which evaluates to u.
+    """Each mask's row as a tuple in column order; every mask evaluates to u.
 
-    One pass over the choices gives the J lists in order: Jo the skips, J-
-    the other beta positions, J+ the rest.  Masks that share a move share
-    its (k, beta) entry, so each entry's text is made once per command.
+    One pass over the choices beside the betas gives the J lists in order:
+    a beta position is Jo if skipped, else J-; any other is J+.  Masks that
+    share a move share its (k, beta) entry, so each entry's text is made
+    once per command.
     """
     evaluation = word_string(u)
     texts: dict[tuple[int, Root], str] = {}
     for se in subexprs:
-        marked = {k for k, _ in se.betas}
-        j_plus, j_circ, j_minus = [], [], []
+        j_plus, j_circ, j_minus, betas = [], [], [], []
+        entries = iter(se.betas)
+        e = next(entries, (0, None))
         for k, choice in enumerate(se.choices, 1):
-            (j_circ if choice == SKIP else j_minus if k in marked
-             else j_plus).append(k)
-        betas = [texts.get(e) or texts.setdefault(
-            e, f"{e[0]}:{root_string(e[1])}") for e in se.betas]
-        yield {"mask": se.mask_string(), "evaluation": evaluation,
-               "j_plus": j_plus, "j_circ": j_circ, "j_minus": j_minus,
-               "betas": betas, "shape": [len(j_circ), len(j_minus)],
-               "td": se.td, "positive": not j_minus}
+            if e[0] != k:
+                j_plus.append(k)
+                continue
+            (j_circ if choice == SKIP else j_minus).append(k)
+            betas.append(texts.get(e) or texts.setdefault(
+                e, f"{k}:{root_string(e[1])}"))
+            e = next(entries, (0, None))
+        yield (se.mask_string(), evaluation, j_plus, j_circ, j_minus, betas,
+               [len(j_circ), len(j_minus)], se.td, not j_minus)
+
+
+# Every string in a row is ASCII with no character that JSON escapes, and
+# str() of a list of ints is its JSON, so this gives json.dumps's bytes.
+_DEODHAR_JSON = ('{"mask": "%s", "evaluation": "%s", "j_plus": %s, '
+                 '"j_circ": %s, "j_minus": %s, "betas": [%s], "shape": %s, '
+                 '"td": %d, "positive": %s}\n')
 
 
 def cmd_deodhar(args, out) -> int:
@@ -359,27 +361,32 @@ def cmd_deodhar(args, out) -> int:
     subexprs = enumerate_distinguished(word, u)
     # Rows are built as they are written, so only one is held at a time.
     rows = _deodhar_rows(subexprs, u)
-    if args.format == "csv":
-        rows = ({k: _csv_cell(v) for k, v in row.items()} for row in rows)
-    columns = ("mask", "evaluation", "j_plus", "j_circ", "j_minus",
-               "betas", "shape", "td", "positive")
-    if args.format != "text":
-        _write_rows(args, out, {"meta": _meta(args), "v_word": list(word),
-                                "u": word_string(u), "count": len(subexprs)},
-                    columns, rows)
+    write = out.write
+    if args.format == "json":
+        write(json.dumps({"meta": _meta(args), "v_word": list(word),
+                          "u": word_string(u), "count": len(subexprs)})
+              + "\n")
+        for mask, ev, j_plus, j_circ, j_minus, betas, shape, td, pos in rows:
+            write(_DEODHAR_JSON % (
+                mask, ev, j_plus, j_circ, j_minus,
+                '"' + '", "'.join(betas) + '"' if betas else "", shape, td,
+                "true" if pos else "false"))
+    elif args.format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("mask", "evaluation", "j_plus", "j_circ", "j_minus",
+                         "betas", "shape", "td", "positive"))
+        writer.writerows([*map(_csv_cell, row)] for row in rows)
     else:
-        out.write(f"v-word: {'.'.join(map(str, word)) or 'id'}   "
-                  f"u: {_display(rs, u)}   "
-                  f"distinguished subexpressions: {len(subexprs)}\n")
-        for row in rows:
-            flag = " (positive)" if row["positive"] else ""
-            out.write(f"mask ({row['mask']}){flag}\n")
-            # The sorted lists as sets: {6, 8, 9, 10}, or {} when empty.
-            out.write("  J+={%s} Jo={%s} J-={%s}\n" % tuple(
-                str(row[k])[1:-1] for k in ("j_plus", "j_circ", "j_minus")))
-            out.write(f"  betas: {'; '.join(row['betas']) or '-'}\n")
-            out.write(f"  shape: ({row['shape'][0]},{row['shape'][1]})  "
-                      f"td: {row['td']}\n")
+        write(f"v-word: {'.'.join(map(str, word)) or 'id'}   "
+              f"u: {_display(rs, u)}   "
+              f"distinguished subexpressions: {len(subexprs)}\n")
+        # The sorted J lists as sets: {6, 8, 9, 10}, or {} when empty.
+        for mask, _, j_plus, j_circ, j_minus, betas, shape, td, pos in rows:
+            write("mask (%s)%s\n  J+={%s} Jo={%s} J-={%s}\n  betas: %s\n"
+                  "  shape: (%d,%d)  td: %d\n" % (
+                      mask, " (positive)" if pos else "", str(j_plus)[1:-1],
+                      str(j_circ)[1:-1], str(j_minus)[1:-1],
+                      "; ".join(betas) or "-", *shape, td))
     return 0
 
 

@@ -230,34 +230,33 @@ def enumerate_distinguished(v_word: Sequence[int],
     if start not in moves[0]:
         return []
     td = ad(u, v)
-    chain, mask, betas = [start], [], []
-    frames: list = []
-    out: list[Subexpression] = []
+    n, make = len(word), Subexpression._make
+    # At depth d, mask[:d] and chain[:d + 1] lead to the state chain[d], and
+    # frames[j] holds the moves not yet tried out of chain[j], for j < d.
+    mask, chain, frames = [None] * n, [start] * (n + 1), [None] * n
+    betas, out, d = [], [], 0
     while True:
-        if len(mask) == len(word):
-            out.append(Subexpression(word, tuple(mask), tuple(chain),
-                                     tuple(betas), td))
+        if d == n:
+            out.append(make((word, tuple(mask), tuple(chain), tuple(betas),
+                             td)))
         else:
-            frames.append(iter(moves[len(mask)][chain[-1]]))
+            frames[d] = iter(moves[d][chain[d]])
+            d += 1
         # Back up to the deepest state with a move left, undoing the move
-        # into each state left behind.
-        while frames:
-            if len(mask) == len(frames):
-                if betas and betas[-1][0] == len(mask):
-                    betas.pop()
-                mask.pop()
-                chain.pop()
-            move = next(frames[-1], None)
+        # out of each state on the way.
+        while d:
+            d -= 1
+            if betas and betas[-1][0] > d:
+                betas.pop()
+            move = next(frames[d], None)
             if move:
                 break
-            frames.pop()
         else:
             return out
-        choice, nxt, entry = move
-        mask.append(choice)
-        chain.append(nxt)
+        mask[d], chain[d + 1], entry = move
         if entry:
             betas.append(entry)
+        d += 1
 
 
 def positive_distinguished(v_word: Sequence[int],

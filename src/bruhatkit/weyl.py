@@ -22,6 +22,7 @@ ever written with its one correct value.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import GroupTooLargeError, InvalidInputError
@@ -158,7 +159,7 @@ def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
         raise InvalidInputError("elements belong to different root systems")
     rs = u.system
     if rs.pad is None:
-        return _intern(rs, tuple(map(u.perm.__getitem__, v.perm)))
+        return _intern(rs, itemgetter(*v.perm)(u.perm))
     return _intern(rs, v.perm.translate(u.perm + rs.pad))
 
 

@@ -710,17 +710,51 @@ def _oracle_row(se) -> dict:
 
 @pytest.mark.parametrize("family, rank, every_u, masks", [
     ("B", 3, True, 200), ("G", 2, True, 33), ("D", 5, False, 1613)])
-def test_deodhar_rows_match_subexpression_oracle(family, rank, every_u,
-                                                 masks):
+def test_deodhar_rows_match_subexpression_oracle(capsys, family, rank,
+                                                 every_u, masks):
+    # Each JSON line is the bytes json.dumps gives for the oracle's row, and
+    # the row's fields are the oracle's values in column order.
     rs = root_system(family, rank)
     word = _w0_word(rs)
     checked = 0
     for u in enumerate_group(rs) if every_u else [identity(rs)]:
-        subexprs = enumerate_distinguished(word, u)
-        rows = list(cli._deodhar_rows(subexprs, u))
-        assert rows == [_oracle_row(se) for se in subexprs]
-        checked += len(rows)
+        oracle = [_oracle_row(se) for se in enumerate_distinguished(word, u)]
+        code, out, _ = run(capsys, ["deodhar", "--type", family,
+                                    "--rank", str(rank), "--format", "json",
+                                    "--v-word", ".".join(map(str, word)),
+                                    "--u", word_string(u)])
+        assert code == 0
+        assert out.splitlines()[1:] == [json.dumps(row) for row in oracle]
+        rows = cli._deodhar_rows(enumerate_distinguished(word, u), u)
+        assert list(rows) == [tuple(row.values()) for row in oracle]
+        checked += len(oracle)
     assert checked == masks
+
+
+def test_deodhar_json_rows_at_the_edges(capsys):
+    # The empty word has one mask for u = id, with every list empty, and
+    # the w0 word one for u = w0, all takes and no beta.
+    rs = root_system("B", 3)
+    word = _w0_word(rs)
+    w0 = ".".join(map(str, word))
+    lines = []
+    for v_word, u in [("id", "id"), (w0, w0)]:
+        code, out, _ = run(capsys, ["deodhar", "--type", "B", "--rank", "3",
+                                    "--v-word", v_word, "--u", u,
+                                    "--format", "json"])
+        assert code == 0
+        rows = [json.dumps(_oracle_row(se)) for se in enumerate_distinguished(
+            parse_word(v_word), parse_element(rs, u))]
+        assert out.splitlines()[1:] == rows
+        lines += rows
+    assert lines == [
+        '{"mask": "", "evaluation": "id", "j_plus": [], "j_circ": [], '
+        '"j_minus": [], "betas": [], "shape": [0, 0], "td": 0, '
+        '"positive": true}',
+        '{"mask": "take,take,take,take,take,take,take,take,take", '
+        f'"evaluation": "{w0}", "j_plus": [1, 2, 3, 4, 5, 6, 7, 8, 9], '
+        '"j_circ": [], "j_minus": [], "betas": [], "shape": [0, 0], '
+        '"td": 0, "positive": true}']
 
 
 @pytest.mark.parametrize("fmt, digest", [

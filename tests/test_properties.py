@@ -201,7 +201,7 @@ def test_walk_masks_against_oracle_route(case):
 
 #: Systems on both sides of each family's rank bounds.  The valid ones are
 #: few and small, so a case costs milliseconds; the upper bounds of A-D are
-#: probed from outside only (A45 takes about 1 s to build).
+#: probed from outside only (A45 takes about 0.2 s to build).
 SYSTEMS = (("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2),
            ("D", 4), ("F", 4), ("E", 6))
 BAD_SYSTEMS = (("A", 0), ("A", 46), ("B", 1), ("D", 33), ("E", 5), ("E", 9),

@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 
 from bruhatkit import (GroupTooLargeError, InvalidInputError,
-                       all_reduced_words, apply_to_root, build_root_system,
-                       canonical_order, cartan_datum, enumerate_group,
+                       all_reduced_words, apply_to_root, bruhat_le,
+                       build_root_system, canonical_order, cartan_datum,
+                       enumerate_group,
                        from_word, identity, inverse, left_descents,
                        left_inversions, left_parabolic_decomposition,
                        longest_element, multiply, reduced_word,
@@ -16,10 +17,10 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        weyl_group_order, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
 from bruhatkit.weyl import reflection, simple_reflection
-from oracles import (coroot_pairing, perm_from_word, perm_least_reduced_word,
-                     perm_left_descents, perm_length, perm_reduced_words,
-                     perm_right_descents, perm_right_inversion_roots,
-                     perm_support)
+from oracles import (coroot_pairing, perm_bruhat_le, perm_from_word,
+                     perm_least_reduced_word, perm_left_descents, perm_length,
+                     perm_mul, perm_reduced_words, perm_right_descents,
+                     perm_right_inversion_roots, perm_support)
 
 
 def words_up_to(rank, max_len):
@@ -293,6 +294,34 @@ def test_permutations_on_both_sides_of_256_signed_roots(family, rank):
         assert inverse(inverse(uv)) is uv
     w0 = longest_element(rs, range(1, rs.rank + 1))
     assert inverse(w0) is w0 and multiply(w0, w0) is identity(rs)
+
+
+@pytest.mark.parametrize("rank", [16, 30, 45])
+def test_tuple_path_against_permutations(rank):
+    # A16 and up have more than 256 signed roots, so their elements are
+    # tuples; seeded products, lengths, right descents and Bruhat order
+    # against permutations of 1..rank+1, each built from its word alone.
+    rs = build_root_system(cartan_datum("A", rank))
+    assert rs.pad is None
+    n = rank + 1
+    rng = random.Random(f"tuple path A{rank}")
+    for _ in range(4):
+        x_word, y_word = ([rng.randint(1, rank) for _ in range(rank)]
+                          for _ in range(2))
+        x, y = from_word(rs, x_word), from_word(rs, y_word)
+        px, py = perm_from_word(n, x_word), perm_from_word(n, y_word)
+        xy, pxy = multiply(x, y), perm_mul(px, py)
+        assert type(xy.perm) is tuple
+        assert xy.length == perm_length(pxy)
+        assert right_descents(xy) == perm_right_descents(pxy)
+        assert perm_from_word(n, reduced_word(xy)) == pxy
+        # A subword of a reduced word of xy is below xy.
+        z_word = [i for i in reduced_word(xy) if rng.random() < 0.8]
+        z, pz = from_word(rs, z_word), perm_from_word(n, z_word)
+        for a, b, pa, pb in [(x, y, px, py), (y, x, py, px),
+                             (z, xy, pz, pxy), (xy, z, pxy, pz)]:
+            assert bruhat_le(a, b) == perm_bruhat_le(pa, pb)
+        assert bruhat_le(z, xy)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 4), ("G", 2),
