@@ -8,20 +8,22 @@ Comparison and algebraic dimension share one right-descent walk
 (``descent_labels``): ``bruhat_le`` asks whether it reaches u = v, and
 ``algdim.ad`` takes the rank of the labels it records.  ``interval`` finds
 only the elements of [u, v], by a downward breadth-first search from v that
-keeps only elements >= u.  The reflections s_alpha w on either side of w,
-and so its covers, are read off w's permutation (``_reflected``).  An
-interval's edges are worked out from its elements once, when first read.
+keeps only elements >= u, down to the covers of u, found by a reflection
+test (``_covers``).  The reflections s_alpha w on either side of w, and so
+its covers, are read off w's permutation (``_reflected``).  An interval's
+edges are worked out from its elements once, when first read.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from operator import itemgetter, methodcaller
 from typing import NamedTuple
 
 from .errors import NotComparableError
 from .rootsys import Root
-from .weyl import (WeylElement, _reflections, multiply, right_descents,
-                   times_simple, word_string)
+from .weyl import (WeylElement, _reflections, inverse, multiply,
+                   right_descents, times_simple, word_string)
 
 
 class CoverEdge(NamedTuple):
@@ -37,9 +39,9 @@ class CoverEdge(NamedTuple):
 
 
 def descent_labels(u: WeylElement, v: WeylElement) -> list[Root] | None:
-    """The labels of the right-descent walk from (u, v), or None as soon as
-    l(u) > l(v), which happens exactly when u is not <= v (the lifting
-    property; Björner–Brenti, GTM 231, ch. 2).
+    """The labels of the right-descent walk from (u, v), or None once
+    l(u) >= l(v) with u != v, which happens exactly when u is not <= v (the
+    lifting property; Björner–Brenti, GTM 231, ch. 2).
 
     With i the least right descent of v, each step sets v to v s_i, and u to
     u s_i when i is also a right descent of u; otherwise it records the
@@ -47,16 +49,14 @@ def descent_labels(u: WeylElement, v: WeylElement) -> list[Root] | None:
     """
     rs = u.system
     labels = []
-    while u.length <= v.length:
-        if u == v:
-            return labels
+    while u.length < v.length:
         i = min(right_descents(v))
         if i in right_descents(u):
             u = times_simple(u, i)
         else:
             labels.append(rs.signed_roots[u.perm[rs.simple_positions[i - 1]]])
         v = times_simple(v, i)
-    return None
+    return labels if u is v else None
 
 
 @lru_cache(maxsize=None)
@@ -97,6 +97,16 @@ def _reflected(w: WeylElement, up: bool = False):
         if (p < n_pos) == up:
             a = p % n_pos
             yield roots[a], multiply(reflections[a], w)
+
+
+def _covers(u: WeylElement):
+    """The test of u < x for l(x) = l(u) + 1: is u^-1 x (or its conjugate
+    x u^-1) a reflection?  It composes raw permutations and interns none."""
+    rs, inv = u.system, inverse(u).perm
+    _reflections(rs)
+    compose = (itemgetter(*inv) if rs.pad is None  # (x u^-1).perm
+               else methodcaller("translate", inv + rs.pad))  # (u^-1 x).perm
+    return lambda x: compose(x.perm) in rs.reflection_set
 
 
 def lower_covers(w: WeylElement) -> list[CoverEdge]:
@@ -164,28 +174,31 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     """The elements of [u, v]; its edges are worked out on first read.
 
     Every element of [u, v] is reachable from v by a saturated chain inside
-    [u, v], so the downward search may prune anything not >= u.  The
+    [u, v], so the downward search may prune anything not >= u.  It stops
+    at layer l(u) + 1, the covers of u, admitted by ``_covers``.  The
     elements x = s_alpha w < w below a visited w come from w's inversions
-    (``_reflected``), l(w) products for each w above the bottom layer l(u).
+    (``_reflected``), l(w) products for each w above layer l(u) + 1.  If
+    l(v) - l(u) >= 2, u <= v exactly when the search reaches l(u) + 1.
     """
-    if not bruhat_le(u, v):
-        raise NotComparableError(
-            f"empty interval: {word_string(u)} is not <= {word_string(v)}")
-    bottom = u.length
-    elements = {v}
-    frontier = [v]
-    # Every element of a layer has the same length; at l(u) only u is left,
-    # and nothing below it lies in [u, v].  When u is the identity (l(u) = 0),
-    # every x is >= u and needs no comparison.
+    bottom = u.length + 1
+    elements = {u, v}
+    frontier = [v] if v.length > bottom or bruhat_le(u, v) else []
+    # Every element of a layer has the same length.  When u is the identity
+    # (l(u) = 0), every x is >= u and needs no comparison.
     while frontier and frontier[0].length > bottom:
+        admit = (_covers(u) if frontier[0].length == bottom + 1
+                 else partial(bruhat_le, u) if u.length else None)
         nxt = []
         for w in frontier:
             for _, x in _reflected(w):
                 if (x.length == w.length - 1 and x not in elements
-                        and (not bottom or bruhat_le(u, x))):
+                        and (admit is None or admit(x))):
                     elements.add(x)
                     nxt.append(x)
         frontier = nxt
+    if not frontier:
+        raise NotComparableError(
+            f"empty interval: {word_string(u)} is not <= {word_string(v)}")
     return LabeledInterval(u, v, frozenset(elements))
 
 

@@ -25,9 +25,9 @@ from itertools import accumulate, chain, combinations, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .algdim import ad, max_toric_below_top, span_rank
-from .bruhat import bruhat_le, descent_labels
+from .bruhat import descent_labels
 from .errors import (FormulaUnavailableError, InvalidInputError,
-                     PreconditionError)
+                     NotComparableError, PreconditionError)
 from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement, _check_cap,
                    _layers, left_descents, left_parabolic_decomposition,
@@ -59,11 +59,12 @@ def _subset_str(indices: Iterable[int]) -> str:
 def torus_complexity_richardson(u: WeylElement,
                                 v: WeylElement) -> ComplexityReport:
     """c_T of the Richardson variety for u <= v: l(v) - l(u) - ad(u, v)."""
-    if not bruhat_le(u, v):
+    try:
+        dim = ad(u, v)
+    except NotComparableError:
         raise PreconditionError(
             f"Richardson variety is empty: {word_string(u)} is not <= "
-            f"{word_string(v)}")
-    dim = ad(u, v)
+            f"{word_string(v)}") from None
     witness_w, witness_value = max_toric_below_top(u, v)
     return ComplexityReport(
         kind="torus_richardson",

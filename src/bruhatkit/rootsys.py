@@ -201,10 +201,11 @@ class RootSystem:
                 f"closure produced {len(self.positive_roots)} positive roots, "
                 f"expected {expected} for {datum.family}{datum.rank}")
         self._build_permutations()
-        # Interning cache for Weyl group elements, and s_alpha by root
-        # index, both filled by the weyl module on first use.
+        # Interning cache for Weyl group elements, s_alpha by root index and
+        # the set of their permutations, filled by weyl on first use.
         self.element_cache: dict = {}
         self.reflection_cache: list = []
+        self.reflection_set: set = set()
 
     # -- construction ----------------------------------------------------
 

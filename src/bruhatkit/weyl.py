@@ -114,9 +114,10 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 def _reflections(rs: RootSystem) -> list[WeylElement]:
     """The reflections s_alpha by root index, made on the first call for a
-    system and kept in ``rs.reflection_cache``.  A non-simple beta at index
-    k takes s_i s_alpha s_i, composed on the permutations, for the first i
-    with s_i.perm[k] < k: alpha = s_i(beta) is earlier, so s_alpha is made.
+    system and kept in ``rs.reflection_cache`` (their permutations in
+    ``rs.reflection_set``).  A non-simple beta at index k takes s_i s_alpha
+    s_i, composed on the permutations, for the first i with s_i.perm[k] < k:
+    alpha = s_i(beta) is earlier, so s_alpha is made.
     """
     made = rs.reflection_cache
     if not made:
@@ -126,6 +127,7 @@ def _reflections(rs: RootSystem) -> list[WeylElement]:
             s_alpha = perms[s[k]]
             perms[k] = rs.perm_type(s[s_alpha[q]] for q in s)
         made.extend(_intern(rs, perms[k]) for k in range(len(perms)))
+        rs.reflection_set.update(perms.values())
     return made
 
 

@@ -4,16 +4,18 @@ from collections import Counter
 
 import pytest
 
+import bruhatkit.algdim
 import bruhatkit.bruhat
 import bruhatkit.weyl
-from bruhatkit import (NotComparableError, ad, ad_via_chain, bruhat_le,
-                       build_root_system, canonical_order, cartan_datum,
-                       enumerate_group, from_word, identity, interval,
-                       longest_element, lower_covers, multiply, reduced_word,
-                       right_descents, root_system, saturated_chain,
-                       span_rank, torus_complexity_richardson,
-                       upper_covers_le)
-from bruhatkit.bruhat import CoverEdge, edge_label
+from bruhatkit import (NotComparableError, PreconditionError, ad,
+                       ad_via_chain, bruhat_le, build_root_system,
+                       canonical_order, cartan_datum, enumerate_group,
+                       from_word, identity, interval, longest_element,
+                       lower_covers, multiply, reduced_word, right_descents,
+                       root_system, saturated_chain, span_rank,
+                       torus_complexity_richardson, upper_covers_le,
+                       word_string)
+from bruhatkit.bruhat import CoverEdge, descent_labels, edge_label
 from bruhatkit.cli import parse_element
 from bruhatkit.weyl import WeylElement, reflection, simple_reflection
 from oracles import (edge_key, interval_all_roots, perm_bruhat_le,
@@ -201,6 +203,28 @@ def test_interval_matches_all_roots_oracle_sampled(family, rank, max_gap):
             checked += 1
 
 
+def test_interval_matches_all_roots_oracle_on_tuples():
+    # Past 256 signed roots permutations are tuples, and the reflection test
+    # composes them with itemgetter.  v has a seeded word of at most 20
+    # letters, and u drops one to three letters of v's reduced word, so
+    # u <= v; pairs with l(v) - l(u) > 3 are skipped.
+    rs = root_system("A", 16)
+    assert rs.pad is None
+    rng = random.Random("interval/A16")
+    gaps = Counter()
+    while sum(gaps.values()) < 50:
+        v = from_word(rs, [rng.randint(1, 16)
+                           for _ in range(rng.randint(4, 20))])
+        word = reduced_word(v)
+        dropped = set(rng.sample(range(len(word)),
+                                 min(len(word), rng.randint(1, 3))))
+        u = from_word(rs, [i for k, i in enumerate(word) if k not in dropped])
+        if v.length - u.length <= 3:
+            _assert_interval_matches_all_roots(u, v)
+            gaps[v.length - u.length] += 1
+    assert gaps[2] + gaps[3] >= 25
+
+
 def test_products_are_made_once(monkeypatch):
     # On a system no other test touches, so no earlier test has made its
     # products: every multiply counts, wherever it is bound.
@@ -225,14 +249,15 @@ def test_products_are_made_once(monkeypatch):
     assert [bruhat_le(u, v) for u, v in pairs] == first
     assert calls[0] == 0
     # With the comparisons known, an interval makes l(w) products for each
-    # w above its bottom layer; trying all N reflections would make 12.
+    # w above layer l(u) + 1, whose covers of u it admits by a reflection
+    # test that makes none; trying all N reflections would make 12.
     u, v = from_word(rs, [2]), longest_element(rs, range(1, 5))
     above_u = sum(bruhat_le(u, x) for x in group)
     calls[0] = 0
     iv = interval.__wrapped__(u, v)
     assert len(iv) == above_u
     assert calls[0] <= sum(w.length for w in iv.elements
-                           if w.length > u.length)
+                           if w.length > u.length + 1)
 
 
 def test_interval_builds_one_sort_key_per_element(monkeypatch):
@@ -288,10 +313,10 @@ def test_richardson_query_builds_no_edges(monkeypatch):
     assert sorts["calls"] == 1
 
 
-def test_interval_from_identity_makes_one_comparison(monkeypatch):
+def test_interval_from_identity_makes_no_comparison(monkeypatch):
     # Every element is >= the identity, so [id, w0] is admitted without a
-    # walk per element: only the check that id <= w0 walks.  On a fresh
-    # system, so no comparison comes from the shared cache.
+    # walk per element, and the search reaching layer 1 shows id <= w0.
+    # On a fresh system, so no comparison comes from the shared cache.
     rs = build_root_system(cartan_datum("A", 4))
     real = bruhatkit.bruhat.descent_labels
     calls = [0]
@@ -302,8 +327,86 @@ def test_interval_from_identity_makes_one_comparison(monkeypatch):
 
     monkeypatch.setattr(bruhatkit.bruhat, "descent_labels", counting)
     iv = interval(identity(rs), longest_element(rs, range(1, 5)))
-    assert calls[0] == 1
+    assert calls[0] == 0
     assert iv.elements == frozenset(enumerate_group(rs))
+
+
+def test_richardson_query_walks_its_pair_once(monkeypatch):
+    # The query takes its precondition from ad's walk, and the interval
+    # walks nothing: its layer l(u) + 1 is admitted by the reflection test.
+    # Only the witness search walks, once for each other w of [u, v].  On a
+    # fresh system, so no walk comes from a shared memo table.
+    rs = build_root_system(cartan_datum("D", 4))
+    real = bruhatkit.bruhat.descent_labels
+    walks = Counter()
+
+    def counting(u, v):
+        walks[u, v] += 1
+        return real(u, v)
+
+    for module in (bruhatkit.bruhat, bruhatkit.algdim):
+        monkeypatch.setattr(module, "descent_labels", counting)
+    u, v = from_word(rs, [1, 2, 3]), from_word(rs, [1, 2, 3, 4, 2])
+    assert bruhat_le.__wrapped__(u, v) and v.length - u.length == 2
+    walks.clear()
+    assert len(interval.__wrapped__(u, v)) == 4
+    assert not walks
+    torus_complexity_richardson(u, v)
+    assert walks[u, v] == 1 and max(walks.values()) == 1
+    assert {x for x, _ in walks} == interval(u, v).elements
+
+
+@pytest.mark.parametrize("group", ["s4", "b3_group", "g2_group"])
+def test_cover_test_agrees_with_bruhat_le(group, request):
+    # For x one step longer than u, the reflection test is u <= x; in S4
+    # against the tableau criterion, elsewhere against the walk.
+    elements = request.getfixturevalue(group)
+    n = elements[0].system.rank + 1
+    for u in elements:
+        covers = bruhatkit.bruhat._covers(u)
+        for x in elements:
+            if x.length != u.length + 1:
+                continue
+            if group == "s4":
+                expected = perm_bruhat_le(perm_from_word(n, reduced_word(u)),
+                                          perm_from_word(n, reduced_word(x)))
+            else:
+                expected = bruhat_le(u, x)
+            assert covers(x) == expected, (u, x)
+
+
+def test_incomparable_pairs_raise_the_same_errors(s4, b3_group, g2_group):
+    # Every incomparable pair, whatever its length gap: interval raises from
+    # its comparison (gap <= 1) or its search (gap >= 2), the query from ad.
+    gaps = Counter()
+    for group in (s4, b3_group, g2_group):
+        for u in group:
+            for v in group:
+                if bruhat_le(u, v):
+                    continue
+                gaps[min(max(v.length - u.length, -1), 2)] += 1
+                text = f"{word_string(u)} is not <= {word_string(v)}"
+                with pytest.raises(NotComparableError) as err:
+                    interval(u, v)
+                assert str(err.value) == "empty interval: " + text
+                with pytest.raises(PreconditionError) as err:
+                    torus_complexity_richardson(u, v)
+                assert str(err.value) == ("Richardson variety is empty: "
+                                          + text)
+    assert set(gaps) == {-1, 0, 1, 2}
+
+
+def test_equal_lengths_stop_the_walk_at_once(b3_group, monkeypatch):
+    # u != v of one length are incomparable, and the walk says so before
+    # any step.
+    def refuse(*args):
+        raise AssertionError("the walk took a step")
+
+    monkeypatch.setattr(bruhatkit.bruhat, "times_simple", refuse)
+    for u in b3_group:
+        for v in b3_group:
+            if u is not v and u.length == v.length:
+                assert descent_labels(u, v) is None, (u, v)
 
 
 def test_interval_rejects_incomparable(a2):
