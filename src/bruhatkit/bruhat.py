@@ -17,13 +17,13 @@ edges are worked out from its elements once, when first read.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial
-from operator import itemgetter, methodcaller
 from typing import NamedTuple
 
 from .errors import NotComparableError
 from .rootsys import Root
-from .weyl import (WeylElement, _reflections, inverse, multiply,
-                   right_descents, times_simple, word_string)
+from .weyl import (WeylElement, _compose, _reflections, _same_system,
+                   inverse, multiply, right_descents, times_simple,
+                   word_string)
 
 
 class CoverEdge(NamedTuple):
@@ -46,8 +46,9 @@ def descent_labels(u: WeylElement, v: WeylElement) -> list[Root] | None:
     With i the least right descent of v, each step sets v to v s_i, and u to
     u s_i when i is also a right descent of u; otherwise it records the
     label u(alpha_i).  Once u = v it has recorded l(v) - l(u) labels.
+    Refuses elements of two root systems.
     """
-    rs = u.system
+    rs = _same_system(u, v)
     labels = []
     while u.length < v.length:
         i = min(right_descents(v))
@@ -100,13 +101,11 @@ def _reflected(w: WeylElement, up: bool = False):
 
 
 def _covers(u: WeylElement):
-    """The test of u < x for l(x) = l(u) + 1: is u^-1 x (or its conjugate
-    x u^-1) a reflection?  It composes raw permutations and interns none."""
+    """The test of u < x for l(x) = l(u) + 1: is u^-1 x a reflection?  It
+    composes raw permutations by ``_compose`` and interns none."""
     rs, inv = u.system, inverse(u).perm
     _reflections(rs)
-    compose = (itemgetter(*inv) if rs.pad is None  # (x u^-1).perm
-               else methodcaller("translate", inv + rs.pad))  # (u^-1 x).perm
-    return lambda x: compose(x.perm) in rs.reflection_set
+    return lambda x: _compose(rs, inv, x.perm) in rs.reflection_set
 
 
 def lower_covers(w: WeylElement) -> list[CoverEdge]:
@@ -180,6 +179,7 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     (``_reflected``), l(w) products for each w above layer l(u) + 1.  If
     l(v) - l(u) >= 2, u <= v exactly when the search reaches l(u) + 1.
     """
+    _same_system(u, v)
     bottom = u.length + 1
     elements = {u, v}
     frontier = [v] if v.length > bottom or bruhat_le(u, v) else []
@@ -216,6 +216,7 @@ def saturated_chain(u: WeylElement, v: WeylElement) -> list[WeylElement]:
 def edge_label(x: WeylElement, y: WeylElement) -> Root:
     """The weight of the Bruhat-graph edge between x and y, in either order:
     the positive root alpha with y = s_alpha x, sought on y's side of x."""
+    _same_system(x, y)
     for alpha, z in _reflected(x, up=y.length > x.length):
         if z == y:
             return alpha

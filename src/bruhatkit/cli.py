@@ -13,7 +13,7 @@ Subsets (--I/--J) are comma-separated simple indices; the empty string is
 the empty set.
 
 --rank is at most 45 for family A and 32 for B, C and D (no system with
-more positive roots than A45, about 0.2 s and 16 MB to build, 32 MB with
+more positive roots than A45, about 0.07 s and 16 MB to build, 32 MB with
 its reflections); a larger rank exits 2 before any root is built.
 
 Exit codes: 0 success, 2 input error, 3 precondition/hypothesis failure,

@@ -41,7 +41,9 @@ _E_DATA = {6: (36, 51840), 7: (63, 2903040), 8: (120, 696729600)}
 
 
 def positive_root_count(family: str, rank: int) -> int:
-    """Classical number of positive roots for the family/rank."""
+    """Classical number of positive roots for the family/rank; refuses
+    what ``cartan_datum`` refuses."""
+    _check_family_rank(family, rank)
     if family == "A":
         return rank * (rank + 1) // 2
     if family in ("B", "C"):
@@ -52,13 +54,12 @@ def positive_root_count(family: str, rank: int) -> int:
         return _E_DATA[rank][0]
     if family == "F":
         return 24
-    if family == "G":
-        return 6
-    raise InvalidInputError(f"unknown family {family!r}")
+    return 6
 
 
 def weyl_group_order(family: str, rank: int) -> int:
-    """|W| for the family/rank."""
+    """|W| for the family/rank; refuses what ``cartan_datum`` refuses."""
+    _check_family_rank(family, rank)
     if family == "A":
         return factorial(rank + 1)
     if family in ("B", "C"):
@@ -69,9 +70,7 @@ def weyl_group_order(family: str, rank: int) -> int:
         return _E_DATA[rank][1]
     if family == "F":
         return 1152
-    if family == "G":
-        return 12
-    raise InvalidInputError(f"unknown family {family!r}")
+    return 12
 
 
 def _standard_cartan(family: str, rank: int) -> Matrix:
@@ -111,14 +110,14 @@ def _standard_cartan(family: str, rank: int) -> Matrix:
 
 
 # Families A-D stop where a system would have more positive roots than A45
-# (1035), which takes about 0.2 s and 16 MB to build, and 32 MB once its
+# (1035), which takes about 0.07 s and 16 MB to build, and 32 MB once its
 # reflections are made; the root_system registry keeps what it builds alive.
 _RANK_RANGE = {"A": (1, 45), "B": (2, 32), "C": (2, 32), "D": (2, 32),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
 def _check_family_rank(family: str, rank: int) -> None:
-    if family not in FAMILIES:
+    if family not in _RANK_RANGE:
         raise InvalidInputError(
             f"family must be one of {FAMILIES}, got {family!r}")
     lo, hi = _RANK_RANGE[family]
@@ -230,6 +229,8 @@ class RootSystem:
         c = 0
         for j, a in self._cartan_terms[i0]:
             c += a * root[j]
+        if not c:
+            return root
         out = list(root)
         out[i0] -= c
         return tuple(out)
@@ -259,21 +260,23 @@ class RootSystem:
         # Signed roots: positions 0..N-1 hold the positive roots and N..2N-1
         # their negatives, so a root is negative iff its position is >= N.
         # A permutation maps each position to the position of its image.  It
-        # is bytes if 2N <= 256, which weyl.multiply composes by one translate
-        # through u.perm + pad, else a tuple; only this method chooses.
+        # is bytes if 2N <= 256, which weyl._compose composes by one translate
+        # through p + pad, else a tuple; only this method chooses.  As
+        # s_i(-beta) = -s_i(beta), entry N + k is entry k moved N places.
         self.signed_roots: tuple[Root, ...] = self.positive_roots + tuple(
             negate(r) for r in self.positive_roots)
-        n = len(self.signed_roots)
+        n_pos, n = len(self.positive_roots), len(self.signed_roots)
         self.pad: bytes | None = bytes(range(n, 256)) if n <= 256 else None
         perm = self.perm_type = tuple if self.pad is None else bytes
         self.position: dict[Root, int] = {
             r: k for k, r in enumerate(self.signed_roots)}
         self.simple_positions: tuple[int, ...] = tuple(
             self.index[self.simple_root(i)] for i in range(1, self.rank + 1))
+        flip = [*range(n_pos, n), *range(n_pos)]
+        rows = ([self.position[self._reflect_raw(i0, r)]
+                 for r in self.positive_roots] for i0 in range(self.rank))
         self.simple_perms: tuple[bytes | tuple[int, ...], ...] = tuple(
-            perm(self.position[self._reflect_raw(i0, r)]
-                  for r in self.signed_roots)
-            for i0 in range(self.rank))
+            perm(row + [flip[p] for p in row]) for row in rows)
 
     # -- predicates -------------------------------------------------------
 

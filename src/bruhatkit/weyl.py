@@ -4,11 +4,11 @@ An element is the permutation it induces on the 2N signed roots of its
 root system (``RootSystem.signed_roots``): entry k is the position of the
 image of root k.  It is ``bytes`` when 2N <= 256 (E6-E8, F4, G2, A1-A15,
 B/C/D up to rank 11), so that a product is one ``bytes.translate``, and a
-tuple above that; ``RootSystem._build_permutations`` chooses.  Products
-compose, inverses invert, and lengths and descents are read off which
-positive roots land on negative positions.  Words compose left to right:
-``from_word(rs, [1, 2])`` is s_1 s_2, acting by
-``(s_1 s_2)(x) = s_1(s_2(x))``.
+tuple above that; ``RootSystem._build_permutations`` chooses, and only
+``_compose`` composes two by their format.  Inverses invert, and lengths
+and descents are read off which positive roots land on negative positions.
+Words compose left to right: ``from_word(rs, [1, 2])`` is s_1 s_2, acting
+by ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
 Elements are interned per root system, so equality is identity, and
 lengths, inverses, descents, reduced words and the products w s_i by simple
@@ -116,16 +116,15 @@ def _reflections(rs: RootSystem) -> list[WeylElement]:
     """The reflections s_alpha by root index, made on the first call for a
     system and kept in ``rs.reflection_cache`` (their permutations in
     ``rs.reflection_set``).  A non-simple beta at index k takes s_i s_alpha
-    s_i, composed on the permutations, for the first i with s_i.perm[k] < k:
-    alpha = s_i(beta) is earlier, so s_alpha is made.
+    s_i, composed on the permutations by ``_compose``, for the first i with
+    s_i.perm[k] < k: alpha = s_i(beta) is earlier, so s_alpha is made.
     """
     made = rs.reflection_cache
     if not made:
         perms = dict(zip(rs.simple_positions, rs.simple_perms))
         for k in range(rs.rank, len(rs.positive_roots)):
             s = next(s for s in rs.simple_perms if s[k] < k)
-            s_alpha = perms[s[k]]
-            perms[k] = rs.perm_type(s[s_alpha[q]] for q in s)
+            perms[k] = _compose(rs, _compose(rs, s, perms[s[k]]), s)
         made.extend(_intern(rs, perms[k]) for k in range(len(perms)))
         rs.reflection_set.update(perms.values())
     return made
@@ -156,13 +155,21 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     return w
 
 
-def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
+def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
+    """The raw product p q (entry k is p[q[k]]), in either format."""
+    return itemgetter(*q)(p) if rs.pad is None else q.translate(p + rs.pad)
+
+
+def _same_system(u: WeylElement, v: WeylElement) -> RootSystem:
+    """The root system of u and v; refuses elements of two systems."""
     if u.system is not v.system:
         raise InvalidInputError("elements belong to different root systems")
-    rs = u.system
-    if rs.pad is None:
-        return _intern(rs, itemgetter(*v.perm)(u.perm))
-    return _intern(rs, v.perm.translate(u.perm + rs.pad))
+    return u.system
+
+
+def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
+    rs = _same_system(u, v)
+    return _intern(rs, _compose(rs, u.perm, v.perm))
 
 
 def times_simple(w: WeylElement, i: int) -> WeylElement:

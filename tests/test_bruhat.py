@@ -7,9 +7,10 @@ import pytest
 import bruhatkit.algdim
 import bruhatkit.bruhat
 import bruhatkit.weyl
-from bruhatkit import (NotComparableError, PreconditionError, ad,
-                       ad_via_chain, bruhat_le, build_root_system,
-                       canonical_order, cartan_datum, enumerate_group,
+from bruhatkit import (InvalidInputError, NotComparableError,
+                       PreconditionError, ad, ad_via_chain, bruhat_le,
+                       build_root_system, canonical_order, cartan_datum,
+                       enumerate_group,
                        from_word, identity, interval, longest_element,
                        lower_covers, multiply, reduced_word, right_descents,
                        root_system, saturated_chain, span_rank,
@@ -394,6 +395,33 @@ def test_incomparable_pairs_raise_the_same_errors(s4, b3_group, g2_group):
                 assert str(err.value) == ("Richardson variety is empty: "
                                           + text)
     assert set(gaps) == {-1, 0, 1, 2}
+
+
+@pytest.mark.parametrize("one,other", [(("A", 3, "private"), ("A", 3, "")),
+                                       (("A", 16, ""), ("A", 17, "private"))],
+                         ids=["A3-private-shared", "A16-A17"])
+def test_elements_of_two_systems_are_refused(one, other):
+    # A private A3 and the shared one, and A16 and A17, which are tuples:
+    # each query refuses a pair from two systems, and the same words in one
+    # system answer as in A3.
+    def system(family, rank, private):
+        return (build_root_system(cartan_datum(family, rank)) if private
+                else root_system(family, rank))
+
+    rs, other_rs = system(*one), system(*other)
+    u, v = from_word(rs, [1]), from_word(rs, [1, 2, 3, 2, 1])
+    y = from_word(rs, [1, 2])
+    assert bruhat_le(u, v) and ad(u, v) == 3 and len(interval(u, v)) == 14
+    assert multiply(u, v) is from_word(rs, [2, 3, 2, 1])
+    assert edge_label(u, y) == (1, 1) + (0,) * (rs.rank - 2)
+    far_v, far_y = (from_word(other_rs, w) for w in ([1, 2, 3, 2, 1], [1, 2]))
+    for query, a, b in [(multiply, u, far_v), (bruhat_le, u, far_v),
+                        (descent_labels, u, far_v), (ad, u, far_v),
+                        (interval, u, far_v), (edge_label, u, far_y),
+                        (bruhat_le, far_v, u), (interval, far_y, v)]:
+        with pytest.raises(InvalidInputError,
+                           match="elements belong to different root systems"):
+            query(a, b)
 
 
 def test_equal_lengths_stop_the_walk_at_once(b3_group, monkeypatch):

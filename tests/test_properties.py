@@ -199,11 +199,12 @@ def test_walk_masks_against_oracle_route(case):
 
 # -- the CLI contract -----------------------------------------------------
 
-#: Systems on both sides of each family's rank bounds.  The valid ones are
-#: few and small, so a case costs milliseconds; the upper bounds of A-D are
-#: probed from outside only (A45 takes about 0.2 s to build).
+#: Systems on both sides of each family's rank bounds, the ceilings of A-D
+#: among them (A45 takes about 0.07 s to build, once per process, as the
+#: registry keeps it).
 SYSTEMS = (("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2),
-           ("D", 4), ("F", 4), ("E", 6))
+           ("D", 4), ("F", 4), ("E", 6), ("A", 45), ("B", 32), ("C", 32),
+           ("D", 32))
 BAD_SYSTEMS = (("A", 0), ("A", 46), ("B", 1), ("D", 33), ("E", 5), ("E", 9),
                ("F", 3), ("G", 3), ("C", -1), ("A", 10**20))
 HUGE = str(10**20)

@@ -4,7 +4,7 @@ import pytest
 
 from bruhatkit import (CartanDatum, InvalidInputError, build_root_system,
                        cartan_datum, positive_root_count, root_system,
-                       simple_reflect)
+                       simple_reflect, weyl_group_order)
 from oracles import coroot_pairing, root_of_pair
 
 ENUMERABLE = ([("A", r) for r in (1, 2, 3, 4)]
@@ -98,13 +98,35 @@ def test_invalid_cartan_rejected():
         build_root_system(CartanDatum("A", 2, ((2, 0), (-1, 2))))
 
 
+NOT_FINITE = ("root closure does not terminate; Cartan matrix is not of "
+              "finite type")
+
+
+@pytest.mark.parametrize("cartan,message", [
+    (((2, -2), (-2, 2)), NOT_FINITE),  # affine
+    (((2, -3), (-3, 2)), NOT_FINITE),  # hyperbolic
+    (((2, -1), (-2, 2)),  # B2's matrix under the label A
+     "closure produced 4 positive roots, expected 3 for A2"),
+], ids=["affine", "hyperbolic", "B2-as-A2"])
+def test_closure_refusals(cartan, message):
+    with pytest.raises(InvalidInputError) as err:
+        build_root_system(CartanDatum("A", 2, cartan))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("family,rank", [("E", 5), ("E", 9), ("F", 3),
                                          ("G", 3), ("D", 1), ("B", 1),
                                          ("A", 0), ("A", 46), ("B", 33),
-                                         ("C", 33), ("D", 33)])
+                                         ("C", 33), ("D", 33), ("A", -2),
+                                         ("B", -1), ("", 3), ("AB", 3)])
 def test_rank_restrictions(family, rank):
-    with pytest.raises(InvalidInputError):
+    # The public counts refuse what the builder refuses, with its message.
+    with pytest.raises(InvalidInputError) as err:
         cartan_datum(family, rank)
+    for count in (positive_root_count, weyl_group_order):
+        with pytest.raises(InvalidInputError) as count_err:
+            count(family, rank)
+        assert str(count_err.value) == str(err.value)
 
 
 def test_root_system_is_shared_and_build_is_fresh():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from itertools import combinations
@@ -16,7 +17,7 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        simple_reflect, support,
                        weyl_group_order, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
-from bruhatkit.weyl import reflection, simple_reflection
+from bruhatkit.weyl import _reflections, reflection, simple_reflection
 from oracles import (coroot_pairing, perm_bruhat_le, perm_from_word,
                      perm_least_reduced_word, perm_left_descents, perm_length,
                      perm_mul, perm_reduced_words, perm_right_descents,
@@ -263,6 +264,42 @@ def test_representation_against_word_model(b3_group, g2_group, d4_group):
             assert w.sort_key() == (len(word), matrix)
 
 
+#: sha256 of the positive roots, the simple reflections' permutations and
+#: the reflections' permutations, in that order (``_perm_digest``), on both
+#: sides of 256 signed roots and at the rank ceilings.
+PERM_DIGESTS = {
+    "A15": "4c611e1d520a8e5ee63942ba04ca6f2bbddd92a2c2ccdea104732b18e42d388c",
+    "A16": "1461c6ae8eca4761c292e7e0ad7e300337bece8dd5c61eebd7982371173cee66",
+    "A45": "8d00377df87ee1a8330c3250ad64e707ff2f96ecd9d059ae503adaef00c74ce3",
+    "B11": "4c8827397e1e792b519bf56447e3ea4a945caa571db40594e72f546f6723ee61",
+    "B12": "db3da056d8ced202c97b72521ae0c9fd99a045aa26b180754c537c0c99d19dd4",
+    "B32": "da140b11b808ee712c262c01fd53bf4e1dc781193eb67251db1a5151849431df",
+    "C32": "a5a72d695bf1e3e09f2e552b5f8b8f88cfd9b5c53c8574aeed0bff67d8ad42d5",
+    "D32": "2b028540cf13207cb1d4468c40b9eec4c68be78eee18277c42609c1b5c4cb5f4",
+    "E6": "ca7a1f42f8cc73cf6243bde5867b931c2cf50421b03e421a36e93a050231b0ae",
+    "E7": "6aa0a1e85dc39d05ee900b1c4cfd9e6672414e69a2588a73c8116496accbbcfc",
+    "E8": "2ee3a07fdc0aec8c97d2d92a7167f5c7ccce10faaaee23493a2bf9e7c41bf8ae",
+    "F4": "0bdb731be32c454021ea58357a7bfc4b065e0b21dea656e63d5a95dad4ca92bf",
+    "G2": "b44b8f8f86388835f753bc180bf1c951e7ee6215cde40f8ab1141dff7a79edce",
+}
+
+
+def _perm_digest(rs):
+    h = hashlib.sha256(repr(rs.positive_roots).encode())
+    for perm in (*rs.simple_perms, *(s.perm for s in _reflections(rs))):
+        h.update(repr(tuple(perm)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PERM_DIGESTS))
+def test_permutation_digests(name):
+    # The roots and every reflection's permutation are pinned, so a new way
+    # of building them must give the same entries in the same order.  A
+    # private system keeps the large ones out of the shared registry.
+    rs = build_root_system(cartan_datum(name[0], int(name[1:])))
+    assert _perm_digest(rs) == PERM_DIGESTS[name]
+
+
 @pytest.mark.parametrize("family,rank", [("A", 15), ("A", 16), ("B", 11),
                                          ("B", 12), ("D", 12), ("E", 8)])
 def test_permutations_on_both_sides_of_256_signed_roots(family, rank):
@@ -326,14 +363,19 @@ def test_tuple_path_against_permutations(rank):
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 4), ("G", 2),
                                          ("D", 4), ("F", 4), ("E", 6),
-                                         ("A", 16)])
+                                         ("A", 16), ("B", 12), ("E", 8)])
 def test_reflections_act_by_coroot_pairing(family, rank):
     # s_alpha(x) = x - <x, alpha^vee> alpha on every signed root; A16 has
-    # 272 signed roots, so its permutations are tuples, not bytes.
+    # 272 signed roots and B12, with two root lengths, 288, so their
+    # permutations are tuples, not bytes.  B12 and E8 check 24 seeded
+    # roots alpha, the others every positive root.
     rs = root_system(family, rank)
     signed = rs.positive_roots + tuple(
         tuple(-c for c in r) for r in rs.positive_roots)
-    for alpha in rs.positive_roots:
+    alphas = rs.positive_roots
+    if (family, rank) in {("B", 12), ("E", 8)}:
+        alphas = random.Random(f"{family}{rank}").sample(alphas, 24)
+    for alpha in alphas:
         s = reflection(rs, alpha)
         assert s.length % 2 == 1
         for x in signed:
