@@ -56,7 +56,7 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          partial_flag_torus_complexity, scan,
                          torus_complexity_richardson,
                          torus_complexity_schubert)
-from .deodhar import SKIP, enumerate_distinguished
+from .deodhar import SKIP, mask_stream
 from .errors import (GroupTooLargeError, InvalidInputError, PreconditionError)
 from .rootsys import Root, RootSystem, root_system, weyl_group_order
 from .weyl import (DEFAULT_GROUP_CAP, WeylElement, from_word, identity,
@@ -321,72 +321,66 @@ def cmd_scan(args, out) -> int:
     return 0
 
 
-def _deodhar_rows(subexprs, u: WeylElement):
-    """Each mask's row as a tuple in column order; every mask evaluates to u.
-
-    One pass over the choices beside the betas gives the J lists in order:
-    a beta position is Jo if skipped, else J-; any other is J+.  Masks that
-    share a move share its (k, beta) entry, so each entry's text is made
-    once per command.
-    """
-    evaluation = word_string(u)
+def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
+    """(count, rows) for the distinguished masks for u over word, the rows
+    made in mask order as they are read.  A move's piece of a row is its
+    choice, J+, Jo or J- item and k:beta text (made once per command for
+    each (k, beta)), each after a separator, and its shape counts.  Every
+    string is ASCII with nothing JSON escapes: a json line is json.dumps's."""
+    sep, item = {"json": (", ", ', "%s"'), "text": (", ", "; %s"),
+                 "csv": (",", ",%s")}[fmt]
+    cut, places = len(sep), [sep + str(k) for k in range(len(word) + 1)]
     texts: dict[tuple[int, Root], str] = {}
-    for se in subexprs:
-        j_plus, j_circ, j_minus, betas = [], [], [], []
-        entries = iter(se.betas)
-        e = next(entries, (0, None))
-        for k, choice in enumerate(se.choices, 1):
-            if e[0] != k:
-                j_plus.append(k)
-                continue
-            (j_circ if choice == SKIP else j_minus).append(k)
-            betas.append(texts.get(e) or texts.setdefault(
-                e, f"{k}:{root_string(e[1])}"))
-            e = next(entries, (0, None))
-        yield (se.mask_string(), evaluation, j_plus, j_circ, j_minus, betas,
-               [len(j_circ), len(j_minus)], se.td, not j_minus)
 
+    def piece(k, move):
+        choice, _, entry = move
+        if not entry:
+            return ",take", places[k], "", "", "", 0, 0
+        text = texts.get(entry) or texts.setdefault(
+            entry, item % f"{k}:{root_string(entry[1])}")
+        if choice == SKIP:
+            return ",skip", "", places[k], "", text, 1, 0
+        return ",take", "", "", places[k], text, 0, 1
 
-# Every string in a row is ASCII with no character that JSON escapes, and
-# str() of a list of ints is its JSON, so this gives json.dumps's bytes.
-_DEODHAR_JSON = ('{"mask": "%s", "evaluation": "%s", "j_plus": %s, '
-                 '"j_circ": %s, "j_minus": %s, "betas": [%s], "shape": %s, '
-                 '"td": %d, "positive": %s}\n')
+    zero = ("", "", "", "", "", 0, 0)
+    count, masks, td = mask_stream(word, u, piece, zero)
+    ev = word_string(u)
+    if fmt == "text":
+        return count, ("mask (%s)%s\n  J+={%s} Jo={%s} J-={%s}\n  betas: %s\n"
+                       "  shape: (%d,%d)  td: %d\n" % (
+            mask[1:], "" if nm else " (positive)", plus[cut:], circ[cut:],
+            minus[cut:], betas[cut:] or "-", nc, nm, td)
+            for mask, plus, circ, minus, betas, nc, nm in masks)
+    if fmt == "json":
+        return count, ('{"mask": "%s", "evaluation": "%s", "j_plus": [%s], '
+                       '"j_circ": [%s], "j_minus": [%s], "betas": [%s], '
+                       '"shape": [%d, %d], "td": %d, "positive": %s}\n' % (
+            mask[1:], ev, plus[cut:], circ[cut:], minus[cut:], betas[cut:],
+            nc, nm, td, "false" if nm else "true")
+            for mask, plus, circ, minus, betas, nc, nm in masks)
+    return count, ((mask[1:], ev, plus[cut:], circ[cut:], minus[cut:],
+                    betas[cut:], f"{nc},{nm}", td, "false" if nm else "true")
+                   for mask, plus, circ, minus, betas, nc, nm in masks)
 
 
 def cmd_deodhar(args, out) -> int:
     rs = root_system(args.type, args.rank)
     word = parse_word(args.v_word)
     u = parse_element(rs, args.u)
-    subexprs = enumerate_distinguished(word, u)
-    # Rows are built as they are written, so only one is held at a time.
-    rows = _deodhar_rows(subexprs, u)
-    write = out.write
+    count, rows = _deodhar_table(word, u, args.format)
+    if args.format == "csv":
+        out.write("mask,evaluation,j_plus,j_circ,j_minus,betas,shape,td,"
+                  "positive\n")
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return 0
     if args.format == "json":
-        write(json.dumps({"meta": _meta(args), "v_word": list(word),
-                          "u": word_string(u), "count": len(subexprs)})
-              + "\n")
-        for mask, ev, j_plus, j_circ, j_minus, betas, shape, td, pos in rows:
-            write(_DEODHAR_JSON % (
-                mask, ev, j_plus, j_circ, j_minus,
-                '"' + '", "'.join(betas) + '"' if betas else "", shape, td,
-                "true" if pos else "false"))
-    elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("mask", "evaluation", "j_plus", "j_circ", "j_minus",
-                         "betas", "shape", "td", "positive"))
-        writer.writerows([*map(_csv_cell, row)] for row in rows)
+        out.write(json.dumps({"meta": _meta(args), "v_word": list(word),
+                              "u": word_string(u), "count": count}) + "\n")
     else:
-        write(f"v-word: {'.'.join(map(str, word)) or 'id'}   "
-              f"u: {_display(rs, u)}   "
-              f"distinguished subexpressions: {len(subexprs)}\n")
-        # The sorted J lists as sets: {6, 8, 9, 10}, or {} when empty.
-        for mask, _, j_plus, j_circ, j_minus, betas, shape, td, pos in rows:
-            write("mask (%s)%s\n  J+={%s} Jo={%s} J-={%s}\n  betas: %s\n"
-                  "  shape: (%d,%d)  td: %d\n" % (
-                      mask, " (positive)" if pos else "", str(j_plus)[1:-1],
-                      str(j_circ)[1:-1], str(j_minus)[1:-1],
-                      "; ".join(betas) or "-", *shape, td))
+        out.write(f"v-word: {'.'.join(map(str, word)) or 'id'}   "
+                  f"u: {_display(rs, u)}   "
+                  f"distinguished subexpressions: {count}\n")
+    out.writelines(rows)
     return 0
 
 

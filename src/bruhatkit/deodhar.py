@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import zip_longest
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .algdim import SpanBasis, ad
@@ -212,51 +213,54 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     return steps
 
 
+def mask_stream(v_word: Sequence[int], u: WeylElement, piece,
+                zero: tuple) -> tuple:
+    """(count, values, td) for the distinguished masks over v_word ending
+    at u.  A mask's value adds up, entry by entry, the tuples
+    ``piece(k, move)`` of its moves (k the 1-based position), from ``zero``.
+
+    Meet in the middle over the live moves of ``_live_moves``: the live
+    prefixes of depth m = n // 2 grow from the identity, the live suffixes
+    of each state at depth m grow back from u, both in mask order, and
+    ``values`` joins each prefix to each suffix of its state as it is read.
+    td is ad(u, v), None when u is not below the word's product.
+    """
+    rs = u.system
+    v = _check_reduced(rs, v_word)
+    start, moves = identity(rs), _live_moves(rs, tuple(v_word), u)
+    m = (len(moves) - 1) // 2
+    heads = [(start, zero)] if start in moves[0] else []
+    for k, step in enumerate(moves[:m], 1):
+        heads = [(move[1], tuple(map(add, head, piece(k, move))))
+                 for x, head in heads for move in step[x]]
+    tails = {u: [zero]}
+    for k in range(len(moves) - 1, m, -1):
+        tails = {x: [tuple(map(add, p, tail)) for move in steps
+                     for p in (piece(k, move),) for tail in tails[move[1]]]
+                 for x, steps in moves[k - 1].items()}
+    return (sum(len(tails[x]) for x, _ in heads),
+            (map(add, head, tail) for x, head in heads for tail in tails[x]),
+            ad(u, v) if heads else None)
+
+
+def _mask_piece(k: int, move: tuple) -> tuple:
+    choice, y, entry = move
+    return (choice,), (y,), (entry,) if entry else ()
+
+
 def enumerate_distinguished(v_word: Sequence[int],
                             u: WeylElement) -> list[Subexpression]:
     """All distinguished masks over v_word whose final prefix equals u.
 
-    An exact depth-first walk with an explicit stack over the live moves
-    of ``_live_moves``, so every state it enters yields at least one mask.
-    The walk pushes each move's choice, prefix and beta entry, if any, and
-    pops them when it backs up; a beta goes with the position it names.
-    Every mask's td is the one ad(u, v).  Order is lexicographic on masks
-    with take before skip.  Empty when u is not below the word's product.
+    ``mask_stream`` with the choices, the prefixes after each letter (the
+    identity put in front) and the (k, beta) entries of Jo and J- as
+    values; every mask's td is the one ad(u, v).  Lexicographic on masks
+    with take before skip; empty when u is not below the word's product.
     """
-    rs = u.system
-    v = _check_reduced(rs, v_word)
-    word, start = tuple(v_word), identity(rs)
-    moves = _live_moves(rs, word, u)
-    if start not in moves[0]:
-        return []
-    td = ad(u, v)
-    n, make = len(word), Subexpression._make
-    # At depth d, mask[:d] and chain[:d + 1] lead to the state chain[d], and
-    # frames[j] holds the moves not yet tried out of chain[j], for j < d.
-    mask, chain, frames = [None] * n, [start] * (n + 1), [None] * n
-    betas, out, d = [], [], 0
-    while True:
-        if d == n:
-            out.append(make((word, tuple(mask), tuple(chain), tuple(betas),
-                             td)))
-        else:
-            frames[d] = iter(moves[d][chain[d]])
-            d += 1
-        # Back up to the deepest state with a move left, undoing the move
-        # out of each state on the way.
-        while d:
-            d -= 1
-            if betas and betas[-1][0] > d:
-                betas.pop()
-            move = next(frames[d], None)
-            if move:
-                break
-        else:
-            return out
-        mask[d], chain[d + 1], entry = move
-        if entry:
-            betas.append(entry)
-        d += 1
+    word, start = tuple(v_word), (identity(u.system),)
+    _, masks, td = mask_stream(word, u, _mask_piece, ((), (), ()))
+    return [Subexpression._make((word, mask, start + chain, betas, td))
+            for mask, chain, betas in masks]
 
 
 def positive_distinguished(v_word: Sequence[int],

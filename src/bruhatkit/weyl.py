@@ -249,7 +249,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     descent.  The walk goes down that chain only until it meets an element
     whose word is known, then records the word of every element it passed,
     so each element's word costs one multiply in all.  The walk is a loop:
-    w_0 of A45 has 1035 letters.
+    w_0 of A45 has 1035 letters, and past its bound of l(w) steps it raises.
 
     >>> from bruhatkit.rootsys import root_system
     >>> rs = root_system("A", 2)
@@ -262,6 +262,8 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
         if x.is_identity():
             x._word = ()
             break
+        if len(chain) == w.length:  # only wrong products get here
+            raise AssertionError(f"no reduced word after {w.length} descents")
         i = min(left_descents(x))
         chain.append((x, i))
         x = multiply(simple_reflection(x.system, i), x)

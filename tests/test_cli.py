@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -708,26 +709,58 @@ def _oracle_row(se) -> dict:
     }
 
 
+def _oracle_formatted(se, fmt):
+    # The oracle's row in each format: a json line, a text block and the
+    # csv cells, rendered field by field.
+    row = _oracle_row(se)
+    if fmt == "json":
+        return json.dumps(row) + "\n"
+    if fmt == "csv":
+        return [cli._csv_cell(value) for value in row.values()]
+    j_plus, j_circ, j_minus = (", ".join(map(str, row[key]))
+                               for key in ("j_plus", "j_circ", "j_minus"))
+    return (f"mask ({row['mask']}){' (positive)' * row['positive']}\n"
+            f"  J+={{{j_plus}}} Jo={{{j_circ}}} J-={{{j_minus}}}\n"
+            f"  betas: {'; '.join(row['betas']) or '-'}\n"
+            f"  shape: ({row['shape'][0]},{row['shape'][1]})  "
+            f"td: {row['td']}\n")
+
+
+def _stdout_rows(out, fmt):
+    # The rows of a deodhar stdout, header dropped: a text row is 4 lines.
+    if fmt == "csv":
+        return list(csv.reader(io.StringIO(out)))[1:]
+    lines = out.splitlines(keepends=True)[1:]
+    if fmt == "json":
+        return lines
+    return ["".join(lines[i:i + 4]) for i in range(0, len(lines), 4)]
+
+
 @pytest.mark.parametrize("family, rank, every_u, masks", [
     ("B", 3, True, 200), ("G", 2, True, 33), ("D", 5, False, 1613)])
 def test_deodhar_rows_match_subexpression_oracle(capsys, family, rank,
                                                  every_u, masks):
-    # Each JSON line is the bytes json.dumps gives for the oracle's row, and
-    # the row's fields are the oracle's values in column order.
+    # In every format, each stdout row and each row of the table helper is
+    # the oracle's row, in mask order, and the count is the oracle's.
     rs = root_system(family, rank)
     word = _w0_word(rs)
     checked = 0
     for u in enumerate_group(rs) if every_u else [identity(rs)]:
-        oracle = [_oracle_row(se) for se in enumerate_distinguished(word, u)]
-        code, out, _ = run(capsys, ["deodhar", "--type", family,
-                                    "--rank", str(rank), "--format", "json",
-                                    "--v-word", ".".join(map(str, word)),
-                                    "--u", word_string(u)])
-        assert code == 0
-        assert out.splitlines()[1:] == [json.dumps(row) for row in oracle]
-        rows = cli._deodhar_rows(enumerate_distinguished(word, u), u)
-        assert list(rows) == [tuple(row.values()) for row in oracle]
-        checked += len(oracle)
+        subexprs = enumerate_distinguished(word, u)
+        for fmt in ("text", "json", "csv"):
+            oracle = [_oracle_formatted(se, fmt) for se in subexprs]
+            code, out, _ = run(capsys, ["deodhar", "--type", family,
+                                        "--rank", str(rank), "--format", fmt,
+                                        "--v-word", ".".join(map(str, word)),
+                                        "--u", word_string(u)])
+            assert code == 0
+            assert _stdout_rows(out, fmt) == oracle
+            count, rows = cli._deodhar_table(word, u, fmt)
+            assert count == len(oracle)
+            if fmt == "csv":
+                rows = ([str(cell) for cell in row] for row in rows)
+            assert list(rows) == oracle
+        checked += len(subexprs)
     assert checked == masks
 
 
@@ -775,25 +808,71 @@ def test_deodhar_output_digest(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_deodhar_rows_format_each_entry_once(monkeypatch):
+class _Discarding(io.TextIOBase):
+    """A text stream that keeps its first line and counts the others."""
+
+    def __init__(self):
+        super().__init__()
+        self.first, self.lines = "", 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        if not self.lines:
+            self.first += text
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_deodhar_streams_its_rows(monkeypatch):
+    # D6, w0 word, u = id has 122,565 masks.  Rows are written as they are
+    # made, so the command never holds them all: a version that built every
+    # mask first peaked at about 110 MB under tracemalloc.
+    word = ".".join(map(str, _w0_word(root_system("D", 6))))
+    stream = _Discarding()
+    monkeypatch.setattr(sys, "stdout", stream)
+    tracemalloc.start()
+    try:
+        code = main(["deodhar", "--type", "D", "--rank", "6", "--v-word",
+                     word, "--u", "id", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(stream.first)["count"] == stream.lines - 1 == 122565
+    assert peak < 20e6
+
+
+def test_deodhar_rows_format_each_entry_once(monkeypatch, capsys):
     # The 1,613 masks of D5, w0 word, u = id carry 25,300 beta entries but
-    # only 132 distinct ones, and every mask evaluates to u.
+    # only 132 distinct ones; each command formats each of them once, and
+    # renders u once for the rows and once for a text or JSON header.
     rs = root_system("D", 5)
-    u = identity(rs)
-    subexprs = enumerate_distinguished(_w0_word(rs), u)
-    assert sum(len(se.betas) for se in subexprs) == 25300
+    word = _w0_word(rs)
+    assert sum(len(se.betas) for se in enumerate_distinguished(
+        word, identity(rs))) == 25300
     calls = Counter()
     for name in ("root_string", "word_string"):
         real = getattr(cli, name)
 
         def counting(arg, _name=name, _real=real):
-            calls[_name] += 1
+            calls[fmt, _name] += 1
             return _real(arg)
 
         monkeypatch.setattr(cli, name, counting)
-    rows = list(cli._deodhar_rows(subexprs, u))
-    assert len(rows) == 1613
-    assert calls == {"root_string": 132, "word_string": 1}
+    for fmt in ("text", "json", "csv"):
+        code, out, _ = run(capsys, ["deodhar", "--type", "D", "--rank", "5",
+                                    "--v-word", ".".join(map(str, word)),
+                                    "--u", "id", "--format", fmt])
+        assert code == 0
+        assert len(_stdout_rows(out, fmt)) == 1613
+    assert calls == {("text", "root_string"): 132,
+                     ("text", "word_string"): 2,
+                     ("json", "root_string"): 132,
+                     ("json", "word_string"): 2,
+                     ("csv", "root_string"): 132,
+                     ("csv", "word_string"): 1}
 
 
 def test_deodhar_rejects_non_reduced(capsys):

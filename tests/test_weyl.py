@@ -1,9 +1,12 @@
 import hashlib
 import random
 import sys
+import time
 from itertools import combinations
 
 import pytest
+
+import bruhatkit.weyl
 
 from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        all_reduced_words, apply_to_root, bruhat_le,
@@ -505,6 +508,28 @@ def test_reduced_word_of_long_element_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert len(word) == 465
     assert word == expected
+
+
+def test_reduced_word_walk_is_bounded(monkeypatch):
+    # With wrong products the descent walk never reaches the identity.  It
+    # stops after l(w) steps with an error, where an unbounded walk would
+    # intern elements until memory ran out; the guard ends such a walk.
+    rs = build_root_system(cartan_datum("B", 3))
+    w = longest_element(rs, range(1, 4))
+    calls = [0]
+
+    def wrong(a, b):
+        calls[0] += 1
+        if calls[0] > 1000:
+            pytest.fail("the descent walk has no step bound")
+        return b
+
+    monkeypatch.setattr(bruhatkit.weyl, "multiply", wrong)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="after 9 descents"):
+        reduced_word(w)
+    assert time.perf_counter() - start < 1
+    assert calls[0] == 9
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2), ("D", 4)])
