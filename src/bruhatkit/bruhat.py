@@ -16,7 +16,7 @@ edges are worked out from its elements once, when first read.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import NamedTuple
 
 from .errors import NotComparableError
@@ -67,19 +67,11 @@ def bruhat_le(u: WeylElement, v: WeylElement) -> bool:
 
 
 def _sort_edges(rs, edges) -> list[CoverEdge]:
-    """The edges sorted by (lower end, label, upper end): the ends by
-    ``sort_key``, computed once per element, and the label by root index."""
-    keys: dict[WeylElement, tuple] = {}
-
-    def key(w: WeylElement) -> tuple:
-        k = keys.get(w)
-        if k is None:
-            k = keys[w] = w.sort_key()
-        return k
-
-    index = rs.index
-    return sorted(edges,
-                  key=lambda e: (key(e.lower), index[e.label], key(e.upper)))
+    """The edges sorted by (lower end, label): the lower end by
+    ``sort_key``, computed once per element, and the label by root index.
+    The two fix the upper end, s_label(lower end)."""
+    key, index = cache(WeylElement.sort_key), rs.index
+    return sorted(edges, key=lambda e: (key(e.lower), index[e.label]))
 
 
 def _reflected(w: WeylElement, up: bool = False):
@@ -142,7 +134,7 @@ class LabeledInterval:
     @cached_property
     def graph_edges(self) -> tuple[CoverEdge, ...]:
         """Every edge x ~ w = s_alpha x with both ends in [u, v], sorted by
-        (lower end, label, upper end)."""
+        (lower end, label), which fix the upper end."""
         return tuple(_sort_edges(self.u.system, (
             CoverEdge(x, w, alpha) for w in self.elements
             for alpha, x in _reflected(w) if x in self.elements)))
@@ -205,8 +197,8 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
 def saturated_chain(u: WeylElement, v: WeylElement) -> list[WeylElement]:
     """One maximal chain u = w0 < w1 < ... < v, choosing at each step the
     upper cover with the least label in the root ordering: the first of
-    ``upper_covers_le``, which sorts by label index, then by ``sort_key``.
-    Builds no interval."""
+    ``upper_covers_le``, whose edges share their lower end and so sort by
+    label index alone.  Builds no interval."""
     chain = [u]
     while chain[-1] != v:
         chain.append(upper_covers_le(chain[-1], v)[0].upper)

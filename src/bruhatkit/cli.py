@@ -58,7 +58,8 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          torus_complexity_schubert)
 from .deodhar import SKIP, mask_stream
 from .errors import (GroupTooLargeError, InvalidInputError, PreconditionError)
-from .rootsys import Root, RootSystem, root_system, weyl_group_order
+from .rootsys import (FAMILIES, Root, RootSystem, root_system,
+                      weyl_group_order)
 from .weyl import (DEFAULT_GROUP_CAP, WeylElement, from_word, identity,
                    reduced_word, word_string)
 
@@ -290,7 +291,7 @@ def cmd_complexity(args, out) -> int:
     elif kind == "levi":
         w = parse_element(rs, need("w"))
         report = levi_borel_complexity(parse_subset(need("I")), w)
-    elif kind == "partial":
+    else:  # partial
         w = parse_element(rs, need("w"))
         j_sub = parse_subset(need("J"))
         if args.I is None:
@@ -298,8 +299,6 @@ def cmd_complexity(args, out) -> int:
         else:
             report = partial_flag_levi_complexity(w, j_sub,
                                                   parse_subset(args.I))
-    else:
-        raise InvalidInputError(f"unknown kind {kind!r}")
     _emit_report(report, args, out, rs)
     return 0
 
@@ -387,7 +386,7 @@ def cmd_deodhar(args, out) -> int:
 # -- entry point --------------------------------------------------------------
 
 _COMMON = (
-    ("--type", {"required": True, "choices": tuple("ABCDEFG"),
+    ("--type", {"required": True, "choices": tuple(FAMILIES),
                 "help": "root system family"}),
     ("--rank", {"required": True, "type": int}),
     ("--format", {"default": "text", "choices": ("text", "json", "csv")}),
@@ -492,8 +491,7 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
 
 
 def _report_error(args, exc: Exception, code: int) -> None:
-    fmt = getattr(args, "format", "text") if args is not None else "text"
-    if fmt == "json":
+    if args.format == "json":
         sys.stderr.write(json.dumps(
             {"error": {"exit_code": code,
                        "hypothesis": type(exc).__name__,

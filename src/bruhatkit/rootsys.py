@@ -33,97 +33,73 @@ from .errors import InvalidInputError
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-FAMILIES = "ABCDEFG"
 
-# Positive-root counts and group orders for the finite families, used both
-# for construction sanity checks and to refuse oversized enumerations early.
-_E_DATA = {6: (36, 51840), 7: (63, 2903040), 8: (120, 696729600)}
+def _path(n: int) -> list[tuple[int, int, int, int]]:
+    return [(i, i + 1, -1, -1) for i in range(n - 1)]
+
+
+# The classification (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates
+# I-IX), one row per family: the ranks it admits and, as functions of the
+# rank n, its Dynkin bonds (i, j, a_ij, a_ji) on 0-based nodes and its
+# (N, |W|).  Families A-D stop where a system would have more positive roots
+# than A45 (1035), which takes about 0.07 s and 16 MB to build, and 32 MB
+# once its reflections are made; the root_system registry keeps what it
+# builds alive.
+_FAMILIES = {
+    "A": (range(1, 46), _path,
+          lambda n: (n * (n + 1) // 2, factorial(n + 1))),
+    "B": (range(2, 33), lambda n: _path(n - 1) + [(n - 2, n - 1, -1, -2)],
+          lambda n: (n * n, factorial(n) << n)),
+    "C": (range(2, 33), lambda n: _path(n - 1) + [(n - 2, n - 1, -2, -1)],
+          lambda n: (n * n, factorial(n) << n)),
+    # Bourbaki nodes 1..n-1 in a path, node n on node n-2; D2 is A1 x A1.
+    "D": (range(2, 33),
+          lambda n: _path(n - 1) + [(n - 3, n - 1, -1, -1)] * (n > 2),
+          lambda n: (n * (n - 1), factorial(n) << (n - 1))),
+    # Bourbaki nodes: the path 1-3-4-5-..., with node 2 on node 4.
+    "E": (range(6, 9),
+          lambda n: [(0, 2, -1, -1), (1, 3, -1, -1)] + _path(n)[2:],
+          {6: (36, 51840), 7: (63, 2903040), 8: (120, 696729600)}.get),
+    "F": (range(4, 5),
+          lambda n: [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)],
+          lambda n: (24, 1152)),
+    "G": (range(2, 3), lambda n: [(0, 1, -3, -1)], lambda n: (6, 12)),
+}
+
+FAMILIES = "".join(_FAMILIES)
 
 
 def positive_root_count(family: str, rank: int) -> int:
     """Classical number of positive roots for the family/rank; refuses
     what ``cartan_datum`` refuses."""
     _check_family_rank(family, rank)
-    if family == "A":
-        return rank * (rank + 1) // 2
-    if family in ("B", "C"):
-        return rank * rank
-    if family == "D":
-        return rank * (rank - 1)
-    if family == "E":
-        return _E_DATA[rank][0]
-    if family == "F":
-        return 24
-    return 6
+    return _FAMILIES[family][2](rank)[0]
 
 
 def weyl_group_order(family: str, rank: int) -> int:
     """|W| for the family/rank; refuses what ``cartan_datum`` refuses."""
     _check_family_rank(family, rank)
-    if family == "A":
-        return factorial(rank + 1)
-    if family in ("B", "C"):
-        return (1 << rank) * factorial(rank)
-    if family == "D":
-        return (1 << (rank - 1)) * factorial(rank)
-    if family == "E":
-        return _E_DATA[rank][1]
-    if family == "F":
-        return 1152
-    return 12
+    return _FAMILIES[family][2](rank)[1]
 
 
 def _standard_cartan(family: str, rank: int) -> Matrix:
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def bond(i: int, j: int, down: int = -1, up: int = -1) -> None:
-        a[i][j] = down
-        a[j][i] = up
-
-    if family in ("A", "B", "C", "F", "G"):
-        for i in range(rank - 1):
-            bond(i, i + 1)
-    if family == "B" and rank >= 2:
-        a[rank - 1][rank - 2] = -2
-    if family == "C" and rank >= 2:
-        a[rank - 2][rank - 1] = -2
-    if family == "D":
-        # chain 1..(rank-1), with node rank attached to node rank-2; D2 is
-        # the disconnected A1 x A1 diagram.
-        for i in range(rank - 2):
-            bond(i, i + 1)
-        if rank >= 3:
-            bond(rank - 3, rank - 1)
-    if family == "E":
-        # chain 1-3-4-5-..., with node 2 hanging off node 4 (Bourbaki).
-        bond(0, 2)
-        bond(1, 3)
-        for i in range(2, rank - 1):
-            bond(i, i + 1)
-    if family == "F":
-        a[2][1] = -2
-        a[1][2] = -1
-    if family == "G":
-        a[0][1] = -3
-        a[1][0] = -1
+    for i, j, a_ij, a_ji in _FAMILIES[family][1](rank):
+        a[i][j], a[j][i] = a_ij, a_ji
     return tuple(tuple(row) for row in a)
 
 
-# Families A-D stop where a system would have more positive roots than A45
-# (1035), which takes about 0.07 s and 16 MB to build, and 32 MB once its
-# reflections are made; the root_system registry keeps what it builds alive.
-_RANK_RANGE = {"A": (1, 45), "B": (2, 32), "C": (2, 32), "D": (2, 32),
-               "E": (6, 8), "F": (4, 4), "G": (2, 2)}
-
-
 def _check_family_rank(family: str, rank: int) -> None:
-    if family not in _RANK_RANGE:
+    if family not in _FAMILIES:
         raise InvalidInputError(
             f"family must be one of {FAMILIES}, got {family!r}")
-    lo, hi = _RANK_RANGE[family]
-    if not lo <= rank <= hi:
+    if type(rank) is not int:
+        raise InvalidInputError(f"rank must be an int, got {rank!r}")
+    ranks = _FAMILIES[family][0]
+    if rank not in ranks:
         raise InvalidInputError(
-            f"family {family} admits ranks {lo}..{hi}, got {rank}")
+            f"family {family} admits ranks {ranks[0]}..{ranks[-1]}, "
+            f"got {rank}")
 
 
 class CartanDatum(NamedTuple):

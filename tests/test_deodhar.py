@@ -145,6 +145,15 @@ def test_build_subexpression_rejects_non_reduced(a2):
         build_subexpression(a2, (1, 2, 2), (SKIP, SKIP, SKIP))
 
 
+def test_build_subexpression_refuses_malformed_masks(a2):
+    with pytest.raises(InvalidInputError) as err:
+        build_subexpression(a2, (1, 2, 1), (TAKE, SKIP))
+    assert str(err.value) == "mask length does not match word length"
+    with pytest.raises(InvalidInputError) as err:
+        build_subexpression(a2, (1, 2, 1), (TAKE, "jump", TAKE))
+    assert str(err.value) == "unknown mask token 'jump'"
+
+
 def test_positive_distinguished(a2, a3, s4):
     pos = positive_distinguished([1, 2, 1], identity(a2))
     assert pos.choices == (SKIP, SKIP, SKIP)
@@ -177,6 +186,7 @@ def test_polynomial_examples(a2):
     assert deodhar_polynomial((2, 1, 2), identity(a2)) == poly
     assert poly_string(poly) == "q^3 - 2q^2 + 2q - 1"
     assert poly_string(()) == "0"
+    assert poly_string((1, 0, 1)) == "q^2 + 1"
 
 
 def test_polynomial_warns_when_incomparable(a2):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import pytest
@@ -96,6 +97,9 @@ def test_invalid_cartan_rejected():
         CartanDatum("A", 2, ((2, -1), (0, 2))).validate()  # asymmetric zero
     with pytest.raises(InvalidInputError):
         build_root_system(CartanDatum("A", 2, ((2, 0), (-1, 2))))
+    with pytest.raises(InvalidInputError) as err:
+        CartanDatum("A", 2, ((2, -1), (-1,))).validate()  # not square
+    assert str(err.value) == "Cartan matrix shape does not match rank"
 
 
 NOT_FINITE = ("root closure does not terminate; Cartan matrix is not of "
@@ -171,3 +175,37 @@ def test_root_system_makes_no_reflection():
     assert rs.reflection_cache == []
     assert not hasattr(rs, "reflection_perms")
     assert held < 500_000
+
+
+@pytest.mark.parametrize("rank,built", [(2.5, 2), (3.0, 3), (True, 1)],
+                         ids=["2.5", "3.0", "True"])
+def test_rank_must_be_an_int(rank, built):
+    # Refused with one message whatever the registry holds: 3.0 == 3 and
+    # True == 1 hash like the ranks built first, so a check that let them
+    # through would hand back (or register) the integer system.
+    rs = root_system("A", built)
+    message = f"rank must be an int, got {rank!r}"
+    for call in (root_system, cartan_datum, positive_root_count,
+                 weyl_group_order,
+                 lambda f, r: CartanDatum(f, r, rs.cartan).validate()):
+        with pytest.raises(InvalidInputError) as err:
+            call("A", rank)
+        assert str(err.value) == message
+    again = root_system("A", built)
+    assert again is rs and type(again.rank) is int and again.rank == built
+
+
+def test_standard_cartan_matrices_are_pinned():
+    # Every (family, rank) that cartan_datum admits, with its matrix, in
+    # one digest: 45 ranks of A, 31 each of B, C and D, and E6-E8, F4, G2.
+    lines = []
+    for family in "ABCDEFG":
+        for rank in range(50):
+            try:
+                datum = cartan_datum(family, rank)
+            except InvalidInputError:
+                continue
+            lines.append(f"{family}{rank} {datum.cartan}\n")
+    assert len(lines) == 143
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "a1082dc92490daa23dfa4aeba8f50f4e8c9f1315e5b77355a4604568f78e2d46")

@@ -386,6 +386,28 @@ def test_reflections_act_by_coroot_pairing(family, rank):
             assert s.apply(x) == tuple(a - c * b for a, b in zip(x, alpha))
 
 
+def test_reflection_refuses_what_is_not_a_positive_root(a2):
+    for root in ((-1, 0), (5, 7)):
+        with pytest.raises(InvalidInputError) as err:
+            reflection(a2, root)
+        assert str(err.value) == (
+            f"{root} is not a positive root of this system")
+
+
+@pytest.mark.parametrize("family,rank,perm_type", [("A", 3, bytes),
+                                                   ("A", 16, tuple)])
+def test_operators_are_multiply_and_inverse(family, rank, perm_type):
+    # A3 has 12 signed roots, so bytes permutations; A16 has 272, tuples.
+    rs = root_system(family, rank)
+    assert rs.perm_type is perm_type
+    words = [(), (1,), (2, 1), (1, 2, 3), (3, 2, 1, 2), (1, 3, 2, 1, 3)]
+    elements = [from_word(rs, word) for word in words]
+    for x in elements:
+        assert ~x is inverse(x)
+        for y in elements:
+            assert x * y is multiply(x, y)
+
+
 def _degree_distribution(degrees):
     # product over degrees d of (1 + q + ... + q^(d-1)), as coefficients
     coeffs = [1]
