@@ -170,6 +170,11 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
     elements x = s_alpha w < w below a visited w come from w's inversions
     (``_reflected``), l(w) products for each w above layer l(u) + 1.  If
     l(v) - l(u) >= 2, u <= v exactly when the search reaches l(u) + 1.
+
+    >>> from bruhatkit import from_word, root_system
+    >>> a3 = root_system("A", 3)
+    >>> interval(from_word(a3, [2]), from_word(a3, [2, 1, 3, 2])).rank_sizes()
+    (1, 4, 4, 1)
     """
     _same_system(u, v)
     bottom = u.length + 1

@@ -12,24 +12,21 @@ Element notation accepted by --u/--v/--w:
 Subsets (--I/--J) are comma-separated simple indices; the empty string is
 the empty set.
 
---rank is at most 45 for family A and 32 for B, C and D (no system with
-more positive roots than A45, about 0.07 s and 16 MB to build, 32 MB with
-its reflections); a larger rank exits 2 before any root is built.
+--type and --rank take the families and ranks of ``rootsys._FAMILIES``; a
+rank outside them exits 2 before any root is built.
 
-Exit codes: 0 success, 2 input error, 3 precondition/hypothesis failure,
-4 enumeration cap exceeded.  The env var BRUHAT_GROUP_CAP overrides the cap.
-Each error is one stderr line: ``error: <message>``, or under
-``--format json`` the object ``{"error": {"exit_code": int, "hypothesis":
-str, "message": str}}``.  Usage errors from argument parsing (exit 2) are
-always the text line, even with ``--format json``, since they are found
-before the format is known.
+A failed command exits with its error's ``exit_code`` (see ``errors``) and
+writes one stderr line: ``error: <message>``, or under ``--format json``
+the object ``{"error": {"exit_code": int, "hypothesis": str, "message":
+str}}``.  README's exit-code paragraph lists the codes for users, and the
+usage errors that are always the text line.
 
 ``main`` reads argv of the form ``COMMAND (--flag value)*`` straight from
-the option table ``_COMMANDS``; argparse, built from the same table once
-per process and imported only then, reads help and every other spelling.
-Each root system comes from the shared ``root_system`` registry, so a
-stream of queries in one process reuses the interned elements and the
-caches keyed on them.
+the option table ``_COMMANDS``, whose rows also hold each command's handler;
+argparse, built from the same table once per process and imported only
+then, reads help and every other spelling.  Each handler gets its root
+system from the shared ``root_system`` registry, so a stream of queries in
+one process reuses the interned elements and the caches keyed on them.
 
 Report JSON schema:
 ``{"kind": str, "value": int, "witness": {...}, "meta": {"type": str,
@@ -57,7 +54,7 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          torus_complexity_richardson,
                          torus_complexity_schubert)
 from .deodhar import SKIP, mask_stream
-from .errors import (GroupTooLargeError, InvalidInputError, PreconditionError)
+from .errors import BruhatkitError, InvalidInputError
 from .rootsys import (FAMILIES, Root, RootSystem, root_system,
                       weyl_group_order)
 from .weyl import (DEFAULT_GROUP_CAP, WeylElement, from_word, identity,
@@ -68,7 +65,11 @@ from .weyl import (DEFAULT_GROUP_CAP, WeylElement, from_word, identity,
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    """Dot-separated simple indices; ``id`` is the empty word."""
+    """Dot-separated simple indices; ``id`` is the empty word.
+
+    >>> parse_word("1.2.1"), parse_word("id")
+    ((1, 2, 1), ())
+    """
     if text.strip() == "id":
         return ()
     try:
@@ -206,15 +207,17 @@ def _group_cap() -> int:
 
 
 def _run(handler, args) -> int:
-    """Run a subcommand.  With --out, write to a temporary file next to the
-    target and rename it over the target only once the command succeeds, so
-    a failure leaves any existing file untouched and no partial one.  A
-    failed write to stdout is an input error too; fd 1 then points at the
-    null device, so the flush at exit prints nothing more."""
+    """Run a handler on the root system of --type and --rank.  With --out,
+    write to a temporary file next to the target and rename it over the
+    target only once the command succeeds, so a failure leaves any existing
+    file untouched and no partial one.  A failed write to stdout is an input
+    error too; fd 1 then points at the null device, so the flush at exit
+    prints nothing more."""
+    rs = root_system(args.type, args.rank)
     path = getattr(args, "out", None)
     if not path:
         try:
-            code = handler(args, sys.stdout)
+            code = handler(rs, args, sys.stdout)
             sys.stdout.flush()
         except OSError as exc:
             try:
@@ -233,7 +236,7 @@ def _run(handler, args) -> int:
         out = open(tmp, "x", encoding="utf-8", newline="")
         try:
             with out:
-                code = handler(args, out)
+                code = handler(rs, args, out)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -247,8 +250,7 @@ def _run(handler, args) -> int:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_info(args, out) -> int:
-    rs = root_system(args.type, args.rank)
+def cmd_info(rs: RootSystem, args, out) -> int:
     order = weyl_group_order(args.type, args.rank)
     fields = {"type": args.type, "rank": args.rank,
               "positive_roots": len(rs.positive_roots),
@@ -271,8 +273,7 @@ def cmd_info(args, out) -> int:
     return 0
 
 
-def cmd_complexity(args, out) -> int:
-    rs = root_system(args.type, args.rank)
+def cmd_complexity(rs: RootSystem, args, out) -> int:
     kind = args.kind
 
     def need(flag: str):
@@ -303,8 +304,7 @@ def cmd_complexity(args, out) -> int:
     return 0
 
 
-def cmd_scan(args, out) -> int:
-    rs = root_system(args.type, args.rank)
+def cmd_scan(rs: RootSystem, args, out) -> int:
     rows = scan(rs, args.target, max_length=args.max_length, cap=_group_cap())
     if args.format == "json":
         out.write(json.dumps({"meta": {**_meta(args), "target": args.target}})
@@ -362,8 +362,7 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
                    for mask, plus, circ, minus, betas, nc, nm in masks)
 
 
-def cmd_deodhar(args, out) -> int:
-    rs = root_system(args.type, args.rank)
+def cmd_deodhar(rs: RootSystem, args, out) -> int:
     word = parse_word(args.v_word)
     u = parse_element(rs, args.u)
     count, rows = _deodhar_table(word, u, args.format)
@@ -394,22 +393,22 @@ _COMMON = (
                 "help": "recorded in output metadata"}),
 )
 
-#: Each subcommand's help and flags, in the order ``--help`` lists them.  A
-#: flag's entry holds the keywords of its ``add_argument``; argparse and
-#: ``_read_argv`` both take its dest from the flag, "-" read as "_".
+#: Each subcommand's handler, help and flags, in the order ``--help`` lists
+#: them.  A flag's entry holds the keywords of its ``add_argument``; argparse
+#: and ``_read_argv`` both take its dest from the flag, "-" read as "_".
 _COMMANDS = {
-    "info": ("root system summary", _COMMON),
-    "complexity": ("one complexity query", _COMMON + (
+    "info": (cmd_info, "root system summary", _COMMON),
+    "complexity": (cmd_complexity, "one complexity query", _COMMON + (
         ("--kind", {"required": True, "choices": (
             "richardson", "schubert", "levi", "partial")}),
         ("--u", {}), ("--v", {}), ("--w", {}), ("--I", {}), ("--J", {}))),
-    "scan": ("batch scan over the Weyl group", _COMMON + (
+    "scan": (cmd_scan, "batch scan over the Weyl group", _COMMON + (
         ("--target", {"required": True, "choices": tuple(SCAN_TARGETS)}),
         ("--out", {"help": "output file (default stdout)"}),
         ("--jobs", {"type": int, "default": 1,
                     "help": "accepted for compatibility; has no effect"}),
         ("--max-length", {"type": int}))),
-    "deodhar": ("list distinguished subexpressions", _COMMON + (
+    "deodhar": (cmd_deodhar, "list distinguished subexpressions", _COMMON + (
         ("--v-word", {"required": True,
                       "help": "reduced word, dot-separated, e.g. 1.2.1"}),
         ("--u", {"required": True}))),
@@ -425,7 +424,8 @@ def build_parser():
         """Usage errors are one stderr line, like every other error."""
 
         def error(self, message: str):
-            self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+            self.exit(InvalidInputError.exit_code,
+                      f"error: {' '.join(message.splitlines())}\n")
 
     parser = _Parser(
         prog="bruhatkit",
@@ -433,7 +433,7 @@ def build_parser():
                     "distinguished subexpressions, and torus/Levi-Borel "
                     "complexity of Schubert and Richardson varieties.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, flags) in _COMMANDS.items():
+    for command, (_, text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
         for flag, keywords in flags:
             p.add_argument(flag, **keywords)
@@ -458,7 +458,7 @@ def _reader_table(flags):
 
 
 _READER = {command: _reader_table(flags)
-           for command, (_, flags) in _COMMANDS.items()}
+           for command, (_, _, flags) in _COMMANDS.items()}
 
 
 def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -490,16 +490,6 @@ def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _report_error(args, exc: Exception, code: int) -> None:
-    if args.format == "json":
-        sys.stderr.write(json.dumps(
-            {"error": {"exit_code": code,
-                       "hypothesis": type(exc).__name__,
-                       "message": str(exc)}}) + "\n")
-    else:
-        sys.stderr.write(f"error: {exc}\n")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -507,21 +497,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is None:
         try:
             args = _parser().parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-    handlers = {"info": cmd_info, "complexity": cmd_complexity,
-                "scan": cmd_scan, "deodhar": cmd_deodhar}
+        except SystemExit as exc:  # 0 after help, else _Parser.error's code
+            return exc.code
     try:
-        return _run(handlers[args.command], args)
-    except InvalidInputError as exc:
-        _report_error(args, exc, 2)
-        return 2
-    except GroupTooLargeError as exc:
-        _report_error(args, exc, 4)
-        return 4
-    except PreconditionError as exc:
-        _report_error(args, exc, 3)
-        return 3
+        return _run(_COMMANDS[args.command][0], args)
+    except BruhatkitError as exc:
+        if args.format == "json":
+            sys.stderr.write(json.dumps(
+                {"error": {"exit_code": exc.exit_code,
+                           "hypothesis": type(exc).__name__,
+                           "message": str(exc)}}) + "\n")
+        else:
+            sys.stderr.write(f"error: {exc}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

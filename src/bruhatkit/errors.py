@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all bruhatkit modules.
 
-The CLI maps these onto exit codes: InvalidInputError -> 2,
-PreconditionError (and subclasses) -> 3, GroupTooLargeError -> 4.
+Each concrete class carries the CLI's exit status for its errors as
+``exit_code``.
 """
 
 
@@ -13,10 +13,14 @@ class InvalidInputError(BruhatkitError, ValueError):
     """Malformed input: bad Cartan matrix, index out of range, non-reduced
     word, unparsable element notation, mismatched root systems."""
 
+    exit_code = 2
+
 
 class PreconditionError(BruhatkitError):
     """A mathematical hypothesis of the requested operation fails
     (e.g. I is not contained in the left descent set of w)."""
+
+    exit_code = 3
 
 
 class NotComparableError(PreconditionError):
@@ -31,6 +35,8 @@ class FormulaUnavailableError(PreconditionError):
 
 class GroupTooLargeError(BruhatkitError):
     """Group enumeration refused because |W| exceeds the configured cap."""
+
+    exit_code = 4
 
     def __init__(self, message: str, order: int, cap: int):
         super().__init__(message)

@@ -90,7 +90,7 @@ def _standard_cartan(family: str, rank: int) -> Matrix:
 
 
 def _check_family_rank(family: str, rank: int) -> None:
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise InvalidInputError(
             f"family must be one of {FAMILIES}, got {family!r}")
     if type(rank) is not int:

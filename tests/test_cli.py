@@ -17,16 +17,20 @@ import pytest
 
 import bruhatkit
 from bruhatkit import (build_root_system, cartan_datum, cli,
-                       enumerate_distinguished, enumerate_group, from_word,
-                       identity, levi_borel_complexity, root_system, rootsys,
+                       enumerate_distinguished, enumerate_group, errors,
+                       from_word, identity, levi_borel_complexity,
+                       root_system, rootsys,
                        torus_complexity_richardson, torus_complexity_schubert,
                        word_string)
 from bruhatkit.cli import (element_from_oneline, element_to_oneline, main,
                            parse_element, parse_subset, parse_word,
                            root_string)
 from bruhatkit.complexity import SCAN_COLUMNS, SCAN_TARGETS, scan
-from bruhatkit.errors import InvalidInputError
+from bruhatkit.errors import (BruhatkitError, FormulaUnavailableError,
+                              GroupTooLargeError, InvalidInputError,
+                              NotComparableError, PreconditionError)
 from bruhatkit.weyl import longest_element, reduced_word, simple_reflection
+from digests import _cli_digests, _digest_cases, pinned_digests
 
 
 def run(capsys, argv):
@@ -912,61 +916,13 @@ def test_deodhar_same_output_under_optimize(capsys):
     assert proc.stdout == expected
 
 
-def _digest_cases():
-    """The argv of every pinned CLI case, each in text, json and csv."""
-    systems = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
-               ("C", 3), ("G", 2), ("D", 4)]
-    b3_w0 = ".".join(map(str, _w0_word(root_system("B", 3))))
-    cases = [["scan", "--type", f, "--rank", str(r), "--target", target]
-             + extra for f, r in systems for target in cli.SCAN_TARGETS
-             for extra in ([], ["--max-length", "2"])]
-    cases += [["deodhar", "--type", "B", "--rank", "3", "--v-word", word,
-               "--u", u] for word, u in [(b3_w0, "id"), (b3_w0, "1"),
-                                         (b3_w0, "2.3"), (b3_w0, "3.2.1.2"),
-                                         ("id", "id")]]
-    # A16 and B12 have more than 256 signed roots, so their elements are
-    # tuples (see RootSystem._build_permutations).
-    cases += [["info", "--type", f, "--rank", str(r)]
-              for f, r in [("G", 2), ("A", 3), ("D", 4), ("A", 16)]]
-    cases += [["complexity", "--type", f, "--rank", str(r), "--kind", kind]
-              + flags for f, r, kind, flags in [
-                  ("A", 3, "richardson", ["--u", "1324", "--v", "3412"]),
-                  ("D", 4, "richardson", ["--u", "2", "--v", "2.1.3.4.2.1"]),
-                  ("B", 3, "richardson", ["--u", "1", "--v", b3_w0]),
-                  ("A", 3, "levi", ["--w", "3412", "--I", "2"]),
-                  ("B", 3, "levi", ["--w", "1.2.3.2", "--I", "1"]),
-                  ("A", 3, "partial", ["--w", "2.1.3", "--J", "2"]),
-                  ("A", 3, "partial", ["--w", "3412", "--J", "1,3",
-                                       "--I", "2"]),
-                  ("A", 16, "richardson", ["--u", "2.4",
-                                           "--v", "1.2.3.4.5.4.3.2.1"]),
-                  ("A", 16, "schubert", ["--w", "1.2.1.3.2.16.15.16"]),
-                  ("B", 12, "richardson", ["--u", "12.10",
-                                           "--v", "12.11.12.11.10.9"]),
-                  ("B", 12, "schubert", ["--w", "12.11.12.11.10.9.1"])]]
-    return [argv + ["--format", fmt] for argv in cases
-            for fmt in ("text", "json", "csv")]
-
-
-def _cli_digests(capsys) -> dict:
-    """sha256 of (exit code, stdout) for each of ``_digest_cases``."""
-    out = {}
-    for argv in _digest_cases():
-        code = main(argv)
-        text = f"{code}\n{capsys.readouterr().out}"
-        out[" ".join(argv)] = hashlib.sha256(text.encode()).hexdigest()
-    return out
-
-
-def test_cli_output_digests(capsys):
+def test_cli_output_digests():
     # Every scan target with and without --max-length, deodhar, info and
     # complexity, byte for byte in each format.  The digests were taken
     # from the code before scan and deodhar shared one table writer; after
     # a deliberate output change, retake them with ``_cli_digests``.
-    with open(os.path.join(os.path.dirname(__file__), "cli_digests.json"),
-              encoding="utf-8") as fh:
-        expected = json.load(fh)
-    got = _cli_digests(capsys)
+    expected = pinned_digests()
+    got = _cli_digests()
     assert len(got) == 276 and set(got) == set(expected)
     assert [k for k in got if got[k] != expected[k]] == []
 
@@ -1077,6 +1033,45 @@ def test_no_assert_statements_in_package():
             tree = ast.parse(fh.read(), path)
         assert not any(isinstance(node, ast.Assert)
                        for node in ast.walk(tree)), info.name
+
+
+#: The exit code of each concrete error class, as README documents them.
+EXIT_CODES = {InvalidInputError: 2, PreconditionError: 3,
+              NotComparableError: 3, FormulaUnavailableError: 3,
+              GroupTooLargeError: 4}
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, BruhatkitError)}
+    assert set(EXIT_CODES) == classes - {BruhatkitError}
+    assert {error: error.exit_code for error in EXIT_CODES} == EXIT_CODES
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("error", list(EXIT_CODES),
+                         ids=lambda error: error.__name__)
+def test_main_exits_with_the_error_class_exit_code(capsys, monkeypatch,
+                                                    error, fmt):
+    # A handler that raises the class: main returns its exit_code and
+    # writes one stderr line, whose JSON form carries the same code.
+    def handler(rs, args, out):
+        if error is GroupTooLargeError:
+            raise error("refused", 10, 5)
+        raise error("refused")
+
+    row = cli._COMMANDS["info"]
+    monkeypatch.setitem(cli._COMMANDS, "info", (handler,) + row[1:])
+    code, out, err = run(capsys, ["info", "--type", "A", "--rank", "2",
+                                  "--format", fmt])
+    assert code == EXIT_CODES[error] and out == ""
+    if fmt == "json":
+        assert json.loads(err) == {"error": {
+            "exit_code": code, "hypothesis": error.__name__,
+            "message": "refused"}}
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == "error: refused\n"
 
 
 def test_unknown_flag_exits_2(capsys):

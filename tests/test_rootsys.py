@@ -195,6 +195,19 @@ def test_rank_must_be_an_int(rank, built):
     assert again is rs and type(again.rank) is int and again.rank == built
 
 
+@pytest.mark.parametrize("family", [["A"], ("A",), None, 65],
+                         ids=["list", "tuple", "None", "int"])
+def test_family_must_be_a_str(family):
+    # One message whatever the type; a list, being unhashable, made the
+    # lookup in the family table raise TypeError.
+    message = f"family must be one of ABCDEFG, got {family!r}"
+    for call in (root_system, cartan_datum, positive_root_count,
+                 weyl_group_order):
+        with pytest.raises(InvalidInputError) as err:
+            call(family, 2)
+        assert str(err.value) == message
+
+
 def test_standard_cartan_matrices_are_pinned():
     # Every (family, rank) that cartan_datum admits, with its matrix, in
     # one digest: 45 ranks of A, 31 each of B, C and D, and E6-E8, F4, G2.
