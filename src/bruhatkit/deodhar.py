@@ -174,7 +174,7 @@ def build_subexpression(rs, v_word: Sequence[int],
 def _live_moves(rs, word: tuple[int, ...], u: WeylElement
                 ) -> list[dict[WeylElement, tuple]]:
     """The live moves of the search for the distinguished masks over one
-    reduced word that end at u, from two passes over the word.
+    reduced word that end at u, found from both ends of the word.
 
     A state (k, x) is the prefix x after the first k letters.  Entry k maps
     each live x to its moves, take before skip: (choice, next prefix, entry)
@@ -182,31 +182,57 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     live when a distinguished completion through it ends at u, so entry n
     is {u: ()}; the start is live exactly when entry 0 holds the identity.
 
-    The backward pass collects, for each k, the prefixes of length at most k
-    from which some distinguished completion reaches u: y s_i by a take, and
-    y itself by a skip when y s_i > y.  The forward pass goes layer by layer
-    from the identity and keeps only the moves of ``_moves`` into those
-    sets, so every state it enters is live.
+    Forward layers grow from the identity by ``_moves``; backward layers
+    grow from u, a layer at depth k holding y s_i (a take) and, when
+    y s_i > y, y itself (a skip) for each y one layer on.  Each step extends
+    one frontier: the forward one while it is at most half the size of the
+    backward one, since a forward state costs a product and keeps its moves
+    while a backward product is reused by the walk below.  Both cuts are by
+    length, which a letter changes by one or not at all, so neither drops a
+    live state: forward, x needs l(x) >= l(u) - (n - k) to reach u in the
+    n - k letters left; backward, y needs l(y) <= k to be reached from the
+    identity in k letters.  When the frontiers meet at depth m, the forward
+    layer holds every state reached from the identity and the backward one
+    every state that reaches u, so their intersection is exactly the live
+    states at depth m.  The forward layers are then pruned back from it to
+    their live moves, and a walk from it by ``_moves`` keeps the moves into
+    the backward layers, so every state it enters is live.
     """
     n, n_pos = len(word), len(rs.positive_roots)
-    reach = [{u: None}]
-    for k in range(n - 1, -1, -1):
-        i, here = word[k], {}
-        pos = rs.simple_positions[i - 1]
-        for y in reach[-1]:
-            up = y.perm[pos] < n_pos
-            if y.length + (1 if up else -1) <= k:
-                here[times_simple(y, i)] = None
-            if up and y.length <= k:
-                here[y] = None
-        reach.append(here)
-    reach.reverse()
-    # Only the identity has length 0: the first layer is the start or empty.
-    steps, layer = [], reach[0]
-    for k, i in enumerate(word):
-        ahead = reach[k + 1]
-        found = {x: tuple(move for move in _moves(rs, k + 1, x, i)
-                          if move[1] in ahead) for x in layer}
+    ahead, behind = [{identity(rs): None}], [{u: None}]
+    while len(ahead) + len(behind) <= n + 1:
+        if 2 * len(ahead[-1]) <= len(behind[-1]):
+            k, layer = len(ahead) - 1, ahead[-1]
+            for x in layer:
+                layer[x] = _moves(rs, k + 1, x, word[k])
+            low = u.length - (n - k - 1)
+            ahead.append({y: None for moves in layer.values()
+                          for _, y, _ in moves if y.length >= low})
+        else:
+            k = n - len(behind)
+            i, here = word[k], {}
+            pos = rs.simple_positions[i - 1]
+            for y in behind[-1]:
+                up = y.perm[pos] < n_pos
+                if y.length + (1 if up else -1) <= k:
+                    here[times_simple(y, i)] = None
+                if up and y.length <= k:
+                    here[y] = None
+            behind.append(here)
+    m = len(ahead) - 1
+    layer = live = {x: None for x in ahead.pop() if x in behind[-1]}
+    steps = []
+    for before in reversed(ahead):
+        live = {x: kept for x, moves in before.items()
+                if (kept := tuple(move for move in moves
+                                  if move[1] in live))}
+        steps.append(live)
+    steps.reverse()
+    behind.reverse()
+    for k in range(m, n):
+        reach = behind[k - m + 1]
+        found = {x: tuple(move for move in _moves(rs, k + 1, x, word[k])
+                          if move[1] in reach) for x in layer}
         steps.append(found)
         layer = {move[1]: None for moves in found.values() for move in moves}
     steps.append({u: ()})

@@ -266,6 +266,38 @@ def brute_force_distinguished(rs, v_word, target):
     return masks
 
 
+def two_pass_live_moves(rs, word, u):
+    """The per-layer live moves of ``deodhar._live_moves`` by two whole
+    passes over the word.  The backward pass collects, for each k, the
+    prefixes of length at most k from which a distinguished completion
+    reaches u (y s_i by a take, y itself by a skip when y s_i > y); the
+    forward pass goes layer by layer from the identity and keeps only the
+    moves of ``deodhar._moves`` into those sets."""
+    from bruhatkit.deodhar import _moves
+    from bruhatkit.weyl import identity, times_simple
+    n, n_pos = len(word), len(rs.positive_roots)
+    reach = [{u}]
+    for k in range(n - 1, -1, -1):
+        i, here = word[k], set()
+        pos = rs.simple_positions[i - 1]
+        for y in reach[-1]:
+            up = y.perm[pos] < n_pos
+            if y.length + (1 if up else -1) <= k:
+                here.add(times_simple(y, i))
+            if up and y.length <= k:
+                here.add(y)
+        reach.append(here)
+    reach.reverse()
+    steps, layer = [], reach[0] & {identity(rs)}
+    for k, i in enumerate(word):
+        found = {x: tuple(move for move in _moves(rs, k + 1, x, i)
+                          if move[1] in reach[k + 1]) for x in layer}
+        steps.append(found)
+        layer = {move[1] for moves in found.values() for move in moves}
+    steps.append({u: ()})
+    return steps
+
+
 def edge_key(rs, edge):
     """The documented order of Bruhat-graph edges: lower end by
     ``sort_key``, then label by root index, then upper end by ``sort_key``."""

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import sys
 import tracemalloc
 import warnings
@@ -17,10 +19,12 @@ from bruhatkit import (InvalidInputError, NotComparableError, bruhat_le,
                        td_span)
 from bruhatkit.cli import parse_element
 from bruhatkit.deodhar import (SKIP, TAKE, DeodharComponentShape,
-                               Subexpression, build_subexpression,
-                               poly_string)
-from bruhatkit.weyl import longest_element, simple_reflection
-from oracles import brute_force_distinguished, r_polynomial
+                               Subexpression, _live_moves,
+                               build_subexpression, poly_string)
+from bruhatkit.weyl import (longest_element, right_descents,
+                            simple_reflection, times_simple)
+from oracles import (brute_force_distinguished, r_polynomial,
+                     two_pass_live_moves)
 from sweeps import comparable_pairs
 
 
@@ -273,18 +277,72 @@ def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
 
 
 @pytest.mark.parametrize("u_word, masks, limit", [
-    ((), 1613, 1_036),
+    ((), 1613, 498),
     ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 69),
 ])
 def test_mask_search_visits_no_dead_state(monkeypatch, u_word, masks, limit):
-    # The limits are the counts of a backward pass over the states from
-    # which u is reachable and a forward pass that enters only those, so a
-    # search that enters a state yielding no mask exceeds them.  A search
-    # pruned only on length distance makes 2,176 multiplies for the second
-    # u.
+    # The limits are the counts of a search that grows layers from the
+    # identity and from u until they meet, one product per forward state
+    # and per backward take, and then enters only live states, whose
+    # products the backward layers already made.  Two whole passes over
+    # the word made 1,036 multiplies for u = id, and a search pruned only
+    # on length distance makes 2,176 for the second u.
     found, calls = _count_mask_search(monkeypatch, u_word)
     assert found == masks
     assert calls <= limit
+
+
+def _seeded_word(w, rnd):
+    # A reduced word of w read off a walk down by seeded right descents.
+    word = []
+    while not w.is_identity():
+        i = rnd.choice(sorted(right_descents(w)))
+        word.append(i)
+        w = times_simple(w, i)
+    return tuple(reversed(word))
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4), ("D", 4)])
+def test_live_moves_match_two_passes(family, rank):
+    # The search from both ends returns, layer by layer, the moves of two
+    # whole passes: over the least and two seeded words of w0, a seeded
+    # word of a seeded v and the empty word, for every u.
+    rs = root_system(family, rank)
+    group = canonical_order(enumerate_group(rs))
+    w0 = longest_element(rs, range(1, rank + 1))
+    rnd = random.Random(f"{family}{rank}")
+    words = [reduced_word(w0), _seeded_word(w0, rnd), _seeded_word(w0, rnd),
+             _seeded_word(rnd.choice(group), rnd), ()]
+    dead = 0
+    for word in words:
+        for u in group:
+            got = _live_moves(rs, word, u)
+            assert got == two_pass_live_moves(rs, word, u)
+            dead += identity(rs) not in got[0]
+    # u is below v for every u over the w0 words, not for every u over the
+    # v word, and only for u = id over the empty word.
+    assert dead > len(group) - 1
+
+
+@pytest.mark.parametrize("family, rank, interned, digest", [
+    ("E", 6, 6_052,
+     "b496a7f1ebaa001499154c77007aaba735ea505354fd34bc0c5f8ef931e2f3be"),
+    ("A", 8, 10_466,
+     "aa470b3d0b2c692e06b4c4d425189f88e8b34283c84886e799faa2168a65dea1"),
+], ids=["E6", "A8"])
+def test_census_interns_only_what_the_search_meets(family, rank, interned,
+                                                   digest):
+    # On a fresh system the census over the w0 word for u = id interns the
+    # states of the two frontiers and the live walk; two whole passes
+    # interned 13,939 elements on E6 and 38,648 on A8.  The digest is that
+    # of the two-pass census.
+    rs = build_root_system(cartan_datum(family, rank))
+    word = reduced_word(longest_element(rs, range(1, rank + 1)))
+    before = len(rs.element_cache)
+    poly = deodhar_polynomial(word, identity(rs))
+    assert len(rs.element_cache) - before <= interned
+    assert hashlib.sha256(repr(poly).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("u_word", [
