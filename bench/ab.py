@@ -14,9 +14,9 @@ wrote.  A run whose result is not ``correct`` stops the script.
 For each workload and end-to-end metric it prints, and writes to ``--out``
 when given, the median and quartiles of each side, and in how many pairs
 the change was better (the metric's ``better`` direction; ties count for
-neither side).  ``claimable`` is true when the change won at least nine in
-ten pairs and its median beats the parent's by more than the distance
-between the parent's quartiles.
+neither side).  ``claimable`` is true when there are at least MIN_PAIRS
+pairs, the change won at least nine in ten of them, and its median beats
+the parent's by more than the distance between the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: The fewest pairs on which a gain may be claimed.
+MIN_PAIRS = 10
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -69,7 +71,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         row["change_vs_parent"] = (row["change"]["median"]
                                    / row["parent"]["median"] - 1
                                    if row["parent"]["median"] else None)
-        row["claimable"] = (10 * wins >= 9 * len(pairs)
+        row["claimable"] = (len(pairs) >= MIN_PAIRS
+                            and 10 * wins >= 9 * len(pairs)
                             and gap > row["parent"]["q3"]
                             - row["parent"]["q1"])
         out[name] = row

@@ -182,32 +182,32 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     live when a distinguished completion through it ends at u, so entry n
     is {u: ()}; the start is live exactly when entry 0 holds the identity.
 
-    Forward layers grow from the identity by ``_moves``; backward layers
-    grow from u, a layer at depth k holding y s_i (a take) and, when
-    y s_i > y, y itself (a skip) for each y one layer on.  Each step extends
-    one frontier: the forward one while it is at most half the size of the
-    backward one, since a forward state costs a product and keeps its moves
-    while a backward product is reused by the walk below.  Both cuts are by
-    length, which a letter changes by one or not at all, so neither drops a
-    live state: forward, x needs l(x) >= l(u) - (n - k) to reach u in the
-    n - k letters left; backward, y needs l(y) <= k to be reached from the
-    identity in k letters.  When the frontiers meet at depth m, the forward
-    layer holds every state reached from the identity and the backward one
-    every state that reaches u, so their intersection is exactly the live
-    states at depth m.  The forward layers are then pruned back from it to
-    their live moves, and a walk from it by ``_moves`` keeps the moves into
-    the backward layers, so every state it enters is live.
+    Forward layers grow from the identity by ``_moves``.  Backward layers
+    grow from u: the layer at depth k holds, for each y one layer on, y s_i
+    (a take) and, when y s_i > y, y itself (a skip), each kept only if its
+    length is at most k.  That cut drops no live state, since a letter
+    changes the length by one or not at all, so k letters from the identity
+    reach nothing longer.  Each step extends one frontier: the forward one
+    while it is at most half the size of the backward one, since a forward
+    state costs a product and keeps its moves, while a backward product is
+    reused by the walk below.  When the frontiers meet at depth m, the
+    forward layer holds every state reached from the identity and the
+    backward one every state of length at most m that reaches u, so their
+    intersection is exactly the live states at depth m.  The forward layers
+    are pruned back from it to their live moves, and a walk from it by
+    ``_moves`` keeps the moves into the backward layers, so every state it
+    enters is live.
     """
     n, n_pos = len(word), len(rs.positive_roots)
     ahead, behind = [{identity(rs): None}], [{u: None}]
+    # The frontiers are at depths len(ahead) - 1 and n + 1 - len(behind).
     while len(ahead) + len(behind) <= n + 1:
         if 2 * len(ahead[-1]) <= len(behind[-1]):
             k, layer = len(ahead) - 1, ahead[-1]
             for x in layer:
                 layer[x] = _moves(rs, k + 1, x, word[k])
-            low = u.length - (n - k - 1)
             ahead.append({y: None for moves in layer.values()
-                          for _, y, _ in moves if y.length >= low})
+                          for _, y, _ in moves})
         else:
             k = n - len(behind)
             i, here = word[k], {}
@@ -219,7 +219,6 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
                 if up and y.length <= k:
                     here[y] = None
             behind.append(here)
-    m = len(ahead) - 1
     layer = live = {x: None for x in ahead.pop() if x in behind[-1]}
     steps = []
     for before in reversed(ahead):
@@ -228,9 +227,7 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
                                   if move[1] in live))}
         steps.append(live)
     steps.reverse()
-    behind.reverse()
-    for k in range(m, n):
-        reach = behind[k - m + 1]
+    for k, reach in enumerate(reversed(behind[:-1]), len(ahead)):
         found = {x: tuple(move for move in _moves(rs, k + 1, x, word[k])
                           if move[1] in reach) for x in layer}
         steps.append(found)

@@ -56,8 +56,10 @@ def test_ties_count_for_neither_side_and_direction_is_respected():
     assert higher["change_wins"] == 10 and higher["claimable"]
 
 
-def test_one_pair_has_degenerate_quartiles():
+def test_fewer_than_ten_pairs_claim_nothing():
     row = ab.summarize(_pairs([2.0], [1.0]), BETTER)["run_s"]
     assert row["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0,
                              "values": [2.0]}
-    assert row["change_wins"] == 1 and row["claimable"]
+    assert row["change_wins"] == 1 and not row["claimable"]
+    nine = ab.summarize(_pairs([2.0] * 9, [1.0] * 9), BETTER)["run_s"]
+    assert nine["change_wins"] == 9 and not nine["claimable"]
