@@ -11,9 +11,10 @@ _SPEC.loader.exec_module(ab)
 BETTER = {"run_s": "lower", "ratio": "higher"}
 
 
-def _pairs(parent, change, name="run_s", other=1.0):
-    return [{"parent": {name: p, "ratio": other},
-             "change": {name: c, "ratio": other}}
+def _pairs(parent, change):
+    # run_s from the two lists; ratio ties in every pair.
+    return [{"parent": {"run_s": p, "ratio": 1.0},
+             "change": {"run_s": c, "ratio": 1.0}}
             for p, c in zip(parent, change)]
 
 
