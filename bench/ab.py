@@ -17,6 +17,9 @@ the change was better (the metric's ``better`` direction; ties count for
 neither side).  ``claimable`` is true when there are at least MIN_PAIRS
 pairs, the change won at least nine in ten of them, and its median beats
 the parent's by more than the distance between the parent's quartiles.
+Under ``summary_line`` it keeps, the same way but without a verdict, the
+SUMMARY_FIELDS of each run's summary line: the uncorrected wall times and
+the yardstick, which tell a drift of the yardstick from a change of work.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: The fewest pairs on which a gain may be claimed.
 MIN_PAIRS = 10
+#: Fields of a run's summary line kept beside its metrics.
+SUMMARY_FIELDS = ("run_wall_s", "setup_wall_s", "yardstick_us")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -43,6 +48,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, med, q3 = statistics.quantiles(values, n=4)
     return q1, med, q3
+
+
+def spread(pairs: list[dict], name: str) -> dict:
+    """One field's quartiles and values (in pair order) on each side, and
+    the change's median relative to the parent's."""
+    row = {}
+    for side in ("parent", "change"):
+        values = [p[side][name] for p in pairs]
+        q1, med, q3 = quartiles(values)
+        row[side] = {"median": med, "q1": q1, "q3": q3, "values": values}
+    row["change_vs_parent"] = (row["change"]["median"]
+                               / row["parent"]["median"] - 1
+                               if row["parent"]["median"] else None)
+    return row
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
@@ -54,23 +73,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """
     out = {}
     for name, direction in better.items():
-        sides = {side: [p[side][name] for p in pairs]
-                 for side in ("parent", "change")}
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (p["parent"][name] - p["change"][name]) > 0
                    for p in pairs)
         losses = sum(sign * (p["change"][name] - p["parent"][name]) > 0
                      for p in pairs)
         row = {"better": direction, "pairs": len(pairs), "change_wins": wins,
-               "change_losses": losses}
-        for side, values in sides.items():
-            q1, med, q3 = quartiles(values)
-            row[side] = {"median": med, "q1": q1, "q3": q3,
-                         "values": values}
+               "change_losses": losses, **spread(pairs, name)}
         gap = sign * (row["parent"]["median"] - row["change"]["median"])
-        row["change_vs_parent"] = (row["change"]["median"]
-                                   / row["parent"]["median"] - 1
-                                   if row["parent"]["median"] else None)
         row["claimable"] = (len(pairs) >= MIN_PAIRS
                             and 10 * wins >= 9 * len(pairs)
                             and gap > row["parent"]["q3"]
@@ -104,12 +114,22 @@ def run_once(copy: Path, workload: str, seed: int) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=copy, env=env, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    result, values = parse_run(proc.stdout)
     if not result["correct"]:
         raise SystemExit(f"{copy.name} {workload} seed {seed}: "
                          f"{result['failed']} of {result['attempted']} "
                          f"ops failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return values
+
+
+def parse_run(stdout: str) -> tuple[dict, dict]:
+    """A run's result line (the last line of its stdout) and its values:
+    the result's metrics, then the SUMMARY_FIELDS of the summary line
+    before it."""
+    summary, result = map(json.loads, stdout.splitlines()[-2:])
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    values.update((name, summary[name]) for name in SUMMARY_FIELDS)
+    return result, values
 
 
 def main(argv=None) -> int:
@@ -149,6 +169,8 @@ def main(argv=None) -> int:
                     f"{m}={pair['parent'][m]:.4g}->{pair['change'][m]:.4g}"
                     for m in better), file=sys.stderr)
             report["workloads"][name] = summarize(pairs, better)
+            report["workloads"][name]["summary_line"] = {
+                field: spread(pairs, field) for field in SUMMARY_FIELDS}
     text = json.dumps(report, indent=1)
     if args.out:
         args.out.write_text(text + "\n")

@@ -29,10 +29,10 @@ from .bruhat import descent_labels
 from .errors import (FormulaUnavailableError, InvalidInputError,
                      NotComparableError, PreconditionError)
 from .rootsys import RootSystem
-from .weyl import (DEFAULT_GROUP_CAP, SimpleSubset, WeylElement, _check_cap,
-                   _layers, left_descents, left_parabolic_decomposition,
-                   longest_element, multiply, right_descents, support,
-                   word_string)
+from .weyl import (DEFAULT_GROUP_CAP, Perm, SimpleSubset, WeylElement,
+                   _check_cap, _compose, _layers, left_descents,
+                   left_parabolic_decomposition, longest_element, multiply,
+                   right_descents, support, word_string)
 
 #: Fixed column order per scan target (also the CSV header order).
 SCAN_COLUMNS = {
@@ -242,27 +242,35 @@ def _richardson_rows(elements: tuple[WeylElement, ...]) -> Iterator[dict]:
                            "rank": len(labels), "ad": len(labels)}
 
 
-def _levi_rows(elements: tuple[WeylElement, ...]) -> Iterator[dict]:
+def _levi_rows(rs: RootSystem,
+               elements: tuple[WeylElement, ...]) -> Iterator[dict]:
     """The levi_table rows.  For I in D_L(w) the left parabolic factor of w
     is w_0(I), an involution, so the coset factor is d = w_0(I) w.  It is no
-    longer than w, so it came no later, and ``spelled`` has its word string
-    and l(d) - |supp(d)|."""
-    levi_w0: dict[tuple[int, ...], tuple[WeylElement, str]] = {}
-    spelled: dict[WeylElement, tuple[str, int]] = {}
+    longer than w, so it came no later, and ``spelled`` has, by permutation,
+    its word string and l(d) - |supp(d)|.  The pairs (w_0(I), I) are listed
+    once per left descent set, each w_0(I) built once, so a row is one raw
+    product (``_compose``) and one lookup, and makes no element."""
+    levi_w0: dict[tuple[int, ...], tuple[Perm, str]] = {}
+    by_descents: dict[SimpleSubset, list[tuple[Perm, str]]] = {}
+    spelled: dict[Perm, tuple[str, int]] = {}
     for w in elements:
         w_str = ".".join(map(str, w._word)) or "id"
-        spelled[w] = w_str, len(w._word) - len(set(w._word))
-        descents = sorted(left_descents(w))
-        for size in range(len(descents) + 1):
-            for sub in combinations(descents, size):
-                entry = levi_w0.get(sub)
-                if entry is None:
-                    entry = levi_w0[sub] = (longest_element(w.system, sub),
-                                            _subset_str(sub))
-                w0, sub_str = entry
-                d_str, value = spelled[multiply(w0, w)]
-                yield {"w": w_str, "I": sub_str, "coset_factor": d_str,
-                       "value": value}
+        spelled[w.perm] = w_str, len(w._word) - len(set(w._word))
+        descents = left_descents(w)
+        pairs = by_descents.get(descents)
+        if pairs is None:
+            pairs = by_descents[descents] = []
+            for size in range(len(descents) + 1):
+                for sub in combinations(sorted(descents), size):
+                    entry = levi_w0.get(sub)
+                    if entry is None:
+                        entry = levi_w0[sub] = (
+                            longest_element(rs, sub).perm, _subset_str(sub))
+                    pairs.append(entry)
+        for w0, sub_str in pairs:
+            d_str, value = spelled[_compose(rs, w0, w.perm)]
+            yield {"w": w_str, "I": sub_str, "coset_factor": d_str,
+                   "value": value}
 
 
 def _support_histogram(rs: RootSystem, top: int) -> list[dict]:
@@ -327,4 +335,4 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
                  "support": _subset_str(support(w))} for w in elements)
     if target == "toric_richardson":
         return _richardson_rows(elements)
-    return _levi_rows(elements)
+    return _levi_rows(rs, elements)

@@ -199,11 +199,18 @@ def times_simple(w: WeylElement, i: int) -> WeylElement:
 
 
 def inverse(w: WeylElement) -> WeylElement:
+    """w^-1, whose entry p[k] is k for w's permutation p: on bytes one
+    ``bytes.maketrans``, whose table sends each byte p[k] to k."""
     if w._inverse is None:
-        inv = [0] * len(w.perm)
-        for k, p in enumerate(w.perm):
-            inv[p] = k
-        inv_el = _intern(w.system, w.system.perm_type(inv))
+        p, n = w.perm, len(w.perm)
+        if w.system.pad is None:
+            inv = [0] * n
+            for k, q in enumerate(p):
+                inv[q] = k
+            inv = tuple(inv)
+        else:
+            inv = bytes.maketrans(p, bytes(range(n)))[:n]
+        inv_el = _intern(w.system, inv)
         w._inverse = inv_el
         inv_el._inverse = w
     return w._inverse

@@ -64,3 +64,22 @@ def test_fewer_than_ten_pairs_claim_nothing():
     assert row["change_wins"] == 1 and not row["claimable"]
     nine = ab.summarize(_pairs([2.0] * 9, [1.0] * 9), BETTER)["run_s"]
     assert nine["change_wins"] == 9 and not nine["claimable"]
+
+
+def test_a_run_keeps_its_metrics_and_its_summary_line_fields():
+    stdout = "\n".join([
+        "op 'x' took a while",
+        '{"workload": "w", "run_wall_s": 0.5, "setup_wall_s": 0.06,'
+        ' "yardstick_us": 41.0, "passes": 3}',
+        '{"correct": true, "attempted": 9, "failed": 0, "metrics":'
+        ' {"run_s": {"value": 0.4, "unit": "s"},'
+        ' "peak_rss_mb": {"value": 22.5, "unit": "MB"}}}']) + "\n"
+    result, values = ab.parse_run(stdout)
+    assert result["correct"] and result["attempted"] == 9
+    assert values == {"run_s": 0.4, "peak_rss_mb": 22.5, "run_wall_s": 0.5,
+                      "setup_wall_s": 0.06, "yardstick_us": 41.0}
+    pairs = [{"parent": values, "change": dict(values, yardstick_us=45.1)}]
+    row = ab.spread(pairs, "yardstick_us")
+    assert row["parent"]["values"] == [41.0]
+    assert row["change"]["median"] == 45.1
+    assert row["change_vs_parent"] == pytest.approx(0.1)

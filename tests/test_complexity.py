@@ -403,13 +403,23 @@ def test_scan_streams(a3, monkeypatch):
     assert seen == [identity(a3)]
 
 
-@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4)])
+@pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("C", 4),
+                                         ("D", 4), ("G", 2), ("A", 16)])
 def test_levi_table_matches_descent_stripping(family, rank):
     # Reference rows whose coset factor comes from stripping the descents
-    # in I from w one at a time, not from the product w_0(I) w.
+    # in I from w one at a time, not from the product w_0(I) w.  A16 has
+    # 272 signed roots, so tuple permutations, and |W| = 17!: its rows are
+    # those of the elements of length at most 2, the words of up to two
+    # letters.
     rs = root_system(family, rank)
+    if rs.perm_type is bytes:
+        max_length, group = None, enumerate_group(rs)
+    else:
+        max_length = 2
+        group = {from_word(rs, (i, j)[:n]) for i in range(1, rank + 1)
+                 for j in range(1, rank + 1) for n in range(3)}
     expected = []
-    for w in canonical_order(enumerate_group(rs)):
+    for w in canonical_order(group):
         descents = sorted(left_descents(w))
         for size in range(len(descents) + 1):
             for sub in combinations(descents, size):
@@ -418,15 +428,21 @@ def test_levi_table_matches_descent_stripping(family, rank):
                                  "I": ",".join(map(str, sub)),
                                  "coset_factor": word_string(d),
                                  "value": d.length - len(support(d))})
-    assert list(scan(rs, "levi_table")) == expected
+    assert list(scan(rs, "levi_table", max_length=max_length,
+                     cap=10**30)) == expected
+    if max_length:
+        assert len(expected) == 513
 
 
 @pytest.mark.parametrize("target", ["complexity_histogram", "toric_schubert",
                                     "levi_table"])
 def test_scan_multiplies_once_per_element(monkeypatch, target):
     # Enumeration makes each element once, with its reduced word, and a Levi
-    # row is one product w_0(I) w, besides the products that build each
-    # w_0(I) once.  The histogram builds no element and no word;
+    # row makes no product and no element: its coset factor w_0(I) w is one
+    # raw permutation product, looked up among the elements already made.
+    # The only other products build each w_0(I) once, and every element a
+    # Levi scan interns is one of the group's.  The histogram builds no
+    # element and no word;
     # toric_schubert builds its rows and their words only.  Rebuilding each
     # word from scratch and closing the group under all generators costs 16
     # multiplies per element of F4.  A fresh system, so that no word is
@@ -459,7 +475,8 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
         assert words == len(rows)
     else:
         assert len(rows) == 5089
-        assert calls[0] <= order + len(rows) + levi_builds
+        assert calls[0] <= order + levi_builds
+        assert len(rs.element_cache) == order
     # The words of a freshly enumerated group cost no product at all.
     group = enumerate_group(build_root_system(cartan_datum("F", 4)))
     calls[0] = 0

@@ -394,18 +394,36 @@ def test_reflection_refuses_what_is_not_a_positive_root(a2):
             f"{root} is not a positive root of this system")
 
 
+_OPERATOR_WORDS = [(), (1,), (2, 1), (1, 2, 3), (3, 2, 1, 2), (1, 3, 2, 1, 3)]
+
+
 @pytest.mark.parametrize("family,rank,perm_type", [("A", 3, bytes),
                                                    ("A", 16, tuple)])
 def test_operators_are_multiply_and_inverse(family, rank, perm_type):
     # A3 has 12 signed roots, so bytes permutations; A16 has 272, tuples.
     rs = root_system(family, rank)
     assert rs.perm_type is perm_type
-    words = [(), (1,), (2, 1), (1, 2, 3), (3, 2, 1, 2), (1, 3, 2, 1, 3)]
-    elements = [from_word(rs, word) for word in words]
+    elements = [from_word(rs, word) for word in _OPERATOR_WORDS]
     for x in elements:
         assert ~x is inverse(x)
         for y in elements:
             assert x * y is multiply(x, y)
+
+
+@pytest.mark.parametrize("family,rank,perm_type", [("F", 4, bytes),
+                                                   ("A", 16, tuple)])
+def test_inverse_inverts_the_permutation(family, rank, perm_type):
+    # Every element of a fresh F4 (48 signed roots, bytes) and the operator
+    # words on A16 (272, tuples): the inverse sends w(k) back to k, and
+    # inverting twice gives the element itself.
+    rs = build_root_system(cartan_datum(family, rank))
+    assert rs.perm_type is perm_type
+    elements = (enumerate_group(rs) if perm_type is bytes
+                else [from_word(rs, word) for word in _OPERATOR_WORDS])
+    for w in elements:
+        inv = inverse(w).perm
+        assert all(inv[p] == k for k, p in enumerate(w.perm))
+        assert inverse(inverse(w)) is w
 
 
 def _degree_distribution(degrees):
