@@ -199,18 +199,16 @@ def times_simple(w: WeylElement, i: int) -> WeylElement:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    """w^-1, whose entry p[k] is k for w's permutation p: on bytes one
-    ``bytes.maketrans``, whose table sends each byte p[k] to k."""
+    """w^-1, whose permutation sends p[k] to k, p that of w."""
     if w._inverse is None:
-        p, n = w.perm, len(w.perm)
-        if w.system.pad is None:
-            inv = [0] * n
+        p, rs = w.perm, w.system
+        if rs.pad is None:
+            inv = [0] * len(p)
             for k, q in enumerate(p):
                 inv[q] = k
-            inv = tuple(inv)
-        else:
-            inv = bytes.maketrans(p, bytes(range(n)))[:n]
-        inv_el = _intern(w.system, inv)
+        else:  # one C call: the table sends each byte p[k] to k
+            inv = bytes.maketrans(p, bytes(range(len(p))))[:len(p)]
+        inv_el = _intern(rs, rs.perm_type(inv))
         w._inverse = inv_el
         inv_el._inverse = w
     return w._inverse

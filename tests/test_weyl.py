@@ -413,17 +413,22 @@ def test_operators_are_multiply_and_inverse(family, rank, perm_type):
 @pytest.mark.parametrize("family,rank,perm_type", [("F", 4, bytes),
                                                    ("A", 16, tuple)])
 def test_inverse_inverts_the_permutation(family, rank, perm_type):
-    # Every element of a fresh F4 (48 signed roots, bytes) and the operator
-    # words on A16 (272, tuples): the inverse sends w(k) back to k, and
-    # inverting twice gives the element itself.
+    # The operator words, then (on bytes) every element of a fresh F4 (48
+    # signed roots; A16 has 272, tuples): the inverse sends w(k) back to k,
+    # and inverting twice gives the element itself.  The words come first:
+    # enumeration reads inverses, and with wrong ones need not end.
     rs = build_root_system(cartan_datum(family, rank))
     assert rs.perm_type is perm_type
-    elements = (enumerate_group(rs) if perm_type is bytes
-                else [from_word(rs, word) for word in _OPERATOR_WORDS])
-    for w in elements:
-        inv = inverse(w).perm
-        assert all(inv[p] == k for k, p in enumerate(w.perm))
-        assert inverse(inverse(w)) is w
+
+    def check(elements):
+        for w in elements:
+            inv = inverse(w).perm
+            assert all(inv[p] == k for k, p in enumerate(w.perm))
+            assert inverse(inverse(w)) is w
+
+    check([from_word(rs, word) for word in _OPERATOR_WORDS])
+    if perm_type is bytes:
+        check(enumerate_group(rs))
 
 
 def _degree_distribution(degrees):
