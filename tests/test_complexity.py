@@ -442,11 +442,10 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
     # raw permutation product, looked up among the elements already made.
     # The only other products build each w_0(I) once, and every element a
     # Levi scan interns is one of the group's.  The histogram builds no
-    # element and no word;
-    # toric_schubert builds its rows and their words only.  Rebuilding each
-    # word from scratch and closing the group under all generators costs 16
-    # multiplies per element of F4.  A fresh system, so that no word is
-    # known before the scan.
+    # element and no word; toric_schubert builds its rows and their words
+    # only.  Rebuilding each word from scratch and closing the group under
+    # all generators costs 16 multiplies per element of F4.  A fresh system,
+    # so that no word is known before the scan.
     rs = build_root_system(cartan_datum("F", 4))
     order = 1152
     # longest_element makes one product per letter of w_0(I), and every I
