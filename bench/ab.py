@@ -9,7 +9,8 @@ the ``run_seconds`` of the copy's BENCHMARK.json.  Each pair runs both
 commits on the same seed, the parent first in even pairs and the change
 first in odd ones.  Every run has PYTHONDONTWRITEBYTECODE=1 and starts with
 no ``__pycache__`` in its copy, so no run reads bytecode an earlier run
-wrote.  A run whose result is not ``correct`` stops the script.
+wrote.  A run whose result is not ``correct`` stops the script.  Beside
+the two commits it records the line count of each copy's ``src/**/*.py``.
 
 For each workload and end-to-end metric it prints, and writes to ``--out``
 when given, the median and quartiles of each side, and in how many pairs
@@ -103,6 +104,12 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def src_lines(copy: Path) -> int:
+    """The lines of every ``src/**/*.py`` in a copy, as ``wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (copy / "src").rglob("*.py"))
+
+
 def run_once(copy: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in a copy: its metrics by name."""
     for cache in copy.rglob("__pycache__"):
@@ -152,7 +159,10 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in bench["end_to_end"]}
         names = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
-        report = {"commits": commits, "host": {
+        report = {"commits": commits,
+                  "src_lines": {side: src_lines(copy)
+                                for side, copy in copies.items()},
+                  "host": {
                       "nproc": os.cpu_count(),
                       "python": platform.python_version(),
                       "platform": platform.platform()},

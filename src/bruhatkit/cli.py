@@ -15,11 +15,12 @@ the empty set.
 --type and --rank take the families and ranks of ``rootsys._FAMILIES``; a
 rank outside them exits 2 before any root is built.
 
-A failed command exits with its error's ``exit_code`` (see ``errors``) and
-writes one stderr line: ``error: <message>``, or under ``--format json``
-the object ``{"error": {"exit_code": int, "hypothesis": str, "message":
-str}}``.  README's exit-code paragraph lists the codes for users, and the
-usage errors that are always the text line.
+``main`` returns 0 once a command's handler returns, or else the raised
+error's ``exit_code`` (see ``errors``) after writing one stderr line:
+``error: <message>``, or under ``--format json`` the object ``{"error":
+{"exit_code": int, "hypothesis": str, "message": str}}``.  README's
+exit-code paragraph lists the codes for users, and the usage errors that
+are always the text line.
 
 ``main`` reads argv of the form ``COMMAND (--flag value)*`` straight from
 the option table ``_COMMANDS``, whose rows also hold each command's handler;
@@ -156,7 +157,7 @@ def _display(rs: RootSystem, w: WeylElement) -> str:
 
 def _meta(args) -> dict:
     return {"type": args.type, "rank": args.rank,
-            "seed": getattr(args, "seed", 0), "version": __version__}
+            "seed": args.seed, "version": __version__}
 
 
 def _csv_cell(value) -> str:
@@ -206,18 +207,19 @@ def _group_cap() -> int:
     return cap
 
 
-def _run(handler, args) -> int:
-    """Run a handler on the root system of --type and --rank.  With --out,
-    write to a temporary file next to the target and rename it over the
-    target only once the command succeeds, so a failure leaves any existing
-    file untouched and no partial one.  A failed write to stdout is an input
-    error too; fd 1 then points at the null device, so the flush at exit
-    prints nothing more."""
+def _run(handler, args) -> None:
+    """Run a handler on the root system of --type and --rank; ``main``
+    returns 0 once this returns, or the raised error's ``exit_code``.  With
+    --out, write to a temporary file next to the target and rename it over
+    the target only once the command succeeds, so a failure leaves any
+    existing file untouched and no partial one.  A failed write to stdout
+    is an input error too; fd 1 then points at the null device, so the
+    flush at exit prints nothing more."""
     rs = root_system(args.type, args.rank)
     path = getattr(args, "out", None)
     if not path:
         try:
-            code = handler(rs, args, sys.stdout)
+            handler(rs, args, sys.stdout)
             sys.stdout.flush()
         except OSError as exc:
             try:
@@ -230,13 +232,13 @@ def _run(handler, args) -> int:
                 os.close(null)
             raise InvalidInputError(
                 f"cannot write to stdout: {exc.strerror}") from None
-        return code
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         out = open(tmp, "x", encoding="utf-8", newline="")
         try:
             with out:
-                code = handler(rs, args, out)
+                handler(rs, args, out)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -244,13 +246,12 @@ def _run(handler, args) -> int:
     except OSError as exc:
         raise InvalidInputError(
             f"cannot write {path!r}: {exc.strerror}") from None
-    return code
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_info(rs: RootSystem, args, out) -> int:
+def cmd_info(rs: RootSystem, args, out) -> None:
     order = weyl_group_order(args.type, args.rank)
     fields = {"type": args.type, "rank": args.rank,
               "positive_roots": len(rs.positive_roots),
@@ -270,10 +271,9 @@ def cmd_info(rs: RootSystem, args, out) -> int:
         out.write("cartan matrix:\n")
         for row in rs.cartan:
             out.write("  " + " ".join(f"{x:3d}" for x in row) + "\n")
-    return 0
 
 
-def cmd_complexity(rs: RootSystem, args, out) -> int:
+def cmd_complexity(rs: RootSystem, args, out) -> None:
     kind = args.kind
 
     def need(flag: str):
@@ -301,23 +301,21 @@ def cmd_complexity(rs: RootSystem, args, out) -> int:
             report = partial_flag_levi_complexity(w, j_sub,
                                                   parse_subset(args.I))
     _emit_report(report, args, out, rs)
-    return 0
 
 
-def cmd_scan(rs: RootSystem, args, out) -> int:
+def cmd_scan(rs: RootSystem, args, out) -> None:
     rows = scan(rs, args.target, max_length=args.max_length, cap=_group_cap())
     if args.format == "json":
         out.write(json.dumps({"meta": {**_meta(args), "target": args.target}})
                   + "\n")
         for row in rows:
             out.write(json.dumps(row) + "\n")
-        return 0
+        return
     # Scan cells are str or int, so they go to csv.writer as they are.
     writer = csv.writer(out, lineterminator="\n",
                         delimiter="," if args.format == "csv" else "\t")
     writer.writerow(SCAN_COLUMNS[args.target])
     writer.writerows(map(dict.values, rows))
-    return 0
 
 
 def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
@@ -362,7 +360,7 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
                    for mask, plus, circ, minus, betas, nc, nm in masks)
 
 
-def cmd_deodhar(rs: RootSystem, args, out) -> int:
+def cmd_deodhar(rs: RootSystem, args, out) -> None:
     word = parse_word(args.v_word)
     u = parse_element(rs, args.u)
     count, rows = _deodhar_table(word, u, args.format)
@@ -370,7 +368,7 @@ def cmd_deodhar(rs: RootSystem, args, out) -> int:
         out.write("mask,evaluation,j_plus,j_circ,j_minus,betas,shape,td,"
                   "positive\n")
         csv.writer(out, lineterminator="\n").writerows(rows)
-        return 0
+        return
     if args.format == "json":
         out.write(json.dumps({"meta": _meta(args), "v_word": list(word),
                               "u": word_string(u), "count": count}) + "\n")
@@ -379,7 +377,6 @@ def cmd_deodhar(rs: RootSystem, args, out) -> int:
                   f"u: {_display(rs, u)}   "
                   f"distinguished subexpressions: {count}\n")
     out.writelines(rows)
-    return 0
 
 
 # -- entry point --------------------------------------------------------------
@@ -500,7 +497,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:  # 0 after help, else _Parser.error's code
             return exc.code
     try:
-        return _run(_COMMANDS[args.command][0], args)
+        _run(_COMMANDS[args.command][0], args)
     except BruhatkitError as exc:
         if args.format == "json":
             sys.stderr.write(json.dumps(
@@ -510,6 +507,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
+    return 0
 
 
 if __name__ == "__main__":

@@ -379,26 +379,3 @@ def deodhar_polynomial(v_word: Sequence[int],
                 total = _poly_add(total, p)
             polys[x] = total
     return polys[start]
-
-
-def poly_string(coeffs: tuple[int, ...], var: str = "q") -> str:
-    """Human-readable polynomial, highest power first; '0' for ()."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            term = str(mag)
-        elif k == 1:
-            term = f"{var}" if mag == 1 else f"{mag}{var}"
-        else:
-            term = f"{var}^{k}" if mag == 1 else f"{mag}{var}^{k}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts) if parts else "0"

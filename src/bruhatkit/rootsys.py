@@ -137,9 +137,7 @@ def cartan_datum(family: str, rank: int) -> CartanDatum:
     ((2, -3), (-1, 2))
     """
     _check_family_rank(family, rank)
-    datum = CartanDatum(family, rank, _standard_cartan(family, rank))
-    datum.validate()
-    return datum
+    return CartanDatum(family, rank, _standard_cartan(family, rank))
 
 
 def root_height(root: Root) -> int:

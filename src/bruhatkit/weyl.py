@@ -381,6 +381,9 @@ def _layers(rs: RootSystem,
     layer[0]._word = ()
     length = 0
     while layer:
+        # Only a wrong product or inverse makes a longer or larger layer.
+        if length > n_pos or len(layer) > len(rs.element_cache):
+            raise AssertionError(f"layer {length} of {len(layer)} elements")
         yield layer
         length += 1
         inverses = [inverse(x).perm for x in layer]

@@ -83,3 +83,14 @@ def test_a_run_keeps_its_metrics_and_its_summary_line_fields():
     assert row["parent"]["values"] == [41.0]
     assert row["change"]["median"] == 45.1
     assert row["change_vs_parent"] == pytest.approx(0.1)
+
+
+def test_src_lines_counts_every_python_file_under_src(tmp_path):
+    # Nested modules count; other files, and Python outside src/, do not.
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text('"""doc"""\n')
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("one\ntwo\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("def test():\n    pass\n")
+    assert ab.src_lines(tmp_path) == 4

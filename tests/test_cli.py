@@ -1049,21 +1049,28 @@ def test_every_error_class_has_a_documented_exit_code():
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("error", list(EXIT_CODES),
-                         ids=lambda error: error.__name__)
+@pytest.mark.parametrize("error", list(EXIT_CODES) + [None],
+                         ids=lambda error: getattr(error, "__name__", "none"))
 def test_main_exits_with_the_error_class_exit_code(capsys, monkeypatch,
                                                     error, fmt):
     # A handler that raises the class: main returns its exit_code and
-    # writes one stderr line, whose JSON form carries the same code.
+    # writes one stderr line, whose JSON form carries the same code.  A
+    # handler returns nothing; main alone returns 0 once it has run.
     def handler(rs, args, out):
-        if error is GroupTooLargeError:
+        if error is None:
+            out.write("done\n")
+        elif error is GroupTooLargeError:
             raise error("refused", 10, 5)
-        raise error("refused")
+        else:
+            raise error("refused")
 
     row = cli._COMMANDS["info"]
     monkeypatch.setitem(cli._COMMANDS, "info", (handler,) + row[1:])
     code, out, err = run(capsys, ["info", "--type", "A", "--rank", "2",
                                   "--format", fmt])
+    if error is None:
+        assert (code, out, err) == (0, "done\n", "")
+        return
     assert code == EXIT_CODES[error] and out == ""
     if fmt == "json":
         assert json.loads(err) == {"error": {

@@ -20,7 +20,8 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        simple_reflect, support,
                        weyl_group_order, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
-from bruhatkit.weyl import _reflections, reflection, simple_reflection
+from bruhatkit.weyl import (_layers, _reflections, reflection,
+                            simple_reflection)
 from oracles import (coroot_pairing, perm_bruhat_le, perm_from_word,
                      perm_least_reduced_word, perm_left_descents, perm_length,
                      perm_mul, perm_reduced_words, perm_right_descents,
@@ -575,6 +576,28 @@ def test_reduced_word_walk_is_bounded(monkeypatch):
         reduced_word(w)
     assert time.perf_counter() - start < 1
     assert calls[0] == 9
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("F", 4)])
+def test_layer_walk_is_bounded(monkeypatch, family, rank):
+    # With a wrong inverse the descent test admits repeats, and the layers
+    # grow without end (F4: millions of elements by layer 20).  No correct
+    # layer is longer than N or larger than the interned elements, so the
+    # walk stops at once with an error.
+    rs = build_root_system(cartan_datum(family, rank))
+    calls = [0]
+
+    def wrong(w):
+        calls[0] += 1
+        if calls[0] > 100_000:
+            pytest.fail("the layer walk has no bound")
+        return w
+
+    monkeypatch.setattr(bruhatkit.weyl, "inverse", wrong)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="layer"):
+        list(_layers(rs))
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2), ("D", 4)])
