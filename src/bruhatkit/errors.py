@@ -10,8 +10,9 @@ class BruhatkitError(Exception):
 
 
 class InvalidInputError(BruhatkitError, ValueError):
-    """Malformed input: bad Cartan matrix, index out of range, non-reduced
-    word, unparsable element notation, mismatched root systems."""
+    """Malformed input: a Cartan matrix other than its label's standard one,
+    index out of range, non-reduced word, unparsable element notation,
+    mismatched root systems."""
 
     exit_code = 2
 

@@ -2,7 +2,8 @@
 
 Roots are stored as integer coefficient vectors in the simple-root basis, so
 every span or rank computation downstream runs over the integers and is
-basis-independent.  No Euclidean embedding is ever constructed.
+basis-independent.  No Euclidean embedding is ever constructed.  A datum
+must carry its label's standard Cartan matrix (``_FAMILIES``).
 
 Conventions (the single place they are documented):
 
@@ -103,7 +104,8 @@ def _check_family_rank(family: str, rank: int) -> None:
 
 
 class CartanDatum(NamedTuple):
-    """A family label, a rank, and the Cartan matrix tying them together."""
+    """A family label, a rank, and the Cartan matrix tying them together,
+    which must equal the label's (``cartan_datum``) as a tuple of tuples."""
 
     family: str
     rank: int
@@ -111,23 +113,10 @@ class CartanDatum(NamedTuple):
 
     def validate(self) -> None:
         _check_family_rank(self.family, self.rank)
-        n = self.rank
-        if len(self.cartan) != n or any(len(row) != n for row in self.cartan):
-            raise InvalidInputError("Cartan matrix shape does not match rank")
-        for i in range(n):
-            if self.cartan[i][i] != 2:
-                raise InvalidInputError(
-                    f"Cartan diagonal entry a[{i + 1}][{i + 1}] = "
-                    f"{self.cartan[i][i]}, expected 2")
-            for j in range(n):
-                if i != j and self.cartan[i][j] > 0:
-                    raise InvalidInputError(
-                        f"positive off-diagonal Cartan entry at "
-                        f"({i + 1}, {j + 1})")
-                if i != j and (self.cartan[i][j] == 0) != (self.cartan[j][i] == 0):
-                    raise InvalidInputError(
-                        f"Cartan zero pattern must be symmetric at "
-                        f"({i + 1}, {j + 1})")
+        expected = _standard_cartan(self.family, self.rank)
+        if self.cartan != expected:
+            raise InvalidInputError(
+                f"the Cartan matrix of {self.family}{self.rank} is {expected}")
 
 
 def cartan_datum(family: str, rank: int) -> CartanDatum:
@@ -160,7 +149,7 @@ class RootSystem:
         datum.validate()
         self.datum = datum
         self.rank = datum.rank
-        self.cartan = datum.cartan
+        self.cartan = _standard_cartan(datum.family, self.rank)  # int entries
         # The nonzero (j, a_ij) of each Cartan row, at most four.
         self._cartan_terms = tuple(
             tuple((j, a) for j, a in enumerate(row) if a)
@@ -168,11 +157,6 @@ class RootSystem:
         self.positive_roots: tuple[Root, ...] = self._close()
         self.index: dict[Root, int] = {
             r: k for k, r in enumerate(self.positive_roots)}
-        expected = positive_root_count(datum.family, datum.rank)
-        if len(self.positive_roots) != expected:
-            raise InvalidInputError(
-                f"closure produced {len(self.positive_roots)} positive roots, "
-                f"expected {expected} for {datum.family}{datum.rank}")
         self._build_permutations()
         # Interning cache for Weyl group elements, s_alpha by root index and
         # the set of their permutations, filled by weyl on first use.
@@ -214,7 +198,7 @@ class RootSystem:
                    for i in range(self.rank)]
         seen = set(simples)
         frontier = list(simples)
-        cap = 10 * positive_root_count(self.datum.family, self.datum.rank) + 16
+        n_pos = positive_root_count(self.datum.family, self.rank)
         while frontier:
             nxt = []
             for r in frontier:
@@ -224,10 +208,8 @@ class RootSystem:
                         seen.add(s)
                         nxt.append(s)
             frontier = nxt
-            if len(seen) > cap:
-                raise InvalidInputError(
-                    "root closure does not terminate; Cartan matrix is not "
-                    "of finite type")
+            if len(seen) > n_pos:  # only a wrong reflection gets here
+                raise AssertionError(f"closure has more than {n_pos} roots")
         return tuple(sorted(seen, key=lambda r: (root_height(r), r)))
 
     def _build_permutations(self) -> None:
@@ -255,10 +237,13 @@ class RootSystem:
     # -- predicates -------------------------------------------------------
 
     def is_positive_root(self, root: Root) -> bool:
-        return root in self.index
+        return self.is_root(root) and root in self.index
 
     def is_root(self, root: Root) -> bool:
-        return root in self.position
+        try:
+            return root in self.position
+        except TypeError:  # unhashable, so not a root
+            raise InvalidInputError(f"{root!r} is not a root") from None
 
     def __repr__(self) -> str:
         return (f"RootSystem({self.datum.family}{self.rank}, "

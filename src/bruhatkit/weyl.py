@@ -132,11 +132,10 @@ def _reflections(rs: RootSystem) -> list[WeylElement]:
 
 def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
     """The reflection s_alpha for a positive root alpha."""
-    k = rs.index.get(alpha)
-    if k is None:
+    if not rs.is_positive_root(alpha):
         raise InvalidInputError(
             f"{alpha} is not a positive root of this system")
-    return _reflections(rs)[k]
+    return _reflections(rs)[rs.index[alpha]]
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:

@@ -1,11 +1,16 @@
 import hashlib
 import tracemalloc
+from collections import Counter
+from math import prod
 
 import pytest
 
-from bruhatkit import (CartanDatum, InvalidInputError, build_root_system,
-                       cartan_datum, positive_root_count, root_system,
+from bruhatkit import (CartanDatum, InvalidInputError, RootSystem,
+                       apply_to_root, build_root_system, cartan_datum,
+                       identity, positive_root_count, root_system,
                        simple_reflect, weyl_group_order)
+from bruhatkit.rootsys import FAMILIES
+from bruhatkit.weyl import reflection
 from oracles import coroot_pairing, root_of_pair
 
 ENUMERABLE = ([("A", r) for r in (1, 2, 3, 4)]
@@ -88,34 +93,92 @@ def test_non_root_rejected(a2):
         simple_reflect(a2, 1, (5, 7))
 
 
+A2_MESSAGE = "the Cartan matrix of A2 is ((2, -1), (-1, 2))"
+
+
 def test_invalid_cartan_rejected():
-    with pytest.raises(InvalidInputError):
-        CartanDatum("A", 2, ((1, -1), (-1, 2))).validate()  # bad diagonal
-    with pytest.raises(InvalidInputError):
-        CartanDatum("A", 2, ((2, 1), (-1, 2))).validate()  # positive entry
-    with pytest.raises(InvalidInputError):
-        CartanDatum("A", 2, ((2, -1), (0, 2))).validate()  # asymmetric zero
-    with pytest.raises(InvalidInputError):
+    # One message, naming the label and its matrix, whatever is wrong.
+    for cartan in (((1, -1), (-1, 2)),  # bad diagonal
+                   ((2, 1), (-1, 2)),  # positive entry
+                   ((2, -1), (0, 2)),  # asymmetric zero
+                   ((2, -1), (-1,))):  # not square
+        with pytest.raises(InvalidInputError) as err:
+            CartanDatum("A", 2, cartan).validate()
+        assert str(err.value) == A2_MESSAGE
+    with pytest.raises(InvalidInputError) as err:
         build_root_system(CartanDatum("A", 2, ((2, 0), (-1, 2))))
+    assert str(err.value) == A2_MESSAGE
+
+
+@pytest.mark.parametrize("family,rank,cartan,message", [
+    ("A", 2, ((2, -2), (-2, 2)), A2_MESSAGE),  # affine
+    ("A", 2, ((2, -3), (-3, 2)), A2_MESSAGE),  # hyperbolic
+    ("A", 2, ((2, -1), (-2, 2)), A2_MESSAGE),  # B2's matrix under the label A
+    # Finite matrices under the wrong label, which closed to the right
+    # number of roots (C3) or to a group the label's order misstates (E6).
+    ("B", 6, cartan_datum("E", 6).cartan,
+     f"the Cartan matrix of B6 is {cartan_datum('B', 6).cartan}"),
+    ("B", 3, cartan_datum("C", 3).cartan,
+     "the Cartan matrix of B3 is ((2, -1, 0), (-1, 2, -1), (0, -2, 2))"),
+], ids=["affine", "hyperbolic", "B2-as-A2", "E6-as-B6", "C3-as-B3"])
+def test_closure_refusals(family, rank, cartan, message):
     with pytest.raises(InvalidInputError) as err:
-        CartanDatum("A", 2, ((2, -1), (-1,))).validate()  # not square
-    assert str(err.value) == "Cartan matrix shape does not match rank"
-
-
-NOT_FINITE = ("root closure does not terminate; Cartan matrix is not of "
-              "finite type")
-
-
-@pytest.mark.parametrize("cartan,message", [
-    (((2, -2), (-2, 2)), NOT_FINITE),  # affine
-    (((2, -3), (-3, 2)), NOT_FINITE),  # hyperbolic
-    (((2, -1), (-2, 2)),  # B2's matrix under the label A
-     "closure produced 4 positive roots, expected 3 for A2"),
-], ids=["affine", "hyperbolic", "B2-as-A2"])
-def test_closure_refusals(cartan, message):
-    with pytest.raises(InvalidInputError) as err:
-        build_root_system(CartanDatum("A", 2, cartan))
+        build_root_system(CartanDatum(family, rank, cartan))
     assert str(err.value) == message
+
+
+def test_equal_entries_build_with_the_tables_ints():
+    # Entries equal to the table's but of another type pass the comparison;
+    # the system computes with the table's ints, so no root holds a float.
+    cartan = ((2, -1, False), (-1, 2, -1), (0, -1.0, 2))
+    rs = build_root_system(CartanDatum("A", 3, cartan))
+    assert rs.positive_roots == root_system("A", 3).positive_roots
+    assert all(type(c) is int for root in rs.positive_roots for c in root)
+
+
+def test_closure_is_bounded(monkeypatch):
+    # A wrong reflection that makes new roots forever fails once the
+    # closure holds more than the table's N roots, instead of running on.
+    monkeypatch.setattr(RootSystem, "_reflect_raw",
+                        lambda self, i0, root: tuple(c + 1 for c in root))
+    with pytest.raises(AssertionError, match="closure has"):
+        build_root_system(cartan_datum("B", 3))
+
+
+def test_every_standard_system_has_its_table_counts():
+    # All 143 standard data, built fresh: N from the closure against the
+    # table, and |W| against the product over heights h of
+    # (h + 1)^(c_h - c_(h+1)), c_h the number of roots of height h
+    # (Macdonald 1972).
+    built = 0
+    for family in FAMILIES:
+        for rank in range(1, 46):
+            try:
+                datum = cartan_datum(family, rank)
+            except InvalidInputError:
+                continue
+            rs = build_root_system(datum)
+            assert len(rs.positive_roots) == positive_root_count(family, rank)
+            heights = Counter(sum(r) for r in rs.positive_roots)
+            order = prod((h + 1) ** (c - heights[h + 1])
+                         for h, c in heights.items())
+            assert order == weyl_group_order(family, rank), (family, rank)
+            built += 1
+    assert built == 143
+
+
+@pytest.mark.parametrize("call", [
+    lambda rs: simple_reflect(rs, 1, [0, 1]),
+    lambda rs: apply_to_root(identity(rs), [0, 1]),
+    lambda rs: reflection(rs, [1, 1]),
+    lambda rs: rs.is_positive_root([1, 0]),
+    lambda rs: rs.is_root((0, [1])),
+], ids=["simple_reflect", "apply_to_root", "reflection", "is_positive_root",
+        "is_root"])
+def test_unhashable_root_is_invalid_input(a2, call):
+    # A list is no root; its lookup raised TypeError (unhashable type).
+    with pytest.raises(InvalidInputError, match="is not a root"):
+        call(a2)
 
 
 @pytest.mark.parametrize("family,rank", [("E", 5), ("E", 9), ("F", 3),
