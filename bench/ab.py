@@ -18,6 +18,9 @@ the change was better (the metric's ``better`` direction; ties count for
 neither side).  ``claimable`` is true when there are at least MIN_PAIRS
 pairs, the change won at least nine in ten of them, and its median beats
 the parent's by more than the distance between the parent's quartiles.
+``regressed`` is its mirror: the change lost at least nine in ten, and its
+median is worse by more than that distance.  The last line on stderr names
+every regressed workload/metric.
 Under ``summary_line`` it keeps, the same way but without a verdict, the
 SUMMARY_FIELDS of each run's summary line: the uncorrected wall times and
 the yardstick, which tell a drift of the yardstick from a change of work.
@@ -82,12 +85,20 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         row = {"better": direction, "pairs": len(pairs), "change_wins": wins,
                "change_losses": losses, **spread(pairs, name)}
         gap = sign * (row["parent"]["median"] - row["change"]["median"])
-        row["claimable"] = (len(pairs) >= MIN_PAIRS
-                            and 10 * wins >= 9 * len(pairs)
-                            and gap > row["parent"]["q3"]
-                            - row["parent"]["q1"])
+        iqr = row["parent"]["q3"] - row["parent"]["q1"]
+        enough = len(pairs) >= MIN_PAIRS
+        row["claimable"] = (enough and 10 * wins >= 9 * len(pairs)
+                            and gap > iqr)
+        row["regressed"] = (enough and 10 * losses >= 9 * len(pairs)
+                            and -gap > iqr)
         out[name] = row
     return out
+
+
+def regressions(workloads: dict) -> list[str]:
+    """Every "workload/metric" whose row is ``regressed``, in report order."""
+    return [f"{name}/{metric}" for name, rows in workloads.items()
+            for metric, row in rows.items() if row.get("regressed")]
 
 
 def export(rev: str, dest: Path) -> str:
@@ -185,6 +196,9 @@ def main(argv=None) -> int:
     if args.out:
         args.out.write_text(text + "\n")
     print(text)
+    regressed = regressions(report["workloads"])
+    if regressed:
+        print("regressed: " + ", ".join(regressed), file=sys.stderr)
     return 0
 
 

@@ -23,9 +23,9 @@ from .deodhar import (SKIP, TAKE, DeodharComponentShape, Subexpression,
 from .errors import (BruhatkitError, FormulaUnavailableError,
                      GroupTooLargeError, InvalidInputError,
                      NotComparableError, PreconditionError)
-from .rootsys import (CartanDatum, Root, RootSystem, build_root_system,
-                      cartan_datum, positive_root_count, root_system,
-                      simple_reflect, weyl_group_order)
+from .rootsys import (Root, RootSystem, build_root_system,
+                      positive_root_count, root_system, simple_reflect,
+                      weyl_group_order)
 from .weyl import (DEFAULT_GROUP_CAP, WeylElement, all_reduced_words,
                    apply_to_root, canonical_order, enumerate_group,
                    from_word, identity, inverse, left_descents,

@@ -56,8 +56,7 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          torus_complexity_schubert)
 from .deodhar import SKIP, mask_stream
 from .errors import BruhatkitError, InvalidInputError
-from .rootsys import (FAMILIES, Root, RootSystem, root_system,
-                      weyl_group_order)
+from .rootsys import FAMILIES, Root, RootSystem, root_system
 from .weyl import (DEFAULT_GROUP_CAP, WeylElement, from_word, identity,
                    reduced_word, word_string)
 
@@ -95,7 +94,7 @@ def element_from_oneline(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
 
 def element_to_oneline(w: WeylElement) -> str:
     """One-line notation (family A only)."""
-    if w.system.datum.family != "A":
+    if w.system.family != "A":
         raise InvalidInputError("one-line notation is specific to family A")
     p = list(range(1, w.system.rank + 2))
     for i in reduced_word(w):
@@ -111,7 +110,7 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
         return identity(rs)
     # isdecimal, not isdigit: int() rejects digits such as "²" and "①".
     oneline = (text.isdecimal() and len(text) > 1
-               and rs.datum.family == "A" and rs.rank <= 8)
+               and rs.family == "A" and rs.rank <= 8)
     if "." in text or (text.isdecimal() and not oneline):
         return from_word(rs, parse_word(text))
     if not oneline:
@@ -147,7 +146,7 @@ def root_string(root: Root) -> str:
 
 
 def _display(rs: RootSystem, w: WeylElement) -> str:
-    if rs.datum.family == "A" and rs.rank <= 8:
+    if rs.family == "A" and rs.rank <= 8:
         return f"{word_string(w)} (oneline {element_to_oneline(w)})"
     return word_string(w)
 
@@ -252,10 +251,9 @@ def _run(handler, args) -> None:
 
 
 def cmd_info(rs: RootSystem, args, out) -> None:
-    order = weyl_group_order(args.type, args.rank)
-    fields = {"type": args.type, "rank": args.rank,
+    fields = {"type": rs.family, "rank": rs.rank,
               "positive_roots": len(rs.positive_roots),
-              "weyl_order": order,
+              "weyl_order": rs.order,
               "cartan": [list(row) for row in rs.cartan]}
     if args.format == "json":
         out.write(json.dumps({**fields, "meta": _meta(args)}) + "\n")
@@ -264,10 +262,10 @@ def cmd_info(rs: RootSystem, args, out) -> None:
         csv.writer(out, lineterminator="\n").writerows(
             [fields, fields.values()])
     else:
-        out.write(f"type: {args.type}{args.rank}\n")
-        out.write(f"rank: {args.rank}\n")
+        out.write(f"type: {rs.family}{rs.rank}\n")
+        out.write(f"rank: {rs.rank}\n")
         out.write(f"positive roots: {len(rs.positive_roots)}\n")
-        out.write(f"weyl group order: {order}\n")
+        out.write(f"weyl group order: {rs.order}\n")
         out.write("cartan matrix:\n")
         for row in rs.cartan:
             out.write("  " + " ".join(f"{x:3d}" for x in row) + "\n")

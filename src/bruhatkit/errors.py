@@ -10,9 +10,9 @@ class BruhatkitError(Exception):
 
 
 class InvalidInputError(BruhatkitError, ValueError):
-    """Malformed input: a Cartan matrix other than its label's standard one,
-    index out of range, non-reduced word, unparsable element notation,
-    mismatched root systems."""
+    """Malformed input: an unknown family, a rank the family does not
+    admit, index out of range, non-reduced word, unparsable element
+    notation, mismatched root systems."""
 
     exit_code = 2
 

@@ -1,9 +1,10 @@
-"""Finite root systems from Cartan matrices, with exact integer arithmetic.
+"""Finite root systems by Dynkin label, with exact integer arithmetic.
 
-Roots are stored as integer coefficient vectors in the simple-root basis, so
-every span or rank computation downstream runs over the integers and is
-basis-independent.  No Euclidean embedding is ever constructed.  A datum
-must carry its label's standard Cartan matrix (``_FAMILIES``).
+A root system is given by its family and rank; its Cartan matrix is the
+label's standard one (``_FAMILIES``).  Roots are stored as integer
+coefficient vectors in the simple-root basis, so every span or rank
+computation downstream runs over the integers and is basis-independent.  No
+Euclidean embedding is ever constructed.
 
 Conventions (the single place they are documented):
 
@@ -18,16 +19,13 @@ Conventions (the single place they are documented):
 * E_6/E_7/E_8 and F_4 follow the Bourbaki node numbering (branch node of E
   is node 4, attached to node 2; F_4 has the double bond between nodes 2
   and 3 with rows ``[0, -2, 2, -1]`` in the third row).
-
-``CartanDatum`` is an immutable NamedTuple; it compares and hashes as the
-tuple of its fields.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import InvalidInputError
 
@@ -70,17 +68,21 @@ _FAMILIES = {
 FAMILIES = "".join(_FAMILIES)
 
 
+def _counts(family: str, rank: int) -> tuple[int, int]:
+    """(N, |W|) from the label's table row, after checking the label."""
+    _check_family_rank(family, rank)
+    return _FAMILIES[family][2](rank)
+
+
 def positive_root_count(family: str, rank: int) -> int:
     """Classical number of positive roots for the family/rank; refuses
-    what ``cartan_datum`` refuses."""
-    _check_family_rank(family, rank)
-    return _FAMILIES[family][2](rank)[0]
+    what ``RootSystem`` refuses."""
+    return _counts(family, rank)[0]
 
 
 def weyl_group_order(family: str, rank: int) -> int:
-    """|W| for the family/rank; refuses what ``cartan_datum`` refuses."""
-    _check_family_rank(family, rank)
-    return _FAMILIES[family][2](rank)[1]
+    """|W| for the family/rank; refuses what ``RootSystem`` refuses."""
+    return _counts(family, rank)[1]
 
 
 def _standard_cartan(family: str, rank: int) -> Matrix:
@@ -103,32 +105,6 @@ def _check_family_rank(family: str, rank: int) -> None:
             f"got {rank}")
 
 
-class CartanDatum(NamedTuple):
-    """A family label, a rank, and the Cartan matrix tying them together,
-    which must equal the label's (``cartan_datum``) as a tuple of tuples."""
-
-    family: str
-    rank: int
-    cartan: Matrix
-
-    def validate(self) -> None:
-        _check_family_rank(self.family, self.rank)
-        expected = _standard_cartan(self.family, self.rank)
-        if self.cartan != expected:
-            raise InvalidInputError(
-                f"the Cartan matrix of {self.family}{self.rank} is {expected}")
-
-
-def cartan_datum(family: str, rank: int) -> CartanDatum:
-    """Standard CartanDatum for the family/rank.
-
-    >>> cartan_datum("G", 2).cartan
-    ((2, -3), (-1, 2))
-    """
-    _check_family_rank(family, rank)
-    return CartanDatum(family, rank, _standard_cartan(family, rank))
-
-
 def root_height(root: Root) -> int:
     return sum(root)
 
@@ -145,16 +121,15 @@ class RootSystem:
     Immutable after construction (internal caches aside).
     """
 
-    def __init__(self, datum: CartanDatum):
-        datum.validate()
-        self.datum = datum
-        self.rank = datum.rank
-        self.cartan = _standard_cartan(datum.family, self.rank)  # int entries
+    def __init__(self, family: str, rank: int):
+        n_pos, self.order = _counts(family, rank)  # order is |W|
+        self.family, self.rank = family, rank
+        self.cartan = _standard_cartan(family, rank)  # int entries
         # The nonzero (j, a_ij) of each Cartan row, at most four.
         self._cartan_terms = tuple(
             tuple((j, a) for j, a in enumerate(row) if a)
             for row in self.cartan)
-        self.positive_roots: tuple[Root, ...] = self._close()
+        self.positive_roots: tuple[Root, ...] = self._close(n_pos)
         self.index: dict[Root, int] = {
             r: k for k, r in enumerate(self.positive_roots)}
         self._build_permutations()
@@ -193,12 +168,11 @@ class RootSystem:
         out[i0] -= c
         return tuple(out)
 
-    def _close(self) -> tuple[Root, ...]:
+    def _close(self, n_pos: int) -> tuple[Root, ...]:
         simples = [tuple(1 if j == i else 0 for j in range(self.rank))
                    for i in range(self.rank)]
         seen = set(simples)
         frontier = list(simples)
-        n_pos = positive_root_count(self.datum.family, self.rank)
         while frontier:
             nxt = []
             for r in frontier:
@@ -246,29 +220,31 @@ class RootSystem:
             raise InvalidInputError(f"{root!r} is not a root") from None
 
     def __repr__(self) -> str:
-        return (f"RootSystem({self.datum.family}{self.rank}, "
+        return (f"RootSystem({self.family}{self.rank}, "
                 f"{len(self.positive_roots)} positive roots)")
 
 
-def build_root_system(datum: CartanDatum) -> RootSystem:
-    """A fresh RootSystem for the datum, shared with no other caller.
+def build_root_system(family: str, rank: int) -> RootSystem:
+    """A fresh RootSystem for the family/rank, shared with no other caller.
 
     Its elements are interned apart from those of every other instance, so
     they never compare equal to them.  Use ``root_system`` for the shared
-    instance of a standard datum.
+    instance.
 
     Positive roots are graded by height, then lexicographic on coefficient
     vectors.
 
-    >>> rs = build_root_system(cartan_datum("A", 2))
+    >>> rs = build_root_system("A", 2)
     >>> rs.positive_roots
     ((0, 1), (1, 0), (1, 1))
+    >>> build_root_system("G", 2).cartan
+    ((2, -3), (-1, 2))
     """
-    return RootSystem(datum)
+    return RootSystem(family, rank)
 
 
 def root_system(family: str, rank: int) -> RootSystem:
-    """The shared RootSystem of ``cartan_datum(family, rank)``.
+    """The shared RootSystem of the family/rank.
 
     Every call with the same family and rank, positional or by keyword,
     returns the same instance, so its interned elements and the caches keyed
@@ -281,12 +257,10 @@ def root_system(family: str, rank: int) -> RootSystem:
     return _shared_system(family, rank)
 
 
-# Keyed on (family, rank), so a hit neither builds nor validates a datum.
-# Bounded, so a process that walks through many data does not keep every
-# system alive; 32 is above the number of data the test suite visits.
-@lru_cache(maxsize=32)
-def _shared_system(family: str, rank: int) -> RootSystem:
-    return RootSystem(cartan_datum(family, rank))
+# Keyed on (family, rank), so a hit builds nothing.  Bounded, so a process
+# that walks through many labels does not keep every system alive; 32 is
+# above the number of labels the test suite visits.
+_shared_system = lru_cache(maxsize=32)(RootSystem)
 
 
 def simple_reflect(rs: RootSystem, i: int, root: Root) -> Root:

@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import GroupTooLargeError, InvalidInputError
-from .rootsys import Root, RootSystem, weyl_group_order
+from .rootsys import Root, RootSystem
 
 SimpleSubset = frozenset[int]
 Perm = bytes | tuple[int, ...]  # see RootSystem._build_permutations
@@ -64,10 +64,6 @@ class WeylElement:
             n_pos = len(self.system.positive_roots)
             self._length = sum(p >= n_pos for p in self.perm[:n_pos])
         return self._length
-
-    def apply(self, root: Root) -> Root:
-        rs = self.system
-        return rs.signed_roots[self.perm[rs.position[root]]]
 
     def is_identity(self) -> bool:
         return self.length == 0
@@ -214,9 +210,11 @@ def inverse(w: WeylElement) -> WeylElement:
 
 
 def apply_to_root(w: WeylElement, root: Root) -> Root:
-    if not w.system.is_root(root):
-        raise InvalidInputError(f"{root} is not a root of {w.system!r}")
-    return w.apply(root)
+    """w(root) for a root of either sign; anything else is refused."""
+    rs = w.system
+    if not rs.is_root(root):
+        raise InvalidInputError(f"{root} is not a root of {rs!r}")
+    return rs.signed_roots[w.perm[rs.position[root]]]
 
 
 def right_descents(w: WeylElement) -> SimpleSubset:
@@ -350,11 +348,10 @@ def longest_element(rs: RootSystem, subset: Iterable[int] = ()) -> WeylElement:
 
 def _check_cap(rs: RootSystem, cap: int) -> None:
     """Refuse, with the exact order in the error, if |W| exceeds the cap."""
-    order = weyl_group_order(rs.datum.family, rs.rank)
-    if order > cap:
+    if rs.order > cap:
         raise GroupTooLargeError(
-            f"|W({rs.datum.family}{rs.rank})| = {order} exceeds the "
-            f"enumeration cap {cap}", order, cap)
+            f"|W({rs.family}{rs.rank})| = {rs.order} exceeds the "
+            f"enumeration cap {cap}", rs.order, cap)
 
 
 def _layers(rs: RootSystem,

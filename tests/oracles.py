@@ -143,6 +143,16 @@ def word_action(cartan, word):
     return tuple(images)
 
 
+def word_length(cartan, positive_roots, word):
+    """l(w) for the product of the word: the number of positive roots it
+    sends negative.  w(beta) is a root, so it is negative iff its height is,
+    and by linearity that height is the sum of beta_j times the height of
+    w(alpha_j), read off ``word_action``."""
+    heights = [sum(image) for image in word_action(cartan, word)]
+    return sum(sum(c * h for c, h in zip(beta, heights)) < 0
+               for beta in positive_roots)
+
+
 @lru_cache(maxsize=None)
 def word_lengths(cartan):
     """Length of every element, keyed by word_action: its distance from the

@@ -12,7 +12,8 @@ from __future__ import annotations
 from bruhatkit.algdim import (ad, ad_direct, ad_via_chain, ad_via_covers_at,
                               echelon_basis)
 from bruhatkit.bruhat import bruhat_le, interval
-from bruhatkit.weyl import multiply, right_descents, simple_reflection
+from bruhatkit.weyl import (apply_to_root, multiply, right_descents,
+                            simple_reflection)
 
 _recursive_memo: dict = {}
 
@@ -49,7 +50,7 @@ def all_recursive_spans(u, v):
             if us.length < u.length:
                 out |= all_recursive_spans(us, vs)
             else:
-                label = u.apply(rs.simple_root(i))
+                label = apply_to_root(u, rs.simple_root(i))
                 out |= {echelon_basis(space + (label,))
                         for space in all_recursive_spans(u, vs)}
         result = frozenset(out)

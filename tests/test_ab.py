@@ -44,6 +44,27 @@ def test_eight_wins_or_a_gap_inside_the_spread_is_not_claimable():
     assert not close["run_s"]["claimable"]
 
 
+def test_a_loss_in_nine_of_ten_beyond_the_parent_spread_is_regressed():
+    # The mirror of a claimable gain, named in the closing stderr line.
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04] * 2
+    change = [p + 0.1 for p in parent[:9]] + [0.9]
+    rows = ab.summarize(_pairs(parent, change), BETTER)
+    assert rows["run_s"]["change_losses"] == 9
+    assert rows["run_s"]["regressed"] and not rows["run_s"]["claimable"]
+    assert not rows["ratio"]["regressed"]
+    # Eight losses, or a loss inside the parent's spread, is not flagged.
+    eight = ab.summarize(_pairs(parent, change[:8] + [0.9, 0.9]), BETTER)
+    assert not eight["run_s"]["regressed"]
+    close = ab.summarize(_pairs(parent, [p + 0.001 for p in parent]), BETTER)
+    assert close["run_s"]["change_losses"] == 10
+    assert not close["run_s"]["regressed"]
+    gain = ab.summarize(_pairs(change, parent), BETTER)
+    assert gain["run_s"]["claimable"] and not gain["run_s"]["regressed"]
+    workloads = {"w1": dict(rows, summary_line={}), "w2": gain,
+                 "w3": {"ratio": rows["run_s"]}}
+    assert ab.regressions(workloads) == ["w1/run_s", "w3/ratio"]
+
+
 def test_ties_count_for_neither_side_and_direction_is_respected():
     rows = ab.summarize(_pairs([1.0, 2.0, 3.0], [1.0, 1.0, 4.0]), BETTER)
     assert (rows["run_s"]["change_wins"],

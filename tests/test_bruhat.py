@@ -9,7 +9,7 @@ import bruhatkit.bruhat
 import bruhatkit.weyl
 from bruhatkit import (InvalidInputError, NotComparableError,
                        PreconditionError, ad, ad_via_chain, bruhat_le,
-                       build_root_system, canonical_order, cartan_datum,
+                       build_root_system, canonical_order,
                        enumerate_group,
                        from_word, identity, interval, longest_element,
                        lower_covers, multiply, reduced_word, right_descents,
@@ -27,7 +27,7 @@ from sweeps import comparable_pairs
 def test_le_of_long_element_needs_no_recursion():
     # w_0 of A30 has 465 letters; a recursive comparison would need a frame
     # per letter and fail under this limit.
-    rs = build_root_system(cartan_datum("A", 30))
+    rs = build_root_system("A", 30)
     w0 = longest_element(rs, range(1, 31))
     s1 = simple_reflection(rs, 1)
     limit = sys.getrecursionlimit()
@@ -229,7 +229,7 @@ def test_interval_matches_all_roots_oracle_on_tuples():
 def test_products_are_made_once(monkeypatch):
     # On a system no other test touches, so no earlier test has made its
     # products: every multiply counts, wherever it is bound.
-    rs = build_root_system(cartan_datum("D", 4))
+    rs = build_root_system("D", 4)
     group = enumerate_group(rs)
     rng = random.Random(4)
     pairs = [(rng.choice(group), rng.choice(group)) for _ in range(300)]
@@ -288,7 +288,7 @@ def test_richardson_query_builds_no_edges(monkeypatch):
     # The witness reads only the elements of [u, v]; the edges are worked
     # out once, when something first reads them.  On a fresh system, so no
     # interval comes from the shared cache.
-    rs = build_root_system(cartan_datum("A", 3))
+    rs = build_root_system("A", 3)
     group = canonical_order(enumerate_group(rs))
 
     def refuse(*args):
@@ -318,7 +318,7 @@ def test_interval_from_identity_makes_no_comparison(monkeypatch):
     # Every element is >= the identity, so [id, w0] is admitted without a
     # walk per element, and the search reaching layer 1 shows id <= w0.
     # On a fresh system, so no comparison comes from the shared cache.
-    rs = build_root_system(cartan_datum("A", 4))
+    rs = build_root_system("A", 4)
     real = bruhatkit.bruhat.descent_labels
     calls = [0]
 
@@ -337,7 +337,7 @@ def test_richardson_query_walks_its_pair_once(monkeypatch):
     # walks nothing: its layer l(u) + 1 is admitted by the reflection test.
     # Only the witness search walks, once for each other w of [u, v].  On a
     # fresh system, so no walk comes from a shared memo table.
-    rs = build_root_system(cartan_datum("D", 4))
+    rs = build_root_system("D", 4)
     real = bruhatkit.bruhat.descent_labels
     walks = Counter()
 
@@ -405,7 +405,7 @@ def test_elements_of_two_systems_are_refused(one, other):
     # each query refuses a pair from two systems, and the same words in one
     # system answer as in A3.
     def system(family, rank, private):
-        return (build_root_system(cartan_datum(family, rank)) if private
+        return (build_root_system(family, rank) if private
                 else root_system(family, rank))
 
     rs, other_rs = system(*one), system(*other)
@@ -489,7 +489,7 @@ def test_covers_and_labels_against_every_root(family, rank):
 
 def test_covers_make_one_product_per_root_on_their_side(monkeypatch):
     # l(w) products for the covers below w, N - l(w) for those above.
-    rs = build_root_system(cartan_datum("B", 3))
+    rs = build_root_system("B", 3)
     n_pos = len(rs.positive_roots)
     calls = [0]
     real = bruhatkit.bruhat.multiply
@@ -515,7 +515,7 @@ def test_reflections_are_built_once_per_system(monkeypatch):
     # weyl makes the N reflections on the first cover read on a system and
     # keeps them on it; later reads of any kind make none.  A reflection is
     # made when weyl._reflections interns it.
-    rs = build_root_system(cartan_datum("B", 3))
+    rs = build_root_system("B", 3)
     made, inside = [0], [False]
     real_reflections = bruhatkit.weyl._reflections
     real_intern = bruhatkit.weyl._intern
@@ -544,7 +544,7 @@ def test_reflections_are_built_once_per_system(monkeypatch):
     edge_label(identity(rs), from_word(rs, [1]))
     reflection(rs, rs.positive_roots[-1])
     assert made[0] == 0
-    other = build_root_system(cartan_datum("B", 3))
+    other = build_root_system("B", 3)
     lower_covers(longest_element(other, range(1, 4)))
     assert made[0] == len(other.positive_roots)
 

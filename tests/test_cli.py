@@ -16,10 +16,9 @@ from collections import Counter
 import pytest
 
 import bruhatkit
-from bruhatkit import (build_root_system, cartan_datum, cli,
-                       enumerate_distinguished, enumerate_group, errors,
-                       from_word, identity, levi_borel_complexity,
-                       root_system, rootsys,
+from bruhatkit import (build_root_system, cli, enumerate_distinguished,
+                       enumerate_group, errors, from_word, identity,
+                       levi_borel_complexity, root_system, rootsys,
                        torus_complexity_richardson, torus_complexity_schubert,
                        word_string)
 from bruhatkit.cli import (element_from_oneline, element_to_oneline, main,
@@ -178,9 +177,9 @@ def test_rank_above_ceiling_exits_2_before_building(capsys, monkeypatch,
                                                     family):
     built = []
 
-    def refuse(self, datum):
+    def refuse(self, family, rank):
         # Fail at once rather than build a system of rank 1000.
-        built.append(datum)
+        built.append((family, rank))
         raise RuntimeError("a root system was built")
 
     monkeypatch.setattr(rootsys.RootSystem, "__init__", refuse)
@@ -226,9 +225,9 @@ def test_repeated_queries_share_system_parser_and_elements(capsys,
     built, parsers = [], []
     real_init = rootsys.RootSystem.__init__
 
-    def counting_init(self, datum):
-        built.append(datum)
-        real_init(self, datum)
+    def counting_init(self, family, rank):
+        built.append((family, rank))
+        real_init(self, family, rank)
 
     monkeypatch.setattr(rootsys.RootSystem, "__init__", counting_init)
     real_build_parser = cli.build_parser
@@ -252,7 +251,7 @@ def test_repeated_queries_share_system_parser_and_elements(capsys,
     assert len(parsers) == 1
     count = len(built)
     monkeypatch.setattr(cli, "root_system", lambda family, rank:
-                        build_root_system(cartan_datum(family, rank)))
+                        build_root_system(family, rank))
     assert run(capsys, argv) == (0, outs[0], "")
     assert (len(built), len(parsers)) == (count + 1, 1)
 
@@ -265,7 +264,7 @@ def test_commands_that_read_no_cover_make_no_reflection(capsys,
     systems = []
 
     def fresh(family, rank):
-        systems.append(build_root_system(cartan_datum(family, rank)))
+        systems.append(build_root_system(family, rank))
         return systems[-1]
 
     monkeypatch.setattr(cli, "root_system", fresh)

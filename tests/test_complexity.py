@@ -7,7 +7,7 @@ import bruhatkit.complexity as complexity
 import bruhatkit.weyl
 from bruhatkit import (FormulaUnavailableError, InvalidInputError,
                        PreconditionError, ad, bruhat_le, build_root_system,
-                       canonical_order, cartan_datum, enumerate_group,
+                       canonical_order, enumerate_group,
                        from_word, identity, is_toric, is_toric_partial,
                        left_descents, levi_acts, levi_borel_complexity,
                        left_parabolic_decomposition, longest_element,
@@ -311,7 +311,7 @@ def test_toric_richardson_and_descent_labels_against_oracles(family, rank):
 
 def test_toric_richardson_scan_leaves_memo_tables_as_found():
     # One uncached walk per pair, so neither unbounded table grows.
-    rs = build_root_system(cartan_datum("B", 3))
+    rs = build_root_system("B", 3)
 
     def sizes():
         return bruhat_le.cache_info().currsize, ad.cache_info().currsize
@@ -350,7 +350,7 @@ def test_scan_max_length_stops_after_its_layer():
     e6 = root_system("E", 6)
     short = tuple(w for w in enumerate_group(e6) if w.length <= 2)
     for target in SCAN_TARGETS:
-        fresh = build_root_system(cartan_datum("E", 6))
+        fresh = build_root_system("E", 6)
         rows = list(scan(fresh, target, max_length=2))
         assert len(fresh.element_cache) <= 27 + fresh.rank
         if target in ("complexity_histogram", "toric_schubert"):
@@ -370,7 +370,7 @@ def test_scan_max_length_stops_after_its_layer():
 def test_support_scans_build_no_group():
     # On E6 the histogram builds no element at all, and toric_schubert
     # builds only its 242 rows, where enumerating the group interns 51,840.
-    rs = build_root_system(cartan_datum("E", 6))
+    rs = build_root_system("E", 6)
     rows = list(scan(rs, "complexity_histogram"))
     assert sum(row["count"] for row in rows) == 51840
     assert len(rs.element_cache) == 0
@@ -446,7 +446,7 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
     # only.  Rebuilding each word from scratch and closing the group under
     # all generators costs 16 multiplies per element of F4.  A fresh system,
     # so that no word is known before the scan.
-    rs = build_root_system(cartan_datum("F", 4))
+    rs = build_root_system("F", 4)
     order = 1152
     # longest_element makes one product per letter of w_0(I), and every I
     # is in the left descent set of w_0.
@@ -477,7 +477,7 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
         assert calls[0] <= order + levi_builds
         assert len(rs.element_cache) == order
     # The words of a freshly enumerated group cost no product at all.
-    group = enumerate_group(build_root_system(cartan_datum("F", 4)))
+    group = enumerate_group(build_root_system("F", 4))
     calls[0] = 0
     assert [len(bruhatkit.weyl.reduced_word(w)) for w in group] == [
         w.length for w in group]
@@ -502,7 +502,7 @@ _SUPPORT_SWEEP = [
 @pytest.mark.parametrize("max_length,target,family,rank", _SUPPORT_SWEEP)
 def test_support_scans_match_word_route(family, rank, target, max_length):
     # A fresh system for the scan, so that no word is known before it.
-    rs = build_root_system(cartan_datum(family, rank))
+    rs = build_root_system(family, rank)
     expected = rows_by_words(_group(family, rank), target, max_length)
     assert list(scan(rs, target, max_length=max_length)) == expected
 

@@ -11,7 +11,7 @@ import bruhatkit.bruhat
 import bruhatkit.deodhar
 import bruhatkit.weyl
 from bruhatkit import (InvalidInputError, NotComparableError, bruhat_le,
-                       build_root_system, canonical_order, cartan_datum,
+                       build_root_system, canonical_order,
                        component_shape, deodhar_polynomial,
                        enumerate_distinguished, enumerate_group, from_word,
                        identity, is_toric, multiply,
@@ -244,7 +244,7 @@ def _count_mask_search(monkeypatch, u_word):
     # weyl.times_simple and ad's Bruhat check included.  The system is
     # private and the comparison cache is emptied, so no product or
     # comparison an earlier test made lowers the count.
-    rs = build_root_system(cartan_datum("D", 5))
+    rs = build_root_system("D", 5)
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = from_word(rs, u_word)
     calls = [0]
@@ -334,7 +334,7 @@ def test_census_interns_only_what_the_search_meets(family, rank, interned,
     # states of the two frontiers and the live walk; two whole passes
     # interned 13,939 elements on E6 and 38,648 on A8.  The digest is that
     # of the two-pass census.
-    rs = build_root_system(cartan_datum(family, rank))
+    rs = build_root_system(family, rank)
     word = reduced_word(longest_element(rs, range(1, rank + 1)))
     before = len(rs.element_cache)
     poly = deodhar_polynomial(word, identity(rs))
@@ -347,7 +347,7 @@ def test_census_interns_only_what_the_search_meets(family, rank, interned,
 def test_mask_search_makes_no_bruhat_comparison(u_word):
     # Neither makes one: enumerate_distinguished calls ad, whose own walk
     # checks u <= v.
-    rs = build_root_system(cartan_datum("D", 5))
+    rs = build_root_system("D", 5)
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = from_word(rs, u_word)
 
@@ -365,7 +365,7 @@ def test_mask_search_makes_no_bruhat_comparison(u_word):
 def test_masks_of_long_word_need_no_recursion():
     # w_0 of A30 has 465 letters; a search with a frame per letter would
     # fail under this limit.
-    rs = build_root_system(cartan_datum("A", 30))
+    rs = build_root_system("A", 30)
     w0 = longest_element(rs, range(1, 31))
     word = reduced_word(w0)
     u = multiply(w0, simple_reflection(rs, 1))
@@ -390,7 +390,7 @@ def test_masks_hold_only_what_the_walk_produces():
     # so the second retains the masks alone.
     assert list(Subexpression._fields) == [
         "base_word", "choices", "prefixes", "betas", "td"]
-    rs = build_root_system(cartan_datum("D", 5))
+    rs = build_root_system("D", 5)
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = identity(rs)
     enumerate_distinguished(word, u)

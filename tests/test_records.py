@@ -1,13 +1,12 @@
-"""The five record classes are immutable NamedTuples: their fields, in
+"""The four record classes are immutable NamedTuples: their fields, in
 order, and the construction, equality, hashing, truth and repr that callers
 rely on."""
 
 import pytest
 
-from bruhatkit import (CartanDatum, ComplexityReport, DeodharComponentShape,
-                       LeviAction, Subexpression, cartan_datum,
-                       enumerate_distinguished, from_word, identity,
-                       levi_acts, root_system)
+from bruhatkit import (ComplexityReport, DeodharComponentShape, LeviAction,
+                       Subexpression, enumerate_distinguished, from_word,
+                       identity, levi_acts, root_system)
 
 
 def _samples():
@@ -15,7 +14,6 @@ def _samples():
     a2 = root_system("A", 2)
     e, s1 = identity(a2), from_word(a2, [1])
     return {
-        CartanDatum: ("A", 2, ((2, -1), (-1, 2))),
         ComplexityReport: ("torus_schubert", 0, {"w": "1", "length": 1}),
         LeviAction: (True, True, True, (), s1, s1),
         DeodharComponentShape: (1, 2),
@@ -24,7 +22,6 @@ def _samples():
 
 
 FIELDS = {
-    CartanDatum: ("family", "rank", "cartan"),
     ComplexityReport: ("kind", "value", "witness"),
     LeviAction: ("acts", "descent_containment", "factor_equality",
                  "missing", "levi_factor", "longest_in_levi"),
@@ -46,16 +43,6 @@ def test_record_fields_construction_and_equality(cls):
     assert not hasattr(by_position, "__dict__")
     with pytest.raises(AttributeError):
         setattr(by_position, FIELDS[cls][0], values[0])
-
-
-def test_cartan_datum_hashes_as_its_field_tuple():
-    cartan = ((2, -1), (-1, 2))
-    assert hash(CartanDatum("A", 2, cartan)) == hash(("A", 2, cartan))
-    datum = cartan_datum("G", 2)
-    assert hash(datum) == hash(("G", 2, ((2, -3), (-1, 2))))
-    assert {datum: 1}[cartan_datum("G", 2)] == 1
-    assert repr(datum) == (
-        "CartanDatum(family='G', rank=2, cartan=((2, -3), (-1, 2)))")
 
 
 def test_levi_action_truth_follows_acts():

@@ -5,10 +5,9 @@ from math import prod
 
 import pytest
 
-from bruhatkit import (CartanDatum, InvalidInputError, RootSystem,
-                       apply_to_root, build_root_system, cartan_datum,
-                       identity, positive_root_count, root_system,
-                       simple_reflect, weyl_group_order)
+from bruhatkit import (InvalidInputError, RootSystem, apply_to_root,
+                       build_root_system, identity, positive_root_count,
+                       root_system, simple_reflect, weyl_group_order)
 from bruhatkit.rootsys import FAMILIES
 from bruhatkit.weyl import reflection
 from oracles import coroot_pairing, root_of_pair
@@ -93,47 +92,16 @@ def test_non_root_rejected(a2):
         simple_reflect(a2, 1, (5, 7))
 
 
-A2_MESSAGE = "the Cartan matrix of A2 is ((2, -1), (-1, 2))"
-
-
-def test_invalid_cartan_rejected():
-    # One message, naming the label and its matrix, whatever is wrong.
-    for cartan in (((1, -1), (-1, 2)),  # bad diagonal
-                   ((2, 1), (-1, 2)),  # positive entry
-                   ((2, -1), (0, 2)),  # asymmetric zero
-                   ((2, -1), (-1,))):  # not square
-        with pytest.raises(InvalidInputError) as err:
-            CartanDatum("A", 2, cartan).validate()
-        assert str(err.value) == A2_MESSAGE
+@pytest.mark.parametrize("family,rank,message", [
+    ("H", 2, "family must be one of ABCDEFG, got 'H'"),
+    ("A", 46, "family A admits ranks 1..45, got 46"),
+    ("A", 2.0, "rank must be an int, got 2.0"),
+], ids=["family", "rank", "rank-type"])
+def test_build_refusals(family, rank, message):
+    # A label is the whole input, so a bad label is all there is to refuse.
     with pytest.raises(InvalidInputError) as err:
-        build_root_system(CartanDatum("A", 2, ((2, 0), (-1, 2))))
-    assert str(err.value) == A2_MESSAGE
-
-
-@pytest.mark.parametrize("family,rank,cartan,message", [
-    ("A", 2, ((2, -2), (-2, 2)), A2_MESSAGE),  # affine
-    ("A", 2, ((2, -3), (-3, 2)), A2_MESSAGE),  # hyperbolic
-    ("A", 2, ((2, -1), (-2, 2)), A2_MESSAGE),  # B2's matrix under the label A
-    # Finite matrices under the wrong label, which closed to the right
-    # number of roots (C3) or to a group the label's order misstates (E6).
-    ("B", 6, cartan_datum("E", 6).cartan,
-     f"the Cartan matrix of B6 is {cartan_datum('B', 6).cartan}"),
-    ("B", 3, cartan_datum("C", 3).cartan,
-     "the Cartan matrix of B3 is ((2, -1, 0), (-1, 2, -1), (0, -2, 2))"),
-], ids=["affine", "hyperbolic", "B2-as-A2", "E6-as-B6", "C3-as-B3"])
-def test_closure_refusals(family, rank, cartan, message):
-    with pytest.raises(InvalidInputError) as err:
-        build_root_system(CartanDatum(family, rank, cartan))
+        build_root_system(family, rank)
     assert str(err.value) == message
-
-
-def test_equal_entries_build_with_the_tables_ints():
-    # Entries equal to the table's but of another type pass the comparison;
-    # the system computes with the table's ints, so no root holds a float.
-    cartan = ((2, -1, False), (-1, 2, -1), (0, -1.0, 2))
-    rs = build_root_system(CartanDatum("A", 3, cartan))
-    assert rs.positive_roots == root_system("A", 3).positive_roots
-    assert all(type(c) is int for root in rs.positive_roots for c in root)
 
 
 def test_closure_is_bounded(monkeypatch):
@@ -142,27 +110,27 @@ def test_closure_is_bounded(monkeypatch):
     monkeypatch.setattr(RootSystem, "_reflect_raw",
                         lambda self, i0, root: tuple(c + 1 for c in root))
     with pytest.raises(AssertionError, match="closure has"):
-        build_root_system(cartan_datum("B", 3))
+        build_root_system("B", 3)
 
 
 def test_every_standard_system_has_its_table_counts():
-    # All 143 standard data, built fresh: N from the closure against the
-    # table, and |W| against the product over heights h of
-    # (h + 1)^(c_h - c_(h+1)), c_h the number of roots of height h
-    # (Macdonald 1972).
+    # All 143 standard labels, built fresh: N from the closure against the
+    # table, and |W| (the public count and rs.order) against the product
+    # over heights h of (h + 1)^(c_h - c_(h+1)), c_h the number of roots of
+    # height h (Macdonald 1972).
     built = 0
     for family in FAMILIES:
         for rank in range(1, 46):
             try:
-                datum = cartan_datum(family, rank)
+                rs = build_root_system(family, rank)
             except InvalidInputError:
                 continue
-            rs = build_root_system(datum)
             assert len(rs.positive_roots) == positive_root_count(family, rank)
             heights = Counter(sum(r) for r in rs.positive_roots)
             order = prod((h + 1) ** (c - heights[h + 1])
                          for h, c in heights.items())
             assert order == weyl_group_order(family, rank), (family, rank)
+            assert order == rs.order, (family, rank)
             built += 1
     assert built == 143
 
@@ -189,8 +157,8 @@ def test_unhashable_root_is_invalid_input(a2, call):
 def test_rank_restrictions(family, rank):
     # The public counts refuse what the builder refuses, with its message.
     with pytest.raises(InvalidInputError) as err:
-        cartan_datum(family, rank)
-    for count in (positive_root_count, weyl_group_order):
+        build_root_system(family, rank)
+    for count in (root_system, positive_root_count, weyl_group_order):
         with pytest.raises(InvalidInputError) as count_err:
             count(family, rank)
         assert str(count_err.value) == str(err.value)
@@ -200,14 +168,14 @@ def test_root_system_is_shared_and_build_is_fresh():
     shared = root_system("C", 3)
     assert root_system(family="C", rank=3) is shared
     assert root_system("C", rank=3) is shared
-    fresh = build_root_system(cartan_datum("C", 3))
+    fresh = build_root_system("C", 3)
     assert fresh is not shared
-    assert build_root_system(cartan_datum("C", 3)) is not fresh
+    assert build_root_system("C", 3) is not fresh
 
 
 def test_b_and_c_are_transposes():
-    b = cartan_datum("B", 3).cartan
-    c = cartan_datum("C", 3).cartan
+    b = build_root_system("B", 3).cartan
+    c = build_root_system("C", 3).cartan
     assert c == tuple(tuple(b[j][i] for j in range(3)) for i in range(3))
     # short root convention: last B row carries the -2
     assert b[2][1] == -2 and b[1][2] == -1
@@ -227,11 +195,10 @@ def test_root_system_makes_no_reflection():
     # A system holds its roots and simple reflections; weyl makes the
     # other reflections on first use, so a fresh B16 (512 signed roots)
     # holds no table of N permutations.
-    datum = cartan_datum("B", 16)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rs = build_root_system(datum)
+        rs = build_root_system("B", 16)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -248,9 +215,8 @@ def test_rank_must_be_an_int(rank, built):
     # through would hand back (or register) the integer system.
     rs = root_system("A", built)
     message = f"rank must be an int, got {rank!r}"
-    for call in (root_system, cartan_datum, positive_root_count,
-                 weyl_group_order,
-                 lambda f, r: CartanDatum(f, r, rs.cartan).validate()):
+    for call in (root_system, build_root_system, positive_root_count,
+                 weyl_group_order):
         with pytest.raises(InvalidInputError) as err:
             call("A", rank)
         assert str(err.value) == message
@@ -264,7 +230,7 @@ def test_family_must_be_a_str(family):
     # One message whatever the type; a list, being unhashable, made the
     # lookup in the family table raise TypeError.
     message = f"family must be one of ABCDEFG, got {family!r}"
-    for call in (root_system, cartan_datum, positive_root_count,
+    for call in (root_system, build_root_system, positive_root_count,
                  weyl_group_order):
         with pytest.raises(InvalidInputError) as err:
             call(family, 2)
@@ -272,16 +238,16 @@ def test_family_must_be_a_str(family):
 
 
 def test_standard_cartan_matrices_are_pinned():
-    # Every (family, rank) that cartan_datum admits, with its matrix, in
-    # one digest: 45 ranks of A, 31 each of B, C and D, and E6-E8, F4, G2.
+    # Every (family, rank) that build_root_system admits, with its matrix,
+    # in one digest: 45 ranks of A, 31 each of B, C and D, E6-E8, F4, G2.
     lines = []
     for family in "ABCDEFG":
         for rank in range(50):
             try:
-                datum = cartan_datum(family, rank)
+                rs = build_root_system(family, rank)
             except InvalidInputError:
                 continue
-            lines.append(f"{family}{rank} {datum.cartan}\n")
+            lines.append(f"{family}{rank} {rs.cartan}\n")
     assert len(lines) == 143
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "a1082dc92490daa23dfa4aeba8f50f4e8c9f1315e5b77355a4604568f78e2d46")

@@ -1,0 +1,47 @@
+"""Cross-checks at the ranks the formulas claim: E7, E8, and B12, D12, C14
+and A20, whose permutations are tuples (2N > 256), against ``oracles.py``.
+
+Each random 40-letter word gives an element w, and a random subword of its
+least reduced word gives u.  Then w must send the simple roots where the
+word does over the Cartan matrix (which the 143-matrix digest pins); its
+least reduced word must act as the word does, with length l(w) counted
+without the permutation; u <= w must hold (the subword property,
+Björner-Brenti, GTM 231, Thm. 2.2.2); and ad(u, w) must be the rank of the
+labels along one saturated chain.  The seeds are fixed.
+"""
+
+import random
+
+import pytest
+
+from bruhatkit import (ad, ad_via_chain, apply_to_root, bruhat_le,
+                       build_root_system, from_word, reduced_word)
+from oracles import fraction_rank, word_action, word_length
+
+# (family, rank, words, chain checks).  A chain step compares every upper
+# cover by bruhat_le, so the tuple systems, with far longer chains above
+# far more covers, take few chain checks.
+SYSTEMS = [("E", 7, 40, 40), ("E", 8, 40, 40), ("B", 12, 40, 6),
+           ("D", 12, 40, 6), ("C", 14, 40, 4), ("A", 20, 40, 3)]
+
+
+@pytest.mark.parametrize("family,rank,words,chains", SYSTEMS,
+                         ids=[f"{f}{r}" for f, r, _, _ in SYSTEMS])
+def test_random_words_agree_with_the_oracles(family, rank, words, chains):
+    rs = build_root_system(family, rank)
+    assert rs.perm_type is (tuple if family != "E" else bytes)
+    rng = random.Random(f"{family}{rank}")
+    for k in range(words):
+        word = [rng.randint(1, rank) for _ in range(40)]
+        w = from_word(rs, word)
+        images = word_action(rs.cartan, word)
+        assert tuple(apply_to_root(w, rs.simple_root(i))
+                     for i in range(1, rank + 1)) == images
+        least = reduced_word(w)
+        assert word_action(rs.cartan, least) == images
+        assert len(least) == w.length == word_length(
+            rs.cartan, rs.positive_roots, word)
+        u = from_word(rs, [i for i in least if rng.random() < 0.5])
+        assert bruhat_le(u, w)
+        if k < chains:
+            assert ad(u, w) == fraction_rank(ad_via_chain(u, w).generators)

@@ -10,7 +10,7 @@ import bruhatkit.weyl
 
 from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        all_reduced_words, apply_to_root, bruhat_le,
-                       build_root_system, canonical_order, cartan_datum,
+                       build_root_system, canonical_order,
                        enumerate_group,
                        from_word, identity, inverse, left_descents,
                        left_inversions, left_parabolic_decomposition,
@@ -76,8 +76,7 @@ def test_elements_of_separate_systems_never_equal():
     # Equality is identity, and each system interns its own elements; the
     # hash is that of the permutation as a tuple of ints, so it is the same
     # in every run (a hash of bytes is salted per process).
-    datum = cartan_datum("B", 2)
-    one, two = build_root_system(datum), build_root_system(datum)
+    one, two = build_root_system("B", 2), build_root_system("B", 2)
     for word in words_up_to(2, 4):
         x, y = from_word(one, word), from_word(two, word)
         assert x.perm == y.perm and hash(x) == hash(y) == hash(tuple(x.perm))
@@ -131,7 +130,8 @@ def test_length_additive_inversion_sets(s4, b3_group):
                 if uv.length != u.length + v.length:
                     continue
                 left_u = left_inversions(u)
-                mapped = {u.apply(r) for r in left_inversions(v)}
+                mapped = {apply_to_root(u, r)
+                          for r in left_inversions(v)}
                 assert left_u.isdisjoint(mapped)
                 assert left_u | mapped == left_inversions(uv)
 
@@ -231,7 +231,7 @@ def test_action_permutes_signed_roots(b2, g2_group):
         signed = set(rs.positive_roots) | {
             tuple(-c for c in r) for r in rs.positive_roots}
         for w in group:
-            assert {w.apply(r) for r in signed} == signed
+            assert {apply_to_root(w, r) for r in signed} == signed
 
 
 def act(rs, word, root):
@@ -254,8 +254,9 @@ def test_representation_against_word_model(b3_group, g2_group, d4_group):
         for w in group:
             word = reduced_word(w)
             for r in signed:
-                assert w.apply(r) == act(rs, word, r)
-                assert inverse(w).apply(r) == act(rs, word[::-1], r)
+                assert apply_to_root(w, r) == act(rs, word, r)
+                assert (apply_to_root(inverse(w), r)
+                        == act(rs, word[::-1], r))
             assert w.length == len(word) == sum(
                 negative(act(rs, word, r)) for r in rs.positive_roots)
             images = [act(rs, word, rs.simple_root(j))
@@ -300,7 +301,7 @@ def test_permutation_digests(name):
     # The roots and every reflection's permutation are pinned, so a new way
     # of building them must give the same entries in the same order.  A
     # private system keeps the large ones out of the shared registry.
-    rs = build_root_system(cartan_datum(name[0], int(name[1:])))
+    rs = build_root_system(name[0], int(name[1:]))
     assert _perm_digest(rs) == PERM_DIGESTS[name]
 
 
@@ -310,7 +311,7 @@ def test_permutations_on_both_sides_of_256_signed_roots(family, rank):
     # A permutation is bytes exactly when every position fits in a byte;
     # products, inverses and words must agree with the model either way.
     # A private system keeps these six out of the shared registry.
-    rs = build_root_system(cartan_datum(family, rank))
+    rs = build_root_system(family, rank)
     small = len(rs.signed_roots) <= 256
     assert small == ((family, rank) in {("A", 15), ("B", 11), ("E", 8)})
     rng = random.Random(f"{family}{rank}")
@@ -330,7 +331,8 @@ def test_permutations_on_both_sides_of_256_signed_roots(family, rank):
         assert all(type(x.perm) is (bytes if small else tuple)
                    for x in (u, v, uv, inverse(uv)))
         for r in rs.signed_roots:
-            assert (uv.apply(r) == u.apply(v.apply(r))
+            assert (apply_to_root(uv, r)
+                    == apply_to_root(u, apply_to_root(v, r))
                     == act(rs, u_word + v_word, r))
         assert inverse(inverse(uv)) is uv
     w0 = longest_element(rs, range(1, rs.rank + 1))
@@ -342,7 +344,7 @@ def test_tuple_path_against_permutations(rank):
     # A16 and up have more than 256 signed roots, so their elements are
     # tuples; seeded products, lengths, right descents and Bruhat order
     # against permutations of 1..rank+1, each built from its word alone.
-    rs = build_root_system(cartan_datum("A", rank))
+    rs = build_root_system("A", rank)
     assert rs.pad is None
     n = rank + 1
     rng = random.Random(f"tuple path A{rank}")
@@ -384,7 +386,8 @@ def test_reflections_act_by_coroot_pairing(family, rank):
         assert s.length % 2 == 1
         for x in signed:
             c = coroot_pairing(rs, x, alpha)
-            assert s.apply(x) == tuple(a - c * b for a, b in zip(x, alpha))
+            assert apply_to_root(s, x) == tuple(
+                a - c * b for a, b in zip(x, alpha))
 
 
 def test_reflection_refuses_what_is_not_a_positive_root(a2):
@@ -418,7 +421,7 @@ def test_inverse_inverts_the_permutation(family, rank, perm_type):
     # signed roots; A16 has 272, tuples): the inverse sends w(k) back to k,
     # and inverting twice gives the element itself.  The words come first:
     # enumeration reads inverses, and with wrong ones need not end.
-    rs = build_root_system(cartan_datum(family, rank))
+    rs = build_root_system(family, rank)
     assert rs.perm_type is perm_type
 
     def check(elements):
@@ -500,7 +503,7 @@ ORACLE_GROUPS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
 @pytest.mark.parametrize("family,rank", ORACLE_GROUPS)
 def test_enumeration_and_words_against_oracles(family, rank):
     # A fresh system, so that no word is known before the test asks for it.
-    rs = build_root_system(cartan_datum(family, rank))
+    rs = build_root_system(family, rank)
     group = enumerate_group(rs)
     assert len(group) == len(set(group)) == weyl_group_order(family, rank)
     lengths = [w.length for w in group]
@@ -532,7 +535,7 @@ def test_enumeration_and_words_against_oracles(family, rank):
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4)])
 def test_words_in_any_order(family, rank):
     # Longest first, so each walk goes down a long chain of unknown words.
-    fresh = build_root_system(cartan_datum(family, rank))
+    fresh = build_root_system(family, rank)
     expected = {w.perm: reduced_word(w)
                 for w in enumerate_group(root_system(family, rank))}
     for w in reversed(enumerate_group(fresh)):
@@ -543,7 +546,7 @@ def test_reduced_word_of_long_element_needs_no_recursion():
     # w_0 of A30 has 465 letters; a recursive walk would need a frame per
     # letter and fail under this limit.
     n = 31
-    rs = build_root_system(cartan_datum("A", n - 1))
+    rs = build_root_system("A", n - 1)
     w0 = longest_element(rs, range(1, n))
     expected = perm_least_reduced_word(tuple(range(n, 0, -1)))
     limit = sys.getrecursionlimit()
@@ -560,7 +563,7 @@ def test_reduced_word_walk_is_bounded(monkeypatch):
     # With wrong products the descent walk never reaches the identity.  It
     # stops after l(w) steps with an error, where an unbounded walk would
     # intern elements until memory ran out; the guard ends such a walk.
-    rs = build_root_system(cartan_datum("B", 3))
+    rs = build_root_system("B", 3)
     w = longest_element(rs, range(1, 4))
     calls = [0]
 
@@ -584,7 +587,7 @@ def test_layer_walk_is_bounded(monkeypatch, family, rank):
     # grow without end (F4: millions of elements by layer 20).  No correct
     # layer is longer than N or larger than the interned elements, so the
     # walk stops at once with an error.
-    rs = build_root_system(cartan_datum(family, rank))
+    rs = build_root_system(family, rank)
     calls = [0]
 
     def wrong(w):
