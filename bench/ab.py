@@ -10,7 +10,9 @@ commits on the same seed, the parent first in even pairs and the change
 first in odd ones.  Every run has PYTHONDONTWRITEBYTECODE=1 and starts with
 no ``__pycache__`` in its copy, so no run reads bytecode an earlier run
 wrote.  A run whose result is not ``correct`` stops the script.  Beside
-the two commits it records the line count of each copy's ``src/**/*.py``.
+the two commits it records the line counts of each copy's ``src/**/*.py``
+(``src_lines``) and ``tests/**/*.py`` (``tests_lines``), which tell lines
+deleted from lines moved into the tests.
 
 For each workload and end-to-end metric it prints, and writes to ``--out``
 when given, the median and quartiles of each side, and in how many pairs
@@ -115,10 +117,11 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def src_lines(copy: Path) -> int:
-    """The lines of every ``src/**/*.py`` in a copy, as ``wc -l`` counts."""
+def python_lines(copy: Path, top: str) -> int:
+    """The lines of every ``<top>/**/*.py`` in a copy, as ``wc -l``
+    counts."""
     return sum(path.read_bytes().count(b"\n")
-               for path in (copy / "src").rglob("*.py"))
+               for path in (copy / top).rglob("*.py"))
 
 
 def run_once(copy: Path, workload: str, seed: int) -> dict:
@@ -171,8 +174,10 @@ def main(argv=None) -> int:
         names = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
         report = {"commits": commits,
-                  "src_lines": {side: src_lines(copy)
+                  "src_lines": {side: python_lines(copy, "src")
                                 for side, copy in copies.items()},
+                  "tests_lines": {side: python_lines(copy, "tests")
+                                  for side, copy in copies.items()},
                   "host": {
                       "nproc": os.cpu_count(),
                       "python": platform.python_version(),

@@ -4,11 +4,9 @@ with torus and Levi-Borel complexity of Schubert and Richardson varieties.
 
 __version__ = "0.1.0"
 
-from .algdim import (SpanBasis, ad, ad_direct, ad_via_chain, ad_via_covers_at,
-                     echelon_basis, is_toric, max_toric_above_bottom,
+from .algdim import (ad, is_toric, max_toric_above_bottom,
                      max_toric_below_top, span_rank)
-from .bruhat import (CoverEdge, LabeledInterval, bruhat_le, interval,
-                     lower_covers, saturated_chain, upper_covers_le)
+from .bruhat import LabeledInterval, bruhat_le, interval
 from .complexity import (ComplexityReport, LeviAction, levi_acts,
                          levi_borel_complexity, is_toric_partial,
                          partial_flag_levi_complexity,
@@ -18,18 +16,16 @@ from .complexity import (ComplexityReport, LeviAction, levi_acts,
                          torus_complexity_schubert)
 from .deodhar import (SKIP, TAKE, DeodharComponentShape, Subexpression,
                       component_shape, deodhar_polynomial,
-                      enumerate_distinguished, positive_distinguished,
-                      td_span)
+                      enumerate_distinguished, positive_distinguished)
 from .errors import (BruhatkitError, FormulaUnavailableError,
                      GroupTooLargeError, InvalidInputError,
                      NotComparableError, PreconditionError)
 from .rootsys import (Root, RootSystem, build_root_system,
                       positive_root_count, root_system, simple_reflect,
                       weyl_group_order)
-from .weyl import (DEFAULT_GROUP_CAP, WeylElement, all_reduced_words,
-                   apply_to_root, canonical_order, enumerate_group,
-                   from_word, identity, inverse, left_descents,
-                   left_inversions, left_parabolic_decomposition,
-                   longest_element, multiply, reduced_word, right_descents,
-                   right_inversions, right_parabolic_decomposition, support,
-                   word_string)
+from .weyl import (DEFAULT_GROUP_CAP, WeylElement, apply_to_root,
+                   canonical_order, enumerate_group, from_word, identity,
+                   inverse, left_descents, left_inversions,
+                   left_parabolic_decomposition, longest_element, multiply,
+                   reduced_word, right_descents, right_inversions,
+                   right_parabolic_decomposition, support, word_string)

@@ -1,13 +1,11 @@
 """Algebraic dimension of Bruhat intervals.
 
 ad(u, v) is the dimension of the span of all edge labels of the Bruhat graph
-on [u, v].  The production route, ``ad``, is the rank of the labels of the
-right-descent walk that also decides u <= v (``bruhat.descent_labels``), so
-it never builds the interval.  Three slower routes cross-check it: all
-graph edges of [u, v] (ad_direct) and its covers incident to either endpoint
-(ad_via_covers_at), which build the interval, and one saturated chain
-(ad_via_chain), climbed cover by cover without it.  All four agree; the test
-suite checks this exhaustively on small groups.
+on [u, v].  ``ad`` is the rank of the labels of the right-descent walk that
+also decides u <= v (``bruhat.descent_labels``), so it never builds the
+interval.  The tests cross-check it, exhaustively on small groups, against
+slower reference routes: all graph edges of [u, v], its covers at either
+endpoint, every saturated chain, and every choice of right descent.
 
 ad(u, v) is also td of every Deodhar component: every distinguished mask's
 betas span L(u, v), the span of the labels of [u, v] (proof in ``deodhar``).
@@ -22,10 +20,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Literal
+from typing import Iterable
 
-from .bruhat import descent_labels, edge_label, interval, saturated_chain
-from .errors import InvalidInputError, NotComparableError
+from .bruhat import descent_labels, interval
+from .errors import NotComparableError
 from .rootsys import Root
 from .weyl import WeylElement, word_string
 
@@ -45,9 +43,9 @@ def _primitive(row: list[int]) -> list[int]:
     return row
 
 
-def _forward_eliminate(vectors: Iterable[Root]) -> tuple[list[list[int]], list[int]]:
-    """An echelon form of the span (primitive rows, each zero left of its
-    pivot column) and its pivot columns; stops once the echelon is full."""
+def _echelon(vectors: Iterable[Root]) -> dict[int, list[int]]:
+    """An echelon form of the span: primitive rows by pivot column, each
+    zero left of its pivot; stops once the echelon is full."""
     echelon: dict[int, list[int]] = {}
     for vector in vectors:
         if len(echelon) == len(vector):
@@ -63,8 +61,7 @@ def _forward_eliminate(vectors: Iterable[Root]) -> tuple[list[list[int]], list[i
                 break
             row = _primitive([pivot_row[c] * x - cur * y
                               for x, y in zip(row, pivot_row)])
-    pivot_cols = sorted(echelon)
-    return [echelon[c] for c in pivot_cols], pivot_cols
+    return echelon
 
 
 def span_rank(roots: Iterable[Root]) -> int:
@@ -75,83 +72,7 @@ def span_rank(roots: Iterable[Root]) -> int:
     >>> span_rank([])
     0
     """
-    rows, _ = _forward_eliminate(roots)
-    return len(rows)
-
-
-def echelon_basis(vectors: Iterable[Root]) -> tuple[Root, ...]:
-    """Canonical basis of the rational span: the reduced row echelon form,
-    scaled row-wise to primitive integer vectors with positive pivots.
-
-    Two generator sets span the same space iff their echelon bases are
-    equal, so this doubles as a hashable identity for subspaces.
-    """
-    rows, pivot_cols = _forward_eliminate(vectors)
-    for i in range(len(rows) - 1, -1, -1):
-        c = pivot_cols[i]
-        for j in range(i):
-            if rows[j][c]:
-                piv, cur = rows[i][c], rows[j][c]
-                rows[j] = [piv * x - cur * y
-                           for x, y in zip(rows[j], rows[i])]
-        rows[i] = _primitive(rows[i])
-    for j in range(len(rows)):
-        rows[j] = _primitive(rows[j])
-    return tuple(tuple(r) for r in rows)
-
-
-class SpanBasis:
-    """A raw list of generating roots plus the (cached) rank of their span.
-
-    The generator list is kept as given, not echelonized, so callers can see
-    exactly which labels produced the span.
-    """
-
-    __slots__ = ("generators", "_rank")
-
-    def __init__(self, generators: Iterable[Root]):
-        self.generators: tuple[Root, ...] = tuple(generators)
-        self._rank: int | None = None
-
-    @property
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = span_rank(self.generators)
-        return self._rank
-
-    def __repr__(self) -> str:
-        return f"SpanBasis(rank {self.rank}, {len(self.generators)} generators)"
-
-
-def ad_direct(u: WeylElement, v: WeylElement) -> SpanBasis:
-    """Span of the labels of all Bruhat-graph edges in [u, v]."""
-    iv = interval(u, v)
-    rs = u.system
-    labels = sorted({e.label for e in iv.graph_edges},
-                    key=lambda a: rs.index[a])
-    return SpanBasis(labels)
-
-
-def ad_via_covers_at(u: WeylElement, v: WeylElement,
-                     end: Literal["bottom", "top"]) -> SpanBasis:
-    """Span of the labels of the covers incident to one endpoint of [u, v].
-
-    These already span the whole of the edge-label space of the interval.
-    """
-    iv = interval(u, v)
-    if end == "bottom":
-        labels = [e.label for e in iv.cover_edges if e.lower == u]
-    elif end == "top":
-        labels = [e.label for e in iv.cover_edges if e.upper == v]
-    else:
-        raise InvalidInputError(f"end must be 'bottom' or 'top', got {end!r}")
-    return SpanBasis(labels)
-
-
-def ad_via_chain(u: WeylElement, v: WeylElement) -> SpanBasis:
-    """Span of the edge labels along one saturated chain of [u, v]."""
-    chain = saturated_chain(u, v)
-    return SpanBasis(edge_label(x, y) for x, y in zip(chain, chain[1:]))
+    return len(_echelon(roots))
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Bruhat order: comparisons, covers, intervals, and the labeled Bruhat graph.
+"""Bruhat order: comparisons and intervals.
 
 The Bruhat graph on [u, v] has an edge w ~ s_alpha w for every positive root
 alpha with both endpoints in the interval; the edge label (weight) is alpha.
@@ -9,33 +9,20 @@ Comparison and algebraic dimension share one right-descent walk
 ``algdim.ad`` takes the rank of the labels it records.  ``interval`` finds
 only the elements of [u, v], by a downward breadth-first search from v that
 keeps only elements >= u, down to the covers of u, found by a reflection
-test (``_covers``).  The reflections s_alpha w on either side of w, and so
-its covers, are read off w's permutation (``_reflected``).  An interval's
-edges are worked out from its elements once, when first read.
+test (``_covers``).  The reflections s_alpha w < w below w are read off w's
+permutation (``_reflected``).  No query here builds an edge: the tests
+read the edges of [u, v] off its elements and ``_reflected``.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property, lru_cache, partial
-from typing import NamedTuple
+from functools import lru_cache, partial
 
 from .errors import NotComparableError
 from .rootsys import Root
 from .weyl import (WeylElement, _compose, _reflections, _same_system,
                    inverse, multiply, right_descents, times_simple,
                    word_string)
-
-
-class CoverEdge(NamedTuple):
-    """An edge lower ~ upper = s_label lower of the Bruhat graph.
-
-    For cover edges l(upper) = l(lower) + 1; general graph edges only have
-    l(upper) > l(lower).
-    """
-
-    lower: WeylElement
-    upper: WeylElement
-    label: Root
 
 
 def descent_labels(u: WeylElement, v: WeylElement) -> list[Root] | None:
@@ -66,30 +53,20 @@ def bruhat_le(u: WeylElement, v: WeylElement) -> bool:
     return descent_labels(u, v) is not None
 
 
-def _sort_edges(rs, edges) -> list[CoverEdge]:
-    """The edges sorted by (lower end, label): the lower end by
-    ``sort_key``, computed once per element, and the label by root index.
-    The two fix the upper end, s_label(lower end)."""
-    key, index = cache(WeylElement.sort_key), rs.index
-    return sorted(edges, key=lambda e: (key(e.lower), index[e.label]))
-
-
-def _reflected(w: WeylElement, up: bool = False):
+def _reflected(w: WeylElement):
     """Yield (alpha, s_alpha w) for each positive root alpha with
-    s_alpha w < w, or s_alpha w > w when ``up``.
+    s_alpha w < w.
 
-    Entry p of w.perm[:N] is w(beta) for a positive beta: p >= N means
-    alpha = -w(beta) (index p - N) and s_alpha w < w, p < N means alpha =
-    w(beta) and s_alpha w > w.  So l(w) products below, N - l(w) above.
+    Entry p of w.perm[:N] is w(beta) for a positive beta, and p >= N means
+    alpha = -w(beta) (index p - N) and s_alpha w < w.  So l(w) products.
     The N reflections s_alpha are made by ``weyl`` on the first call for a
     system.
     """
     roots, reflections = w.system.positive_roots, _reflections(w.system)
     n_pos = len(reflections)
     for p in w.perm[:n_pos]:
-        if (p < n_pos) == up:
-            a = p % n_pos
-            yield roots[a], multiply(reflections[a], w)
+        if p >= n_pos:
+            yield roots[p - n_pos], multiply(reflections[p - n_pos], w)
 
 
 def _covers(u: WeylElement):
@@ -100,50 +77,14 @@ def _covers(u: WeylElement):
     return lambda x: _compose(rs, inv, x.perm) in rs.reflection_set
 
 
-def lower_covers(w: WeylElement) -> list[CoverEdge]:
-    """All edges x ~ w with x = s_alpha w and l(x) = l(w) - 1, found among
-    the l(w) elements s_alpha w < w (see ``_reflected``)."""
-    return _sort_edges(w.system, (CoverEdge(x, w, alpha)
-                                  for alpha, x in _reflected(w)
-                                  if x.length == w.length - 1))
-
-
-def upper_covers_le(w: WeylElement, v: WeylElement) -> list[CoverEdge]:
-    """All edges w ~ y with l(y) = l(w) + 1 and y <= v, found among the
-    N - l(w) elements s_alpha w > w (see ``_reflected``)."""
-    if not bruhat_le(w, v):
-        raise NotComparableError(
-            f"{word_string(w)} is not <= {word_string(v)}")
-    return _sort_edges(w.system, (CoverEdge(w, y, alpha) for alpha, y
-                                  in _reflected(w, up=True)
-                                  if y.length == w.length + 1
-                                  and bruhat_le(y, v)))
-
-
 class LabeledInterval:
-    """The Bruhat interval [u, v]: its elements, and its cover and
-    Bruhat-graph edges worked out from them once, when first read.
-    """
+    """The Bruhat interval [u, v]: its endpoints and its elements."""
 
     def __init__(self, u: WeylElement, v: WeylElement,
                  elements: frozenset[WeylElement]):
         self.u = u
         self.v = v
         self.elements = elements
-
-    @cached_property
-    def graph_edges(self) -> tuple[CoverEdge, ...]:
-        """Every edge x ~ w = s_alpha x with both ends in [u, v], sorted by
-        (lower end, label), which fix the upper end."""
-        return tuple(_sort_edges(self.u.system, (
-            CoverEdge(x, w, alpha) for w in self.elements
-            for alpha, x in _reflected(w) if x in self.elements)))
-
-    @cached_property
-    def cover_edges(self) -> tuple[CoverEdge, ...]:
-        """The graph edges with length difference one, in the same order."""
-        return tuple(e for e in self.graph_edges
-                     if e.upper.length == e.lower.length + 1)
 
     def rank_sizes(self) -> tuple[int, ...]:
         """Number of elements at each length from l(u) up to l(v)."""
@@ -162,7 +103,7 @@ class LabeledInterval:
 
 @lru_cache(maxsize=16384)
 def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
-    """The elements of [u, v]; its edges are worked out on first read.
+    """The elements of [u, v].
 
     Every element of [u, v] is reachable from v by a saturated chain inside
     [u, v], so the downward search may prune anything not >= u.  It stops
@@ -197,26 +138,3 @@ def interval(u: WeylElement, v: WeylElement) -> LabeledInterval:
         raise NotComparableError(
             f"empty interval: {word_string(u)} is not <= {word_string(v)}")
     return LabeledInterval(u, v, frozenset(elements))
-
-
-def saturated_chain(u: WeylElement, v: WeylElement) -> list[WeylElement]:
-    """One maximal chain u = w0 < w1 < ... < v, choosing at each step the
-    upper cover with the least label in the root ordering: the first of
-    ``upper_covers_le``, whose edges share their lower end and so sort by
-    label index alone.  Builds no interval."""
-    chain = [u]
-    while chain[-1] != v:
-        chain.append(upper_covers_le(chain[-1], v)[0].upper)
-    return chain
-
-
-def edge_label(x: WeylElement, y: WeylElement) -> Root:
-    """The weight of the Bruhat-graph edge between x and y, in either order:
-    the positive root alpha with y = s_alpha x, sought on y's side of x."""
-    _same_system(x, y)
-    for alpha, z in _reflected(x, up=y.length > x.length):
-        if z == y:
-            return alpha
-    raise NotComparableError(
-        f"{word_string(x)} and {word_string(y)} are not joined by a "
-        f"reflection")

@@ -92,14 +92,20 @@ def element_from_oneline(rs: RootSystem, perm: Sequence[int]) -> WeylElement:
     return from_word(rs, reversed(word_rev))
 
 
+def _oneline(rank: int, word: Sequence[int]) -> str:
+    """The one-line notation of a word in A_rank: its adjacent
+    transpositions applied in order."""
+    p = list(range(1, rank + 2))
+    for i in word:
+        p[i - 1], p[i] = p[i], p[i - 1]
+    return "".join(map(str, p))
+
+
 def element_to_oneline(w: WeylElement) -> str:
     """One-line notation (family A only)."""
     if w.system.family != "A":
         raise InvalidInputError("one-line notation is specific to family A")
-    p = list(range(1, w.system.rank + 2))
-    for i in reduced_word(w):
-        p[i - 1], p[i] = p[i], p[i - 1]
-    return "".join(map(str, p))
+    return _oneline(w.system.rank, reduced_word(w))
 
 
 def parse_element(rs: RootSystem, text: str) -> WeylElement:
@@ -145,10 +151,11 @@ def root_string(root: Root) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _display(rs: RootSystem, w: WeylElement) -> str:
+def _display(rs: RootSystem, word: str) -> str:
+    """A word string as printed, with its one-line form in A1..A8."""
     if rs.family == "A" and rs.rank <= 8:
-        return f"{word_string(w)} (oneline {element_to_oneline(w)})"
-    return word_string(w)
+        return f"{word} (oneline {_oneline(rs.rank, parse_word(word))})"
+    return word
 
 
 # -- output helpers ---------------------------------------------------------
@@ -187,8 +194,8 @@ def _emit_report(report: ComplexityReport, args, out,
         out.write(f"kind: {report.kind}\n")
         out.write(f"value: {report.value}\n")
         for key, value in report.witness.items():
-            cell = (_display(rs, parse_element(rs, value))
-                    if key in _ELEMENT_KEYS else _csv_cell(value))
+            cell = (_display(rs, value) if key in _ELEMENT_KEYS
+                    else _csv_cell(value))
             out.write(f"{key}: {cell}\n")
 
 
@@ -372,7 +379,7 @@ def cmd_deodhar(rs: RootSystem, args, out) -> None:
                               "u": word_string(u), "count": count}) + "\n")
     else:
         out.write(f"v-word: {'.'.join(map(str, word)) or 'id'}   "
-                  f"u: {_display(rs, u)}   "
+                  f"u: {_display(rs, word_string(u))}   "
                   f"distinguished subexpressions: {count}\n")
     out.writelines(rows)
 

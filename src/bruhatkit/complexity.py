@@ -303,8 +303,9 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     """Stream scan rows over the Weyl group (the elements of length at most
     ``max_length``, if given), in a deterministic order.
 
-    Bad targets, a negative ``max_length`` and a group of more than ``cap``
-    elements are refused eagerly, before any row, whatever the target.
+    Bad targets, a ``max_length`` that is negative or not an int, and a
+    group of more than ``cap`` elements are refused eagerly, before any
+    row, whatever the target.
     ``complexity_histogram`` builds no element (see ``_support_histogram``).
     The others build theirs with their words, in canonical order (length,
     then least reduced word), by ``_layers``: ``toric_schubert`` only its
@@ -320,6 +321,9 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     if target not in SCAN_TARGETS:
         raise InvalidInputError(
             f"unknown scan target {target!r}; expected one of {SCAN_TARGETS}")
+    if max_length is not None and type(max_length) is not int:
+        raise InvalidInputError(
+            f"max_length must be an int, got {max_length!r}")
     if max_length is not None and max_length < 0:
         raise InvalidInputError(
             f"max_length must be non-negative, got {max_length}")

@@ -16,7 +16,7 @@ Each position k in Jo or J- carries the positive root
 beta_k = +- u_(k-1)(alpha_{i_k}) (plus for Jo, minus for J-); the span of
 the beta_k is the torus-weight space of the corresponding component, and the
 pair (|Jo|, |J-|) is the component's shape.  ``Subexpression.td`` is the
-rank of that span; ``td_span`` recomputes it from the betas.  Both records,
+rank of that span, which the tests recompute from the betas.  Both records,
 ``Subexpression`` and ``DeodharComponentShape``, are immutable NamedTuples.
 
 The betas of every distinguished mask for u over a reduced word of v span
@@ -51,7 +51,7 @@ from itertools import zip_longest
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .algdim import SpanBasis, ad
+from .algdim import ad
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
 from .weyl import (WeylElement, from_word, identity, right_descents,
@@ -313,15 +313,6 @@ def positive_distinguished(v_word: Sequence[int],
             f"positive mask {se.mask_string()} does not evaluate to "
             f"{word_string(u)}")
     return se
-
-
-def td_span(se: Subexpression) -> SpanBasis:
-    """Span of the beta roots over Jo u J-; its rank is td of the mask.
-
-    An oracle for ``se.td``, which every route that builds a mask fills in
-    with ad(u, v), the rank of this span by the module docstring's proof.
-    """
-    return SpanBasis(beta for _, beta in se.betas)
 
 
 def component_shape(se: Subexpression) -> DeodharComponentShape:

@@ -147,13 +147,17 @@ class RootSystem:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
     def _check_index(self, i: int) -> None:
+        if type(i) is not int:
+            raise InvalidInputError(f"simple index must be an int, got {i!r}")
         if not 1 <= i <= self.rank:
             raise InvalidInputError(
                 f"simple index {i} out of range 1..{self.rank}")
 
     def _check_subset(self, subset: Iterable[int]) -> frozenset[int]:
         sub = frozenset(subset)
-        for i in sorted(sub):
+        odd = [i for i in sub if type(i) is not int]
+        # The least non-int by repr is refused first; only ints are sorted.
+        for i in [min(odd, key=repr)] if odd else sorted(sub):
             self._check_index(i)
         return sub
 

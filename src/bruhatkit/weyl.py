@@ -181,9 +181,12 @@ def times_simple(w: WeylElement, i: int) -> WeylElement:
     right = w._right
     if right is None:
         right = w._right = [None] * w.system.rank
-    x = right[i - 1] if 0 < i <= len(right) else None
+    try:
+        x = right[i - 1] if 0 < i <= len(right) else None
+    except TypeError:  # i is not an int
+        x = None
     if x is None:
-        # simple_reflection refuses an index out of range.
+        # simple_reflection refuses an index out of range or not an int.
         x = multiply(w, simple_reflection(w.system, i))
         right[i - 1] = x
         back = x._right
@@ -274,17 +277,6 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
         word = (i,) + word
         y._word = word
     return word
-
-
-def all_reduced_words(w: WeylElement) -> frozenset[tuple[int, ...]]:
-    """Every reduced word of w."""
-    if w.is_identity():
-        return frozenset({()})
-    words = set()
-    for i in left_descents(w):
-        rest = all_reduced_words(multiply(simple_reflection(w.system, i), w))
-        words.update((i,) + tail for tail in rest)
-    return frozenset(words)
 
 
 def support(w: WeylElement) -> SimpleSubset:

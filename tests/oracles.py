@@ -4,7 +4,10 @@ The permutation model implements the symmetric group S_n directly on
 one-line tuples, with its classical statistics (inversion count, descents,
 the sorted-prefix Bruhat criterion), sharing no code with the root-lattice
 implementation.  Rank oracles run Gaussian elimination over Fractions,
-independent of the integer fraction-free routine.
+independent of the integer fraction-free routine.  The reference routes
+for ad (all graph edges of an interval, its covers at either end, one
+saturated chain) are the slow, obviously correct ways to the same number,
+and the library ships none of them.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 # -- permutation model of S_n (type A), one-line tuples of 1..n -------------
 
@@ -242,6 +246,112 @@ def fraction_rank(vectors):
     return rank
 
 
+# -- reference routes for ad, words and spans, over library elements --------
+
+
+class Edge(NamedTuple):
+    """A Bruhat-graph edge lower ~ upper = s_label lower, l(upper) >
+    l(lower)."""
+
+    lower: object
+    upper: object
+    label: tuple
+
+
+def graph_edges(elements):
+    """Every edge x ~ w = s_alpha x with both ends among the elements (of
+    an interval), read off ``bruhat._reflected``."""
+    from bruhatkit.bruhat import _reflected
+    return [Edge(x, w, alpha) for w in elements
+            for alpha, x in _reflected(w) if x in elements]
+
+
+def lower_covers(w):
+    """The edges x ~ w with l(x) = l(w) - 1."""
+    from bruhatkit.bruhat import _reflected
+    return [Edge(x, w, alpha) for alpha, x in _reflected(w)
+            if x.length == w.length - 1]
+
+
+def ad_direct(u, v):
+    """The labels of all Bruhat-graph edges of [u, v], each once."""
+    from bruhatkit.bruhat import interval
+    return tuple(sorted({e.label
+                         for e in graph_edges(interval(u, v).elements)}))
+
+
+def ad_via_covers_at(u, v, end):
+    """The labels of the covers of [u, v] at its "bottom" or "top" end."""
+    from bruhatkit.bruhat import interval
+    elements = interval(u, v).elements
+    if end == "top":
+        return tuple(e.label for e in lower_covers(v) if e.lower in elements)
+    return tuple(e.label for y in elements if y.length == u.length + 1
+                 for e in lower_covers(y) if e.lower is u)
+
+
+def saturated_chain(u, v):
+    """One maximal chain u = w_0 < w_1 < ... < w_k = v, as the steps
+    (alpha_j, w_j) with w_j = s_alpha_j w_(j-1), built with no interval:
+    from w = u, each step goes to the first s_alpha w, over the positive
+    roots alpha in order, that covers w and is <= v."""
+    from bruhatkit.bruhat import bruhat_le
+    from bruhatkit.errors import NotComparableError
+    from bruhatkit.weyl import multiply, reflection
+    if not bruhat_le(u, v):
+        raise NotComparableError(f"{u!r} is not <= {v!r}")
+    rs, w, steps = u.system, u, []
+    while w != v:
+        step = next((a, y) for a in rs.positive_roots
+                    for y in [multiply(reflection(rs, a), w)]
+                    if y.length == w.length + 1 and bruhat_le(y, v))
+        steps.append(step)
+        w = step[1]
+    return steps
+
+
+def ad_via_chain(u, v):
+    """The labels along ``saturated_chain``."""
+    return tuple(alpha for alpha, _ in saturated_chain(u, v))
+
+
+def echelon_basis(vectors):
+    """Canonical basis of the rational span: the reduced row echelon form
+    of ``algdim``'s forward elimination, scaled row-wise to primitive
+    integer vectors with positive pivots.  Two sets of vectors span the
+    same space iff their bases are equal."""
+    from bruhatkit.algdim import _echelon, _primitive
+    echelon = _echelon(vectors)
+    cols = sorted(echelon)
+    rows = [echelon[c] for c in cols]
+    for i in range(len(rows) - 1, -1, -1):
+        c = cols[i]
+        for j in range(i):
+            if rows[j][c]:
+                piv, cur = rows[i][c], rows[j][c]
+                rows[j] = [piv * x - cur * y
+                           for x, y in zip(rows[j], rows[i])]
+        rows[i] = _primitive(rows[i])
+    return tuple(tuple(_primitive(r)) for r in rows)
+
+
+def td_span(se):
+    """The rank of the span of a mask's betas: an oracle for ``se.td``."""
+    from bruhatkit.algdim import span_rank
+    return span_rank(beta for _, beta in se.betas)
+
+
+def all_reduced_words(w):
+    """Every reduced word of w: i then a word of s_i w, for each left
+    descent i."""
+    from bruhatkit.weyl import left_descents, multiply, simple_reflection
+    if w.is_identity():
+        return frozenset({()})
+    return frozenset(
+        (i,) + tail for i in left_descents(w) for tail in
+        all_reduced_words(multiply(simple_reflection(w.system, i), w)))
+
+
 # -- brute-force helpers over library elements -------------------------------
 
 
@@ -308,19 +418,12 @@ def two_pass_live_moves(rs, word, u):
     return steps
 
 
-def edge_key(rs, edge):
-    """The documented order of Bruhat-graph edges: lower end by
-    ``sort_key``, then label by root index, then upper end by ``sort_key``."""
-    return (edge.lower.sort_key(), rs.index[edge.label],
-            edge.upper.sort_key())
-
-
 def interval_all_roots(u, v):
-    """[u, v] as (elements, sorted graph edges) by a downward search from v
-    that multiplies every element by all N reflections and keeps the
-    x = s_alpha w of lower length, where the library reads the l(w)
-    elements below w off its inversions."""
-    from bruhatkit.bruhat import CoverEdge, bruhat_le
+    """[u, v] as (elements, graph edges), both frozensets, by a downward
+    search from v that multiplies every element by all N reflections and
+    keeps the x = s_alpha w of lower length, where the library reads the
+    l(w) elements below w off its inversions."""
+    from bruhatkit.bruhat import bruhat_le
     from bruhatkit.weyl import multiply, reflection
     rs = u.system
     elements = {v}
@@ -332,15 +435,14 @@ def interval_all_roots(u, v):
             for alpha in rs.positive_roots:
                 x = multiply(reflection(rs, alpha), w)
                 if x.length < w.length:
-                    candidates.append(CoverEdge(x, w, alpha))
+                    candidates.append(Edge(x, w, alpha))
                 if (x.length == w.length - 1 and x not in elements
                         and bruhat_le(u, x)):
                     elements.add(x)
                     nxt.append(x)
         frontier = nxt
-    graph = sorted((e for e in candidates if e.lower in elements),
-                   key=lambda e: edge_key(rs, e))
-    return frozenset(elements), tuple(graph)
+    return (frozenset(elements),
+            frozenset(e for e in candidates if e.lower in elements))
 
 
 def minimal_coset_element(rs, w, subset):

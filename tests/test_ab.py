@@ -107,11 +107,13 @@ def test_a_run_keeps_its_metrics_and_its_summary_line_fields():
 
 
 def test_src_lines_counts_every_python_file_under_src(tmp_path):
-    # Nested modules count; other files, and Python outside src/, do not.
+    # Nested modules count, other files do not, and each top directory
+    # counts only its own Python files.
     (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
     (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
     (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text('"""doc"""\n')
     (tmp_path / "src" / "pkg" / "notes.txt").write_text("one\ntwo\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_a.py").write_text("def test():\n    pass\n")
-    assert ab.src_lines(tmp_path) == 4
+    assert ab.python_lines(tmp_path, "src") == 4
+    assert ab.python_lines(tmp_path, "tests") == 2

@@ -8,19 +8,17 @@ import bruhatkit.algdim
 import bruhatkit.bruhat
 import bruhatkit.weyl
 from bruhatkit import (InvalidInputError, NotComparableError,
-                       PreconditionError, ad, ad_via_chain, bruhat_le,
-                       build_root_system, canonical_order,
-                       enumerate_group,
-                       from_word, identity, interval, longest_element,
-                       lower_covers, multiply, reduced_word, right_descents,
-                       root_system, saturated_chain, span_rank,
-                       torus_complexity_richardson, upper_covers_le,
-                       word_string)
-from bruhatkit.bruhat import CoverEdge, descent_labels, edge_label
+                       PreconditionError, ad, bruhat_le, build_root_system,
+                       canonical_order, enumerate_group, from_word, identity,
+                       interval, longest_element, multiply, reduced_word,
+                       right_descents, root_system, span_rank,
+                       torus_complexity_richardson, word_string)
+from bruhatkit.bruhat import _reflected, descent_labels
 from bruhatkit.cli import parse_element
-from bruhatkit.weyl import WeylElement, reflection, simple_reflection
-from oracles import (edge_key, interval_all_roots, perm_bruhat_le,
-                     perm_from_word, root_of_pair, subword_reachable)
+from bruhatkit.weyl import reflection, simple_reflection
+from oracles import (Edge, ad_via_chain, graph_edges, interval_all_roots,
+                     lower_covers, perm_bruhat_le, perm_from_word,
+                     root_of_pair, saturated_chain, subword_reachable)
 from sweeps import comparable_pairs
 
 
@@ -132,7 +130,8 @@ def test_example_interval_golden(a3):
 def test_trivial_interval(a2):
     w = from_word(a2, [1, 2])
     iv = interval(w, w)
-    assert len(iv) == 1 and not iv.cover_edges and not iv.graph_edges
+    assert len(iv) == 1 and iv.rank_sizes() == (1,)
+    assert graph_edges(iv.elements) == []
 
 
 def test_interval_elements_match_global_filter(s4):
@@ -152,23 +151,21 @@ def test_interval_edges_exhaustive(group, request):
         rs = u.system
         members = {w for w in elements
                    if bruhat_le(u, w) and bruhat_le(w, v)}
-        expected = sorted(
-            (CoverEdge(x, y, alpha) for x in members
-             for alpha in rs.positive_roots
-             for y in [multiply(reflection(rs, alpha), x)]
-             if y.length > x.length and y in members),
-            key=lambda e: edge_key(rs, e))
-        iv = interval(u, v)
-        assert list(iv.graph_edges) == expected
-        assert list(iv.cover_edges) == [
-            e for e in expected if e.upper.length == e.lower.length + 1]
+        expected = {Edge(x, y, alpha) for x in members
+                    for alpha in rs.positive_roots
+                    for y in [multiply(reflection(rs, alpha), x)]
+                    if y.length > x.length and y in members}
+        edges = graph_edges(interval(u, v).elements)
+        assert len(edges) == len(expected) and set(edges) == expected
 
 
 def _assert_interval_matches_all_roots(u, v):
     # The uncached build, so every pair runs it and the shared cache stays
     # small.
     iv = interval.__wrapped__(u, v)
-    assert (iv.elements, iv.graph_edges) == interval_all_roots(u, v)
+    edges = graph_edges(iv.elements)
+    assert (iv.elements, frozenset(edges)) == interval_all_roots(u, v)
+    assert len(edges) == len(set(edges))
 
 
 @pytest.mark.parametrize("group", ["s4", "b3_group", "g2_group"])
@@ -178,12 +175,10 @@ def test_intervals_and_covers_match_all_roots_oracle(group, request):
         _assert_interval_matches_all_roots(u, v)
     for w in elements:
         rs = w.system
-        expected = sorted(
-            (CoverEdge(x, w, alpha) for alpha in rs.positive_roots
-             for x in [multiply(reflection(rs, alpha), w)]
-             if x.length == w.length - 1),
-            key=lambda e: edge_key(rs, e))
-        assert lower_covers(w) == expected
+        expected = {Edge(x, w, alpha) for alpha in rs.positive_roots
+                    for x in [multiply(reflection(rs, alpha), w)]
+                    if x.length == w.length - 1}
+        assert set(lower_covers(w)) == expected
 
 
 @pytest.mark.parametrize("family,rank,max_gap", [("D", 4, 12), ("F", 4, 6)])
@@ -259,59 +254,6 @@ def test_products_are_made_once(monkeypatch):
     assert len(iv) == above_u
     assert calls[0] <= sum(w.length for w in iv.elements
                            if w.length > u.length + 1)
-
-
-def test_interval_builds_one_sort_key_per_element(monkeypatch):
-    # The graph edges are sorted on keys built once per element; building
-    # both ends' keys for every comparison made 98,976 sort_key calls for
-    # 100 F4 intervals.
-    rs = root_system("F", 4)
-    real = WeylElement.sort_key
-    calls = Counter()
-
-    def counting(w):
-        calls[w] += 1
-        return real(w)
-
-    monkeypatch.setattr(WeylElement, "sort_key", counting)
-    for u_word, v_word in [((), (1, 2, 3, 2, 1, 4, 3, 2)),
-                           ((2, 3), (2, 3, 2, 1, 4, 3, 2, 3, 4, 1))]:
-        u, v = from_word(rs, u_word), from_word(rs, v_word)
-        calls.clear()
-        iv = interval.__wrapped__(u, v)
-        assert len(iv.graph_edges) > 2 * len(iv)
-        assert set(calls) <= iv.elements
-        assert max(calls.values()) == 1
-
-
-def test_richardson_query_builds_no_edges(monkeypatch):
-    # The witness reads only the elements of [u, v]; the edges are worked
-    # out once, when something first reads them.  On a fresh system, so no
-    # interval comes from the shared cache.
-    rs = build_root_system("A", 3)
-    group = canonical_order(enumerate_group(rs))
-
-    def refuse(*args):
-        raise AssertionError("a Bruhat-graph edge was built")
-
-    real_sort = bruhatkit.bruhat._sort_edges
-    monkeypatch.setattr(bruhatkit.bruhat, "_sort_edges", refuse)
-    monkeypatch.setattr(bruhatkit.bruhat, "CoverEdge", refuse)
-    for u, v in comparable_pairs(group):
-        torus_complexity_richardson(u, v)
-        assert "graph_edges" not in vars(interval(u, v))
-    sorts = Counter()
-
-    def counting(rs, edges):
-        sorts["calls"] += 1
-        return real_sort(rs, edges)
-
-    monkeypatch.setattr(bruhatkit.bruhat, "_sort_edges", counting)
-    monkeypatch.setattr(bruhatkit.bruhat, "CoverEdge", CoverEdge)
-    iv = interval(group[0], group[-1])
-    assert iv.graph_edges is iv.graph_edges
-    assert len(iv.graph_edges) == 24 * 6 // 2
-    assert sorts["calls"] == 1
 
 
 def test_interval_from_identity_makes_no_comparison(monkeypatch):
@@ -413,11 +355,10 @@ def test_elements_of_two_systems_are_refused(one, other):
     y = from_word(rs, [1, 2])
     assert bruhat_le(u, v) and ad(u, v) == 3 and len(interval(u, v)) == 14
     assert multiply(u, v) is from_word(rs, [2, 3, 2, 1])
-    assert edge_label(u, y) == (1, 1) + (0,) * (rs.rank - 2)
     far_v, far_y = (from_word(other_rs, w) for w in ([1, 2, 3, 2, 1], [1, 2]))
     for query, a, b in [(multiply, u, far_v), (bruhat_le, u, far_v),
                         (descent_labels, u, far_v), (ad, u, far_v),
-                        (interval, u, far_v), (edge_label, u, far_y),
+                        (interval, u, far_v),
                         (bruhat_le, far_v, u), (interval, far_y, v)]:
         with pytest.raises(InvalidInputError,
                            match="elements belong to different root systems"):
@@ -451,46 +392,23 @@ def test_cover_edge_structure(a3, s4):
     assert lower_covers(identity(a3)) == []
 
 
-def test_upper_covers_le(a3):
-    u = identity(a3)
-    v = parse_element(a3, "3142")
-    ups = upper_covers_le(u, v)
-    assert {e.upper for e in ups} == {
-        w for w in interval(u, v).elements if w.length == 1}
-    with pytest.raises(NotComparableError):
-        upper_covers_le(parse_element(a3, "4321"), v)
-
-
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_covers_and_labels_against_every_root(family, rank):
-    # Brute force over all N positive roots: s_alpha w for every alpha.
+    # Brute force over all N positive roots: every s_alpha w < w, labelled
+    # alpha, and each once.
     rs = root_system(family, rank)
-    group = canonical_order(enumerate_group(rs))
-    refl = {alpha: reflection(rs, alpha) for alpha in rs.positive_roots}
-    for w in group:
-        near = {alpha: multiply(s, w) for alpha, s in refl.items()}
-        below = [CoverEdge(x, w, a) for a, x in near.items()
-                 if x.length == w.length - 1]
-        assert lower_covers(w) == sorted(below, key=lambda e: (
-            e.lower.sort_key(), rs.index[e.label]))
-        for v in group:
-            if bruhat_le(w, v):
-                above = [CoverEdge(w, y, a) for a, y in near.items()
-                         if y.length == w.length + 1 and bruhat_le(y, v)]
-                assert upper_covers_le(w, v) == sorted(above, key=lambda e: (
-                    rs.index[e.label], e.upper.sort_key()))
-        for a, y in near.items():
-            assert edge_label(w, y) == a and edge_label(y, w) == a
-        for x in group:
-            if x.length == w.length:
-                with pytest.raises(NotComparableError):
-                    edge_label(w, x)
+    for w in enumerate_group(rs):
+        below = list(_reflected(w))
+        assert len(below) == w.length
+        assert set(below) == {
+            (alpha, x) for alpha in rs.positive_roots
+            for x in [multiply(reflection(rs, alpha), w)]
+            if x.length < w.length}
 
 
 def test_covers_make_one_product_per_root_on_their_side(monkeypatch):
-    # l(w) products for the covers below w, N - l(w) for those above.
+    # l(w) products for the reflections below w.
     rs = build_root_system("B", 3)
-    n_pos = len(rs.positive_roots)
     calls = [0]
     real = bruhatkit.bruhat.multiply
 
@@ -499,22 +417,16 @@ def test_covers_make_one_product_per_root_on_their_side(monkeypatch):
         return real(u, v)
 
     monkeypatch.setattr(bruhatkit.bruhat, "multiply", counting)
-    w0 = longest_element(rs, range(1, 4))
-    for w in canonical_order(enumerate_group(rs)):
+    for w in enumerate_group(rs):
         calls[0] = 0
-        upper_covers_le(w, w0)
-        assert calls[0] == n_pos - w.length
-        calls[0] = 0
-        lower_covers(w)
+        list(_reflected(w))
         assert calls[0] == w.length
-    iv = interval(identity(rs), w0)
-    assert iv.cover_edges is iv.cover_edges
 
 
 def test_reflections_are_built_once_per_system(monkeypatch):
-    # weyl makes the N reflections on the first cover read on a system and
-    # keeps them on it; later reads of any kind make none.  A reflection is
-    # made when weyl._reflections interns it.
+    # weyl makes the N reflections on the first read of the reflections
+    # below an element and keeps them on the system; later reads of any kind
+    # make none.  A reflection is made when weyl._reflections interns it.
     rs = build_root_system("B", 3)
     made, inside = [0], [False]
     real_reflections = bruhatkit.weyl._reflections
@@ -535,26 +447,24 @@ def test_reflections_are_built_once_per_system(monkeypatch):
         monkeypatch.setattr(module, "_reflections", reflections)
     monkeypatch.setattr(bruhatkit.weyl, "_intern", intern)
     w0 = longest_element(rs, range(1, 4))
-    first = lower_covers(w0)
+    first = list(_reflected(w0))
     assert made[0] == len(rs.positive_roots)
     made[0] = 0
-    assert lower_covers(w0) == first
-    upper_covers_le(identity(rs), w0)
-    interval(identity(rs), w0).graph_edges
-    edge_label(identity(rs), from_word(rs, [1]))
+    assert list(_reflected(w0)) == first
+    interval(from_word(rs, [1]), w0)
     reflection(rs, rs.positive_roots[-1])
     assert made[0] == 0
     other = build_root_system("B", 3)
-    lower_covers(longest_element(other, range(1, 4)))
+    list(_reflected(longest_element(other, range(1, 4))))
     assert made[0] == len(other.positive_roots)
 
 
 def test_graph_edges_are_reflection_related(a3):
-    iv = interval(identity(a3), parse_element(a3, "3412"))
-    for e in iv.graph_edges:
+    elements = interval(identity(a3), parse_element(a3, "3412")).elements
+    for e in graph_edges(elements):
         assert multiply(reflection(a3, e.label), e.lower) == e.upper
         assert e.upper.length > e.lower.length
-        assert e.lower in iv.elements and e.upper in iv.elements
+        assert e.lower in elements and e.upper in elements
 
 
 def test_long_edges_in_span_of_two_shorter(a3, s4):
@@ -563,11 +473,12 @@ def test_long_edges_in_span_of_two_shorter(a3, s4):
     for x, y in comparable_pairs(s4):
         if y.length - x.length < 2:
             continue
-        try:
-            label = edge_label(x, y)
-        except NotComparableError:
+        edges = graph_edges(interval(x, y).elements)
+        label = next((e.label for e in edges if e.lower is x
+                      and e.upper is y), None)
+        if label is None:
             continue
-        shorter = [e.label for e in interval(x, y).graph_edges
+        shorter = [e.label for e in edges
                    if e.upper.length - e.lower.length < y.length - x.length]
         found = any(
             span_rank([shorter[i], shorter[j]]) ==
@@ -576,19 +487,23 @@ def test_long_edges_in_span_of_two_shorter(a3, s4):
         assert found, (x, y)
 
 
+def _chain(u, v):
+    return [u] + [w for _, w in saturated_chain(u, v)]
+
+
 def test_saturated_chain(a2, a3):
     w = from_word(a2, [1, 2])
-    chain = saturated_chain(identity(a2), w)
+    chain = _chain(identity(a2), w)
     assert len(chain) == 3
     assert chain[0].is_identity() and chain[-1] == w
     for x, y in zip(chain, chain[1:]):
         assert y.length == x.length + 1 and bruhat_le(x, y)
-    assert saturated_chain(w, w) == [w]
+    assert _chain(w, w) == [w]
     u = parse_element(a3, "1324")
     v = parse_element(a3, "3412")
-    assert len(saturated_chain(u, v)) == 4
+    assert len(_chain(u, v)) == 4
     # deterministic: same chain twice
-    assert saturated_chain(u, v) == saturated_chain(u, v)
+    assert _chain(u, v) == _chain(u, v)
     with pytest.raises(NotComparableError):
         saturated_chain(from_word(a2, [1]), from_word(a2, [2]))
 
@@ -602,21 +517,21 @@ def test_saturated_chain_takes_least_label(family, rank):
     expected = []
     for u, v in pairs:
         ups: dict = {}
-        for e in interval(u, v).cover_edges:
-            ups.setdefault(e.lower, []).append(e)
+        for e in graph_edges(interval(u, v).elements):
+            if e.upper.length == e.lower.length + 1:
+                ups.setdefault(e.lower, []).append(e)
         chain = [u]
         while chain[-1] != v:
             chain.append(min(ups[chain[-1]], key=lambda e: (
                 rs.index[e.label], e.upper.sort_key())).upper)
         expected.append(chain)
-    assert [saturated_chain(u, v) for u, v in pairs] == expected
+    assert [_chain(u, v) for u, v in pairs] == expected
 
 
 def test_saturated_chain_builds_no_interval(a3, s4, monkeypatch):
     monkeypatch.setattr(bruhatkit.bruhat, "interval", None)
     for u, v in comparable_pairs(s4):
-        chain = saturated_chain(u, v)
-        assert len(chain) == v.length - u.length + 1
-        assert ad_via_chain(u, v).rank == ad(u, v)
+        assert len(_chain(u, v)) == v.length - u.length + 1
+        assert span_rank(ad_via_chain(u, v)) == ad(u, v)
     with pytest.raises(NotComparableError, match="is not <="):
         saturated_chain(from_word(a3, [1]), from_word(a3, [2]))

@@ -19,13 +19,14 @@ from hypothesis import strategies as st  # noqa: E402
 from bruhatkit import (bruhat_le, canonical_order, cli,  # noqa: E402
                        enumerate_distinguished, enumerate_group, from_word,
                        identity, inverse, left_descents, multiply,
-                       reduced_word, right_descents, root_system, td_span)
+                       reduced_word, right_descents, root_system)
 from bruhatkit.deodhar import build_subexpression  # noqa: E402
 from bruhatkit.weyl import simple_reflection, times_simple  # noqa: E402
 from oracles import (WORD_MODEL_CARTAN, perm_bruhat_le,  # noqa: E402
                      perm_from_word, perm_inverse, perm_left_descents,
                      perm_length, perm_mul, perm_right_descents,
-                     subword_reachable, word_action, word_lengths)
+                     subword_reachable, td_span, word_action,
+                     word_lengths)
 from sweeps import check_four_way_agreement  # noqa: E402
 
 CASES = settings(derandomize=True, database=None, deadline=None,
@@ -194,7 +195,7 @@ def test_walk_masks_against_oracle_route(case):
     assert subexprs  # u is a subword, so u <= v
     for se in subexprs:
         assert se == build_subexpression(rs, word, se.choices)
-        assert se.td == td_span(se).rank
+        assert se.td == td_span(se)
 
 
 # -- the CLI contract -----------------------------------------------------

@@ -6,10 +6,12 @@ from math import prod
 import pytest
 
 from bruhatkit import (InvalidInputError, RootSystem, apply_to_root,
-                       build_root_system, identity, positive_root_count,
-                       root_system, simple_reflect, weyl_group_order)
+                       build_root_system, enumerate_distinguished, from_word,
+                       identity, levi_acts, longest_element,
+                       positive_root_count, root_system, scan,
+                       simple_reflect, weyl_group_order)
 from bruhatkit.rootsys import FAMILIES
-from bruhatkit.weyl import reflection
+from bruhatkit.weyl import reflection, simple_reflection
 from oracles import coroot_pairing, root_of_pair
 
 ENUMERABLE = ([("A", r) for r in (1, 2, 3, 4)]
@@ -251,3 +253,30 @@ def test_standard_cartan_matrices_are_pinned():
     assert len(lines) == 143
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "a1082dc92490daa23dfa4aeba8f50f4e8c9f1315e5b77355a4604568f78e2d46")
+
+
+NOT_INT_CALLS = {
+    "from_word-str": lambda rs: from_word(rs, "12"),
+    "from_word-float": lambda rs: from_word(rs, [1.0]),
+    "from_word-None": lambda rs: from_word(rs, [None]),
+    "simple_reflection": lambda rs: simple_reflection(rs, "1"),
+    "longest_element": lambda rs: longest_element(rs, ["1"]),
+    "longest_element-mixed": lambda rs: longest_element(rs, [1, "2"]),
+    "simple_reflect": lambda rs: simple_reflect(rs, 1.5, rs.simple_root(1)),
+    "simple_root": lambda rs: rs.simple_root(1.0),
+    "levi_acts": lambda rs: levi_acts([1.0], identity(rs)),
+    "enumerate_distinguished":
+        lambda rs: enumerate_distinguished("121", identity(rs)),
+    "scan-float": lambda rs: scan(rs, "levi_table", max_length=1.5),
+    "scan-str": lambda rs: scan(rs, "levi_table", max_length="2"),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INT_CALLS.values(),
+                         ids=NOT_INT_CALLS.keys())
+def test_an_index_that_is_not_an_int_is_refused(call, a2):
+    # Each ended in TypeError or ValueError, and simple_root(1.0) answered.
+    # from_word on the shared system may find s_1 memoized on the identity.
+    from_word(a2, [1, 2])
+    with pytest.raises(InvalidInputError, match=" must be an int, got "):
+        call(a2)

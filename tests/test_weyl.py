@@ -9,9 +9,8 @@ import pytest
 import bruhatkit.weyl
 
 from bruhatkit import (GroupTooLargeError, InvalidInputError,
-                       all_reduced_words, apply_to_root, bruhat_le,
-                       build_root_system, canonical_order,
-                       enumerate_group,
+                       apply_to_root, bruhat_le, build_root_system,
+                       canonical_order, enumerate_group,
                        from_word, identity, inverse, left_descents,
                        left_inversions, left_parabolic_decomposition,
                        longest_element, multiply, reduced_word,
@@ -22,8 +21,9 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
 from bruhatkit.cli import element_to_oneline, parse_element
 from bruhatkit.weyl import (_layers, _reflections, reflection,
                             simple_reflection)
-from oracles import (coroot_pairing, perm_bruhat_le, perm_from_word,
-                     perm_least_reduced_word, perm_left_descents, perm_length,
+from oracles import (all_reduced_words, coroot_pairing, perm_bruhat_le,
+                     perm_from_word, perm_least_reduced_word,
+                     perm_left_descents, perm_length,
                      perm_mul, perm_reduced_words, perm_right_descents,
                      perm_right_inversion_roots, perm_support)
 
