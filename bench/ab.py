@@ -1,7 +1,7 @@
 """Paired A/B runs of the benchmark on two commits.
 
     python3 bench/ab.py PARENT CHANGE [--workloads a,b] [--pairs 10]
-                        [--seed 0] [--out BENCH_<n>.json]
+                        [--seed 0] [--slow] [--out BENCH_<n>.json]
 
 Exports each commit with ``git archive`` into its own temporary directory
 and runs that copy's ``perfbench/run.py`` as it is, with ``--trace 0`` and
@@ -26,6 +26,12 @@ every regressed workload/metric.
 Under ``summary_line`` it keeps, the same way but without a verdict, the
 SUMMARY_FIELDS of each run's summary line: the uncorrected wall times and
 the yardstick, which tell a drift of the yardstick from a change of work.
+
+With ``--slow`` it also times each of the SLOW commands whole process
+(``python -m bruhatkit.cli``, output discarded) in SLOW_PAIRS alternated
+pairs, after the workloads, and keeps under ``slow`` their quartiles in
+seconds, with no verdict: three pairs settle nothing, and nothing is gated
+on them.  ``--workloads ""`` runs no workload.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +53,23 @@ ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS = 10
 #: Fields of a run's summary line kept beside its metrics.
 SUMMARY_FIELDS = ("run_wall_s", "setup_wall_s", "yardstick_us")
+#: The slow-path commands of ``--slow``, as CLI argv by name; the words are
+#: the least reduced words of w0.
+SLOW = {
+    "A7_richardson_w0": [
+        "complexity", "--type", "A", "--rank", "7", "--kind", "richardson",
+        "--u", "id",
+        "--v", "1.2.1.3.2.1.4.3.2.1.5.4.3.2.1.6.5.4.3.2.1.7.6.5.4.3.2.1"],
+    "B4_scan_toric_richardson": [
+        "scan", "--type", "B", "--rank", "4", "--target", "toric_richardson"],
+    "D6_deodhar_w0": [
+        "deodhar", "--type", "D", "--rank", "6", "--format", "json",
+        "--u", "id", "--v-word",
+        "1.2.1.3.2.1.4.3.2.1.5.4.3.2.1.6.4.3.2.1.5.4.3.2.6.4.3.5.4.6"],
+    "E6_scan_levi_table": [
+        "scan", "--type", "E", "--rank", "6", "--target", "levi_table"],
+}
+SLOW_PAIRS = 3
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -97,6 +121,12 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def summarize_slow(pairs: list[dict]) -> dict:
+    """Per SLOW command, the two sides' quartiles in seconds (``spread``),
+    with no verdict; ``pairs`` is as for ``summarize``."""
+    return {name: spread(pairs, name) for name in pairs[0]["parent"]}
+
+
 def regressions(workloads: dict) -> list[str]:
     """Every "workload/metric" whose row is ``regressed``, in report order."""
     return [f"{name}/{metric}" for name, rows in workloads.items()
@@ -143,6 +173,25 @@ def run_once(copy: Path, workload: str, seed: int) -> dict:
     return values
 
 
+def time_command(copy: Path, argv: list[str]) -> float:
+    """Whole-process wall seconds of one CLI command run from a copy's
+    ``src/``, its output discarded."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(copy / "src"))
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "bruhatkit.cli", *argv], cwd=copy,
+                   env=env, stdout=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - start
+
+
+def alternated(copies: dict, pairs: int, run):
+    """Yield {side: run(copy)} for each of ``pairs`` pairs, the parent run
+    first in even pairs and the change first in odd ones."""
+    for k in range(pairs):
+        order = ("parent", "change")[::-1 if k % 2 else 1]
+        yield {side: run(copies[side]) for side in order}
+
+
 def parse_run(stdout: str) -> tuple[dict, dict]:
     """A run's result line (the last line of its stdout) and its values:
     the result's metrics, then the SUMMARY_FIELDS of the summary line
@@ -160,6 +209,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--slow", action="store_true",
+                        help="also time the SLOW commands")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -171,7 +222,8 @@ def main(argv=None) -> int:
                    (("parent", args.parent), ("change", args.change))}
         bench = json.loads((copies["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-        names = (args.workloads.split(",") if args.workloads
+        names = ([n for n in args.workloads.split(",") if n]
+                 if args.workloads is not None
                  else [w["name"] for w in bench["workloads"]])
         report = {"commits": commits,
                   "src_lines": {side: python_lines(copy, "src")
@@ -186,17 +238,21 @@ def main(argv=None) -> int:
                   "run_seconds": bench["run_seconds"], "workloads": {}}
         for name in names:
             pairs = []
-            for k in range(args.pairs):
-                order = ("parent", "change")[::-1 if k % 2 else 1]
-                pair = {side: run_once(copies[side], name, args.seed)
-                        for side in order}
+            for k, pair in enumerate(alternated(
+                    copies, args.pairs,
+                    lambda copy: run_once(copy, name, args.seed)), start=1):
                 pairs.append(pair)
-                print(f"{name} pair {k + 1}: " + ", ".join(
+                print(f"{name} pair {k}: " + ", ".join(
                     f"{m}={pair['parent'][m]:.4g}->{pair['change'][m]:.4g}"
                     for m in better), file=sys.stderr)
             report["workloads"][name] = summarize(pairs, better)
             report["workloads"][name]["summary_line"] = {
                 field: spread(pairs, field) for field in SUMMARY_FIELDS}
+        if args.slow:
+            pairs = list(alternated(copies, SLOW_PAIRS, lambda copy: {
+                name: time_command(copy, argv)
+                for name, argv in SLOW.items()}))
+            report["slow"] = summarize_slow(pairs)
     text = json.dumps(report, indent=1)
     if args.out:
         args.out.write_text(text + "\n")

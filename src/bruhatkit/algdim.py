@@ -104,6 +104,13 @@ def is_toric(u: WeylElement, v: WeylElement) -> bool:
     return ad(u, v) == v.length - u.length
 
 
+def _least(candidates: list[WeylElement], length: int) -> WeylElement:
+    """The least candidate of the given length by ``sort_key``, which is
+    computed only when more than one is left."""
+    tied = [w for w in candidates if w.length == length]
+    return tied[0] if len(tied) == 1 else min(tied, key=WeylElement.sort_key)
+
+
 def max_toric_above_bottom(
         u: WeylElement, v: WeylElement) -> tuple[WeylElement, int]:
     """Maximize l(w) - l(u) over w in [u, v] with [u, w] toric.
@@ -111,8 +118,8 @@ def max_toric_above_bottom(
     The maximum equals ad(u, v); the returned witness is the least such w in
     the deterministic element order.
     """
-    best = min((w for w in interval(u, v).elements if is_toric(u, w)),
-               key=lambda w: (-w.length, w.sort_key()))
+    toric = [w for w in interval(u, v).elements if is_toric(u, w)]
+    best = _least(toric, max(w.length for w in toric))
     return best, best.length - u.length
 
 
@@ -120,6 +127,6 @@ def max_toric_below_top(
         u: WeylElement, v: WeylElement) -> tuple[WeylElement, int]:
     """Maximize l(v) - l(w) over w in [u, v] with [w, v] toric; the witness
     is the least such w by ``sort_key``, which orders by length first."""
-    best = min((w for w in interval(u, v).elements if is_toric(w, v)),
-               key=WeylElement.sort_key)
+    toric = [w for w in interval(u, v).elements if is_toric(w, v)]
+    best = _least(toric, min(w.length for w in toric))
     return best, v.length - best.length

@@ -6,7 +6,8 @@ Cover edges are the length-difference-1 edges, i.e. the Hasse diagram.
 
 Comparison and algebraic dimension share one right-descent walk
 (``descent_labels``): ``bruhat_le`` asks whether it reaches u = v, and
-``algdim.ad`` takes the rank of the labels it records.  ``interval`` finds
+``algdim.ad`` takes the rank of the labels it records.  The walk steps on
+raw permutations by ``weyl._compose`` and interns nothing.  ``interval`` finds
 only the elements of [u, v], by a downward breadth-first search from v that
 keeps only elements >= u, down to the covers of u, found by a reflection
 test (``_covers``).  The reflections s_alpha w < w below w are read off w's
@@ -21,8 +22,7 @@ from functools import lru_cache, partial
 from .errors import NotComparableError
 from .rootsys import Root
 from .weyl import (WeylElement, _compose, _reflections, _same_system,
-                   inverse, multiply, right_descents, times_simple,
-                   word_string)
+                   inverse, multiply, word_string)
 
 
 def descent_labels(u: WeylElement, v: WeylElement) -> list[Root] | None:
@@ -32,19 +32,26 @@ def descent_labels(u: WeylElement, v: WeylElement) -> list[Root] | None:
 
     With i the least right descent of v, each step sets v to v s_i, and u to
     u s_i when i is also a right descent of u; otherwise it records the
-    label u(alpha_i).  Once u = v it has recorded l(v) - l(u) labels.
-    Refuses elements of two root systems.
+    label u(alpha_i).  So l(v) - l(u) drops by one per label, and once u = v
+    it has recorded l(v) - l(u) labels.  The steps compose raw permutations
+    (``_compose``), and i is a right descent of p where p[k] >= N, k the
+    position of alpha_i.  Refuses elements of two root systems.
     """
     rs = _same_system(u, v)
+    n_pos, gens = len(rs.positive_roots), rs.simple_perms
+    p, q = u.perm, v.perm
+    gap = v.length - u.length
     labels = []
-    while u.length < v.length:
-        i = min(right_descents(v))
-        if i in right_descents(u):
-            u = times_simple(u, i)
+    while len(labels) < gap:
+        for i, k in enumerate(rs.simple_positions):
+            if q[k] >= n_pos:
+                break
+        if p[k] >= n_pos:
+            p = _compose(rs, p, gens[i])
         else:
-            labels.append(rs.signed_roots[u.perm[rs.simple_positions[i - 1]]])
-        v = times_simple(v, i)
-    return labels if u is v else None
+            labels.append(rs.signed_roots[p[k]])
+        q = _compose(rs, q, gens[i])
+    return labels if p == q else None
 
 
 @lru_cache(maxsize=None)

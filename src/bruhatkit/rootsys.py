@@ -211,6 +211,10 @@ class RootSystem:
                  for r in self.positive_roots] for i0 in range(self.rank))
         self.simple_perms: tuple[bytes | tuple[int, ...], ...] = tuple(
             perm(row + [flip[p] for p in row]) for row in rows)
+        # On bytes, s_i p is p.translate(simple_tables[i - 1]).
+        self.simple_tables: tuple[bytes, ...] | None = None if (
+            self.pad is None) else tuple(s + self.pad
+                                         for s in self.simple_perms)
 
     # -- predicates -------------------------------------------------------
 

@@ -5,14 +5,19 @@ root system (``RootSystem.signed_roots``): entry k is the position of the
 image of root k.  It is ``bytes`` when 2N <= 256 (E6-E8, F4, G2, A1-A15,
 B/C/D up to rank 11), so that a product is one ``bytes.translate``, and a
 tuple above that; ``RootSystem._build_permutations`` chooses, and only
-``_compose`` composes two by their format.  Inverses invert, and lengths
-and descents are read off which positive roots land on negative positions.
-Words compose left to right: ``from_word(rs, [1, 2])`` is s_1 s_2, acting
-by ``(s_1 s_2)(x) = s_1(s_2(x))``.
+this module reads the format: ``_compose`` composes two permutations,
+``_simple_times`` makes s_i p (one translate through a table of
+``rs.simple_tables`` on bytes) and ``WeylElement.length`` counts.  Inverses
+invert, and lengths and descents are read off which positive roots land on
+negative positions.  Words compose left to right: ``from_word(rs, [1, 2])``
+is s_1 s_2, acting by ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
-Elements are interned per root system, so equality is identity, and
-lengths, inverses, descents, reduced words and the products w s_i by simple
-reflections (``times_simple``) are computed once per element.  The hash is
+A walk that keeps only a word or labels (``from_word``, ``reduced_word``,
+``bruhat.descent_labels``) steps through raw permutations and interns only
+the element it returns.  Elements are interned per root system, so equality
+is identity, and lengths, inverses, descents, reduced words and the
+products w s_i by simple reflections (``times_simple``, for the Deodhar
+search) are computed once per element.  The hash is
 that of the permutation as a tuple of ints, the same in every run (a hash of
 bytes is salted per process), so set and dict order never depends on memory
 addresses or the hash seed.  Everything here is pure: a memo slot is only
@@ -33,6 +38,9 @@ Perm = bytes | tuple[int, ...]  # see RootSystem._build_permutations
 
 #: Default refusal threshold for full group enumeration (= |W(E6)|).
 DEFAULT_GROUP_CAP = 51840
+
+#: Its first N bytes are the positions of the positive roots.
+_BYTES = bytes(range(256))
 
 
 class WeylElement:
@@ -59,10 +67,15 @@ class WeylElement:
 
     @property
     def length(self) -> int:
-        """Coxeter length = number of positive roots sent negative."""
+        """Coxeter length = number of positive roots sent negative; on
+        bytes, what is left of the first N entries once those below N are
+        deleted."""
         if self._length is None:
             n_pos = len(self.system.positive_roots)
-            self._length = sum(p >= n_pos for p in self.perm[:n_pos])
+            head = self.perm[:n_pos]
+            self._length = (
+                sum(p >= n_pos for p in head) if self.system.pad is None
+                else len(head.translate(None, _BYTES[:n_pos])))
         return self._length
 
     def is_identity(self) -> bool:
@@ -137,6 +150,11 @@ def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product of simple reflections in the given order.
 
+    Every letter is checked before any is composed, so a letter that is
+    not an int in 1..rank is refused whatever is interned.  The product is
+    composed right to left by ``_simple_times`` on raw permutations, and
+    only it is interned.
+
     >>> from bruhatkit.rootsys import root_system
     >>> rs = root_system("A", 2)
     >>> from_word(rs, [1, 2, 1]).length
@@ -144,15 +162,27 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     >>> from_word(rs, [1, 1]) == identity(rs)
     True
     """
-    w = identity(rs)
+    word = list(word)
     for i in word:
-        w = times_simple(w, i)
-    return w
+        rs._check_index(i)
+    p = rs.perm_type(range(len(rs.signed_roots)))
+    for i in reversed(word):
+        p = _simple_times(rs, i - 1, p)
+    return _intern(rs, p)
 
 
 def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
     """The raw product p q (entry k is p[q[k]]), in either format."""
     return itemgetter(*q)(p) if rs.pad is None else q.translate(p + rs.pad)
+
+
+def _simple_times(rs: RootSystem, i0: int, p: Perm) -> Perm:
+    """The raw product s_i p, with i0 = i - 1: on bytes one translate
+    through the table s_i.perm + pad, else ``_compose``."""
+    tables = rs.simple_tables
+    if tables is None:
+        return _compose(rs, rs.simple_perms[i0], p)
+    return p.translate(tables[i0])
 
 
 def _same_system(u: WeylElement, v: WeylElement) -> RootSystem:
@@ -168,7 +198,8 @@ def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
 
 
 def times_simple(w: WeylElement, i: int) -> WeylElement:
-    """w s_i, made by ``multiply`` once per element and index.
+    """w s_i, made by ``multiply`` once per element and index; the Deodhar
+    search steps by it.
 
     The product is kept on w, and w on w s_i, since (w s_i) s_i = w; a
     repeated product costs one list lookup.
@@ -251,31 +282,38 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """The lexicographically least reduced word (greedy least left descent).
 
     The word of w is (i,) + the word of s_i w, with i the least left
-    descent.  The walk goes down that chain only until it meets an element
-    whose word is known, then records the word of every element it passed,
-    so each element's word costs one multiply in all.  The walk is a loop:
-    w_0 of A45 has 1035 letters, and past its bound of l(w) steps it raises.
+    descent: the least i whose simple root is the image of a negative root
+    (``perm.index``).  The walk steps on raw permutations
+    (``_simple_times``) and interns nothing; it goes down only until it
+    meets an interned element whose word is known, or one with no descent,
+    the identity, and records the word of every interned element it
+    passed.  It is a loop: w_0 of A45 has 1035 letters, and past its bound
+    of l(w) steps it raises.
 
     >>> from bruhatkit.rootsys import root_system
     >>> rs = root_system("A", 2)
     >>> reduced_word(from_word(rs, [2, 1, 2]))
     (1, 2, 1)
     """
+    rs = w.system
+    cache, n_pos = rs.element_cache, len(rs.positive_roots)
     chain = []
-    x = w
-    while x._word is None:
-        if x.is_identity():
-            x._word = ()
+    p, x = w.perm, w
+    while x is None or x._word is None:
+        i = next((i for i, k in enumerate(rs.simple_positions)
+                  if p.index(k) >= n_pos), None)
+        if i is None:  # p is the identity
             break
         if len(chain) == w.length:  # only wrong products get here
             raise AssertionError(f"no reduced word after {w.length} descents")
-        i = min(left_descents(x))
-        chain.append((x, i))
-        x = multiply(simple_reflection(x.system, i), x)
-    word = x._word
+        chain.append((x, i + 1))
+        p = _simple_times(rs, i, p)
+        x = cache.get(p)
+    word = () if x is None else x._word or ()
     for y, i in reversed(chain):
         word = (i,) + word
-        y._word = word
+        if y is not None:
+            y._word = word
     return word
 
 

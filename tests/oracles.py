@@ -273,6 +273,22 @@ def lower_covers(w):
             if x.length == w.length - 1]
 
 
+def element_descent_labels(u, v):
+    """The right-descent walk of ``bruhat.descent_labels`` on interned
+    elements: each step is ``times_simple`` and the descents are the
+    element's ``right_descents``; None when it ends with u != v."""
+    from bruhatkit.weyl import right_descents, times_simple
+    rs, labels = u.system, []
+    while u.length < v.length:
+        i = min(right_descents(v))
+        if i in right_descents(u):
+            u = times_simple(u, i)
+        else:
+            labels.append(rs.signed_roots[u.perm[rs.simple_positions[i - 1]]])
+        v = times_simple(v, i)
+    return labels if u is v else None
+
+
 def ad_direct(u, v):
     """The labels of all Bruhat-graph edges of [u, v], each once."""
     from bruhatkit.bruhat import interval

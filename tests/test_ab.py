@@ -117,3 +117,47 @@ def test_src_lines_counts_every_python_file_under_src(tmp_path):
     (tmp_path / "tests" / "test_a.py").write_text("def test():\n    pass\n")
     assert ab.python_lines(tmp_path, "src") == 4
     assert ab.python_lines(tmp_path, "tests") == 2
+
+
+def test_slow_commands_keep_quartiles_with_no_verdict():
+    # Three pairs: a spread per command, and no claim or regression.
+    pairs = [{"parent": {"a": p, "b": 2.0}, "change": {"a": c, "b": 2.0}}
+             for p, c in zip([4.0, 5.0, 6.0], [3.0, 3.5, 9.0])]
+    slow = ab.summarize_slow(pairs)
+    assert list(slow) == ["a", "b"]
+    assert slow["a"]["parent"]["median"] == 5.0
+    assert slow["a"]["change"]["median"] == 3.5
+    assert slow["a"]["change"]["values"] == [3.0, 3.5, 9.0]
+    assert slow["a"]["change_vs_parent"] == pytest.approx(-0.3)
+    assert slow["b"]["change_vs_parent"] == 0
+    assert not {"claimable", "regressed"} & set(slow["a"])
+
+
+def test_pairs_alternate_which_side_runs_first():
+    calls = []
+
+    def run(copy):
+        calls.append(copy)
+        return len(calls)
+
+    pairs = list(ab.alternated({"parent": "P", "change": "C"}, 3, run))
+    assert calls == ["P", "C", "C", "P", "P", "C"]
+    assert pairs[1] == {"change": 3, "parent": 4}
+
+
+def test_slow_commands_are_valid_argv_over_w0():
+    # Parsed only, never run; the Richardson v and the Deodhar word are
+    # reduced words of the longest element.
+    from bruhatkit import from_word, longest_element, root_system
+    from bruhatkit.cli import build_parser
+    parser = build_parser()
+    assert list(ab.SLOW) == ["A7_richardson_w0", "B4_scan_toric_richardson",
+                             "D6_deodhar_w0", "E6_scan_levi_table"]
+    args = {name: parser.parse_args(argv) for name, argv in ab.SLOW.items()}
+    for name, word in (("A7_richardson_w0", args["A7_richardson_w0"].v),
+                       ("D6_deodhar_w0", args["D6_deodhar_w0"].v_word)):
+        rs = root_system(args[name].type, args[name].rank)
+        letters = [int(i) for i in word.split(".")]
+        assert len(letters) == len(rs.positive_roots)
+        assert from_word(rs, letters) is longest_element(
+            rs, range(1, rs.rank + 1))

@@ -16,9 +16,10 @@ from bruhatkit import (InvalidInputError, NotComparableError,
 from bruhatkit.bruhat import _reflected, descent_labels
 from bruhatkit.cli import parse_element
 from bruhatkit.weyl import reflection, simple_reflection
-from oracles import (Edge, ad_via_chain, graph_edges, interval_all_roots,
-                     lower_covers, perm_bruhat_le, perm_from_word,
-                     root_of_pair, saturated_chain, subword_reachable)
+from oracles import (Edge, ad_via_chain, element_descent_labels,
+                     graph_edges, interval_all_roots, lower_covers,
+                     perm_bruhat_le, perm_from_word, root_of_pair,
+                     saturated_chain, subword_reachable)
 from sweeps import comparable_pairs
 
 
@@ -143,22 +144,6 @@ def test_interval_elements_match_global_filter(s4):
         assert u in iv.elements and v in iv.elements
 
 
-@pytest.mark.parametrize("group", ["s4", "b3_group", "g2_group"])
-def test_interval_edges_exhaustive(group, request):
-    # every reflection-related pair of the interval, and nothing else
-    elements = request.getfixturevalue(group)
-    for u, v in comparable_pairs(elements):
-        rs = u.system
-        members = {w for w in elements
-                   if bruhat_le(u, w) and bruhat_le(w, v)}
-        expected = {Edge(x, y, alpha) for x in members
-                    for alpha in rs.positive_roots
-                    for y in [multiply(reflection(rs, alpha), x)]
-                    if y.length > x.length and y in members}
-        edges = graph_edges(interval(u, v).elements)
-        assert len(edges) == len(expected) and set(edges) == expected
-
-
 def _assert_interval_matches_all_roots(u, v):
     # The uncached build, so every pair runs it and the shared cache stays
     # small.
@@ -166,19 +151,41 @@ def _assert_interval_matches_all_roots(u, v):
     edges = graph_edges(iv.elements)
     assert (iv.elements, frozenset(edges)) == interval_all_roots(u, v)
     assert len(edges) == len(set(edges))
+    return iv
 
 
 @pytest.mark.parametrize("group", ["s4", "b3_group", "g2_group"])
 def test_intervals_and_covers_match_all_roots_oracle(group, request):
+    # Every interval holds exactly the members w of the group with
+    # u <= w <= v, and it and its edges (every reflection-related pair of
+    # them, once) are what the search over all N reflections finds.  Every
+    # element's lower covers are its products by all N reflections that are
+    # one shorter.
     elements = request.getfixturevalue(group)
     for u, v in comparable_pairs(elements):
-        _assert_interval_matches_all_roots(u, v)
+        iv = _assert_interval_matches_all_roots(u, v)
+        assert iv.elements == {w for w in elements
+                               if bruhat_le(u, w) and bruhat_le(w, v)}
     for w in elements:
         rs = w.system
         expected = {Edge(x, w, alpha) for alpha in rs.positive_roots
                     for x in [multiply(reflection(rs, alpha), w)]
                     if x.length == w.length - 1}
         assert set(lower_covers(w)) == expected
+
+
+@pytest.mark.parametrize("group", ["s4", "b3_group", "g2_group"])
+def test_descent_walk_matches_element_walk(group, request):
+    # The raw-permutation walk records the labels of the walk on interned
+    # elements, on every pair, and says None exactly where it does.
+    elements = request.getfixturevalue(group)
+    incomparable = 0
+    for u in elements:
+        for v in elements:
+            expected = element_descent_labels(u, v)
+            assert descent_labels(u, v) == expected, (u, v)
+            incomparable += expected is None
+    assert 0 < incomparable < len(elements) ** 2
 
 
 @pytest.mark.parametrize("family,rank,max_gap", [("D", 4, 12), ("F", 4, 6)])
@@ -223,11 +230,12 @@ def test_interval_matches_all_roots_oracle_on_tuples():
 
 def test_products_are_made_once(monkeypatch):
     # On a system no other test touches, so no earlier test has made its
-    # products: every multiply counts, wherever it is bound.
+    # products: every multiply counts, wherever it is bound.  The pairs come
+    # from seeded words, so only their 600 ends are interned at first.
     rs = build_root_system("D", 4)
-    group = enumerate_group(rs)
     rng = random.Random(4)
-    pairs = [(rng.choice(group), rng.choice(group)) for _ in range(300)]
+    pairs = [tuple(from_word(rs, [rng.randint(1, 4) for _ in range(12)])
+                   for _ in "uv") for _ in range(300)]
     calls = [0]
     real = bruhatkit.weyl.multiply
 
@@ -237,13 +245,13 @@ def test_products_are_made_once(monkeypatch):
 
     for module in (bruhatkit.weyl, bruhatkit.bruhat):
         monkeypatch.setattr(module, "multiply", counting)
-    first = [bruhat_le(u, v) for u, v in pairs]
-    assert calls[0] > 0
-    # Comparisons made again from scratch find every w s_i memoized.
-    bruhat_le.cache_clear()
-    calls[0] = 0
-    assert [bruhat_le(u, v) for u, v in pairs] == first
+    # A comparison walks raw permutations: it makes no product and interns
+    # nothing.
+    interned = len(rs.element_cache)
+    [bruhat_le(u, v) for u, v in pairs]
     assert calls[0] == 0
+    assert len(rs.element_cache) == interned
+    group = enumerate_group(rs)
     # With the comparisons known, an interval makes l(w) products for each
     # w above layer l(u) + 1, whose covers of u it admits by a reflection
     # test that makes none; trying all N reflections would make 12.
@@ -371,7 +379,7 @@ def test_equal_lengths_stop_the_walk_at_once(b3_group, monkeypatch):
     def refuse(*args):
         raise AssertionError("the walk took a step")
 
-    monkeypatch.setattr(bruhatkit.bruhat, "times_simple", refuse)
+    monkeypatch.setattr(bruhatkit.bruhat, "_compose", refuse)
     for u in b3_group:
         for v in b3_group:
             if u is not v and u.length == v.length:

@@ -7,7 +7,9 @@ word does over the Cartan matrix (which the 143-matrix digest pins); its
 least reduced word must act as the word does, with length l(w) counted
 without the permutation; u <= w must hold (the subword property,
 Björner-Brenti, GTM 231, Thm. 2.2.2); and ad(u, w) must be the rank of the
-labels along one saturated chain.  The seeds are fixed.
+labels along one saturated chain.  On A20 and B12 the right-descent walk
+on raw permutations must also record the labels of the walk on interned
+elements, for comparable and random pairs.  The seeds are fixed.
 """
 
 import random
@@ -16,7 +18,9 @@ import pytest
 
 from bruhatkit import (ad, apply_to_root, bruhat_le, build_root_system,
                        from_word, reduced_word)
-from oracles import ad_via_chain, fraction_rank, word_action, word_length
+from bruhatkit.bruhat import descent_labels
+from oracles import (ad_via_chain, element_descent_labels, fraction_rank,
+                     word_action, word_length)
 
 # (family, rank, words, chain checks).  A chain step tries the reflections
 # in root order until one gives a cover <= w, so the tuple systems, with far
@@ -45,3 +49,22 @@ def test_random_words_agree_with_the_oracles(family, rank, words, chains):
         assert bruhat_le(u, w)
         if k < chains:
             assert ad(u, w) == fraction_rank(ad_via_chain(u, w))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 20), ("B", 12)])
+def test_descent_walk_matches_element_walk_on_tuples(family, rank):
+    # Half the u are subwords of v's least reduced word, so u <= v; the
+    # other half are random words, mostly not below v.
+    rs = build_root_system(family, rank)
+    assert rs.perm_type is tuple
+    rng = random.Random(f"walk/{family}{rank}")
+    comparable = 0
+    for k in range(40):
+        v = from_word(rs, [rng.randint(1, rank) for _ in range(30)])
+        u = from_word(rs, [i for i in reduced_word(v) if rng.random() < 0.7]
+                      if k % 2 else
+                      [rng.randint(1, rank) for _ in range(rng.randint(0, 20))])
+        expected = element_descent_labels(u, v)
+        assert descent_labels(u, v) == expected
+        comparable += expected is not None
+    assert 20 <= comparable < 40

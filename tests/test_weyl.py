@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import time
 from itertools import combinations
@@ -20,7 +21,7 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        weyl_group_order, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
 from bruhatkit.weyl import (_layers, _reflections, reflection,
-                            simple_reflection)
+                            simple_reflection, times_simple)
 from oracles import (all_reduced_words, coroot_pairing, perm_bruhat_le,
                      perm_from_word, perm_least_reduced_word,
                      perm_left_descents, perm_length,
@@ -43,6 +44,24 @@ def test_from_word_basics(a2):
     assert from_word(a2, [1, 1]).is_identity()
     with pytest.raises(InvalidInputError):
         from_word(a2, [3])
+
+
+@pytest.mark.parametrize("letter", [True, False, 1.0, "1"])
+def test_from_word_checks_every_letter_cold_and_warm(letter):
+    # A letter that is not an int is refused on a fresh system, where the
+    # refusal interns nothing, and again once s_1 and its w s_i memos are
+    # made; a bool is an int subclass, and the memo once answered True.
+    rs = build_root_system("A", 2)
+    message = re.escape(f"simple index must be an int, got {letter!r}")
+    for word in ([letter], [1, 2, letter]):
+        with pytest.raises(InvalidInputError, match=message):
+            from_word(rs, word)
+    assert not rs.element_cache
+    assert times_simple(from_word(rs, [1, 2]), 2) is from_word(rs, [1])
+    assert times_simple(identity(rs), 1) is from_word(rs, [1])
+    for word in ([letter], [1, 2, letter], [letter, 1]):
+        with pytest.raises(InvalidInputError, match=message):
+            from_word(rs, word)
 
 
 def test_against_permutation_model_exhaustive(a3):
@@ -560,20 +579,20 @@ def test_reduced_word_of_long_element_needs_no_recursion():
 
 
 def test_reduced_word_walk_is_bounded(monkeypatch):
-    # With wrong products the descent walk never reaches the identity.  It
-    # stops after l(w) steps with an error, where an unbounded walk would
-    # intern elements until memory ran out; the guard ends such a walk.
+    # With a wrong left step the descent walk never reaches the identity.
+    # It stops after l(w) steps with an error, where an unbounded walk would
+    # grow its chain until memory ran out; the guard ends such a walk.
     rs = build_root_system("B", 3)
     w = longest_element(rs, range(1, 4))
     calls = [0]
 
-    def wrong(a, b):
+    def wrong(rs, i0, p):
         calls[0] += 1
         if calls[0] > 1000:
             pytest.fail("the descent walk has no step bound")
-        return b
+        return p
 
-    monkeypatch.setattr(bruhatkit.weyl, "multiply", wrong)
+    monkeypatch.setattr(bruhatkit.weyl, "_simple_times", wrong)
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="after 9 descents"):
         reduced_word(w)
