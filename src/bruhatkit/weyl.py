@@ -6,7 +6,7 @@ image of root k.  It is ``bytes`` when 2N <= 256 (E6-E8, F4, G2, A1-A15,
 B/C/D up to rank 11), so that a product is one ``bytes.translate``, and a
 tuple above that; ``RootSystem._build_permutations`` chooses, and only
 this module reads the format: ``_compose`` composes two permutations,
-``_simple_times`` makes s_i p (one translate through a table of
+``_simple_times`` makes s_i1 ... s_ik p (a translate per letter through
 ``rs.simple_tables`` on bytes) and ``WeylElement.length`` counts.  Inverses
 invert, and lengths and descents are read off which positive roots land on
 negative positions.  Words compose left to right: ``from_word(rs, [1, 2])``
@@ -16,12 +16,11 @@ A walk that keeps only a word or labels (``from_word``, ``reduced_word``,
 ``bruhat.descent_labels``) steps through raw permutations and interns only
 the element it returns.  Elements are interned per root system, so equality
 is identity, and lengths, inverses, descents, reduced words and the
-products w s_i by simple reflections (``times_simple``, for the Deodhar
-search) are computed once per element.  The hash is
-that of the permutation as a tuple of ints, the same in every run (a hash of
-bytes is salted per process), so set and dict order never depends on memory
-addresses or the hash seed.  Everything here is pure: a memo slot is only
-ever written with its one correct value.
+products w s_i (``times_simple``, for the Deodhar search) are computed once
+per element.  The hash is that of the permutation as a tuple of ints, the
+same in every run (a hash of bytes is salted per process), so set and dict
+order never depends on memory addresses or the hash seed.  Everything here
+is pure: a memo slot is only ever written with its one correct value.
 """
 
 from __future__ import annotations
@@ -165,10 +164,8 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     word = list(word)
     for i in word:
         rs._check_index(i)
-    p = rs.perm_type(range(len(rs.signed_roots)))
-    for i in reversed(word):
-        p = _simple_times(rs, i - 1, p)
-    return _intern(rs, p)
+    return _intern(rs, _simple_times(
+        rs, word, rs.perm_type(range(len(rs.signed_roots)))))
 
 
 def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
@@ -176,13 +173,18 @@ def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
     return itemgetter(*q)(p) if rs.pad is None else q.translate(p + rs.pad)
 
 
-def _simple_times(rs: RootSystem, i0: int, p: Perm) -> Perm:
-    """The raw product s_i p, with i0 = i - 1: on bytes one translate
-    through the table s_i.perm + pad, else ``_compose``."""
+def _simple_times(rs: RootSystem, word: list[int], p: Perm) -> Perm:
+    """The raw product s_i1 ... s_ik p of a checked word with p, composed
+    right to left: on bytes one translate per letter through the table
+    s_i.perm + pad, else ``_compose``."""
     tables = rs.simple_tables
     if tables is None:
-        return _compose(rs, rs.simple_perms[i0], p)
-    return p.translate(tables[i0])
+        for i in reversed(word):
+            p = _compose(rs, rs.simple_perms[i - 1], p)
+    else:
+        for i in reversed(word):
+            p = p.translate(tables[i - 1])
+    return p
 
 
 def _same_system(u: WeylElement, v: WeylElement) -> RootSystem:
@@ -300,14 +302,14 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     chain = []
     p, x = w.perm, w
     while x is None or x._word is None:
-        i = next((i for i, k in enumerate(rs.simple_positions)
+        i = next((i for i, k in enumerate(rs.simple_positions, start=1)
                   if p.index(k) >= n_pos), None)
         if i is None:  # p is the identity
             break
         if len(chain) == w.length:  # only wrong products get here
             raise AssertionError(f"no reduced word after {w.length} descents")
-        chain.append((x, i + 1))
-        p = _simple_times(rs, i, p)
+        chain.append((x, i))
+        p = _simple_times(rs, [i], p)
         x = cache.get(p)
     word = () if x is None else x._word or ()
     for y, i in reversed(chain):

@@ -586,7 +586,7 @@ def test_reduced_word_walk_is_bounded(monkeypatch):
     w = longest_element(rs, range(1, 4))
     calls = [0]
 
-    def wrong(rs, i0, p):
+    def wrong(rs, word, p):
         calls[0] += 1
         if calls[0] > 1000:
             pytest.fail("the descent walk has no step bound")
