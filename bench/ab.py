@@ -1,7 +1,7 @@
 """Paired A/B runs of the benchmark on two commits.
 
     python3 bench/ab.py PARENT CHANGE [--workloads a,b] [--pairs 10]
-                        [--seed 0] [--slow] [--out BENCH_<n>.json]
+                        [--seed 0] [--slow] [--calls] [--out BENCH_<n>.json]
 
 Exports each commit with ``git archive`` into its own temporary directory
 and runs that copy's ``perfbench/run.py`` as it is, with ``--trace 0`` and
@@ -32,6 +32,13 @@ With ``--slow`` it also times each of the SLOW commands whole process
 pairs, after the workloads, and keeps under ``slow`` their quartiles in
 seconds, with no verdict: three pairs settle nothing, and nothing is gated
 on them.  ``--workloads ""`` runs no workload.
+
+With ``--calls`` it also runs, per workload and side, one untimed pass of
+the seed's ops through that copy's ``bruhatkit.cli.main`` under
+``sys.setprofile`` (CALLS_SCRIPT), and keeps under the workload's ``calls``
+how many times each bruhatkit function was entered on each side: a
+function's code counts once per call, and a generator's once per resume.
+The counts show where a change of time comes from.
 """
 
 from __future__ import annotations
@@ -70,6 +77,35 @@ SLOW = {
         "scan", "--type", "E", "--rank", "6", "--target", "levi_table"],
 }
 SLOW_PAIRS = 3
+#: Run in a copy by ``count_calls``, with the workload's name and seed as
+#: arguments: prints the exit codes of its ops and the calls of each
+#: bruhatkit function, by module and qualified name.
+CALLS_SCRIPT = """
+import contextlib, json, os, sys
+import workloads
+from bruhatkit import cli
+calls = {}
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        module = frame.f_globals.get("__name__", "")
+        if module == "bruhatkit" or module.startswith("bruhatkit."):
+            code = frame.f_code
+            name = module + "." + getattr(code, "co_qualname", code.co_name)
+            calls[name] = calls.get(name, 0) + 1
+
+
+ops = workloads.WORKLOADS[sys.argv[1]].make_ops(int(sys.argv[2]))
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \\
+        contextlib.redirect_stderr(sink):
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(list(op.argv)) for op in ops]
+    finally:
+        sys.setprofile(None)
+print(json.dumps({"codes": codes, "calls": calls}))
+"""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -173,6 +209,30 @@ def run_once(copy: Path, workload: str, seed: int) -> dict:
     return values
 
 
+def count_calls(copy: Path, workload: str, seed: int) -> dict[str, int]:
+    """The calls of each bruhatkit function in one untimed pass of a
+    workload's ops in a copy (CALLS_SCRIPT), by name.  An op that fails
+    stops the script."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=(
+        f"{copy / 'src'}{os.pathsep}{copy / 'perfbench'}"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CALLS_SCRIPT, workload, str(seed)], cwd=copy,
+        env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if any(result["codes"]):
+        raise SystemExit(f"{copy.name} {workload} seed {seed}: exit codes "
+                         f"{result['codes']} under --calls")
+    return result["calls"]
+
+
+def merge_calls(sides: dict[str, dict[str, int]]) -> dict[str, dict]:
+    """{name: {side: calls}} over the names of either side, sorted by
+    name; a function a side never called counts 0 there."""
+    names = sorted(set().union(*sides.values()))
+    return {name: {side: calls.get(name, 0) for side, calls in sides.items()}
+            for name in names}
+
+
 def time_command(copy: Path, argv: list[str]) -> float:
     """Whole-process wall seconds of one CLI command run from a copy's
     ``src/``, its output discarded."""
@@ -211,6 +271,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--slow", action="store_true",
                         help="also time the SLOW commands")
+    parser.add_argument("--calls", action="store_true",
+                        help="also count each function's calls per side")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -248,6 +310,10 @@ def main(argv=None) -> int:
             report["workloads"][name] = summarize(pairs, better)
             report["workloads"][name]["summary_line"] = {
                 field: spread(pairs, field) for field in SUMMARY_FIELDS}
+            if args.calls:
+                report["workloads"][name]["calls"] = merge_calls({
+                    side: count_calls(copy, name, args.seed)
+                    for side, copy in copies.items()})
         if args.slow:
             pairs = list(alternated(copies, SLOW_PAIRS, lambda copy: {
                 name: time_command(copy, argv)

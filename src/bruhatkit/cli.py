@@ -45,6 +45,7 @@ import json
 import os
 import sys
 from functools import lru_cache
+from operator import add
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -54,7 +55,7 @@ from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
                          partial_flag_torus_complexity, scan,
                          torus_complexity_richardson,
                          torus_complexity_schubert)
-from .deodhar import SKIP, mask_stream
+from .deodhar import SKIP, mask_halves
 from .errors import BruhatkitError, InvalidInputError
 from .rootsys import FAMILIES, Root, RootSystem, root_system
 from .weyl import (DEFAULT_GROUP_CAP, WeylElement, from_word, identity,
@@ -328,7 +329,12 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
     made in mask order as they are read.  A move's piece of a row is its
     choice, J+, Jo or J- item and k:beta text (made once per command for
     each (k, beta)), each after a separator, and its shape counts.  Every
-    string is ASCII with nothing JSON escapes: a json line is json.dumps's."""
+    string is ASCII with nothing JSON escapes and no "%": a json line is
+    json.dumps's.  A CSV row joins a head of ``mask_halves`` to a tail.
+    A JSON or text row is one ``%``: a template made per head, its fields
+    cut of their leading separator, onto tail fields made per state and
+    head shape (|Jo|, |J-|), which keep theirs where the head's field is
+    not empty; the row's end is made per shape of the whole mask."""
     sep, item = {"json": (", ", ', "%s"'), "text": (", ", "; %s"),
                  "csv": (",", ",%s")}[fmt]
     cut, places = len(sep), [sep + str(k) for k in range(len(word) + 1)]
@@ -345,24 +351,55 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
         return ",take", "", "", places[k], text, 0, 1
 
     zero = ("", "", "", "", "", 0, 0)
-    count, masks, td = mask_stream(word, u, piece, zero)
+    heads, tails, td = mask_halves(word, u, piece, zero)
+    count = sum(len(tails[x]) for x, _ in heads)
     ev = word_string(u)
-    if fmt == "text":
-        return count, ("mask (%s)%s\n  J+={%s} Jo={%s} J-={%s}\n  betas: %s\n"
-                       "  shape: (%d,%d)  td: %d\n" % (
-            mask[1:], "" if nm else " (positive)", plus[cut:], circ[cut:],
-            minus[cut:], betas[cut:] or "-", nc, nm, td)
-            for mask, plus, circ, minus, betas, nc, nm in masks)
+    if fmt == "csv":
+        return count, ((mask[1:], ev, plus[cut:], circ[cut:], minus[cut:],
+                        betas[cut:], f"{nc},{nm}", td,
+                        "false" if nm else "true")
+                       for x, head in heads for tail in tails[x]
+                       for mask, plus, circ, minus, betas, nc, nm in (
+                           map(add, head, tail),))
+    # A %s for each joined field, a %%s for the marker (empty in JSON) and
+    # one for the end.
     if fmt == "json":
-        return count, ('{"mask": "%s", "evaluation": "%s", "j_plus": [%s], '
-                       '"j_circ": [%s], "j_minus": [%s], "betas": [%s], '
-                       '"shape": [%d, %d], "td": %d, "positive": %s}\n' % (
-            mask[1:], ev, plus[cut:], circ[cut:], minus[cut:], betas[cut:],
-            nc, nm, td, "false" if nm else "true")
-            for mask, plus, circ, minus, betas, nc, nm in masks)
-    return count, ((mask[1:], ev, plus[cut:], circ[cut:], minus[cut:],
-                    betas[cut:], f"{nc},{nm}", td, "false" if nm else "true")
-                   for mask, plus, circ, minus, betas, nc, nm in masks)
+        row = ('{"mask": "%s%%s", "evaluation": "' + ev + '", "j_plus": '
+               '[%s], "j_circ": [%s], "j_minus": [%s], "betas": [%s], %%s')
+        no_betas = ""
+
+        @lru_cache(maxsize=None)
+        def end(nc, nm):
+            return "", ('"shape": [%d, %d], "td": %d, "positive": %s}\n'
+                        % (nc, nm, td, "false" if nm else "true"))
+    else:
+        row = "mask (%s)%%s\n  J+={%s} Jo={%s} J-={%s}\n  betas: %s\n%%s"
+        no_betas = "-"
+
+        @lru_cache(maxsize=None)
+        def end(nc, nm):
+            return ("" if nm else " (positive)",
+                    "  shape: (%d,%d)  td: %d\n" % (nc, nm, td))
+
+    m = len(word) // 2  # the length of a head, each position J+, Jo or J-
+
+    @lru_cache(maxsize=None)
+    def fields(x, nc, nm):
+        return [(mask if m else mask[1:], marker,
+                 plus if nc + nm < m else plus[cut:],
+                 circ if nc else circ[cut:], minus if nm else minus[cut:],
+                 betas if nc + nm else betas[cut:] or no_betas, last)
+                for mask, plus, circ, minus, betas, tc, tm in tails[x]
+                for marker, last in (end(nc + tc, nm + tm),)]
+
+    def rows():
+        for x, (mask, plus, circ, minus, betas, nc, nm) in heads:
+            template = row % (mask[1:] + "%s", plus[cut:] + "%s",
+                              circ[cut:] + "%s", minus[cut:] + "%s",
+                              betas[cut:] + "%s")
+            yield from map(template.__mod__, fields(x, nc, nm))
+
+    return count, rows()
 
 
 def cmd_deodhar(rs: RootSystem, args, out) -> None:

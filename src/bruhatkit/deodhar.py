@@ -54,8 +54,8 @@ from typing import NamedTuple, Sequence
 from .algdim import ad
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
-from .weyl import (WeylElement, from_word, identity, right_descents,
-                   times_simple, word_string)
+from .weyl import (Perm, WeylElement, _compose, _identity_perm, _intern,
+                   from_word, identity, word_string)
 
 TAKE = "take"
 SKIP = "skip"
@@ -124,19 +124,20 @@ def _check_reduced(rs, v_word: Sequence[int]) -> WeylElement:
     return v
 
 
-def _moves(rs, k: int, x: WeylElement, i: int) -> tuple:
-    """The distinguished moves at position k, from prefix x by letter i,
-    take before skip: (choice, next prefix, entry), entry the (k, beta_k) of
+def _moves(rs, k: int, x: Perm, i: int, y: Perm) -> tuple:
+    """The distinguished moves at position k, from the prefix with raw
+    permutation x by letter i, take before skip: (choice, next prefix,
+    entry), y = x s_i the prefix after a take and entry the (k, beta_k) of
     a Jo or J- position, else None.  x(alpha_i) is the signed root at
-    position p; skipping is allowed exactly when it is positive (taking goes
-    up), and beta_k is it or its negation, n_pos places away, whichever is
-    positive."""
+    position p; skipping is allowed exactly when it is positive (taking
+    goes up), and beta_k is it or its negation, n_pos places away,
+    whichever is positive."""
     n_pos = len(rs.positive_roots)
-    p = x.perm[rs.simple_positions[i - 1]]
+    p = x[rs.simple_positions[i - 1]]
     entry = (k, rs.positive_roots[p % n_pos])
     if p < n_pos:
-        return (TAKE, times_simple(x, i), None), (SKIP, x, entry)
-    return ((TAKE, times_simple(x, i), entry),)
+        return (TAKE, y, None), (SKIP, x, entry)
+    return ((TAKE, y, entry),)
 
 
 def build_subexpression(rs, v_word: Sequence[int],
@@ -152,12 +153,14 @@ def build_subexpression(rs, v_word: Sequence[int],
     if len(word) != len(mask):
         raise InvalidInputError("mask length does not match word length")
     v = _check_reduced(rs, word)
-    prefixes = [identity(rs)]
+    prefixes = [_identity_perm(rs)]
     betas = []
     for k, (i, choice) in enumerate(zip(word, mask), start=1):
         if choice not in (TAKE, SKIP):
             raise InvalidInputError(f"unknown mask token {choice!r}")
-        for move, x, entry in _moves(rs, k, prefixes[-1], i):
+        last = prefixes[-1]
+        for move, x, entry in _moves(
+                rs, k, last, i, _compose(rs, last, rs.simple_perms[i - 1])):
             if move == choice:
                 break
         else:
@@ -167,57 +170,72 @@ def build_subexpression(rs, v_word: Sequence[int],
         prefixes.append(x)
         if entry:
             betas.append(entry)
-    return Subexpression(word, mask, tuple(prefixes), tuple(betas),
-                         ad(prefixes[-1], v))
+    chain = tuple(_intern(rs, x) for x in prefixes)
+    return Subexpression(word, mask, chain, tuple(betas), ad(chain[-1], v))
 
 
 def _live_moves(rs, word: tuple[int, ...], u: WeylElement
-                ) -> list[dict[WeylElement, tuple]]:
+                ) -> list[dict[Perm, tuple]]:
     """The live moves of the search for the distinguished masks over one
     reduced word that end at u, found from both ends of the word.
 
-    A state (k, x) is the prefix x after the first k letters.  Entry k maps
-    each live x to its moves, take before skip: (choice, next prefix, entry)
-    with entry the (k+1, beta) of a Jo or J- position, else None.  A move is
-    live when a distinguished completion through it ends at u, so entry n
-    is {u: ()}; the start is live exactly when entry 0 holds the identity.
+    A state (k, x) is the prefix x, a raw permutation, after the first k
+    letters.  Entry k maps each live x to its moves, take before skip:
+    (choice, next prefix, entry) with entry the (k+1, beta) of a Jo or J-
+    position, else None.  A move is live when a distinguished completion
+    through it ends at u, so entry n is {u.perm: ()}; the start is live
+    exactly when entry 0 holds the identity.  Nothing is interned.
 
     Forward layers grow from the identity by ``_moves``.  Backward layers
-    grow from u: the layer at depth k holds, for each y one layer on, y s_i
-    (a take) and, when y s_i > y, y itself (a skip), each kept only if its
-    length is at most k.  That cut drops no live state, since a letter
-    changes the length by one or not at all, so k letters from the identity
-    reach nothing longer.  Each step extends one frontier: the forward one
-    while it is at most half the size of the backward one, since a forward
-    state costs a product and keeps its moves, while a backward product is
-    reused by the walk below.  When the frontiers meet at depth m, the
-    forward layer holds every state reached from the identity and the
-    backward one every state of length at most m that reaches u, so their
-    intersection is exactly the live states at depth m.  The forward layers
-    are pruned back from it to their live moves, and a walk from it by
-    ``_moves`` keeps the moves into the backward layers, so every state it
-    enters is live.
+    grow from u, each state keyed to its length: the layer at depth k
+    holds, for each y one layer on, y s_i (a take) and, when y s_i > y, y
+    itself (a skip), each kept only if its length is at most k.  That cut
+    drops no live state, since a letter changes the length by one or not
+    at all, so k letters from the identity reach nothing longer.  Each
+    step extends one frontier: the forward one while it is at most half
+    the size of the backward one, since a forward state costs a product
+    and keeps its moves, while a backward product is reused by the walk
+    below: the search composes each x s_i once.  When the frontiers meet
+    at depth m, the forward layer holds every state reached from the
+    identity and the backward one every state of length at most m that
+    reaches u, so their intersection is exactly the live states at depth
+    m.  The forward layers are pruned back from it to their live moves,
+    and a walk from it by ``_moves`` keeps the moves into the backward
+    layers, so every state it enters is live.
     """
     n, n_pos = len(word), len(rs.positive_roots)
-    ahead, behind = [{identity(rs): None}], [{u: None}]
+    # Each edge x -- x s_i is composed once: edges[i - 1] maps both ends.
+    edges = [{} for _ in rs.simple_perms]
+
+    def times(x, i):
+        known = edges[i - 1]
+        y = known.get(x)
+        if y is None:
+            y = known[x] = _compose(rs, x, rs.simple_perms[i - 1])
+            known[y] = x
+        return y
+
+    ahead, behind = [{_identity_perm(rs): None}], [{u.perm: u.length}]
     # The frontiers are at depths len(ahead) - 1 and n + 1 - len(behind).
     while len(ahead) + len(behind) <= n + 1:
         if 2 * len(ahead[-1]) <= len(behind[-1]):
             k, layer = len(ahead) - 1, ahead[-1]
             for x in layer:
-                layer[x] = _moves(rs, k + 1, x, word[k])
+                layer[x] = _moves(rs, k + 1, x, word[k], times(x, word[k]))
             ahead.append({y: None for moves in layer.values()
                           for _, y, _ in moves})
         else:
             k = n - len(behind)
             i, here = word[k], {}
             pos = rs.simple_positions[i - 1]
-            for y in behind[-1]:
-                up = y.perm[pos] < n_pos
-                if y.length + (1 if up else -1) <= k:
-                    here[times_simple(y, i)] = None
-                if up and y.length <= k:
-                    here[y] = None
+            for y, length in behind[-1].items():
+                if y[pos] < n_pos:
+                    if length < k:
+                        here[times(y, i)] = length + 1
+                    if length <= k:
+                        here[y] = length
+                elif length <= k + 1:
+                    here[times(y, i)] = length - 1
             behind.append(here)
     layer = live = {x: None for x in ahead.pop() if x in behind[-1]}
     steps = []
@@ -228,82 +246,89 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
         steps.append(live)
     steps.reverse()
     for k, reach in enumerate(reversed(behind[:-1]), len(ahead)):
-        found = {x: tuple(move for move in _moves(rs, k + 1, x, word[k])
+        found = {x: tuple(move for move in _moves(
+                              rs, k + 1, x, word[k], times(x, word[k]))
                           if move[1] in reach) for x in layer}
         steps.append(found)
         layer = {move[1]: None for moves in found.values() for move in moves}
-    steps.append({u: ()})
+    steps.append({u.perm: ()})
     return steps
 
 
-def mask_stream(v_word: Sequence[int], u: WeylElement, piece,
+def mask_halves(v_word: Sequence[int], u: WeylElement, piece,
                 zero: tuple) -> tuple:
-    """(count, values, td) for the distinguished masks over v_word ending
-    at u.  A mask's value adds up, entry by entry, the tuples
-    ``piece(k, move)`` of its moves (k the 1-based position), from ``zero``.
+    """(heads, tails, td) for the distinguished masks over v_word ending at
+    u.  A mask's value adds up, entry by entry, the tuples ``piece(k,
+    move)`` of its moves (k the 1-based position, the prefix in the move
+    raw), from ``zero``.
 
-    Meet in the middle over the live moves of ``_live_moves``: the live
-    prefixes of depth m = n // 2 grow from the identity, the live suffixes
-    of each state at depth m grow back from u, both in mask order, and
-    ``values`` joins each prefix to each suffix of its state as it is read.
-    td is ad(u, v), None when u is not below the word's product.
+    Meet in the middle over the live moves of ``_live_moves``: ``heads``
+    lists (x, value) for the live prefixes of depth m = n // 2, grown from
+    the identity in mask order, x the raw state they end at, and ``tails``
+    maps each such x to the values of its live suffixes, grown back from u
+    in mask order.  The masks, in order, are each head joined to each tail
+    of its state.  td is ad(u, v), None when u is not below the word's
+    product.
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
-    start, moves = identity(rs), _live_moves(rs, tuple(v_word), u)
+    moves = _live_moves(rs, tuple(v_word), u)
     m = (len(moves) - 1) // 2
+    start = _identity_perm(rs)
     heads = [(start, zero)] if start in moves[0] else []
     for k, step in enumerate(moves[:m], 1):
         heads = [(move[1], tuple(map(add, head, piece(k, move))))
                  for x, head in heads for move in step[x]]
-    tails = {u: [zero]}
+    tails = {u.perm: [zero]}
     for k in range(len(moves) - 1, m, -1):
         tails = {x: [tuple(map(add, p, tail)) for move in steps
                      for p in (piece(k, move),) for tail in tails[move[1]]]
                  for x, steps in moves[k - 1].items()}
-    return (sum(len(tails[x]) for x, _ in heads),
-            (map(add, head, tail) for x, head in heads for tail in tails[x]),
-            ad(u, v) if heads else None)
-
-
-def _mask_piece(k: int, move: tuple) -> tuple:
-    choice, y, entry = move
-    return (choice,), (y,), (entry,) if entry else ()
+    return heads, tails, ad(u, v) if heads else None
 
 
 def enumerate_distinguished(v_word: Sequence[int],
                             u: WeylElement) -> list[Subexpression]:
     """All distinguished masks over v_word whose final prefix equals u.
 
-    ``mask_stream`` with the choices, the prefixes after each letter (the
+    ``mask_halves`` with the choices, the prefixes after each letter (the
     identity put in front) and the (k, beta) entries of Jo and J- as
     values; every mask's td is the one ad(u, v).  Lexicographic on masks
     with take before skip; empty when u is not below the word's product.
     """
-    word, start = tuple(v_word), (identity(u.system),)
-    _, masks, td = mask_stream(word, u, _mask_piece, ((), (), ()))
-    return [Subexpression._make((word, mask, start + chain, betas, td))
-            for mask, chain, betas in masks]
+    rs = u.system
+
+    def piece(k: int, move: tuple) -> tuple:
+        choice, y, entry = move
+        return (choice,), (_intern(rs, y),), (entry,) if entry else ()
+
+    word, start = tuple(v_word), (identity(rs),)
+    heads, tails, td = mask_halves(word, u, piece, ((), (), ()))
+    return [Subexpression._make((word, mask + tail[0],
+                                 start + chain + tail[1], betas + tail[2],
+                                 td))
+            for x, (mask, chain, betas) in heads for tail in tails[x]]
 
 
 def positive_distinguished(v_word: Sequence[int],
                            u: WeylElement) -> Subexpression:
     """The unique distinguished mask for u over v_word with empty J-.
 
-    Built right to left: a letter is taken exactly when it shortens the
-    running suffix product.  Exists iff u <= v.
+    Built right to left on raw permutations: a letter is taken exactly
+    when it shortens the running suffix product.  Exists iff u <= v.
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
     word = tuple(v_word)
+    n_pos = len(rs.positive_roots)
     choices = [SKIP] * len(word)
-    x = u
+    x = u.perm
     for k in range(len(word), 0, -1):
         i = word[k - 1]
-        if i in right_descents(x):
+        if x[rs.simple_positions[i - 1]] >= n_pos:
             choices[k - 1] = TAKE
-            x = times_simple(x, i)
-    if not x.is_identity():
+            x = _compose(rs, x, rs.simple_perms[i - 1])
+    if x != _identity_perm(rs):
         raise NotComparableError(
             f"no positive distinguished subexpression: {word_string(u)} is "
             f"not <= {word_string(v)}")
@@ -350,13 +375,13 @@ def deodhar_polynomial(v_word: Sequence[int],
     rs = u.system
     v = _check_reduced(rs, v_word)
     moves = _live_moves(rs, tuple(v_word), u)
-    start = identity(rs)
+    start = _identity_perm(rs)
     if start not in moves[0]:
         warnings.warn(
             f"{word_string(u)} is not <= {word_string(v)}; the mask census "
             f"is the zero polynomial", stacklevel=2)
         return ()
-    polys = {u: (1,)}
+    polys = {u.perm: (1,)}
     for layer in reversed(moves[:-1]):
         ahead, polys = polys, {}
         for x, steps in layer.items():

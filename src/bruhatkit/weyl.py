@@ -13,14 +13,14 @@ negative positions.  Words compose left to right: ``from_word(rs, [1, 2])``
 is s_1 s_2, acting by ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
 A walk that keeps only a word or labels (``from_word``, ``reduced_word``,
-``bruhat.descent_labels``) steps through raw permutations and interns only
-the element it returns.  Elements are interned per root system, so equality
-is identity, and lengths, inverses, descents, reduced words and the
-products w s_i (``times_simple``, for the Deodhar search) are computed once
-per element.  The hash is that of the permutation as a tuple of ints, the
-same in every run (a hash of bytes is salted per process), so set and dict
-order never depends on memory addresses or the hash seed.  Everything here
-is pure: a memo slot is only ever written with its one correct value.
+``bruhat.descent_labels``, the Deodhar mask search) steps through raw
+permutations and interns only the elements it returns.  Elements are
+interned per root system, so equality is identity, and lengths, inverses,
+descents and reduced words are computed once per element.  The hash is
+that of the permutation as a tuple of ints, the same in every run (a hash
+of bytes is salted per process), so set and dict order never depends on
+memory addresses or the hash seed.  Everything here is pure: a memo slot
+is only ever written with its one correct value.
 """
 
 from __future__ import annotations
@@ -46,13 +46,11 @@ class WeylElement:
     """A Weyl group element; obtain instances via from_word / identity.
 
     Besides its permutation, an element memoizes its length, inverse,
-    right descents, least reduced word and, in ``_right``, the products
-    w s_i (a list of ``rank`` entries, allocated on first use by
-    ``times_simple``).
+    right descents and least reduced word.
     """
 
     __slots__ = ("system", "perm", "_length", "_inverse", "_descents",
-                 "_word", "_right", "_hash")
+                 "_word", "_hash")
 
     def __init__(self, system: RootSystem, perm: Perm):
         self.system = system
@@ -61,7 +59,6 @@ class WeylElement:
         self._inverse: WeylElement | None = None
         self._descents: SimpleSubset | None = None
         self._word: tuple[int, ...] | None = None
-        self._right: list[WeylElement | None] | None = None
         self._hash = hash(tuple(perm))
 
     @property
@@ -111,8 +108,12 @@ def _intern(rs: RootSystem, perm: Perm) -> WeylElement:
     return el
 
 
+def _identity_perm(rs: RootSystem) -> Perm:
+    return rs.perm_type(range(len(rs.signed_roots)))
+
+
 def identity(rs: RootSystem) -> WeylElement:
-    return _intern(rs, rs.perm_type(range(len(rs.signed_roots))))
+    return _intern(rs, _identity_perm(rs))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -164,8 +165,7 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     word = list(word)
     for i in word:
         rs._check_index(i)
-    return _intern(rs, _simple_times(
-        rs, word, rs.perm_type(range(len(rs.signed_roots)))))
+    return _intern(rs, _simple_times(rs, word, _identity_perm(rs)))
 
 
 def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
@@ -197,36 +197,6 @@ def _same_system(u: WeylElement, v: WeylElement) -> RootSystem:
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
     rs = _same_system(u, v)
     return _intern(rs, _compose(rs, u.perm, v.perm))
-
-
-def times_simple(w: WeylElement, i: int) -> WeylElement:
-    """w s_i, made by ``multiply`` once per element and index; the Deodhar
-    search steps by it.
-
-    The product is kept on w, and w on w s_i, since (w s_i) s_i = w; a
-    repeated product costs one list lookup.
-
-    >>> from bruhatkit.rootsys import root_system
-    >>> rs = root_system("A", 2)
-    >>> times_simple(from_word(rs, [1, 2]), 2) is from_word(rs, [1])
-    True
-    """
-    right = w._right
-    if right is None:
-        right = w._right = [None] * w.system.rank
-    try:
-        x = right[i - 1] if 0 < i <= len(right) else None
-    except TypeError:  # i is not an int
-        x = None
-    if x is None:
-        # simple_reflection refuses an index out of range or not an int.
-        x = multiply(w, simple_reflection(w.system, i))
-        right[i - 1] = x
-        back = x._right
-        if back is None:
-            back = x._right = [None] * w.system.rank
-        back[i - 1] = w
-    return x
 
 
 def inverse(w: WeylElement) -> WeylElement:

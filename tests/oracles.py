@@ -273,11 +273,18 @@ def lower_covers(w):
             if x.length == w.length - 1]
 
 
+def times_simple(w, i):
+    """w s_i by ``multiply``.  Elements are interned, so a product made
+    twice is the same object."""
+    from bruhatkit.weyl import multiply, simple_reflection
+    return multiply(w, simple_reflection(w.system, i))
+
+
 def element_descent_labels(u, v):
     """The right-descent walk of ``bruhat.descent_labels`` on interned
     elements: each step is ``times_simple`` and the descents are the
     element's ``right_descents``; None when it ends with u != v."""
-    from bruhatkit.weyl import right_descents, times_simple
+    from bruhatkit.weyl import right_descents
     rs, labels = u.system, []
     while u.length < v.length:
         i = min(right_descents(v))
@@ -402,36 +409,51 @@ def brute_force_distinguished(rs, v_word, target):
     return masks
 
 
+def element_moves(rs, k, x, i):
+    """The distinguished moves of ``deodhar._moves`` on interned elements,
+    read off lengths: take (to x s_i) always, skip only when x s_i > x; a
+    skip carries beta_k = x(alpha_i) and a take that goes down
+    -x(alpha_i)."""
+    from bruhatkit.rootsys import negate
+    from bruhatkit.weyl import apply_to_root
+    y = times_simple(x, i)
+    beta = apply_to_root(x, rs.simple_root(i))
+    if y.length > x.length:
+        return ("take", y, None), ("skip", x, (k, beta))
+    return (("take", y, (k, negate(beta))),)
+
+
 def two_pass_live_moves(rs, word, u):
     """The per-layer live moves of ``deodhar._live_moves`` by two whole
-    passes over the word.  The backward pass collects, for each k, the
+    passes over the word on interned elements, each state and next prefix
+    given as its permutation.  The backward pass collects, for each k, the
     prefixes of length at most k from which a distinguished completion
     reaches u (y s_i by a take, y itself by a skip when y s_i > y); the
     forward pass goes layer by layer from the identity and keeps only the
-    moves of ``deodhar._moves`` into those sets."""
-    from bruhatkit.deodhar import _moves
-    from bruhatkit.weyl import identity, times_simple
-    n, n_pos = len(word), len(rs.positive_roots)
+    moves of ``element_moves`` into those sets."""
+    from bruhatkit.weyl import identity
+    n = len(word)
     reach = [{u}]
     for k in range(n - 1, -1, -1):
         i, here = word[k], set()
-        pos = rs.simple_positions[i - 1]
         for y in reach[-1]:
-            up = y.perm[pos] < n_pos
-            if y.length + (1 if up else -1) <= k:
-                here.add(times_simple(y, i))
-            if up and y.length <= k:
+            ys = times_simple(y, i)
+            if ys.length <= k:
+                here.add(ys)
+            if ys.length > y.length and y.length <= k:
                 here.add(y)
         reach.append(here)
     reach.reverse()
     steps, layer = [], reach[0] & {identity(rs)}
     for k, i in enumerate(word):
-        found = {x: tuple(move for move in _moves(rs, k + 1, x, i)
+        found = {x: tuple(move for move in element_moves(rs, k + 1, x, i)
                           if move[1] in reach[k + 1]) for x in layer}
         steps.append(found)
         layer = {move[1] for moves in found.values() for move in moves}
     steps.append({u: ()})
-    return steps
+    return [{x.perm: tuple((choice, y.perm, entry)
+                           for choice, y, entry in moves)
+             for x, moves in step.items()} for step in steps]
 
 
 def interval_all_roots(u, v):

@@ -161,3 +161,47 @@ def test_slow_commands_are_valid_argv_over_w0():
         assert len(letters) == len(rs.positive_roots)
         assert from_word(rs, letters) is longest_element(
             rs, range(1, rs.rank + 1))
+
+
+def _fake_copy(root, ops):
+    # A copy whose bruhatkit.cli.main calls a helper once per op and reads
+    # a generator, and whose workload "w" has the given argv as its ops.
+    (root / "src" / "bruhatkit").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "src" / "bruhatkit" / "__init__.py").write_text("")
+    (root / "src" / "bruhatkit" / "cli.py").write_text(
+        "import sys\n"
+        "def helper(n):\n"
+        "    yield from range(n)\n"
+        "def main(argv):\n"
+        "    print('output', argv)\n"
+        "    return sum(helper(len(argv))) and int(argv[0])\n")
+    (root / "perfbench" / "workloads.py").write_text(
+        "class Op:\n"
+        "    def __init__(self, argv):\n"
+        "        self.argv = argv\n"
+        "class Workload:\n"
+        "    def make_ops(self, seed):\n"
+        f"        return [Op(argv) for argv in {ops!r}] * seed\n"
+        "WORKLOADS = {'w': Workload()}\n")
+
+
+def test_calls_count_each_bruhatkit_function_per_pass(tmp_path):
+    # Two ops per seed, seed 2: main is called four times; a generator
+    # counts once per resume, three per op here (two items, then the end).
+    _fake_copy(tmp_path, [("0", "x"), ("0", "y")])
+    calls = ab.count_calls(tmp_path, "w", 2)
+    assert calls == {"bruhatkit.cli.main": 4, "bruhatkit.cli.helper": 12}
+    merged = ab.merge_calls({"parent": calls,
+                             "change": {"bruhatkit.cli.main": 4,
+                                        "bruhatkit.cli.other": 1}})
+    assert merged == {
+        "bruhatkit.cli.helper": {"parent": 12, "change": 0},
+        "bruhatkit.cli.main": {"parent": 4, "change": 4},
+        "bruhatkit.cli.other": {"parent": 0, "change": 1}}
+
+
+def test_calls_stop_on_a_failed_op(tmp_path):
+    _fake_copy(tmp_path, [("0", "x"), ("3", "y")])
+    with pytest.raises(SystemExit, match=r"exit codes \[0, 3\]"):
+        ab.count_calls(tmp_path, "w", 1)

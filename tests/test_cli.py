@@ -811,6 +811,20 @@ def test_deodhar_output_digest(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_deodhar_table_interns_only_u_and_v():
+    # On a fresh D5, the rows of the w0 word for u = id, read to the end in
+    # every format, intern u and the word's product v and nothing else: the
+    # search, the halves and the rows hold raw permutations.  A search on
+    # interned elements interned 356 more.
+    word = _w0_word(root_system("D", 5))
+    rs = build_root_system("D", 5)
+    u = identity(rs)
+    for fmt in ("json", "text", "csv"):
+        count, rows = cli._deodhar_table(word, u, fmt)
+        assert count == sum(1 for _ in rows) == 1613
+    assert len(rs.element_cache) <= 2
+
+
 class _Discarding(io.TextIOBase):
     """A text stream that keeps its first line and counts the others."""
 

@@ -20,10 +20,10 @@ from bruhatkit.cli import parse_element
 from bruhatkit.deodhar import (SKIP, TAKE, DeodharComponentShape,
                                Subexpression, _live_moves,
                                build_subexpression)
-from bruhatkit.weyl import (longest_element, right_descents,
-                            simple_reflection, times_simple)
+from bruhatkit.weyl import longest_element, right_descents, simple_reflection
 from oracles import (all_reduced_words, brute_force_distinguished,
-                     r_polynomial, td_span, two_pass_live_moves)
+                     r_polynomial, td_span, times_simple,
+                     two_pass_live_moves)
 from sweeps import comparable_pairs
 
 
@@ -237,24 +237,22 @@ def test_polynomial_matches_r_polynomial_d4_top(d4, d4_group):
 
 
 def _count_mask_search(monkeypatch, u_word):
-    # Over the least reduced word of w0 in D5, count the multiplies the mask
-    # search makes.  Every multiply counts, those made through
-    # weyl.times_simple and ad's Bruhat check included.  The system is
-    # private and the comparison cache is emptied, so no product or
-    # comparison an earlier test made lowers the count.
+    # Over the least reduced word of w0 in D5, count the raw steps x s_i
+    # the mask search makes: every weyl._compose that deodhar calls, in
+    # the forward layers, the backward takes and the walk from where they
+    # meet.  The system is private, so nothing an earlier test made is
+    # reused.
     rs = build_root_system("D", 5)
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = from_word(rs, u_word)
     calls = [0]
-    real = bruhatkit.weyl.multiply
+    real = bruhatkit.deodhar._compose
 
-    def counting(a, b):
+    def counting(*args):
         calls[0] += 1
-        return real(a, b)
+        return real(*args)
 
-    for module in (bruhatkit.weyl, bruhatkit.bruhat):
-        monkeypatch.setattr(module, "multiply", counting)
-    bruhat_le.cache_clear()
+    monkeypatch.setattr(bruhatkit.deodhar, "_compose", counting)
     return len(enumerate_distinguished(word, u)), calls[0]
 
 
@@ -264,7 +262,7 @@ def _count_mask_search(monkeypatch, u_word):
 ])
 def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
     # The search visits few states that yield no mask; a search pruned only
-    # on length distance makes about 50,000 multiplies for u = id and 6,000
+    # on length distance makes about 50,000 products for u = id and 6,000
     # for this u.
     found, calls = _count_mask_search(monkeypatch, u_word)
     assert found == masks
@@ -279,9 +277,10 @@ def test_mask_search_visits_no_dead_state(monkeypatch, u_word, masks, limit):
     # The limits are the counts of a search that grows layers from the
     # identity and from u until they meet, one product per forward state
     # and per backward take, and then enters only live states, whose
-    # products the backward layers already made.  Two whole passes over
-    # the word made 1,036 multiplies for u = id, and a search pruned only
-    # on length distance makes 2,176 for the second u.
+    # products the backward layers already made; this one makes 478 and
+    # 32.  Two whole passes over the word made 1,036 products for u = id,
+    # and a search pruned only on length distance makes 2,176 for the
+    # second u.
     found, calls = _count_mask_search(monkeypatch, u_word)
     assert found == masks
     assert calls <= limit
@@ -314,29 +313,31 @@ def test_live_moves_match_two_passes(family, rank):
         for u in group:
             got = _live_moves(rs, word, u)
             assert got == two_pass_live_moves(rs, word, u)
-            dead += identity(rs) not in got[0]
+            dead += identity(rs).perm not in got[0]
     # u is below v for every u over the w0 words, not for every u over the
     # v word, and only for u = id over the empty word.
     assert dead > len(group) - 1
 
 
-@pytest.mark.parametrize("family, rank, interned, digest", [
-    ("E", 6, 6_112,
+@pytest.mark.parametrize("family, rank, digest", [
+    ("E", 6,
      "b496a7f1ebaa001499154c77007aaba735ea505354fd34bc0c5f8ef931e2f3be"),
-    ("A", 8, 10_529,
+    ("A", 8,
      "aa470b3d0b2c692e06b4c4d425189f88e8b34283c84886e799faa2168a65dea1"),
 ], ids=["E6", "A8"])
-def test_census_interns_only_what_the_search_meets(family, rank, interned,
-                                                   digest):
-    # On a fresh system, building the w0 word and the census over it for
-    # u = id intern together w0, the states of the two frontiers and the
-    # live walk; two whole passes interned 13,939 elements on E6 and 38,648
-    # on A8.  The digest is that of the two-pass census.
+def test_census_interns_only_what_the_search_meets(family, rank, digest):
+    # On a fresh system, the census over the w0 word for u = id interns
+    # nothing beyond what building the word interned: the search meets
+    # only raw permutations.  A search on interned elements interned 6,112
+    # elements on E6 and 10,529 on A8, and two whole passes 13,939 and
+    # 38,648.  The digest is that of the two-pass census.
     rs = build_root_system(family, rank)
     assert not rs.element_cache
     word = reduced_word(longest_element(rs, range(1, rank + 1)))
-    poly = deodhar_polynomial(word, identity(rs))
-    assert len(rs.element_cache) <= interned
+    u = identity(rs)
+    interned = len(rs.element_cache)
+    poly = deodhar_polynomial(word, u)
+    assert len(rs.element_cache) == interned
     assert hashlib.sha256(repr(poly).encode()).hexdigest() == digest
 
 

@@ -21,11 +21,11 @@ from bruhatkit import (bruhat_le, canonical_order, cli,  # noqa: E402
                        identity, inverse, left_descents, multiply,
                        reduced_word, right_descents, root_system)
 from bruhatkit.deodhar import build_subexpression  # noqa: E402
-from bruhatkit.weyl import simple_reflection, times_simple  # noqa: E402
+from bruhatkit.weyl import simple_reflection  # noqa: E402
 from oracles import (WORD_MODEL_CARTAN, perm_bruhat_le,  # noqa: E402
                      perm_from_word, perm_inverse, perm_left_descents,
                      perm_length, perm_mul, perm_right_descents,
-                     subword_reachable, td_span, word_action,
+                     subword_reachable, td_span, times_simple, word_action,
                      word_lengths)
 from sweeps import check_four_way_agreement  # noqa: E402
 

@@ -9,7 +9,10 @@ without the permutation; u <= w must hold (the subword property,
 Björner-Brenti, GTM 231, Thm. 2.2.2); and ad(u, w) must be the rank of the
 labels along one saturated chain.  On A20 and B12 the right-descent walk
 on raw permutations must also record the labels of the walk on interned
-elements, for comparable and random pairs.  The seeds are fixed.
+elements, for comparable and random pairs, and the Deodhar mask search,
+which also steps on raw permutations, must find the live moves of two
+whole passes on interned elements and masks that ``build_subexpression``
+rebuilds.  The seeds are fixed.
 """
 
 import random
@@ -17,10 +20,13 @@ import random
 import pytest
 
 from bruhatkit import (ad, apply_to_root, bruhat_le, build_root_system,
-                       from_word, reduced_word)
+                       enumerate_distinguished, from_word, identity,
+                       reduced_word, right_descents)
 from bruhatkit.bruhat import descent_labels
+from bruhatkit.deodhar import _live_moves, build_subexpression
 from oracles import (ad_via_chain, element_descent_labels, fraction_rank,
-                     word_action, word_length)
+                     times_simple, two_pass_live_moves, word_action,
+                     word_length)
 
 # (family, rank, words, chain checks).  A chain step tries the reflections
 # in root order until one gives a cover <= w, so the tuple systems, with far
@@ -68,3 +74,30 @@ def test_descent_walk_matches_element_walk_on_tuples(family, rank):
         assert descent_labels(u, v) == expected
         comparable += expected is not None
     assert 20 <= comparable < 40
+
+
+@pytest.mark.parametrize("family,rank", [("A", 20), ("B", 12)])
+def test_mask_search_matches_two_passes_on_tuples(family, rank):
+    # A seeded 12-letter reduced word v over the last five simple indices,
+    # which braid, so u = id has many masks; for u the identity, two
+    # subwords of it (so u <= v) and a random word over those indices.
+    rs = build_root_system(family, rank)
+    assert rs.perm_type is tuple
+    rng = random.Random(f"masks/{family}{rank}")
+    v, word = identity(rs), []
+    while len(word) < 12:
+        i = rng.randint(rank - 4, rank)
+        if i not in right_descents(v):
+            v, word = times_simple(v, i), word + [i]
+    us = [identity(rs)] + [
+        from_word(rs, [i for i in word if rng.random() < 0.5])
+        for _ in range(2)] + [
+        from_word(rs, [rng.randint(rank - 4, rank) for _ in range(6)])]
+    masks = 0
+    for u in us:
+        assert _live_moves(rs, tuple(word), u) == two_pass_live_moves(
+            rs, word, u)
+        for se in enumerate_distinguished(word, u):
+            assert se == build_subexpression(rs, word, se.choices)
+            masks += 1
+    assert masks > 10 * len(us)

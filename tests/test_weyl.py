@@ -21,12 +21,12 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        weyl_group_order, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
 from bruhatkit.weyl import (_layers, _reflections, reflection,
-                            simple_reflection, times_simple)
+                            simple_reflection)
 from oracles import (all_reduced_words, coroot_pairing, perm_bruhat_le,
                      perm_from_word, perm_least_reduced_word,
                      perm_left_descents, perm_length,
                      perm_mul, perm_reduced_words, perm_right_descents,
-                     perm_right_inversion_roots, perm_support)
+                     perm_right_inversion_roots, perm_support, times_simple)
 
 
 def words_up_to(rank, max_len):
@@ -49,8 +49,9 @@ def test_from_word_basics(a2):
 @pytest.mark.parametrize("letter", [True, False, 1.0, "1"])
 def test_from_word_checks_every_letter_cold_and_warm(letter):
     # A letter that is not an int is refused on a fresh system, where the
-    # refusal interns nothing, and again once s_1 and its w s_i memos are
-    # made; a bool is an int subclass, and the memo once answered True.
+    # refusal interns nothing, and again once s_1 and some products w s_i
+    # are interned; a bool is an int subclass, and a memo of w s_i once
+    # answered True.
     rs = build_root_system("A", 2)
     message = re.escape(f"simple index must be an int, got {letter!r}")
     for word in ([letter], [1, 2, letter]):
