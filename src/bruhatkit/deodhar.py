@@ -229,13 +229,11 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
             i, here = word[k], {}
             pos = rs.simple_positions[i - 1]
             for y, length in behind[-1].items():
-                if y[pos] < n_pos:
-                    if length < k:
-                        here[times(y, i)] = length + 1
-                    if length <= k:
-                        here[y] = length
-                elif length <= k + 1:
-                    here[times(y, i)] = length - 1
+                step = 1 if y[pos] < n_pos else -1
+                if length + step <= k:
+                    here[times(y, i)] = length + step
+                if step > 0 and length <= k:
+                    here[y] = length
             behind.append(here)
     layer = live = {x: None for x in ahead.pop() if x in behind[-1]}
     steps = []

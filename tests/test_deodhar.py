@@ -7,9 +7,7 @@ from math import comb
 
 import pytest
 
-import bruhatkit.bruhat
 import bruhatkit.deodhar
-import bruhatkit.weyl
 from bruhatkit import (InvalidInputError, NotComparableError, bruhat_le,
                        build_root_system, canonical_order,
                        component_shape, deodhar_polynomial,
