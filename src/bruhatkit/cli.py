@@ -363,23 +363,19 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
                            map(add, head, tail),))
     # A %s for each joined field, a %%s for the marker (empty in JSON) and
     # one for the end.
-    if fmt == "json":
-        row = ('{"mask": "%s%%s", "evaluation": "' + ev + '", "j_plus": '
-               '[%s], "j_circ": [%s], "j_minus": [%s], "betas": [%s], %%s')
-        no_betas = ""
+    row = ('{"mask": "%s%%s", "evaluation": "' + ev + '", "j_plus": [%s], '
+           '"j_circ": [%s], "j_minus": [%s], "betas": [%s], %%s'
+           if fmt == "json" else
+           "mask (%s)%%s\n  J+={%s} Jo={%s} J-={%s}\n  betas: %s\n%%s")
+    no_betas = "" if fmt == "json" else "-"
 
-        @lru_cache(maxsize=None)
-        def end(nc, nm):
+    @lru_cache(maxsize=None)
+    def end(nc, nm):
+        if fmt == "json":
             return "", ('"shape": [%d, %d], "td": %d, "positive": %s}\n'
                         % (nc, nm, td, "false" if nm else "true"))
-    else:
-        row = "mask (%s)%%s\n  J+={%s} Jo={%s} J-={%s}\n  betas: %s\n%%s"
-        no_betas = "-"
-
-        @lru_cache(maxsize=None)
-        def end(nc, nm):
-            return ("" if nm else " (positive)",
-                    "  shape: (%d,%d)  td: %d\n" % (nc, nm, td))
+        return ("" if nm else " (positive)",
+                "  shape: (%d,%d)  td: %d\n" % (nc, nm, td))
 
     m = len(word) // 2  # the length of a head, each position J+, Jo or J-
 

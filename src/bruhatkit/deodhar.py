@@ -270,9 +270,8 @@ def mask_halves(v_word: Sequence[int], u: WeylElement, piece,
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
-    moves = _live_moves(rs, tuple(v_word), u)
+    start, moves = _identity_perm(rs), _live_moves(rs, tuple(v_word), u)
     m = (len(moves) - 1) // 2
-    start = _identity_perm(rs)
     heads = [(start, zero)] if start in moves[0] else []
     for k, step in enumerate(moves[:m], 1):
         heads = [(move[1], tuple(map(add, head, piece(k, move))))
@@ -318,12 +317,11 @@ def positive_distinguished(v_word: Sequence[int],
     rs = u.system
     v = _check_reduced(rs, v_word)
     word = tuple(v_word)
-    n_pos = len(rs.positive_roots)
     choices = [SKIP] * len(word)
     x = u.perm
     for k in range(len(word), 0, -1):
         i = word[k - 1]
-        if x[rs.simple_positions[i - 1]] >= n_pos:
+        if x[rs.simple_positions[i - 1]] >= len(rs.positive_roots):
             choices[k - 1] = TAKE
             x = _compose(rs, x, rs.simple_perms[i - 1])
     if x != _identity_perm(rs):
