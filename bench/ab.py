@@ -38,7 +38,9 @@ the seed's ops through that copy's ``bruhatkit.cli.main`` under
 ``sys.setprofile`` (CALLS_SCRIPT), and keeps under the workload's ``calls``
 how many times each bruhatkit function was entered on each side: a
 function's code counts once per call, and a generator's once per resume.
-The counts show where a change of time comes from.
+With ``--slow`` too, it does the same for each SLOW command, run once per
+side, under ``slow[name]["calls"]``.  The counts show where a change of
+time comes from.
 """
 
 from __future__ import annotations
@@ -77,12 +79,11 @@ SLOW = {
         "scan", "--type", "E", "--rank", "6", "--target", "levi_table"],
 }
 SLOW_PAIRS = 3
-#: Run in a copy by ``count_calls``, with the workload's name and seed as
-#: arguments: prints the exit codes of its ops and the calls of each
-#: bruhatkit function, by module and qualified name.
+#: Run in a copy by ``count_calls``, with a workload's name and seed, or
+#: "--" and one CLI argv, as arguments: prints the exit codes of its ops and
+#: the calls of each bruhatkit function, by module and qualified name.
 CALLS_SCRIPT = """
 import contextlib, json, os, sys
-import workloads
 from bruhatkit import cli
 calls = {}
 
@@ -96,12 +97,17 @@ def profile(frame, event, arg):
             calls[name] = calls.get(name, 0) + 1
 
 
-ops = workloads.WORKLOADS[sys.argv[1]].make_ops(int(sys.argv[2]))
+if sys.argv[1] == "--":
+    argvs = [sys.argv[2:]]
+else:
+    import workloads
+    argvs = [list(op.argv) for op in
+             workloads.WORKLOADS[sys.argv[1]].make_ops(int(sys.argv[2]))]
 with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \\
         contextlib.redirect_stderr(sink):
     sys.setprofile(profile)
     try:
-        codes = [cli.main(list(op.argv)) for op in ops]
+        codes = [cli.main(argv) for argv in argvs]
     finally:
         sys.setprofile(None)
 print(json.dumps({"codes": codes, "calls": calls}))
@@ -209,20 +215,29 @@ def run_once(copy: Path, workload: str, seed: int) -> dict:
     return values
 
 
-def count_calls(copy: Path, workload: str, seed: int) -> dict[str, int]:
-    """The calls of each bruhatkit function in one untimed pass of a
-    workload's ops in a copy (CALLS_SCRIPT), by name.  An op that fails
-    stops the script."""
+def count_calls(copy: Path, *args: str | int) -> dict[str, int]:
+    """The calls of each bruhatkit function in one untimed pass in a copy
+    (CALLS_SCRIPT), by name: of a workload's ops for args (workload, seed),
+    of one command for ("--", *argv).  An op that fails stops the
+    script."""
+    words = [str(arg) for arg in args]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=(
         f"{copy / 'src'}{os.pathsep}{copy / 'perfbench'}"))
     proc = subprocess.run(
-        [sys.executable, "-c", CALLS_SCRIPT, workload, str(seed)], cwd=copy,
-        env=env, capture_output=True, text=True, check=True)
+        [sys.executable, "-c", CALLS_SCRIPT, *words], cwd=copy, env=env,
+        capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     if any(result["codes"]):
-        raise SystemExit(f"{copy.name} {workload} seed {seed}: exit codes "
+        raise SystemExit(f"{copy.name} {' '.join(words)}: exit codes "
                          f"{result['codes']} under --calls")
     return result["calls"]
+
+
+def slow_calls(copies: dict[str, Path]) -> dict[str, dict]:
+    """Per SLOW command, ``merge_calls`` of its calls on each side."""
+    return {name: merge_calls({side: count_calls(copy, "--", *argv)
+                               for side, copy in copies.items()})
+            for name, argv in SLOW.items()}
 
 
 def merge_calls(sides: dict[str, dict[str, int]]) -> dict[str, dict]:
@@ -319,6 +334,9 @@ def main(argv=None) -> int:
                 name: time_command(copy, argv)
                 for name, argv in SLOW.items()}))
             report["slow"] = summarize_slow(pairs)
+            if args.calls:
+                for name, calls in slow_calls(copies).items():
+                    report["slow"][name]["calls"] = calls
     text = json.dumps(report, indent=1)
     if args.out:
         args.out.write_text(text + "\n")

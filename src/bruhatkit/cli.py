@@ -333,8 +333,9 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
     json.dumps's.  A CSV row joins a head of ``mask_halves`` to a tail.
     A JSON or text row is one ``%``: a template made per head, its fields
     cut of their leading separator, onto tail fields made per state and
-    head shape (|Jo|, |J-|), which keep theirs where the head's field is
-    not empty; the row's end is made per shape of the whole mask."""
+    head shape (|Jo|, |J-|), which fixes whether the head's mask and J+
+    are empty; a tail field keeps its separator where the head's field is
+    not empty.  The row's end is made per shape of the whole mask."""
     sep, item = {"json": (", ", ', "%s"'), "text": (", ", "; %s"),
                  "csv": (",", ",%s")}[fmt]
     cut, places = len(sep), [sep + str(k) for k in range(len(word) + 1)]
@@ -377,12 +378,10 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
         return ("" if nm else " (positive)",
                 "  shape: (%d,%d)  td: %d\n" % (nc, nm, td))
 
-    m = len(word) // 2  # the length of a head, each position J+, Jo or J-
-
     @lru_cache(maxsize=None)
-    def fields(x, nc, nm):
-        return [(mask if m else mask[1:], marker,
-                 plus if nc + nm < m else plus[cut:],
+    def fields(x, nc, nm, any_mask, any_plus):
+        return [(mask if any_mask else mask[1:], marker,
+                 plus if any_plus else plus[cut:],
                  circ if nc else circ[cut:], minus if nm else minus[cut:],
                  betas if nc + nm else betas[cut:] or no_betas, last)
                 for mask, plus, circ, minus, betas, tc, tm in tails[x]
@@ -393,7 +392,8 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
             template = row % (mask[1:] + "%s", plus[cut:] + "%s",
                               circ[cut:] + "%s", minus[cut:] + "%s",
                               betas[cut:] + "%s")
-            yield from map(template.__mod__, fields(x, nc, nm))
+            yield from map(template.__mod__,
+                           fields(x, nc, nm, mask != "", plus != ""))
 
     return count, rows()
 

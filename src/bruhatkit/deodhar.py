@@ -194,8 +194,8 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     at all, so k letters from the identity reach nothing longer.  Each
     step extends one frontier: the forward one while it is at most half
     the size of the backward one, since a forward state costs a product
-    and keeps its moves, while a backward product is reused by the walk
-    below: the search composes each x s_i once.  When the frontiers meet
+    and a ``_moves`` call and keeps its moves, while a backward one costs
+    at most a product and keeps only its length.  When the frontiers meet
     at depth m, the forward layer holds every state reached from the
     identity and the backward one every state of length at most m that
     reaches u, so their intersection is exactly the live states at depth
@@ -204,34 +204,24 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     layers, so every state it enters is live.
     """
     n, n_pos = len(word), len(rs.positive_roots)
-    # Each edge x -- x s_i is composed once: edges[i - 1] maps both ends.
-    edges = [{} for _ in rs.simple_perms]
-
-    def times(x, i):
-        known = edges[i - 1]
-        y = known.get(x)
-        if y is None:
-            y = known[x] = _compose(rs, x, rs.simple_perms[i - 1])
-            known[y] = x
-        return y
-
     ahead, behind = [{_identity_perm(rs): None}], [{u.perm: u.length}]
     # The frontiers are at depths len(ahead) - 1 and n + 1 - len(behind).
     while len(ahead) + len(behind) <= n + 1:
         if 2 * len(ahead[-1]) <= len(behind[-1]):
             k, layer = len(ahead) - 1, ahead[-1]
+            i, s = word[k], rs.simple_perms[word[k] - 1]
             for x in layer:
-                layer[x] = _moves(rs, k + 1, x, word[k], times(x, word[k]))
+                layer[x] = _moves(rs, k + 1, x, i, _compose(rs, x, s))
             ahead.append({y: None for moves in layer.values()
                           for _, y, _ in moves})
         else:
             k = n - len(behind)
             i, here = word[k], {}
-            pos = rs.simple_positions[i - 1]
+            pos, s = rs.simple_positions[i - 1], rs.simple_perms[i - 1]
             for y, length in behind[-1].items():
                 step = 1 if y[pos] < n_pos else -1
                 if length + step <= k:
-                    here[times(y, i)] = length + step
+                    here[_compose(rs, y, s)] = length + step
                 if step > 0 and length <= k:
                     here[y] = length
             behind.append(here)
@@ -244,8 +234,9 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
         steps.append(live)
     steps.reverse()
     for k, reach in enumerate(reversed(behind[:-1]), len(ahead)):
+        i, s = word[k], rs.simple_perms[word[k] - 1]
         found = {x: tuple(move for move in _moves(
-                              rs, k + 1, x, word[k], times(x, word[k]))
+                              rs, k + 1, x, i, _compose(rs, x, s))
                           if move[1] in reach) for x in layer}
         steps.append(found)
         layer = {move[1]: None for moves in found.values() for move in moves}

@@ -130,8 +130,6 @@ class RootSystem:
             tuple((j, a) for j, a in enumerate(row) if a)
             for row in self.cartan)
         self.positive_roots: tuple[Root, ...] = self._close(n_pos)
-        self.index: dict[Root, int] = {
-            r: k for k, r in enumerate(self.positive_roots)}
         self._build_permutations()
         # Interning cache for Weyl group elements, s_alpha by root index and
         # the set of their permutations, filled by weyl on first use.
@@ -205,7 +203,8 @@ class RootSystem:
         self.position: dict[Root, int] = {
             r: k for k, r in enumerate(self.signed_roots)}
         self.simple_positions: tuple[int, ...] = tuple(
-            self.index[self.simple_root(i)] for i in range(1, self.rank + 1))
+            self.position[self.simple_root(i)]
+            for i in range(1, self.rank + 1))
         flip = [*range(n_pos, n), *range(n_pos)]
         rows = ([self.position[self._reflect_raw(i0, r)]
                  for r in self.positive_roots] for i0 in range(self.rank))
@@ -219,7 +218,8 @@ class RootSystem:
     # -- predicates -------------------------------------------------------
 
     def is_positive_root(self, root: Root) -> bool:
-        return self.is_root(root) and root in self.index
+        return (self.is_root(root)
+                and self.position[root] < len(self.positive_roots))
 
     def is_root(self, root: Root) -> bool:
         try:

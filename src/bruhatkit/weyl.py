@@ -144,7 +144,7 @@ def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
     if not rs.is_positive_root(alpha):
         raise InvalidInputError(
             f"{alpha} is not a positive root of this system")
-    return _reflections(rs)[rs.index[alpha]]
+    return _reflections(rs)[rs.position[alpha]]
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:

@@ -205,3 +205,21 @@ def test_calls_stop_on_a_failed_op(tmp_path):
     _fake_copy(tmp_path, [("0", "x"), ("3", "y")])
     with pytest.raises(SystemExit, match=r"exit codes \[0, 3\]"):
         ab.count_calls(tmp_path, "w", 1)
+
+
+def test_slow_calls_count_each_command_once_per_side(tmp_path, monkeypatch):
+    # One run of each SLOW command's argv per side, merged as for a
+    # workload: main once, and a generator resumed len(argv) + 1 times.
+    copies = {side: tmp_path / side for side in ("parent", "change")}
+    for copy in copies.values():
+        _fake_copy(copy, [])
+    monkeypatch.setattr(ab, "SLOW", {"one": ["0", "x"], "two": ["0"]})
+    assert ab.count_calls(copies["parent"], "--", "0", "x", "y") == {
+        "bruhatkit.cli.main": 1, "bruhatkit.cli.helper": 4}
+    assert ab.slow_calls(copies) == {
+        "one": {"bruhatkit.cli.helper": {"parent": 3, "change": 3},
+                "bruhatkit.cli.main": {"parent": 1, "change": 1}},
+        "two": {"bruhatkit.cli.helper": {"parent": 2, "change": 2},
+                "bruhatkit.cli.main": {"parent": 1, "change": 1}}}
+    with pytest.raises(SystemExit, match=r"-- 3 y: exit codes \[3\]"):
+        ab.count_calls(copies["change"], "--", "3", "y")

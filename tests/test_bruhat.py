@@ -543,7 +543,7 @@ def test_saturated_chain_takes_least_label(family, rank):
         chain = [u]
         while chain[-1] != v:
             chain.append(min(ups[chain[-1]], key=lambda e: (
-                rs.index[e.label], e.upper.sort_key())).upper)
+                rs.position[e.label], e.upper.sort_key())).upper)
         expected.append(chain)
     assert [_chain(u, v) for u, v in pairs] == expected
 

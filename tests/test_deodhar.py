@@ -234,23 +234,23 @@ def test_polynomial_matches_r_polynomial_d4_top(d4, d4_group):
         assert deodhar_polynomial(word, u) == r_polynomial(u, w0)
 
 
-def _count_mask_search(monkeypatch, u_word):
-    # Over the least reduced word of w0 in D5, count the raw steps x s_i
-    # the mask search makes: every weyl._compose that deodhar calls, in
-    # the forward layers, the backward takes and the walk from where they
-    # meet.  The system is private, so nothing an earlier test made is
-    # reused.
+def _count_mask_search(monkeypatch, u_word, name):
+    # Over the least reduced word of w0 in D5, count the calls the mask
+    # search makes to deodhar's ``name``: ``_compose`` for the raw steps
+    # x s_i (the forward layers, the backward takes and the walk from where
+    # they meet), ``_moves`` for the states the search enters.  The system
+    # is private, so nothing an earlier test made is reused.
     rs = build_root_system("D", 5)
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = from_word(rs, u_word)
     calls = [0]
-    real = bruhatkit.deodhar._compose
+    real = getattr(bruhatkit.deodhar, name)
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(bruhatkit.deodhar, "_compose", counting)
+    monkeypatch.setattr(bruhatkit.deodhar, name, counting)
     return len(enumerate_distinguished(word, u)), calls[0]
 
 
@@ -262,24 +262,22 @@ def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
     # The search visits few states that yield no mask; a search pruned only
     # on length distance makes about 50,000 products for u = id and 6,000
     # for this u.
-    found, calls = _count_mask_search(monkeypatch, u_word)
+    found, calls = _count_mask_search(monkeypatch, u_word, "_compose")
     assert found == masks
     assert calls < limit
 
 
 @pytest.mark.parametrize("u_word, masks, limit", [
-    ((), 1613, 498),
-    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 69),
+    ((), 1613, 817),
+    ((3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4), 3, 25),
 ])
 def test_mask_search_visits_no_dead_state(monkeypatch, u_word, masks, limit):
-    # The limits are the counts of a search that grows layers from the
-    # identity and from u until they meet, one product per forward state
-    # and per backward take, and then enters only live states, whose
-    # products the backward layers already made; this one makes 478 and
-    # 32.  Two whole passes over the word made 1,036 products for u = id,
-    # and a search pruned only on length distance makes 2,176 for the
-    # second u.
-    found, calls = _count_mask_search(monkeypatch, u_word)
+    # The limits are the states entered by a search that grows layers from
+    # the identity and from u until they meet, the forward one while it is
+    # at most half the size of the backward one, and then enters only live
+    # states: 745 of the 817 are live for u = id, and all 25 for the second
+    # u.  With frontiers of equal size it enters 31 for the second u.
+    found, calls = _count_mask_search(monkeypatch, u_word, "_moves")
     assert found == masks
     assert calls <= limit
 

@@ -25,7 +25,8 @@ ENUMERABLE = ([("A", r) for r in (1, 2, 3, 4)]
 def test_positive_root_counts(family, rank):
     rs = root_system(family, rank)
     assert len(rs.positive_roots) == positive_root_count(family, rank)
-    assert len(rs.index) == len(rs.positive_roots)
+    assert [rs.position[r] for r in rs.positive_roots] == list(
+        range(len(rs.positive_roots)))
 
 
 def test_classical_count_formulas():

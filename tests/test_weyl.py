@@ -553,13 +553,24 @@ def test_enumeration_and_words_against_oracles(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4)])
-def test_words_in_any_order(family, rank):
-    # Longest first, so each walk goes down a long chain of unknown words.
+def test_words_in_any_order(monkeypatch, family, rank):
+    # Longest first, each element made by from_word, which records no word,
+    # so each walk goes down a chain of unknown words: one step per letter.
     fresh = build_root_system(family, rank)
-    expected = {w.perm: reduced_word(w)
-                for w in enumerate_group(root_system(family, rank))}
-    for w in reversed(enumerate_group(fresh)):
-        assert reduced_word(w) == expected[w.perm]
+    steps = [0]
+    real = bruhatkit.weyl._simple_times
+
+    def counting(rs, word, p):
+        steps[0] += len(word)
+        return real(rs, word, p)
+
+    monkeypatch.setattr(bruhatkit.weyl, "_simple_times", counting)
+    for w in reversed(enumerate_group(root_system(family, rank))):
+        expected = reduced_word(w)
+        x = from_word(fresh, expected)
+        before = steps[0]
+        assert reduced_word(x) == expected
+        assert steps[0] - before == len(expected)
 
 
 def test_reduced_word_of_long_element_needs_no_recursion():
