@@ -214,8 +214,6 @@ def test_slow_calls_count_each_command_once_per_side(tmp_path, monkeypatch):
     for copy in copies.values():
         _fake_copy(copy, [])
     monkeypatch.setattr(ab, "SLOW", {"one": ["0", "x"], "two": ["0"]})
-    assert ab.count_calls(copies["parent"], "--", "0", "x", "y") == {
-        "bruhatkit.cli.main": 1, "bruhatkit.cli.helper": 4}
     assert ab.slow_calls(copies) == {
         "one": {"bruhatkit.cli.helper": {"parent": 3, "change": 3},
                 "bruhatkit.cli.main": {"parent": 1, "change": 1}},
