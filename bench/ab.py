@@ -26,6 +26,9 @@ every regressed workload/metric.
 Under ``summary_line`` it keeps, the same way but without a verdict, the
 SUMMARY_FIELDS of each run's summary line: the uncorrected wall times and
 the yardstick, which tell a drift of the yardstick from a change of work.
+Beside the verdict of ``run_s``, under its ``uncorrected`` key, it keeps
+the same wins, losses and flags computed on the uncorrected ``run_wall_s``;
+they inform and gate nothing, and never reach the ``regressed:`` line.
 
 With ``--slow`` it also times each of the SLOW commands whole process
 (``python -m bruhatkit.cli``, output discarded) in SLOW_PAIRS alternated
@@ -38,6 +41,9 @@ the seed's ops through that copy's ``bruhatkit.cli.main`` under
 ``sys.setprofile`` (CALLS_SCRIPT), and keeps under the workload's ``calls``
 how many times each bruhatkit function was entered on each side: a
 function's code counts once per call, and a generator's once per resume.
+Its ``calls_delta`` keeps each function whose calls differ, change minus
+parent, and their total, and stderr gets one line per workload whose calls
+differ.
 With ``--slow`` too, it does the same for each SLOW command, run once per
 side, under ``slow[name]["calls"]``.  The counts show where a change of
 time comes from.
@@ -161,6 +167,32 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                             and -gap > iqr)
         out[name] = row
     return out
+
+
+def uncorrected(pairs: list[dict]) -> dict:
+    """The wins, losses and flags of ``summarize`` on the uncorrected
+    ``run_wall_s``, to stand beside the ``run_s`` verdict; its spread is
+    under ``summary_line``."""
+    row = summarize(pairs, {"run_wall_s": "lower"})["run_wall_s"]
+    return {key: row[key] for key in ("change_wins", "change_losses",
+                                      "claimable", "regressed")}
+
+
+def calls_delta(calls: dict[str, dict]) -> dict:
+    """Each function of ``merge_calls`` whose calls differ, change minus
+    parent, and their total."""
+    by_name = {name: sides["change"] - sides["parent"]
+               for name, sides in calls.items()
+               if sides["change"] != sides["parent"]}
+    return {"functions": by_name, "total": sum(by_name.values())}
+
+
+def calls_line(workload: str, delta: dict) -> str | None:
+    """The stderr line for a workload whose calls differ, else None."""
+    if not delta["functions"]:
+        return None
+    return (f"calls differ on {workload}: {len(delta['functions'])} "
+            f"functions, {delta['total']:+d} calls in all")
 
 
 def summarize_slow(pairs: list[dict]) -> dict:
@@ -322,13 +354,19 @@ def main(argv=None) -> int:
                 print(f"{name} pair {k}: " + ", ".join(
                     f"{m}={pair['parent'][m]:.4g}->{pair['change'][m]:.4g}"
                     for m in better), file=sys.stderr)
-            report["workloads"][name] = summarize(pairs, better)
-            report["workloads"][name]["summary_line"] = {
+            rows = report["workloads"][name] = summarize(pairs, better)
+            if "run_s" in rows:
+                rows["run_s"]["uncorrected"] = uncorrected(pairs)
+            rows["summary_line"] = {
                 field: spread(pairs, field) for field in SUMMARY_FIELDS}
             if args.calls:
-                report["workloads"][name]["calls"] = merge_calls({
+                rows["calls"] = merge_calls({
                     side: count_calls(copy, name, args.seed)
                     for side, copy in copies.items()})
+                rows["calls_delta"] = calls_delta(rows["calls"])
+                line = calls_line(name, rows["calls_delta"])
+                if line:
+                    print(line, file=sys.stderr)
         if args.slow:
             pairs = list(alternated(copies, SLOW_PAIRS, lambda copy: {
                 name: time_command(copy, argv)

@@ -51,8 +51,9 @@ from typing import Sequence
 
 from . import __version__
 from .complexity import (SCAN_COLUMNS, SCAN_TARGETS, ComplexityReport,
-                         levi_borel_complexity, partial_flag_levi_complexity,
-                         partial_flag_torus_complexity, scan,
+                         _scan_rows, levi_borel_complexity,
+                         partial_flag_levi_complexity,
+                         partial_flag_torus_complexity,
                          torus_complexity_richardson,
                          torus_complexity_schubert)
 from .deodhar import SKIP, mask_halves
@@ -309,19 +310,30 @@ def cmd_complexity(rs: RootSystem, args, out) -> None:
     _emit_report(report, args, out, rs)
 
 
+#: The scan columns of ints.  The other cells are words and subsets, str
+#: that JSON does not escape and CSV quotes only for a subset's commas.
+_INT_COLUMNS = frozenset({"length", "rank", "ad", "value", "count"})
+
+
 def cmd_scan(rs: RootSystem, args, out) -> None:
-    rows = scan(rs, args.target, max_length=args.max_length, cap=_group_cap())
-    if args.format == "json":
+    """A row is one ``%`` of the target's template, the bytes that
+    ``csv.writer`` or ``json.dumps`` write for ``scan``'s row."""
+    fmt = args.format
+    quote = (lru_cache(maxsize=None)(lambda s: f'"{s}"' if "," in s else s)
+             if fmt == "csv" else str)
+    rows = _scan_rows(rs, args.target, args.max_length, _group_cap(), quote)
+    columns = SCAN_COLUMNS[args.target]
+    if fmt == "json":
         out.write(json.dumps({"meta": {**_meta(args), "target": args.target}})
                   + "\n")
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
-        return
-    # Scan cells are str or int, so they go to csv.writer as they are.
-    writer = csv.writer(out, lineterminator="\n",
-                        delimiter="," if args.format == "csv" else "\t")
-    writer.writerow(SCAN_COLUMNS[args.target])
-    writer.writerows(map(dict.values, rows))
+        template = "{%s}\n" % ", ".join(
+            f'"{c}": %s' if c in _INT_COLUMNS else f'"{c}": "%s"'
+            for c in columns)
+    else:
+        sep = "," if fmt == "csv" else "\t"
+        out.write(sep.join(columns) + "\n")
+        template = sep.join(["%s"] * len(columns)) + "\n"
+    out.writelines(map(template.__mod__, rows))
 
 
 def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):

@@ -30,7 +30,7 @@ from .errors import (FormulaUnavailableError, InvalidInputError,
                      NotComparableError, PreconditionError)
 from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, Perm, SimpleSubset, WeylElement,
-                   _check_cap, _compose, _layers, left_descents,
+                   _check_cap, _compose, _interned, _layers, left_descents,
                    left_parabolic_decomposition, longest_element, multiply,
                    right_descents, support, word_string)
 
@@ -228,52 +228,53 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
 # -- batch scans ----------------------------------------------------------
 
 
-def _richardson_rows(elements: tuple[WeylElement, ...]) -> Iterator[dict]:
-    """The pairs u <= v with ad(u, v) = l(v) - l(u), by one uncached
-    ``descent_labels`` walk per pair: its l(v) - l(u) labels must be
-    independent."""
+def _richardson_rows(rs: RootSystem, triples) -> Iterator[tuple]:
+    """The pairs u <= v with ad(u, v) = l(v) - l(u), over the elements of
+    the triples, by one uncached ``descent_labels`` walk per pair: its
+    l(v) - l(u) labels must be independent."""
+    elements = _interned(rs, triples)
     for u in elements:
         u_str = word_string(u)
         for v in elements:
             if u.length <= v.length:
                 labels = descent_labels(u, v)
                 if labels is not None and span_rank(labels) == len(labels):
-                    yield {"u": u_str, "v": word_string(v),
-                           "rank": len(labels), "ad": len(labels)}
+                    yield u_str, word_string(v), len(labels), len(labels)
 
 
-def _levi_rows(rs: RootSystem,
-               elements: tuple[WeylElement, ...]) -> Iterator[dict]:
+def _levi_rows(rs: RootSystem, triples, quote) -> Iterator[tuple]:
     """The levi_table rows.  For I in D_L(w) the left parabolic factor of w
     is w_0(I), an involution, so the coset factor is d = w_0(I) w.  It is no
     longer than w, so it came no later, and ``spelled`` has, by permutation,
-    its word string and l(d) - |supp(d)|.  The pairs (w_0(I), I) are listed
+    its word string and l(d) - |supp(d)|.  The left descents of w are the i
+    whose simple root w^-1 sends negative.  The pairs (w_0(I), I) are listed
     once per left descent set, each w_0(I) built once, so a row is one raw
     product (``_compose``) and one lookup, and makes no element."""
+    n_pos = len(rs.positive_roots)
+    positions = tuple(enumerate(rs.simple_positions, start=1))
     levi_w0: dict[tuple[int, ...], tuple[Perm, str]] = {}
-    by_descents: dict[SimpleSubset, list[tuple[Perm, str]]] = {}
+    by_descents: dict[tuple[int, ...], list[tuple[Perm, str]]] = {}
     spelled: dict[Perm, tuple[str, int]] = {}
-    for w in elements:
-        w_str = ".".join(map(str, w._word)) or "id"
-        spelled[w.perm] = w_str, len(w._word) - len(set(w._word))
-        descents = left_descents(w)
+    for perm, inv, word in triples:
+        w_str = ".".join(map(str, word)) or "id"
+        spelled[perm] = w_str, len(word) - len(set(word))
+        descents = tuple(i for i, k in positions if inv[k] >= n_pos)
         pairs = by_descents.get(descents)
         if pairs is None:
             pairs = by_descents[descents] = []
             for size in range(len(descents) + 1):
-                for sub in combinations(sorted(descents), size):
+                for sub in combinations(descents, size):
                     entry = levi_w0.get(sub)
                     if entry is None:
-                        entry = levi_w0[sub] = (
-                            longest_element(rs, sub).perm, _subset_str(sub))
+                        entry = levi_w0[sub] = (longest_element(rs, sub).perm,
+                                                quote(_subset_str(sub)))
                     pairs.append(entry)
         for w0, sub_str in pairs:
-            d_str, value = spelled[_compose(rs, w0, w.perm)]
-            yield {"w": w_str, "I": sub_str, "coset_factor": d_str,
-                   "value": value}
+            d_str, value = spelled[_compose(rs, w0, perm)]
+            yield w_str, sub_str, d_str, value
 
 
-def _support_histogram(rs: RootSystem, top: int) -> list[dict]:
+def _support_histogram(rs: RootSystem, top: int) -> list[tuple[int, int]]:
     """Rows of l(w) - |supp(w)| over the w with l(w) <= top, in increasing
     order.  The w with support in T form W_T, with Poincare polynomial
     P_T(q) the product over its positive roots a of [ht(a) + 1]_q / [ht(a)]_q,
@@ -295,29 +296,13 @@ def _support_histogram(rs: RootSystem, top: int) -> list[dict]:
             poly = [b - a for a, b in zip(poly + [0], [0] + poly)]
         for k, p in enumerate(poly):
             total[k] += p
-    return [{"value": k - rank, "count": c} for k, c in enumerate(total) if c]
+    return [(k - rank, c) for k, c in enumerate(total) if c]
 
 
-def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
-         cap: int = DEFAULT_GROUP_CAP) -> Iterator[dict]:
-    """Stream scan rows over the Weyl group (the elements of length at most
-    ``max_length``, if given), in a deterministic order.
-
-    Bad targets, a ``max_length`` that is negative or not an int, and a
-    group of more than ``cap`` elements are refused eagerly, before any
-    row, whatever the target.
-    ``complexity_histogram`` builds no element (see ``_support_histogram``).
-    The others build theirs with their words, in canonical order (length,
-    then least reduced word), by ``_layers``: ``toric_schubert`` only its
-    rows, the others the whole group, whose rows are computed for each
-    element only when they are read.  ``toric_richardson`` makes one
-    uncached right-descent walk per pair (``bruhat.descent_labels``), so it
-    leaves the ``bruhat_le`` and ``ad`` memo tables as it found them.
-
-    >>> from bruhatkit.rootsys import root_system
-    >>> list(scan(root_system("A", 2), "complexity_histogram"))
-    [{'value': 0, 'count': 5}, {'value': 1, 'count': 1}]
-    """
+def _scan_rows(rs: RootSystem, target: str, max_length: int | None,
+               cap: int, quote=str) -> Iterator[tuple]:
+    """``scan``'s rows as tuples in ``SCAN_COLUMNS`` order, with its eager
+    refusals; each subset cell (``I``, ``support``) is ``quote``d."""
     if target not in SCAN_TARGETS:
         raise InvalidInputError(
             f"unknown scan target {target!r}; expected one of {SCAN_TARGETS}")
@@ -333,10 +318,34 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     if target == "complexity_histogram":
         return iter(_support_histogram(rs, top))
     toric = target == "toric_schubert"
-    elements = tuple(chain.from_iterable(islice(_layers(rs, toric), top + 1)))
+    triples = chain.from_iterable(islice(_layers(rs, toric), top + 1))
     if toric:
-        return ({"w": word_string(w), "length": w.length,
-                 "support": _subset_str(support(w))} for w in elements)
+        return ((".".join(map(str, word)) or "id", len(word),
+                 quote(_subset_str(word))) for _, _, word in triples)
     if target == "toric_richardson":
-        return _richardson_rows(elements)
-    return _levi_rows(rs, elements)
+        return _richardson_rows(rs, triples)
+    return _levi_rows(rs, triples, quote)
+
+
+def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
+         cap: int = DEFAULT_GROUP_CAP) -> Iterator[dict]:
+    """Stream scan rows over the Weyl group (the elements of length at most
+    ``max_length``, if given), in a deterministic order.
+
+    Bad targets, a ``max_length`` that is negative or not an int, and a
+    group of more than ``cap`` elements are refused eagerly, before any
+    row, whatever the target.
+    ``complexity_histogram`` builds no element (see ``_support_histogram``).
+    The others walk theirs in canonical order (length, then least reduced
+    word) on raw permutations, a layer when its rows are read (``_layers``):
+    ``toric_schubert`` only its rows, the others the whole group.  Only
+    ``toric_richardson`` interns it, and it makes one uncached right-descent
+    walk per pair (``bruhat.descent_labels``), so it leaves the
+    ``bruhat_le`` and ``ad`` memo tables as it found them.
+
+    >>> from bruhatkit.rootsys import root_system
+    >>> list(scan(root_system("A", 2), "complexity_histogram"))
+    [{'value': 0, 'count': 5}, {'value': 1, 'count': 1}]
+    """
+    rows = _scan_rows(rs, target, max_length, cap)
+    return (dict(zip(SCAN_COLUMNS[target], row)) for row in rows)

@@ -13,8 +13,8 @@ negative positions.  Words compose left to right: ``from_word(rs, [1, 2])``
 is s_1 s_2, acting by ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
 A walk that keeps only a word or labels (``from_word``, ``reduced_word``,
-``bruhat.descent_labels``, the Deodhar mask search) steps through raw
-permutations and interns only the elements it returns.  Elements are
+the scans' ``_layers``, ``bruhat.descent_labels``, the Deodhar mask search)
+steps through raw permutations and interns only the elements it returns.  Elements are
 interned per root system, so equality is identity, and lengths, inverses,
 descents and reduced words are computed once per element.  The hash is
 that of the permutation as a tuple of ints, the same in every run (a hash
@@ -26,6 +26,7 @@ is only ever written with its one correct value.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -356,45 +357,48 @@ def _check_cap(rs: RootSystem, cap: int) -> None:
             f"enumeration cap {cap}", rs.order, cap)
 
 
-def _layers(rs: RootSystem,
-            toric: bool = False) -> Iterator[list[WeylElement]]:
+def _layers(rs: RootSystem, toric: bool = False
+            ) -> Iterator[list[tuple[Perm, Perm, tuple[int, ...]]]]:
     """The length layers of W (with ``toric``, of its elements whose reduced
     words repeat no letter) in canonical order, each built only when asked
-    for; callers check the cap first (``_check_cap``).
+    for, as (permutation, inverse, least reduced word) triples that intern
+    nothing; callers check the cap first (``_check_cap``).
 
     The least reduced word of y is (i,) + that of s_i y, with i the least
     left descent of y.  So layer k + 1 is, for i = 1..r and x in layer k in
     order, each y = s_i x whose least left descent is i (and, if toric, i
-    not in x's word), made by one multiply with its length and word.
+    not in x's word), made with y^-1 = x^-1 s_i by two raw products.
     """
     n_pos = len(rs.positive_roots)
-    simple = rs.simple_positions
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+    simple, gens = rs.simple_positions, rs.simple_perms
     # i is the least left descent of s_i x iff x^-1 sends alpha_i and each
-    # s_i(alpha_j), j < i (positions lower[i]), to positive roots.  x^-1
-    # has x's length and is toric when x is, so it interns no new element.
-    lower = [[g.perm[simple[j]] for j in range(i)]
-             for i, g in enumerate(gens)]
-    layer = [identity(rs)]
-    layer[0]._word = ()
-    length = 0
+    # s_i(alpha_j), j < i (positions lower[i]), to positive roots.
+    lower = [[g[simple[j]] for j in range(i)] for i, g in enumerate(gens)]
+    e = _identity_perm(rs)
+    layer, length = [(e, e, ())], 0
     while layer:
-        # Only a wrong product or inverse makes a longer or larger layer.
-        if length > n_pos or len(layer) > len(rs.element_cache):
+        # Only a wrong product makes a longer layer or one larger than W.
+        if length > n_pos or len(layer) > rs.order:
             raise AssertionError(f"layer {length} of {len(layer)} elements")
         yield layer
         length += 1
-        inverses = [inverse(x).perm for x in layer]
         nxt = []
         for i, (k, g, below) in enumerate(zip(simple, gens, lower), start=1):
-            for x, p in zip(layer, inverses):
-                if (p[k] < n_pos and all(p[q] < n_pos for q in below)
-                        and not (toric and i in x._word)):
-                    y = multiply(g, x)
-                    y._length = length
-                    y._word = (i,) + x._word
-                    nxt.append(y)
+            for p, q, word in layer:
+                if (q[k] < n_pos and all(q[j] < n_pos for j in below)
+                        and not (toric and i in word)):
+                    nxt.append((_compose(rs, g, p), _compose(rs, q, g),
+                                (i,) + word))
         layer = nxt
+
+
+def _interned(rs: RootSystem, triples) -> tuple[WeylElement, ...]:
+    """The elements of ``_layers`` triples, with their lengths and words."""
+    elements = []
+    for p, _, word in triples:
+        elements.append(w := _intern(rs, p))
+        w._length, w._word = len(word), word
+    return tuple(elements)
 
 
 def enumerate_group(rs: RootSystem,
@@ -409,7 +413,7 @@ def enumerate_group(rs: RootSystem,
     ['1.2', '1.3', '2.1', '2.3', '3.2']
     """
     _check_cap(rs, cap)
-    return tuple(w for layer in _layers(rs) for w in layer)
+    return _interned(rs, chain.from_iterable(_layers(rs)))
 
 
 def canonical_order(elements: Iterable[WeylElement]) -> list[WeylElement]:

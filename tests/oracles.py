@@ -527,6 +527,28 @@ def rows_by_words(elements, target, max_length=None):
     return rows
 
 
+def scan_tables(rows, columns, meta):
+    """The text, csv and json tables of ``cli scan`` over the dict rows of
+    ``complexity.scan``, by one pass that hands each row to ``csv.writer``
+    (a tab or a comma between cells) and to ``json.dumps``: the writers
+    that the CLI's templates must match byte for byte."""
+    import csv
+    import io
+    import json
+
+    outs = {fmt: io.StringIO() for fmt in ("text", "csv", "json")}
+    writers = [csv.writer(outs[fmt], lineterminator="\n", delimiter=sep)
+               for fmt, sep in (("text", "\t"), ("csv", ","))]
+    for writer in writers:
+        writer.writerow(columns)
+    outs["json"].write(json.dumps({"meta": meta}) + "\n")
+    for row in rows:
+        for writer in writers:
+            writer.writerow(row.values())
+        outs["json"].write(json.dumps(row) + "\n")
+    return {fmt: out.getvalue() for fmt, out in outs.items()}
+
+
 # -- Kazhdan-Lusztig R-polynomials -------------------------------------------
 
 

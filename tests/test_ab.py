@@ -221,3 +221,45 @@ def test_slow_calls_count_each_command_once_per_side(tmp_path, monkeypatch):
                 "bruhatkit.cli.main": {"parent": 1, "change": 1}}}
     with pytest.raises(SystemExit, match=r"-- 3 y: exit codes \[3\]"):
         ab.count_calls(copies["change"], "--", "3", "y")
+
+
+def test_uncorrected_wall_times_get_a_verdict_beside_run_s():
+    # run_s loses every pair beyond the parent's spread while the
+    # uncorrected wall times tie in two pairs and are lower in eight: the
+    # run_s verdict and the regressed line stay those of run_s alone.
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04] * 2
+    pairs = _pairs(parent, [p + 0.1 for p in parent])
+    for k, pair in enumerate(pairs):
+        pair["parent"]["run_wall_s"] = 2.0
+        pair["change"]["run_wall_s"] = 2.0 if k < 2 else 1.5
+    rows = ab.summarize(pairs, BETTER)
+    assert rows["run_s"]["regressed"]
+    wall = ab.uncorrected(pairs)
+    assert wall == {"change_wins": 8, "change_losses": 0,
+                    "claimable": False, "regressed": False}
+    rows["run_s"]["uncorrected"] = wall
+    assert ab.regressions({"w": rows}) == ["w/run_s"]
+    # Nine wins beyond the spread make the wall verdict claimable.
+    pairs[1]["change"]["run_wall_s"] = 1.5
+    assert ab.uncorrected(pairs)["claimable"]
+    slower = [{"parent": p["change"], "change": p["parent"]} for p in pairs]
+    assert ab.uncorrected(slower) == {"change_wins": 0, "change_losses": 9,
+                                      "claimable": False, "regressed": True}
+
+
+def test_calls_delta_keeps_the_functions_whose_calls_differ():
+    calls = {"bruhatkit.cli.main": {"parent": 4, "change": 4},
+             "bruhatkit.weyl._compose": {"parent": 10, "change": 25},
+             "bruhatkit.weyl.multiply": {"parent": 7, "change": 0}}
+    delta = ab.calls_delta(calls)
+    assert delta == {"functions": {"bruhatkit.weyl._compose": 15,
+                                   "bruhatkit.weyl.multiply": -7},
+                     "total": 8}
+    assert ab.calls_line("w", delta) == (
+        "calls differ on w: 2 functions, +8 calls in all")
+    same = ab.calls_delta({"bruhatkit.cli.main": {"parent": 4,
+                                                  "change": 4}})
+    assert same == {"functions": {}, "total": 0}
+    assert ab.calls_line("w", same) is None
+    workloads = {"w": {"calls": calls, "calls_delta": delta}}
+    assert ab.regressions(workloads) == []

@@ -30,6 +30,7 @@ from bruhatkit.errors import (BruhatkitError, FormulaUnavailableError,
                               NotComparableError, PreconditionError)
 from bruhatkit.weyl import longest_element, reduced_word, simple_reflection
 from digests import _cli_digests, _digest_cases, pinned_digests
+from oracles import scan_tables
 
 
 def run(capsys, argv):
@@ -411,8 +412,8 @@ def test_scan_json_lines_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize("family, rank",
                          [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
 def test_scan_rows_hold_their_columns_as_str_or_int(family, rank):
-    # The table writer hands each row's values to csv.writer as they are,
-    # which writes a bool as True/False: so no cell may be one.
+    # The row templates write each cell with %s, which writes a bool as
+    # True/False, and json.dumps as true/false: so no cell may be one.
     rs = root_system(family, rank)
     for target in SCAN_TARGETS:
         for max_length in (None, 2):
@@ -441,6 +442,41 @@ def test_scan_tables_match_per_cell_formatting(capsys, family, rank, target):
                                       "--format", fmt])
         assert code == 0 and not err
         assert out == _per_cell_table(fmt, SCAN_COLUMNS[target], rows)
+
+
+# The systems of the scan byte-identity gate.  toric_richardson walks every
+# pair of the group, so it runs unbounded only on the groups of at most 200
+# elements, and with --max-length 3 on all.
+_TEMPLATE_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+                     ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3),
+                     ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4)]
+
+
+@pytest.mark.parametrize("family, rank", _TEMPLATE_SYSTEMS,
+                         ids=[f"{f}{r}" for f, r in _TEMPLATE_SYSTEMS])
+def test_scan_templates_match_the_writers(capsys, tmp_path, family, rank):
+    # Every target and format, with and without a bound and --out: the
+    # rows written from templates are the bytes of csv.writer and
+    # json.dumps over the library's dict rows.
+    rs = root_system(family, rank)
+    path = tmp_path / "scan.out"
+    for target in SCAN_TARGETS:
+        for max_length in (None, 3):
+            if (target == "toric_richardson" and max_length is None
+                    and rs.order > 200):
+                continue
+            meta = {"type": family, "rank": rank, "seed": 0,
+                    "version": bruhatkit.__version__, "target": target}
+            tables = scan_tables(scan(rs, target, max_length=max_length),
+                                 SCAN_COLUMNS[target], meta)
+            for fmt, table in tables.items():
+                argv = ["scan", "--type", family, "--rank", str(rank),
+                        "--target", target, "--format", fmt]
+                if max_length is not None:
+                    argv += ["--max-length", str(max_length)]
+                assert run(capsys, argv) == (0, table, "")
+                assert run(capsys, argv + ["--out", str(path)]) == (0, "", "")
+                assert path.read_bytes() == table.encode()
 
 
 def test_scan_cap_exit4(capsys):

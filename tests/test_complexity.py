@@ -341,21 +341,32 @@ def test_scan_max_length(a3):
 
 
 def test_scan_max_length_stops_after_its_layer():
-    # E6 has 1 + 6 + 20 elements of length <= 2.  A bounded scan builds
+    # E6 has 1 + 6 + 20 elements of length <= 2.  A bounded scan walks
     # only those, and prints the rows of the whole group filtered by length.
-    # The support targets do not enumerate the group, so their rows are
-    # checked against the word route over the short elements.  The Levi
-    # rows of the short elements come first in the unbounded scan, and the
-    # toric Richardson rows over short u and v are those with [u, v] toric.
+    # The support targets do not intern the walk's elements, so their rows
+    # are checked against the word route over the short elements.  The Levi
+    # rows of the short elements come first in the unbounded scan, and
+    # intern only the w_0(I) of their left descents; the toric Richardson
+    # rows over short u and v are those with [u, v] toric, and its scan
+    # interns the 27 short elements.
     e6 = root_system("E", 6)
     short = tuple(w for w in enumerate_group(e6) if w.length <= 2)
+    levi = build_root_system("E", 6)
+    for w in short:
+        for sub in subsets(6):
+            if sub <= left_descents(w):
+                longest_element(levi, sub)
+    interned = {"complexity_histogram": 0, "toric_schubert": 0,
+                "toric_richardson": 27, "levi_table": len(levi.element_cache)}
+    assert interned["levi_table"] == 17
     for target in SCAN_TARGETS:
         fresh = build_root_system("E", 6)
         rows = list(scan(fresh, target, max_length=2))
-        assert len(fresh.element_cache) <= 27 + fresh.rank
+        assert len(fresh.element_cache) == interned[target]
         if target in ("complexity_histogram", "toric_schubert"):
             assert rows_by_words(short, target) == rows
         elif target == "levi_table":
+            assert set(fresh.element_cache) == set(levi.element_cache)
             whole = scan(e6, target)
             assert list(islice(whole, len(rows))) == rows
             assert next(whole)["w"].count(".") == 2   # length 3
@@ -368,15 +379,16 @@ def test_scan_max_length_stops_after_its_layer():
 
 
 def test_support_scans_build_no_group():
-    # On E6 the histogram builds no element at all, and toric_schubert
-    # builds only its 242 rows, where enumerating the group interns 51,840.
+    # On E6 neither support target interns an element: the histogram walks
+    # no element at all, and toric_schubert walks only its 242 rows, on raw
+    # permutations, where enumerating the group interns 51,840.
     rs = build_root_system("E", 6)
     rows = list(scan(rs, "complexity_histogram"))
     assert sum(row["count"] for row in rows) == 51840
     assert len(rs.element_cache) == 0
     rows = list(scan(rs, "toric_schubert"))
     assert len(rows) == 242
-    assert len(rs.element_cache) <= 242
+    assert len(rs.element_cache) == 0
 
 
 def test_scan_huge_max_length_is_unbounded(a3):
@@ -388,19 +400,22 @@ def test_scan_huge_max_length_is_unbounded(a3):
 
 
 def test_scan_streams(a3, monkeypatch):
-    # the first row is produced from the first element alone
-    seen = []
-    real = complexity.left_descents
+    # The first row is read from layer 0, the identity alone, before the
+    # walk makes the product of layer 1's first element.
+    calls = [0]
+    real = bruhatkit.weyl._compose
 
-    def counting(w):
-        seen.append(w)
-        return real(w)
+    def counting(rs, p, q):
+        calls[0] += 1
+        return real(rs, p, q)
 
-    monkeypatch.setattr(complexity, "left_descents", counting)
+    monkeypatch.setattr(bruhatkit.weyl, "_compose", counting)
     rows = scan(a3, "levi_table")
-    assert seen == []
-    next(rows)
-    assert seen == [identity(a3)]
+    assert next(rows) == {"w": "id", "I": "", "coset_factor": "id",
+                          "value": 0}
+    assert calls[0] == 0
+    assert next(rows)["w"] == "1"
+    assert calls[0] > 0
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 4), ("C", 4),
@@ -437,51 +452,59 @@ def test_levi_table_matches_descent_stripping(family, rank):
 @pytest.mark.parametrize("target", ["complexity_histogram", "toric_schubert",
                                     "levi_table"])
 def test_scan_multiplies_once_per_element(monkeypatch, target):
-    # Enumeration makes each element once, with its reduced word, and a Levi
-    # row makes no product and no element: its coset factor w_0(I) w is one
-    # raw permutation product, looked up among the elements already made.
-    # The only other products build each w_0(I) once, and every element a
-    # Levi scan interns is one of the group's.  The histogram builds no
-    # element and no word; toric_schubert builds its rows and their words
-    # only.  Rebuilding each word from scratch and closing the group under
-    # all generators costs 16 multiplies per element of F4.  A fresh system,
-    # so that no word is known before the scan.
+    # The walk makes each element once, with its reduced word, by two raw
+    # products (``_compose``: y = s_i x and y^-1 = x^-1 s_i), and interns
+    # none of them.  A Levi row makes one raw product and no element: its
+    # coset factor w_0(I) w is looked up among the elements already walked.
+    # The only multiplies build each w_0(I) once, and they intern all a
+    # Levi scan interns.  The histogram walks no element and no word;
+    # toric_schubert walks its rows only.  Rebuilding each word from
+    # scratch and closing the group under all generators costs 16
+    # multiplies per element of F4.  A fresh system, so that no word is
+    # known before the scan.
     rs = build_root_system("F", 4)
     order = 1152
     # longest_element makes one product per letter of w_0(I), and every I
     # is in the left descent set of w_0.
-    f4 = root_system("F", 4)
-    levi_builds = sum(longest_element(f4, sub).length for sub in subsets(4))
-    calls = [0]
-    real = bruhatkit.weyl.multiply
+    levi = build_root_system("F", 4)
+    levi_builds = sum(longest_element(levi, sub).length for sub in subsets(4))
+    calls = {"multiply": 0, "_compose": 0}
 
-    def counting(a, b):
-        calls[0] += 1
-        return real(a, b)
+    def counting(name):
+        real = getattr(bruhatkit.weyl, name)
 
-    for module in (bruhatkit.weyl, complexity):
-        monkeypatch.setattr(module, "multiply", counting)
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    for name in calls:
+        wrapper = counting(name)
+        for module in (bruhatkit.weyl, complexity):
+            monkeypatch.setattr(module, name, wrapper)
     misses = bruhatkit.weyl.reduced_word.cache_info().misses
     rows = list(scan(rs, target))
     words = bruhatkit.weyl.reduced_word.cache_info().misses - misses
+    assert words == 0
     if target == "complexity_histogram":
         assert sum(row["count"] for row in rows) == order
-        assert calls[0] <= order
-        assert words == 0
+        assert calls == {"multiply": 0, "_compose": 0}
+        assert len(rs.element_cache) == 0
     elif target == "toric_schubert":
         assert len(rows) == 34
-        assert calls[0] <= len(rows)
-        assert words == len(rows)
+        assert calls == {"multiply": 0, "_compose": 2 * (len(rows) - 1)}
+        assert len(rs.element_cache) == 0
     else:
         assert len(rows) == 5089
-        assert calls[0] <= order + levi_builds
-        assert len(rs.element_cache) == order
+        assert calls == {"multiply": levi_builds, "_compose": 2 * (
+            order - 1) + levi_builds + len(rows)}
+        assert set(rs.element_cache) == set(levi.element_cache)
     # The words of a freshly enumerated group cost no product at all.
     group = enumerate_group(build_root_system("F", 4))
-    calls[0] = 0
+    calls["multiply"] = 0
     assert [len(bruhatkit.weyl.reduced_word(w)) for w in group] == [
         w.length for w in group]
-    assert calls[0] == 0
+    assert calls["multiply"] == 0
 
 
 @lru_cache(maxsize=None)

@@ -12,21 +12,25 @@ on raw permutations must also record the labels of the walk on interned
 elements, for comparable and random pairs, and the Deodhar mask search,
 which also steps on raw permutations, must find the live moves of two
 whole passes on interned elements and masks that ``build_subexpression``
-rebuilds.  The seeds are fixed.
+rebuilds.  The seeds are fixed.  The scan of largest output, E6
+``levi_table`` (486,397 rows), must write in every format the bytes that
+``csv.writer`` and ``json.dumps`` write over the library's rows.
 """
 
 import random
 
 import pytest
 
-from bruhatkit import (ad, apply_to_root, bruhat_le, build_root_system,
+import bruhatkit
+from bruhatkit import (ad, apply_to_root, bruhat_le, build_root_system, cli,
                        enumerate_distinguished, from_word, identity,
-                       reduced_word, right_descents)
+                       reduced_word, right_descents, scan)
 from bruhatkit.bruhat import descent_labels
+from bruhatkit.complexity import SCAN_COLUMNS
 from bruhatkit.deodhar import _live_moves, build_subexpression
 from oracles import (ad_via_chain, element_descent_labels, fraction_rank,
-                     times_simple, two_pass_live_moves, word_action,
-                     word_length)
+                     scan_tables, times_simple, two_pass_live_moves,
+                     word_action, word_length)
 
 # (family, rank, words, chain checks).  A chain step tries the reflections
 # in root order until one gives a cover <= w, so the tuple systems, with far
@@ -101,3 +105,18 @@ def test_mask_search_matches_two_passes_on_tuples(family, rank):
             assert se == build_subexpression(rs, word, se.choices)
             masks += 1
     assert masks > 10 * len(us)
+
+
+def test_e6_levi_table_matches_the_writers(capsys):
+    # A fresh system for the library's rows, so that the CLI's shared one
+    # walks its group from nothing too.
+    meta = {"type": "E", "rank": 6, "seed": 0,
+            "version": bruhatkit.__version__, "target": "levi_table"}
+    tables = scan_tables(scan(build_root_system("E", 6), "levi_table"),
+                         SCAN_COLUMNS["levi_table"], meta)
+    assert tables["csv"].count("\n") == 486_398
+    for fmt, table in tables.items():
+        assert cli.main(["scan", "--type", "E", "--rank", "6", "--target",
+                         "levi_table", "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert (out == table, err) == (True, "")

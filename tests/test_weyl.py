@@ -614,24 +614,26 @@ def test_reduced_word_walk_is_bounded(monkeypatch):
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("F", 4)])
 def test_layer_walk_is_bounded(monkeypatch, family, rank):
-    # With a wrong inverse the descent test admits repeats, and the layers
-    # grow without end (F4: millions of elements by layer 20).  No correct
-    # layer is longer than N or larger than the interned elements, so the
-    # walk stops at once with an error.
+    # With a wrong product every y^-1 is the identity, so the descent test
+    # admits repeats, and the layers grow without end (F4: millions of
+    # triples by layer 10).  No correct layer is longer than N, and no
+    # correct walk makes more than |W| elements, so the walk stops at once
+    # with an error.
     rs = build_root_system(family, rank)
     calls = [0]
 
-    def wrong(w):
+    def wrong(rs, p, q):
         calls[0] += 1
         if calls[0] > 100_000:
             pytest.fail("the layer walk has no bound")
-        return w
+        return p
 
-    monkeypatch.setattr(bruhatkit.weyl, "inverse", wrong)
+    monkeypatch.setattr(bruhatkit.weyl, "_compose", wrong)
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="layer"):
         list(_layers(rs))
     assert time.perf_counter() - start < 1
+    assert not rs.element_cache
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2), ("D", 4)])
