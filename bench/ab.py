@@ -12,7 +12,9 @@ no ``__pycache__`` in its copy, so no run reads bytecode an earlier run
 wrote.  A run whose result is not ``correct`` stops the script.  Beside
 the two commits it records the line counts of each copy's ``src/**/*.py``
 (``src_lines``) and ``tests/**/*.py`` (``tests_lines``), which tell lines
-deleted from lines moved into the tests.
+deleted from lines moved into the tests, and the same counts of only the
+lines that hold code, not blank, comment or docstring (``src_code_lines``,
+``tests_code_lines``), which tell code removed from comments removed.
 
 For each workload and end-to-end metric it prints, and writes to ``--out``
 when given, the median and quartiles of each side, and in how many pairs
@@ -52,6 +54,8 @@ time comes from.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -61,6 +65,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -228,6 +233,42 @@ def python_lines(copy: Path, top: str) -> int:
                for path in (copy / top).rglob("*.py"))
 
 
+#: Tokens that are not code: comments, line ends, indentation.
+NOT_CODE = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+            tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: bytes) -> int:
+    """The lines of a Python source that hold a token of code: not blank,
+    comment or docstring (the leading string statement of a module, class
+    or function)."""
+    docstrings = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)) and node.body
+                and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+                and isinstance(node.body[0].value.value, str)):
+            doc = node.body[0]
+            docstrings.append(((doc.lineno, doc.col_offset),
+                               (doc.end_lineno, doc.end_col_offset)))
+    lines = set()
+    for token in tokenize.tokenize(io.BytesIO(source).readline):
+        if token.type in NOT_CODE or (
+                token.type == tokenize.STRING
+                and any(start <= token.start and token.end <= end
+                        for start, end in docstrings)):
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
+def python_code_lines(copy: Path, top: str) -> int:
+    """The ``code_lines`` of every ``<top>/**/*.py`` in a copy."""
+    return sum(code_lines(path.read_bytes())
+               for path in (copy / top).rglob("*.py"))
+
+
 def run_once(copy: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in a copy: its metrics by name."""
     for cache in copy.rglob("__pycache__"):
@@ -339,6 +380,11 @@ def main(argv=None) -> int:
                                 for side, copy in copies.items()},
                   "tests_lines": {side: python_lines(copy, "tests")
                                   for side, copy in copies.items()},
+                  "src_code_lines": {side: python_code_lines(copy, "src")
+                                     for side, copy in copies.items()},
+                  "tests_code_lines": {
+                      side: python_code_lines(copy, "tests")
+                      for side, copy in copies.items()},
                   "host": {
                       "nproc": os.cpu_count(),
                       "python": platform.python_version(),

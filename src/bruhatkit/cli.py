@@ -45,7 +45,6 @@ import json
 import os
 import sys
 from functools import lru_cache
-from operator import add
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -319,8 +318,7 @@ def cmd_scan(rs: RootSystem, args, out) -> None:
     """A row is one ``%`` of the target's template, the bytes that
     ``csv.writer`` or ``json.dumps`` write for ``scan``'s row."""
     fmt = args.format
-    quote = (lru_cache(maxsize=None)(lambda s: f'"{s}"' if "," in s else s)
-             if fmt == "csv" else str)
+    quote = (lambda s: f'"{s}"' if "," in s else s) if fmt == "csv" else str
     rows = _scan_rows(rs, args.target, args.max_length, _group_cap(), quote)
     columns = SCAN_COLUMNS[args.target]
     if fmt == "json":
@@ -340,17 +338,19 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
     """(count, rows) for the distinguished masks for u over word, the rows
     made in mask order as they are read.  A move's piece of a row is its
     choice, J+, Jo or J- item and k:beta text (made once per command for
-    each (k, beta)), each after a separator, and its shape counts.  Every
-    string is ASCII with nothing JSON escapes and no "%": a json line is
-    json.dumps's.  A CSV row joins a head of ``mask_halves`` to a tail.
-    A JSON or text row is one ``%``: a template made per head, its fields
-    cut of their leading separator, onto tail fields made per state and
-    head shape (|Jo|, |J-|), which fixes whether the head's mask and J+
-    are empty; a tail field keeps its separator where the head's field is
-    not empty.  The row's end is made per shape of the whole mask."""
+    each (k, beta)), each after a separator, and its shape counts.  A row
+    joins a head of ``mask_halves`` to each tail of its state, field by
+    field, cuts each field's leading separator and is one ``%`` of the
+    template of its shape (|Jo|, |J-|), made on first use.  The shape fixes
+    the rest: the entry counts (n - |Jo| - |J-| in J+, |Jo| + |J-| betas),
+    so which CSV cells are quoted and whether text prints ``-`` for no
+    betas, and the row's shape, td and positive ending.  Every string is
+    ASCII with nothing JSON escapes and no "%" or '"': a json line is
+    json.dumps's and a csv line csv.writer's."""
     sep, item = {"json": (", ", ', "%s"'), "text": (", ", "; %s"),
                  "csv": (",", ",%s")}[fmt]
-    cut, places = len(sep), [sep + str(k) for k in range(len(word) + 1)]
+    n = len(word)
+    cut, places = len(sep), [sep + str(k) for k in range(n + 1)]
     texts: dict[tuple[int, Root], str] = {}
 
     def piece(k, move):
@@ -367,45 +367,37 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
     heads, tails, td = mask_halves(word, u, piece, zero)
     count = sum(len(tails[x]) for x, _ in heads)
     ev = word_string(u)
-    if fmt == "csv":
-        return count, ((mask[1:], ev, plus[cut:], circ[cut:], minus[cut:],
-                        betas[cut:], f"{nc},{nm}", td,
-                        "false" if nm else "true")
-                       for x, head in heads for tail in tails[x]
-                       for mask, plus, circ, minus, betas, nc, nm in (
-                           map(add, head, tail),))
-    # A %s for each joined field, a %%s for the marker (empty in JSON) and
-    # one for the end.
-    row = ('{"mask": "%s%%s", "evaluation": "' + ev + '", "j_plus": [%s], '
-           '"j_circ": [%s], "j_minus": [%s], "betas": [%s], %%s'
-           if fmt == "json" else
-           "mask (%s)%%s\n  J+={%s} Jo={%s} J-={%s}\n  betas: %s\n%%s")
-    no_betas = "" if fmt == "json" else "-"
+    templates = [[None] * (n + 1) for _ in range(n + 1)]
 
-    @lru_cache(maxsize=None)
-    def end(nc, nm):
-        if fmt == "json":
-            return "", ('"shape": [%d, %d], "td": %d, "positive": %s}\n'
-                        % (nc, nm, td, "false" if nm else "true"))
-        return ("" if nm else " (positive)",
-                "  shape: (%d,%d)  td: %d\n" % (nc, nm, td))
-
-    @lru_cache(maxsize=None)
-    def fields(x, nc, nm, any_mask, any_plus):
-        return [(mask if any_mask else mask[1:], marker,
-                 plus if any_plus else plus[cut:],
-                 circ if nc else circ[cut:], minus if nm else minus[cut:],
-                 betas if nc + nm else betas[cut:] or no_betas, last)
-                for mask, plus, circ, minus, betas, tc, tm in tails[x]
-                for marker, last in (end(nc + tc, nm + tm),)]
+    def template(nc, nm):
+        positive = "false" if nm else "true"
+        if fmt == "csv":
+            mask, plus, circ, minus, betas = (
+                '"%s"' if entries >= 2 else "%s"
+                for entries in (n, n - nc - nm, nc, nm, nc + nm))
+            text = (f'{mask},{ev},{plus},{circ},{minus},{betas},'
+                    f'"{nc},{nm}",{td},{positive}\n')
+        elif fmt == "json":
+            text = ('{"mask": "%s", "evaluation": "' + ev + '", "j_plus": '
+                    '[%s], "j_circ": [%s], "j_minus": [%s], "betas": [%s], '
+                    f'"shape": [{nc}, {nm}], "td": {td}, '
+                    f'"positive": {positive}}}\n')
+        else:
+            text = ("mask (%s)" + ("" if nm else " (positive)")
+                    + "\n  J+={%s} Jo={%s} J-={%s}\n  betas: "
+                    + ("%s" if nc + nm else "-%s")
+                    + f"\n  shape: ({nc},{nm})  td: {td}\n")
+        templates[nc][nm] = text
+        return text
 
     def rows():
         for x, (mask, plus, circ, minus, betas, nc, nm) in heads:
-            template = row % (mask[1:] + "%s", plus[cut:] + "%s",
-                              circ[cut:] + "%s", minus[cut:] + "%s",
-                              betas[cut:] + "%s")
-            yield from map(template.__mod__,
-                           fields(x, nc, nm, mask != "", plus != ""))
+            for t_mask, t_plus, t_circ, t_minus, t_betas, tc, tm in tails[x]:
+                yield (templates[nc + tc][nm + tm]
+                       or template(nc + tc, nm + tm)) % (
+                    (mask + t_mask)[1:], (plus + t_plus)[cut:],
+                    (circ + t_circ)[cut:], (minus + t_minus)[cut:],
+                    (betas + t_betas)[cut:])
 
     return count, rows()
 
@@ -417,9 +409,7 @@ def cmd_deodhar(rs: RootSystem, args, out) -> None:
     if args.format == "csv":
         out.write("mask,evaluation,j_plus,j_circ,j_minus,betas,shape,td,"
                   "positive\n")
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        return
-    if args.format == "json":
+    elif args.format == "json":
         out.write(json.dumps({"meta": _meta(args), "v_word": list(word),
                               "u": word_string(u), "count": count}) + "\n")
     else:

@@ -46,19 +46,17 @@ _BYTES = bytes(range(256))
 class WeylElement:
     """A Weyl group element; obtain instances via from_word / identity.
 
-    Besides its permutation, an element memoizes its length, inverse,
-    right descents and least reduced word.
+    Besides its permutation, an element memoizes its length, inverse and
+    least reduced word.
     """
 
-    __slots__ = ("system", "perm", "_length", "_inverse", "_descents",
-                 "_word", "_hash")
+    __slots__ = ("system", "perm", "_length", "_inverse", "_word", "_hash")
 
     def __init__(self, system: RootSystem, perm: Perm):
         self.system = system
         self.perm = perm
         self._length: int | None = None
         self._inverse: WeylElement | None = None
-        self._descents: SimpleSubset | None = None
         self._word: tuple[int, ...] | None = None
         self._hash = hash(tuple(perm))
 
@@ -226,12 +224,9 @@ def apply_to_root(w: WeylElement, root: Root) -> Root:
 
 def right_descents(w: WeylElement) -> SimpleSubset:
     """Simple indices i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
-    if w._descents is None:
-        n_pos = len(w.system.positive_roots)
-        w._descents = frozenset(
-            i for i, k in enumerate(w.system.simple_positions, start=1)
-            if w.perm[k] >= n_pos)
-    return w._descents
+    n_pos = len(w.system.positive_roots)
+    return frozenset(i for i, k in enumerate(w.system.simple_positions, 1)
+                     if w.perm[k] >= n_pos)
 
 
 def left_descents(w: WeylElement) -> SimpleSubset:
@@ -343,7 +338,8 @@ def longest_element(rs: RootSystem, subset: Iterable[int] = ()) -> WeylElement:
     sub = sorted(rs._check_subset(subset))
     w = identity(rs)
     while True:
-        ascent = next((i for i in sub if i not in right_descents(w)), None)
+        descents = right_descents(w)
+        ascent = next((i for i in sub if i not in descents), None)
         if ascent is None:
             return w
         w = multiply(w, simple_reflection(rs, ascent))

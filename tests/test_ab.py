@@ -119,6 +119,34 @@ def test_src_lines_counts_every_python_file_under_src(tmp_path):
     assert ab.python_lines(tmp_path, "tests") == 2
 
 
+def test_code_lines_skip_blank_comment_and_docstring_lines(tmp_path):
+    # Docstrings of the module, a class and a function do not count; a
+    # string statement that is not first in its body, each line of a
+    # statement spread over lines and a line of code with a comment do.
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text(
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        "        '''Function\n"
+        "        docstring.'''\n"
+        "        x = 1  # a comment\n"
+        '        """not a docstring"""\n'
+        "        return (x,\n"
+        "                x)\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text('"""doc"""\n')
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "def test():\n    pass\n\n\n# end\n")
+    assert ab.python_lines(tmp_path, "src") == 15
+    assert ab.python_code_lines(tmp_path, "src") == 6
+    assert ab.python_code_lines(tmp_path, "tests") == 2
+
+
 def test_slow_commands_keep_quartiles_with_no_verdict():
     # Three pairs: a spread per command, and no claim or regression.
     pairs = [{"parent": {"a": p, "b": 2.0}, "change": {"a": c, "b": 2.0}}

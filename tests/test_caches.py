@@ -3,6 +3,7 @@ import pkgutil
 import types
 
 import bruhatkit
+from bruhatkit.weyl import WeylElement
 
 
 def _cached_functions():
@@ -25,6 +26,12 @@ def test_cache_inventory():
     # The registry behind root_system and the CLI parser are bounded.
     assert cached["_shared_system"].cache_parameters()["maxsize"] == 32
     assert cached["_parser"].cache_parameters()["maxsize"] == 1
+
+
+def test_element_slots():
+    # Every per-element memo, so that adding one is a visible change.
+    assert WeylElement.__slots__ == ("system", "perm", "_length", "_inverse",
+                                     "_word", "_hash")
 
 
 def test_public_surface():

@@ -797,7 +797,7 @@ def test_deodhar_rows_match_subexpression_oracle(capsys, family, rank,
             count, rows = cli._deodhar_table(word, u, fmt)
             assert count == len(oracle)
             if fmt == "csv":
-                rows = ([str(cell) for cell in row] for row in rows)
+                rows = csv.reader(rows)
             assert list(rows) == oracle
         checked += len(subexprs)
     assert checked == masks
@@ -827,6 +827,40 @@ def test_deodhar_json_rows_at_the_edges(capsys):
         f'"evaluation": "{w0}", "j_plus": [1, 2, 3, 4, 5, 6, 7, 8, 9], '
         '"j_circ": [], "j_minus": [], "betas": [], "shape": [0, 0], '
         '"td": 0, "positive": true}']
+
+
+def test_deodhar_text_and_csv_rows_at_the_edges(capsys):
+    # The empty word's one mask, a one-letter word's masks and u = w0's one
+    # mask over the w0 word, in text and as the bytes csv.writer writes for
+    # the oracle's cells: cells of one entry or none go bare, a mask or J+
+    # of two or more entries and the shape are quoted.
+    rs = root_system("B", 3)
+    w0 = ".".join(map(str, _w0_word(rs)))
+    cases = [("id", "id"), ("2", "id"), ("2", "2"), (w0, w0)]
+    quoted = set()
+    for fmt in ("text", "csv"):
+        for v_word, u in cases:
+            word, u = parse_word(v_word), parse_element(rs, u)
+            oracle = [_oracle_formatted(se, fmt)
+                      for se in enumerate_distinguished(word, u)]
+            code, out, _ = run(capsys, ["deodhar", "--type", "B", "--rank",
+                                        "3", "--v-word", v_word, "--u",
+                                        word_string(u), "--format", fmt])
+            assert code == 0
+            assert _stdout_rows(out, fmt) == oracle
+            count, rows = cli._deodhar_table(word, u, fmt)
+            rows = list(rows)
+            assert count == len(rows) == len(oracle)
+            if fmt == "csv":
+                lines = io.StringIO()
+                csv.writer(lines, lineterminator="\n").writerows(oracle)
+                assert rows == lines.getvalue().splitlines(keepends=True)
+                assert out.splitlines(keepends=True)[1:] == rows
+                quoted.update(row.count('"') for row in rows)
+            else:
+                assert rows == oracle
+    # Only the shape is quoted, then also the mask and J+ of u = w0.
+    assert quoted == {2, 6}
 
 
 @pytest.mark.parametrize("fmt, digest", [
