@@ -245,10 +245,8 @@ def code_lines(source: bytes) -> int:
     docstrings = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                              ast.AsyncFunctionDef)) and node.body
-                and isinstance(node.body[0], ast.Expr)
-                and isinstance(node.body[0].value, ast.Constant)
-                and isinstance(node.body[0].value.value, str)):
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
             doc = node.body[0]
             docstrings.append(((doc.lineno, doc.col_offset),
                                (doc.end_lineno, doc.end_col_offset)))
