@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, chain, combinations, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .algdim import ad, max_toric_below_top, span_rank
@@ -30,7 +31,7 @@ from .errors import (FormulaUnavailableError, InvalidInputError,
                      NotComparableError, PreconditionError)
 from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, Perm, SimpleSubset, WeylElement,
-                   _check_cap, _compose, _interned, _layers, left_descents,
+                   _check_cap, _interned, _layers, _left_factor, left_descents,
                    left_parabolic_decomposition, longest_element, multiply,
                    right_descents, support, word_string)
 
@@ -246,31 +247,40 @@ def _levi_rows(rs: RootSystem, triples, quote) -> Iterator[tuple]:
     """The levi_table rows.  For I in D_L(w) the left parabolic factor of w
     is w_0(I), an involution, so the coset factor is d = w_0(I) w.  It is no
     longer than w, so it came no later, and ``spelled`` has, by permutation,
-    its word string and l(d) - |supp(d)|.  The left descents of w are the i
-    whose simple root w^-1 sends negative.  The pairs (w_0(I), I) are listed
-    once per left descent set, each w_0(I) built once, so a row is one raw
-    product (``_compose``) and one lookup, and makes no element."""
+    its word string and l(d) - |supp(d)|.  The pairs (table of w_0(I), I)
+    are listed once per left descent set, each w_0(I) built and tabled once
+    (``weyl._left_factor``), so a row is one product by a kept table, one C
+    call on bytes, and one lookup, and makes no element.  The left descents
+    of w are the i whose simple root w^-1 sends negative: ``signs`` marks
+    the negative positions, so one product by its table and one
+    ``itemgetter`` read them as a key, which is spelled out as a list of
+    descents only the first time it is met."""
     n_pos = len(rs.positive_roots)
-    positions = tuple(enumerate(rs.simple_positions, start=1))
+    table, apply = _left_factor(rs)
+    signs = table([k >= n_pos for k in range(2 * n_pos)])
+    descent_bits = itemgetter(*rs.simple_positions)  # an int for rank 1
     levi_w0: dict[tuple[int, ...], tuple[Perm, str]] = {}
-    by_descents: dict[tuple[int, ...], list[tuple[Perm, str]]] = {}
+    by_descents: dict[tuple[int, ...] | int, list[tuple[Perm, str]]] = {}
     spelled: dict[Perm, tuple[str, int]] = {}
     for perm, inv, word in triples:
         w_str = ".".join(map(str, word)) or "id"
         spelled[perm] = w_str, len(word) - len(set(word))
-        descents = tuple(i for i, k in positions if inv[k] >= n_pos)
-        pairs = by_descents.get(descents)
+        key = descent_bits(apply(inv, signs))
+        pairs = by_descents.get(key)
         if pairs is None:
-            pairs = by_descents[descents] = []
+            bits = key if rs.rank > 1 else (key,)
+            descents = [i for i, bit in enumerate(bits, start=1) if bit]
+            pairs = by_descents[key] = []
             for size in range(len(descents) + 1):
                 for sub in combinations(descents, size):
                     entry = levi_w0.get(sub)
                     if entry is None:
-                        entry = levi_w0[sub] = (longest_element(rs, sub).perm,
-                                                quote(_subset_str(sub)))
+                        entry = levi_w0[sub] = (
+                            table(longest_element(rs, sub).perm),
+                            quote(_subset_str(sub)))
                     pairs.append(entry)
         for w0, sub_str in pairs:
-            d_str, value = spelled[_compose(rs, w0, perm)]
+            d_str, value = spelled[apply(perm, w0)]
             yield w_str, sub_str, d_str, value
 
 

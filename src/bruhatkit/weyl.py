@@ -6,8 +6,10 @@ image of root k.  It is ``bytes`` when 2N <= 256 (E6-E8, F4, G2, A1-A15,
 B/C/D up to rank 11), so that a product is one ``bytes.translate``, and a
 tuple above that; ``RootSystem._build_permutations`` chooses, and only
 this module reads the format: ``_compose`` composes two permutations,
-``_simple_times`` makes s_i1 ... s_ik p (a translate per letter through
-``rs.simple_tables`` on bytes) and ``WeylElement.length`` counts.  Inverses
+``_left_factor`` gives the table of a repeated left factor and the product
+through it (``bytes.translate`` itself on bytes), ``_simple_times`` makes
+s_i1 ... s_ik p (a translate per letter through ``rs.simple_tables`` on
+bytes) and ``WeylElement.length`` counts.  Inverses
 invert, and lengths and descents are read off which positive roots land on
 negative positions.  Words compose left to right: ``from_word(rs, [1, 2])``
 is s_1 s_2, acting by ``(s_1 s_2)(x) = s_1(s_2(x))``.
@@ -170,6 +172,20 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
     """The raw product p q (entry k is p[q[k]]), in either format."""
     return itemgetter(*q)(p) if rs.pad is None else q.translate(p + rs.pad)
+
+
+def _left_factor(rs: RootSystem):
+    """The pair (table, apply) for products by a repeated left factor:
+    ``apply(q, table(p))`` is the raw product p q, with ``table`` taking
+    any sequence of 2N ints below 256.  On bytes ``table(p)`` is p + pad
+    and ``apply`` is ``bytes.translate`` itself, so a product is one C call
+    and no Python frame; on tuples ``table`` is ``tuple`` and ``apply`` the
+    ``itemgetter`` route.  Make the table once per factor, not per product.
+    """
+    if rs.pad is None:
+        return tuple, lambda q, p: itemgetter(*q)(p)
+    pad = rs.pad
+    return lambda p: bytes(p) + pad, bytes.translate
 
 
 def _simple_times(rs: RootSystem, word: list[int], p: Perm) -> Perm:
@@ -363,10 +379,15 @@ def _layers(rs: RootSystem, toric: bool = False
     The least reduced word of y is (i,) + that of s_i y, with i the least
     left descent of y.  So layer k + 1 is, for i = 1..r and x in layer k in
     order, each y = s_i x whose least left descent is i (and, if toric, i
-    not in x's word), made with y^-1 = x^-1 s_i by two raw products.
+    not in x's word), made with y^-1 = x^-1 s_i by two raw products: y by
+    one ``apply`` through the table of s_i, made once per walk
+    (``_left_factor``), and y^-1 by ``_compose``, whose left factor x^-1
+    changes every time.
     """
     n_pos = len(rs.positive_roots)
     simple, gens = rs.simple_positions, rs.simple_perms
+    table, apply = _left_factor(rs)
+    tables = [table(g) for g in gens]
     # i is the least left descent of s_i x iff x^-1 sends alpha_i and each
     # s_i(alpha_j), j < i (positions lower[i]), to positive roots.
     lower = [[g[simple[j]] for j in range(i)] for i, g in enumerate(gens)]
@@ -379,11 +400,12 @@ def _layers(rs: RootSystem, toric: bool = False
         yield layer
         length += 1
         nxt = []
-        for i, (k, g, below) in enumerate(zip(simple, gens, lower), start=1):
+        for i, (k, g, t, below) in enumerate(
+                zip(simple, gens, tables, lower), start=1):
             for p, q, word in layer:
                 if (q[k] < n_pos and all(q[j] < n_pos for j in below)
                         and not (toric and i in word)):
-                    nxt.append((_compose(rs, g, p), _compose(rs, q, g),
+                    nxt.append((apply(p, t), _compose(rs, q, g),
                                 (i,) + word))
         layer = nxt
 

@@ -453,13 +453,17 @@ def test_levi_table_matches_descent_stripping(family, rank):
                                     "levi_table"])
 def test_scan_multiplies_once_per_element(monkeypatch, target):
     # The walk makes each element once, with its reduced word, by two raw
-    # products (``_compose``: y = s_i x and y^-1 = x^-1 s_i), and interns
-    # none of them.  A Levi row makes one raw product and no element: its
-    # coset factor w_0(I) w is looked up among the elements already walked.
-    # The only multiplies build each w_0(I) once, and they intern all a
-    # Levi scan interns.  The histogram walks no element and no word;
-    # toric_schubert walks its rows only.  Rebuilding each word from
-    # scratch and closing the group under all generators costs 16
+    # products (y = s_i x by the ``apply`` of ``_left_factor`` through the
+    # table of s_i, y^-1 = x^-1 s_i by ``_compose``), and interns none of
+    # them.  A Levi row makes one raw product (``apply`` through the table
+    # of w_0(I)) and no element: its coset factor w_0(I) w is looked up
+    # among the elements already walked.  Each walked element's left
+    # descents are one more ``apply``, through the table of the signs,
+    # counted apart.  A table is made once per generator and walk and once
+    # per w_0(I).  The only multiplies build each w_0(I) once, and they
+    # intern all a Levi scan interns.  The histogram walks no element and
+    # no word; toric_schubert walks its rows only.  Rebuilding each word
+    # from scratch and closing the group under all generators costs 16
     # multiplies per element of F4.  A fresh system, so that no word is
     # known before the scan.
     rs = build_root_system("F", 4)
@@ -468,7 +472,8 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
     # is in the left descent set of w_0.
     levi = build_root_system("F", 4)
     levi_builds = sum(longest_element(levi, sub).length for sub in subsets(4))
-    calls = {"multiply": 0, "_compose": 0}
+    calls = {"multiply": 0, "_compose": 0, "apply": 0, "signs": 0}
+    made, sign_tables = [], []
 
     def counting(name):
         real = getattr(bruhatkit.weyl, name)
@@ -478,26 +483,56 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
             return real(*args)
         return count
 
-    for name in calls:
-        wrapper = counting(name)
-        for module in (bruhatkit.weyl, complexity):
-            monkeypatch.setattr(module, name, wrapper)
+    real_factor = bruhatkit.weyl._left_factor
+
+    def left_factor(rs):
+        table, apply = real_factor(rs)
+
+        def counting_table(p):
+            made.append(p)
+            t = table(p)
+            if isinstance(p, list):
+                sign_tables.append(t)
+            return t
+
+        def counting_apply(q, t):
+            calls["signs" if any(t is s for s in sign_tables)
+                  else "apply"] += 1
+            return apply(q, t)
+        return counting_table, counting_apply
+
+    for name in ("multiply", "_compose"):
+        monkeypatch.setattr(bruhatkit.weyl, name, counting(name))
+    monkeypatch.setattr(complexity, "multiply", bruhatkit.weyl.multiply)
+    for module in (bruhatkit.weyl, complexity):
+        monkeypatch.setattr(module, "_left_factor", left_factor)
     misses = bruhatkit.weyl.reduced_word.cache_info().misses
     rows = list(scan(rs, target))
     words = bruhatkit.weyl.reduced_word.cache_info().misses - misses
     assert words == 0
     if target == "complexity_histogram":
         assert sum(row["count"] for row in rows) == order
-        assert calls == {"multiply": 0, "_compose": 0}
+        assert calls == {"multiply": 0, "_compose": 0, "apply": 0,
+                         "signs": 0}
+        assert made == []
         assert len(rs.element_cache) == 0
     elif target == "toric_schubert":
         assert len(rows) == 34
-        assert calls == {"multiply": 0, "_compose": 2 * (len(rows) - 1)}
+        assert calls == {"multiply": 0, "_compose": len(rows) - 1,
+                         "apply": len(rows) - 1, "signs": 0}
+        assert made == list(rs.simple_perms)
         assert len(rs.element_cache) == 0
     else:
         assert len(rows) == 5089
-        assert calls == {"multiply": levi_builds, "_compose": 2 * (
-            order - 1) + levi_builds + len(rows)}
+        assert calls == {"multiply": levi_builds,
+                         "_compose": order - 1 + levi_builds,
+                         "apply": order - 1 + len(rows), "signs": order}
+        assert calls["_compose"] + calls["apply"] == 2 * (
+            order - 1) + levi_builds + len(rows)
+        assert len(sign_tables) == 1
+        levi_perms = [longest_element(rs, sub).perm for sub in subsets(4)]
+        assert sorted(p for p in made if not isinstance(p, list)) == sorted(
+            list(rs.simple_perms) + levi_perms)
         assert set(rs.element_cache) == set(levi.element_cache)
     # The words of a freshly enumerated group cost no product at all.
     group = enumerate_group(build_root_system("F", 4))

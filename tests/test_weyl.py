@@ -4,6 +4,7 @@ import re
 import sys
 import time
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 
@@ -20,8 +21,8 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        simple_reflect, support,
                        weyl_group_order, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
-from bruhatkit.weyl import (_layers, _reflections, reflection,
-                            simple_reflection)
+from bruhatkit.weyl import (_compose, _layers, _left_factor, _reflections,
+                            reflection, simple_reflection)
 from oracles import (all_reduced_words, coroot_pairing, perm_bruhat_le,
                      perm_from_word, perm_least_reduced_word,
                      perm_left_descents, perm_length,
@@ -455,6 +456,59 @@ def test_inverse_inverts_the_permutation(family, rank, perm_type):
         check(enumerate_group(rs))
 
 
+def _elements(family, rank, top):
+    # The whole group, or with ``top`` the elements of the words of length
+    # at most top, each once.
+    rs = root_system(family, rank)
+    if top is None:
+        return rs, enumerate_group(rs)
+    words = words_up_to(rank, top)
+    return rs, list(dict.fromkeys(from_word(rs, word) for word in words))
+
+
+@pytest.mark.parametrize("family,rank,top", [("B", 3, None), ("G", 2, None),
+                                             ("A", 16, 2)])
+def test_left_factor_products_are_compose(family, rank, top):
+    # A product through a kept table is the one-off product, on bytes for
+    # every pair of B3 and G2, and on tuples for A16 (272 signed roots)
+    # over its words of length at most 2.  On bytes the product is
+    # ``bytes.translate`` itself, so it runs no Python frame.
+    rs, elements = _elements(family, rank, top)
+    table, apply = _left_factor(rs)
+    assert (apply is bytes.translate) == (rs.perm_type is bytes)
+    for x in elements:
+        t = table(x.perm)
+        for y in elements:
+            xy = apply(y.perm, t)
+            assert type(xy) is rs.perm_type
+            assert xy == _compose(rs, x.perm, y.perm)
+
+
+@pytest.mark.parametrize("family,rank,top", [("A", 1, None), ("G", 2, None),
+                                             ("B", 4, None), ("F", 4, None),
+                                             ("A", 16, 2)])
+def test_descent_key_reads_left_descents(family, rank, top):
+    # The levi_table scan keys each element by the signs of w^-1 at the
+    # simple positions: one product by the table of the signs of all
+    # positions and one itemgetter (an int at rank 1).  The key must spell
+    # out D_L(w), and over a whole group meet every subset, as w_0(I) has
+    # left descents I.
+    rs, elements = _elements(family, rank, top)
+    n_pos = len(rs.positive_roots)
+    table, apply = _left_factor(rs)
+    signs = table([k >= n_pos for k in range(2 * n_pos)])
+    read = itemgetter(*rs.simple_positions)
+    seen = {}
+    for w in elements:
+        key = read(apply(inverse(w).perm, signs))
+        bits = key if rank > 1 else (key,)
+        descents = frozenset(i for i, bit in enumerate(bits, 1) if bit)
+        assert descents == left_descents(w)
+        assert seen.setdefault(key, descents) == descents
+    if top is None:
+        assert len(seen) == 2 ** rank
+
+
 def _degree_distribution(degrees):
     # product over degrees d of (1 + q + ... + q^(d-1)), as coefficients
     coeffs = [1]
@@ -614,21 +668,34 @@ def test_reduced_word_walk_is_bounded(monkeypatch):
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("F", 4)])
 def test_layer_walk_is_bounded(monkeypatch, family, rank):
-    # With a wrong product every y^-1 is the identity, so the descent test
-    # admits repeats, and the layers grow without end (F4: millions of
-    # triples by layer 10).  No correct layer is longer than N, and no
-    # correct walk makes more than |W| elements, so the walk stops at once
-    # with an error.
+    # With both products of the walk wrong, y = s_i x by ``apply`` and
+    # y^-1 = x^-1 s_i by ``_compose``, every element is the identity, so
+    # the descent test admits repeats, and the layers grow without end (F4:
+    # millions of triples by layer 10).  No correct layer is longer than N,
+    # and no correct walk makes more than |W| elements, so the walk stops
+    # at once with an error.
     rs = build_root_system(family, rank)
     calls = [0]
+    real_factor = bruhatkit.weyl._left_factor
 
-    def wrong(rs, p, q):
+    def count():
         calls[0] += 1
         if calls[0] > 100_000:
             pytest.fail("the layer walk has no bound")
+
+    def wrong(rs, p, q):  # x^-1 s_i is x^-1
+        count()
         return p
 
+    def wrong_apply(q, table):  # s_i x is x
+        count()
+        return q
+
+    def wrong_factor(rs):
+        return real_factor(rs)[0], wrong_apply
+
     monkeypatch.setattr(bruhatkit.weyl, "_compose", wrong)
+    monkeypatch.setattr(bruhatkit.weyl, "_left_factor", wrong_factor)
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="layer"):
         list(_layers(rs))
