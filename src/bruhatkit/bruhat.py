@@ -77,11 +77,13 @@ def _reflected(w: WeylElement):
 
 
 def _covers(u: WeylElement):
-    """The test of u < x for l(x) = l(u) + 1: is u^-1 x a reflection?  It
-    composes raw permutations by ``_compose`` and interns none."""
-    rs, inv = u.system, inverse(u).perm
+    """The test of u < x for l(x) = l(u) + 1: is u^-1 x a reflection?  Each
+    product is one ``rs.apply`` through the table of u^-1, made once per
+    call, and interns nothing."""
+    rs = u.system
+    apply, table = rs.apply, inverse(u).perm + rs.pad
     _reflections(rs)
-    return lambda x: _compose(rs, inv, x.perm) in rs.reflection_set
+    return lambda x: apply(x.perm, table) in rs.reflection_set
 
 
 class LabeledInterval:

@@ -31,7 +31,7 @@ from .errors import (FormulaUnavailableError, InvalidInputError,
                      NotComparableError, PreconditionError)
 from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, Perm, SimpleSubset, WeylElement,
-                   _check_cap, _interned, _layers, _left_factor, left_descents,
+                   _check_cap, _interned, _layers, left_descents,
                    left_parabolic_decomposition, longest_element, multiply,
                    right_descents, support, word_string)
 
@@ -114,8 +114,8 @@ class LeviAction(NamedTuple):
 def levi_acts(subset: Iterable[int], w: WeylElement) -> LeviAction:
     """Decide whether the Levi subgroup on the given simple indices acts on
     the Schubert variety of w, reporting both equivalent criteria."""
-    sub = frozenset(subset)
-    a, _ = left_parabolic_decomposition(w, sub)  # checks the indices
+    sub = w.system._check_subset(subset)
+    a, _ = left_parabolic_decomposition(w, sub)
     missing = tuple(sorted(sub - left_descents(w)))
     w0 = longest_element(w.system, sub)
     descent_ok = not missing
@@ -130,8 +130,8 @@ def levi_borel_complexity(subset: Iterable[int],
     """c_{L_I} of the Schubert variety of w, for I in the left descent set:
     with w = a d the left parabolic decomposition, the value is
     l(d) - supp(d)."""
-    sub = frozenset(subset)
-    a = longest_element(w.system, sub)  # checks the indices
+    sub = w.system._check_subset(subset)
+    a = longest_element(w.system, sub)
     missing = sub - left_descents(w)
     if missing:
         raise PreconditionError(
@@ -202,7 +202,7 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
     contained in D_L(w) (else L_I acts on the partial-flag variety only and
     no transferred value exists - a distinct FormulaUnavailableError).
     """
-    j_sub = frozenset(j_subset)
+    j_sub = tuple(j_subset)  # checked after I, by the stabilizer
     i_sub = w.system._check_subset(i_subset)
     stab = partial_stabilizer_descents(w, j_sub)
     outside = i_sub - stab
@@ -220,7 +220,7 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
             f"value is available")
     base = levi_borel_complexity(i_sub, w)
     witness = dict(base.witness)
-    witness["J"] = sorted(j_sub)
+    witness["J"] = sorted(set(j_sub))
     witness["stabilizer_descents"] = sorted(stab)
     return ComplexityReport(kind="levi_partial", value=base.value,
                             witness=witness)
@@ -249,15 +249,14 @@ def _levi_rows(rs: RootSystem, triples, quote) -> Iterator[tuple]:
     longer than w, so it came no later, and ``spelled`` has, by permutation,
     its word string and l(d) - |supp(d)|.  The pairs (table of w_0(I), I)
     are listed once per left descent set, each w_0(I) built and tabled once
-    (``weyl._left_factor``), so a row is one product by a kept table, one C
-    call on bytes, and one lookup, and makes no element.  The left descents
-    of w are the i whose simple root w^-1 sends negative: ``signs`` marks
-    the negative positions, so one product by its table and one
-    ``itemgetter`` read them as a key, which is spelled out as a list of
-    descents only the first time it is met."""
-    n_pos = len(rs.positive_roots)
-    table, apply = _left_factor(rs)
-    signs = table([k >= n_pos for k in range(2 * n_pos)])
+    as w_0(I) + pad, so a row is one ``rs.apply`` through a kept table, one
+    C call on bytes, and one lookup, and makes no element.  The left
+    descents of w are the i whose simple root w^-1 sends negative: the
+    table ``signs`` marks the negative positions, so one ``rs.apply``
+    through it and one ``itemgetter`` read them as a key, which is spelled
+    out as a list of descents only the first time it is met."""
+    n_pos, apply, pad = len(rs.positive_roots), rs.apply, rs.pad
+    signs = rs.perm_type([k >= n_pos for k in range(2 * n_pos)]) + pad
     descent_bits = itemgetter(*rs.simple_positions)  # an int for rank 1
     levi_w0: dict[tuple[int, ...], tuple[Perm, str]] = {}
     by_descents: dict[tuple[int, ...] | int, list[tuple[Perm, str]]] = {}
@@ -276,7 +275,7 @@ def _levi_rows(rs: RootSystem, triples, quote) -> Iterator[tuple]:
                     entry = levi_w0.get(sub)
                     if entry is None:
                         entry = levi_w0[sub] = (
-                            table(longest_element(rs, sub).perm),
+                            longest_element(rs, sub).perm + pad,
                             quote(_subset_str(sub)))
                     pairs.append(entry)
         for w0, sub_str in pairs:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import InvalidInputError
@@ -113,6 +114,11 @@ def negate(root: Root) -> Root:
     return tuple(-c for c in root)
 
 
+def _take(q: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
+    """The tuple format's ``apply``: entry k is p[q[k]]."""
+    return itemgetter(*q)(p)
+
+
 class RootSystem:
     """All positive roots of a finite root system, with exact arithmetic,
     and the permutations of the signed roots induced by the simple
@@ -152,12 +158,13 @@ class RootSystem:
                 f"simple index {i} out of range 1..{self.rank}")
 
     def _check_subset(self, subset: Iterable[int]) -> frozenset[int]:
-        sub = frozenset(subset)
-        odd = [i for i in sub if type(i) is not int]
-        # The least non-int by repr is refused first; only ints are sorted.
-        for i in [min(odd, key=repr)] if odd else sorted(sub):
+        items = list(subset)
+        odd = [i for i in items if type(i) is not int]
+        # The least non-int by repr is refused first, so an unhashable one
+        # is refused before it is hashed; only ints are sorted.
+        for i in [min(odd, key=repr)] if odd else sorted(set(items)):
             self._check_index(i)
-        return sub
+        return frozenset(items)
 
     def _reflect_raw(self, i0: int, root: Root) -> Root:
         # s_i(x) = x - (row i of A . x) alpha_i, with i0 0-based.
@@ -192,14 +199,18 @@ class RootSystem:
         # Signed roots: positions 0..N-1 hold the positive roots and N..2N-1
         # their negatives, so a root is negative iff its position is >= N.
         # A permutation maps each position to the position of its image.  It
-        # is bytes if 2N <= 256, which weyl._compose composes by one translate
-        # through p + pad, else a tuple; only this method chooses.  As
-        # s_i(-beta) = -s_i(beta), entry N + k is entry k moved N places.
+        # is bytes if 2N <= 256, else a tuple; only this method chooses, and
+        # with the format it fixes the one product rule: p q is
+        # apply(q, p + pad), on bytes one translate through the 256-byte
+        # table p + pad, on tuples one itemgetter.  A table p + pad kept
+        # for a repeated left factor p makes each product by it one call.
+        # As s_i(-beta) = -s_i(beta), entry N + k is entry k moved N places.
         self.signed_roots: tuple[Root, ...] = self.positive_roots + tuple(
             negate(r) for r in self.positive_roots)
         n_pos, n = len(self.positive_roots), len(self.signed_roots)
-        self.pad: bytes | None = bytes(range(n, 256)) if n <= 256 else None
-        perm = self.perm_type = tuple if self.pad is None else bytes
+        perm = self.perm_type = bytes if n <= 256 else tuple
+        self.pad = bytes(range(n, 256)) if perm is bytes else ()
+        self.apply = bytes.translate if perm is bytes else _take
         self.position: dict[Root, int] = {
             r: k for k, r in enumerate(self.signed_roots)}
         self.simple_positions: tuple[int, ...] = tuple(
@@ -210,10 +221,8 @@ class RootSystem:
                  for r in self.positive_roots] for i0 in range(self.rank))
         self.simple_perms: tuple[bytes | tuple[int, ...], ...] = tuple(
             perm(row + [flip[p] for p in row]) for row in rows)
-        # On bytes, s_i p is p.translate(simple_tables[i - 1]).
-        self.simple_tables: tuple[bytes, ...] | None = None if (
-            self.pad is None) else tuple(s + self.pad
-                                         for s in self.simple_perms)
+        # s_i p is apply(p, simple_tables[i - 1]).
+        self.simple_tables = tuple(s + self.pad for s in self.simple_perms)
 
     # -- predicates -------------------------------------------------------
 

@@ -4,15 +4,16 @@ An element is the permutation it induces on the 2N signed roots of its
 root system (``RootSystem.signed_roots``): entry k is the position of the
 image of root k.  It is ``bytes`` when 2N <= 256 (E6-E8, F4, G2, A1-A15,
 B/C/D up to rank 11), so that a product is one ``bytes.translate``, and a
-tuple above that; ``RootSystem._build_permutations`` chooses, and only
-this module reads the format: ``_compose`` composes two permutations,
-``_left_factor`` gives the table of a repeated left factor and the product
-through it (``bytes.translate`` itself on bytes), ``_simple_times`` makes
-s_i1 ... s_ik p (a translate per letter through ``rs.simple_tables`` on
-bytes) and ``WeylElement.length`` counts.  Inverses
-invert, and lengths and descents are read off which positive roots land on
-negative positions.  Words compose left to right: ``from_word(rs, [1, 2])``
-is s_1 s_2, acting by ``(s_1 s_2)(x) = s_1(s_2(x))``.
+tuple above that.  ``RootSystem._build_permutations`` chooses, and with
+the format its one product rule: p q is ``rs.apply(q, p + rs.pad)``.
+``_compose`` makes a one-off product so; a repeated left factor p keeps
+its table p + pad, as ``rs.simple_tables`` does for each s_i, so that
+each product by it is one ``rs.apply``.  Only ``WeylElement.length`` and
+``inverse`` branch on the format (``rs.perm_type``), as their algorithms
+differ by it.  Lengths and descents are read off which positive roots
+land on negative positions.  Words compose left to right:
+``from_word(rs, [1, 2])`` is s_1 s_2, acting by
+``(s_1 s_2)(x) = s_1(s_2(x))``.
 
 A walk that keeps only a word or labels (``from_word``, ``reduced_word``,
 the scans' ``_layers``, ``bruhat.descent_labels``, the Deodhar mask search)
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import GroupTooLargeError, InvalidInputError
@@ -71,7 +71,8 @@ class WeylElement:
             n_pos = len(self.system.positive_roots)
             head = self.perm[:n_pos]
             self._length = (
-                sum(p >= n_pos for p in head) if self.system.pad is None
+                sum(p >= n_pos for p in head)
+                if self.system.perm_type is tuple
                 else len(head.translate(None, _BYTES[:n_pos])))
         return self._length
 
@@ -170,35 +171,19 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 
 
 def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
-    """The raw product p q (entry k is p[q[k]]), in either format."""
-    return itemgetter(*q)(p) if rs.pad is None else q.translate(p + rs.pad)
-
-
-def _left_factor(rs: RootSystem):
-    """The pair (table, apply) for products by a repeated left factor:
-    ``apply(q, table(p))`` is the raw product p q, with ``table`` taking
-    any sequence of 2N ints below 256.  On bytes ``table(p)`` is p + pad
-    and ``apply`` is ``bytes.translate`` itself, so a product is one C call
-    and no Python frame; on tuples ``table`` is ``tuple`` and ``apply`` the
-    ``itemgetter`` route.  Make the table once per factor, not per product.
-    """
-    if rs.pad is None:
-        return tuple, lambda q, p: itemgetter(*q)(p)
-    pad = rs.pad
-    return lambda p: bytes(p) + pad, bytes.translate
+    """The raw product p q: entry k is p[q[k]]."""
+    # Called from a local: CPython 3.11 does not specialize the call
+    # rs.apply(...) of an instance attribute, which costs about 20 ns more.
+    apply = rs.apply
+    return apply(q, p + rs.pad)
 
 
 def _simple_times(rs: RootSystem, word: list[int], p: Perm) -> Perm:
     """The raw product s_i1 ... s_ik p of a checked word with p, composed
-    right to left: on bytes one translate per letter through the table
-    s_i.perm + pad, else ``_compose``."""
-    tables = rs.simple_tables
-    if tables is None:
-        for i in reversed(word):
-            p = _compose(rs, rs.simple_perms[i - 1], p)
-    else:
-        for i in reversed(word):
-            p = p.translate(tables[i - 1])
+    right to left, one ``apply`` per letter through ``rs.simple_tables``."""
+    apply, tables = rs.apply, rs.simple_tables
+    for i in reversed(word):
+        p = apply(p, tables[i - 1])
     return p
 
 
@@ -218,7 +203,7 @@ def inverse(w: WeylElement) -> WeylElement:
     """w^-1, whose permutation sends p[k] to k, p that of w."""
     if w._inverse is None:
         p, rs = w.perm, w.system
-        if rs.pad is None:
+        if rs.perm_type is tuple:
             inv = [0] * len(p)
             for k, q in enumerate(p):
                 inv[q] = k
@@ -362,8 +347,13 @@ def longest_element(rs: RootSystem, subset: Iterable[int] = ()) -> WeylElement:
 
 
 def _check_cap(rs: RootSystem, cap: int) -> None:
-    """Refuse, with the exact order in the error, if |W| exceeds the cap."""
-    if rs.order > cap:
+    """Refuse, with the exact order in the error, if |W| exceeds the cap;
+    a cap that does not compare with an int is refused as no int."""
+    try:
+        too_large = rs.order > cap
+    except TypeError:
+        raise InvalidInputError(f"cap must be an int, got {cap!r}") from None
+    if too_large:
         raise GroupTooLargeError(
             f"|W({rs.family}{rs.rank})| = {rs.order} exceeds the "
             f"enumeration cap {cap}", rs.order, cap)
@@ -380,14 +370,12 @@ def _layers(rs: RootSystem, toric: bool = False
     left descent of y.  So layer k + 1 is, for i = 1..r and x in layer k in
     order, each y = s_i x whose least left descent is i (and, if toric, i
     not in x's word), made with y^-1 = x^-1 s_i by two raw products: y by
-    one ``apply`` through the table of s_i, made once per walk
-    (``_left_factor``), and y^-1 by ``_compose``, whose left factor x^-1
-    changes every time.
+    one ``rs.apply`` through the kept table of s_i (``rs.simple_tables``),
+    and y^-1 by ``_compose``, whose left factor x^-1 changes every time.
     """
     n_pos = len(rs.positive_roots)
     simple, gens = rs.simple_positions, rs.simple_perms
-    table, apply = _left_factor(rs)
-    tables = [table(g) for g in gens]
+    apply, tables = rs.apply, rs.simple_tables
     # i is the least left descent of s_i x iff x^-1 sends alpha_i and each
     # s_i(alpha_j), j < i (positions lower[i]), to positive roots.
     lower = [[g[simple[j]] for j in range(i)] for i, g in enumerate(gens)]

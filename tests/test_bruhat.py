@@ -224,7 +224,7 @@ def test_interval_matches_all_roots_oracle_on_tuples():
     # letters, and u drops one to three letters of v's reduced word, so
     # u <= v; pairs with l(v) - l(u) > 3 are skipped.
     rs = root_system("A", 16)
-    assert rs.pad is None
+    assert rs.perm_type is tuple
     rng = random.Random("interval/A16")
     gaps = Counter()
     while sum(gaps.values()) < 50:

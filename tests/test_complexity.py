@@ -244,8 +244,9 @@ def test_partial_rejects_out_of_range_indices(a3):
                       partial_stabilizer_descents):
             with pytest.raises(InvalidInputError, match="out of range 1..3"):
                 check(w, bad)
-    # I is checked before any hypothesis, even for a non-minimal w
-    for j_sub in ({3}, {1, 2, 3}):
+    # I is checked before any hypothesis, even for a non-minimal w, and
+    # before J, even an unhashable one
+    for j_sub in ({3}, {1, 2, 3}, [[1]]):
         with pytest.raises(InvalidInputError,
                            match=r"simple index 7 out of range 1\.\.3"):
             partial_flag_levi_complexity(w, j_sub, {7})
@@ -453,19 +454,22 @@ def test_levi_table_matches_descent_stripping(family, rank):
                                     "levi_table"])
 def test_scan_multiplies_once_per_element(monkeypatch, target):
     # The walk makes each element once, with its reduced word, by two raw
-    # products (y = s_i x by the ``apply`` of ``_left_factor`` through the
-    # table of s_i, y^-1 = x^-1 s_i by ``_compose``), and interns none of
-    # them.  A Levi row makes one raw product (``apply`` through the table
-    # of w_0(I)) and no element: its coset factor w_0(I) w is looked up
-    # among the elements already walked.  Each walked element's left
-    # descents are one more ``apply``, through the table of the signs,
-    # counted apart.  A table is made once per generator and walk and once
-    # per w_0(I).  The only multiplies build each w_0(I) once, and they
-    # intern all a Levi scan interns.  The histogram walks no element and
-    # no word; toric_schubert walks its rows only.  Rebuilding each word
-    # from scratch and closing the group under all generators costs 16
+    # products (y = s_i x by ``rs.apply`` through the kept table of s_i,
+    # y^-1 = x^-1 s_i by ``_compose``), and interns none of them.  A Levi
+    # row makes one raw product (``rs.apply`` through the table of w_0(I))
+    # and no element: its coset factor w_0(I) w is looked up among the
+    # elements already walked.  Each walked element's left descents are
+    # one more ``rs.apply``, through the table of the signs, counted apart.
+    # The walk makes no table (``rs.simple_tables`` are kept on the
+    # system), and each w_0(I) and the signs are tabled once, as perm +
+    # pad.  The only multiplies build each w_0(I) once, and they intern
+    # all a Levi scan interns.  The histogram walks no element and no
+    # word; toric_schubert walks its rows only.  Rebuilding each word from
+    # scratch and closing the group under all generators costs 16
     # multiplies per element of F4.  A fresh system, so that no word is
-    # known before the scan.
+    # known before the scan.  The counted ``_compose`` is the entrywise
+    # product, so that ``rs.apply`` and ``rs.pad`` count only the direct
+    # uses.
     rs = build_root_system("F", 4)
     order = 1152
     # longest_element makes one product per letter of w_0(I), and every I
@@ -474,38 +478,33 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
     levi_builds = sum(longest_element(levi, sub).length for sub in subsets(4))
     calls = {"multiply": 0, "_compose": 0, "apply": 0, "signs": 0}
     made, sign_tables = [], []
+    real_apply, real_pad = rs.apply, rs.pad
 
-    def counting(name):
-        real = getattr(bruhatkit.weyl, name)
+    class CountingPad:
+        def __radd__(self, p):
+            made.append(p)
+            t = p + real_pad
+            if max(p) <= 1:
+                sign_tables.append(t)
+            return t
 
+    def counting_apply(q, t):
+        calls["signs" if any(t is s for s in sign_tables) else "apply"] += 1
+        return real_apply(q, t)
+
+    def counting(name, real):
         def count(*args):
             calls[name] += 1
             return real(*args)
         return count
 
-    real_factor = bruhatkit.weyl._left_factor
-
-    def left_factor(rs):
-        table, apply = real_factor(rs)
-
-        def counting_table(p):
-            made.append(p)
-            t = table(p)
-            if isinstance(p, list):
-                sign_tables.append(t)
-            return t
-
-        def counting_apply(q, t):
-            calls["signs" if any(t is s for s in sign_tables)
-                  else "apply"] += 1
-            return apply(q, t)
-        return counting_table, counting_apply
-
-    for name in ("multiply", "_compose"):
-        monkeypatch.setattr(bruhatkit.weyl, name, counting(name))
+    monkeypatch.setattr(bruhatkit.weyl, "multiply",
+                        counting("multiply", bruhatkit.weyl.multiply))
+    monkeypatch.setattr(bruhatkit.weyl, "_compose", counting(
+        "_compose", lambda rs, p, q: rs.perm_type(p[k] for k in q)))
     monkeypatch.setattr(complexity, "multiply", bruhatkit.weyl.multiply)
-    for module in (bruhatkit.weyl, complexity):
-        monkeypatch.setattr(module, "_left_factor", left_factor)
+    monkeypatch.setattr(rs, "apply", counting_apply)
+    monkeypatch.setattr(rs, "pad", CountingPad())
     misses = bruhatkit.weyl.reduced_word.cache_info().misses
     rows = list(scan(rs, target))
     words = bruhatkit.weyl.reduced_word.cache_info().misses - misses
@@ -520,7 +519,7 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
         assert len(rows) == 34
         assert calls == {"multiply": 0, "_compose": len(rows) - 1,
                          "apply": len(rows) - 1, "signs": 0}
-        assert made == list(rs.simple_perms)
+        assert made == []
         assert len(rs.element_cache) == 0
     else:
         assert len(rows) == 5089
@@ -531,8 +530,8 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
             order - 1) + levi_builds + len(rows)
         assert len(sign_tables) == 1
         levi_perms = [longest_element(rs, sub).perm for sub in subsets(4)]
-        assert sorted(p for p in made if not isinstance(p, list)) == sorted(
-            list(rs.simple_perms) + levi_perms)
+        assert sorted(p for p in made if max(p) > 1) == sorted(levi_perms)
+        assert len(made) == len(levi_perms) + 1
         assert set(rs.element_cache) == set(levi.element_cache)
     # The words of a freshly enumerated group cost no product at all.
     group = enumerate_group(build_root_system("F", 4))

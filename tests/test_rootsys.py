@@ -6,10 +6,12 @@ from math import prod
 import pytest
 
 from bruhatkit import (InvalidInputError, RootSystem, apply_to_root,
-                       build_root_system, enumerate_distinguished, from_word,
-                       identity, levi_acts, longest_element,
-                       positive_root_count, root_system, scan,
-                       simple_reflect, weyl_group_order)
+                       build_root_system, enumerate_distinguished,
+                       enumerate_group, from_word, identity, levi_acts,
+                       levi_borel_complexity, longest_element,
+                       partial_flag_levi_complexity,
+                       partial_flag_torus_complexity, positive_root_count,
+                       root_system, scan, simple_reflect, weyl_group_order)
 from bruhatkit.rootsys import FAMILIES
 from bruhatkit.weyl import reflection, simple_reflection
 from oracles import coroot_pairing, root_of_pair
@@ -270,6 +272,17 @@ NOT_INT_CALLS = {
         lambda rs: enumerate_distinguished("121", identity(rs)),
     "scan-float": lambda rs: scan(rs, "levi_table", max_length=1.5),
     "scan-str": lambda rs: scan(rs, "levi_table", max_length="2"),
+    # An unhashable index, or a cap that does not compare with |W|, ended
+    # in a raw TypeError.
+    "levi_acts-list": lambda rs: levi_acts([[1]], identity(rs)),
+    "levi_borel_complexity-list":
+        lambda rs: levi_borel_complexity([[1]], identity(rs)),
+    "partial_flag_torus_complexity-list":
+        lambda rs: partial_flag_torus_complexity(identity(rs), [[1]]),
+    "partial_flag_levi_complexity-list":
+        lambda rs: partial_flag_levi_complexity(identity(rs), [[1]], []),
+    "scan-cap-None": lambda rs: scan(rs, "levi_table", cap=None),
+    "enumerate_group-cap-str": lambda rs: enumerate_group(rs, cap="9"),
 }
 
 

@@ -21,7 +21,7 @@ from bruhatkit import (GroupTooLargeError, InvalidInputError,
                        simple_reflect, support,
                        weyl_group_order, word_string)
 from bruhatkit.cli import element_to_oneline, parse_element
-from bruhatkit.weyl import (_compose, _layers, _left_factor, _reflections,
+from bruhatkit.weyl import (_compose, _layers, _reflections,
                             reflection, simple_reflection)
 from oracles import (all_reduced_words, coroot_pairing, perm_bruhat_le,
                      perm_from_word, perm_least_reduced_word,
@@ -366,7 +366,7 @@ def test_tuple_path_against_permutations(rank):
     # tuples; seeded products, lengths, right descents and Bruhat order
     # against permutations of 1..rank+1, each built from its word alone.
     rs = build_root_system("A", rank)
-    assert rs.pad is None
+    assert rs.perm_type is tuple
     n = rank + 1
     rng = random.Random(f"tuple path A{rank}")
     for _ in range(4):
@@ -469,19 +469,23 @@ def _elements(family, rank, top):
 @pytest.mark.parametrize("family,rank,top", [("B", 3, None), ("G", 2, None),
                                              ("A", 16, 2)])
 def test_left_factor_products_are_compose(family, rank, top):
-    # A product through a kept table is the one-off product, on bytes for
-    # every pair of B3 and G2, and on tuples for A16 (272 signed roots)
-    # over its words of length at most 2.  On bytes the product is
-    # ``bytes.translate`` itself, so it runs no Python frame.
+    # A product through a kept table x + pad is the one-off product, on
+    # bytes for every pair of B3 and G2, and on tuples for A16 (272 signed
+    # roots) over its words of length at most 2.  On bytes the product is
+    # ``bytes.translate`` itself, so it runs no Python frame.  The kept
+    # tables of the simple reflections are made by the same rule.
     rs, elements = _elements(family, rank, top)
-    table, apply = _left_factor(rs)
-    assert (apply is bytes.translate) == (rs.perm_type is bytes)
+    assert (rs.apply is bytes.translate) == (rs.perm_type is bytes)
+    assert len(rs.simple_tables) == rank
+    for s, t in zip(rs.simple_perms, rs.simple_tables):
+        assert t == s + rs.pad
     for x in elements:
-        t = table(x.perm)
+        t = x.perm + rs.pad
         for y in elements:
-            xy = apply(y.perm, t)
+            xy = rs.apply(y.perm, t)
             assert type(xy) is rs.perm_type
             assert xy == _compose(rs, x.perm, y.perm)
+            assert list(xy) == [x.perm[k] for k in y.perm]
 
 
 @pytest.mark.parametrize("family,rank,top", [("A", 1, None), ("G", 2, None),
@@ -495,12 +499,11 @@ def test_descent_key_reads_left_descents(family, rank, top):
     # left descents I.
     rs, elements = _elements(family, rank, top)
     n_pos = len(rs.positive_roots)
-    table, apply = _left_factor(rs)
-    signs = table([k >= n_pos for k in range(2 * n_pos)])
+    signs = rs.perm_type(k >= n_pos for k in range(2 * n_pos)) + rs.pad
     read = itemgetter(*rs.simple_positions)
     seen = {}
     for w in elements:
-        key = read(apply(inverse(w).perm, signs))
+        key = read(rs.apply(inverse(w).perm, signs))
         bits = key if rank > 1 else (key,)
         descents = frozenset(i for i, bit in enumerate(bits, 1) if bit)
         assert descents == left_descents(w)
@@ -676,7 +679,6 @@ def test_layer_walk_is_bounded(monkeypatch, family, rank):
     # at once with an error.
     rs = build_root_system(family, rank)
     calls = [0]
-    real_factor = bruhatkit.weyl._left_factor
 
     def count():
         calls[0] += 1
@@ -691,11 +693,8 @@ def test_layer_walk_is_bounded(monkeypatch, family, rank):
         count()
         return q
 
-    def wrong_factor(rs):
-        return real_factor(rs)[0], wrong_apply
-
     monkeypatch.setattr(bruhatkit.weyl, "_compose", wrong)
-    monkeypatch.setattr(bruhatkit.weyl, "_left_factor", wrong_factor)
+    monkeypatch.setattr(rs, "apply", wrong_apply)
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="layer"):
         list(_layers(rs))
