@@ -31,9 +31,10 @@ from .errors import (FormulaUnavailableError, InvalidInputError,
                      NotComparableError, PreconditionError)
 from .rootsys import RootSystem
 from .weyl import (DEFAULT_GROUP_CAP, Perm, SimpleSubset, WeylElement,
-                   _check_cap, _interned, _layers, left_descents,
-                   left_parabolic_decomposition, longest_element, multiply,
-                   right_descents, support, word_string)
+                   _check_cap, _interned, _layers, _longest_perm,
+                   left_descents, left_parabolic_decomposition,
+                   longest_element, multiply, right_descents, support,
+                   word_string)
 
 #: Fixed column order per scan target (also the CSV header order).
 SCAN_COLUMNS = {
@@ -229,11 +230,11 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
 # -- batch scans ----------------------------------------------------------
 
 
-def _richardson_rows(rs: RootSystem, triples) -> Iterator[tuple]:
+def _richardson_rows(rs: RootSystem, walked) -> Iterator[tuple]:
     """The pairs u <= v with ad(u, v) = l(v) - l(u), over the elements of
-    the triples, by one uncached ``descent_labels`` walk per pair: its
+    the walked tuples, by one uncached ``descent_labels`` walk per pair: its
     l(v) - l(u) labels must be independent."""
-    elements = _interned(rs, triples)
+    elements = _interned(rs, walked)
     for u in elements:
         u_str = word_string(u)
         for v in elements:
@@ -243,26 +244,27 @@ def _richardson_rows(rs: RootSystem, triples) -> Iterator[tuple]:
                     yield u_str, word_string(v), len(labels), len(labels)
 
 
-def _levi_rows(rs: RootSystem, triples, quote) -> Iterator[tuple]:
+def _levi_rows(rs: RootSystem, walked, quote) -> Iterator[tuple]:
     """The levi_table rows.  For I in D_L(w) the left parabolic factor of w
     is w_0(I), an involution, so the coset factor is d = w_0(I) w.  It is no
     longer than w, so it came no later, and ``spelled`` has, by permutation,
-    its word string and l(d) - |supp(d)|.  The pairs (table of w_0(I), I)
-    are listed once per left descent set, each w_0(I) built and tabled once
-    as w_0(I) + pad, so a row is one ``rs.apply`` through a kept table, one
-    C call on bytes, and one lookup, and makes no element.  The left
-    descents of w are the i whose simple root w^-1 sends negative: the
-    table ``signs`` marks the negative positions, so one ``rs.apply``
-    through it and one ``itemgetter`` read them as a key, which is spelled
-    out as a list of descents only the first time it is met."""
+    its word string (the walk's own) and l(d) - |supp(d)|.  The pairs
+    (table of w_0(I), I) are listed once per left descent set, each w_0(I)
+    built raw (``_longest_perm``) and tabled once as w_0(I) + pad, so a row
+    is one ``rs.apply`` through a kept table, one C call on bytes, and one
+    lookup, and the scan makes no element.  The left descents of w are the
+    i whose simple root w^-1 sends negative: the table ``signs`` marks the
+    negative positions, so one ``rs.apply`` through it and one
+    ``itemgetter`` read them as a key, which is spelled out as a list of
+    descents only the first time it is met."""
     n_pos, apply, pad = len(rs.positive_roots), rs.apply, rs.pad
     signs = rs.perm_type([k >= n_pos for k in range(2 * n_pos)]) + pad
     descent_bits = itemgetter(*rs.simple_positions)  # an int for rank 1
     levi_w0: dict[tuple[int, ...], tuple[Perm, str]] = {}
     by_descents: dict[tuple[int, ...] | int, list[tuple[Perm, str]]] = {}
     spelled: dict[Perm, tuple[str, int]] = {}
-    for perm, inv, word in triples:
-        w_str = ".".join(map(str, word)) or "id"
+    for perm, inv, word, w_str in walked:
+        w_str = w_str or "id"
         spelled[perm] = w_str, len(word) - len(set(word))
         key = descent_bits(apply(inv, signs))
         pairs = by_descents.get(key)
@@ -275,7 +277,7 @@ def _levi_rows(rs: RootSystem, triples, quote) -> Iterator[tuple]:
                     entry = levi_w0.get(sub)
                     if entry is None:
                         entry = levi_w0[sub] = (
-                            longest_element(rs, sub).perm + pad,
+                            _longest_perm(rs, sub) + pad,
                             quote(_subset_str(sub)))
                     pairs.append(entry)
         for w0, sub_str in pairs:
@@ -289,19 +291,28 @@ def _support_histogram(rs: RootSystem, top: int) -> list[tuple[int, int]]:
     P_T(q) the product over its positive roots a of [ht(a) + 1]_q / [ht(a)]_q,
     i.e. of [h + 1]_q^(c_h - c_(h+1)) with c_h of them of height h.  By
     inclusion-exclusion over the supports, the sum of q^(l(w) - |supp(w)|)
-    is q^-r times the sum of P_T(q) (q - 1)^(r - |T|) over T."""
+    is q^-r times the sum of P_T(q) (q - 1)^(r - |T|) over T.  P_T depends
+    only on the height counts, which also give |T| = c_1, so each distinct
+    P_T is made once, times the number of T that share it, and the P_T of
+    each size are summed before their one product by (q - 1)^(r - |T|)."""
     rank = rs.rank
     roots = [(sum(1 << j for j, c in enumerate(a) if c), sum(a))
              for a in rs.positive_roots]
-    total = [0] * (top + rank + 1)
-    for t in range(1 << rank):
-        heights = Counter(h for mask, h in roots if mask & t == mask)
-        poly = [1] + [0] * top
-        for h, c in heights.items():
-            for _ in range(c - heights[h + 1]):  # times [h + 1]_q, truncated
+    shapes = Counter(  # the height counts of each W_T, by height
+        tuple(Counter(h for mask, h in roots if mask & t == mask).items())
+        for t in range(1 << rank))
+    by_size = [[0] * (top + 1) for _ in range(rank + 1)]
+    for shape, times in shapes.items():
+        heights, poly = dict(shape), [1] + [0] * top
+        for h, c in shape:
+            for _ in range(c - heights.get(h + 1, 0)):  # times [h + 1]_q, cut
                 acc = [0] * (h + 1) + list(accumulate(poly))
                 poly = [x - y for x, y in zip(acc[h + 1:], acc)]
-        for _ in range(rank - t.bit_count()):  # times q - 1
+        size = heights.get(1, 0)
+        by_size[size] = [a + times * p for a, p in zip(by_size[size], poly)]
+    total = [0] * (top + rank + 1)
+    for size, poly in enumerate(by_size):
+        for _ in range(rank - size):  # times q - 1
             poly = [b - a for a, b in zip(poly + [0], [0] + poly)]
         for k, p in enumerate(poly):
             total[k] += p
@@ -327,13 +338,13 @@ def _scan_rows(rs: RootSystem, target: str, max_length: int | None,
     if target == "complexity_histogram":
         return iter(_support_histogram(rs, top))
     toric = target == "toric_schubert"
-    triples = chain.from_iterable(islice(_layers(rs, toric), top + 1))
+    walked = chain.from_iterable(islice(_layers(rs, toric), top + 1))
     if toric:
-        return ((".".join(map(str, word)) or "id", len(word),
-                 quote(_subset_str(word))) for _, _, word in triples)
+        return ((text or "id", len(word), quote(_subset_str(word)))
+                for _, _, word, text in walked)
     if target == "toric_richardson":
-        return _richardson_rows(rs, triples)
-    return _levi_rows(rs, triples, quote)
+        return _richardson_rows(rs, walked)
+    return _levi_rows(rs, walked, quote)
 
 
 def scan(rs: RootSystem, target: str, *, max_length: int | None = None,

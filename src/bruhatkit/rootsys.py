@@ -114,6 +114,17 @@ def negate(root: Root) -> Root:
     return tuple(-c for c in root)
 
 
+def _listed(items: Iterable, what: str) -> list:
+    """The items as a list; refuses what is not iterable, but lets an error
+    raised while iterating through."""
+    try:
+        it = iter(items)
+    except TypeError:
+        raise InvalidInputError(
+            f"{what} must be an iterable of ints, got {items!r}") from None
+    return list(it)
+
+
 def _take(q: tuple[int, ...], p: tuple[int, ...]) -> tuple[int, ...]:
     """The tuple format's ``apply``: entry k is p[q[k]]."""
     return itemgetter(*q)(p)
@@ -158,7 +169,7 @@ class RootSystem:
                 f"simple index {i} out of range 1..{self.rank}")
 
     def _check_subset(self, subset: Iterable[int]) -> frozenset[int]:
-        items = list(subset)
+        items = _listed(subset, "subset")
         odd = [i for i in items if type(i) is not int]
         # The least non-int by repr is refused first, so an unhashable one
         # is refused before it is hashed; only ints are sorted.

@@ -15,25 +15,30 @@ land on negative positions.  Words compose left to right:
 ``from_word(rs, [1, 2])`` is s_1 s_2, acting by
 ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
-A walk that keeps only a word or labels (``from_word``, ``reduced_word``,
-the scans' ``_layers``, ``bruhat.descent_labels``, the Deodhar mask search)
-steps through raw permutations and interns only the elements it returns.  Elements are
-interned per root system, so equality is identity, and lengths, inverses,
-descents and reduced words are computed once per element.  The hash is
-that of the permutation as a tuple of ints, the same in every run (a hash
-of bytes is salted per process), so set and dict order never depends on
-memory addresses or the hash seed.  Everything here is pure: a memo slot
-is only ever written with its one correct value.
+A walk that keeps only a word, labels or its last element (``from_word``,
+``reduced_word``, ``longest_element``, the scans' ``_layers``,
+``bruhat.descent_labels``, the Deodhar mask search) steps through raw
+permutations and interns only the elements it returns.  ``_layers``
+returns none, and carries each element's word string, made by one
+concatenation onto that of the element it came from, which the
+``levi_table`` and ``toric_schubert`` rows print as they are.  Elements
+are interned per root system, so equality is identity, and lengths,
+inverses, descents and reduced words are computed once per element.  The
+hash is that of the permutation as a tuple of ints, the same in every run
+(a hash of bytes is salted per process), so set and dict order never
+depends on memory addresses or the hash seed.  Everything here is pure: a
+memo slot is only ever written with its one correct value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import GroupTooLargeError, InvalidInputError
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, _listed
 
 SimpleSubset = frozenset[int]
 Perm = bytes | tuple[int, ...]  # see RootSystem._build_permutations
@@ -152,10 +157,10 @@ def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Product of simple reflections in the given order.
 
-    Every letter is checked before any is composed, so a letter that is
-    not an int in 1..rank is refused whatever is interned.  The product is
-    composed right to left by ``_simple_times`` on raw permutations, and
-    only it is interned.
+    Every letter is checked before any is composed, so a word that is not
+    iterable, or a letter that is not an int in 1..rank, is refused
+    whatever is interned.  The product is composed right to left by
+    ``_simple_times`` on raw permutations, and only it is interned.
 
     >>> from bruhatkit.rootsys import root_system
     >>> rs = root_system("A", 2)
@@ -164,7 +169,7 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     >>> from_word(rs, [1, 1]) == identity(rs)
     True
     """
-    word = list(word)
+    word = _listed(word, "word")
     for i in word:
         rs._check_index(i)
     return _intern(rs, _simple_times(rs, word, _identity_perm(rs)))
@@ -334,37 +339,41 @@ def longest_element(rs: RootSystem, subset: Iterable[int] = ()) -> WeylElement:
     """The maximal-length element w_0(I) of the standard parabolic W_I.
 
     With the default empty subset this is the identity; with the full index
-    set it is the longest element of W.
+    set it is the longest element of W.  Built by ``_longest_perm``, and
+    only it is interned.
     """
-    sub = sorted(rs._check_subset(subset))
-    w = identity(rs)
-    while True:
-        descents = right_descents(w)
-        ascent = next((i for i in sub if i not in descents), None)
-        if ascent is None:
-            return w
-        w = multiply(w, simple_reflection(rs, ascent))
+    return _intern(rs, _longest_perm(rs, sorted(rs._check_subset(subset))))
+
+
+def _longest_perm(rs: RootSystem, sub: list[int]) -> Perm:
+    """The raw w_0(I) of a checked, sorted I: from the identity, times s_i
+    on the right (``_compose``) for the least i in I with w(alpha_i)
+    positive, until there is none."""
+    n_pos, simple, gens = (len(rs.positive_roots), rs.simple_positions,
+                           rs.simple_perms)
+    p = _identity_perm(rs)
+    while i := next((i for i in sub if p[simple[i - 1]] < n_pos), None):
+        p = _compose(rs, p, gens[i - 1])
+    return p
 
 
 def _check_cap(rs: RootSystem, cap: int) -> None:
-    """Refuse, with the exact order in the error, if |W| exceeds the cap;
-    a cap that does not compare with an int is refused as no int."""
-    try:
-        too_large = rs.order > cap
-    except TypeError:
-        raise InvalidInputError(f"cap must be an int, got {cap!r}") from None
-    if too_large:
+    """Refuse a cap that is no int, and, with the exact order in the error,
+    a group of more elements than the cap."""
+    if type(cap) is not int:
+        raise InvalidInputError(f"cap must be an int, got {cap!r}")
+    if rs.order > cap:
         raise GroupTooLargeError(
             f"|W({rs.family}{rs.rank})| = {rs.order} exceeds the "
             f"enumeration cap {cap}", rs.order, cap)
 
 
 def _layers(rs: RootSystem, toric: bool = False
-            ) -> Iterator[list[tuple[Perm, Perm, tuple[int, ...]]]]:
+            ) -> Iterator[list[tuple[Perm, Perm, tuple[int, ...], str]]]:
     """The length layers of W (with ``toric``, of its elements whose reduced
     words repeat no letter) in canonical order, each built only when asked
-    for, as (permutation, inverse, least reduced word) triples that intern
-    nothing; callers check the cap first (``_check_cap``).
+    for, as (permutation, inverse, least reduced word, word string) tuples
+    that intern nothing; callers check the cap first (``_check_cap``).
 
     The least reduced word of y is (i,) + that of s_i y, with i the least
     left descent of y.  So layer k + 1 is, for i = 1..r and x in layer k in
@@ -372,15 +381,19 @@ def _layers(rs: RootSystem, toric: bool = False
     not in x's word), made with y^-1 = x^-1 s_i by two raw products: y by
     one ``rs.apply`` through the kept table of s_i (``rs.simple_tables``),
     and y^-1 by ``_compose``, whose left factor x^-1 changes every time.
+    The word string is the word joined by dots ("" for the identity), and
+    that of y is "i." + that of x, one concatenation.
     """
     n_pos = len(rs.positive_roots)
     simple, gens = rs.simple_positions, rs.simple_perms
     apply, tables = rs.apply, rs.simple_tables
     # i is the least left descent of s_i x iff x^-1 sends alpha_i and each
-    # s_i(alpha_j), j < i (positions lower[i]), to positive roots.
-    lower = [[g[simple[j]] for j in range(i)] for i, g in enumerate(gens)]
+    # s_i(alpha_j), j < i, to positive roots.  For i > 1 one itemgetter
+    # reads all their images, once that of alpha_i is seen positive.
+    reads = [itemgetter(k, *(g[simple[j]] for j in range(i)))
+             for i, (k, g) in enumerate(zip(simple, gens))]
     e = _identity_perm(rs)
-    layer, length = [(e, e, ())], 0
+    layer, length = [(e, e, (), "")], 0
     while layer:
         # Only a wrong product makes a longer layer or one larger than W.
         if length > n_pos or len(layer) > rs.order:
@@ -388,20 +401,21 @@ def _layers(rs: RootSystem, toric: bool = False
         yield layer
         length += 1
         nxt = []
-        for i, (k, g, t, below) in enumerate(
-                zip(simple, gens, tables, lower), start=1):
-            for p, q, word in layer:
-                if (q[k] < n_pos and all(q[j] < n_pos for j in below)
+        for i, (k, g, t, read) in enumerate(
+                zip(simple, gens, tables, reads), start=1):
+            head = f"{i}." if length > 1 else str(i)
+            for p, q, word, text in layer:
+                if (q[k] < n_pos and (i == 1 or max(read(q)) < n_pos)
                         and not (toric and i in word)):
                     nxt.append((apply(p, t), _compose(rs, q, g),
-                                (i,) + word))
+                                (i,) + word, head + text))
         layer = nxt
 
 
-def _interned(rs: RootSystem, triples) -> tuple[WeylElement, ...]:
-    """The elements of ``_layers`` triples, with their lengths and words."""
+def _interned(rs: RootSystem, walked) -> tuple[WeylElement, ...]:
+    """The elements of ``_layers`` tuples, with their lengths and words."""
     elements = []
-    for p, _, word in triples:
+    for p, _, word, _ in walked:
         elements.append(w := _intern(rs, p))
         w._length, w._word = len(word), word
     return tuple(elements)

@@ -12,9 +12,10 @@ and the library ships none of them.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import gcd
 from typing import NamedTuple
 
@@ -525,6 +526,31 @@ def rows_by_words(elements, target, max_length=None):
             rows.append({"w": word_string(w), "length": w.length,
                          "support": ",".join(map(str, sorted(supp_set)))})
     return rows
+
+
+def per_subset_histogram(rs, top):
+    """The (value, count) pairs of l(w) - |supp(w)| over the w with
+    l(w) <= top, by inclusion-exclusion over each subset T of the simple
+    indices on its own: the Poincare polynomial P_T of W_T, the product
+    of [h + 1]_q^(c_h - c_(h+1)) with c_h positive roots of W_T of height
+    h (Macdonald 1972), cut after q^top, times (q - 1)^(r - |T|).  The sum
+    over T is q^r times the sum of q^(l(w) - |supp(w)|)."""
+    rank = rs.rank
+    roots = [(sum(1 << j for j, c in enumerate(a) if c), sum(a))
+             for a in rs.positive_roots]
+    total = [0] * (top + rank + 1)
+    for t in range(1 << rank):
+        heights = Counter(h for mask, h in roots if mask & t == mask)
+        poly = [1] + [0] * top
+        for h, c in heights.items():
+            for _ in range(c - heights[h + 1]):  # times [h + 1]_q, cut
+                acc = [0] * (h + 1) + list(accumulate(poly))
+                poly = [x - y for x, y in zip(acc[h + 1:], acc)]
+        for _ in range(rank - bin(t).count("1")):  # times q - 1
+            poly = [b - a for a, b in zip(poly + [0], [0] + poly)]
+        for k, p in enumerate(poly):
+            total[k] += p
+    return [(k - rank, c) for k, c in enumerate(total) if c]
 
 
 def scan_tables(rows, columns, meta):

@@ -20,8 +20,9 @@ from bruhatkit import (FormulaUnavailableError, InvalidInputError,
 from bruhatkit.bruhat import descent_labels
 from bruhatkit.cli import parse_element
 from bruhatkit.complexity import SCAN_TARGETS
+from bruhatkit.rootsys import _FAMILIES, FAMILIES
 from oracles import (fraction_rank, interval_all_roots, minimal_coset_element,
-                     rows_by_words, subword_reachable)
+                     per_subset_histogram, rows_by_words, subword_reachable)
 from sweeps import comparable_pairs
 
 
@@ -328,6 +329,29 @@ def test_scan_histogram(b2):
                     {"value": 2, "count": 1}]
 
 
+# Every label of rank at most 8.
+_UP_TO_RANK_8 = [(family, rank) for family in FAMILIES for rank in range(1, 9)
+                 if rank in _FAMILIES[family][0]]
+
+
+@pytest.mark.parametrize("family,rank", _UP_TO_RANK_8,
+                         ids=[f"{f}{r}" for f, r in _UP_TO_RANK_8])
+def test_histogram_matches_per_subset_oracle(family, rank):
+    # The scan makes each Poincare polynomial once and sums those of each
+    # size before multiplying by (q - 1)^(r - |T|); the oracle makes one
+    # per subset and multiplies each.  Bounds below, at and past the
+    # longest length.
+    rs = root_system(family, rank)
+    n_pos = len(rs.positive_roots)
+    for max_length in (None, 0, 1, 2, 5, n_pos // 2, n_pos - 1, n_pos + 3):
+        top = n_pos if max_length is None else min(max_length, n_pos)
+        expected = [{"value": value, "count": count}
+                    for value, count in per_subset_histogram(rs, top)]
+        assert list(scan(rs, "complexity_histogram", max_length=max_length,
+                         cap=rs.order)) == expected
+    assert sum(row["count"] for row in expected) == rs.order
+
+
 def test_scan_levi_table(a2, s3):
     rows = list(scan(a2, "levi_table"))
     expected = sum(2 ** len(left_descents(w)) for w in s3)
@@ -347,19 +371,14 @@ def test_scan_max_length_stops_after_its_layer():
     # The support targets do not intern the walk's elements, so their rows
     # are checked against the word route over the short elements.  The Levi
     # rows of the short elements come first in the unbounded scan, and
-    # intern only the w_0(I) of their left descents; the toric Richardson
-    # rows over short u and v are those with [u, v] toric, and its scan
-    # interns the 27 short elements.
+    # intern nothing: each w_0(I) of their left descents is built raw (it
+    # interned the 17 of them).  The toric Richardson rows over short u and
+    # v are those with [u, v] toric, and its scan interns the 27 short
+    # elements.
     e6 = root_system("E", 6)
     short = tuple(w for w in enumerate_group(e6) if w.length <= 2)
-    levi = build_root_system("E", 6)
-    for w in short:
-        for sub in subsets(6):
-            if sub <= left_descents(w):
-                longest_element(levi, sub)
     interned = {"complexity_histogram": 0, "toric_schubert": 0,
-                "toric_richardson": 27, "levi_table": len(levi.element_cache)}
-    assert interned["levi_table"] == 17
+                "toric_richardson": 27, "levi_table": 0}
     for target in SCAN_TARGETS:
         fresh = build_root_system("E", 6)
         rows = list(scan(fresh, target, max_length=2))
@@ -367,7 +386,6 @@ def test_scan_max_length_stops_after_its_layer():
         if target in ("complexity_histogram", "toric_schubert"):
             assert rows_by_words(short, target) == rows
         elif target == "levi_table":
-            assert set(fresh.element_cache) == set(levi.element_cache)
             whole = scan(e6, target)
             assert list(islice(whole, len(rows))) == rows
             assert next(whole)["w"].count(".") == 2   # length 3
@@ -462,9 +480,11 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
     # one more ``rs.apply``, through the table of the signs, counted apart.
     # The walk makes no table (``rs.simple_tables`` are kept on the
     # system), and each w_0(I) and the signs are tabled once, as perm +
-    # pad.  The only multiplies build each w_0(I) once, and they intern
-    # all a Levi scan interns.  The histogram walks no element and no
-    # word; toric_schubert walks its rows only.  Rebuilding each word from
+    # pad.  Each w_0(I) is built once on raw permutations, by one
+    # ``_compose`` per letter, so a Levi scan makes no multiply and interns
+    # nothing (it made one multiply per letter, and interned each w_0(I)
+    # and its prefixes).  The histogram walks no element and no word;
+    # toric_schubert walks its rows only.  Rebuilding each word from
     # scratch and closing the group under all generators costs 16
     # multiplies per element of F4.  A fresh system, so that no word is
     # known before the scan.  The counted ``_compose`` is the entrywise
@@ -472,8 +492,8 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
     # uses.
     rs = build_root_system("F", 4)
     order = 1152
-    # longest_element makes one product per letter of w_0(I), and every I
-    # is in the left descent set of w_0.
+    # w_0(I) is built by one product per letter, and every I is in the
+    # left descent set of w_0.
     levi = build_root_system("F", 4)
     levi_builds = sum(longest_element(levi, sub).length for sub in subsets(4))
     calls = {"multiply": 0, "_compose": 0, "apply": 0, "signs": 0}
@@ -523,16 +543,16 @@ def test_scan_multiplies_once_per_element(monkeypatch, target):
         assert len(rs.element_cache) == 0
     else:
         assert len(rows) == 5089
-        assert calls == {"multiply": levi_builds,
+        assert calls == {"multiply": 0,
                          "_compose": order - 1 + levi_builds,
                          "apply": order - 1 + len(rows), "signs": order}
         assert calls["_compose"] + calls["apply"] == 2 * (
             order - 1) + levi_builds + len(rows)
         assert len(sign_tables) == 1
-        levi_perms = [longest_element(rs, sub).perm for sub in subsets(4)]
+        assert len(rs.element_cache) == 0
+        levi_perms = [longest_element(levi, sub).perm for sub in subsets(4)]
         assert sorted(p for p in made if max(p) > 1) == sorted(levi_perms)
         assert len(made) == len(levi_perms) + 1
-        assert set(rs.element_cache) == set(levi.element_cache)
     # The words of a freshly enumerated group cost no product at all.
     group = enumerate_group(build_root_system("F", 4))
     calls["multiply"] = 0

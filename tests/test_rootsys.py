@@ -283,6 +283,14 @@ NOT_INT_CALLS = {
         lambda rs: partial_flag_levi_complexity(identity(rs), [[1]], []),
     "scan-cap-None": lambda rs: scan(rs, "levi_table", cap=None),
     "enumerate_group-cap-str": lambda rs: enumerate_group(rs, cap="9"),
+    # A subset or word that is not iterable ended in a raw TypeError, and a
+    # cap of a type other than int was compared with |W| (True as 1).
+    "levi_acts-int": lambda rs: levi_acts(5, identity(rs)),
+    "from_word-int": lambda rs: from_word(rs, 5),
+    "longest_element-None": lambda rs: longest_element(rs, None),
+    "enumerate_group-cap-bool": lambda rs: enumerate_group(rs, cap=True),
+    "scan-cap-bool": lambda rs: scan(rs, "levi_table", cap=True),
+    "scan-cap-float": lambda rs: scan(rs, "complexity_histogram", cap=1e9),
 }
 
 
@@ -292,5 +300,18 @@ def test_an_index_that_is_not_an_int_is_refused(call, a2):
     # Each ended in TypeError or ValueError, and simple_root(1.0) answered.
     # from_word on the shared system may find s_1 memoized on the identity.
     from_word(a2, [1, 2])
-    with pytest.raises(InvalidInputError, match=" must be an int, got "):
+    with pytest.raises(InvalidInputError,
+                       match=" must be an (int|iterable of ints), got "):
         call(a2)
+
+
+def test_an_error_raised_while_iterating_is_not_caught(a2):
+    # Only iter() is guarded: a subset or word whose iteration fails keeps
+    # its own error, even a TypeError.
+    def failing():
+        yield 1
+        raise TypeError("failed while iterating")
+
+    for call in (from_word, longest_element):
+        with pytest.raises(TypeError, match="failed while iterating"):
+            call(a2, failing())

@@ -3,7 +3,7 @@ import random
 import re
 import sys
 import time
-from itertools import combinations
+from itertools import chain, combinations, islice
 from operator import itemgetter
 
 import pytest
@@ -187,7 +187,7 @@ def test_support_examples(a3, a4):
 
 
 def test_parabolic_decompositions_exhaustive(s4, b3_group):
-    from itertools import combinations
+    from itertools import chain, combinations, islice
     for group, rank in ((s4, 3), (b3_group, 3)):
         subsets = [frozenset(c) for size in range(rank + 1)
                    for c in combinations(range(1, rank + 1), size)]
@@ -667,6 +667,63 @@ def test_reduced_word_walk_is_bounded(monkeypatch):
         reduced_word(w)
     assert time.perf_counter() - start < 1
     assert calls[0] == 9
+
+
+def _levi_closure(rs, sub):
+    """W_I, by closing the identity under right products by the s_i, i in
+    I."""
+    gens = [simple_reflection(rs, i) for i in sub]
+    group = frontier = {identity(rs)}
+    while frontier:
+        frontier = {multiply(x, s) for x in frontier for s in gens} - group
+        group = group | frontier
+    return group
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2), ("D", 4),
+                                         ("F", 4), ("A", 16)])
+def test_longest_element_is_longest_in_levi_and_interned_alone(family,
+                                                               rank):
+    # w_0(I) is built on raw permutations, so a fresh system holds only it
+    # afterwards.  Every subset, against the longest of the elements of
+    # the enumerated group with support in I; on A16, whose group is too
+    # large to enumerate (tuple permutations), some subsets against the
+    # longest element of W_I closed under products.
+    rs = root_system(family, rank)
+    if rs.perm_type is bytes:
+        group = enumerate_group(rs)
+        levis = {sub: [w for w in group if support(w) <= set(sub)]
+                 for size in range(rank + 1)
+                 for sub in combinations(range(1, rank + 1), size)}
+    else:
+        levis = {sub: _levi_closure(rs, sub)
+                 for sub in [(), (16,), (1, 2, 3), (2, 5, 6, 16),
+                             (9, 10, 11, 12)]}
+    for sub, levi in levis.items():
+        top = max(w.length for w in levi)
+        (expected,) = [w for w in levi if w.length == top]
+        fresh = build_root_system(family, rank)
+        w0 = longest_element(fresh, sub[::-1])
+        assert w0.perm == expected.perm
+        assert list(fresh.element_cache.values()) == [w0]
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("G", 2), ("F", 4),
+                                         ("A", 16)])
+def test_walk_word_strings_join_the_words(family, rank):
+    # Each walked element's string is made by one concatenation onto that
+    # of the element below it; it is the word joined by dots, "" for the
+    # identity (the scans print "id").  A16 up to length 2.
+    rs = build_root_system(family, rank)
+    for toric in (False, True):
+        layers = _layers(rs, toric)
+        if rs.perm_type is tuple:
+            layers = islice(layers, 3)
+        walked = list(chain.from_iterable(layers))
+        for _, _, word, text in walked:
+            assert text == ".".join(map(str, word))
+        assert walked[0][3] == ""
+        assert len({text for *_, text in walked}) == len(walked)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("F", 4)])
