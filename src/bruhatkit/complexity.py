@@ -29,7 +29,7 @@ from .algdim import ad, max_toric_below_top, span_rank
 from .bruhat import descent_labels
 from .errors import (FormulaUnavailableError, InvalidInputError,
                      NotComparableError, PreconditionError)
-from .rootsys import RootSystem
+from .rootsys import RootSystem, _listed
 from .weyl import (DEFAULT_GROUP_CAP, Perm, SimpleSubset, WeylElement,
                    _check_cap, _interned, _layers, _longest_perm,
                    left_descents, left_parabolic_decomposition,
@@ -203,7 +203,7 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
     contained in D_L(w) (else L_I acts on the partial-flag variety only and
     no transferred value exists - a distinct FormulaUnavailableError).
     """
-    j_sub = tuple(j_subset)  # checked after I, by the stabilizer
+    j_sub = _listed(j_subset, "subset")  # entries checked after I
     i_sub = w.system._check_subset(i_subset)
     stab = partial_stabilizer_descents(w, j_sub)
     outside = i_sub - stab

@@ -546,7 +546,7 @@ def per_subset_histogram(rs, top):
             for _ in range(c - heights[h + 1]):  # times [h + 1]_q, cut
                 acc = [0] * (h + 1) + list(accumulate(poly))
                 poly = [x - y for x, y in zip(acc[h + 1:], acc)]
-        for _ in range(rank - bin(t).count("1")):  # times q - 1
+        for _ in range(rank - t.bit_count()):  # times q - 1
             poly = [b - a for a, b in zip(poly + [0], [0] + poly)]
         for k, p in enumerate(poly):
             total[k] += p

@@ -288,6 +288,8 @@ NOT_INT_CALLS = {
     "levi_acts-int": lambda rs: levi_acts(5, identity(rs)),
     "from_word-int": lambda rs: from_word(rs, 5),
     "longest_element-None": lambda rs: longest_element(rs, None),
+    "partial_flag_levi_complexity-int":
+        lambda rs: partial_flag_levi_complexity(identity(rs), 5, []),
     "enumerate_group-cap-bool": lambda rs: enumerate_group(rs, cap=True),
     "scan-cap-bool": lambda rs: scan(rs, "levi_table", cap=True),
     "scan-cap-float": lambda rs: scan(rs, "complexity_histogram", cap=1e9),

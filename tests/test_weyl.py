@@ -187,7 +187,7 @@ def test_support_examples(a3, a4):
 
 
 def test_parabolic_decompositions_exhaustive(s4, b3_group):
-    from itertools import chain, combinations, islice
+    from itertools import combinations
     for group, rank in ((s4, 3), (b3_group, 3)):
         subsets = [frozenset(c) for size in range(rank + 1)
                    for c in combinations(range(1, rank + 1), size)]
