@@ -7,12 +7,14 @@ Cover edges are the length-difference-1 edges, i.e. the Hasse diagram.
 Comparison and algebraic dimension share one right-descent walk
 (``descent_labels``): ``bruhat_le`` asks whether it reaches u = v, and
 ``algdim.ad`` takes the rank of the labels it records.  The walk steps on
-raw permutations by ``weyl._compose`` and interns nothing.  ``interval`` finds
-only the elements of [u, v], by a downward breadth-first search from v that
-keeps only elements >= u, down to the covers of u, found by a reflection
-test (``_covers``).  The reflections s_alpha w < w below w are read off w's
-permutation (``_reflected``).  No query here builds an edge: the tests
-read the edges of [u, v] off its elements and ``_reflected``.
+raw permutations by ``weyl._compose`` and interns nothing; its raw form
+(``_labels``) also serves the ``toric_richardson`` scan, which has no
+elements.  ``interval`` finds only the elements of [u, v], by a downward
+breadth-first search from v that keeps only elements >= u, down to the
+covers of u, found by a reflection test (``_covers``).  The reflections
+s_alpha w < w below w are read off w's permutation (``_reflected``).  No
+query here builds an edge: the tests read the edges of [u, v] off its
+elements and ``_reflected``.
 """
 
 from __future__ import annotations
@@ -20,27 +22,31 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .errors import NotComparableError
-from .rootsys import Root
-from .weyl import (WeylElement, _compose, _reflections, _same_system,
+from .rootsys import Root, RootSystem
+from .weyl import (Perm, WeylElement, _compose, _reflections, _same_system,
                    inverse, multiply, word_string)
 
 
 def descent_labels(u: WeylElement, v: WeylElement) -> list[Root] | None:
-    """The labels of the right-descent walk from (u, v), or None once
-    l(u) >= l(v) with u != v, which happens exactly when u is not <= v (the
-    lifting property; Björner–Brenti, GTM 231, ch. 2).
+    """The labels of the right-descent walk from (u, v) (``_labels``).
+    Refuses elements of two root systems."""
+    return _labels(_same_system(u, v), u.perm, v.perm, v.length - u.length)
+
+
+def _labels(rs: RootSystem, p: Perm, q: Perm, gap: int) -> list[Root] | None:
+    """The labels of the right-descent walk from the raw permutations
+    (p, q) of (u, v), gap = l(v) - l(u), or None once l(u) >= l(v) with
+    u != v, which happens exactly when u is not <= v (the lifting property;
+    Björner–Brenti, GTM 231, ch. 2).
 
     With i the least right descent of v, each step sets v to v s_i, and u to
     u s_i when i is also a right descent of u; otherwise it records the
     label u(alpha_i).  So l(v) - l(u) drops by one per label, and once u = v
     it has recorded l(v) - l(u) labels.  The steps compose raw permutations
     (``_compose``), and i is a right descent of p where p[k] >= N, k the
-    position of alpha_i.  Refuses elements of two root systems.
+    position of alpha_i.
     """
-    rs = _same_system(u, v)
     n_pos, gens = len(rs.positive_roots), rs.simple_perms
-    p, q = u.perm, v.perm
-    gap = v.length - u.length
     labels = []
     while len(labels) < gap:
         for i, k in enumerate(rs.simple_positions):

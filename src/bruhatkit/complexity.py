@@ -26,15 +26,14 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .algdim import ad, max_toric_below_top, span_rank
-from .bruhat import descent_labels
+from .bruhat import _labels
 from .errors import (FormulaUnavailableError, InvalidInputError,
                      NotComparableError, PreconditionError)
 from .rootsys import RootSystem, _listed
 from .weyl import (DEFAULT_GROUP_CAP, Perm, SimpleSubset, WeylElement,
-                   _check_cap, _interned, _layers, _longest_perm,
-                   left_descents, left_parabolic_decomposition,
-                   longest_element, multiply, right_descents, support,
-                   word_string)
+                   _check_cap, _layers, _longest_perm, left_descents,
+                   left_parabolic_decomposition, longest_element, multiply,
+                   right_descents, support, word_string)
 
 #: Fixed column order per scan target (also the CSV header order).
 SCAN_COLUMNS = {
@@ -231,17 +230,18 @@ def partial_flag_levi_complexity(w: WeylElement, j_subset: Iterable[int],
 
 
 def _richardson_rows(rs: RootSystem, walked) -> Iterator[tuple]:
-    """The pairs u <= v with ad(u, v) = l(v) - l(u), over the elements of
-    the walked tuples, by one uncached ``descent_labels`` walk per pair: its
-    l(v) - l(u) labels must be independent."""
-    elements = _interned(rs, walked)
-    for u in elements:
-        u_str = word_string(u)
-        for v in elements:
-            if u.length <= v.length:
-                labels = descent_labels(u, v)
+    """The pairs u <= v with ad(u, v) = l(v) - l(u), over the walked
+    tuples, by one right-descent walk on their raw permutations per pair
+    (``bruhat._labels``): its l(v) - l(u) labels must be independent.  The
+    lengths are those of the walked words and the strings the walk's own,
+    so the scan makes no element."""
+    walked = [(p, len(word), text or "id") for p, _, word, text in walked]
+    for p, length_u, u_str in walked:
+        for q, length_v, v_str in walked:
+            if length_u <= length_v:
+                labels = _labels(rs, p, q, length_v - length_u)
                 if labels is not None and span_rank(labels) == len(labels):
-                    yield u_str, word_string(v), len(labels), len(labels)
+                    yield u_str, v_str, len(labels), len(labels)
 
 
 def _levi_rows(rs: RootSystem, walked, quote) -> Iterator[tuple]:
@@ -358,10 +358,11 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     ``complexity_histogram`` builds no element (see ``_support_histogram``).
     The others walk theirs in canonical order (length, then least reduced
     word) on raw permutations, a layer when its rows are read (``_layers``):
-    ``toric_schubert`` only its rows, the others the whole group.  Only
-    ``toric_richardson`` interns it, and it makes one uncached right-descent
-    walk per pair (``bruhat.descent_labels``), so it leaves the
-    ``bruhat_le`` and ``ad`` memo tables as it found them.
+    ``toric_schubert`` only its rows, the others the whole group.  No
+    target interns an element.  ``toric_richardson`` makes one uncached
+    right-descent walk per pair on the walked permutations
+    (``bruhat._labels``), so it leaves the ``bruhat_le`` and ``ad`` memo
+    tables as they were.
 
     >>> from bruhatkit.rootsys import root_system
     >>> list(scan(root_system("A", 2), "complexity_histogram"))

@@ -184,7 +184,9 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     (choice, next prefix, entry) with entry the (k+1, beta) of a Jo or J-
     position, else None.  A move is live when a distinguished completion
     through it ends at u, so entry n is {u.perm: ()}; the start is live
-    exactly when entry 0 holds the identity.  Nothing is interned.
+    exactly when entry 0 holds the identity.  Nothing is interned, and
+    each permutation is held as one object, its first copy (``first``,
+    seeded with the two ends), however many moves reach it.
 
     Forward layers grow from the identity by ``_moves``.  Backward layers
     grow from u, each state keyed to its length: the layer at depth k
@@ -204,14 +206,17 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     layers, so every state it enters is live.
     """
     n, n_pos = len(word), len(rs.positive_roots)
-    ahead, behind = [{_identity_perm(rs): None}], [{u.perm: u.length}]
+    first = {u.perm: u.perm}
+    start = first.setdefault(e := _identity_perm(rs), e)
+    ahead, behind = [{start: None}], [{u.perm: u.length}]
     # The frontiers are at depths len(ahead) - 1 and n + 1 - len(behind).
     while len(ahead) + len(behind) <= n + 1:
         if 2 * len(ahead[-1]) <= len(behind[-1]):
             k, layer = len(ahead) - 1, ahead[-1]
             i, s = word[k], rs.simple_perms[word[k] - 1]
             for x in layer:
-                layer[x] = _moves(rs, k + 1, x, i, _compose(rs, x, s))
+                y = _compose(rs, x, s)
+                layer[x] = _moves(rs, k + 1, x, i, first.setdefault(y, y))
             ahead.append({y: None for moves in layer.values()
                           for _, y, _ in moves})
         else:
@@ -235,9 +240,11 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     steps.reverse()
     for k, reach in enumerate(reversed(behind[:-1]), len(ahead)):
         i, s = word[k], rs.simple_perms[word[k] - 1]
-        found = {x: tuple(move for move in _moves(
-                              rs, k + 1, x, i, _compose(rs, x, s))
-                          if move[1] in reach) for x in layer}
+        found = {}
+        for x in layer:
+            y = _compose(rs, x, s)
+            found[x] = tuple(move for move in _moves(
+                rs, k + 1, x, i, first.setdefault(y, y)) if move[1] in reach)
         steps.append(found)
         layer = {move[1]: None for moves in found.values() for move in moves}
     steps.append({u.perm: ()})
@@ -333,10 +340,9 @@ def component_shape(se: Subexpression) -> DeodharComponentShape:
 
 
 def _poly_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    """a + b, with no trim: the census only adds polynomials whose leading
+    coefficient is positive, as that of each (q-1)^|Jo| q^|J-| is 1."""
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def deodhar_polynomial(v_word: Sequence[int],

@@ -17,11 +17,13 @@ land on negative positions.  Words compose left to right:
 
 A walk that keeps only a word, labels or its last element (``from_word``,
 ``reduced_word``, ``longest_element``, the scans' ``_layers``,
-``bruhat.descent_labels``, the Deodhar mask search) steps through raw
+``bruhat._labels``, the Deodhar mask search) steps through raw
 permutations and interns only the elements it returns.  ``_layers``
 returns none, and carries each element's word string, made by one
 concatenation onto that of the element it came from, which the
-``levi_table`` and ``toric_schubert`` rows print as they are.  Elements
+``levi_table``, ``toric_schubert`` and ``toric_richardson`` rows print as
+they are.  No scan interns an element; only ``enumerate_group`` interns
+the walk's elements, with their lengths and words.  Elements
 are interned per root system, so equality is identity, and lengths,
 inverses, descents and reduced words are computed once per element.  The
 hash is that of the permutation as a tuple of ints, the same in every run
@@ -412,15 +414,6 @@ def _layers(rs: RootSystem, toric: bool = False
         layer = nxt
 
 
-def _interned(rs: RootSystem, walked) -> tuple[WeylElement, ...]:
-    """The elements of ``_layers`` tuples, with their lengths and words."""
-    elements = []
-    for p, _, word, _ in walked:
-        elements.append(w := _intern(rs, p))
-        w._length, w._word = len(word), word
-    return tuple(elements)
-
-
 def enumerate_group(rs: RootSystem,
                     cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
     """All Weyl group elements in canonical order (length, then least
@@ -433,7 +426,11 @@ def enumerate_group(rs: RootSystem,
     ['1.2', '1.3', '2.1', '2.3', '3.2']
     """
     _check_cap(rs, cap)
-    return _interned(rs, chain.from_iterable(_layers(rs)))
+    elements = []
+    for p, _, word, _ in chain.from_iterable(_layers(rs)):
+        elements.append(w := _intern(rs, p))
+        w._length, w._word = len(word), word
+    return tuple(elements)
 
 
 def canonical_order(elements: Iterable[WeylElement]) -> list[WeylElement]:

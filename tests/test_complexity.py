@@ -312,7 +312,8 @@ def test_toric_richardson_and_descent_labels_against_oracles(family, rank):
 
 
 def test_toric_richardson_scan_leaves_memo_tables_as_found():
-    # One uncached walk per pair, so neither unbounded table grows.
+    # One uncached walk per pair, so neither unbounded table grows, and the
+    # walks are on raw permutations, so the system interns no element.
     rs = build_root_system("B", 3)
 
     def sizes():
@@ -321,6 +322,7 @@ def test_toric_richardson_scan_leaves_memo_tables_as_found():
     before = sizes()
     assert len(list(scan(rs, "toric_richardson"))) == 504
     assert sizes() == before
+    assert not rs.element_cache
 
 
 def test_scan_histogram(b2):
@@ -373,12 +375,12 @@ def test_scan_max_length_stops_after_its_layer():
     # rows of the short elements come first in the unbounded scan, and
     # intern nothing: each w_0(I) of their left descents is built raw (it
     # interned the 17 of them).  The toric Richardson rows over short u and
-    # v are those with [u, v] toric, and its scan interns the 27 short
-    # elements.
+    # v are those with [u, v] toric, and its scan interns nothing either:
+    # it walks the raw permutations.
     e6 = root_system("E", 6)
     short = tuple(w for w in enumerate_group(e6) if w.length <= 2)
     interned = {"complexity_histogram": 0, "toric_schubert": 0,
-                "toric_richardson": 27, "levi_table": 0}
+                "toric_richardson": 0, "levi_table": 0}
     for target in SCAN_TARGETS:
         fresh = build_root_system("E", 6)
         rows = list(scan(fresh, target, max_length=2))

@@ -337,6 +337,19 @@ def test_census_interns_only_what_the_search_meets(family, rank, digest):
     assert hashlib.sha256(repr(poly).encode()).hexdigest() == digest
 
 
+def test_live_moves_hold_one_object_per_permutation():
+    # Each permutation the search returns, as a state or a move target, is
+    # one object, however many moves reach it: on A8's w0 word with u = id
+    # that is 1,734 objects, where a copy per product made 8,433.
+    rs = build_root_system("A", 8)
+    word = reduced_word(longest_element(rs, range(1, 9)))
+    steps = _live_moves(rs, tuple(word), identity(rs))
+    held = [x for layer in steps for x in layer]
+    held += [move[1] for layer in steps for moves in layer.values()
+             for move in moves]
+    assert len({id(x) for x in held}) == len(set(held)) == 1734
+
+
 @pytest.mark.parametrize("u_word", [
     (), (3, 4, 3, 1, 5, 3, 2, 1, 4, 3, 2, 5, 3, 4)])
 def test_mask_search_makes_no_bruhat_comparison(u_word):
