@@ -24,7 +24,7 @@ pairs, the change won at least nine in ten of them, and its median beats
 the parent's by more than the distance between the parent's quartiles.
 ``regressed`` is its mirror: the change lost at least nine in ten, and its
 median is worse by more than that distance.  The last line on stderr names
-every regressed workload/metric.
+every regressed workload/metric, and every regressed ``slow/<name>``.
 Under ``summary_line`` it keeps, the same way but without a verdict, the
 SUMMARY_FIELDS of each run's summary line: the uncorrected wall times and
 the yardstick, which tell a drift of the yardstick from a change of work.
@@ -32,11 +32,13 @@ Beside the verdict of ``run_s``, under its ``uncorrected`` key, it keeps
 the same wins, losses and flags computed on the uncorrected ``run_wall_s``;
 they inform and gate nothing, and never reach the ``regressed:`` line.
 
-With ``--slow`` it also times each of the SLOW commands whole process
-(``python -m bruhatkit.cli``, output discarded) in SLOW_PAIRS alternated
-pairs, after the workloads, and keeps under ``slow`` their quartiles in
-seconds, with no verdict: three pairs settle nothing, and nothing is gated
-on them.  ``--workloads ""`` runs no workload.
+With ``--slow`` it also runs each of the SLOW commands whole process
+(``python -m bruhatkit.cli``, output discarded) in ``--pairs`` alternated
+pairs, after the workloads, and keeps under ``slow`` each command's wall
+seconds by name and its peak RSS in MB as ``<name>.peak_rss_mb``, with the
+same quartiles, wins and verdict as a workload's metric.  ``--workloads ""``
+runs no workload.  A name that is not a workload of the change's
+BENCHMARK.json stops the script before any run, with exit code 2.
 
 With ``--calls`` it also runs, per workload and side, one untimed pass of
 the seed's ops through that copy's ``bruhatkit.cli.main`` under
@@ -89,7 +91,6 @@ SLOW = {
     "E6_scan_levi_table": [
         "scan", "--type", "E", "--rank", "6", "--target", "levi_table"],
 }
-SLOW_PAIRS = 3
 #: Run in a copy by ``count_calls``, with a workload's name and seed, or
 #: "--" and one CLI argv, as arguments: prints the exit codes of its ops and
 #: the calls of each bruhatkit function, by module and qualified name.
@@ -200,14 +201,9 @@ def calls_line(workload: str, delta: dict) -> str | None:
             f"functions, {delta['total']:+d} calls in all")
 
 
-def summarize_slow(pairs: list[dict]) -> dict:
-    """Per SLOW command, the two sides' quartiles in seconds (``spread``),
-    with no verdict; ``pairs`` is as for ``summarize``."""
-    return {name: spread(pairs, name) for name in pairs[0]["parent"]}
-
-
 def regressions(workloads: dict) -> list[str]:
-    """Every "workload/metric" whose row is ``regressed``, in report order."""
+    """Every "workload/metric" whose row is ``regressed``, in report order;
+    the report's ``slow`` rows come in as a workload named "slow"."""
     return [f"{name}/{metric}" for name, rows in workloads.items()
             for metric, row in rows.items() if row.get("regressed")]
 
@@ -319,15 +315,29 @@ def merge_calls(sides: dict[str, dict[str, int]]) -> dict[str, dict]:
             for name in names}
 
 
-def time_command(copy: Path, argv: list[str]) -> float:
-    """Whole-process wall seconds of one CLI command run from a copy's
-    ``src/``, its output discarded."""
+def time_command(copy: Path, argv: list[str]) -> tuple[float, float]:
+    """Whole-process wall seconds and peak RSS in MB (the child's own
+    ``ru_maxrss``, as the benchmark's worker reports it) of one CLI command
+    run from a copy's ``src/``, its output discarded."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(copy / "src"))
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "bruhatkit.cli", *argv], cwd=copy,
-                   env=env, stdout=subprocess.DEVNULL, check=True)
-    return time.perf_counter() - start
+    proc = subprocess.Popen([sys.executable, "-m", "bruhatkit.cli", *argv],
+                            cwd=copy, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return time.perf_counter() - start, usage.ru_maxrss / 1024
+
+
+def slow_run(copy: Path) -> dict[str, float]:
+    """One run of each SLOW command in a copy: its seconds by name, and its
+    peak RSS in MB as ``<name>.peak_rss_mb``."""
+    values = {}
+    for name, argv in SLOW.items():
+        values[name], values[f"{name}.peak_rss_mb"] = time_command(copy, argv)
+    return values
 
 
 def alternated(copies: dict, pairs: int, run):
@@ -370,19 +380,17 @@ def main(argv=None) -> int:
                    (("parent", args.parent), ("change", args.change))}
         bench = json.loads((copies["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        known = [w["name"] for w in bench["workloads"]]
         names = ([n for n in args.workloads.split(",") if n]
-                 if args.workloads is not None
-                 else [w["name"] for w in bench["workloads"]])
-        report = {"commits": commits,
-                  "src_lines": {side: python_lines(copy, "src")
-                                for side, copy in copies.items()},
-                  "tests_lines": {side: python_lines(copy, "tests")
-                                  for side, copy in copies.items()},
-                  "src_code_lines": {side: python_code_lines(copy, "src")
-                                     for side, copy in copies.items()},
-                  "tests_code_lines": {
-                      side: python_code_lines(copy, "tests")
-                      for side, copy in copies.items()},
+                 if args.workloads is not None else known)
+        if set(names) - set(known):
+            parser.exit(2, f"unknown workload; known: {', '.join(known)}\n")
+        lines = {f"{top}_{kind}": {side: count(copy, top)
+                                   for side, copy in copies.items()}
+                 for kind, count in (("lines", python_lines),
+                                     ("code_lines", python_code_lines))
+                 for top in ("src", "tests")}
+        report = {"commits": commits, **lines,
                   "host": {
                       "nproc": os.cpu_count(),
                       "python": platform.python_version(),
@@ -412,10 +420,9 @@ def main(argv=None) -> int:
                 if line:
                     print(line, file=sys.stderr)
         if args.slow:
-            pairs = list(alternated(copies, SLOW_PAIRS, lambda copy: {
-                name: time_command(copy, argv)
-                for name, argv in SLOW.items()}))
-            report["slow"] = summarize_slow(pairs)
+            pairs = list(alternated(copies, args.pairs, slow_run))
+            report["slow"] = summarize(
+                pairs, dict.fromkeys(pairs[0]["parent"], "lower"))
             if args.calls:
                 for name, calls in slow_calls(copies).items():
                     report["slow"][name]["calls"] = calls
@@ -423,7 +430,8 @@ def main(argv=None) -> int:
     if args.out:
         args.out.write_text(text + "\n")
     print(text)
-    regressed = regressions(report["workloads"])
+    regressed = regressions({**report["workloads"],
+                             "slow": report.get("slow", {})})
     if regressed:
         print("regressed: " + ", ".join(regressed), file=sys.stderr)
     return 0

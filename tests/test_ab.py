@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -148,17 +150,47 @@ def test_code_lines_skip_blank_comment_and_docstring_lines(tmp_path):
 
 
 def test_slow_commands_keep_quartiles_with_no_verdict():
-    # Three pairs: a spread per command, and no claim or regression.
+    # Three pairs, judged as a workload's are: a spread per command, and
+    # below MIN_PAIRS no claim or regression.
     pairs = [{"parent": {"a": p, "b": 2.0}, "change": {"a": c, "b": 2.0}}
              for p, c in zip([4.0, 5.0, 6.0], [3.0, 3.5, 9.0])]
-    slow = ab.summarize_slow(pairs)
+    slow = ab.summarize(pairs, {"a": "lower", "b": "lower"})
     assert list(slow) == ["a", "b"]
     assert slow["a"]["parent"]["median"] == 5.0
     assert slow["a"]["change"]["median"] == 3.5
     assert slow["a"]["change"]["values"] == [3.0, 3.5, 9.0]
     assert slow["a"]["change_vs_parent"] == pytest.approx(-0.3)
     assert slow["b"]["change_vs_parent"] == 0
-    assert not {"claimable", "regressed"} & set(slow["a"])
+    assert not any(slow[name][flag] for name in slow
+                   for flag in ("claimable", "regressed"))
+
+
+def _fake_export(rev, dest):
+    # A copy that holds only a BENCHMARK.json with workloads "w" and "v".
+    dest.mkdir(parents=True)
+    (dest / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "end_to_end": [],
+        "workloads": [{"name": "w"}, {"name": "v"}]}))
+    return rev
+
+
+def test_a_regressed_slow_command_is_named_on_the_regressed_line(
+        monkeypatch, capsys):
+    # The default 10 pairs of each slow command, judged by the workloads'
+    # rule: "a" is a second slower in every pair, and its peak RSS ties.
+    monkeypatch.setattr(ab, "export", _fake_export)
+    monkeypatch.setattr(ab, "SLOW", {"a": ["0"]})
+    monkeypatch.setattr(ab, "time_command", lambda copy, argv: (
+        4.0 + (copy.name == "change"), 30.0))
+    assert ab.main(["P", "C", "--workloads", "", "--slow"]) == 0
+    out, err = capsys.readouterr()
+    slow = json.loads(out)["slow"]
+    assert list(slow) == ["a", "a.peak_rss_mb"]
+    assert slow["a"]["pairs"] == slow["a.peak_rss_mb"]["pairs"] == 10
+    assert slow["a"]["change_losses"] == 10 and slow["a"]["regressed"]
+    assert slow["a"]["change_vs_parent"] == pytest.approx(0.25)
+    assert not slow["a.peak_rss_mb"]["regressed"]
+    assert err.splitlines()[-1] == "regressed: slow/a"
 
 
 def test_pairs_alternate_which_side_runs_first():
@@ -194,6 +226,7 @@ def test_slow_commands_are_valid_argv_over_w0():
 def _fake_copy(root, ops):
     # A copy whose bruhatkit.cli.main calls a helper once per op and reads
     # a generator, and whose workload "w" has the given argv as its ops.
+    # Run as a module, its cli holds 50 MB and exits with main's code.
     (root / "src" / "bruhatkit").mkdir(parents=True)
     (root / "perfbench").mkdir()
     (root / "src" / "bruhatkit" / "__init__.py").write_text("")
@@ -203,7 +236,10 @@ def _fake_copy(root, ops):
         "    yield from range(n)\n"
         "def main(argv):\n"
         "    print('output', argv)\n"
-        "    return sum(helper(len(argv))) and int(argv[0])\n")
+        "    return sum(helper(len(argv))) and int(argv[0])\n"
+        "if __name__ == '__main__':\n"
+        "    held = bytearray(50 << 20)\n"
+        "    sys.exit(main(sys.argv[1:]))\n")
     (root / "perfbench" / "workloads.py").write_text(
         "class Op:\n"
         "    def __init__(self, argv):\n"
@@ -249,6 +285,29 @@ def test_slow_calls_count_each_command_once_per_side(tmp_path, monkeypatch):
                 "bruhatkit.cli.main": {"parent": 1, "change": 1}}}
     with pytest.raises(SystemExit, match=r"-- 3 y: exit codes \[3\]"):
         ab.count_calls(copies["change"], "--", "3", "y")
+
+
+def test_a_command_is_timed_with_its_own_peak_rss(tmp_path):
+    # The child's own peak, which holds 50 MB; a non-zero exit raises.
+    _fake_copy(tmp_path, [])
+    seconds, rss_mb = ab.time_command(tmp_path, ["0", "x"])
+    assert seconds > 0 and rss_mb > 50
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        ab.time_command(tmp_path, ["3", "y"])
+    assert failed.value.returncode == 3
+
+
+def test_an_unknown_workload_stops_before_any_run(monkeypatch, capsys):
+    # Each name is checked against the change copy's BENCHMARK.json.
+    def run_once(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(ab, "export", _fake_export)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    with pytest.raises(SystemExit) as stopped:
+        ab.main(["P", "C", "--workloads", "w,nosuch", "--pairs", "1"])
+    assert stopped.value.code == 2
+    assert capsys.readouterr().err == "unknown workload; known: w, v\n"
 
 
 def test_uncorrected_wall_times_get_a_verdict_beside_run_s():

@@ -113,6 +113,7 @@ def test_example_interval_golden(a3):
     v = parse_element(a3, "3412")
     assert bruhat_le(u, v)
     assert interval(u, v).rank_sizes() == (1, 4, 4, 1)
+    assert repr(interval(u, v)) == "LabeledInterval([2, 2.1.3.2], 10 elements)"
     iv2 = interval(identity(a3), parse_element(a3, "3142"))
     assert iv2.rank_sizes() == (1, 3, 3, 1)
 
