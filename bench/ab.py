@@ -316,9 +316,11 @@ def merge_calls(sides: dict[str, dict[str, int]]) -> dict[str, dict]:
 
 
 def time_command(copy: Path, argv: list[str]) -> tuple[float, float]:
-    """Whole-process wall seconds and peak RSS in MB (the child's own
-    ``ru_maxrss``, as the benchmark's worker reports it) of one CLI command
-    run from a copy's ``src/``, its output discarded."""
+    """Whole-process wall seconds and peak RSS in MB of one CLI command run
+    from a copy's ``src/``, its output discarded.  The RSS is the child's
+    ``ru_maxrss`` from ``os.wait4``, in the benchmark worker's unit; Linux
+    keeps the spawning process's peak RSS in it across the exec, so it
+    reads at least this script's own peak."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(copy / "src"))
     start = time.perf_counter()

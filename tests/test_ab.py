@@ -288,7 +288,8 @@ def test_slow_calls_count_each_command_once_per_side(tmp_path, monkeypatch):
 
 
 def test_a_command_is_timed_with_its_own_peak_rss(tmp_path):
-    # The child's own peak, which holds 50 MB; a non-zero exit raises.
+    # The child's peak RSS covers the 50 MB it holds; a non-zero exit
+    # raises.
     _fake_copy(tmp_path, [])
     seconds, rss_mb = ab.time_command(tmp_path, ["0", "x"])
     assert seconds > 0 and rss_mb > 50
