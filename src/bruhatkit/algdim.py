@@ -11,9 +11,9 @@ ad(u, v) is also td of every Deodhar component: every distinguished mask's
 betas span L(u, v), the span of the labels of [u, v] (proof in ``deodhar``).
 
 All spans are over the rationals.  Root coordinates are integral, so ranks
-agree with real spans, and everything here is fraction-free integer
-elimination: rows are combined by cross-multiplication and kept primitive by
-gcd division.
+agree with real spans, and ``span_rank`` is fraction-free integer
+elimination: input rows are kept as given, a row is reduced against a pivot
+row by cross-multiplication, and each reduced row is divided by its gcd.
 """
 
 from __future__ import annotations
@@ -28,42 +28,6 @@ from .rootsys import Root
 from .weyl import WeylElement, word_string
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-    if g > 1:
-        row = [x // g for x in row]
-    # sign convention: first nonzero entry positive
-    for x in row:
-        if x > 0:
-            return row
-        if x < 0:
-            return [-y for y in row]
-    return row
-
-
-def _echelon(vectors: Iterable[Root]) -> dict[int, list[int]]:
-    """An echelon form of the span: primitive rows by pivot column, each
-    zero left of its pivot; stops once the echelon is full."""
-    echelon: dict[int, list[int]] = {}
-    for vector in vectors:
-        if len(echelon) == len(vector):
-            break
-        row = list(vector)
-        for c in range(len(row)):
-            cur = row[c]
-            if not cur:
-                continue
-            pivot_row = echelon.get(c)
-            if pivot_row is None:
-                echelon[c] = _primitive(row)
-                break
-            row = _primitive([pivot_row[c] * x - cur * y
-                              for x, y in zip(row, pivot_row)])
-    return echelon
-
-
 def span_rank(roots: Iterable[Root]) -> int:
     """Exact rank of the rational span of the given integer vectors.
 
@@ -72,7 +36,26 @@ def span_rank(roots: Iterable[Root]) -> int:
     >>> span_rank([])
     0
     """
-    return len(_echelon(roots))
+    # Pivot rows by pivot column, each zero left of its pivot; no sign or
+    # basis is kept, since only their number is read.
+    pivots: dict[int, list[int]] = {}
+    for root in roots:
+        if len(pivots) == len(root):
+            break
+        row = list(root)
+        for c in range(len(row)):
+            cur = row[c]
+            if not cur:
+                continue
+            pivot_row = pivots.get(c)
+            if pivot_row is None:
+                pivots[c] = row
+                break
+            row = [pivot_row[c] * x - cur * y for x, y in zip(row, pivot_row)]
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+    return len(pivots)
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,9 @@
 The permutation model implements the symmetric group S_n directly on
 one-line tuples, with its classical statistics (inversion count, descents,
 the sorted-prefix Bruhat criterion), sharing no code with the root-lattice
-implementation.  Rank oracles run Gaussian elimination over Fractions,
-independent of the integer fraction-free routine.  The reference routes
+implementation.  Every rank and span oracle is one Gauss-Jordan
+elimination over Fractions (``echelon_basis``), which shares no code with
+the library's fraction-free ``span_rank``.  The reference routes
 for ad (all graph edges of an interval, its covers at either end, one
 saturated chain) are the slow, obviously correct ways to the same number,
 and the library ships none of them.
@@ -16,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 # -- permutation model of S_n (type A), one-line tuples of 1..n -------------
@@ -200,13 +201,15 @@ def symmetrizer(cartan):
                 if i != j and cartan[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * cartan[i][j] / cartan[j][i]
                     queue.append(j)
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    return _coprime_integers(d)
+
+
+def _coprime_integers(fractions):
+    """The fractions times the one positive rational that makes them
+    coprime integers."""
+    scale = lcm(*(x.denominator for x in fractions))
+    ints = [int(x * scale) for x in fractions]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -229,22 +232,35 @@ def coroot_pairing(rs, x, alpha):
 # -- exact rank over Fractions ----------------------------------------------
 
 
-def fraction_rank(vectors):
-    rows = [[Fraction(x) for x in v] for v in vectors if any(v)]
+def echelon_basis(vectors):
+    """Canonical basis of the rational span: the reduced row echelon form
+    over Fractions, each row scaled to the primitive integer vector with a
+    positive pivot.  Two sets of vectors span the same space iff their
+    bases are equal.  Memoized, since the chain and recursion sweeps ask
+    for few distinct spans many times over."""
+    return _rref(tuple(vectors))
+
+
+@lru_cache(maxsize=None)
+def _rref(vectors):
+    rows = [[Fraction(x) for x in v] for v in vectors]
     rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0),
-                   None)
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [x / rows[rank][c] for x in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c] / rows[rank][c]
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
-    return rank
+    return tuple(_coprime_integers(row) for row in rows[:rank])
+
+
+def fraction_rank(vectors):
+    return len(echelon_basis(vectors))
 
 
 # -- reference routes for ad, words and spans, over library elements --------
@@ -339,30 +355,9 @@ def ad_via_chain(u, v):
     return tuple(alpha for alpha, _ in saturated_chain(u, v))
 
 
-def echelon_basis(vectors):
-    """Canonical basis of the rational span: the reduced row echelon form
-    of ``algdim``'s forward elimination, scaled row-wise to primitive
-    integer vectors with positive pivots.  Two sets of vectors span the
-    same space iff their bases are equal."""
-    from bruhatkit.algdim import _echelon, _primitive
-    echelon = _echelon(vectors)
-    cols = sorted(echelon)
-    rows = [echelon[c] for c in cols]
-    for i in range(len(rows) - 1, -1, -1):
-        c = cols[i]
-        for j in range(i):
-            if rows[j][c]:
-                piv, cur = rows[i][c], rows[j][c]
-                rows[j] = [piv * x - cur * y
-                           for x, y in zip(rows[j], rows[i])]
-        rows[i] = _primitive(rows[i])
-    return tuple(tuple(_primitive(r)) for r in rows)
-
-
 def td_span(se):
     """The rank of the span of a mask's betas: an oracle for ``se.td``."""
-    from bruhatkit.algdim import span_rank
-    return span_rank(beta for _, beta in se.betas)
+    return fraction_rank(beta for _, beta in se.betas)
 
 
 def all_reduced_words(w):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from bruhatkit import (NotComparableError, ad, bruhat_le, from_word,
-                       identity, interval, is_toric, max_toric_above_bottom,
-                       max_toric_below_top, span_rank, support)
+from bruhatkit import (NotComparableError, ad, bruhat_le, build_root_system,
+                       from_word, identity, interval, is_toric,
+                       max_toric_above_bottom, max_toric_below_top,
+                       root_system, span_rank, support)
 from bruhatkit.weyl import WeylElement
 from bruhatkit.cli import parse_element
 from oracles import (ad_direct, ad_via_chain, ad_via_covers_at, echelon_basis,
@@ -29,6 +30,29 @@ def test_span_rank_against_fraction_oracle(b3, g2):
         for _ in range(300):
             sample = rng.sample(roots, rng.randint(0, min(7, len(roots))))
             assert span_rank(sample) == fraction_rank(sample)
+    # Every family at its least rank, E8 (coefficients up to 6) and the
+    # tuple systems: 0 to 2N rows drawn with repeats, as zero vectors, roots
+    # or their multiples 2 and 3, from all signed roots or from those of a
+    # random parabolic subsystem, so that long samples fall short of rank.
+    systems = [root_system(f, r) for f, r in (
+        ("A", 1), ("B", 2), ("C", 2), ("D", 2), ("E", 6), ("F", 4),
+        ("G", 2), ("E", 8))]
+    systems += [build_root_system("A", 20), build_root_system("B", 12)]
+    for rs in systems:
+        n = len(rs.positive_roots)
+        signed = list(rs.positive_roots) + [
+            tuple(-c for c in r) for r in rs.positive_roots]
+        sizes = [0, 2 * n, 2 * n] + [rng.randint(0, 2 * n) for _ in range(3)]
+        for k, size in enumerate(sizes):
+            nodes = set(rng.sample(range(rs.rank), rng.randint(1, rs.rank)))
+            roots = signed if k % 2 else [
+                r for r in signed
+                if all(not c or i in nodes for i, c in enumerate(r))]
+            sample = [tuple(m * c for c in rng.choice(roots))
+                      for m in rng.choices((0, 1, 1, 1, 2, 3), k=size)]
+            rank = fraction_rank(sample)
+            assert span_rank(sample) == rank, (rs, sample)
+            assert span_rank(r for r in sample) == rank
 
 
 def test_echelon_basis_is_canonical(b3):
