@@ -32,19 +32,25 @@ Beside the verdict of ``run_s``, under its ``uncorrected`` key, it keeps
 the same wins, losses and flags computed on the uncorrected ``run_wall_s``;
 they inform and gate nothing, and never reach the ``regressed:`` line.
 
-With ``--slow`` it also runs each of the SLOW commands whole process
-(``python -m bruhatkit.cli``, output discarded) in ``--pairs`` alternated
-pairs, after the workloads, and keeps under ``slow`` each command's wall
-seconds by name and its peak RSS in MB as ``<name>.peak_rss_mb``, with the
-same quartiles, wins and verdict as a workload's metric.  ``--workloads ""``
-runs no workload.  A name that is not a workload of the change's
-BENCHMARK.json stops the script before any run, with exit code 2.
+With ``--slow`` it also runs each of the SLOW commands whole process in
+``--pairs`` alternated pairs, after the workloads, and keeps under ``slow``
+each command's wall seconds by name and its peak RSS in MB as
+``<name>.peak_rss_mb``, with the same quartiles, wins and verdict as a
+workload's metric.  ``--workloads ""`` runs no workload.  A name that is
+not a workload of the change's BENCHMARK.json stops the script before any
+run, with exit code 2, and so does an ``--out`` whose directory does not
+exist, before any export.
+
+Every run of the program that is not a benchmark run is one process of
+CHILD_SCRIPT in a copy (``run_child``): it runs each argv through that
+copy's ``bruhatkit.cli.main``, with its stdout on ``/dev/null``, and
+reports its exit codes, its calls when counting and its own peak RSS
+(``VmHWM``, which starts afresh at the exec, so it is not the spawner's).
 
 With ``--calls`` it also runs, per workload and side, one untimed pass of
-the seed's ops through that copy's ``bruhatkit.cli.main`` under
-``sys.setprofile`` (CALLS_SCRIPT), and keeps under the workload's ``calls``
-how many times each bruhatkit function was entered on each side: a
-function's code counts once per call, and a generator's once per resume.
+the seed's ops under ``sys.setprofile``, and keeps under the workload's
+``calls`` how many times each bruhatkit function was entered on each side:
+a function's code counts once per call, and a generator's once per resume.
 Its ``calls_delta`` keeps each function whose calls differ, change minus
 parent, and their total, and stderr gets one line per workload whose calls
 differ.
@@ -91,11 +97,15 @@ SLOW = {
     "E6_scan_levi_table": [
         "scan", "--type", "E", "--rank", "6", "--target", "levi_table"],
 }
-#: Run in a copy by ``count_calls``, with a workload's name and seed, or
-#: "--" and one CLI argv, as arguments: prints the exit codes of its ops and
-#: the calls of each bruhatkit function, by module and qualified name.
-CALLS_SCRIPT = """
-import contextlib, json, os, sys
+#: Run in a copy by ``run_child``, with "calls" or "time", then a workload's
+#: name and seed, or "--" and one CLI argv, as arguments: runs each argv
+#: through ``cli.main`` (under ``sys.setprofile`` for "calls"), and last
+#: writes to stderr one JSON line of the exit codes, the calls of each
+#: bruhatkit function by module and qualified name, and its own peak RSS.
+#: Its stdout stays the file the parent gives it: a ``redirect_stdout`` in
+#: the child would time a different program.
+CHILD_SCRIPT = """
+import json, sys
 from bruhatkit import cli
 calls = {}
 
@@ -109,20 +119,19 @@ def profile(frame, event, arg):
             calls[name] = calls.get(name, 0) + 1
 
 
-if sys.argv[1] == "--":
-    argvs = [sys.argv[2:]]
+if sys.argv[2] == "--":
+    argvs = [sys.argv[3:]]
 else:
     import workloads
     argvs = [list(op.argv) for op in
-             workloads.WORKLOADS[sys.argv[1]].make_ops(int(sys.argv[2]))]
-with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \\
-        contextlib.redirect_stderr(sink):
+             workloads.WORKLOADS[sys.argv[2]].make_ops(int(sys.argv[3]))]
+if sys.argv[1] == "calls":
     sys.setprofile(profile)
-    try:
-        codes = [cli.main(argv) for argv in argvs]
-    finally:
-        sys.setprofile(None)
-print(json.dumps({"codes": codes, "calls": calls}))
+codes = [cli.main(argv) for argv in argvs]
+with open("/proc/self/status") as status:
+    peak_kb = next(int(s.split()[1]) for s in status if s[:6] == "VmHWM:")
+print(json.dumps({"codes": codes, "calls": calls, "peak_kb": peak_kb}),
+      file=sys.stderr)
 """
 
 
@@ -282,22 +291,33 @@ def run_once(copy: Path, workload: str, seed: int) -> dict:
     return values
 
 
-def count_calls(copy: Path, *args: str | int) -> dict[str, int]:
-    """The calls of each bruhatkit function in one untimed pass in a copy
-    (CALLS_SCRIPT), by name: of a workload's ops for args (workload, seed),
-    of one command for ("--", *argv).  An op that fails stops the
-    script."""
+def run_child(copy: Path, *args: str | int) -> dict:
+    """One process of CHILD_SCRIPT in a copy with the given arguments, its
+    stdout on ``/dev/null``: its report, and its wall seconds under
+    ``seconds``.  An op that fails, or a child that reports nothing, stops
+    the script with one line."""
     words = [str(arg) for arg in args]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=(
         f"{copy / 'src'}{os.pathsep}{copy / 'perfbench'}"))
+    start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", CALLS_SCRIPT, *words], cwd=copy, env=env,
-        capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    if any(result["codes"]):
-        raise SystemExit(f"{copy.name} {' '.join(words)}: exit codes "
-                         f"{result['codes']} under --calls")
-    return result["calls"]
+        [sys.executable, "-c", CHILD_SCRIPT, *words], cwd=copy, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    seconds = time.perf_counter() - start
+    last = (proc.stderr.splitlines() or [""])[-1]
+    report = json.loads(last) if last.startswith('{"codes": ') else None
+    if proc.returncode or report is None or any(report["codes"]):
+        raise SystemExit(f"{copy.name} {' '.join(words)}: " + (
+            f"exit codes {report['codes']}" if report else
+            f"exit {proc.returncode} with no report: {last}"))
+    return dict(report, seconds=seconds)
+
+
+def count_calls(copy: Path, *args: str | int) -> dict[str, int]:
+    """The calls of each bruhatkit function in one untimed pass in a copy,
+    by name: of a workload's ops for args (workload, seed), of one command
+    for ("--", *argv)."""
+    return run_child(copy, "calls", *args)["calls"]
 
 
 def slow_calls(copies: dict[str, Path]) -> dict[str, dict]:
@@ -316,21 +336,10 @@ def merge_calls(sides: dict[str, dict[str, int]]) -> dict[str, dict]:
 
 
 def time_command(copy: Path, argv: list[str]) -> tuple[float, float]:
-    """Whole-process wall seconds and peak RSS in MB of one CLI command run
-    from a copy's ``src/``, its output discarded.  The RSS is the child's
-    ``ru_maxrss`` from ``os.wait4``, in the benchmark worker's unit; Linux
-    keeps the spawning process's peak RSS in it across the exec, so it
-    reads at least this script's own peak."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(copy / "src"))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "bruhatkit.cli", *argv],
-                            cwd=copy, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, proc.args)
-    return time.perf_counter() - start, usage.ru_maxrss / 1024
+    """Whole-process wall seconds and peak RSS in MB (the child's own
+    ``VmHWM``) of one CLI command run in a copy, its output discarded."""
+    report = run_child(copy, "time", "--", *argv)
+    return report["seconds"], report["peak_kb"] / 1024
 
 
 def slow_run(copy: Path) -> dict[str, float]:
@@ -375,6 +384,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.out and not args.out.parent.is_dir():
+        parser.exit(2, f"--out: no directory {args.out.parent}\n")
 
     with tempfile.TemporaryDirectory(prefix="bruhatkit-ab-") as tmp:
         copies = {side: Path(tmp) / side for side in ("parent", "change")}
@@ -429,9 +440,9 @@ def main(argv=None) -> int:
                 for name, calls in slow_calls(copies).items():
                     report["slow"][name]["calls"] = calls
     text = json.dumps(report, indent=1)
+    print(text)
     if args.out:
         args.out.write_text(text + "\n")
-    print(text)
     regressed = regressions({**report["workloads"],
                              "slow": report.get("slow", {})})
     if regressed:

@@ -54,8 +54,8 @@ from typing import NamedTuple, Sequence
 from .algdim import ad
 from .errors import InvalidInputError, NotComparableError
 from .rootsys import Root
-from .weyl import (Perm, WeylElement, _compose, _identity_perm, _intern,
-                   from_word, identity, word_string)
+from .weyl import (Perm, WeylElement, _compose, _intern, from_word,
+                   identity, word_string)
 
 TAKE = "take"
 SKIP = "skip"
@@ -153,7 +153,7 @@ def build_subexpression(rs, v_word: Sequence[int],
     if len(word) != len(mask):
         raise InvalidInputError("mask length does not match word length")
     v = _check_reduced(rs, word)
-    prefixes = [_identity_perm(rs)]
+    prefixes = [rs.identity_perm]
     betas = []
     for k, (i, choice) in enumerate(zip(word, mask), start=1):
         if choice not in (TAKE, SKIP):
@@ -207,7 +207,7 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     """
     n, n_pos = len(word), len(rs.positive_roots)
     first = {u.perm: u.perm}
-    start = first.setdefault(e := _identity_perm(rs), e)
+    start = first.setdefault(rs.identity_perm, rs.identity_perm)
     ahead, behind = [{start: None}], [{u.perm: u.length}]
     # The frontiers are at depths len(ahead) - 1 and n + 1 - len(behind).
     while len(ahead) + len(behind) <= n + 1:
@@ -268,7 +268,7 @@ def mask_halves(v_word: Sequence[int], u: WeylElement, piece,
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
-    start, moves = _identity_perm(rs), _live_moves(rs, tuple(v_word), u)
+    start, moves = rs.identity_perm, _live_moves(rs, tuple(v_word), u)
     m = (len(moves) - 1) // 2
     heads = [(start, zero)] if start in moves[0] else []
     for k, step in enumerate(moves[:m], 1):
@@ -322,7 +322,7 @@ def positive_distinguished(v_word: Sequence[int],
         if x[rs.simple_positions[i - 1]] >= len(rs.positive_roots):
             choices[k - 1] = TAKE
             x = _compose(rs, x, rs.simple_perms[i - 1])
-    if x != _identity_perm(rs):
+    if x != rs.identity_perm:
         raise NotComparableError(
             f"no positive distinguished subexpression: {word_string(u)} is "
             f"not <= {word_string(v)}")
@@ -368,7 +368,7 @@ def deodhar_polynomial(v_word: Sequence[int],
     rs = u.system
     v = _check_reduced(rs, v_word)
     moves = _live_moves(rs, tuple(v_word), u)
-    start = _identity_perm(rs)
+    start = rs.identity_perm
     if start not in moves[0]:
         warnings.warn(
             f"{word_string(u)} is not <= {word_string(v)}; the mask census "

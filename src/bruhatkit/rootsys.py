@@ -230,6 +230,7 @@ class RootSystem:
         flip = [*range(n_pos, n), *range(n_pos)]
         rows = ([self.position[self._reflect_raw(i0, r)]
                  for r in self.positive_roots] for i0 in range(self.rank))
+        self.identity_perm: bytes | tuple[int, ...] = perm(range(n))
         self.simple_perms: tuple[bytes | tuple[int, ...], ...] = tuple(
             perm(row + [flip[p] for p in row]) for row in rows)
         # s_i p is apply(p, simple_tables[i - 1]).

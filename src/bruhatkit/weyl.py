@@ -117,12 +117,8 @@ def _intern(rs: RootSystem, perm: Perm) -> WeylElement:
     return el
 
 
-def _identity_perm(rs: RootSystem) -> Perm:
-    return rs.perm_type(range(len(rs.signed_roots)))
-
-
 def identity(rs: RootSystem) -> WeylElement:
-    return _intern(rs, _identity_perm(rs))
+    return _intern(rs, rs.identity_perm)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -174,7 +170,7 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     word = _listed(word, "word")
     for i in word:
         rs._check_index(i)
-    return _intern(rs, _simple_times(rs, word, _identity_perm(rs)))
+    return _intern(rs, _simple_times(rs, word, rs.identity_perm))
 
 
 def _compose(rs: RootSystem, p: Perm, q: Perm) -> Perm:
@@ -353,7 +349,7 @@ def _longest_perm(rs: RootSystem, sub: list[int]) -> Perm:
     positive, until there is none."""
     n_pos, simple, gens = (len(rs.positive_roots), rs.simple_positions,
                            rs.simple_perms)
-    p = _identity_perm(rs)
+    p = rs.identity_perm
     while i := next((i for i in sub if p[simple[i - 1]] < n_pos), None):
         p = _compose(rs, p, gens[i - 1])
     return p
@@ -394,7 +390,7 @@ def _layers(rs: RootSystem, toric: bool = False
     # reads all their images, once that of alpha_i is seen positive.
     reads = [itemgetter(k, *(g[simple[j]] for j in range(i)))
              for i, (k, g) in enumerate(zip(simple, gens))]
-    e = _identity_perm(rs)
+    e = rs.identity_perm
     layer, length = [(e, e, (), "")], 0
     while layer:
         # Only a wrong product makes a longer layer or one larger than W.

@@ -1,6 +1,6 @@
 import importlib.util
 import json
-import subprocess
+import resource
 from pathlib import Path
 
 import pytest
@@ -224,22 +224,19 @@ def test_slow_commands_are_valid_argv_over_w0():
 
 
 def _fake_copy(root, ops):
-    # A copy whose bruhatkit.cli.main calls a helper once per op and reads
-    # a generator, and whose workload "w" has the given argv as its ops.
-    # Run as a module, its cli holds 50 MB and exits with main's code.
+    # A copy whose bruhatkit.cli.main holds 30 MB, calls a helper once per
+    # op and reads a generator, and whose workload "w" has the given argv as
+    # its ops.
     (root / "src" / "bruhatkit").mkdir(parents=True)
     (root / "perfbench").mkdir()
     (root / "src" / "bruhatkit" / "__init__.py").write_text("")
     (root / "src" / "bruhatkit" / "cli.py").write_text(
-        "import sys\n"
         "def helper(n):\n"
         "    yield from range(n)\n"
         "def main(argv):\n"
+        "    held = bytearray(30 << 20)\n"
         "    print('output', argv)\n"
-        "    return sum(helper(len(argv))) and int(argv[0])\n"
-        "if __name__ == '__main__':\n"
-        "    held = bytearray(50 << 20)\n"
-        "    sys.exit(main(sys.argv[1:]))\n")
+        "    return sum(helper(len(argv))) and int(argv[0])\n")
     (root / "perfbench" / "workloads.py").write_text(
         "class Op:\n"
         "    def __init__(self, argv):\n"
@@ -288,14 +285,35 @@ def test_slow_calls_count_each_command_once_per_side(tmp_path, monkeypatch):
 
 
 def test_a_command_is_timed_with_its_own_peak_rss(tmp_path):
-    # The child's peak RSS covers the 50 MB it holds; a non-zero exit
-    # raises.
+    # The child's peak RSS covers the 30 MB its main holds; a non-zero exit
+    # code stops the script.
     _fake_copy(tmp_path, [])
     seconds, rss_mb = ab.time_command(tmp_path, ["0", "x"])
-    assert seconds > 0 and rss_mb > 50
-    with pytest.raises(subprocess.CalledProcessError) as failed:
+    assert seconds > 0 and rss_mb > 30
+    with pytest.raises(SystemExit, match=r"-- 3 y: exit codes \[3\]"):
         ab.time_command(tmp_path, ["3", "y"])
-    assert failed.value.returncode == 3
+
+
+def test_a_command_peak_rss_is_not_the_spawners(tmp_path):
+    # Linux keeps a spawner's peak RSS in its child's ru_maxrss across the
+    # exec; the child's own VmHWM starts afresh, so a command that holds
+    # 30 MB reads below this process's peak once that passes 100 MB.
+    _fake_copy(tmp_path, [])
+    held = bytearray(128 << 20)
+    spawner_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    del held
+    assert spawner_mb > 100
+    _, rss_mb = ab.time_command(tmp_path, ["0", "x"])
+    assert 30 < rss_mb < spawner_mb
+
+
+def test_a_child_that_reports_nothing_stops_the_script(tmp_path):
+    # A traceback in the child leaves no JSON line: one message, naming
+    # the child's exit status and its last stderr line.
+    _fake_copy(tmp_path, [])
+    with pytest.raises(SystemExit, match=(
+            r"-- x y: exit 1 with no report: ValueError: invalid literal")):
+        ab.time_command(tmp_path, ["x", "y"])
 
 
 def test_an_unknown_workload_stops_before_any_run(monkeypatch, capsys):
@@ -309,6 +327,30 @@ def test_an_unknown_workload_stops_before_any_run(monkeypatch, capsys):
         ab.main(["P", "C", "--workloads", "w,nosuch", "--pairs", "1"])
     assert stopped.value.code == 2
     assert capsys.readouterr().err == "unknown workload; known: w, v\n"
+
+
+def test_an_out_without_a_directory_stops_before_any_export(
+        tmp_path, monkeypatch, capsys):
+    exported = []
+
+    def export(rev, dest):
+        exported.append(rev)
+        return _fake_export(rev, dest)
+
+    monkeypatch.setattr(ab, "export", export)
+    missing = tmp_path / "nosuch" / "BENCH.json"
+    with pytest.raises(SystemExit) as stopped:
+        ab.main(["P", "C", "--workloads", "", "--out", str(missing)])
+    assert stopped.value.code == 2 and exported == []
+    assert capsys.readouterr().err == (
+        f"--out: no directory {missing.parent}\n")
+    # The report is printed before --out is written, so a write that fails
+    # loses nothing.
+    with pytest.raises(IsADirectoryError):
+        ab.main(["P", "C", "--workloads", "", "--out", str(tmp_path)])
+    assert exported == ["P", "C"]
+    assert json.loads(capsys.readouterr().out)["commits"] == {
+        "parent": "P", "change": "C"}
 
 
 def test_uncorrected_wall_times_get_a_verdict_beside_run_s():
