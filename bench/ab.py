@@ -7,9 +7,10 @@ Exports each commit with ``git archive`` into its own temporary directory
 and runs that copy's ``perfbench/run.py`` as it is, with ``--trace 0`` and
 the ``run_seconds`` of the copy's BENCHMARK.json.  Each pair runs both
 commits on the same seed, the parent first in even pairs and the change
-first in odd ones.  Every run has PYTHONDONTWRITEBYTECODE=1 and starts with
-no ``__pycache__`` in its copy, so no run reads bytecode an earlier run
-wrote.  A run whose result is not ``correct`` stops the script.  Beside
+first in odd ones.  Every benchmark run has PYTHONDONTWRITEBYTECODE=1 and
+starts with no ``__pycache__`` in its copy, so no run reads bytecode an
+earlier run wrote, and ``setup_s`` counts the compile of ``src/``.  A run
+whose result is not ``correct`` stops the script.  Beside
 the two commits it records the line counts of each copy's ``src/**/*.py``
 (``src_lines``) and ``tests/**/*.py`` (``tests_lines``), which tell lines
 deleted from lines moved into the tests, and the same counts of only the
@@ -36,10 +37,14 @@ With ``--slow`` it also runs each of the SLOW commands whole process in
 ``--pairs`` alternated pairs, after the workloads, and keeps under ``slow``
 each command's wall seconds by name and its peak RSS in MB as
 ``<name>.peak_rss_mb``, with the same quartiles, wins and verdict as a
-workload's metric.  ``--workloads ""`` runs no workload.  A name that is
-not a workload of the change's BENCHMARK.json stops the script before any
-run, with exit code 2, and so does an ``--out`` whose directory does not
-exist, before any export.
+workload's metric.  Before the slow pairs it compiles each copy's ``src/``
+once with ``compileall`` in this interpreter, so the slow runs read
+bytecode: their time and peak RSS leave out the compile, whose memory
+moves with the source bytes and not with what the program holds.
+``--workloads ""`` runs no workload.  A name that is not a workload of the
+change's BENCHMARK.json stops the script before any run, with exit code 2,
+and so does an ``--out`` whose directory does not exist, before any
+export.
 
 Every run of the program that is not a benchmark run is one process of
 CHILD_SCRIPT in a copy (``run_child``): it runs each argv through that
@@ -63,6 +68,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import compileall
 import io
 import json
 import os
@@ -433,6 +439,8 @@ def main(argv=None) -> int:
                 if line:
                     print(line, file=sys.stderr)
         if args.slow:
+            for copy in copies.values():
+                compileall.compile_dir(copy / "src", quiet=2)
             pairs = list(alternated(copies, args.pairs, slow_run))
             report["slow"] = summarize(
                 pairs, dict.fromkeys(pairs[0]["parent"], "lower"))

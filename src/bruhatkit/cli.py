@@ -40,7 +40,6 @@ listed in ``complexity.SCAN_COLUMNS``.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -167,6 +166,16 @@ def _meta(args) -> dict:
             "seed": args.seed, "version": __version__}
 
 
+def _quote(cell: str) -> str:
+    """A CSV cell, quoted exactly when it holds a comma: no cell the CLI
+    writes holds a quote or a line end, so this is ``csv.writer``'s rule."""
+    return f'"{cell}"' if "," in cell else cell
+
+
+def _csv_line(cells) -> str:
+    return ",".join(map(_quote, cells)) + "\n"
+
+
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -186,11 +195,10 @@ def _emit_report(report: ComplexityReport, args, out,
                    "witness": report.witness, "meta": _meta(args)}
         out.write(json.dumps(payload) + "\n")
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
         keys = list(report.witness)
-        writer.writerow(["kind", "value"] + keys)
-        writer.writerow([report.kind, report.value]
-                        + [_csv_cell(report.witness[k]) for k in keys])
+        out.write(_csv_line(["kind", "value", *keys]) + _csv_line(
+            [report.kind, str(report.value),
+             *(_csv_cell(report.witness[k]) for k in keys)]))
     else:
         out.write(f"kind: {report.kind}\n")
         out.write(f"value: {report.value}\n")
@@ -267,8 +275,7 @@ def cmd_info(rs: RootSystem, args, out) -> None:
         out.write(json.dumps({**fields, "meta": _meta(args)}) + "\n")
     elif args.format == "csv":
         fields["cartan"] = ";".join(map(_csv_cell, rs.cartan))
-        csv.writer(out, lineterminator="\n").writerows(
-            [fields, fields.values()])
+        out.write(_csv_line(fields) + _csv_line(map(str, fields.values())))
     else:
         out.write(f"type: {rs.family}{rs.rank}\n")
         out.write(f"rank: {rs.rank}\n")
@@ -318,7 +325,7 @@ def cmd_scan(rs: RootSystem, args, out) -> None:
     """A row is one ``%`` of the target's template, the bytes that
     ``csv.writer`` or ``json.dumps`` write for ``scan``'s row."""
     fmt = args.format
-    quote = (lambda s: f'"{s}"' if "," in s else s) if fmt == "csv" else str
+    quote = _quote if fmt == "csv" else str
     rows = _scan_rows(rs, args.target, args.max_length, _group_cap(), quote)
     columns = SCAN_COLUMNS[args.target]
     if fmt == "json":

@@ -253,12 +253,11 @@ def _levi_rows(rs: RootSystem, walked, quote) -> Iterator[tuple]:
     built raw (``_longest_perm``) and tabled once as w_0(I) + pad, so a row
     is one ``rs.apply`` through a kept table, one C call on bytes, and one
     lookup, and the scan makes no element.  The left descents of w are the
-    i whose simple root w^-1 sends negative: the table ``signs`` marks the
+    i whose simple root w^-1 sends negative: ``rs.sign_table`` marks the
     negative positions, so one ``rs.apply`` through it and one
     ``itemgetter`` read them as a key, which is spelled out as a list of
     descents only the first time it is met."""
-    n_pos, apply, pad = len(rs.positive_roots), rs.apply, rs.pad
-    signs = rs.perm_type([k >= n_pos for k in range(2 * n_pos)]) + pad
+    apply, pad, signs = rs.apply, rs.pad, rs.sign_table
     descent_bits = itemgetter(*rs.simple_positions)  # an int for rank 1
     levi_w0: dict[tuple[int, ...], tuple[Perm, str]] = {}
     by_descents: dict[tuple[int, ...] | int, list[tuple[Perm, str]]] = {}

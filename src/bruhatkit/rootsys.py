@@ -233,8 +233,10 @@ class RootSystem:
         self.identity_perm: bytes | tuple[int, ...] = perm(range(n))
         self.simple_perms: tuple[bytes | tuple[int, ...], ...] = tuple(
             perm(row + [flip[p] for p in row]) for row in rows)
-        # s_i p is apply(p, simple_tables[i - 1]).
+        # s_i p is apply(p, simple_tables[i - 1]), and apply(p, sign_table)
+        # marks with 1 each entry of p that is a negative position.
         self.simple_tables = tuple(s + self.pad for s in self.simple_perms)
+        self.sign_table = perm([0] * n_pos + [1] * n_pos) + self.pad
 
     # -- predicates -------------------------------------------------------
 

@@ -8,10 +8,11 @@ tuple above that.  ``RootSystem._build_permutations`` chooses, and with
 the format its one product rule: p q is ``rs.apply(q, p + rs.pad)``.
 ``_compose`` makes a one-off product so; a repeated left factor p keeps
 its table p + pad, as ``rs.simple_tables`` does for each s_i, so that
-each product by it is one ``rs.apply``.  Only ``WeylElement.length`` and
-``inverse`` branch on the format (``rs.perm_type``), as their algorithms
-differ by it.  Lengths and descents are read off which positive roots
-land on negative positions.  Words compose left to right:
+each product by it is one ``rs.apply``.  Only ``_build_permutations``
+knows the format: what depends on it is a table it makes, and the rest
+of ``weyl`` reads both formats alike.  Lengths and descents are read off
+which positive roots land on negative positions; a length counts them
+through ``rs.sign_table``.  Words compose left to right:
 ``from_word(rs, [1, 2])`` is s_1 s_2, acting by
 ``(s_1 s_2)(x) = s_1(s_2(x))``.
 
@@ -48,9 +49,6 @@ Perm = bytes | tuple[int, ...]  # see RootSystem._build_permutations
 #: Default refusal threshold for full group enumeration (= |W(E6)|).
 DEFAULT_GROUP_CAP = 51840
 
-#: Its first N bytes are the positions of the positive roots.
-_BYTES = bytes(range(256))
-
 
 class WeylElement:
     """A Weyl group element; obtain instances via from_word / identity.
@@ -71,16 +69,12 @@ class WeylElement:
 
     @property
     def length(self) -> int:
-        """Coxeter length = number of positive roots sent negative; on
-        bytes, what is left of the first N entries once those below N are
-        deleted."""
+        """Coxeter length = number of positive roots sent negative: the 1s
+        among the first N entries read through ``rs.sign_table``."""
         if self._length is None:
-            n_pos = len(self.system.positive_roots)
-            head = self.perm[:n_pos]
-            self._length = (
-                sum(p >= n_pos for p in head)
-                if self.system.perm_type is tuple
-                else len(head.translate(None, _BYTES[:n_pos])))
+            rs = self.system
+            self._length = rs.apply(self.perm[:len(rs.positive_roots)],
+                                    rs.sign_table).count(1)
         return self._length
 
     def is_identity(self) -> bool:
@@ -203,16 +197,12 @@ def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    """w^-1, whose permutation sends p[k] to k, p that of w."""
+    """w^-1, whose permutation sends p[k] to k, p that of w: its entry j is
+    the k with p[k] = j, so the positions sorted by their entries."""
     if w._inverse is None:
-        p, rs = w.perm, w.system
-        if rs.perm_type is tuple:
-            inv = [0] * len(p)
-            for k, q in enumerate(p):
-                inv[q] = k
-        else:  # one C call: the table sends each byte p[k] to k
-            inv = bytes.maketrans(p, bytes(range(len(p))))[:len(p)]
-        inv_el = _intern(rs, rs.perm_type(inv))
+        p = w.perm
+        inv_el = _intern(w.system, type(p)(
+            sorted(range(len(p)), key=p.__getitem__)))
         w._inverse = inv_el
         inv_el._inverse = w
     return w._inverse

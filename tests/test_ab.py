@@ -316,6 +316,46 @@ def test_a_child_that_reports_nothing_stops_the_script(tmp_path):
         ab.time_command(tmp_path, ["x", "y"])
 
 
+def test_slow_runs_read_bytecode_and_workload_runs_remove_it(
+        tmp_path, monkeypatch):
+    # The slow pairs run from each copy's src/ compiled once, so their peak
+    # RSS does not move with the source bytes; a benchmark run still starts
+    # with no __pycache__ and compiles src/ itself.
+    def export(rev, dest):
+        _fake_export(rev, dest)
+        _fake_copy(dest, [])
+        return rev
+
+    compiled = []
+
+    def time_command(copy, argv):
+        compiled.append(sorted(path.name.split(".")[0]
+                               for path in copy.rglob("*.pyc")))
+        return 1.0, 20.0
+
+    monkeypatch.setattr(ab, "export", export)
+    monkeypatch.setattr(ab, "SLOW", {"a": ["0"]})
+    monkeypatch.setattr(ab, "time_command", time_command)
+    assert ab.main(["P", "C", "--workloads", "", "--slow",
+                    "--pairs", "1"]) == 0
+    assert compiled == [["__init__", "cli"]] * 2
+    copy = tmp_path / "copy"
+    _fake_export("P", copy)
+    _fake_copy(copy, [])
+    (copy / "perfbench" / "run.py").write_text(
+        "import json, pathlib\n"
+        "clean = not any(pathlib.Path('.').rglob('__pycache__'))\n"
+        "print(json.dumps({'run_wall_s': 0.5, 'setup_wall_s': 0.06,"
+        " 'yardstick_us': 41.0}))\n"
+        "print(json.dumps({'correct': clean, 'attempted': 1,"
+        " 'failed': int(not clean), 'metrics': {}}))\n")
+    assert ab.compileall.compile_dir(copy / "src", quiet=1)
+    assert list(copy.rglob("*.pyc"))
+    assert ab.run_once(copy, "w", 0) == {
+        "run_wall_s": 0.5, "setup_wall_s": 0.06, "yardstick_us": 41.0}
+    assert not list(copy.rglob("__pycache__"))
+
+
 def test_an_unknown_workload_stops_before_any_run(monkeypatch, capsys):
     # Each name is checked against the change copy's BENCHMARK.json.
     def run_once(*args):

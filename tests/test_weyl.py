@@ -496,10 +496,11 @@ def test_descent_key_reads_left_descents(family, rank, top):
     # simple positions: one product by the table of the signs of all
     # positions and one itemgetter (an int at rank 1).  The key must spell
     # out D_L(w), and over a whole group meet every subset, as w_0(I) has
-    # left descents I.
+    # left descents I.  The table is the root system's own.
     rs, elements = _elements(family, rank, top)
     n_pos = len(rs.positive_roots)
     signs = rs.perm_type(k >= n_pos for k in range(2 * n_pos)) + rs.pad
+    assert rs.sign_table == signs
     read = itemgetter(*rs.simple_positions)
     seen = {}
     for w in elements:
