@@ -322,23 +322,33 @@ _INT_COLUMNS = frozenset({"length", "rank", "ad", "value", "count"})
 
 
 def cmd_scan(rs: RootSystem, args, out) -> None:
-    """A row is one ``%`` of the target's template, the bytes that
-    ``csv.writer`` or ``json.dumps`` write for ``scan``'s row."""
-    fmt = args.format
-    quote = _quote if fmt == "csv" else str
-    rows = _scan_rows(rs, args.target, args.max_length, _group_cap(), quote)
-    columns = SCAN_COLUMNS[args.target]
+    """Each row is the bytes that ``csv.writer`` or ``json.dumps`` write
+    for ``scan``'s row, made from the target's template.  A ``levi_table``
+    row comes from ``_levi_rows`` as finished text, joined from the pieces
+    of the template cut at its cells: the head of w, the mid of I and the
+    tail of d and its value, each made once.  Any other row is one ``%``
+    of the template."""
+    fmt, target = args.format, args.target
+    columns = SCAN_COLUMNS[target]
     if fmt == "json":
-        out.write(json.dumps({"meta": {**_meta(args), "target": args.target}})
-                  + "\n")
+        header = json.dumps({"meta": {**_meta(args), "target": target}})
         template = "{%s}\n" % ", ".join(
             f'"{c}": %s' if c in _INT_COLUMNS else f'"{c}": "%s"'
             for c in columns)
     else:
         sep = "," if fmt == "csv" else "\t"
-        out.write(sep.join(columns) + "\n")
+        header = sep.join(columns)
         template = sep.join(["%s"] * len(columns)) + "\n"
-    out.writelines(map(template.__mod__, rows))
+    quote = _quote if fmt == "csv" else str
+    pieces = None
+    if target == "levi_table":
+        w, sub, d, value, end = template.split("%s")
+        pieces = (lambda text: w + text + sub, lambda text: quote(text) + d,
+                  lambda text, n: f"{text}{value}{n}{end}")
+    rows = _scan_rows(rs, target, args.max_length, _group_cap(), quote,
+                      pieces)
+    out.write(header + "\n")
+    out.writelines(rows if pieces else map(template.__mod__, rows))
 
 
 def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):

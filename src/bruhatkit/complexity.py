@@ -244,27 +244,30 @@ def _richardson_rows(rs: RootSystem, walked) -> Iterator[tuple]:
                     yield u_str, v_str, len(labels), len(labels)
 
 
-def _levi_rows(rs: RootSystem, walked, quote) -> Iterator[tuple]:
-    """The levi_table rows.  For I in D_L(w) the left parabolic factor of w
-    is w_0(I), an involution, so the coset factor is d = w_0(I) w.  It is no
-    longer than w, so it came no later, and ``spelled`` has, by permutation,
-    its word string (the walk's own) and l(d) - |supp(d)|.  The pairs
-    (table of w_0(I), I) are listed once per left descent set, each w_0(I)
+def _levi_rows(rs: RootSystem, walked, head, mid, tail) -> Iterator:
+    """The levi_table rows, each ``head(w) + mid(I) + tail(d, value)``:
+    for ``scan`` the makers of one- and two-element tuples, for ``cli
+    scan`` those of pieces of its row text.  For I in D_L(w) the left
+    parabolic factor of w is w_0(I), an involution, so the coset factor is
+    d = w_0(I) w.  It is no longer than w, so it came no later, and
+    ``spelled`` has, by permutation, its tail, made once per element from
+    the walk's word string and l(d) - |supp(d)|.  The pairs (table of
+    w_0(I), mid of I) are listed once per left descent set, each w_0(I)
     built raw (``_longest_perm``) and tabled once as w_0(I) + pad, so a row
-    is one ``rs.apply`` through a kept table, one C call on bytes, and one
-    lookup, and the scan makes no element.  The left descents of w are the
-    i whose simple root w^-1 sends negative: ``rs.sign_table`` marks the
-    negative positions, so one ``rs.apply`` through it and one
-    ``itemgetter`` read them as a key, which is spelled out as a list of
-    descents only the first time it is met."""
+    is one ``rs.apply`` through a kept table, one C call on bytes, one
+    lookup and two ``+``, and the scan makes no element.  The left descents
+    of w are the i whose simple root w^-1 sends negative:
+    ``rs.sign_table`` marks the negative positions, so one ``rs.apply``
+    through it and one ``itemgetter`` read them as a key, which is spelled
+    out as a list of descents only the first time it is met."""
     apply, pad, signs = rs.apply, rs.pad, rs.sign_table
     descent_bits = itemgetter(*rs.simple_positions)  # an int for rank 1
-    levi_w0: dict[tuple[int, ...], tuple[Perm, str]] = {}
-    by_descents: dict[tuple[int, ...] | int, list[tuple[Perm, str]]] = {}
-    spelled: dict[Perm, tuple[str, int]] = {}
+    levi_w0: dict[tuple[int, ...], tuple] = {}
+    by_descents: dict[tuple[int, ...] | int, list[tuple]] = {}
+    spelled: dict[Perm, object] = {}
     for perm, inv, word, w_str in walked:
         w_str = w_str or "id"
-        spelled[perm] = w_str, len(word) - len(set(word))
+        spelled[perm] = tail(w_str, len(word) - len(set(word)))
         key = descent_bits(apply(inv, signs))
         pairs = by_descents.get(key)
         if pairs is None:
@@ -275,13 +278,12 @@ def _levi_rows(rs: RootSystem, walked, quote) -> Iterator[tuple]:
                 for sub in combinations(descents, size):
                     entry = levi_w0.get(sub)
                     if entry is None:
-                        entry = levi_w0[sub] = (
-                            _longest_perm(rs, sub) + pad,
-                            quote(_subset_str(sub)))
+                        entry = levi_w0[sub] = (_longest_perm(rs, sub) + pad,
+                                                mid(_subset_str(sub)))
                     pairs.append(entry)
-        for w0, sub_str in pairs:
-            d_str, value = spelled[apply(perm, w0)]
-            yield w_str, sub_str, d_str, value
+        w_head = head(w_str)
+        for w0, sub_mid in pairs:
+            yield w_head + sub_mid + spelled[apply(perm, w0)]
 
 
 def _support_histogram(rs: RootSystem, top: int) -> list[tuple[int, int]]:
@@ -297,9 +299,13 @@ def _support_histogram(rs: RootSystem, top: int) -> list[tuple[int, int]]:
     rank = rs.rank
     roots = [(sum(1 << j for j, c in enumerate(a) if c), sum(a))
              for a in rs.positive_roots]
-    shapes = Counter(  # the height counts of each W_T, by height
-        tuple(Counter(h for mask, h in roots if mask & t == mask).items())
-        for t in range(1 << rank))
+    shapes: Counter = Counter()  # the height counts of each W_T, by height
+    for t in range(1 << rank):
+        counts: dict[int, int] = {}
+        for mask, h in roots:
+            if mask & t == mask:
+                counts[h] = counts.get(h, 0) + 1
+        shapes[tuple(counts.items())] += 1
     by_size = [[0] * (top + 1) for _ in range(rank + 1)]
     for shape, times in shapes.items():
         heights, poly = dict(shape), [1] + [0] * top
@@ -318,10 +324,16 @@ def _support_histogram(rs: RootSystem, top: int) -> list[tuple[int, int]]:
     return [(k - rank, c) for k, c in enumerate(total) if c]
 
 
+def _cells(*cells):
+    return cells
+
+
 def _scan_rows(rs: RootSystem, target: str, max_length: int | None,
-               cap: int, quote=str) -> Iterator[tuple]:
+               cap: int, quote=str, pieces=None) -> Iterator:
     """``scan``'s rows as tuples in ``SCAN_COLUMNS`` order, with its eager
-    refusals; each subset cell (``I``, ``support``) is ``quote``d."""
+    refusals; the ``support`` cell is ``quote``d.  A ``levi_table`` row is
+    ``head(w) + mid(I) + tail(d, value)`` for ``pieces`` = (head, mid,
+    tail), by default the 4-tuple of its cells."""
     if target not in SCAN_TARGETS:
         raise InvalidInputError(
             f"unknown scan target {target!r}; expected one of {SCAN_TARGETS}")
@@ -343,7 +355,7 @@ def _scan_rows(rs: RootSystem, target: str, max_length: int | None,
                 for _, _, word, text in walked)
     if target == "toric_richardson":
         return _richardson_rows(rs, walked)
-    return _levi_rows(rs, walked, quote)
+    return _levi_rows(rs, walked, *(pieces or (_cells,) * 3))
 
 
 def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
@@ -361,7 +373,9 @@ def scan(rs: RootSystem, target: str, *, max_length: int | None = None,
     target interns an element.  ``toric_richardson`` makes one uncached
     right-descent walk per pair on the walked permutations
     (``bruhat._labels``), so it leaves the ``bruhat_le`` and ``ad`` memo
-    tables as they were.
+    tables as they were.  ``levi_table`` runs the loop of ``cli scan``
+    (``_levi_rows``), each row one tuple of w, I and (d, value) joined by
+    ``+``, where the CLI joins text pieces.
 
     >>> from bruhatkit.rootsys import root_system
     >>> list(scan(root_system("A", 2), "complexity_histogram"))

@@ -479,6 +479,29 @@ def test_scan_templates_match_the_writers(capsys, tmp_path, family, rank):
                 assert path.read_bytes() == table.encode()
 
 
+@pytest.mark.parametrize("family, rank, counts", [
+    ("A", 16, {"levi_table": 513, "toric_schubert": 152}),
+    ("B", 12, {"levi_table": 289, "toric_schubert": 90})], ids=["A16", "B12"])
+def test_scan_templates_match_the_writers_on_tuples(capsys, monkeypatch,
+                                                   family, rank, counts):
+    # More than 256 signed roots, so tuple permutations: the levi_table
+    # rows joined from text pieces, and the toric_schubert rows, are the
+    # writers' bytes there too.
+    monkeypatch.setenv("BRUHAT_GROUP_CAP", str(10**30))
+    rs = root_system(family, rank)
+    assert rs.perm_type is tuple
+    for target, count in counts.items():
+        rows = list(scan(rs, target, max_length=2, cap=10**30))
+        assert len(rows) == count
+        meta = {"type": family, "rank": rank, "seed": 0,
+                "version": bruhatkit.__version__, "target": target}
+        for fmt, table in scan_tables(rows, SCAN_COLUMNS[target],
+                                      meta).items():
+            assert run(capsys, ["scan", "--type", family, "--rank",
+                                str(rank), "--target", target, "--format",
+                                fmt, "--max-length", "2"]) == (0, table, "")
+
+
 def test_scan_cap_exit4(capsys):
     # The support targets build no group, but the cap still bounds |W|.
     for extra in (["--target", "toric_schubert"],
