@@ -355,27 +355,35 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
     """(count, rows) for the distinguished masks for u over word, the rows
     made in mask order as they are read.  A move's piece of a row is its
     choice, J+, Jo or J- item and k:beta text (made once per command for
-    each (k, beta)), each after a separator, and its shape counts.  A row
-    joins a head of ``mask_halves`` to each tail of its state, field by
-    field, cuts each field's leading separator and is one ``%`` of the
-    template of its shape (|Jo|, |J-|), made on first use.  The shape fixes
-    the rest: the entry counts (n - |Jo| - |J-| in J+, |Jo| + |J-| betas),
-    so which CSV cells are quoted and whether text prints ``-`` for no
-    betas, and the row's shape, td and positive ending.  Every string is
-    ASCII with nothing JSON escapes and no "%" or '"': a json line is
+    each (k, beta), from each root's name made once), each after a
+    separator, and its shape counts.  A row joins a head of ``mask_halves``
+    to each tail of its state as one ``%`` of the template of its shape
+    (|Jo|, |J-|), made on first use, with a head part and a tail part per
+    field.  Each head's fields are cut of their leading separator once;
+    where a head's field is empty, its tails' field is cut instead, so a
+    state keeps its tails cut once per pattern of empty head fields, and
+    uses them as they are when no field is empty.  The shape fixes the
+    rest: the entry counts (n - |Jo| - |J-| in J+, |Jo| + |J-| betas), so
+    which CSV cells are quoted and whether text prints ``-`` for no betas,
+    and the row's shape, td and positive ending.  Every string is ASCII
+    with nothing JSON escapes and no "%" or '"': a json line is
     json.dumps's and a csv line csv.writer's."""
     sep, item = {"json": (", ", ', "%s"'), "text": (", ", "; %s"),
                  "csv": (",", ",%s")}[fmt]
     n = len(word)
     cut, places = len(sep), [sep + str(k) for k in range(n + 1)]
+    names: dict[Root, str] = {}
     texts: dict[tuple[int, Root], str] = {}
 
     def piece(k, move):
         choice, _, entry = move
         if not entry:
             return ",take", places[k], "", "", "", 0, 0
-        text = texts.get(entry) or texts.setdefault(
-            entry, item % f"{k}:{root_string(entry[1])}")
+        text = texts.get(entry)
+        if text is None:
+            name = names.get(entry[1]) or names.setdefault(
+                entry[1], root_string(entry[1]))
+            text = texts[entry] = item % f"{k}:{name}"
         if choice == SKIP:
             return ",skip", "", places[k], "", text, 1, 0
         return ",take", "", "", places[k], text, 0, 1
@@ -390,31 +398,42 @@ def _deodhar_table(word: tuple[int, ...], u: WeylElement, fmt: str):
         positive = "false" if nm else "true"
         if fmt == "csv":
             mask, plus, circ, minus, betas = (
-                '"%s"' if entries >= 2 else "%s"
+                '"%s%s"' if entries >= 2 else "%s%s"
                 for entries in (n, n - nc - nm, nc, nm, nc + nm))
             text = (f'{mask},{ev},{plus},{circ},{minus},{betas},'
                     f'"{nc},{nm}",{td},{positive}\n')
         elif fmt == "json":
-            text = ('{"mask": "%s", "evaluation": "' + ev + '", "j_plus": '
-                    '[%s], "j_circ": [%s], "j_minus": [%s], "betas": [%s], '
-                    f'"shape": [{nc}, {nm}], "td": {td}, '
+            text = ('{"mask": "%s%s", "evaluation": "' + ev + '", "j_plus": '
+                    '[%s%s], "j_circ": [%s%s], "j_minus": [%s%s], "betas": '
+                    f'[%s%s], "shape": [{nc}, {nm}], "td": {td}, '
                     f'"positive": {positive}}}\n')
         else:
-            text = ("mask (%s)" + ("" if nm else " (positive)")
-                    + "\n  J+={%s} Jo={%s} J-={%s}\n  betas: "
-                    + ("%s" if nc + nm else "-%s")
+            text = ("mask (%s%s)" + ("" if nm else " (positive)")
+                    + "\n  J+={%s%s} Jo={%s%s} J-={%s%s}\n  betas: "
+                    + ("%s%s" if nc + nm else "-%s%s")
                     + f"\n  shape: ({nc},{nm})  td: {td}\n")
         templates[nc][nm] = text
         return text
 
     def rows():
+        cuts = {}
         for x, (mask, plus, circ, minus, betas, nc, nm) in heads:
-            for t_mask, t_plus, t_circ, t_minus, t_betas, tc, tm in tails[x]:
+            ends = tails[x]
+            if not (mask and plus and circ and minus):
+                # The cut of each tail field; [0:] is the string itself.
+                at = i0, i1, i2, i3, i4 = (
+                    not mask, cut * (not plus), cut * (not circ),
+                    cut * (not minus), cut * (not betas))
+                ends = cuts.get((x, at)) or cuts.setdefault((x, at), [
+                    (f0[i0:], f1[i1:], f2[i2:], f3[i3:], f4[i4:], tc, tm)
+                    for f0, f1, f2, f3, f4, tc, tm in ends])
+            mask, plus, circ, minus, betas = (
+                mask[1:], plus[cut:], circ[cut:], minus[cut:], betas[cut:])
+            for t_mask, t_plus, t_circ, t_minus, t_betas, tc, tm in ends:
                 yield (templates[nc + tc][nm + tm]
                        or template(nc + tc, nm + tm)) % (
-                    (mask + t_mask)[1:], (plus + t_plus)[cut:],
-                    (circ + t_circ)[cut:], (minus + t_minus)[cut:],
-                    (betas + t_betas)[cut:])
+                    mask, t_mask, plus, t_plus, circ, t_circ, minus, t_minus,
+                    betas, t_betas)
 
     return count, rows()
 

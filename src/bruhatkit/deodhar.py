@@ -124,20 +124,33 @@ def _check_reduced(rs, v_word: Sequence[int]) -> WeylElement:
     return v
 
 
-def _moves(rs, k: int, x: Perm, i: int, y: Perm) -> tuple:
-    """The distinguished moves at position k, from the prefix with raw
-    permutation x by letter i, take before skip: (choice, next prefix,
-    entry), y = x s_i the prefix after a take and entry the (k, beta_k) of
-    a Jo or J- position, else None.  x(alpha_i) is the signed root at
-    position p; skipping is allowed exactly when it is positive (taking
-    goes up), and beta_k is it or its negation, n_pos places away,
-    whichever is positive."""
-    n_pos = len(rs.positive_roots)
-    p = x[rs.simple_positions[i - 1]]
-    entry = (k, rs.positive_roots[p % n_pos])
-    if p < n_pos:
-        return (TAKE, y, None), (SKIP, x, entry)
-    return ((TAKE, y, entry),)
+def _moves(rs, k: int, i: int, layer: dict, first: dict,
+           reach=None) -> dict:
+    """One step of the search, by letter i at position k: sets each prefix
+    x of ``layer`` (raw permutations) to its distinguished moves, take
+    before skip, and returns the next layer, the states they reach in move
+    order.  A move is (choice, next prefix, entry), the prefix after a take
+    x s_i as its first copy in ``first`` and entry the (k, beta_k) of a Jo
+    or J- position, else None; with ``reach``, only the moves into it are
+    kept.  x(alpha_i) is the signed root at position p; skipping is allowed
+    exactly when it is positive (taking goes up), and beta_k is it or its
+    negation, n_pos places away, whichever is positive."""
+    apply, pad, s = rs.apply, rs.pad, rs.simple_perms[i - 1]
+    roots, pos = rs.positive_roots, rs.simple_positions[i - 1]
+    n_pos, after = len(roots), {}
+    for x in layer:
+        y = apply(s, x + pad)
+        p = x[pos]
+        entry, moves = (k, roots[p % n_pos]), ()
+        if reach is None or y in reach:
+            y = first.setdefault(y, y)
+            moves = (TAKE, y, None if p < n_pos else entry),
+            after[y] = None
+        if p < n_pos and (reach is None or x in reach):
+            moves += (SKIP, x, entry),
+            after[x] = None
+        layer[x] = moves
+    return after
 
 
 def build_subexpression(rs, v_word: Sequence[int],
@@ -158,9 +171,9 @@ def build_subexpression(rs, v_word: Sequence[int],
     for k, (i, choice) in enumerate(zip(word, mask), start=1):
         if choice not in (TAKE, SKIP):
             raise InvalidInputError(f"unknown mask token {choice!r}")
-        last = prefixes[-1]
-        for move, x, entry in _moves(
-                rs, k, last, i, _compose(rs, last, rs.simple_perms[i - 1])):
+        layer = {prefixes[-1]: None}
+        _moves(rs, k, i, layer, {})
+        for move, x, entry in layer[prefixes[-1]]:
             if move == choice:
                 break
         else:
@@ -188,37 +201,34 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
     each permutation is held as one object, its first copy (``first``,
     seeded with the two ends), however many moves reach it.
 
-    Forward layers grow from the identity by ``_moves``.  Backward layers
-    grow from u, each state keyed to its length: the layer at depth k
-    holds, for each y one layer on, y s_i (a take) and, when y s_i > y, y
-    itself (a skip), each kept only if its length is at most k.  That cut
-    drops no live state, since a letter changes the length by one or not
-    at all, so k letters from the identity reach nothing longer.  Each
-    step extends one frontier: the forward one while it is at most half
-    the size of the backward one, since a forward state costs a product
-    and a ``_moves`` call and keeps its moves, while a backward one costs
-    at most a product and keeps only its length.  When the frontiers meet
-    at depth m, the forward layer holds every state reached from the
-    identity and the backward one every state of length at most m that
-    reaches u, so their intersection is exactly the live states at depth
-    m.  The forward layers are pruned back from it to their live moves,
-    and a walk from it by ``_moves`` keeps the moves into the backward
-    layers, so every state it enters is live.
+    Forward layers grow from the identity, one ``_moves`` step per layer.
+    Backward layers grow from u, each state keyed to its length: the layer
+    at depth k holds, for each y one layer on, y s_i (a take) and, when
+    y s_i > y, y itself (a skip), each kept only if its length is at most
+    k.  That cut drops no live state, since a letter changes the length by
+    one or not at all, so k letters from the identity reach nothing
+    longer.  Both make each product inline, one ``rs.apply``.  Each step
+    extends one frontier: the forward one while it is at most half the
+    size of the backward one, since a forward state costs a product and
+    keeps its moves, while a backward one costs at most a product and
+    keeps only its length.  When the frontiers meet at depth m, the
+    forward layer holds every state reached from the identity and the
+    backward one every state of length at most m that reaches u, so their
+    intersection is exactly the live states at depth m.  The forward
+    layers are pruned back from it to their live moves, and a walk from
+    it, one ``_moves`` step per layer with the backward layer as
+    ``reach``, keeps the moves into the backward layers, so every state it
+    enters is live.
     """
-    n, n_pos = len(word), len(rs.positive_roots)
+    n, n_pos, apply, pad = len(word), len(rs.positive_roots), rs.apply, rs.pad
     first = {u.perm: u.perm}
     start = first.setdefault(rs.identity_perm, rs.identity_perm)
     ahead, behind = [{start: None}], [{u.perm: u.length}]
     # The frontiers are at depths len(ahead) - 1 and n + 1 - len(behind).
     while len(ahead) + len(behind) <= n + 1:
         if 2 * len(ahead[-1]) <= len(behind[-1]):
-            k, layer = len(ahead) - 1, ahead[-1]
-            i, s = word[k], rs.simple_perms[word[k] - 1]
-            for x in layer:
-                y = _compose(rs, x, s)
-                layer[x] = _moves(rs, k + 1, x, i, first.setdefault(y, y))
-            ahead.append({y: None for moves in layer.values()
-                          for _, y, _ in moves})
+            k = len(ahead) - 1
+            ahead.append(_moves(rs, k + 1, word[k], ahead[-1], first))
         else:
             k = n - len(behind)
             i, here = word[k], {}
@@ -226,7 +236,7 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
             for y, length in behind[-1].items():
                 step = 1 if y[pos] < n_pos else -1
                 if length + step <= k:
-                    here[_compose(rs, y, s)] = length + step
+                    here[apply(s, y + pad)] = length + step
                 if step > 0 and length <= k:
                     here[y] = length
             behind.append(here)
@@ -239,14 +249,8 @@ def _live_moves(rs, word: tuple[int, ...], u: WeylElement
         steps.append(live)
     steps.reverse()
     for k, reach in enumerate(reversed(behind[:-1]), len(ahead)):
-        i, s = word[k], rs.simple_perms[word[k] - 1]
-        found = {}
-        for x in layer:
-            y = _compose(rs, x, s)
-            found[x] = tuple(move for move in _moves(
-                rs, k + 1, x, i, first.setdefault(y, y)) if move[1] in reach)
-        steps.append(found)
-        layer = {move[1]: None for moves in found.values() for move in moves}
+        steps.append(layer)
+        layer = _moves(rs, k + 1, word[k], layer, first, reach)
     steps.append({u.perm: ()})
     return steps
 
@@ -258,13 +262,13 @@ def mask_halves(v_word: Sequence[int], u: WeylElement, piece,
     move)`` of its moves (k the 1-based position, the prefix in the move
     raw), from ``zero``.
 
-    Meet in the middle over the live moves of ``_live_moves``: ``heads``
-    lists (x, value) for the live prefixes of depth m = n // 2, grown from
-    the identity in mask order, x the raw state they end at, and ``tails``
-    maps each such x to the values of its live suffixes, grown back from u
-    in mask order.  The masks, in order, are each head joined to each tail
-    of its state.  td is ad(u, v), None when u is not below the word's
-    product.
+    Meet in the middle over the live moves of ``_live_moves``, each live
+    move mapped to its piece once: ``heads`` lists (x, value) for the live
+    prefixes of depth m = n // 2, grown from the identity in mask order, x
+    the raw state they end at, and ``tails`` maps each such x to the values
+    of its live suffixes, grown back from u in mask order.  The masks, in
+    order, are each head joined to each tail of its state.  td is ad(u, v),
+    None when u is not below the word's product.
     """
     rs = u.system
     v = _check_reduced(rs, v_word)
@@ -272,8 +276,12 @@ def mask_halves(v_word: Sequence[int], u: WeylElement, piece,
     m = (len(moves) - 1) // 2
     heads = [(start, zero)] if start in moves[0] else []
     for k, step in enumerate(moves[:m], 1):
-        heads = [(move[1], tuple(map(add, head, piece(k, move))))
-                 for x, head in heads for move in step[x]]
+        pieces = {x: [(move[1], piece(k, move)) for move in steps]
+                  for x, steps in step.items()}
+        heads = [(y, tuple(map(add, head, p)))
+                 for x, head in heads for y, p in pieces[x]]
+        # Dropped layer by layer, so no piece is held beside the tails.
+        del pieces
     tails = {u.perm: [zero]}
     for k in range(len(moves) - 1, m, -1):
         tails = {x: [tuple(map(add, p, tail)) for move in steps

@@ -30,7 +30,7 @@ from bruhatkit.errors import (BruhatkitError, FormulaUnavailableError,
                               NotComparableError, PreconditionError)
 from bruhatkit.weyl import longest_element, reduced_word, simple_reflection
 from digests import _cli_digests, _digest_cases, pinned_digests
-from oracles import scan_tables
+from oracles import all_reduced_words, scan_tables
 
 
 def run(capsys, argv):
@@ -886,6 +886,45 @@ def test_deodhar_text_and_csv_rows_at_the_edges(capsys):
     assert quoted == {2, 6}
 
 
+@pytest.mark.parametrize("family", ["A", "B", "G"])
+def test_deodhar_rows_on_every_short_word(family):
+    # Every u over every reduced word of length 0-4 in rank 2, in every
+    # format: the table's rows are the oracle's, csv as the bytes
+    # csv.writer writes for its cells.  A row joins a head of n // 2
+    # letters to a tail, each field cut of its leading separator in the
+    # head or, where the head's field is empty, in the tail; these words
+    # give one-letter words (a head of no letters) and heads with no J+,
+    # no Jo and no J- position.
+    rs = root_system(family, 2)
+    group = enumerate_group(rs)
+    words = sorted({word for w in group if w.length <= 4
+                    for word in all_reduced_words(w)})
+    # A2's longest element has length 3.
+    assert {len(word) for word in words} == set(
+        range(min(5, len(rs.positive_roots) + 1)))
+    empty_heads = set()
+    for word in words:
+        head = set(range(1, len(word) // 2 + 1))
+        for u in group:
+            subexprs = enumerate_distinguished(word, u)
+            for se in subexprs:
+                empty_heads.update(
+                    name for name, part in (("J+", se.j_plus),
+                                            ("Jo", se.j_circ),
+                                            ("J-", se.j_minus))
+                    if head and not head & part)
+            for fmt in ("text", "json", "csv"):
+                oracle = [_oracle_formatted(se, fmt) for se in subexprs]
+                if fmt == "csv":
+                    lines = io.StringIO()
+                    csv.writer(lines, lineterminator="\n").writerows(oracle)
+                    oracle = lines.getvalue().splitlines(keepends=True)
+                count, rows = cli._deodhar_table(word, u, fmt)
+                assert count == len(oracle)
+                assert list(rows) == oracle
+    assert empty_heads == {"J+", "Jo", "J-"}
+
+
 @pytest.mark.parametrize("fmt, digest", [
     ("text", "265bbcdf1006a8789e2154f037e0d322"
              "bd2aa78e331f17947d41e35007d820da"),
@@ -956,12 +995,16 @@ def test_deodhar_streams_its_rows(monkeypatch):
 
 def test_deodhar_rows_format_each_entry_once(monkeypatch, capsys):
     # The 1,613 masks of D5, w0 word, u = id carry 25,300 beta entries but
-    # only 132 distinct ones; each command formats each of them once, and
-    # renders u once for the rows and once for a text or JSON header.
+    # only 132 distinct ones, over 20 distinct roots; each command names
+    # each root once, and renders u once for the rows and once for a text
+    # or JSON header.
     rs = root_system("D", 5)
     word = _w0_word(rs)
-    assert sum(len(se.betas) for se in enumerate_distinguished(
-        word, identity(rs))) == 25300
+    subexprs = enumerate_distinguished(word, identity(rs))
+    assert sum(len(se.betas) for se in subexprs) == 25300
+    assert len({entry for se in subexprs for entry in se.betas}) == 132
+    roots = len({beta for se in subexprs for _, beta in se.betas})
+    assert roots == 20
     calls = Counter()
     for name in ("root_string", "word_string"):
         real = getattr(cli, name)
@@ -977,11 +1020,11 @@ def test_deodhar_rows_format_each_entry_once(monkeypatch, capsys):
                                     "--u", "id", "--format", fmt])
         assert code == 0
         assert len(_stdout_rows(out, fmt)) == 1613
-    assert calls == {("text", "root_string"): 132,
+    assert calls == {("text", "root_string"): roots,
                      ("text", "word_string"): 2,
-                     ("json", "root_string"): 132,
+                     ("json", "root_string"): roots,
                      ("json", "word_string"): 2,
-                     ("csv", "root_string"): 132,
+                     ("csv", "root_string"): roots,
                      ("csv", "word_string"): 1}
 
 

@@ -234,23 +234,34 @@ def test_polynomial_matches_r_polynomial_d4_top(d4, d4_group):
         assert deodhar_polynomial(word, u) == r_polynomial(u, w0)
 
 
-def _count_mask_search(monkeypatch, u_word, name):
-    # Over the least reduced word of w0 in D5, count the calls the mask
-    # search makes to deodhar's ``name``: ``_compose`` for the raw steps
-    # x s_i (the forward layers, the backward takes and the walk from where
-    # they meet), ``_moves`` for the states the search enters.  The system
-    # is private, so nothing an earlier test made is reused.
+def _count_mask_search(monkeypatch, u_word, counted):
+    # Over the least reduced word of w0 in D5, count what the mask search
+    # does: "states", the states it enters, as the sizes of the layers it
+    # hands to deodhar's one step per layer ``_moves``, or "products", its
+    # raw products x s_i (the forward layers, the backward takes and the
+    # walk from where they meet), as the calls of the system's ``apply``,
+    # which also make the word's product v.  The system is private, so
+    # nothing an earlier test made is reused.
     rs = build_root_system("D", 5)
     word = reduced_word(longest_element(rs, range(1, 6)))
     u = from_word(rs, u_word)
     calls = [0]
-    real = getattr(bruhatkit.deodhar, name)
+    if counted == "states":
+        real = bruhatkit.deodhar._moves
 
-    def counting(*args):
-        calls[0] += 1
-        return real(*args)
+        def counting(rs, k, i, layer, *rest):
+            calls[0] += len(layer)
+            return real(rs, k, i, layer, *rest)
 
-    monkeypatch.setattr(bruhatkit.deodhar, name, counting)
+        monkeypatch.setattr(bruhatkit.deodhar, "_moves", counting)
+    else:
+        real = rs.apply
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(rs, "apply", counting)
     return len(enumerate_distinguished(word, u)), calls[0]
 
 
@@ -261,8 +272,8 @@ def _count_mask_search(monkeypatch, u_word, name):
 def test_mask_search_prunes(monkeypatch, u_word, masks, limit):
     # The search visits few states that yield no mask; a search pruned only
     # on length distance makes about 50,000 products for u = id and 6,000
-    # for this u.
-    found, calls = _count_mask_search(monkeypatch, u_word, "_compose")
+    # for this u.  This one makes 1,221 and 111.
+    found, calls = _count_mask_search(monkeypatch, u_word, "products")
     assert found == masks
     assert calls < limit
 
@@ -277,7 +288,7 @@ def test_mask_search_visits_no_dead_state(monkeypatch, u_word, masks, limit):
     # at most half the size of the backward one, and then enters only live
     # states: 745 of the 817 are live for u = id, and all 25 for the second
     # u.  With frontiers of equal size it enters 31 for the second u.
-    found, calls = _count_mask_search(monkeypatch, u_word, "_moves")
+    found, calls = _count_mask_search(monkeypatch, u_word, "states")
     assert found == masks
     assert calls <= limit
 
